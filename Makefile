@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck sslint sslint-sarif lint test test-short race cover bench bench-tracing bench-storage bench-overload bench-rules harness chaos fuzz fuzz-seeds examples clean
+.PHONY: all build vet fmtcheck sslint sslint-sarif lint test test-short race cover bench bench-check bench-tracing bench-storage bench-overload bench-rules harness chaos fuzz fuzz-seeds examples clean
 
 all: build lint test race
 
@@ -51,6 +51,11 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# bench/ is its own module, so root `go test ./...` neither builds nor
+# tests it; run this whenever a package it imports changes.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
 # Regenerate every experiment table (EXPERIMENTS.md).
 harness:
 	$(GO) run ./cmd/benchharness
@@ -63,8 +68,8 @@ harness-quick:
 bench-tracing:
 	$(GO) run ./cmd/benchharness -only BENCH6 -bench6-out BENCH_6.json
 
-# BENCH_7.json: persistent segment store vs the in-memory engine —
-# cold-restart time, full-range scan throughput (budget: 2x in-memory),
+# BENCH_7.json: persistent segment store — cold-restart time,
+# full-range scan throughput vs the in-memory engine (budget: 2x),
 # and kill-during-compaction chaos. -quick keeps it CI-sized; run
 # without -quick locally for the paper-scale 100k-record numbers.
 bench-storage:

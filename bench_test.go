@@ -113,13 +113,11 @@ func BenchmarkQueryMergedVsUnmerged(b *testing.B) {
 			name = "merged"
 		}
 		b.Run(name, func(b *testing.B) {
-			st, err := storage.Open("")
-			if err != nil {
-				b.Fatal(err)
-			}
+			st := storage.NewMemory()
 			defer st.Close()
 			segs := packets
 			if optimized {
+				var err error
 				if segs, err = wavesegment.OptimizeAll(packets, wavesegment.DefaultMaxSamples); err != nil {
 					b.Fatal(err)
 				}

@@ -71,8 +71,12 @@ type Event struct {
 
 // Trail is an append-only, bounded audit log. Safe for concurrent use.
 type Trail struct {
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// events grows by append until it holds limit events and is a ring
+	// from then on: head is the oldest event and the next slot Record
+	// overwrites (0 while growing), so appending never moves the rest.
 	events []Event
+	head   int
 	limit  int
 	now    func() time.Time
 }
@@ -96,10 +100,17 @@ func (t *Trail) Record(e Event) {
 	if e.At.IsZero() {
 		e.At = t.now()
 	}
-	t.events = append(t.events, e)
-	if over := len(t.events) - t.limit; over > 0 {
-		t.events = append(t.events[:0:0], t.events[over:]...)
+	if len(t.events) < t.limit {
+		t.events = append(t.events, e)
+		return
 	}
+	t.events[t.head] = e
+	t.head = (t.head + 1) % t.limit
+}
+
+// at returns the i-th retained event, oldest first. Callers hold t.mu.
+func (t *Trail) at(i int) *Event {
+	return &t.events[(t.head+i)%len(t.events)]
 }
 
 // Len returns the number of retained events.
@@ -145,10 +156,11 @@ func (t *Trail) Events(f Filter) []Event {
 	defer t.mu.RUnlock()
 	var out []Event
 	for i := len(t.events) - 1; i >= 0; i-- {
-		if !f.matches(&t.events[i]) {
+		e := t.at(i)
+		if !f.matches(e) {
 			continue
 		}
-		out = append(out, t.events[i])
+		out = append(out, *e)
 		if f.Limit > 0 && len(out) >= f.Limit {
 			break
 		}
@@ -176,7 +188,7 @@ func (t *Trail) Summarize(contributor string) []ConsumerSummary {
 	defer t.mu.RUnlock()
 	byConsumer := make(map[string]*ConsumerSummary)
 	for i := range t.events {
-		e := &t.events[i]
+		e := t.at(i)
 		if !strings.EqualFold(e.Contributor, contributor) {
 			continue
 		}

@@ -48,6 +48,56 @@ func TestEviction(t *testing.T) {
 	if !got[0].At.Equal(t0.Add(4*time.Minute)) || !got[2].At.Equal(t0.Add(2*time.Minute)) {
 		t.Errorf("eviction kept wrong events: %v .. %v", got[0].At, got[2].At)
 	}
+
+	// Wrap more than once with a limit that does not divide the count:
+	// after every append the trail holds exactly the newest min(n, limit)
+	// events, newest first, and Limit and Summarize see the same window.
+	const limit, total = 7, 30
+	tr = NewTrail(limit)
+	for n := 1; n <= total; n++ {
+		tr.Record(event("bob", t0.Add(time.Duration(n)*time.Minute), OutcomeRaw, 1))
+		want := min(n, limit)
+		got := tr.Events(Filter{})
+		if tr.Len() != want || len(got) != want {
+			t.Fatalf("after %d records: Len = %d, %d events, want %d", n, tr.Len(), len(got), want)
+		}
+		for i, e := range got {
+			if !e.At.Equal(t0.Add(time.Duration(n-i) * time.Minute)) {
+				t.Fatalf("after %d records: event %d at %v, want t0+%dm", n, i, e.At, n-i)
+			}
+		}
+		if newest := tr.Events(Filter{Limit: 2}); !newest[0].At.Equal(got[0].At) || len(newest) != min(n, 2) {
+			t.Fatalf("after %d records: Limit 2 = %v", n, newest)
+		}
+		sum := tr.Summarize("alice")
+		if len(sum) != 1 || sum[0].Accesses != want ||
+			!sum[0].First.Equal(got[want-1].At) || !sum[0].Last.Equal(got[0].At) {
+			t.Fatalf("after %d records: summary %+v", n, sum)
+		}
+	}
+}
+
+// BenchmarkRecordFull appends to a trail that starts empty and to one
+// already holding DefaultLimit events: the ring makes the second cost the
+// same order as the first, not a copy of the whole trail per event.
+func BenchmarkRecordFull(b *testing.B) {
+	e := event("bob", t0, OutcomeRaw, 1)
+	for _, start := range []struct {
+		name string
+		n    int
+	}{{"empty", 0}, {"full", DefaultLimit}} {
+		b.Run(start.name, func(b *testing.B) {
+			tr := NewTrail(0)
+			for i := 0; i < start.n; i++ {
+				tr.Record(e)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr.Record(e)
+			}
+		})
+	}
 }
 
 func TestEventsFilter(t *testing.T) {

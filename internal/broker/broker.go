@@ -92,15 +92,12 @@ type contributorEntry struct {
 	syncedAt     time.Time
 }
 
-// decider returns the evaluation seam for this replica: the compiled index
-// when built, else the linear engine counted as a fallback; nil when no
+// decider returns the evaluation seam for this replica: the compiled
+// index, which every site that assigns engine builds with it; nil when no
 // rules have replicated yet (default deny).
 func (e *contributorEntry) decider() rules.Decider {
 	if e.index != nil {
 		return e.index
-	}
-	if e.engine != nil {
-		return ruleindex.Fallback(e.engine)
 	}
 	return nil
 }
@@ -116,6 +113,9 @@ type Service struct {
 	users *auth.Registry
 	web   *auth.Passwords
 	dir   string // persistence directory ("" = in-memory)
+	// saveMu serialises saveState (snapshot + write), for the reason
+	// datastore.Service.saveMu gives; taken before mu, never under it.
+	saveMu sync.Mutex
 
 	mu           sync.RWMutex
 	contributors map[string]*contributorEntry // guarded by mu

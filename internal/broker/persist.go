@@ -72,6 +72,8 @@ func (s *Service) saveState() error {
 	if s.dir == "" {
 		return nil
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	st, err := s.snapshotState()
 	if err != nil {
 		return err

@@ -2,8 +2,10 @@ package broker
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -168,5 +170,60 @@ func TestBrokerStateFilePermissions(t *testing.T) {
 	}
 	if perm := info.Mode().Perm(); perm != 0o600 {
 		t.Errorf("state file mode = %o, want 600 (contains API keys)", perm)
+	}
+}
+
+// TestBrokerConcurrentSavesNeitherFailNorRegress races the broker's state
+// writers: stores pushing rule replicas beside consumers registering.
+// Unserialised saves collide on WriteFileAtomic's temp name (a call fails
+// although its mutation took effect) and can commit an older snapshot last.
+func TestBrokerConcurrentSavesNeitherFailNorRegress(t *testing.T) {
+	const workers, rounds = 4, 12
+	dir := t.TempDir()
+	b, err := NewPersistent(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			name := fmt.Sprintf("contributor%d", i)
+			if err := b.RegisterContributor(name, "store-"+name); err != nil {
+				t.Errorf("RegisterContributor: %v", err)
+			}
+			for v := uint64(1); v <= rounds; v++ {
+				if err := b.SyncRules(name, v, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+					t.Errorf("SyncRules: %v", err)
+				}
+			}
+		}(i)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := b.RegisterConsumer(fmt.Sprintf("consumer%d-%d", i, r)); err != nil {
+					t.Errorf("RegisterConsumer: %v", err)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+
+	b2, err := NewPersistent(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas := b2.Replicas()
+	if len(replicas) != workers {
+		t.Fatalf("reopened replicas = %+v, want %d", replicas, workers)
+	}
+	for _, r := range replicas {
+		if r.Version != rounds {
+			t.Errorf("reopened replica %s at version %d, want %d", r.Name, r.Version, rounds)
+		}
+	}
+	if n := len(b2.Users().Snapshot()); n != workers*rounds {
+		t.Errorf("reopened accounts = %d, want %d", n, workers*rounds)
 	}
 }

@@ -107,7 +107,8 @@ func (s *Service) SearchInfo(key auth.APIKey, q *SearchQuery) ([]SearchHit, erro
 // broker.search span joins the request trace and HTTP handlers propagate
 // their deadline.
 func (s *Service) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *SearchQuery) ([]SearchHit, error) {
-	defer obs.Time(ctx, "broker.search")()
+	_, _, stop := obs.Span(ctx, "broker.search")
+	defer stop(nil)
 	metricSearches.Inc()
 	u, e, err := s.authConsumer(key)
 	if err != nil {

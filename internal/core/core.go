@@ -53,9 +53,9 @@ func (n *Network) AddStore(name, dir string) (*datastore.Service, error) {
 		return nil, fmt.Errorf("core: store %q already exists", name)
 	}
 	n.mu.Unlock()
-	// Open the store outside the lock: engine open replays segment files
-	// and may run (and on failure unwind) the legacy-WAL migration, and
-	// the deployment mutex must stay responsive meanwhile.
+	// Open the store outside the lock: engine open reads segment-file
+	// footers and replays the WAL tail, and the deployment mutex must
+	// stay responsive meanwhile.
 	svc, err := datastore.New(datastore.Options{
 		Name:      name,
 		Dir:       dir,

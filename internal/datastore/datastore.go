@@ -55,6 +55,8 @@ var (
 		"Replica pushes attempted against the sync target, by result.", "result")
 	metricAntiEntropy = obs.NewCounterVec("sensorsafe_datastore_antientropy_total",
 		"Anti-entropy reconciliation rounds, by result.", "result")
+	metricStateSaveErrors = obs.NewCounter("sensorsafe_datastore_state_save_errors_total",
+		"State-file writes triggered by stream mutations that failed (no caller to return the error to).")
 )
 
 // Errors returned by the service.
@@ -126,9 +128,6 @@ type Options struct {
 	// CompactInterval is the segment engine's background compaction
 	// period (0 disables background compaction).
 	CompactInterval time.Duration
-	// LegacyStorage forces the old in-memory index + flat WAL engine
-	// even when Dir is set (kept for comparison benchmarks).
-	LegacyStorage bool
 }
 
 // contributorState is the per-contributor slice of an (institutional)
@@ -152,14 +151,11 @@ type contributorState struct {
 }
 
 // decider returns the evaluation seam release paths must use: the indexed
-// plan when compiled, else the linear engine counted as a fallback. Nil
-// when the contributor has no rules (default deny).
+// plan, which every site that assigns engine compiles with it. Nil when
+// the contributor has no rules (default deny).
 func (st *contributorState) decider() rules.Decider {
 	if st.index != nil {
 		return st.index
-	}
-	if st.engine != nil {
-		return ruleindex.Fallback(st.engine)
 	}
 	return nil
 }
@@ -193,6 +189,12 @@ type Service struct {
 	// Guarded by mu.
 	pending map[string]uint64
 
+	// saveMu serialises saveState: snapshot and write happen under it, so
+	// concurrent savers cannot collide on WriteFileAtomic's fixed temp
+	// name or commit an older snapshot after a newer one. Taken before
+	// the stream hub's locks and mu, never while holding either.
+	saveMu sync.Mutex
+
 	stopSync chan struct{}
 	syncDone chan struct{}
 }
@@ -222,7 +224,7 @@ func New(opts Options) (*Service, error) {
 		Rules:          svc,
 		Geocoder:       opts.Geocoder,
 		BufferSegments: opts.StreamBufferSegments,
-		OnChange:       func() { _ = svc.saveState() },
+		OnChange:       svc.saveStreamState,
 	})
 	if err := svc.loadState(); err != nil {
 		st.Close()
@@ -268,7 +270,7 @@ func (s *Service) Storage() storage.Engine { return s.store }
 
 // SegmentStoreStats reports the persistent segment engine's internals
 // (file counts, levels, live/dead bytes, last compaction); ok is false
-// when the service runs the in-memory legacy engine.
+// when the service runs the in-memory engine.
 func (s *Service) SegmentStoreStats() (segstore.Stats, bool) {
 	if eng, ok := s.store.(*segstore.Store); ok {
 		return eng.Stats(), true

@@ -1,7 +1,6 @@
 package datastore
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,68 +10,27 @@ import (
 )
 
 // openEngine picks the segment backend: persistent services get the
-// columnar LSM engine (internal/segstore); in-memory services (and
-// callers explicitly pinning LegacyStorage for comparison) keep the
-// flat in-memory index.
+// columnar LSM engine (internal/segstore), in-memory services the
+// ordered in-memory index (internal/storage).
 func openEngine(opts Options) (storage.Engine, error) {
-	if opts.Dir == "" || opts.LegacyStorage {
-		return storage.Open(opts.Dir)
+	if opts.Dir == "" {
+		return storage.NewMemory(), nil
+	}
+	// A directory written before segstore keeps every segment in a flat
+	// segments.wal that nothing reads any more: refuse it, naming the
+	// file, rather than come up as an empty store.
+	old := filepath.Join(opts.Dir, "segments.wal")
+	if _, err := os.Stat(old); err == nil {
+		return nil, fmt.Errorf("datastore: %s is a pre-segstore segment log this version cannot read; migrate the directory with an earlier release, or move the file away to start empty", old)
 	}
 	dir := opts.SegstoreDir
 	if dir == "" {
 		dir = filepath.Join(opts.Dir, "segstore")
 	}
-	eng, err := segstore.Open(segstore.Options{
+	return segstore.Open(segstore.Options{
 		Dir:               dir,
 		MemtableBytes:     opts.MemtableBytes,
 		CompactInterval:   opts.CompactInterval,
 		MaxSegmentSamples: opts.MaxSegmentSamples,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := migrateLegacyWAL(opts.Dir, eng); err != nil {
-		eng.Close()
-		return nil, err
-	}
-	return eng, nil
-}
-
-// migrateLegacyWAL is the one-time upgrade path: a directory created by
-// the old engine holds every segment in a flat segments.wal. Replay it
-// into the segstore, flush, and rename the old log aside so segments
-// are never held in two places (the bugfix half of the engine swap —
-// previously the monolithic WAL duplicated everything in memory).
-func migrateLegacyWAL(dir string, eng *segstore.Store) error {
-	legacy := filepath.Join(dir, "segments.wal")
-	if _, err := os.Stat(legacy); errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	old, err := storage.Open(dir)
-	if err != nil {
-		return fmt.Errorf("datastore: open legacy store for migration: %w", err)
-	}
-	results, err := old.ScanRefs(storage.Query{})
-	if err != nil {
-		old.Close()
-		return err
-	}
-	for _, r := range results {
-		if _, err := eng.Put(r.Segment); err != nil {
-			old.Close()
-			return fmt.Errorf("datastore: migrate segment %d: %w", r.ID, err)
-		}
-	}
-	if err := old.Close(); err != nil {
-		return err
-	}
-	// Land the migrated records in segment files before retiring the
-	// legacy log, so a crash in between leaves one authoritative copy.
-	if err := eng.Flush(); err != nil {
-		return err
-	}
-	if err := os.Rename(legacy, legacy+".migrated"); err != nil {
-		return fmt.Errorf("datastore: retire legacy wal: %w", err)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,7 +16,7 @@ import (
 	"sensorsafe/internal/stream"
 )
 
-// Metadata persistence: sensor data lives in the storage WAL; everything
+// Metadata persistence: sensor data lives in the segment engine; everything
 // else a store must not lose across restarts — accounts and API keys,
 // privacy rules, labeled places, and consumer group assignments — is kept
 // in a JSON state file rewritten atomically (tmp + rename) on every
@@ -56,6 +57,8 @@ func (s *Service) saveState() error {
 	if s.opts.Dir == "" {
 		return nil
 	}
+	s.saveMu.Lock()
+	defer s.saveMu.Unlock()
 	st, err := s.snapshotState()
 	if err != nil {
 		return err
@@ -68,6 +71,17 @@ func (s *Service) saveState() error {
 		return fmt.Errorf("datastore: write state: %w", err)
 	}
 	return nil
+}
+
+// saveStreamState is the stream hub's OnChange hook (subscribe,
+// unsubscribe, cursor advance). The hub has no caller to hand a failed
+// write to, so it is logged and counted; the next successful save
+// carries the same cursors.
+func (s *Service) saveStreamState() {
+	if err := s.saveState(); err != nil {
+		metricStateSaveErrors.Inc()
+		slog.Error("datastore: persist stream state", "store", s.opts.Name, "err", err)
+	}
 }
 
 func (s *Service) snapshotState() (*persistedState, error) {

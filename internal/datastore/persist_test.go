@@ -1,13 +1,21 @@
 package datastore
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"sensorsafe/internal/auth"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/query"
 	"sensorsafe/internal/rules"
+	"sensorsafe/internal/stream"
+	"sensorsafe/internal/wavesegment"
 )
 
 func TestFullStateSurvivesReopen(t *testing.T) {
@@ -179,5 +187,157 @@ func TestRestoredRulesStillSync(t *testing.T) {
 	}
 	if len(sync.calls) != 1 || sync.calls[0] != "alice" {
 		t.Errorf("resync after restore = %v", sync.calls)
+	}
+}
+
+// TestPreSegstoreDirectoryRefused plants the flat segment log older
+// releases kept in the store directory: opening it must fail naming the
+// file, not come up as an empty store.
+func TestPreSegstoreDirectoryRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "segments.wal")
+	if err := os.WriteFile(old, []byte("legacy"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Dir: dir})
+	if err == nil {
+		s.Close()
+		t.Fatal("a directory holding segments.wal opened without error")
+	}
+	if !strings.Contains(err.Error(), old) {
+		t.Errorf("error %q does not name %s", err, old)
+	}
+}
+
+// TestEveryRuleSetHasAnIndex pins the invariant that lets decider()
+// return the index or nothing: after every mutation that (re)builds a
+// contributor's engine, and after a reopen, each contributor with rules
+// is listed by RuleIndexStats at its current rule version.
+func TestEveryRuleSetHasAnIndex(t *testing.T) {
+	dir := t.TempDir()
+	s := newService(t, Options{Dir: dir})
+	check := func(s *Service, step string, want map[string]uint64) {
+		t.Helper()
+		got := s.RuleIndexStats()
+		for name, version := range want {
+			if st, ok := got[name]; !ok || st.Version != version {
+				t.Fatalf("%s: %s index = %+v (present %v), want version %d", step, name, st, ok, version)
+			}
+		}
+	}
+	alice, err := s.RegisterContributor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	carol, err := s.RegisterContributor("carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "SetRules alice", map[string]uint64{"alice": 1})
+	rect, _ := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
+	if err := s.DefinePlace(alice.Key, "UCLA", geo.Region{Rect: rect}); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "DefinePlace alice", map[string]uint64{"alice": 2})
+	if err := s.DefinePlace(carol.Key, "UCLA", geo.Region{Rect: rect}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRules(carol.Key, []byte(`[{"LocationLabel":["UCLA"],"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "SetRules carol", map[string]uint64{"alice": 2, "carol": 2})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(newService(t, Options{Dir: dir}), "reopen", map[string]uint64{"alice": 2, "carol": 2})
+}
+
+// TestConcurrentSavesNeitherFailNorRegress races the two writers of the
+// state file — rule mutations, which return the save's error, and stream
+// registrations and acks, which persist through the hub's OnChange hook.
+// Unserialised they collide on WriteFileAtomic's temp name (SetRules fails
+// although the rules took effect) and can commit an older snapshot last.
+func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
+	const workers, rounds = 4, 12
+	dir := t.TempDir()
+	s := newService(t, Options{Dir: dir})
+	alice, err := s.RegisterContributor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	consumers := make([]auth.User, workers)
+	subs := make([]stream.SubInfo, workers)
+	for i := range consumers {
+		if consumers[i], err = s.RegisterConsumer(fmt.Sprintf("consumer%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if subs[i], err = s.Subscribe(consumers[i].Key, "alice", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One stored segment per round, an hour apart so none merge: every
+	// subscription gets `rounds` events to acknowledge one at a time.
+	for r := 0; r < rounds; r++ {
+		if _, err := s.Upload(alice.Key, packetStream("alice", t0.Add(time.Duration(r)*time.Hour), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+					t.Errorf("SetRules: %v", err)
+				}
+			}
+		}()
+		go func(c auth.User, sub stream.SubInfo) {
+			defer wg.Done()
+			if _, err := s.Subscribe(c.Key, "alice", []string{wavesegment.ChannelECG}); err != nil {
+				t.Errorf("Subscribe: %v", err)
+			}
+			for r := 1; r <= rounds; r++ {
+				if err := s.StreamAck(c.Key, sub.ID, strconv.Itoa(r)); err != nil {
+					t.Errorf("StreamAck: %v", err)
+				}
+			}
+		}(consumers[i], subs[i])
+	}
+	wg.Wait()
+
+	// Reopen a copy of the state file as it stands now: closing s would
+	// save once more and mask a stale last write.
+	data, err := os.ReadFile(filepath.Join(dir, stateFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir2 := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir2, stateFileName), data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newService(t, Options{Dir: dir2})
+	if _, version, err := s2.StreamEngine("alice"); err != nil || version != 1+workers*rounds {
+		t.Errorf("reopened rule version = %d, %v; want %d", version, err, 1+workers*rounds)
+	}
+	if n := s2.Stream().Subscribers(); n != 2*workers {
+		t.Errorf("reopened subscriptions = %d, want %d", n, 2*workers)
+	}
+	for i, c := range consumers {
+		again, err := s2.Subscribe(c.Key, "alice", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Resumed || again.ID != subs[i].ID || again.Cursor != strconv.Itoa(rounds) {
+			t.Errorf("reopened subscription %d = %+v, want resumed at cursor %d", i, again, rounds)
+		}
 	}
 }

@@ -63,8 +63,7 @@ func (s *Service) Unsubscribe(key auth.APIKey, id string) error {
 }
 
 // StreamEngine implements stream.RuleSource: the contributor's compiled
-// rule index (falling back to the linear engine if no index is built) and
-// current rule version. A nil decider denies everything.
+// rule index and current rule version. A nil decider denies everything.
 func (s *Service) StreamEngine(contributor string) (rules.Decider, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

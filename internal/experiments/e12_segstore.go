@@ -13,12 +13,10 @@ import (
 )
 
 // E12 measures the persistent columnar segment store (internal/segstore)
-// against the legacy engine on the three properties the storage redesign
-// promised:
+// on the three properties the storage redesign promised:
 //
 //  1. Cold restart reads manifests and footers, not data: reopening a
-//     store holding >= 100k segments must take seconds (and beat the
-//     legacy engine's full flat-WAL replay).
+//     store holding >= 100k segments must take seconds.
 //  2. Range scans over the columnar files stay within a small factor of
 //     the in-memory engine (the price of durability + bounded memory).
 //  3. A kill at any stage of background compaction loses nothing and
@@ -62,7 +60,6 @@ type E12Result struct {
 	Records          int     `json:"records"`
 	IngestMS         float64 `json:"ingest_ms"`
 	RestartSegstMS   float64 `json:"restart_segstore_ms"`
-	RestartLegacyMS  float64 `json:"restart_legacy_ms"`
 	RestartTargetSec float64 `json:"restart_target_sec"`
 	ScanDiskMS       float64 `json:"scan_disk_ms"`
 	ScanMemoryMS     float64 `json:"scan_memory_ms"`
@@ -112,16 +109,11 @@ func RunE12(cfg E12Config) (*E12Result, *Table, error) {
 		return nil, nil, err
 	}
 	defer os.RemoveAll(segDir)
-	legacyDir, err := os.MkdirTemp("", "e12-legacy-*")
-	if err != nil {
-		return nil, nil, err
-	}
-	defer os.RemoveAll(legacyDir)
 
 	total := (cfg.Records / cfg.Contributors) * cfg.Contributors
 
 	// Populate the segstore, compacting into its steady state, and the
-	// legacy engine's flat WAL with identical data.
+	// in-memory engine with identical data.
 	seg, err := segstore.Open(segstore.Options{Dir: segDir})
 	if err != nil {
 		return nil, nil, err
@@ -137,19 +129,13 @@ func RunE12(cfg E12Config) (*E12Result, *Table, error) {
 	if err := seg.Close(); err != nil {
 		return nil, nil, err
 	}
-	legacy, err := storage.Open(legacyDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := e12Fill(legacy, cfg); err != nil {
-		return nil, nil, err
-	}
-	if err := legacy.Close(); err != nil {
+	mem := storage.NewMemory()
+	defer mem.Close()
+	if err := e12Fill(mem, cfg); err != nil {
 		return nil, nil, err
 	}
 
-	// Cold restart: the segstore reads manifests + footers + WAL tail;
-	// the legacy engine replays every record from its flat WAL.
+	// Cold restart: the segstore reads manifests + footers + WAL tail.
 	restartStart := time.Now()
 	seg2, err := segstore.Open(segstore.Options{Dir: segDir})
 	if err != nil {
@@ -159,16 +145,6 @@ func RunE12(cfg E12Config) (*E12Result, *Table, error) {
 	defer seg2.Close()
 	if got := seg2.Count(); got != total {
 		return nil, nil, fmt.Errorf("e12: segstore reopened with %d records, want %d", got, total)
-	}
-	restartStart = time.Now()
-	legacy2, err := storage.Open(legacyDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	restartLegacyMS := float64(time.Since(restartStart).Microseconds()) / 1000
-	defer legacy2.Close()
-	if got := legacy2.Count(); got != total {
-		return nil, nil, fmt.Errorf("e12: legacy reopened with %d records, want %d", got, total)
 	}
 
 	// Range-scan throughput: full-range Scan (the consumer query path,
@@ -194,7 +170,7 @@ func RunE12(cfg E12Config) (*E12Result, *Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	memDur, err := scanAll(legacy2)
+	memDur, err := scanAll(mem)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -217,7 +193,6 @@ func RunE12(cfg E12Config) (*E12Result, *Table, error) {
 		Records:          total,
 		IngestMS:         ingestMS,
 		RestartSegstMS:   restartSegMS,
-		RestartLegacyMS:  restartLegacyMS,
 		RestartTargetSec: cfg.RestartTargetSeconds,
 		ScanDiskMS:       float64(diskDur.Microseconds()) / 1000,
 		ScanMemoryMS:     float64(memDur.Microseconds()) / 1000,
@@ -245,15 +220,15 @@ func RunE12(cfg E12Config) (*E12Result, *Table, error) {
 
 	t := &Table{
 		ID:      "E12",
-		Caption: fmt.Sprintf("persistent segment store vs legacy engine (%d records, %d contributors)", total, cfg.Contributors),
-		Headers: []string{"measure", "segstore", "legacy/in-memory", "verdict"},
+		Caption: fmt.Sprintf("persistent segment store vs in-memory engine (%d records, %d contributors)", total, cfg.Contributors),
+		Headers: []string{"measure", "segstore", "in-memory", "verdict"},
 		Notes: []string{
-			"restart: segstore reads manifest + file footers + WAL tail; the legacy engine replays its entire flat WAL",
+			"restart: segstore reads manifest + file footers + WAL tail, not data",
 			fmt.Sprintf("scan: full-range Scan with cloned results, best of %d rounds; budget %.0fx the in-memory engine", cfg.ScanRounds, cfg.ScanRatioTarget),
 			"chaos: segstore.SetCrashHook aborts compaction at each protocol stage; the reopened store must match the pre-kill scan exactly (zero loss, zero duplicates)",
 		},
 	}
-	t.AddRow("cold restart", fmt.Sprintf("%.0f ms", restartSegMS), fmt.Sprintf("%.0f ms", restartLegacyMS), restartVerdict)
+	t.AddRow("cold restart", fmt.Sprintf("%.0f ms", restartSegMS), "n/a", restartVerdict)
 	t.AddRow("full-range scan", fmt.Sprintf("%.0f ms", res.ScanDiskMS), fmt.Sprintf("%.0f ms", res.ScanMemoryMS), scanVerdict)
 	t.AddRow("kill during compaction", fmt.Sprintf("%d/%d survived", survived, len(stages)), "n/a", chaosVerdict)
 	return res, t, nil

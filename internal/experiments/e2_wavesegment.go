@@ -70,12 +70,10 @@ func e2Packets(cfg E2Config, packetSize int) []*wavesegment.Segment {
 
 // e2Load stores the packets (optimized or raw) and returns the store.
 func e2Load(packets []*wavesegment.Segment, optimize bool, maxSamples int) (*storage.Store, error) {
-	st, err := storage.Open("")
-	if err != nil {
-		return nil, err
-	}
+	st := storage.NewMemory()
 	segs := packets
 	if optimize {
+		var err error
 		if segs, err = wavesegment.OptimizeAll(packets, maxSamples); err != nil {
 			st.Close()
 			return nil, err

@@ -339,7 +339,7 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 
 	// Segment-engine internals: file counts per level, live/dead
 	// records, WAL size, last compaction. Metadata only, no sensor
-	// data. 404 when the service runs the in-memory legacy engine.
+	// data. 404 when the service runs the in-memory engine.
 	mux.HandleFunc("/debug/segstore", func(w http.ResponseWriter, r *http.Request) {
 		stats, ok := svc.SegmentStoreStats()
 		if !ok {
@@ -373,7 +373,7 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 // registerStorePressure feeds the segment engine's live backlog into the
 // admission controller: memtable fill, WAL growth, sealed-memtable queue,
 // and L0 compaction debt each normalize to 1.0 at "the flush/compaction
-// machinery is saturated". Services on the legacy in-memory engine report
+// machinery is saturated". Services on the in-memory engine report
 // no storage pressure (Stats returns ok=false).
 func registerStorePressure(ctrl *overload.Controller, svc *datastore.Service) {
 	ctrl.AddSource("segstore_memtable", func() float64 {

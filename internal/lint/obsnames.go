@@ -15,8 +15,8 @@ import (
 // same family is either a copy-paste bug or hidden coupling, and the obs
 // registry panics at runtime if their schemas ever drift.
 //
-// It enforces the same hygiene on trace span names (obs.Span/Time/TimeErr
-// and trace.Start): literal, dot-separated lowercase ("component.op" like
+// It enforces the same hygiene on trace span names (obs.Span and
+// trace.Start): literal, dot-separated lowercase ("component.op" like
 // "datastore.rule_eval"), and unique module-wide — a span name identifies
 // exactly one instrumented operation, both in /debug/traces trees and in
 // the sensorsafe_span_seconds histogram's "span" label.
@@ -47,7 +47,7 @@ var obsRegistrars = map[string]bool{
 // spanRegistrars are the functions whose second argument (after the
 // context) names a trace span.
 var spanRegistrars = map[string]bool{
-	"Span": true, "Time": true, "TimeErr": true, // package obs
+	"Span":  true, // package obs
 	"Start": true, // package obs/trace
 }
 

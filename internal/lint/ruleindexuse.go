@@ -8,11 +8,11 @@ import (
 // RuleIndexUse enforces the compiled-rule-index seam on release paths: the
 // packages that evaluate privacy rules per request (internal/datastore,
 // internal/stream, internal/broker, internal/httpapi,
-// internal/federation) must decide through the rules.Decider facade —
-// ruleindex.Index, or ruleindex.Fallback when no index exists — never by
-// calling (*rules.Engine).Decide directly. A direct engine call silently
-// reverts a hot path to the linear scan, loses the memoized decision
-// cache, and disappears from the index/fallback decision metrics. Code
+// internal/federation) must decide through the rules.Decider facade,
+// i.e. the compiled ruleindex.Index — never by calling
+// (*rules.Engine).Decide directly. A direct engine call silently reverts
+// a hot path to the linear scan, loses the memoized decision cache, and
+// disappears from sensorsafe_ruleindex_decisions_total. Code
 // with a sanctioned reason (e.g. a differential check) carries an
 // //sslint:ignore ruleindexuse directive.
 var RuleIndexUse = &Analyzer{

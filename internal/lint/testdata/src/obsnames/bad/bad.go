@@ -22,11 +22,14 @@ var (
 var dynamicSpan = "fixture.dynamic"
 
 func badSpans(ctx context.Context) {
-	defer obs.Time(ctx, dynamicSpan)()    // want "compile-time string constant"
-	defer obs.Time(ctx, "nodot")()        // want "not dot-separated lowercase"
-	defer obs.Time(ctx, "Fixture.Eval")() // want "not dot-separated lowercase"
+	_, _, stopDynamic := obs.Span(ctx, dynamicSpan) // want "compile-time string constant"
+	stopDynamic(nil)
+	_, _, stopNoDot := obs.Span(ctx, "nodot") // want "not dot-separated lowercase"
+	stopNoDot(nil)
+	_, _, stopCase := obs.Span(ctx, "Fixture.Eval") // want "not dot-separated lowercase"
+	stopCase(nil)
 
-	stop := obs.TimeErr(ctx, "fixture.dup_span") // unique: accepted
+	_, _, stop := obs.Span(ctx, "fixture.dup_span") // unique: accepted
 	stop(nil)
 	_, span := trace.Start(ctx, "fixture.dup_span") // want "already instrumented"
 	span.End()

@@ -18,7 +18,6 @@ var (
 )
 
 func tracedWork(ctx context.Context) {
-	defer obs.Time(ctx, "fixture.scan")()
 	ctx, span, stop := obs.Span(ctx, "fixture.rule_eval")
 	_ = ctx
 	_ = span

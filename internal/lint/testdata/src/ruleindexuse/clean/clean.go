@@ -1,7 +1,6 @@
 // Package clean shows the sanctioned evaluation paths: the rules.Decider
-// seam (which the compiled index implements), ruleindex.Fallback for
-// engines without an index, and a justified direct call under an ignore
-// directive.
+// seam (which the compiled index implements) and a justified direct call
+// under an ignore directive.
 package clean
 
 import (
@@ -15,10 +14,6 @@ func decideViaSeam(d rules.Decider, req *rules.Request) *rules.Decision {
 
 func decideViaIndex(ix *ruleindex.Index, req *rules.Request) *rules.Decision {
 	return ix.Decide(req)
-}
-
-func decideViaFallback(e *rules.Engine, req *rules.Request) *rules.Decision {
-	return ruleindex.Fallback(e).Decide(req)
 }
 
 func differentialCheck(e *rules.Engine, ix *ruleindex.Index, req *rules.Request) bool {

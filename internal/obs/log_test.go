@@ -46,8 +46,8 @@ func TestLoggerTagsComponentAndRequestID(t *testing.T) {
 
 func TestTimeFeedsSpanHistogram(t *testing.T) {
 	before := spanSeconds.With("obs.test_span", "ok").Count()
-	done := Time(context.Background(), "obs.test_span")
-	done()
+	_, _, stop := Span(context.Background(), "obs.test_span")
+	stop(nil)
 	if got := spanSeconds.With("obs.test_span", "ok").Count(); got != before+1 {
 		t.Errorf("span count = %d, want %d", got, before+1)
 	}

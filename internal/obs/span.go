@@ -47,24 +47,3 @@ func Span(ctx context.Context, name string) (context.Context, *trace.Span, func(
 		}
 	}
 }
-
-// Time is Span for call sites that cannot fail:
-//
-//	defer obs.Time(ctx, "datastore.query")()
-//
-// The span always ends with status "ok"; use TimeErr (or Span) where an
-// error outcome exists.
-func Time(ctx context.Context, name string) func() {
-	_, _, stop := Span(ctx, name)
-	return func() { stop(nil) }
-}
-
-// TimeErr is Span when only the outcome matters, not the child context:
-//
-//	stop := obs.TimeErr(ctx, "datastore.rule_eval")
-//	...
-//	stop(err)
-func TimeErr(ctx context.Context, name string) func(error) {
-	_, _, stop := Span(ctx, name)
-	return stop
-}

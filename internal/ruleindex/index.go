@@ -166,7 +166,7 @@ func (ix *Index) Decide(req *rules.Request) *rules.Decision {
 		key = cacheKey(consumer, groups, contexts, absIdx, weekIdx, sig)
 		if d, ok := ix.cache.get(key); ok {
 			metricCache.With("hit").Inc()
-			metricDecisions.With("index").Inc()
+			metricDecisions.Inc()
 			return d
 		}
 		metricCache.With("miss").Inc()
@@ -203,7 +203,7 @@ func (ix *Index) Decide(req *rules.Request) *rules.Decision {
 			metricCache.With("evict").Inc()
 		}
 	}
-	metricDecisions.With("index").Inc()
+	metricDecisions.Inc()
 	return d
 }
 
@@ -262,20 +262,4 @@ func cacheKey(consumer string, groups, contexts []string, absIdx, weekIdx int, s
 		buf = append(buf, ',')
 	}
 	return string(buf)
-}
-
-// Fallback wraps a linear engine as a rules.Decider whose decisions are
-// counted under the "fallback" path — release paths use it when an index
-// is unavailable, keeping index coverage observable.
-func Fallback(eng *rules.Engine) rules.Decider { return fallback{eng} }
-
-type fallback struct{ eng *rules.Engine }
-
-func (f fallback) Decide(req *rules.Request) *rules.Decision {
-	metricDecisions.With("fallback").Inc()
-	return f.eng.Decide(req)
-}
-
-func (f fallback) BoundariesWithin(from, to time.Time) []time.Time {
-	return f.eng.BoundariesWithin(from, to)
 }

@@ -315,14 +315,10 @@ func (s *Store) ScanRefs(q storage.Query) ([]storage.Result, error) {
 	return s.scan(q, false)
 }
 
-// LatestBefore returns the contributor's record with the greatest start
-// time strictly before t. The segment must not be mutated.
-func (s *Store) LatestBefore(contributor string, t time.Time) (storage.Result, bool) {
-	return s.LatestBeforeFunc(contributor, t, nil)
-}
-
-// LatestBeforeFunc is LatestBefore restricted to records satisfying
-// pred (nil accepts everything) — the upload tail-coalescing probe.
+// LatestBeforeFunc returns the contributor's record with the greatest
+// start time strictly before t among those satisfying pred (nil accepts
+// everything) — the upload tail-coalescing probe. The segment must not
+// be mutated.
 // The hot path resolves entirely in the memtables; disk is consulted
 // only when no in-memory candidate exists.
 func (s *Store) LatestBeforeFunc(contributor string, t time.Time, pred func(*wavesegment.Segment) bool) (storage.Result, bool) {
@@ -442,68 +438,4 @@ func (s *Store) LatestBeforeFunc(contributor string, t time.Time, pred func(*wav
 		return storage.Result{}, false
 	}
 	return storage.Result{ID: best.r.id, Segment: best.r.seg}, true
-}
-
-// TimeBounds returns the earliest start and latest end across stored
-// segments; ok is false for an empty store. Disk bounds come from file
-// metadata, so uncompacted tombstones may widen them slightly.
-func (s *Store) TimeBounds() (min, max time.Time, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var minN, maxN int64
-	have := false
-	note := func(lo, hi int64) {
-		if !have {
-			minN, maxN, have = lo, hi, true
-			return
-		}
-		if lo < minN {
-			minN = lo
-		}
-		if hi > maxN {
-			maxN = hi
-		}
-	}
-	mems := append([]*memtable{s.active}, s.sealed...)
-	for _, m := range mems {
-		for _, r := range m.sorted() {
-			if s.tombstones[r.id] {
-				continue
-			}
-			note(r.seg.StartTime().UnixNano(), r.seg.EndTime().UnixNano())
-		}
-	}
-	for _, fm := range s.man.Files {
-		note(fm.MinTime, fm.MaxTime)
-	}
-	if !have {
-		return time.Time{}, time.Time{}, false
-	}
-	return time.Unix(0, minN).UTC(), time.Unix(0, maxN).UTC(), true
-}
-
-// Contributors returns the distinct contributor names present, sorted.
-// A contributor whose every record is tombstoned but not yet compacted
-// away may still be listed.
-func (s *Store) Contributors() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := make(map[string]bool)
-	mems := append([]*memtable{s.active}, s.sealed...)
-	for _, m := range mems {
-		for _, r := range m.sorted() {
-			seen[r.seg.Contributor] = true
-		}
-	}
-	for _, r := range s.readers {
-		for c := range r.byContrib {
-			seen[c] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -54,8 +54,8 @@ type Options struct {
 	L0CompactThreshold int
 	// TargetFileBytes rolls compaction output files. Default 4 MiB.
 	TargetFileBytes int64
-	// SyncEveryWrite fsyncs the WAL on every append. Off by default:
-	// like the legacy engine, a crash loses at most the unsynced tail.
+	// SyncEveryWrite fsyncs the WAL on every append. Off by default: a
+	// crash loses at most the unsynced tail.
 	SyncEveryWrite bool
 }
 

@@ -1,27 +1,16 @@
-// Package storage implements the embedded database under a SensorSafe
-// remote data store. The paper only requires that sensor-value blobs live
-// in "a database system" where the record count drives query cost; this
-// engine makes that measurable and durable with stdlib only:
-//
-//   - a write-ahead log of CRC-checked, length-prefixed binary segment
-//     blobs (see wavesegment.MarshalBinary) for durability,
-//   - an in-memory index ordered by segment start time for range scans,
-//     with per-contributor partitions,
-//   - tombstone records for deletes and a Compact step that rewrites the
-//     log without dead records.
-//
-// A Store with an empty directory path runs purely in memory, which the
-// tests and benchmarks use.
+// Package storage holds what every segment storage backend of a
+// SensorSafe remote data store shares — record IDs, the Query predicate,
+// Result, the sentinel errors and the Engine seam the datastore calls —
+// plus the in-memory Store: an index ordered by segment start time that
+// serves services opened without a directory and is the reference
+// internal/segstore's differential test compares the persistent engine
+// against. Nothing in this package touches disk; persistent stores run
+// on internal/segstore.
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -41,23 +30,16 @@ var (
 
 // Engine is the contract a segment storage backend provides to the
 // datastore layer. Two implementations exist: this package's in-memory
-// index + flat WAL (the legacy engine, still the in-memory default for
-// tests and benchmarks) and internal/segstore's persistent columnar
-// LSM engine. The differential tests in segstore hold the two to
-// identical observable behavior.
+// Store (services without a directory) and internal/segstore's
+// persistent columnar LSM engine. The differential tests in segstore
+// hold the two to identical observable behavior.
 type Engine interface {
 	Put(seg *wavesegment.Segment) (ID, error)
-	Get(id ID) (*wavesegment.Segment, error)
 	Delete(id ID) error
 	Count() int
 	Scan(q Query) ([]Result, error)
 	ScanRefs(q Query) ([]Result, error)
-	LatestBefore(contributor string, t time.Time) (Result, bool)
 	LatestBeforeFunc(contributor string, t time.Time, pred func(*wavesegment.Segment) bool) (Result, bool)
-	TimeBounds() (min, max time.Time, ok bool)
-	Contributors() []string
-	Compact() error
-	Sync() error
 	Close() error
 }
 
@@ -67,12 +49,10 @@ type record struct {
 	seg *wavesegment.Segment
 }
 
-// Store is an embedded segment store. All methods are safe for concurrent
-// use.
+// Store is the in-memory segment store. All methods are safe for
+// concurrent use; Close discards everything.
 type Store struct {
 	mu     sync.RWMutex
-	dir    string
-	wal    *os.File
 	nextID ID
 	byID   map[ID]*record
 	// byStart is sorted by (StartTime, id) for range scans.
@@ -80,134 +60,9 @@ type Store struct {
 	closed  bool
 }
 
-// walName is the log file name inside the store directory.
-const walName = "segments.wal"
-
-// Open opens (or creates) a store. With dir == "" the store is purely in
-// memory and Close discards everything.
-func Open(dir string) (*Store, error) {
-	s := &Store{
-		byID:   make(map[ID]*record),
-		dir:    dir,
-		nextID: 1,
-	}
-	if dir == "" {
-		return s, nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("storage: create dir: %w", err)
-	}
-	path := filepath.Join(dir, walName)
-	if err := s.replay(path); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open wal: %w", err)
-	}
-	s.wal = f
-	return s, nil
-}
-
-// WAL record types.
-const (
-	recPut    = byte(1)
-	recDelete = byte(2)
-)
-
-// replay loads the log, tolerating a truncated tail (the usual crash
-// artifact): replay stops cleanly at the first short or corrupt record.
-func (s *Store) replay(path string) error {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("storage: open wal for replay: %w", err)
-	}
-	defer f.Close()
-
-	r := &walReader{f: f}
-	for {
-		typ, id, payload, err := r.next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			// Truncated/corrupt tail: keep what we have.
-			return nil
-		}
-		switch typ {
-		case recPut:
-			seg, err := wavesegment.UnmarshalBinary(payload)
-			if err != nil {
-				return nil // corrupt tail
-			}
-			s.insert(id, seg)
-		case recDelete:
-			s.remove(id)
-		}
-		if id >= s.nextID {
-			s.nextID = id + 1
-		}
-	}
-}
-
-type walReader struct {
-	f   *os.File
-	buf []byte
-}
-
-// next reads one record: u32 payload length, u32 CRC, type byte, u64 id,
-// payload. CRC covers type+id+payload.
-func (r *walReader) next() (typ byte, id ID, payload []byte, err error) {
-	var hdr [8]byte
-	if _, err = io.ReadFull(r.f, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			err = io.EOF
-		}
-		return
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > 1<<30 {
-		err = fmt.Errorf("storage: implausible record size %d", n)
-		return
-	}
-	body := make([]byte, 9+int(n))
-	if _, err = io.ReadFull(r.f, body); err != nil {
-		return
-	}
-	if crc32.ChecksumIEEE(body) != crc {
-		err = fmt.Errorf("storage: wal CRC mismatch")
-		return
-	}
-	typ = body[0]
-	id = ID(binary.LittleEndian.Uint64(body[1:9]))
-	payload = body[9:]
-	return
-}
-
-// appendWAL writes one record and syncs metadata lazily (no fsync per write;
-// a crash loses at most the unsynced tail, which replay tolerates).
-func (s *Store) appendWAL(typ byte, id ID, payload []byte) error {
-	if s.wal == nil {
-		return nil
-	}
-	body := make([]byte, 9+len(payload))
-	body[0] = typ
-	binary.LittleEndian.PutUint64(body[1:9], uint64(id))
-	copy(body[9:], payload)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(body))
-	if _, err := s.wal.Write(hdr[:]); err != nil {
-		return fmt.Errorf("storage: wal write: %w", err)
-	}
-	if _, err := s.wal.Write(body); err != nil {
-		return fmt.Errorf("storage: wal write: %w", err)
-	}
-	return nil
+// NewMemory returns an empty in-memory store.
+func NewMemory() *Store {
+	return &Store{byID: make(map[ID]*record), nextID: 1}
 }
 
 // insert adds a record to the in-memory index.
@@ -226,20 +81,6 @@ func (s *Store) insert(id ID, seg *wavesegment.Segment) {
 	s.byStart[i] = rec
 }
 
-func (s *Store) remove(id ID) {
-	rec, ok := s.byID[id]
-	if !ok {
-		return
-	}
-	delete(s.byID, id)
-	for i, r := range s.byStart {
-		if r == rec {
-			s.byStart = append(s.byStart[:i], s.byStart[i+1:]...)
-			break
-		}
-	}
-}
-
 // Put validates and stores a segment, returning its new ID. The segment is
 // cloned; callers may keep mutating their copy.
 func (s *Store) Put(seg *wavesegment.Segment) (ID, error) {
@@ -249,10 +90,6 @@ func (s *Store) Put(seg *wavesegment.Segment) (ID, error) {
 	if err := seg.Validate(); err != nil {
 		return 0, err
 	}
-	blob, err := wavesegment.MarshalBinary(seg)
-	if err != nil {
-		return 0, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -260,9 +97,6 @@ func (s *Store) Put(seg *wavesegment.Segment) (ID, error) {
 	}
 	id := s.nextID
 	s.nextID++
-	if err := s.appendWAL(recPut, id, blob); err != nil {
-		return 0, err
-	}
 	s.insert(id, seg.Clone())
 	return id, nil
 }
@@ -288,13 +122,17 @@ func (s *Store) Delete(id ID) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.byID[id]; !ok {
+	rec, ok := s.byID[id]
+	if !ok {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
-	if err := s.appendWAL(recDelete, id, nil); err != nil {
-		return err
+	delete(s.byID, id)
+	for i, r := range s.byStart {
+		if r == rec {
+			s.byStart = append(s.byStart[:i], s.byStart[i+1:]...)
+			break
+		}
 	}
-	s.remove(id)
 	return nil
 }
 
@@ -358,20 +196,14 @@ type Result struct {
 	Segment *wavesegment.Segment
 }
 
-// Scan returns matching segments ordered by start time. The returned
-// segments are copies.
-func (s *Store) Scan(q Query) ([]Result, error) {
+// scan returns matching records ordered by start time, walking only
+// records with StartTime < q.To (binary search) and filtering the rest.
+func (s *Store) scan(q Query, clone bool) ([]Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	// Seek to the first record that can overlap q.From. Records are sorted
-	// by start; a record overlaps if its end > From, and ends are bounded
-	// by start + duration, so a linear guard from the first start >= From
-	// minus a backward sweep handles long segments. For simplicity and
-	// correctness we binary-search on start < To and filter; the scan
-	// walks only records with StartTime < q.To.
 	hi := len(s.byStart)
 	if !q.To.IsZero() {
 		hi = sort.Search(len(s.byStart), func(i int) bool {
@@ -383,130 +215,41 @@ func (s *Store) Scan(q Query) ([]Result, error) {
 		if !q.matches(rec.seg) {
 			continue
 		}
-		out = append(out, Result{ID: rec.id, Segment: rec.seg.Clone()})
+		seg := rec.seg
+		if clone {
+			seg = seg.Clone()
+		}
+		out = append(out, Result{ID: rec.id, Segment: seg})
 		if q.Limit > 0 && len(out) >= q.Limit {
 			break
 		}
 	}
 	return out, nil
 }
+
+// Scan returns matching segments ordered by start time. The returned
+// segments are copies.
+func (s *Store) Scan(q Query) ([]Result, error) { return s.scan(q, true) }
 
 // ScanRefs is Scan without cloning: the returned segments are the store's
 // own records and must not be mutated. Query pipelines that immediately
 // transform (project/slice) segments use this to avoid copying blobs.
-func (s *Store) ScanRefs(q Query) ([]Result, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	hi := len(s.byStart)
-	if !q.To.IsZero() {
-		hi = sort.Search(len(s.byStart), func(i int) bool {
-			return !s.byStart[i].seg.StartTime().Before(q.To)
-		})
-	}
-	var out []Result
-	for _, rec := range s.byStart[:hi] {
-		if !q.matches(rec.seg) {
-			continue
-		}
-		out = append(out, Result{ID: rec.id, Segment: rec.seg})
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
-		}
-	}
-	return out, nil
-}
-
-// Compact rewrites the log with only live records, reclaiming space from
-// deletes. No-op for in-memory stores.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.dir == "" {
-		return nil
-	}
-	tmp := filepath.Join(s.dir, walName+".compact")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("storage: compact: %w", err)
-	}
-	old := s.wal
-	s.wal = f
-	for _, rec := range s.byStart {
-		blob, err := wavesegment.MarshalBinary(rec.seg)
-		if err == nil {
-			err = s.appendWAL(recPut, rec.id, blob)
-		}
-		if err != nil {
-			s.wal = old
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		s.wal = old
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, walName)); err != nil {
-		s.wal = old
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	old.Close()
-	return nil
-}
-
-// Sync flushes the log to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.Sync()
-}
+func (s *Store) ScanRefs(q Query) ([]Result, error) { return s.scan(q, false) }
 
 // Close releases the store. Further calls fail with ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil
-	}
 	s.closed = true
-	if s.wal != nil {
-		if err := s.wal.Sync(); err != nil {
-			s.wal.Close()
-			return err
-		}
-		return s.wal.Close()
-	}
 	return nil
 }
 
-// LatestBefore returns the contributor's record with the greatest start
-// time strictly before t (the upload tail-coalescing probe). The segment is
-// not cloned; callers must not mutate it.
-func (s *Store) LatestBefore(contributor string, t time.Time) (Result, bool) {
-	return s.LatestBeforeFunc(contributor, t, nil)
-}
-
-// LatestBeforeFunc is LatestBefore restricted to records satisfying pred
-// (pred == nil accepts everything). Upload tail coalescing uses it to find
-// the most recent record of the *same sensor stream* — multi-device
-// contributors interleave streams with different channel sets.
+// LatestBeforeFunc returns the contributor's record with the greatest
+// start time strictly before t among those satisfying pred (pred == nil
+// accepts everything). Upload tail coalescing uses it to find the most
+// recent record of the *same sensor stream* — multi-device contributors
+// interleave streams with different channel sets. The segment is not
+// cloned; callers must not mutate it.
 func (s *Store) LatestBeforeFunc(contributor string, t time.Time, pred func(*wavesegment.Segment) bool) (Result, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -526,37 +269,4 @@ func (s *Store) LatestBeforeFunc(contributor string, t time.Time, pred func(*wav
 	return Result{}, false
 }
 
-// TimeBounds returns the earliest start and latest end across live
-// segments; ok is false for an empty store.
-func (s *Store) TimeBounds() (min, max time.Time, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.byStart) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	min = s.byStart[0].seg.StartTime()
-	for _, rec := range s.byStart {
-		if e := rec.seg.EndTime(); e.After(max) {
-			max = e
-		}
-	}
-	return min, max, true
-}
-
 var _ Engine = (*Store)(nil)
-
-// Contributors returns the distinct contributor names present, sorted.
-func (s *Store) Contributors() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := make(map[string]bool)
-	for _, rec := range s.byID {
-		seen[rec.seg.Contributor] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}

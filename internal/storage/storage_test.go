@@ -2,8 +2,6 @@ package storage
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -40,10 +38,7 @@ func seg(contributor string, start time.Time, n int, channels ...string) *wavese
 
 func memStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewMemory()
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -188,161 +183,8 @@ func TestScanRefsSharesRecords(t *testing.T) {
 	}
 }
 
-func TestPersistenceAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, err := s.Put(seg("alice", t0, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := s.Put(seg("bob", t0.Add(time.Minute), 30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete(id1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Count() != 1 {
-		t.Fatalf("after reopen Count = %d, want 1", s2.Count())
-	}
-	got, err := s2.Get(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Contributor != "bob" || got.NumSamples() != 30 {
-		t.Errorf("recovered segment = %v", got)
-	}
-	// IDs continue from where they left off.
-	id3, err := s2.Put(seg("carol", t0.Add(2*time.Minute), 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id3 <= id2 {
-		t.Errorf("id3 = %d should exceed id2 = %d", id3, id2)
-	}
-}
-
-func TestReplayToleratesTruncatedTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := s.Put(seg("alice", t0.Add(time.Duration(i)*time.Minute), 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-
-	path := filepath.Join(dir, walName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chop mid-record to simulate a crash during the last append.
-	if err := os.WriteFile(path, data[:len(data)-17], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Count() != 4 {
-		t.Errorf("after truncated replay Count = %d, want 4", s2.Count())
-	}
-	// Store still writable after recovery.
-	if _, err := s2.Put(seg("alice", t0.Add(time.Hour), 10)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReplayToleratesCorruptTail(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	for i := 0; i < 3; i++ {
-		if _, err := s.Put(seg("alice", t0.Add(time.Duration(i)*time.Minute), 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Close()
-	path := filepath.Join(dir, walName)
-	data, _ := os.ReadFile(path)
-	data[len(data)-5] ^= 0xFF // corrupt inside last record
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Count() != 2 {
-		t.Errorf("after corrupt replay Count = %d, want 2", s2.Count())
-	}
-}
-
-func TestCompactShrinksLog(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := Open(dir)
-	var ids []ID
-	for i := 0; i < 20; i++ {
-		id, err := s.Put(seg("alice", t0.Add(time.Duration(i)*time.Minute), 50))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids[:15] {
-		if err := s.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := os.Stat(filepath.Join(dir, walName))
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := os.Stat(filepath.Join(dir, walName))
-	if after.Size() >= before.Size() {
-		t.Errorf("compact did not shrink log: %d -> %d", before.Size(), after.Size())
-	}
-	if s.Count() != 5 {
-		t.Errorf("Count after compact = %d", s.Count())
-	}
-	// Data survives compaction + reopen.
-	s.Close()
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Count() != 5 {
-		t.Errorf("Count after reopen = %d", s2.Count())
-	}
-	// Writes continue to work post-compact reopen.
-	if _, err := s2.Put(seg("alice", t0.Add(time.Hour), 5)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestClosedStoreErrors(t *testing.T) {
-	s, _ := Open("")
+	s := NewMemory()
 	s.Close()
 	if _, err := s.Put(seg("a", t0, 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put on closed: %v", err)
@@ -355,9 +197,6 @@ func TestClosedStoreErrors(t *testing.T) {
 	}
 	if _, err := s.Scan(Query{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Scan on closed: %v", err)
-	}
-	if err := s.Compact(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Compact on closed: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
@@ -394,50 +233,29 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestTimeBoundsAndContributors(t *testing.T) {
-	s := memStore(t)
-	if _, _, ok := s.TimeBounds(); ok {
-		t.Error("empty store should have no bounds")
-	}
-	if _, err := s.Put(seg("bob", t0.Add(time.Minute), 10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Put(seg("alice", t0, 10)); err != nil {
-		t.Fatal(err)
-	}
-	min, max, ok := s.TimeBounds()
-	if !ok || !min.Equal(t0) || !max.Equal(t0.Add(time.Minute+time.Second)) {
-		t.Errorf("bounds = %v..%v, %v", min, max, ok)
-	}
-	cs := s.Contributors()
-	if len(cs) != 2 || cs[0] != "alice" || cs[1] != "bob" {
-		t.Errorf("Contributors = %v", cs)
-	}
-}
-
 func TestLatestBefore(t *testing.T) {
 	s := memStore(t)
-	if _, ok := s.LatestBefore("alice", t0.Add(time.Hour)); ok {
+	if _, ok := s.LatestBeforeFunc("alice", t0.Add(time.Hour), nil); ok {
 		t.Error("empty store has no latest record")
 	}
 	idA, _ := s.Put(seg("alice", t0, 10))
 	idB, _ := s.Put(seg("alice", t0.Add(time.Minute), 10, wavesegment.ChannelAccelX))
 	_, _ = s.Put(seg("bob", t0.Add(2*time.Minute), 10))
 
-	got, ok := s.LatestBefore("alice", t0.Add(time.Hour))
+	got, ok := s.LatestBeforeFunc("alice", t0.Add(time.Hour), nil)
 	if !ok || got.ID != idB {
 		t.Errorf("LatestBefore = %+v, %v; want id %d", got, ok, idB)
 	}
 	// Strictly before: a record starting exactly at t is excluded.
-	got, ok = s.LatestBefore("alice", t0.Add(time.Minute))
+	got, ok = s.LatestBeforeFunc("alice", t0.Add(time.Minute), nil)
 	if !ok || got.ID != idA {
 		t.Errorf("boundary LatestBefore = %+v, %v; want id %d", got, ok, idA)
 	}
-	if _, ok := s.LatestBefore("alice", t0); ok {
+	if _, ok := s.LatestBeforeFunc("alice", t0, nil); ok {
 		t.Error("nothing strictly before the first record")
 	}
 	// Any-contributor form.
-	got, ok = s.LatestBefore("", t0.Add(time.Hour))
+	got, ok = s.LatestBeforeFunc("", t0.Add(time.Hour), nil)
 	if !ok || got.Segment.Contributor != "bob" {
 		t.Errorf("any-contributor = %+v, %v", got, ok)
 	}
@@ -474,30 +292,6 @@ func TestScanRefsFiltersAndLimit(t *testing.T) {
 	s.Close()
 	if _, err := s.ScanRefs(Query{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("closed ScanRefs: %v", err)
-	}
-}
-
-func TestCompactInMemoryNoop(t *testing.T) {
-	s := memStore(t)
-	if _, err := s.Put(seg("alice", t0, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Errorf("in-memory compact: %v", err)
-	}
-	if err := s.Sync(); err != nil {
-		t.Errorf("in-memory sync: %v", err)
-	}
-	if s.Count() != 1 {
-		t.Error("compact must not drop records")
-	}
-}
-
-func TestSyncClosed(t *testing.T) {
-	s, _ := Open("")
-	s.Close()
-	if err := s.Sync(); !errors.Is(err, ErrClosed) {
-		t.Errorf("closed sync: %v", err)
 	}
 }
 
