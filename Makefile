@@ -96,16 +96,17 @@ bench-rules:
 chaos:
 	$(GO) test -run TestChaos -count=1 -v ./internal/httpapi/
 
-# Short fuzz campaigns on the three untrusted-input parsers.
+# Short fuzz campaigns on the untrusted-input parsers and the WAL replay.
 fuzz:
 	$(GO) test -fuzz=FuzzRuleJSON -fuzztime=30s ./internal/rules/
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=30s ./internal/wavesegment/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/query/
+	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/segstore/
 
 # fuzz-seeds replays the checked-in fuzz corpora once (no new inputs) so
 # CI catches regressions on known-tricky parser inputs cheaply.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/query/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/query/ ./internal/segstore/
 
 examples:
 	$(GO) run ./examples/quickstart

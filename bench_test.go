@@ -106,14 +106,18 @@ func benchPackets(packetSize, packets int) []*wavesegment.Segment {
 // BenchmarkQueryMergedVsUnmerged times half-hour range scans against a
 // store loaded from 64-sample packets, raw vs optimized (E2).
 func BenchmarkQueryMergedVsUnmerged(b *testing.B) {
-	packets := benchPackets(64, 1024) // ~1.8 h of data
+	const packetSize = 64
+	packets := benchPackets(packetSize, 1024) // ~1.8 h of data
 	for _, optimized := range []bool{false, true} {
 		name := "unmerged"
+		// A one-packet cap keeps the store from joining raw packets.
+		maxSamples := packetSize
 		if optimized {
 			name = "merged"
+			maxSamples = wavesegment.DefaultMaxSamples
 		}
 		b.Run(name, func(b *testing.B) {
-			st := storage.NewMemory()
+			st := storage.NewMemory(maxSamples)
 			defer st.Close()
 			segs := packets
 			if optimized {
@@ -141,8 +145,9 @@ func BenchmarkQueryMergedVsUnmerged(b *testing.B) {
 }
 
 // BenchmarkUploadPipeline times store ingest of 64-sample packets through
-// validation, optimization, tail coalescing, and the WAL-less memory store
-// (E2's write side). One op = one 16-packet upload batch.
+// validation, optimization, and the WAL-less memory store, whose Put
+// extends the stream's tail (E2's write side). One op = one 16-packet
+// upload batch.
 func BenchmarkUploadPipeline(b *testing.B) {
 	svc, err := datastore.New(datastore.Options{})
 	if err != nil {

@@ -371,10 +371,10 @@ func (s *Service) stateLocked(contributor string) (*contributorState, error) {
 
 // Upload ingests a batch of wave segments for the contributor owning the
 // key. Packets run through the wave-segment optimizer (merging
-// timestamp-consecutive packets, §5.1) and, when possible, the first merged
-// segment is coalesced with the contributor's most recent stored segment so
-// steady streaming still produces few large records. Returns the number of
-// records written.
+// timestamp-consecutive packets, §5.1), and the segment engine's Put
+// extends the stream's newest stored record with a segment that continues
+// it, so steady streaming still produces few large records. Returns the
+// number of segments stored.
 func (s *Service) Upload(key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
 	return s.UploadCtx(context.Background(), key, segs)
 }
@@ -414,21 +414,15 @@ func (s *Service) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavese
 		if err != nil {
 			return written, err
 		}
-		if len(merged) == 0 {
-			continue
-		}
-		// Live subscribers get exactly the new post-merge segments; the
-		// tail coalesce below may fold the first into an already-stored
-		// (and already-published) record, so capture before it runs.
-		fresh := append([]*wavesegment.Segment(nil), merged...)
-		merged = s.coalesceTail(u.Name, merged)
 		for _, seg := range merged {
 			if _, err := s.store.Put(seg); err != nil {
 				return written, err
 			}
 			written++
 		}
-		for _, seg := range fresh {
+		// Live subscribers get exactly the new post-merge segments: Put
+		// copies what it stores, so a grown tail never reaches them.
+		for _, seg := range merged {
 			s.stream.Publish(u.Name, seg)
 		}
 	}
@@ -440,13 +434,13 @@ func (s *Service) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavese
 	return written, nil
 }
 
-// groupByStream partitions an upload batch by channel signature, keeping
-// per-group arrival order and overall first-seen group order.
+// groupByStream partitions an upload batch by stream (Segment.StreamKey),
+// keeping per-group arrival order and overall first-seen group order.
 func groupByStream(segs []*wavesegment.Segment) [][]*wavesegment.Segment {
 	index := make(map[string]int)
 	var groups [][]*wavesegment.Segment
 	for _, seg := range segs {
-		key := strings.Join(seg.Channels, "\x00")
+		key := seg.StreamKey()
 		i, ok := index[key]
 		if !ok {
 			i = len(groups)
@@ -456,38 +450,6 @@ func groupByStream(segs []*wavesegment.Segment) [][]*wavesegment.Segment {
 		groups[i] = append(groups[i], seg)
 	}
 	return groups
-}
-
-// coalesceTail merges the first new segment into the contributor's latest
-// stored record when they are timestamp-consecutive and under the size cap.
-func (s *Service) coalesceTail(contributor string, merged []*wavesegment.Segment) []*wavesegment.Segment {
-	first := merged[0]
-	sameStream := func(seg *wavesegment.Segment) bool {
-		if len(seg.Channels) != len(first.Channels) {
-			return false
-		}
-		for i := range seg.Channels {
-			if seg.Channels[i] != first.Channels[i] {
-				return false
-			}
-		}
-		return true
-	}
-	last, ok := s.store.LatestBeforeFunc(contributor, first.StartTime().Add(first.Interval), sameStream)
-	if !ok || !wavesegment.CanMerge(last.Segment, first) {
-		return merged
-	}
-	if last.Segment.NumSamples()+first.NumSamples() > s.opts.MaxSegmentSamples {
-		return merged
-	}
-	joined, err := wavesegment.Merge(last.Segment, first)
-	if err != nil {
-		return merged
-	}
-	if err := s.store.Delete(last.ID); err != nil {
-		return merged
-	}
-	return append([]*wavesegment.Segment{joined}, merged[1:]...)
 }
 
 // SetRules replaces the contributor's privacy rules from Fig. 4 JSON and

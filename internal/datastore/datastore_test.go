@@ -11,6 +11,7 @@ import (
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/query"
 	"sensorsafe/internal/rules"
+	"sensorsafe/internal/segstore"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -108,7 +109,7 @@ func TestUploadOptimizesPackets(t *testing.T) {
 	}
 }
 
-func TestUploadTailCoalescing(t *testing.T) {
+func TestUploadsExtendStreamTail(t *testing.T) {
 	s := newService(t, Options{MaxSegmentSamples: 1 << 20})
 	alice, _ := setupAliceBob(t, s)
 	packets := packetStream("alice", t0, 10)
@@ -121,7 +122,7 @@ func TestUploadTailCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if s.SegmentCount() != 1 {
-		t.Errorf("SegmentCount = %d, want 1 after tail coalescing", s.SegmentCount())
+		t.Errorf("SegmentCount = %d, want 1 after tail extension", s.SegmentCount())
 	}
 	segs, err := s.QueryOwn(alice.Key, &query.Query{})
 	if err != nil {
@@ -129,6 +130,46 @@ func TestUploadTailCoalescing(t *testing.T) {
 	}
 	if len(segs) != 1 || segs[0].NumSamples() != 640 {
 		t.Errorf("stored = %d segments, %d samples", len(segs), segs[0].NumSamples())
+	}
+}
+
+// TestUploadAcrossFlushLeavesNoTombstone: a persistent store's tail lives
+// in the memtable, so an upload continuing a stream whose record was
+// flushed starts a new record instead of deleting the flushed one and
+// rewriting it; compaction then joins the two.
+func TestUploadAcrossFlushLeavesNoTombstone(t *testing.T) {
+	s := newService(t, Options{Dir: t.TempDir()})
+	alice, _ := setupAliceBob(t, s)
+	packets := packetStream("alice", t0, 10)
+	if _, err := s.Upload(alice.Key, packets[:5]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.store.(*segstore.Store).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Upload(alice.Key, packets[5:]); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := s.SegmentStoreStats()
+	if st.Tombstones != 0 {
+		t.Errorf("tombstones = %d after uploading across a flush, want 0", st.Tombstones)
+	}
+	segs, err := s.QueryOwn(alice.Key, &query.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := 0
+	for _, seg := range segs {
+		samples += seg.NumSamples()
+	}
+	if samples != 640 {
+		t.Errorf("stored %d samples, want 640", samples)
+	}
+	if err := s.store.(*segstore.Store).Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if s.SegmentCount() != 1 {
+		t.Errorf("SegmentCount = %d after compaction, want the two records joined", s.SegmentCount())
 	}
 }
 

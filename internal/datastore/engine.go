@@ -14,7 +14,7 @@ import (
 // ordered in-memory index (internal/storage).
 func openEngine(opts Options) (storage.Engine, error) {
 	if opts.Dir == "" {
-		return storage.NewMemory(), nil
+		return storage.NewMemory(opts.MaxSegmentSamples), nil
 	}
 	// A directory written before segstore keeps every segment in a flat
 	// segments.wal that nothing reads any more: refuse it, naming the

@@ -48,6 +48,43 @@ func TestStreamDeliversUploadThroughRules(t *testing.T) {
 	}
 }
 
+// TestStreamDeliversUploadsNotTheGrownTail: when an upload extends the
+// stored tail, subscribers still receive exactly that upload's merged
+// segment, not the record it grew.
+func TestStreamDeliversUploadsNotTheGrownTail(t *testing.T) {
+	s := newService(t, Options{})
+	alice, bob := setupAliceBob(t, s)
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Subscribe(bob.Key, "alice", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packets := packetStream("alice", t0, 4)
+	cursor := info.Cursor
+	for i, batch := range [][]*wavesegment.Segment{packets[:2], packets[2:]} {
+		if _, err := s.Upload(alice.Key, batch); err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.StreamNext(bob.Key, info.ID, cursor, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Events) != 1 || len(b.Events[0].Releases) != 1 {
+			t.Fatalf("upload %d: events = %+v", i, b.Events)
+		}
+		seg := b.Events[0].Releases[0].Segment
+		if seg == nil || seg.NumSamples() != 128 || !seg.StartTime().Equal(batch[0].StartTime()) {
+			t.Fatalf("upload %d delivered %v, want its own 128 samples from %v", i, seg, batch[0].StartTime())
+		}
+		cursor = b.Cursor
+	}
+	if s.SegmentCount() != 1 {
+		t.Errorf("SegmentCount = %d, want the second upload to extend the first", s.SegmentCount())
+	}
+}
+
 // TestStreamRuleChangeMidStream drives the rule-edit scenarios from the
 // issue: each case uploads under an initial rule set, delivers once, flips
 // the rules, uploads again, and checks the next delivery reflects the new

@@ -129,7 +129,7 @@ func RunE12(cfg E12Config) (*E12Result, *Table, error) {
 	if err := seg.Close(); err != nil {
 		return nil, nil, err
 	}
-	mem := storage.NewMemory()
+	mem := storage.NewMemory(0)
 	defer mem.Close()
 	if err := e12Fill(mem, cfg); err != nil {
 		return nil, nil, err

@@ -69,8 +69,10 @@ func e2Packets(cfg E2Config, packetSize int) []*wavesegment.Segment {
 }
 
 // e2Load stores the packets (optimized or raw) and returns the store.
+// maxSamples caps records both in the optimizer and as the store extends
+// them; the raw leg passes one packet's size, so no packet joins another.
 func e2Load(packets []*wavesegment.Segment, optimize bool, maxSamples int) (*storage.Store, error) {
-	st := storage.NewMemory()
+	st := storage.NewMemory(maxSamples)
 	segs := packets
 	if optimize {
 		var err error
@@ -139,7 +141,7 @@ func RunE2(cfg E2Config) (*Table, error) {
 	for _, ps := range cfg.PacketSizes {
 		packets := e2Packets(cfg, ps)
 
-		raw, err := e2Load(packets, false, cfg.MaxSegmentSamples)
+		raw, err := e2Load(packets, false, ps)
 		if err != nil {
 			return nil, err
 		}

@@ -371,18 +371,13 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 }
 
 // registerStorePressure feeds the segment engine's live backlog into the
-// admission controller: memtable fill, WAL growth, sealed-memtable queue,
-// and L0 compaction debt each normalize to 1.0 at "the flush/compaction
-// machinery is saturated". Services on the in-memory engine report
-// no storage pressure (Stats returns ok=false).
+// admission controller: WAL growth, sealed-memtable queue, and L0
+// compaction debt each normalize to 1.0 at "the flush/compaction
+// machinery is saturated". Memtable fill is not a source: it climbs to
+// the flush trigger and drops on every flush by design, so it measures
+// the ingest rate, not an inability to keep up. Services on the in-memory
+// engine report no storage pressure (Stats returns ok=false).
 func registerStorePressure(ctrl *overload.Controller, svc *datastore.Service) {
-	ctrl.AddSource("segstore_memtable", func() float64 {
-		st, ok := svc.SegmentStoreStats()
-		if !ok || st.MemtableBudget <= 0 {
-			return 0
-		}
-		return float64(st.MemtableBytes) / float64(st.MemtableBudget)
-	})
 	ctrl.AddSource("segstore_wal", func() float64 {
 		st, ok := svc.SegmentStoreStats()
 		if !ok || st.MemtableBudget <= 0 {

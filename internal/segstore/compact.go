@@ -198,14 +198,11 @@ func (s *Store) compactRound(force bool) (mergedAway, reclaimed int, err error) 
 			pending[c] = rc
 			continue
 		}
-		if wavesegment.CanMerge(cur.seg, rc.seg) &&
-			cur.seg.NumSamples()+rc.seg.NumSamples() <= s.opts.MaxSegmentSamples {
-			if joined, err := wavesegment.Merge(cur.seg, rc.seg); err == nil {
-				// The merged record keeps the earlier record's ID.
-				pending[c] = rec{id: cur.id, seg: joined}
-				mergedAway++
-				continue
-			}
+		if joined, ok := wavesegment.Extend(cur.seg, rc.seg, s.opts.MaxSegmentSamples); ok {
+			// The merged record keeps the earlier record's ID.
+			pending[c] = rec{id: cur.id, seg: joined}
+			mergedAway++
+			continue
 		}
 		if err := emit(cur); err != nil {
 			abortAll()

@@ -42,7 +42,7 @@ func flatten(t *testing.T, res []storage.Result) map[string]map[int64][]float64 
 	return out
 }
 
-func mustScan(t *testing.T, s *Store) []storage.Result {
+func mustScan(t *testing.T, s storage.Engine) []storage.Result {
 	t.Helper()
 	res, err := s.Scan(storage.Query{})
 	if err != nil {
@@ -53,22 +53,21 @@ func mustScan(t *testing.T, s *Store) []storage.Result {
 
 // fillContiguous writes `files` L0 files of `perFile` contiguous
 // 5-sample records per contributor — adjacent records merge during
-// compaction.
+// compaction. Each file is put newest record first, so no put continues
+// the one before it and every record reaches disk unmerged.
 func fillContiguous(t *testing.T, s *Store, contributors []string, files, perFile int) []storage.ID {
 	t.Helper()
 	var ids []storage.ID
-	n := 0
 	for f := 0; f < files; f++ {
-		for j := 0; j < perFile; j++ {
+		for j := perFile - 1; j >= 0; j-- {
 			for _, c := range contributors {
-				off := time.Duration(n*5) * time.Second
+				off := time.Duration((f*perFile+j)*5) * time.Second
 				id, err := s.Put(mkSeg(c, off, 5))
 				if err != nil {
 					t.Fatalf("put: %v", err)
 				}
 				ids = append(ids, id)
 			}
-			n++
 		}
 		if err := s.Flush(); err != nil {
 			t.Fatalf("flush: %v", err)

@@ -13,14 +13,20 @@ import (
 type memtable struct {
 	byID    map[storage.ID]*wavesegment.Segment
 	byStart []rec // sorted by (StartTime, id)
-	bytes   int64 // approximate encoded size of held segments
-
-	firstSeq uint64 // WAL seq of the first record absorbed (0 when empty)
-	lastSeq  uint64 // WAL seq of the latest record absorbed
+	bytes   int64 // encoded size of the packets absorbed
+	// tails maps each stream (Segment.StreamKey) to its newest record
+	// here, the latest-starting one, which a continuing Put extends; a
+	// late packet does not displace it. A flush starts a fresh map:
+	// compaction joins records a memtable boundary cut.
+	tails   map[string]storage.ID
+	lastSeq uint64 // WAL seq of the latest record absorbed
 }
 
 func newMemtable() *memtable {
-	return &memtable{byID: make(map[storage.ID]*wavesegment.Segment)}
+	return &memtable{
+		byID:  make(map[storage.ID]*wavesegment.Segment),
+		tails: make(map[string]storage.ID),
+	}
 }
 
 func (m *memtable) len() int { return len(m.byID) }
@@ -36,24 +42,38 @@ func (m *memtable) search(start int64, id storage.ID) int {
 	})
 }
 
-// put inserts or replaces a record and tracks the WAL sequence that
-// produced it.
+// put inserts a new record and tracks the WAL sequence that produced it.
 func (m *memtable) put(id storage.ID, seg *wavesegment.Segment, seq uint64, encodedLen int) {
-	if old, ok := m.byID[id]; ok {
-		m.removeFromIndex(id, old)
+	key := seg.StreamKey()
+	if tail, ok := m.tails[key]; !ok || seg.StartTime().After(m.byID[tail].StartTime()) {
+		m.tails[key] = id
 	}
 	m.byID[id] = seg
 	i := m.search(seg.StartTime().UnixNano(), id)
 	m.byStart = append(m.byStart, rec{})
 	copy(m.byStart[i+1:], m.byStart[i:])
 	m.byStart[i] = rec{id: id, seg: seg}
-	m.bytes += int64(encodedLen)
-	if m.firstSeq == 0 {
-		m.firstSeq = seq
+	m.absorbed(seq, encodedLen)
+}
+
+// extension returns the newest record of seg's stream and seg joined onto
+// it, when seg continues that record within maxSamples samples. Nothing
+// changes until extend applies the result.
+func (m *memtable) extension(seg *wavesegment.Segment, maxSamples int) (storage.ID, *wavesegment.Segment, bool) {
+	id, ok := m.tails[seg.StreamKey()]
+	if !ok {
+		return 0, nil, false
 	}
-	if seq > m.lastSeq {
-		m.lastSeq = seq
-	}
+	joined, ok := wavesegment.Extend(m.byID[id], seg, maxSamples)
+	return id, joined, ok
+}
+
+// extend swaps record id's segment for joined, which starts where the old
+// one did. The old segment is left intact for scans that still hold it.
+func (m *memtable) extend(id storage.ID, joined *wavesegment.Segment, seq uint64, encodedLen int) {
+	m.byID[id] = joined
+	m.byStart[m.search(joined.StartTime().UnixNano(), id)].seg = joined
+	m.absorbed(seq, encodedLen)
 }
 
 // delete removes a record if present; returns whether it was held here.
@@ -63,20 +83,20 @@ func (m *memtable) delete(id storage.ID, seq uint64) bool {
 		return false
 	}
 	delete(m.byID, id)
-	m.removeFromIndex(id, seg)
-	if m.firstSeq == 0 {
-		m.firstSeq = seq
+	if key := seg.StreamKey(); m.tails[key] == id {
+		delete(m.tails, key)
 	}
-	if seq > m.lastSeq {
-		m.lastSeq = seq
-	}
+	i := m.search(seg.StartTime().UnixNano(), id)
+	m.byStart = append(m.byStart[:i], m.byStart[i+1:]...)
+	m.absorbed(seq, 0)
 	return true
 }
 
-func (m *memtable) removeFromIndex(id storage.ID, seg *wavesegment.Segment) {
-	i := m.search(seg.StartTime().UnixNano(), id)
-	if i < len(m.byStart) && m.byStart[i].id == id {
-		m.byStart = append(m.byStart[:i], m.byStart[i+1:]...)
+// absorbed accounts one WAL record and its encoded payload.
+func (m *memtable) absorbed(seq uint64, encodedLen int) {
+	m.bytes += int64(encodedLen)
+	if seq > m.lastSeq {
+		m.lastSeq = seq
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sensorsafe/internal/storage"
+	"sensorsafe/internal/wavesegment"
 )
 
 // crash simulates a process kill: background loops stop and file
@@ -316,6 +317,81 @@ func TestRecoveryWithDeletesInWAL(t *testing.T) {
 	}
 	if s2.Count() != 30 {
 		t.Fatalf("count after replay: %d want 30", s2.Count())
+	}
+}
+
+// TestContiguousPutsSurviveAbortedFlushAndTornFrame extends a stream
+// across an aborted flush, with a run of late packets in the second
+// memtable, then crashes mid-append: replay, which folds both WAL files
+// into one memtable, must restore exactly the acknowledged puts, joined
+// into the records Put reported.
+func TestContiguousPutsSurviveAbortedFlushAndTornFrame(t *testing.T) {
+	dir := t.TempDir()
+	s := openTestStore(t, dir, Options{})
+	want := make(map[storage.ID]*wavesegment.Segment)
+	put := func(i int) {
+		t.Helper()
+		p := mkSeg("a", time.Duration(i*4)*time.Second, 4)
+		id, err := s.Put(p)
+		if err != nil {
+			t.Fatalf("put: %v", err)
+		}
+		if w, ok := want[id]; !ok {
+			want[id] = p.Clone()
+		} else if want[id], ok = wavesegment.Extend(w, p, 0); !ok {
+			t.Fatalf("put %d joined record %d, which it does not continue", i, id)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		put(i)
+	}
+	boom := errors.New("simulated crash")
+	s.crashHook = func(st string) error {
+		if st == "flush.file" {
+			return boom
+		}
+		return nil
+	}
+	if err := s.Flush(); !errors.Is(err, boom) {
+		t.Fatalf("flush: got %v, want injected crash", err)
+	}
+	for i := -8; i < 0; i++ {
+		put(i)
+	}
+	for i := 8; i < 16; i++ {
+		put(i)
+	}
+	// The crash lands mid-append: half of one more frame reaches the log,
+	// and that Put never returned.
+	before := s.Stats().WALBytes
+	if _, err := s.Put(mkSeg("a", 64*time.Second, 4)); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	torn := s.Stats().WALBytes - before
+	crash(t, s)
+	wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(wals) == 0 {
+		t.Fatalf("no WAL files: %v", err)
+	}
+	newest := wals[len(wals)-1]
+	fi, err := os.Stat(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(newest, fi.Size()-torn/2); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTestStore(t, dir, Options{})
+	defer s2.Close()
+	got := scanIDs(t, s2)
+	if len(got) != len(want) || s2.Count() != len(want) {
+		t.Fatalf("recovered %d records (count %d), want %d", len(got), s2.Count(), len(want))
+	}
+	for id, w := range want {
+		if got[id] != blob(t, w) {
+			t.Fatalf("record %d lost or corrupted", id)
+		}
 	}
 }
 

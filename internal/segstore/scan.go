@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sensorsafe/internal/storage"
-	"sensorsafe/internal/wavesegment"
 )
 
 // Read path: a scan snapshots its sources under the lock — the
@@ -313,129 +312,4 @@ func (s *Store) Scan(q storage.Query) ([]storage.Result, error) {
 // segments must not be mutated.
 func (s *Store) ScanRefs(q storage.Query) ([]storage.Result, error) {
 	return s.scan(q, false)
-}
-
-// LatestBeforeFunc returns the contributor's record with the greatest
-// start time strictly before t among those satisfying pred (nil accepts
-// everything) — the upload tail-coalescing probe. The segment must not
-// be mutated.
-// The hot path resolves entirely in the memtables; disk is consulted
-// only when no in-memory candidate exists.
-func (s *Store) LatestBeforeFunc(contributor string, t time.Time, pred func(*wavesegment.Segment) bool) (storage.Result, bool) {
-	type candidate struct {
-		r  rec
-		ok bool
-	}
-	accept := func(r rec, tomb map[storage.ID]bool) bool {
-		if tomb != nil && tomb[r.id] {
-			return false
-		}
-		if contributor != "" && r.seg.Contributor != contributor {
-			return false
-		}
-		return pred == nil || pred(r.seg)
-	}
-	better := func(a rec, b candidate) bool {
-		if !b.ok {
-			return true
-		}
-		sa, sb := a.seg.StartTime().UnixNano(), b.r.seg.StartTime().UnixNano()
-		return sa > sb || (sa == sb && a.id > b.r.id)
-	}
-
-	var best candidate
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return storage.Result{}, false
-	}
-	runs := make([][]rec, 0, 1+len(s.sealed))
-	runs = append(runs, s.active.sorted())
-	for _, m := range s.sealed {
-		runs = append(runs, m.sorted())
-	}
-	for _, run := range runs {
-		hi := sort.Search(len(run), func(i int) bool {
-			return !run[i].seg.StartTime().Before(t)
-		})
-		for i := hi - 1; i >= 0; i-- {
-			if accept(run[i], s.tombstones) {
-				if better(run[i], best) {
-					best = candidate{r: run[i], ok: true}
-				}
-				break
-			}
-		}
-	}
-	// Disk is always consulted (out-of-order uploads can leave
-	// later-start records in files than in the memtable), but blocks
-	// that provably cannot beat the in-memory candidate are pruned via
-	// the sparse index: every record in a block starts at or before the
-	// block's maxEnd.
-	var readers []*segReader
-	for _, r := range s.readers {
-		if r.meta.MinTime >= t.UnixNano() {
-			continue
-		}
-		if contributor != "" {
-			if _, ok := r.byContrib[contributor]; !ok {
-				continue
-			}
-		}
-		r.retain()
-		readers = append(readers, r)
-	}
-	tomb := make(map[storage.ID]bool, len(s.tombstones))
-	for id := range s.tombstones {
-		tomb[id] = true
-	}
-	s.mu.RUnlock()
-	if len(readers) > 0 {
-		defer releaseAll(readers)
-		for _, r := range readers {
-			contribs := []string{contributor}
-			if contributor == "" {
-				contribs = contribs[:0]
-				for c := range r.byContrib {
-					contribs = append(contribs, c)
-				}
-			}
-			for _, c := range contribs {
-				idxs := r.byContrib[c]
-				for bi := len(idxs) - 1; bi >= 0; bi-- {
-					b := r.blocks[idxs[bi]]
-					if b.minStart >= t.UnixNano() {
-						continue
-					}
-					if best.ok && b.maxEnd < best.r.seg.StartTime().UnixNano() {
-						break // nothing in this or earlier blocks can beat it
-					}
-					recs, err := r.readBlock(idxs[bi])
-					if err != nil {
-						break
-					}
-					found := false
-					for i := len(recs) - 1; i >= 0; i-- {
-						if !recs[i].seg.StartTime().Before(t) {
-							continue
-						}
-						if accept(recs[i], tomb) {
-							if better(recs[i], best) {
-								best = candidate{r: recs[i], ok: true}
-							}
-							found = true
-							break
-						}
-					}
-					if found {
-						break
-					}
-				}
-			}
-		}
-	}
-	if !best.ok {
-		return storage.Result{}, false
-	}
-	return storage.Result{ID: best.r.id, Segment: best.r.seg}, true
 }

@@ -3,12 +3,13 @@
 // WAL with a bounded hot tail and immutable on-disk segment files.
 //
 // Write path: every Put/Delete appends to a write-ahead log, then lands
-// in the active memtable (sorted hot tail). When the memtable exceeds
-// its byte budget a background flusher seals it, writes one immutable,
-// sorted, columnar L0 segment file (see segfile.go), and commits it by
-// writing a new manifest generation; sealed WAL files whose sequences
-// the manifest covers are then garbage-collected, so restart replays
-// only the WAL tail.
+// in the active memtable (sorted hot tail). A Put that continues its
+// stream's newest memtable record extends that record, and the log holds
+// only the new packet. When the memtable exceeds its byte budget a
+// background flusher seals it, writes one immutable, sorted, columnar L0
+// segment file (see segfile.go), and commits it by writing a new manifest
+// generation; sealed WAL files whose sequences the manifest covers are
+// then garbage-collected, so restart replays only the WAL tail.
 //
 // Read path: scans k-way-merge the memtables with the per-contributor
 // block runs of every overlapping segment file (the same merge
@@ -46,8 +47,9 @@ type Options struct {
 	// CompactInterval is the background compaction period; 0 disables
 	// the background compactor (Compact still works when called).
 	CompactInterval time.Duration
-	// MaxSegmentSamples bounds wave-merged records during compaction
-	// (default wavesegment.DefaultMaxSamples).
+	// MaxSegmentSamples bounds wave-merged records, both as Put extends a
+	// stream's tail and during compaction (default
+	// wavesegment.DefaultMaxSamples).
 	MaxSegmentSamples int
 	// L0CompactThreshold is how many L0 files accumulate before the
 	// compactor merges them into L1. Default 4.
@@ -208,9 +210,24 @@ func Open(opts Options) (*Store, error) {
 			replayed++
 			switch r.typ {
 			case walRecPut:
-				blob, _ := wavesegment.MarshalBinary(r.seg)
-				s.active.put(r.id, r.seg, r.seq, len(blob))
+				if _, inMemtable := s.active.byID[r.id]; inMemtable || s.tombstones[r.id] || s.onDiskLocked(r.id) {
+					return fmt.Errorf("segstore: wal put of record %d, which already exists", r.id)
+				}
+				s.active.put(r.id, r.seg, r.seq, r.size)
 				s.liveCount++
+			case walRecAppend:
+				// By ID, not by tail: replay folds several WAL files into
+				// one memtable, so its tails need not match Put's. No
+				// sample cap either: the append passed the one in force.
+				old, ok := s.active.byID[r.id]
+				if !ok {
+					return fmt.Errorf("segstore: wal append to record %d, which is not in the memtable", r.id)
+				}
+				joined, ok := wavesegment.Extend(old, r.seg, 0)
+				if !ok {
+					return fmt.Errorf("segstore: wal append does not continue record %d", r.id)
+				}
+				s.active.extend(r.id, joined, r.seq, r.size)
 			case walRecDelete:
 				if s.active.delete(r.id, r.seq) {
 					s.liveCount--
@@ -218,7 +235,7 @@ func Open(opts Options) (*Store, error) {
 					// A delete of a disk-resident record; verify it still
 					// exists (compaction may have already reclaimed it
 					// before the crash) so liveCount stays exact.
-					if _, _, ok := s.findOnDiskLocked(r.id); ok {
+					if s.onDiskLocked(r.id) {
 						s.tombstones[r.id] = true
 						s.liveCount--
 					}
@@ -288,8 +305,11 @@ func (s *Store) publishGauges() {
 	}
 }
 
-// Put validates and stores a segment, returning its new ID. The segment
-// is cloned; callers may keep mutating their copy.
+// Put validates and stores a segment, returning the ID of the record that
+// holds it. A segment that continues its stream's newest record in the
+// active memtable extends that record (the WAL logs only the new packet);
+// anything else becomes a new record. The segment is copied; callers may
+// keep mutating theirs.
 func (s *Store) Put(seg *wavesegment.Segment) (storage.ID, error) {
 	if seg == nil {
 		return 0, fmt.Errorf("segstore: nil segment")
@@ -306,16 +326,24 @@ func (s *Store) Put(seg *wavesegment.Segment) (storage.ID, error) {
 		s.mu.Unlock()
 		return 0, storage.ErrClosed
 	}
-	id := s.nextID
-	s.nextID++
+	typ := byte(walRecAppend)
+	id, joined, extends := s.active.extension(seg, s.opts.MaxSegmentSamples)
+	if !extends {
+		typ, id = walRecPut, s.nextID
+		s.nextID++
+	}
 	seq := s.nextSeq
 	s.nextSeq++
-	if err := s.wal.append(walRecPut, seq, id, blob); err != nil {
+	if err := s.wal.append(typ, seq, id, blob); err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	s.active.put(id, seg.Clone(), seq, len(blob))
-	s.liveCount++
+	if extends {
+		s.active.extend(id, joined, seq, len(blob))
+	} else {
+		s.active.put(id, seg.Clone(), seq, len(blob))
+		s.liveCount++
+	}
 	needFlush := s.active.bytes >= s.opts.MemtableBytes
 	metricMemBytes.Set(float64(s.active.bytes))
 	s.mu.Unlock()
@@ -404,18 +432,18 @@ func findInReader(r *segReader, id storage.ID) (*wavesegment.Segment, bool) {
 	return nil, false
 }
 
-// findOnDiskLocked reports whether id exists in a segment file. Callers
-// hold mu (or, during Open, have exclusive access).
-func (s *Store) findOnDiskLocked(id storage.ID) (*wavesegment.Segment, *segReader, bool) {
+// onDiskLocked reports whether id exists in a segment file. Callers hold
+// mu (or, during Open, have exclusive access).
+func (s *Store) onDiskLocked(id storage.ID) bool {
 	for _, r := range s.readers {
 		if uint64(id) < r.meta.MinID || uint64(id) > r.meta.MaxID {
 			continue
 		}
-		if seg, ok := findInReader(r, id); ok {
-			return seg, r, true
+		if _, ok := findInReader(r, id); ok {
+			return true
 		}
 	}
-	return nil, nil, false
+	return false
 }
 
 // Delete removes a segment. Memtable-resident records are removed in
@@ -441,7 +469,7 @@ func (s *Store) Delete(id storage.ID) error {
 	if !inActive && !inSealed {
 		// Disk check holds the write lock; deletes are rare
 		// (rule-revocation reclamation), reads dominate.
-		if _, _, ok := s.findOnDiskLocked(id); !ok {
+		if !s.onDiskLocked(id) {
 			return fmt.Errorf("%w: id %d", storage.ErrNotFound, id)
 		}
 	}

@@ -3,6 +3,8 @@ package segstore
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,7 +81,7 @@ func resultsEqual(t *testing.T, want, got []storage.Result) bool {
 func TestDifferentialAgainstLegacyEngine(t *testing.T) {
 	seg := openTestStore(t, t.TempDir(), Options{MemtableBytes: 8 << 10})
 	defer seg.Close()
-	legacy := storage.NewMemory()
+	legacy := storage.NewMemory(0)
 	defer legacy.Close()
 
 	rng := rand.New(rand.NewSource(42))
@@ -152,24 +154,157 @@ func TestDifferentialAgainstLegacyEngine(t *testing.T) {
 			t.Fatalf("get(%d) payload diverges", id)
 		}
 	}
+}
 
-	// Tail probes agree (the upload coalescing path).
-	for _, c := range contributors {
-		for _, probe := range []time.Duration{0, 5000 * time.Second, 200000 * time.Second} {
-			r1, ok1 := seg.LatestBeforeFunc(c, t0.Add(probe), nil)
-			r2, ok2 := legacy.LatestBeforeFunc(c, t0.Add(probe), nil)
-			if ok1 != ok2 {
-				t.Fatalf("latestBefore(%s,+%v): ok %v vs %v", c, probe, ok1, ok2)
+// TestDifferentialContiguousStreams interleaves contiguous packets of six
+// streams (3 contributors x 2 channel sets) with occasional gaps and late
+// packets. Without
+// flushes both engines extend the same tails, so IDs, counts and scans
+// are exact-equal; a flush cuts segstore's tails, so with flushes only the
+// flattened samples must agree.
+func TestDifferentialContiguousStreams(t *testing.T) {
+	contributors := []string{"alice", "bob", "carol"}
+	channelSets := [][]string{{"hr"}, {"hr", "gsr"}}
+	for _, flushes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("flushes=%v", flushes), func(t *testing.T) {
+			seg := openTestStore(t, t.TempDir(), Options{MaxSegmentSamples: 40})
+			defer seg.Close()
+			mem := storage.NewMemory(40)
+			defer mem.Close()
+			rng := rand.New(rand.NewSource(7))
+			var next [6]time.Duration
+			for k := range next {
+				// A contributor's two streams never overlap in time, so
+				// flatten sees each sample once.
+				next[k] = time.Duration(k%2) * 1e6 * time.Second
 			}
-			if ok1 && (r1.ID != r2.ID || blob(t, r1.Segment) != blob(t, r2.Segment)) {
-				t.Fatalf("latestBefore(%s,+%v): id %d vs %d", c, probe, r1.ID, r2.ID)
+			for i := 0; i < 400; i++ {
+				k := rng.Intn(len(next))
+				n := 1 + rng.Intn(8)
+				off := next[k]
+				if rng.Intn(15) == 0 {
+					// Late, behind everything stored: it must not become
+					// the record its stream keeps extending.
+					off = -time.Duration(i+1) * 100 * time.Second
+				} else {
+					next[k] += time.Duration(n) * time.Second
+					if rng.Intn(10) == 0 {
+						next[k] += time.Hour
+					}
+				}
+				p := mkSeg(contributors[k/2], off, n, channelSets[k%2]...)
+				id1, err1 := seg.Put(p)
+				id2, err2 := mem.Put(p)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("put: %v / %v", err1, err2)
+				}
+				if !flushes && id1 != id2 {
+					t.Fatalf("put %d: segstore id %d, memory id %d", i, id1, id2)
+				}
+				if flushes && rng.Intn(40) == 0 {
+					if err := seg.Flush(); err != nil {
+						t.Fatalf("flush: %v", err)
+					}
+				}
+			}
+			if flushes {
+				if !reflect.DeepEqual(flatten(t, mustScan(t, seg)), flatten(t, mustScan(t, mem))) {
+					t.Fatal("flattened samples diverge")
+				}
+				return
+			}
+			if seg.Count() != mem.Count() || mem.Count() > 200 {
+				t.Fatalf("count: segstore %d memory %d, want equal and most of 400 puts extending", seg.Count(), mem.Count())
+			}
+			for _, q := range []storage.Query{{}, {Contributor: "bob"}, {Channels: []string{"gsr"}}} {
+				want, _ := mem.Scan(q)
+				got, _ := seg.Scan(q)
+				if !resultsEqual(t, want, got) {
+					t.Fatalf("scan %+v diverges: memory %d results, segstore %d", q, len(want), len(got))
+				}
+			}
+		})
+	}
+}
+
+// TestContiguousPutsWALBytes: a stream of contiguous packets is one
+// record whose WAL holds each packet once, with no tombstones.
+func TestContiguousPutsWALBytes(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), Options{})
+	defer s.Close()
+	uploaded := 0
+	for i := 0; i < 16; i++ {
+		p := mkSeg("a", time.Duration(i*64)*time.Second, 64, "hr", "gsr")
+		uploaded += len(blob(t, p))
+		if _, err := s.Put(p); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	st := s.Stats()
+	if s.Count() != 1 || st.Tombstones != 0 {
+		t.Fatalf("count %d, tombstones %d; want 1 record, 0 tombstones", s.Count(), st.Tombstones)
+	}
+	if float64(st.WALBytes) > 1.2*float64(uploaded) {
+		t.Fatalf("WAL holds %d bytes for %d bytes of packets", st.WALBytes, uploaded)
+	}
+}
+
+// TestConcurrentTailExtension extends several streams from concurrent
+// writers while a reader walks ScanRefs results and flushes cut the
+// tails: every record a reader holds stays whole (run with -race), and
+// every sample lands exactly once.
+func TestConcurrentTailExtension(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), Options{})
+	defer s.Close()
+	const writers, puts = 4, 200
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			res, err := s.ScanRefs(storage.Query{})
+			if err != nil {
+				t.Errorf("scan: %v", err)
+				return
+			}
+			for _, r := range res {
+				if err := r.Segment.Validate(); err != nil {
+					t.Errorf("record %d torn mid-read: %v", r.ID, err)
+					return
+				}
+			}
+			if i%10 == 0 {
+				if err := s.Flush(); err != nil {
+					t.Errorf("flush: %v", err)
+					return
+				}
 			}
 		}
-		pred := func(s *wavesegment.Segment) bool { return len(s.Channels) == 2 }
-		r1, ok1 := seg.LatestBeforeFunc(c, t0.Add(300000*time.Second), pred)
-		r2, ok2 := legacy.LatestBeforeFunc(c, t0.Add(300000*time.Second), pred)
-		if ok1 != ok2 || (ok1 && r1.ID != r2.ID) {
-			t.Fatalf("latestBeforeFunc(%s): %v/%v vs %v/%v", c, r1.ID, ok1, r2.ID, ok2)
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				if _, err := s.Put(mkSeg(fmt.Sprintf("w%d", w), time.Duration(i*3)*time.Second, 3)); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-readerDone
+	for c, samples := range flatten(t, mustScan(t, s)) {
+		if len(samples) != puts*3 {
+			t.Errorf("%s: %d samples, want %d", c, len(samples), puts*3)
 		}
 	}
 }

@@ -26,22 +26,30 @@ import (
 //	u32 bodyLen | u32 crc32(body) | body
 //	body = typ byte | seq u64 | id u64 | payload
 //
-// where payload is the segment's MarshalBinary blob for puts and empty
-// for deletes. Replay stops at the first torn or corrupt frame in the
+// where payload is empty for deletes and, for puts and appends, the
+// MarshalBinary blob of the segment the caller passed to Put. A put
+// creates record id; an append extends record id, its stream's newest
+// memtable record, by the packet alone, so a growing stream tail is
+// logged once, not rewritten on every upload. Replay rejects a put of an
+// existing ID and an append that does not continue a memtable record; a
+// binary that predates appends rejects the frame type rather than
+// misreading it. Replay stops at the first torn or corrupt frame in the
 // newest file (a crash mid-append) but treats corruption in older files
 // as an error, since those were fsynced before the manifest advanced.
 
 const (
 	walRecPut    = 1
 	walRecDelete = 2
+	walRecAppend = 3
 )
 
 // walRecord is one replayed WAL entry.
 type walRecord struct {
-	typ byte
-	seq uint64
-	id  storage.ID
-	seg *wavesegment.Segment // nil for deletes
+	typ  byte
+	seq  uint64
+	id   storage.ID
+	seg  *wavesegment.Segment // nil for deletes
+	size int                  // payload bytes
 }
 
 type walFile struct {
@@ -136,9 +144,8 @@ func (w *wal) rotate(firstSeq uint64) error {
 	return nil
 }
 
-// append durably logs one record. The frame is written in one Write call
-// so a crash tears at most the final frame.
-func (w *wal) append(typ byte, seq uint64, id storage.ID, payload []byte) error {
+// walFrame encodes one record in the frame format above.
+func walFrame(typ byte, seq uint64, id storage.ID, payload []byte) []byte {
 	body := make([]byte, 0, 1+8+8+len(payload))
 	body = append(body, typ)
 	body = putUint64(body, seq)
@@ -147,7 +154,13 @@ func (w *wal) append(typ byte, seq uint64, id storage.ID, payload []byte) error 
 	frame := make([]byte, 0, 8+len(body))
 	frame = putUint32(frame, uint32(len(body)))
 	frame = putUint32(frame, crc32.ChecksumIEEE(body))
-	frame = append(frame, body...)
+	return append(frame, body...)
+}
+
+// append durably logs one record. The frame is written in one Write call
+// so a crash tears at most the final frame.
+func (w *wal) append(typ byte, seq uint64, id storage.ID, payload []byte) error {
+	frame := walFrame(typ, seq, id, payload)
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("segstore: wal append: %w", err)
 	}
@@ -244,12 +257,13 @@ func replayWALFile(dir string, wf *walFile, last bool, fn func(walRecord) error)
 		recd.seq = br.uint64()
 		recd.id = storage.ID(br.uint64())
 		switch recd.typ {
-		case walRecPut:
+		case walRecPut, walRecAppend:
 			seg, err := wavesegment.UnmarshalBinary(body[br.off:])
 			if err != nil {
 				return fmt.Errorf("segstore: wal %s: bad segment payload at %d: %w", wf.name, off, err)
 			}
 			recd.seg = seg
+			recd.size = len(body) - br.off
 		case walRecDelete:
 		default:
 			return fmt.Errorf("segstore: wal %s: unknown record type %d at %d", wf.name, recd.typ, off)

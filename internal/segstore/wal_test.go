@@ -5,6 +5,9 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"sensorsafe/internal/storage"
+	"sensorsafe/internal/wavesegment"
 )
 
 // TestCorruptWALTailTolerated flips a byte inside the last frame of the
@@ -43,4 +46,62 @@ func TestCorruptWALTailTolerated(t *testing.T) {
 	if _, err := s2.Put(mkSeg("a", time.Hour, 10)); err != nil {
 		t.Fatalf("put after corrupt-tail recovery: %v", err)
 	}
+}
+
+// FuzzWALReplay treats the newest WAL file as untrusted input: arbitrary
+// bytes after a store with one flushed record. Open may refuse them but
+// must never panic, and a store it opens must count exactly what it
+// scans. Seeds cover put, append and delete frames, an append to an
+// unknown ID, a duplicate put, a put reusing the flushed ID, and a torn
+// frame.
+func FuzzWALReplay(f *testing.F) {
+	packet := func(off time.Duration) []byte {
+		b, err := wavesegment.MarshalBinary(mkSeg("a", off, 4))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	frames := func(fs ...[]byte) []byte {
+		var out []byte
+		for _, fr := range fs {
+			out = append(out, fr...)
+		}
+		return out
+	}
+	// The base store flushes record 1 at sequence 1; frames beyond it replay.
+	put := walFrame(walRecPut, 2, 2, packet(time.Hour))
+	f.Add(frames(put, walFrame(walRecAppend, 3, 2, packet(time.Hour+4*time.Second)), walFrame(walRecDelete, 4, 1, nil)))
+	f.Add(frames(put, walFrame(walRecDelete, 3, 2, nil), walFrame(walRecAppend, 4, 2, packet(time.Hour+4*time.Second))))
+	f.Add(walFrame(walRecAppend, 2, 9, packet(time.Hour)))
+	f.Add(frames(put, walFrame(walRecPut, 3, 2, packet(2*time.Hour))))
+	f.Add(walFrame(walRecPut, 2, 1, packet(time.Hour)))
+	f.Add(frames(put, walFrame(walRecAppend, 3, 2, packet(3*time.Hour))))
+	f.Add(put[:len(put)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		s := openTestStore(t, dir, Options{})
+		if _, err := s.Put(mkSeg("a", 0, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walName(1<<40)), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(Options{Dir: dir})
+		if err != nil {
+			return
+		}
+		defer s2.Close()
+		res, err := s2.Scan(storage.Query{})
+		if err != nil {
+			t.Fatalf("scan after replay: %v", err)
+		}
+		if s2.Count() != len(res) {
+			t.Fatalf("Count() = %d but Scan returns %d records", s2.Count(), len(res))
+		}
+	})
 }

@@ -33,13 +33,16 @@ var (
 // Store (services without a directory) and internal/segstore's
 // persistent columnar LSM engine. The differential tests in segstore
 // hold the two to identical observable behavior.
+//
+// Put is where a stream's tail grows: a segment that continues the newest
+// record of its stream (wavesegment.Extend, under the store's sample cap)
+// is appended to that record, and Put returns the record's ID; anything
+// else becomes a new record.
 type Engine interface {
 	Put(seg *wavesegment.Segment) (ID, error)
-	Delete(id ID) error
 	Count() int
 	Scan(q Query) ([]Result, error)
 	ScanRefs(q Query) ([]Result, error)
-	LatestBeforeFunc(contributor string, t time.Time, pred func(*wavesegment.Segment) bool) (Result, bool)
 	Close() error
 }
 
@@ -52,21 +55,36 @@ type record struct {
 // Store is the in-memory segment store. All methods are safe for
 // concurrent use; Close discards everything.
 type Store struct {
-	mu     sync.RWMutex
-	nextID ID
-	byID   map[ID]*record
+	mu         sync.RWMutex
+	nextID     ID
+	maxSamples int
+	byID       map[ID]*record
 	// byStart is sorted by (StartTime, id) for range scans.
 	byStart []*record
-	closed  bool
+	// tails maps each stream (Segment.StreamKey) to its newest record,
+	// the latest-starting one, which a continuing Put extends; a late
+	// packet does not displace it.
+	tails  map[string]*record
+	closed bool
 }
 
-// NewMemory returns an empty in-memory store.
-func NewMemory() *Store {
-	return &Store{byID: make(map[ID]*record), nextID: 1}
+// NewMemory returns an empty in-memory store whose records grow by
+// extension up to maxSamples samples (wavesegment.DefaultMaxSamples if
+// maxSamples <= 0).
+func NewMemory(maxSamples int) *Store {
+	if maxSamples <= 0 {
+		maxSamples = wavesegment.DefaultMaxSamples
+	}
+	return &Store{
+		byID:       make(map[ID]*record),
+		tails:      make(map[string]*record),
+		nextID:     1,
+		maxSamples: maxSamples,
+	}
 }
 
 // insert adds a record to the in-memory index.
-func (s *Store) insert(id ID, seg *wavesegment.Segment) {
+func (s *Store) insert(id ID, seg *wavesegment.Segment) *record {
 	rec := &record{id: id, seg: seg}
 	s.byID[id] = rec
 	i := sort.Search(len(s.byStart), func(i int) bool {
@@ -79,10 +97,12 @@ func (s *Store) insert(id ID, seg *wavesegment.Segment) {
 	s.byStart = append(s.byStart, nil)
 	copy(s.byStart[i+1:], s.byStart[i:])
 	s.byStart[i] = rec
+	return rec
 }
 
-// Put validates and stores a segment, returning its new ID. The segment is
-// cloned; callers may keep mutating their copy.
+// Put validates and stores a segment, returning the ID of the record that
+// holds it: the stream's newest record when the segment extends it, else
+// a new one. The segment is copied; callers may keep mutating theirs.
 func (s *Store) Put(seg *wavesegment.Segment) (ID, error) {
 	if seg == nil {
 		return 0, fmt.Errorf("storage: nil segment")
@@ -95,9 +115,21 @@ func (s *Store) Put(seg *wavesegment.Segment) (ID, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
+	key := seg.StreamKey()
+	tail, hasTail := s.tails[key]
+	if hasTail {
+		if joined, ok := wavesegment.Extend(tail.seg, seg, s.maxSamples); ok {
+			// Copy-on-write: scans already holding tail.seg keep it whole.
+			tail.seg = joined
+			return tail.id, nil
+		}
+	}
 	id := s.nextID
 	s.nextID++
-	s.insert(id, seg.Clone())
+	rec := s.insert(id, seg.Clone())
+	if !hasTail || seg.StartTime().After(tail.seg.StartTime()) {
+		s.tails[key] = rec
+	}
 	return id, nil
 }
 
@@ -127,6 +159,9 @@ func (s *Store) Delete(id ID) error {
 		return fmt.Errorf("%w: id %d", ErrNotFound, id)
 	}
 	delete(s.byID, id)
+	if key := rec.seg.StreamKey(); s.tails[key] == rec {
+		delete(s.tails, key)
+	}
 	for i, r := range s.byStart {
 		if r == rec {
 			s.byStart = append(s.byStart[:i], s.byStart[i+1:]...)
@@ -242,31 +277,6 @@ func (s *Store) Close() error {
 	defer s.mu.Unlock()
 	s.closed = true
 	return nil
-}
-
-// LatestBeforeFunc returns the contributor's record with the greatest
-// start time strictly before t among those satisfying pred (pred == nil
-// accepts everything). Upload tail coalescing uses it to find the most
-// recent record of the *same sensor stream* — multi-device contributors
-// interleave streams with different channel sets. The segment is not
-// cloned; callers must not mutate it.
-func (s *Store) LatestBeforeFunc(contributor string, t time.Time, pred func(*wavesegment.Segment) bool) (Result, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	hi := sort.Search(len(s.byStart), func(i int) bool {
-		return !s.byStart[i].seg.StartTime().Before(t)
-	})
-	for i := hi - 1; i >= 0; i-- {
-		rec := s.byStart[i]
-		if contributor != "" && rec.seg.Contributor != contributor {
-			continue
-		}
-		if pred != nil && !pred(rec.seg) {
-			continue
-		}
-		return Result{ID: rec.id, Segment: rec.seg}, true
-	}
-	return Result{}, false
 }
 
 var _ Engine = (*Store)(nil)

@@ -38,7 +38,7 @@ func seg(contributor string, start time.Time, n int, channels ...string) *wavese
 
 func memStore(t *testing.T) *Store {
 	t.Helper()
-	s := NewMemory()
+	s := NewMemory(0)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -184,7 +184,7 @@ func TestScanRefsSharesRecords(t *testing.T) {
 }
 
 func TestClosedStoreErrors(t *testing.T) {
-	s := NewMemory()
+	s := NewMemory(0)
 	s.Close()
 	if _, err := s.Put(seg("a", t0, 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put on closed: %v", err)
@@ -211,7 +211,8 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id, err := s.Put(seg("alice", t0.Add(time.Duration(w*1000+i)*time.Second), 10))
+				// A 1 s gap after each 1 s segment keeps every put its own record.
+				id, err := s.Put(seg("alice", t0.Add(time.Duration(w*1000+2*i)*time.Second), 10))
 				if err != nil {
 					t.Error(err)
 					return
@@ -233,41 +234,48 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
-func TestLatestBefore(t *testing.T) {
-	s := memStore(t)
-	if _, ok := s.LatestBeforeFunc("alice", t0.Add(time.Hour), nil); ok {
-		t.Error("empty store has no latest record")
+// TestPutExtendsStreamTail: a put that continues its stream's newest
+// record joins it under the same ID without touching the segment a reader
+// already holds, and a late packet does not displace that record; another
+// stream, the sample cap and a deleted tail each make the next put a new
+// record.
+func TestPutExtendsStreamTail(t *testing.T) {
+	s := NewMemory(25)
+	t.Cleanup(func() { s.Close() })
+	id, err := s.Put(seg("alice", t0, 10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	idA, _ := s.Put(seg("alice", t0, 10))
-	idB, _ := s.Put(seg("alice", t0.Add(time.Minute), 10, wavesegment.ChannelAccelX))
-	_, _ = s.Put(seg("bob", t0.Add(2*time.Minute), 10))
-
-	got, ok := s.LatestBeforeFunc("alice", t0.Add(time.Hour), nil)
-	if !ok || got.ID != idB {
-		t.Errorf("LatestBefore = %+v, %v; want id %d", got, ok, idB)
+	held, _ := s.ScanRefs(Query{})
+	other, _ := s.Put(seg("alice", t0.Add(time.Second), 10, wavesegment.ChannelAccelX))
+	next, err := s.Put(seg("alice", t0.Add(time.Second), 10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Strictly before: a record starting exactly at t is excluded.
-	got, ok = s.LatestBeforeFunc("alice", t0.Add(time.Minute), nil)
-	if !ok || got.ID != idA {
-		t.Errorf("boundary LatestBefore = %+v, %v; want id %d", got, ok, idA)
+	if other == id || next != id || s.Count() != 2 {
+		t.Fatalf("ids %d, %d, %d with count %d; want the ECG put to extend record %d", id, other, next, s.Count(), id)
 	}
-	if _, ok := s.LatestBeforeFunc("alice", t0, nil); ok {
-		t.Error("nothing strictly before the first record")
+	if got, _ := s.Get(id); got.NumSamples() != 20 {
+		t.Errorf("extended record holds %d samples, want 20", got.NumSamples())
 	}
-	// Any-contributor form.
-	got, ok = s.LatestBeforeFunc("", t0.Add(time.Hour), nil)
-	if !ok || got.Segment.Contributor != "bob" {
-		t.Errorf("any-contributor = %+v, %v", got, ok)
+	if held[0].Segment.NumSamples() != 10 {
+		t.Errorf("extension changed a segment a scan already held: %d samples", held[0].Segment.NumSamples())
 	}
-	// Predicate form: latest alice record carrying ECG.
-	got, ok = s.LatestBeforeFunc("alice", t0.Add(time.Hour), func(sg *wavesegment.Segment) bool {
-		return sg.HasChannel(wavesegment.ChannelECG)
-	})
-	if !ok || got.ID != idA {
-		t.Errorf("predicate LatestBefore = %+v, %v; want id %d", got, ok, idA)
+	if late, _ := s.Put(seg("alice", t0.Add(-time.Minute), 5)); late == id {
+		t.Fatal("a late packet joined the stream's tail")
 	}
-	if _, ok := s.LatestBeforeFunc("alice", t0.Add(time.Hour), func(*wavesegment.Segment) bool { return false }); ok {
-		t.Error("unsatisfiable predicate should miss")
+	if cont, _ := s.Put(seg("alice", t0.Add(2*time.Second), 5)); cont != id {
+		t.Errorf("after a late packet, a continuing put made record %d, want %d", cont, id)
+	}
+	capped, _ := s.Put(seg("alice", t0.Add(2500*time.Millisecond), 5))
+	if capped == id {
+		t.Fatal("extension past the 25-sample cap")
+	}
+	if err := s.Delete(capped); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := s.Put(seg("alice", t0.Add(3*time.Second), 5)); again == id || again == capped {
+		t.Errorf("put after deleting the stream's tail joined record %d", again)
 	}
 }
 

@@ -331,9 +331,8 @@ func (h *Hub) Shutdown() {
 // Publish fans one newly-ingested (post-merge) wave segment out to every
 // matching subscription. It never blocks on slow consumers: a full buffer
 // drops its oldest segment, marks the subscriber lagging, and the loss
-// surfaces as an in-band gap event. The segment is cloned once so later
-// mutation by the caller (e.g. store-side coalescing) cannot leak into
-// deliveries.
+// surfaces as an in-band gap event. The segment is cloned once, so
+// deliveries never share memory with the caller's copy.
 func (h *Hub) Publish(contributor string, seg *wavesegment.Segment) {
 	h.mu.RLock()
 	targets := h.byContrib[norm(contributor)]

@@ -54,23 +54,31 @@ func CanMerge(a, b *Segment) bool {
 	return !b.StartTime().Before(a.Timestamps[len(a.Timestamps)-1])
 }
 
-// Merge appends b's samples to a copy of a. Callers must check CanMerge.
-func Merge(a, b *Segment) (*Segment, error) {
-	if !CanMerge(a, b) {
-		return nil, fmt.Errorf("wavesegment: segments %v and %v cannot merge", a, b)
+// Extend is the one merge rule every layer applies: it returns a followed
+// by b as one segment when CanMerge holds and the result has at most
+// maxSamples samples (0 means no cap). a is left untouched, but the result
+// shares a's sample rows (b's are copied), so a segment that may be
+// extended must not be mutated in place.
+func Extend(a, b *Segment, maxSamples int) (*Segment, bool) {
+	if !CanMerge(a, b) || (maxSamples > 0 && a.NumSamples()+b.NumSamples() > maxSamples) {
+		return nil, false
 	}
-	out := a.Clone()
+	out := *a
+	out.Values = make([][]float64, len(a.Values), len(a.Values)+len(b.Values))
+	copy(out.Values, a.Values)
 	for _, row := range b.Values {
 		out.Values = append(out.Values, append([]float64(nil), row...))
 	}
 	if a.Interval <= 0 {
-		out.Timestamps = append(out.Timestamps, b.Timestamps...)
+		out.Timestamps = append(a.Timestamps[:len(a.Timestamps):len(a.Timestamps)], b.Timestamps...)
 	}
-	out.Annotations = append(out.Annotations, b.Annotations...)
-	sort.Slice(out.Annotations, func(i, j int) bool {
-		return out.Annotations[i].Start.Before(out.Annotations[j].Start)
-	})
-	return out, nil
+	if n := len(a.Annotations) + len(b.Annotations); n > 0 {
+		out.Annotations = append(append(make([]Annotation, 0, n), a.Annotations...), b.Annotations...)
+		sort.Slice(out.Annotations, func(i, j int) bool {
+			return out.Annotations[i].Start.Before(out.Annotations[j].Start)
+		})
+	}
+	return &out, true
 }
 
 // Optimizer implements the paper's wave-segment optimization: it buffers
@@ -114,11 +122,7 @@ func (o *Optimizer) Add(seg *Segment) ([]*Segment, error) {
 	var done []*Segment
 	if o.pending == nil {
 		o.pending = seg.Clone()
-	} else if CanMerge(o.pending, seg) && (o.MaxSamples == 0 || o.pending.NumSamples()+seg.NumSamples() <= o.MaxSamples) {
-		merged, err := Merge(o.pending, seg)
-		if err != nil {
-			return nil, err
-		}
+	} else if merged, ok := Extend(o.pending, seg, o.MaxSamples); ok {
 		o.pending = merged
 	} else {
 		done = append(done, o.pending)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"sensorsafe/internal/geo"
@@ -179,6 +180,14 @@ func (s *Segment) SampleTime(i int) time.Time {
 
 // Duration returns EndTime - StartTime.
 func (s *Segment) Duration() time.Duration { return s.EndTime().Sub(s.StartTime()) }
+
+// StreamKey identifies the sensor stream the segment belongs to: its
+// contributor and channel list. Multi-device contributors interleave
+// streams with different channel sets, and only segments of one stream
+// can merge, so ingest groups and extends by this key.
+func (s *Segment) StreamKey() string {
+	return strings.Join(append([]string{s.Contributor}, s.Channels...), "\x00")
+}
 
 // ChannelIndex returns the column index of a channel name, or -1.
 func (s *Segment) ChannelIndex(name string) int {

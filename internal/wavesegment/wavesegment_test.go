@@ -306,9 +306,9 @@ func TestCanMergeAndMerge(t *testing.T) {
 	if !CanMerge(a, b) {
 		t.Fatal("consecutive segments should merge")
 	}
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
+	m, ok := Extend(a, b, 0)
+	if !ok {
+		t.Fatal("Extend refused segments CanMerge accepts")
 	}
 	if m.NumSamples() != 20 {
 		t.Errorf("merged samples = %d", m.NumSamples())
@@ -346,12 +346,52 @@ func TestCanMergeAndMerge(t *testing.T) {
 		if CanMerge(a, b2) {
 			t.Errorf("%s: should not merge", tc.name)
 		}
-		if _, err := Merge(a, b2); err == nil {
-			t.Errorf("%s: Merge should fail", tc.name)
+		if _, ok := Extend(a, b2, 0); ok {
+			t.Errorf("%s: Extend should refuse", tc.name)
 		}
 	}
 	if CanMerge(nil, a) || CanMerge(a, nil) {
 		t.Error("nil segments should not merge")
+	}
+}
+
+// TestExtend: the shared merge rule joins only under CanMerge and the cap,
+// leaves a as it was, and does not alias b.
+func TestExtend(t *testing.T) {
+	a := uniformSegment(t0, 10)
+	b := uniformSegment(t0.Add(time.Second), 10)
+	if _, ok := Extend(a, b, 19); ok {
+		t.Error("Extend past the cap")
+	}
+	if _, ok := Extend(a, uniformSegment(t0.Add(2*time.Second), 10), 0); ok {
+		t.Error("Extend across a gap")
+	}
+	m, ok := Extend(a, b, 20)
+	if !ok || m.NumSamples() != 20 || m.Validate() != nil {
+		t.Fatalf("Extend = %v, %v", m, ok)
+	}
+	if a.NumSamples() != 10 {
+		t.Errorf("Extend changed a: %d samples", a.NumSamples())
+	}
+	b.Values[0][0] = -1
+	if m.Values[10][0] == -1 {
+		t.Error("Extend aliased b's rows")
+	}
+}
+
+func TestStreamKey(t *testing.T) {
+	a := uniformSegment(t0, 1)
+	b := uniformSegment(t0.Add(time.Hour), 1)
+	if a.StreamKey() != b.StreamKey() {
+		t.Error("segments of one stream have different keys")
+	}
+	b.Channels = []string{ChannelECG, ChannelSkinTemp}
+	if a.StreamKey() == b.StreamKey() {
+		t.Error("different channel lists share a key")
+	}
+	b.Channels, b.Contributor = a.Channels, "bob"
+	if a.StreamKey() == b.StreamKey() {
+		t.Error("different contributors share a key")
 	}
 }
 
@@ -361,9 +401,9 @@ func TestMergeTimestamped(t *testing.T) {
 	if !CanMerge(a, b) {
 		t.Fatal("later timestamped segment should merge")
 	}
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
+	m, ok := Extend(a, b, 0)
+	if !ok {
+		t.Fatal("Extend refused later timestamped segment")
 	}
 	if m.NumSamples() != 4 || len(m.Timestamps) != 4 {
 		t.Fatalf("merged = %v", m)
@@ -382,9 +422,9 @@ func TestMergeKeepsAnnotationsSorted(t *testing.T) {
 	_ = a.Annotate("Walk", t0.Add(500*time.Millisecond), t0.Add(time.Second))
 	b := uniformSegment(t0.Add(time.Second), 10)
 	_ = b.Annotate("Run", t0.Add(time.Second), t0.Add(2*time.Second))
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
+	m, ok := Extend(a, b, 0)
+	if !ok {
+		t.Fatal("Extend refused consecutive segments")
 	}
 	if len(m.Annotations) != 2 || m.Annotations[0].Context != "Walk" {
 		t.Errorf("merged annotations = %v", m.Annotations)
