@@ -1,5 +1,5 @@
-// Benchmarks regenerating the performance side of every experiment in
-// DESIGN.md §4 / EXPERIMENTS.md. Each benchmark mirrors one harness table:
+// Benchmarks for the performance side of the experiments in DESIGN.md §4 /
+// EXPERIMENTS.md, one per architectural claim:
 //
 //	BenchmarkRuleEvaluation        E1/E4  one access-control decision vs rule count
 //	BenchmarkEnforceSegment        E4     full query-path enforcement of one segment
@@ -11,6 +11,11 @@
 //	BenchmarkRuleCodec             E7     Fig. 4 rule JSON round trip
 //	BenchmarkBlobCodec             ablation: binary vs Fig. 5 JSON segment codecs
 //	BenchmarkDependencyClosure     E8     decision incl. closure on a pathological rule set
+//
+// Kernel benchmarks live beside the code they time: BenchmarkDiskScan and
+// BenchmarkReopen in internal/segstore (E12), BenchmarkIndexDecide and its
+// linear/cold variants in internal/ruleindex (E14), BenchmarkEnforceTraced
+// in internal/abstraction (tracing overhead).
 //
 // Run: go test -bench=. -benchmem .
 package sensorsafe_test
@@ -27,9 +32,9 @@ import (
 
 	"sensorsafe/internal/abstraction"
 	"sensorsafe/internal/auth"
+	"sensorsafe/internal/broker"
 	"sensorsafe/internal/core"
 	"sensorsafe/internal/datastore"
-	"sensorsafe/internal/experiments"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/httpapi"
 	"sensorsafe/internal/inference"
@@ -37,6 +42,7 @@ import (
 	"sensorsafe/internal/rules"
 	"sensorsafe/internal/sensors"
 	"sensorsafe/internal/storage"
+	"sensorsafe/internal/timeutil"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -47,11 +53,11 @@ var benchStart = time.Date(2011, 2, 16, 8, 0, 0, 0, time.UTC)
 func BenchmarkRuleEvaluation(b *testing.B) {
 	for _, n := range []int{1, 10, 100, 1000} {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
-			engine, err := experiments.E4Engine(n)
+			engine, err := ruleEngine(n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			req := experiments.E4Request()
+			req := probeRequest()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d := engine.Decide(req)
@@ -69,11 +75,11 @@ func BenchmarkEnforceSegment(b *testing.B) {
 	gc := geo.GridGeocoder{}
 	for _, n := range []int{10, 100} {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
-			engine, err := experiments.E4Engine(n)
+			engine, err := ruleEngine(n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			seg := experiments.E4Segment(60)
+			seg := enforceSegment(60)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := abstraction.Enforce(engine, "consumer-0", nil, seg, gc); err != nil {
@@ -223,11 +229,11 @@ func BenchmarkDirectVsProxied(b *testing.B) {
 func BenchmarkContributorSearch(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("contributors=%d", n), func(b *testing.B) {
-			svc, key, err := experiments.E5Broker(n, 5)
+			svc, key, err := searchBroker(n, 5)
 			if err != nil {
 				b.Fatal(err)
 			}
-			q := experiments.E5Query()
+			q := searchQuery()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := svc.Search(key, q); err != nil {
@@ -371,7 +377,7 @@ func BenchmarkDependencyClosure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	req := experiments.E4Request()
+	req := probeRequest()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := engine.Decide(req)
@@ -406,6 +412,127 @@ func BenchmarkPhoneInference(b *testing.B) {
 }
 
 // --- helpers ---
+
+// The fixture coordinates and weekday window are constants, so their
+// constructors cannot fail.
+var (
+	benchCampus      = geo.Point{Lat: 34.0689, Lon: -118.4452}
+	benchWorkRect, _ = geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
+	benchWeekdays, _ = timeutil.ParseRepeated([]string{"Mon", "Tue", "Wed", "Thu", "Fri"}, []string{"9:00am", "6:00pm"})
+)
+
+// mixedRules builds a realistic rule set of n rules for n distinct
+// consumers: allows, weekday-scoped stress abstractions, context denies,
+// and location-scoped sensor allows, in rotation.
+func mixedRules(n int) []*rules.Rule {
+	out := make([]*rules.Rule, 0, n)
+	for i := 0; i < n; i++ {
+		r := &rules.Rule{Consumers: []string{fmt.Sprintf("consumer-%d", i)}}
+		switch i % 4 {
+		case 0:
+			r.ID, r.Action = fmt.Sprintf("allow-%d", i), rules.Allow()
+		case 1:
+			r.ID, r.RepeatTimes = fmt.Sprintf("abs-%d", i), []timeutil.Repeated{benchWeekdays}
+			r.Action = rules.Abstract(rules.AbstractionSpec{
+				Contexts: map[rules.Category]rules.Level{rules.CategoryStress: rules.LevelBinary},
+			})
+		case 2:
+			r.ID, r.Contexts, r.Action = fmt.Sprintf("deny-%d", i), []string{rules.CtxDrive}, rules.Deny()
+		default:
+			r.ID, r.LocationLabels = fmt.Sprintf("loc-%d", i), []string{"work"}
+			r.Sensors, r.Action = rules.ExpandSensorNames([]string{"Accelerometer"}), rules.Allow()
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// ruleEngine compiles mixedRules(n) against a gazetteer defining "work".
+func ruleEngine(n int) (*rules.Engine, error) {
+	gaz := geo.NewGazetteer()
+	if err := gaz.Define("work", geo.Region{Rect: benchWorkRect}); err != nil {
+		return nil, err
+	}
+	return rules.NewEngine(mixedRules(n), gaz)
+}
+
+// probeRequest is consumer-0 at work on a Wednesday morning, walking and
+// in conversation.
+func probeRequest() *rules.Request {
+	return &rules.Request{
+		Consumer:       "consumer-0",
+		At:             time.Date(2011, 2, 16, 10, 0, 0, 0, time.UTC),
+		Location:       benchCampus,
+		ActiveContexts: []string{rules.CtxWalk, rules.CtxConversation},
+	}
+}
+
+// enforceSegment is a 10 Hz, 3-channel segment of the given length with
+// overlapping walk and conversation annotations, so enforcement cuts it at
+// several context boundaries.
+func enforceSegment(seconds int) *wavesegment.Segment {
+	start := time.Date(2011, 2, 16, 10, 0, 0, 0, time.UTC)
+	seg := &wavesegment.Segment{
+		Contributor: "alice", Start: start, Interval: 100 * time.Millisecond,
+		Location: benchCampus,
+		Channels: []string{wavesegment.ChannelECG, wavesegment.ChannelRespiration, wavesegment.ChannelAccelX},
+	}
+	for i := 0; i < seconds*10; i++ {
+		seg.Values = append(seg.Values, []float64{float64(i), float64(i) / 2, 0.01})
+	}
+	sec := func(n int) time.Time { return start.Add(time.Duration(n) * time.Second) }
+	if err := seg.Annotate(rules.CtxWalk, start, sec(seconds/2)); err != nil {
+		panic(err)
+	}
+	if err := seg.Annotate(rules.CtxConversation, sec(seconds/4), sec(3*seconds/4)); err != nil {
+		panic(err)
+	}
+	return seg
+}
+
+// searchBroker builds a broker with n contributors of k rules each; every
+// third contributor shares everything (the paper's search example), the
+// rest hide stress at "work".
+func searchBroker(n, k int) (*broker.Service, auth.APIKey, error) {
+	b := broker.New()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("p%05d", i)
+		if err := b.RegisterContributor(name, "store-"+name); err != nil {
+			return nil, "", err
+		}
+		rs := append(mixedRules(k-1), &rules.Rule{ID: "share-all", Action: rules.Allow()})
+		if i%3 != 0 {
+			rs = append(rs, &rules.Rule{ID: "hide-stress-at-work",
+				LocationLabels: []string{"work"},
+				Action: rules.Abstract(rules.AbstractionSpec{
+					Contexts: map[rules.Category]rules.Level{rules.CategoryStress: rules.LevelNotShared},
+				})})
+		}
+		data, err := rules.MarshalRuleSet(rs)
+		if err != nil {
+			return nil, "", err
+		}
+		if err := b.SyncRules(name, 1, data, []geo.Region{{Label: "work", Rect: benchWorkRect}}); err != nil {
+			return nil, "", err
+		}
+	}
+	bob, err := b.RegisterConsumer("bob")
+	if err != nil {
+		return nil, "", err
+	}
+	return b, bob.Key, nil
+}
+
+// searchQuery is the paper's §5.2 example search: who shares
+// ECG+Respiration raw at "work" on weekday business hours?
+func searchQuery() *broker.SearchQuery {
+	return &broker.SearchQuery{
+		Sensors:       []string{"ECG", "Respiration"},
+		LocationLabel: "work",
+		RepeatTime:    benchWeekdays,
+		Reference:     benchStart,
+	}
+}
 
 func benchPost(client *http.Client, url string, body []byte) error {
 	resp, err := client.Post(url, "application/json", bytes.NewReader(body))

@@ -18,8 +18,7 @@
 //     with privacy-rule-aware collection and an energy model.
 //   - internal/audit, internal/recommend — the owner-facing access trail
 //     and the privacy-rule recommender.
-//   - internal/experiments — the reproduction harness behind
-//     cmd/benchharness and EXPERIMENTS.md.
 //
-// See README.md for a tour and DESIGN.md for the system inventory.
+// See README.md for a tour, DESIGN.md for the system inventory, and
+// EXPERIMENTS.md for the test or benchmark that reproduces each paper claim.
 package sensorsafe

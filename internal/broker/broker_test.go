@@ -235,6 +235,59 @@ func TestSearchBySensors(t *testing.T) {
 	}
 }
 
+// TestSearchAmongMixedRuleSets runs the paper's §5.2 example search over a
+// directory of nine contributors in which every contributor also holds
+// consumer-scoped rules of each kind (allow, abstract, deny, sensor-scoped
+// allow) for other consumers. Every third contributor shares everything; the
+// rest hide stress at work, which the closure turns into withheld
+// ECG/Respiration.
+func TestSearchAmongMixedRuleSets(t *testing.T) {
+	if got := searchMixedRuleSets(t, 9); fmt.Sprint(got) != "[p00000 p00003 p00006]" {
+		t.Errorf("9 contributors: search = %v, want [p00000 p00003 p00006]", got)
+	}
+}
+
+// TestSearchAmongSixMixedRuleSets is the same search over six contributors:
+// only contributors 0 and 3 match.
+func TestSearchAmongSixMixedRuleSets(t *testing.T) {
+	if got := searchMixedRuleSets(t, 6); fmt.Sprint(got) != "[p00000 p00003]" {
+		t.Errorf("6 contributors: search = %v, want [p00000 p00003]", got)
+	}
+}
+
+// searchMixedRuleSets builds the mixed-rule directory of n contributors and
+// returns who matches the §5.2 search.
+func searchMixedRuleSets(t *testing.T, n int) []string {
+	t.Helper()
+	const noise = `
+	  {"Consumer":["consumer-0"],"Action":"Allow"},
+	  {"Consumer":["consumer-1"],"RepeatTime":{"Day":["Mon","Tue","Wed","Thu","Fri"],"HourMin":["9:00am","6:00pm"]},
+	   "Action":{"Abstraction":{"Stress":"Stressed/Not Stressed"}}},
+	  {"Consumer":["consumer-2"],"Context":["Drive"],"Action":"Deny"},
+	  {"Consumer":["consumer-3"],"LocationLabel":["work"],"Sensor":["Accelerometer"],"Action":"Allow"},
+	  {"Action":"Allow"}`
+	contributors := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		rs := noise
+		if i%3 != 0 {
+			rs += `,{"LocationLabel":["work"],"Action":{"Abstraction":{"Stress":"NotShared"}}}`
+		}
+		contributors[fmt.Sprintf("p%05d", i)] = "[" + rs + "]"
+	}
+	b, bob := newBrokerWith(t, contributors)
+	rep, _ := timeutil.ParseRepeated([]string{"Mon", "Tue", "Wed", "Thu", "Fri"}, []string{"9:00am", "6:00pm"})
+	got, err := b.Search(bob.Key, &SearchQuery{
+		Sensors:       []string{"ECG", "Respiration"},
+		LocationLabel: "work",
+		RepeatTime:    rep,
+		Reference:     time.Date(2011, 2, 16, 8, 0, 0, 0, time.UTC),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestSearchByContextLevel(t *testing.T) {
 	b, bob := newBrokerWith(t, map[string]string{
 		"alice": `[{"Action":"Allow"}]`,

@@ -398,6 +398,76 @@ func TestHedgedRequestBeatsStraggler(t *testing.T) {
 	}
 }
 
+// TestScatterConcurrencyBound checks that the fan-out never has more store
+// queries in flight than the engine's Concurrency option or the request's
+// override, and that it does reach the bound rather than running serially.
+func TestScatterConcurrencyBound(t *testing.T) {
+	for _, tc := range []struct {
+		engine, request, want int
+	}{
+		{3, 0, 3},
+		{3, 2, 2},
+	} {
+		stores := make(map[string]*fakeStore)
+		var names []string
+		for i := 0; i < 12; i++ {
+			name := fmt.Sprintf("c%02d", i)
+			stores[name] = &fakeStore{rels: []*abstraction.Release{rel(name, time.Duration(i)*time.Minute)}}
+			names = append(names, name)
+		}
+		e, _ := deployFake(stores)
+		e.Options.Concurrency = tc.engine
+		g := &gauge{bound: int32(tc.want), full: make(chan struct{})}
+		e.Dial = func(addr string) Store {
+			return &gaugedStore{gauge: g, inner: stores[strings.TrimPrefix(addr, "mem://")]}
+		}
+		res, err := e.CohortQuery(context.Background(), &Request{
+			Cohort:      Cohort{Contributors: names},
+			Concurrency: tc.request,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Partial || len(res.Releases) != len(names) {
+			t.Fatalf("partial=%v with %d releases, want all %d", res.Partial, len(res.Releases), len(names))
+		}
+		if peak := g.peak.Load(); peak != int32(tc.want) {
+			t.Errorf("engine %d, request %d: peak in-flight store queries %d, want %d", tc.engine, tc.request, peak, tc.want)
+		}
+	}
+}
+
+// gauge counts store queries in flight across every store sharing it.
+// Each query waits until the count first reaches bound (or a second
+// passes), so a correct fan-out peaks at exactly bound.
+type gauge struct {
+	bound    int32
+	full     chan struct{}
+	once     sync.Once
+	inflight atomic.Int32
+	peak     atomic.Int32
+}
+
+type gaugedStore struct {
+	*gauge
+	inner *fakeStore
+}
+
+func (s *gaugedStore) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query) ([]*abstraction.Release, error) {
+	n := s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+	for p := s.peak.Load(); n > p && !s.peak.CompareAndSwap(p, n); p = s.peak.Load() {
+	}
+	if n >= s.bound {
+		s.once.Do(func() { close(s.full) })
+	}
+	select {
+	case <-s.full:
+	case <-time.After(time.Second):
+	}
+	return s.inner.QueryCtx(ctx, key, q)
+}
+
 // stragglerStore delays only the first call, modeling a straggling
 // replica.
 type stragglerStore struct {

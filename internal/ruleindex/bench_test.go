@@ -33,7 +33,8 @@ func benchFixture(b *testing.B, nRules int) (*rules.Engine, *Index, []*rules.Req
 	return eng, ix, reqs
 }
 
-// BenchmarkLinearDecide is the E14 baseline: the engine's linear scan.
+// BenchmarkLinearDecide is the baseline the index is measured against: the
+// engine's linear scan over the same rule set and requests.
 func BenchmarkLinearDecide(b *testing.B) {
 	eng, _, reqs := benchFixture(b, 1000)
 	b.ReportAllocs()

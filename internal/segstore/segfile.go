@@ -54,6 +54,18 @@ const (
 	// pay the flate fixed cost 4x less often than the original 32.
 	blockRecords = 128
 	flagRecTimed = 1
+
+	// maxBlockRawBytes caps one block's decompressed size as the footer
+	// states it. readBlock allocates this much before decompressing, so a
+	// footer claiming more is rejected at open. The writer cuts a block
+	// once its records reach a quarter of the cap; one more record, which
+	// a 64 MiB upload body limits to well under that quarter, cannot
+	// carry it past the cap.
+	maxBlockRawBytes = 1 << 30
+	// maxDeflateRatio is DEFLATE's best case (a 258-byte match per two
+	// bits), so no block inflates to more than this many times its
+	// compressed length.
+	maxDeflateRatio = 1032
 )
 
 // rec pairs a stored segment with its ID inside the engine.
@@ -164,9 +176,10 @@ type segWriter struct {
 	f     *os.File
 	off   uint64
 
-	pending map[string][]rec // per-contributor buffered records
-	order   []string         // contributor first-seen order, for determinism
-	blocks  []blockIndex
+	pending    map[string][]rec // per-contributor buffered records
+	pendingRaw map[string]int   // per-contributor estimate of the block body size
+	order      []string         // contributor first-seen order, for determinism
+	blocks     []blockIndex
 
 	records  int
 	rawBytes uint64
@@ -185,8 +198,9 @@ func newSegWriter(dir, name string, level int) (*segWriter, error) {
 	}
 	return &segWriter{
 		dir: dir, name: name, level: level, f: f,
-		off:     uint64(len(segHeader)),
-		pending: make(map[string][]rec),
+		off:        uint64(len(segHeader)),
+		pending:    make(map[string][]rec),
+		pendingRaw: make(map[string]int),
 	}, nil
 }
 
@@ -196,7 +210,8 @@ func (w *segWriter) add(r rec) error {
 		w.order = append(w.order, c)
 	}
 	w.pending[c] = append(w.pending[c], r)
-	if len(w.pending[c]) >= blockRecords {
+	w.pendingRaw[c] += rawEstimate(r.seg)
+	if len(w.pending[c]) >= blockRecords || w.pendingRaw[c] >= maxBlockRawBytes/4 {
 		return w.flushContributor(c)
 	}
 	return nil
@@ -207,7 +222,7 @@ func (w *segWriter) flushContributor(c string) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	w.pending[c] = nil
+	w.pending[c], w.pendingRaw[c] = nil, 0
 	body := encodeBlock(c, recs)
 	var comp bytes.Buffer
 	fw, err := getFlateWriter(&comp)
@@ -334,6 +349,16 @@ func syncDir(dir string) {
 	}
 }
 
+// rawEstimate bounds the bytes encodeBlock spends on s, apart from the
+// block's shared channel dictionary.
+func rawEstimate(s *wavesegment.Segment) int {
+	n := 80 + 10*len(s.Channels) + 10*len(s.Timestamps) + 8*len(s.Values)*len(s.Channels)
+	for _, a := range s.Annotations {
+		n += 30 + len(a.Context)
+	}
+	return n
+}
+
 func encodeBlock(contributor string, recs []rec) []byte {
 	// Block-local channel dictionary: names are stored once and records
 	// reference them by index.
@@ -430,7 +455,7 @@ func decodeBlock(contributor string, body []byte) ([]rec, error) {
 	totalFloats := r.uvarint()
 	// Floats are stored verbatim (8 bytes each), so the totals cannot
 	// exceed the decompressed body.
-	if totalFloats*8 > uint64(len(body)) || totalRows > totalFloats {
+	if totalFloats > uint64(len(body))/8 || totalRows > totalFloats {
 		return nil, fmt.Errorf("segstore: implausible block totals (%d rows, %d floats)", totalRows, totalFloats)
 	}
 	out := make([]rec, 0, n)
@@ -441,7 +466,8 @@ func decodeBlock(contributor string, body []byte) ([]rec, error) {
 	segs := make([]wavesegment.Segment, n)
 	rowPool := make([][]float64, totalRows)
 	floatPool := make([]float64, totalFloats)
-	chanPool := make([]string, 0, n*nd)
+	// Every channel reference takes at least one byte of the body.
+	chanPool := make([]string, 0, min(n*nd, uint64(len(body))))
 	rowCur, floatCur := uint64(0), uint64(0)
 	prevStart := int64(0)
 	for i := uint64(0); i < n && r.err == nil; i++ {
@@ -467,9 +493,9 @@ func decodeBlock(contributor string, body []byte) ([]rec, error) {
 		if nch > nd {
 			return nil, fmt.Errorf("segstore: record channel count %d exceeds dictionary", nch)
 		}
-		// chanPool's capacity (n*nd) is never exceeded because nch <= nd
-		// for every record, so these appends cannot reallocate and earlier
-		// records' Channels slices stay valid.
+		// chanPool's capacity is never exceeded (nch <= nd for every
+		// record, and each reference is at least one byte), so these
+		// appends do not reallocate the block's shared array.
 		chanBase := len(chanPool)
 		for j := uint64(0); j < nch && r.err == nil; j++ {
 			idx := r.uvarint()
@@ -483,7 +509,8 @@ func decodeBlock(contributor string, body []byte) ([]rec, error) {
 		}
 		seg.Channels = chanPool[chanBase:len(chanPool):len(chanPool)]
 		ns := r.uvarint()
-		if r.err == nil && (rowCur+ns > totalRows || floatCur+ns*nch > totalFloats) {
+		// Compared by subtraction: a crafted ns near 2^64 would wrap a sum.
+		if r.err == nil && (ns > totalRows-rowCur || nch != 0 && ns > (totalFloats-floatCur)/nch) {
 			return nil, fmt.Errorf("segstore: block totals overrun (%d samples claimed)", ns)
 		}
 		if r.err == nil {
@@ -553,7 +580,8 @@ func encodeFooter(blocks []blockIndex) []byte {
 func decodeFooter(data []byte) ([]blockIndex, error) {
 	r := &byteReader{data: data}
 	n := r.uvarint()
-	if n > 1<<24 {
+	// Every entry takes more than one byte.
+	if n > uint64(len(data)) {
 		return nil, fmt.Errorf("segstore: implausible block count %d", n)
 	}
 	out := make([]blockIndex, 0, n)
@@ -575,6 +603,23 @@ func decodeFooter(data []byte) ([]blockIndex, error) {
 		return nil, fmt.Errorf("segstore: corrupt footer: %w", r.err)
 	}
 	return out, nil
+}
+
+// check rejects a footer entry whose byte range falls outside the block
+// area [len(segHeader), footOff) or whose sizes no real block could have;
+// readBlock allocates clen and rawBytes before it can verify anything.
+func (b blockIndex) check(footOff uint64) error {
+	switch {
+	case b.offset < uint64(len(segHeader)):
+		return fmt.Errorf("offset %d inside the file header", b.offset)
+	case b.offset > footOff || b.clen > footOff-b.offset:
+		return fmt.Errorf("byte range %d+%d runs past the footer at %d", b.offset, b.clen, footOff)
+	case b.rawBytes > maxBlockRawBytes || b.rawBytes/maxDeflateRatio > b.clen:
+		return fmt.Errorf("implausible raw size %d for %d compressed bytes", b.rawBytes, b.clen)
+	case b.records < 0:
+		return fmt.Errorf("negative record count %d", b.records)
+	}
+	return nil
 }
 
 // segReader serves block reads from one immutable segment file. Readers
@@ -645,6 +690,11 @@ func openSegReader(dir string, meta fileMeta) (*segReader, error) {
 	blocks, err := decodeFooter(footer)
 	if err != nil {
 		return fail(fmt.Errorf("segstore: segment %s: %w", meta.Name, err))
+	}
+	for i, b := range blocks {
+		if err := b.check(uint64(footOff)); err != nil {
+			return fail(fmt.Errorf("segstore: segment %s block %d: %w", meta.Name, i, err))
+		}
 	}
 	r := &segReader{
 		path: path, meta: meta, blocks: blocks, f: f, refs: 1,

@@ -1,8 +1,11 @@
 package segstore
 
 import (
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -245,4 +248,150 @@ func TestDiskIterPruning(t *testing.T) {
 	if got := count(t0.Add(time.Duration(mid)*time.Second), t0.Add(time.Duration(mid+100)*time.Second)); got == 0 || got > blockRecords {
 		t.Fatalf("narrow window decoded %d records", got)
 	}
+}
+
+// TestDecodeBlockRejectsWrappingSampleCount feeds decodeBlock a body whose
+// second record has no channels and claims 2^64-1 samples: checked as a
+// sum, the claim wraps to fit the block totals and slicing the row pool
+// panics.
+func TestDecodeBlockRejectsWrappingSampleCount(t *testing.T) {
+	var b []byte
+	b = putUvarint(b, 1) // channel dictionary
+	b = putString(b, "ECG")
+	b = putUvarint(b, 2) // records
+	b = putUvarint(b, 1) // total rows
+	b = putUvarint(b, 1) // total floats
+	record := func(b []byte, id uint64, channels []uint64, samples uint64) []byte {
+		b = putUvarint(b, id)
+		b = putVarint(b, 0) // start (delta)
+		b = putVarint(b, int64(time.Second))
+		b = putFloat64(b, 34.07)
+		b = putFloat64(b, -118.45)
+		b = append(b, 0) // flags: periodic
+		b = putUvarint(b, uint64(len(channels)))
+		for _, c := range channels {
+			b = putUvarint(b, c)
+		}
+		return putUvarint(b, samples)
+	}
+	b = record(b, 1, []uint64{0}, 1)
+	b = putFloat64(b, 0.5)
+	b = putUvarint(b, 0) // annotations
+	b = record(b, 2, nil, math.MaxUint64)
+	b = putUvarint(b, 0)
+	if _, err := decodeBlock("alice", b); err == nil {
+		t.Fatal("decodeBlock accepted a sample count past the block totals")
+	}
+}
+
+// rewriteFooter decodes the footer of the segment file at path, lets
+// mutate edit its entries, and writes it back with a matching trailer, so
+// only the edited values are wrong.
+func rewriteFooter(t *testing.T, path string, mutate func([]blockIndex)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &byteReader{data: data[len(data)-segTrailerLen:]}
+	footOff := len(data) - segTrailerLen - int(tr.uint32())
+	blocks, err := decodeFooter(data[footOff : len(data)-segTrailerLen])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutate(blocks)
+	footer := encodeFooter(blocks)
+	out := append(data[:footOff:footOff], footer...)
+	out = putUint32(out, uint32(len(footer)))
+	out = putUint32(out, crc32.ChecksumIEEE(footer))
+	out = append(out, segFootMagic...)
+	if err := os.WriteFile(path, out, 0o600); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenSegReaderRejectsBadFooter covers footer entries that pass the
+// footer CRC but describe no block the file could hold. readBlock would
+// size its buffers from them, so openSegReader must refuse the file.
+func TestOpenSegReaderRejectsBadFooter(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(b *blockIndex, footOff uint64)
+	}{
+		{"offset inside header", func(b *blockIndex, _ uint64) { b.offset = 2 }},
+		{"range past footer", func(b *blockIndex, footOff uint64) { b.clen = footOff - b.offset + 1 }},
+		{"range wrapping uint64", func(b *blockIndex, _ uint64) { b.clen = math.MaxUint64 - b.offset + 1 }},
+		{"raw size over cap", func(b *blockIndex, _ uint64) { b.rawBytes = 1 << 62 }},
+		{"raw size beyond deflate ratio", func(b *blockIndex, _ uint64) { b.rawBytes = b.clen*maxDeflateRatio + maxDeflateRatio }},
+		{"negative records", func(b *blockIndex, _ uint64) { b.records = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			meta := writeTestFile(t, dir, []rec{{id: 1, seg: mkSeg("alice", 0, 6)}})
+			path := filepath.Join(dir, meta.Name)
+			rewriteFooter(t, path, func(blocks []blockIndex) {
+				end := blocks[0].offset + blocks[0].clen // the footer follows the only block
+				tc.mutate(&blocks[0], end)
+			})
+			if r, err := openSegReader(dir, meta); err == nil {
+				r.markObsolete()
+				t.Fatal("openSegReader accepted the footer")
+			}
+		})
+	}
+}
+
+// FuzzSegmentFile treats a whole segment file as untrusted input: open it
+// and decode every block. Either may refuse the bytes, but neither may
+// panic or allocate more than the input can justify — a block inflates at
+// most maxDeflateRatio-fold, and decoding it costs a bounded multiple of
+// that. Seeds are a real flushed file (periodic, aperiodic and annotated
+// records over two contributors) and truncations of it.
+func FuzzSegmentFile(f *testing.F) {
+	dir := f.TempDir()
+	annotated := mkSeg("bob", time.Hour, 8)
+	if err := annotated.Annotate("Walk", annotated.Start, annotated.Start.Add(3*time.Second)); err != nil {
+		f.Fatal(err)
+	}
+	w, err := newSegWriter(dir, "seed.seg", 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, s := range []*wavesegment.Segment{
+		mkSeg("alice", 0, 6, "hr", "gsr"), mkSeg("alice", time.Minute, 4), mkTimedSeg("bob", 0, 4), annotated,
+	} {
+		if err := w.add(rec{id: storage.ID(i + 1), seg: s}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	meta, err := w.finish()
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(filepath.Join(dir, meta.Name))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Add(seed[:len(segHeader)+segTrailerLen])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "f.seg"), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := openSegReader(dir, fileMeta{Name: "f.seg"})
+		if err == nil {
+			for i := range r.blocks {
+				_, _ = r.readBlock(i) // refusing a block is fine; panicking is not
+			}
+			r.markObsolete()
+		}
+		runtime.ReadMemStats(&after)
+		if got, budget := after.TotalAlloc-before.TotalAlloc, uint64(1<<24+64*maxDeflateRatio*len(data)); got > budget {
+			t.Fatalf("%d input bytes allocated %d bytes (budget %d)", len(data), got, budget)
+		}
+	})
 }

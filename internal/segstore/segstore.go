@@ -600,8 +600,8 @@ func (s *Store) hook(stage string) error {
 	return s.crashHook(stage)
 }
 
-// SetCrashHook installs a failpoint for crash-safety tests and the E12
-// chaos harness: fn is invoked at named points of the flush and
+// SetCrashHook installs a failpoint for crash-safety tests such as
+// TestKillDuringCompaction: fn is invoked at named points of the flush and
 // compaction protocols ("flush.begin", "flush.file", "flush.manifest",
 // "flush.done", "compact.begin", "compact.files", "compact.manifest",
 // "compact.done"), and a non-nil return aborts the operation there,

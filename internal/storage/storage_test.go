@@ -279,6 +279,48 @@ func TestPutExtendsStreamTail(t *testing.T) {
 	}
 }
 
+// TestWaveSegmentMergeCutsRecords is the paper's §5.1 claim: merging
+// timestamp-consecutive device packets into wave segments stores an hour of
+// 3-channel 10 Hz data in far fewer records than storing each packet. The
+// raw leg caps records at one packet so the store joins none of them.
+func TestWaveSegmentMergeCutsRecords(t *testing.T) {
+	const total = 36000 // one hour at 10 Hz
+	for _, tc := range []struct {
+		packet, raw, merged int
+	}{
+		{16, 2250, 5},
+		{64, 563, 5},
+		{256, 141, 5},
+	} {
+		var packets []*wavesegment.Segment
+		at := t0
+		for produced := 0; produced < total; produced += tc.packet {
+			p := seg("alice", at, min(tc.packet, total-produced),
+				wavesegment.ChannelECG, wavesegment.ChannelRespiration, wavesegment.ChannelSkinTemp)
+			packets = append(packets, p)
+			at = p.EndTime()
+		}
+		merged, err := wavesegment.OptimizeAll(packets, wavesegment.DefaultMaxSamples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count := func(segs []*wavesegment.Segment, maxSamples int) int {
+			s := NewMemory(maxSamples)
+			defer s.Close()
+			for _, sg := range segs {
+				if _, err := s.Put(sg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return s.Count()
+		}
+		raw, opt := count(packets, tc.packet), count(merged, wavesegment.DefaultMaxSamples)
+		if raw != tc.raw || opt != tc.merged || opt >= raw {
+			t.Errorf("%d-sample packets: %d raw and %d merged records, want %d and %d", tc.packet, raw, opt, tc.raw, tc.merged)
+		}
+	}
+}
+
 func TestScanRefsFiltersAndLimit(t *testing.T) {
 	s := memStore(t)
 	_, _ = s.Put(seg("alice", t0, 10))
