@@ -22,6 +22,7 @@ package sensorsafe_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -155,6 +156,7 @@ func BenchmarkQueryMergedVsUnmerged(b *testing.B) {
 // extends the stream's tail (E2's write side). One op = one 16-packet
 // upload batch.
 func BenchmarkUploadPipeline(b *testing.B) {
+	ctx := context.Background()
 	svc, err := datastore.New(datastore.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -169,7 +171,7 @@ func BenchmarkUploadPipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := (i * batch) % (len(packets) - batch)
-		if _, err := svc.Upload(contributor.Key, packets[lo:lo+batch]); err != nil {
+		if _, err := svc.UploadCtx(ctx, contributor.Key, packets[lo:lo+batch]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -180,6 +182,7 @@ func BenchmarkUploadPipeline(b *testing.B) {
 // directly vs relayed through a broker-side proxy (E3). One op = one
 // store's complete download.
 func BenchmarkDirectVsProxied(b *testing.B) {
+	ctx := context.Background()
 	// Build one store + relay inline for per-op timing.
 	svc, err := datastore.New(datastore.Options{})
 	if err != nil {
@@ -193,7 +196,7 @@ func BenchmarkDirectVsProxied(b *testing.B) {
 	if err := svc.SetRules(contributor.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := svc.Upload(contributor.Key, benchPackets(64, 64)); err != nil { // ~7 min of data
+	if _, err := svc.UploadCtx(ctx, contributor.Key, benchPackets(64, 64)); err != nil { // ~7 min of data
 		b.Fatal(err)
 	}
 	consumer, err := svc.RegisterConsumer("bob")
@@ -227,6 +230,7 @@ func BenchmarkDirectVsProxied(b *testing.B) {
 // BenchmarkContributorSearch times the paper's §5.2 example search against
 // replicated rule sets (E5).
 func BenchmarkContributorSearch(b *testing.B) {
+	ctx := context.Background()
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("contributors=%d", n), func(b *testing.B) {
 			svc, key, err := searchBroker(n, 5)
@@ -236,7 +240,7 @@ func BenchmarkContributorSearch(b *testing.B) {
 			q := searchQuery()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := svc.Search(key, q); err != nil {
+				if _, err := svc.SearchCtx(ctx, key, q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -248,6 +252,7 @@ func BenchmarkContributorSearch(b *testing.B) {
 // — inference, annotation, and §5.3 collection decisions — with and
 // without rule-aware mode (E6). One op = one 4-minute recording.
 func BenchmarkRuleAwareCollection(b *testing.B) {
+	ctx := context.Background()
 	day := &sensors.Scenario{
 		Start: benchStart, Origin: geo.Point{Lat: 34.025, Lon: -118.495}, Seed: 5,
 		Phases: []sensors.Phase{
@@ -280,7 +285,7 @@ func BenchmarkRuleAwareCollection(b *testing.B) {
 			p := alice.Phone(aware)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Process(cloneRecording(rec)); err != nil {
+				if _, err := p.ProcessCtx(ctx, cloneRecording(rec)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -494,10 +499,11 @@ func enforceSegment(seconds int) *wavesegment.Segment {
 // third contributor shares everything (the paper's search example), the
 // rest hide stress at "work".
 func searchBroker(n, k int) (*broker.Service, auth.APIKey, error) {
+	ctx := context.Background()
 	b := broker.New()
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("p%05d", i)
-		if err := b.RegisterContributor(name, "store-"+name); err != nil {
+		if err := b.RegisterContributor(ctx, name, "store-"+name); err != nil {
 			return nil, "", err
 		}
 		rs := append(mixedRules(k-1), &rules.Rule{ID: "share-all", Action: rules.Allow()})
@@ -512,7 +518,7 @@ func searchBroker(n, k int) (*broker.Service, auth.APIKey, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		if err := b.SyncRules(name, 1, data, []geo.Region{{Label: "work", Rect: benchWorkRect}}); err != nil {
+		if err := b.SyncRules(ctx, name, 1, data, []geo.Region{{Label: "work", Rect: benchWorkRect}}); err != nil {
 			return nil, "", err
 		}
 	}
@@ -552,10 +558,11 @@ func benchPost(client *http.Client, url string, body []byte) error {
 // newBenchServers starts a store HTTP server and a relay proxying whole
 // downloads through one extra hop (the E3 strawman).
 func newBenchServers(svc *datastore.Service, key auth.APIKey) (store, relay *httptest.Server) {
+	ctx := context.Background()
 	store = httptest.NewServer(httpapi.NewStoreHandler(svc))
 	sc := &httpapi.StoreClient{BaseURL: store.URL}
 	relay = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rels, err := sc.Query(key, &query.Query{})
+		rels, err := sc.QueryCtx(ctx, key, &query.Query{})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return

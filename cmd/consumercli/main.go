@@ -50,13 +50,14 @@ func main() {
 		os.Exit(2)
 	}
 	bc := &httpapi.BrokerClient{BaseURL: *brokerURL}
+	ctx := context.Background()
 
 	// Diagnostic commands must not mutate server state, so they skip the
 	// consumer auto-registration (health still uses -key when given, to
 	// enumerate the per-store fleet through the directory).
 	apiKey := auth.APIKey(*key)
 	if apiKey == "" && flag.Arg(0) != "trace" && flag.Arg(0) != "storestats" && flag.Arg(0) != "rulestats" && flag.Arg(0) != "health" {
-		u, err := bc.RegisterConsumer(*name)
+		u, err := bc.RegisterConsumerCtx(ctx, *name)
 		if err != nil {
 			log.Fatalf("consumercli: register: %v", err)
 		}
@@ -66,7 +67,7 @@ func main() {
 
 	switch flag.Arg(0) {
 	case "directory":
-		dir, err := bc.Directory(apiKey)
+		dir, err := bc.DirectoryCtx(ctx, apiKey)
 		if err != nil {
 			log.Fatalf("consumercli: %v", err)
 		}
@@ -104,7 +105,7 @@ func main() {
 			}
 			q.RepeatTime = rep
 		}
-		names, err := bc.Search(apiKey, q)
+		names, err := bc.SearchCtx(ctx, apiKey, q)
 		if err != nil {
 			log.Fatalf("consumercli: %v", err)
 		}
@@ -125,12 +126,12 @@ func main() {
 		if *contributor == "" {
 			log.Fatal("consumercli: -contributor is required")
 		}
-		cred, err := bc.Connect(apiKey, *contributor)
+		cred, err := bc.ConnectCtx(ctx, apiKey, *contributor)
 		if err != nil {
 			log.Fatalf("consumercli: connect: %v", err)
 		}
 		sc := &httpapi.StoreClient{BaseURL: cred.StoreAddr}
-		rels, err := sc.QueryText(cred.Key, *qtext)
+		rels, err := sc.QueryTextCtx(ctx, cred.Key, *qtext)
 		if err != nil {
 			log.Fatalf("consumercli: query: %v", err)
 		}
@@ -222,7 +223,7 @@ func main() {
 		// Root span for the whole page: broker resolution, every store's
 		// fan-out leg, and the stores' release decisions all join this trace
 		// (inspect with `consumercli trace -from <server> <id>`).
-		ctx, span := trace.Start(context.Background(), "consumer.cohort")
+		ctx, span := trace.Start(ctx, "consumer.cohort")
 		res, err := eng.CohortQuery(ctx, &federation.Request{
 			Cohort: cohort, Query: dq, Limit: *limit, Cursor: *cursor,
 		})
@@ -274,7 +275,7 @@ func main() {
 		if *contributor == "" {
 			log.Fatal("consumercli: -contributor is required")
 		}
-		cred, err := bc.Connect(apiKey, *contributor)
+		cred, err := bc.ConnectCtx(ctx, apiKey, *contributor)
 		if err != nil {
 			log.Fatalf("consumercli: connect: %v", err)
 		}
@@ -283,7 +284,7 @@ func main() {
 		if *channels != "" {
 			chans = strings.Split(*channels, ",")
 		}
-		info, err := sc.Subscribe(cred.Key, *contributor, chans)
+		info, err := sc.SubscribeCtx(ctx, cred.Key, *contributor, chans)
 		if err != nil {
 			log.Fatalf("consumercli: subscribe: %v", err)
 		}
@@ -294,7 +295,7 @@ func main() {
 		fmt.Printf("following %s (subscription %s, cursor %s; resumed=%v)\n",
 			*contributor, info.ID, cur, info.Resumed)
 		for {
-			b, err := sc.Next(cred.Key, info.ID, cur, *wait)
+			b, err := sc.NextCtx(ctx, cred.Key, info.ID, cur, *wait)
 			if err != nil {
 				log.Fatalf("consumercli: next: %v", err)
 			}
@@ -402,7 +403,7 @@ func printHealth(bc *httpapi.BrokerClient, key auth.APIKey) error {
 		fmt.Println("(no -key: stores not enumerated; pass a broker API key to survey the fleet)")
 		return nil
 	}
-	dir, err := bc.Directory(key)
+	dir, err := bc.DirectoryCtx(ctx, key)
 	if err != nil {
 		return fmt.Errorf("directory: %w", err)
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -38,11 +39,12 @@ func main() {
 		os.Exit(2)
 	}
 	sc := &httpapi.StoreClient{BaseURL: *storeURL}
+	ctx := context.Background()
 	apiKey := auth.APIKey(*key)
 
 	switch flag.Arg(0) {
 	case "register":
-		u, err := sc.Register(*name, "contributor")
+		u, err := sc.RegisterCtx(ctx, *name, "contributor")
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
@@ -57,13 +59,13 @@ func main() {
 			if err != nil {
 				log.Fatalf("contributorcli: %v", err)
 			}
-			if err := sc.SetRules(apiKey, data); err != nil {
+			if err := sc.SetRulesCtx(ctx, apiKey, data); err != nil {
 				log.Fatalf("contributorcli: %v", err)
 			}
 			fmt.Println("rules installed and replicated to the broker")
 			return
 		}
-		data, err := sc.Rules(apiKey)
+		data, err := sc.RulesCtx(ctx, apiKey)
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
@@ -86,7 +88,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
-		if err := sc.DefinePlace(apiKey, *label, geo.Region{Rect: rect}); err != nil {
+		if err := sc.DefinePlaceCtx(ctx, apiKey, *label, geo.Region{Rect: rect}); err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
 		fmt.Printf("place %q defined\n", *label)
@@ -103,7 +105,7 @@ func main() {
 			}
 			q = parsed
 		}
-		segs, err := sc.QueryOwn(apiKey, q)
+		segs, err := sc.QueryOwnCtx(ctx, apiKey, q)
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
@@ -125,7 +127,7 @@ func main() {
 		summary := fs.Bool("summary", false, "show per-consumer aggregates instead of events")
 		_ = fs.Parse(flag.Args()[1:])
 		if *summary {
-			sums, err := sc.AuditSummary(apiKey)
+			sums, err := sc.AuditSummaryCtx(ctx, apiKey)
 			if err != nil {
 				log.Fatalf("contributorcli: %v", err)
 			}
@@ -136,7 +138,7 @@ func main() {
 			}
 			return
 		}
-		events, err := sc.Audit(apiKey, *consumer, time.Time{}, *limit)
+		events, err := sc.AuditCtx(ctx, apiKey, *consumer, time.Time{}, *limit)
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
@@ -148,7 +150,7 @@ func main() {
 		}
 
 	case "recommend":
-		sugs, err := sc.Recommend(apiKey, 0, 0)
+		sugs, err := sc.RecommendCtx(ctx, apiKey, 0, 0)
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
@@ -162,7 +164,7 @@ func main() {
 		fmt.Println("\nappend any rule above to your rule set and re-run 'rules -set' to install it")
 
 	case "rotate":
-		fresh, err := sc.RotateKey(apiKey)
+		fresh, err := sc.RotateKeyCtx(ctx, apiKey)
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}

@@ -41,10 +41,11 @@ func main() {
 	flag.Parse()
 
 	client := &httpapi.StoreClient{BaseURL: *storeURL}
+	ctx := context.Background()
 
 	apiKey := *key
 	if apiKey == "" {
-		u, err := client.Register(*contributor, "contributor")
+		u, err := client.RegisterCtx(ctx, *contributor, "contributor")
 		if err != nil {
 			log.Fatalf("phonesim: register: %v", err)
 		}
@@ -57,7 +58,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("phonesim: %v", err)
 		}
-		if err := client.SetRules(auth.APIKey(apiKey), data); err != nil {
+		if err := client.SetRulesCtx(ctx, auth.APIKey(apiKey), data); err != nil {
 			log.Fatalf("phonesim: set rules: %v", err)
 		}
 		fmt.Println("privacy rules installed")
@@ -87,9 +88,10 @@ func main() {
 		}
 		fmt.Printf("live replay at %gx\n", *speedup)
 	}
-	// Root span for the whole session: every upload's traceparent descends
-	// from it, so the store's /debug/traces shows the session as one tree.
-	ctx, span := trace.Start(context.Background(), "phone.session",
+	// Root span for the whole session: the rule download, the outbox drain
+	// and every upload carry a traceparent that descends from it, so the
+	// store's /debug/traces shows the session as one tree.
+	ctx, span := trace.Start(ctx, "phone.session",
 		trace.String("contributor", *contributor))
 	rep, err := p.RunCtx(ctx, sc)
 	span.SetError(err)

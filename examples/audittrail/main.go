@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -24,6 +25,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	net := core.NewNetwork()
 	defer net.Close()
 	if _, err := net.AddStore("alice-store", ""); err != nil {
@@ -50,7 +52,7 @@ func main() {
 			{Duration: 2 * time.Minute, Activity: rules.CtxDrive, Stressed: true, Heading: 70},
 		},
 	}
-	if _, err := alice.RecordDay(day, false); err != nil {
+	if _, err := alice.RecordDay(ctx, day, false); err != nil {
 		log.Fatal(err)
 	}
 
@@ -60,7 +62,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := consumer.Query("alice", &query.Query{}); err != nil {
+		if _, err := consumer.QueryCtx(ctx, "alice", &query.Query{}); err != nil {
 			log.Fatal(err)
 		}
 	}

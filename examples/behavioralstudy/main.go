@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -28,6 +29,7 @@ import (
 const participants = 20
 
 func main() {
+	ctx := context.Background()
 	net := core.NewNetwork()
 	defer net.Close()
 
@@ -80,7 +82,7 @@ func main() {
 				{Duration: 60 * time.Second, Activity: rules.CtxWalk, Heading: float64(i * 31)},
 			},
 		}
-		if _, err := c.RecordDay(day, false); err != nil {
+		if _, err := c.RecordDay(ctx, day, false); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -97,7 +99,7 @@ func main() {
 	if err := bob.JoinStudy("StressStudy"); err != nil {
 		log.Fatal(err)
 	}
-	match, err := bob.Search(&broker.SearchQuery{
+	match, err := bob.Search(ctx, &broker.SearchQuery{
 		Sensors:        []string{"ECG", "Respiration"},
 		ActiveContexts: []string{rules.CtxDrive},
 		Reference:      start,
@@ -116,7 +118,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rels, err := bob.QueryMany(cohort, &query.Query{Contexts: []string{rules.CtxDrive}})
+	rels, err := bob.QueryMany(ctx, cohort, &query.Query{Contexts: []string{rules.CtxDrive}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func main() {
 
 	// Control: querying a restricted participant yields driving spans
 	// without stress information.
-	ctrl, err := bob.Query("participant-01", &query.Query{Contexts: []string{rules.CtxDrive}})
+	ctrl, err := bob.QueryCtx(ctx, "participant-01", &query.Query{Contexts: []string{rules.CtxDrive}})
 	if err != nil {
 		log.Fatal(err)
 	}

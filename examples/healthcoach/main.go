@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	net := core.NewNetwork()
 	defer net.Close()
 	if _, err := net.AddStore("alice-store", ""); err != nil {
@@ -67,7 +69,7 @@ func main() {
 			{Duration: 2 * time.Minute, Activity: rules.CtxStill},             // bench rest
 		},
 	}
-	if _, err := alice.RecordDay(day, false); err != nil {
+	if _, err := alice.RecordDay(ctx, day, false); err != nil {
 		log.Fatal(err)
 	}
 
@@ -75,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rels, err := coach.Query("alice", &query.Query{})
+	rels, err := coach.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,6 +22,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// One broker, one remote data store, wired in-process.
 	net := core.NewNetwork()
 	defer net.Close()
@@ -76,7 +78,7 @@ func main() {
 	_ = seg.Annotate(rules.CtxConversation, start.Add(20*time.Second), start.Add(40*time.Second))
 	_ = seg.Annotate(rules.CtxStressed, start.Add(10*time.Second), start.Add(50*time.Second))
 
-	if _, err := alice.Store.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := alice.Store.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("alice uploaded %d samples; store holds %d wave segment(s) after optimization\n",
@@ -87,7 +89,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rels, err := bob.Query("alice", &query.Query{})
+	rels, err := bob.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eveRels, err := eve.Query("alice", &query.Query{})
+	eveRels, err := eve.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	home := geo.Point{Lat: 34.0250, Lon: -118.4950}
 	homeRect, _ := geo.NewRect(
 		geo.Point{Lat: home.Lat - 0.0002, Lon: home.Lon - 0.0002},
@@ -61,7 +63,7 @@ func main() {
 		if err := alice.SetRules(ruleJSON); err != nil {
 			log.Fatal(err)
 		}
-		rep, err := alice.RecordDay(day, ruleAware)
+		rep, err := alice.RecordDay(ctx, day, ruleAware)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +72,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rels, err := bob.Query("alice", &query.Query{})
+		rels, err := bob.QueryCtx(ctx, "alice", &query.Query{})
 		if err != nil {
 			log.Fatal(err)
 		}

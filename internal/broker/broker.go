@@ -166,8 +166,10 @@ func (s *Service) SetStoreDialer(dial func(addr string) StoreConn) {
 
 // RegisterContributor records a contributor and the store holding their
 // data. Stores call this when a contributor first registers (paper §4:
-// "they are automatically registered on the broker, too").
-func (s *Service) RegisterContributor(name, storeAddr string) error {
+// "they are automatically registered on the broker, too"). Like SyncRules
+// and SyncDigest it takes the caller's context, unused here because no
+// further hop exists.
+func (s *Service) RegisterContributor(_ context.Context, name, storeAddr string) error {
 	if norm(name) == "" {
 		return fmt.Errorf("broker: empty contributor name")
 	}
@@ -187,7 +189,7 @@ func (s *Service) RegisterContributor(name, storeAddr string) error {
 }
 
 // SyncRules receives a contributor's rule replica stamped with the
-// store's rule-set version; it implements datastore.SyncTarget. Unknown
+// store's rule-set version (datastore.SyncTarget's push). Unknown
 // contributors are registered implicitly (with an empty store address
 // until RegisterContributor supplies one). Versions are monotonic per
 // contributor: a push older than the applied replica is rejected with
@@ -195,7 +197,7 @@ func (s *Service) RegisterContributor(name, storeAddr string) error {
 // already converged past it), and a push equal to the applied version is
 // an idempotent no-op, so retried or duplicated syncs cannot roll the
 // replica backwards.
-func (s *Service) SyncRules(contributor string, version uint64, ruleSetJSON []byte, places []geo.Region) error {
+func (s *Service) SyncRules(_ context.Context, contributor string, version uint64, ruleSetJSON []byte, places []geo.Region) error {
 	rs, err := rules.UnmarshalRuleSet(ruleSetJSON)
 	if err != nil {
 		metricSyncRejects.With("malformed").Inc()
@@ -252,7 +254,7 @@ func (s *Service) SyncRules(contributor string, version uint64, ruleSetJSON []by
 // The digest also heals directory drift — contributors the broker has
 // never heard of (lost registration) are created with the reporting
 // store's address, and missing store addresses are backfilled.
-func (s *Service) SyncDigest(storeAddr string, versions map[string]uint64) ([]string, error) {
+func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
 	var stale []string
 	s.mu.Lock()
 	changed := false

@@ -41,12 +41,13 @@ func workPlaces(t *testing.T) []geo.Region {
 
 func newBrokerWith(t *testing.T, contributors map[string]string) (*Service, auth.User) {
 	t.Helper()
+	ctx := context.Background()
 	b := New()
 	for name, ruleJSON := range contributors {
-		if err := b.RegisterContributor(name, "store-"+name); err != nil {
+		if err := b.RegisterContributor(ctx, name, "store-"+name); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.SyncRules(name, 1, []byte(ruleJSON), workPlaces(t)); err != nil {
+		if err := b.SyncRules(ctx, name, 1, []byte(ruleJSON), workPlaces(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,6 +59,7 @@ func newBrokerWith(t *testing.T, contributors map[string]string) (*Service, auth
 }
 
 func TestRegisterAndDirectory(t *testing.T) {
+	ctx := context.Background()
 	b, bob := newBrokerWith(t, map[string]string{
 		"alice": `[{"Action":"Allow"}]`,
 		"carol": `[{"Action":"Deny"}]`,
@@ -78,28 +80,29 @@ func TestRegisterAndDirectory(t *testing.T) {
 	if b.ContributorCount() != 2 {
 		t.Errorf("count = %d", b.ContributorCount())
 	}
-	if err := b.RegisterContributor("", "x"); err == nil {
+	if err := b.RegisterContributor(ctx, "", "x"); err == nil {
 		t.Error("empty contributor name should fail")
 	}
 }
 
 func TestSyncRulesValidation(t *testing.T) {
+	ctx := context.Background()
 	b := New()
-	if err := b.SyncRules("alice", 1, []byte(`[{"Action":"Explode"}]`), nil); err == nil {
+	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Explode"}]`), nil); err == nil {
 		t.Error("bad rule replica should be rejected")
 	}
-	if err := b.SyncRules("alice", 1, []byte(`[{"Action":"Allow"}]`), []geo.Region{{Label: "x"}}); err == nil {
+	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Allow"}]`), []geo.Region{{Label: "x"}}); err == nil {
 		t.Error("bad place replica should be rejected")
 	}
 	// Implicit registration through sync.
-	if err := b.SyncRules("dave", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "dave", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.ContributorCount() != 1 {
 		t.Error("sync should register unknown contributors")
 	}
 	// Re-registration fills in the store address without losing rules.
-	if err := b.RegisterContributor("dave", "store-dave"); err != nil {
+	if err := b.RegisterContributor(ctx, "dave", "store-dave"); err != nil {
 		t.Fatal(err)
 	}
 	bob, _ := b.RegisterConsumer("bob")
@@ -208,6 +211,7 @@ func TestStudies(t *testing.T) {
 var ref = time.Date(2011, 2, 16, 10, 0, 0, 0, time.UTC)
 
 func TestSearchBySensors(t *testing.T) {
+	ctx := context.Background()
 	// The paper's example: find contributors who share ECG and respiration
 	// at "work" on weekday business hours.
 	b, bob := newBrokerWith(t, map[string]string{
@@ -221,7 +225,7 @@ func TestSearchBySensors(t *testing.T) {
 		          {"LocationLabel":["work"],"Action":{"Abstraction":{"Stress":"NotShared"}}}]`,
 	})
 	rep, _ := timeutil.ParseRepeated([]string{"Mon", "Tue", "Wed", "Thu", "Fri"}, []string{"9:00am", "6:00pm"})
-	got, err := b.Search(bob.Key, &SearchQuery{
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{
 		Sensors:       []string{"ECG", "Respiration"},
 		LocationLabel: "work",
 		RepeatTime:    rep,
@@ -259,6 +263,7 @@ func TestSearchAmongSixMixedRuleSets(t *testing.T) {
 // returns who matches the §5.2 search.
 func searchMixedRuleSets(t *testing.T, n int) []string {
 	t.Helper()
+	ctx := context.Background()
 	const noise = `
 	  {"Consumer":["consumer-0"],"Action":"Allow"},
 	  {"Consumer":["consumer-1"],"RepeatTime":{"Day":["Mon","Tue","Wed","Thu","Fri"],"HourMin":["9:00am","6:00pm"]},
@@ -276,7 +281,7 @@ func searchMixedRuleSets(t *testing.T, n int) []string {
 	}
 	b, bob := newBrokerWith(t, contributors)
 	rep, _ := timeutil.ParseRepeated([]string{"Mon", "Tue", "Wed", "Thu", "Fri"}, []string{"9:00am", "6:00pm"})
-	got, err := b.Search(bob.Key, &SearchQuery{
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{
 		Sensors:       []string{"ECG", "Respiration"},
 		LocationLabel: "work",
 		RepeatTime:    rep,
@@ -289,13 +294,14 @@ func searchMixedRuleSets(t *testing.T, n int) []string {
 }
 
 func TestSearchByContextLevel(t *testing.T) {
+	ctx := context.Background()
 	b, bob := newBrokerWith(t, map[string]string{
 		"alice": `[{"Action":"Allow"}]`,
 		"erin":  `[{"Action":{"Abstraction":{"Stress":"Stressed/Not Stressed"}}}]`,
 		"frank": `[{"Action":{"Abstraction":{"Stress":"NotShared"}}}]`,
 	})
 	// Binary stress suffices: alice (raw) and erin (binary) match.
-	got, err := b.Search(bob.Key, &SearchQuery{
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{
 		Contexts:  map[rules.Category]rules.Level{rules.CategoryStress: rules.LevelBinary},
 		Reference: ref,
 	})
@@ -306,7 +312,7 @@ func TestSearchByContextLevel(t *testing.T) {
 		t.Fatalf("search = %v, want [alice erin]", got)
 	}
 	// Raw stress required: only alice.
-	got, _ = b.Search(bob.Key, &SearchQuery{
+	got, _ = b.SearchCtx(ctx, bob.Key, &SearchQuery{
 		Contexts:  map[rules.Category]rules.Level{rules.CategoryStress: rules.LevelRaw},
 		Reference: ref,
 	})
@@ -316,6 +322,7 @@ func TestSearchByContextLevel(t *testing.T) {
 }
 
 func TestSearchWithActiveContexts(t *testing.T) {
+	ctx := context.Background()
 	// Bob studies stress *while driving* (§6). Alice denies stress while
 	// driving, grace allows everything: only grace matches.
 	b, bob := newBrokerWith(t, map[string]string{
@@ -323,7 +330,7 @@ func TestSearchWithActiveContexts(t *testing.T) {
 		           {"Context":["Drive"],"Action":{"Abstraction":{"Stress":"NotShared"}}}]`,
 		"grace": `[{"Action":"Allow"}]`,
 	})
-	got, err := b.Search(bob.Key, &SearchQuery{
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{
 		Sensors:        []string{"ECG"},
 		ActiveContexts: []string{rules.CtxDrive},
 		Reference:      ref,
@@ -335,18 +342,19 @@ func TestSearchWithActiveContexts(t *testing.T) {
 		t.Fatalf("search = %v, want [grace]", got)
 	}
 	// Without the driving context, both match.
-	got, _ = b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
+	got, _ = b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
 	if len(got) != 2 {
 		t.Fatalf("search = %v, want both", got)
 	}
 }
 
 func TestSearchConsumerSpecificRules(t *testing.T) {
+	ctx := context.Background()
 	b, bob := newBrokerWith(t, map[string]string{
 		"alice": `[{"Consumer":["Bob"],"Action":"Allow"}]`,
 		"carol": `[{"Consumer":["Eve"],"Action":"Allow"}]`,
 	})
-	got, err := b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,10 +364,11 @@ func TestSearchConsumerSpecificRules(t *testing.T) {
 }
 
 func TestSearchGroupRulesViaStudy(t *testing.T) {
+	ctx := context.Background()
 	b, bob := newBrokerWith(t, map[string]string{
 		"alice": `[{"Group":["StressStudy"],"Action":"Allow"}]`,
 	})
-	got, _ := b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
+	got, _ := b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
 	if len(got) != 0 {
 		t.Fatalf("non-member search = %v", got)
 	}
@@ -369,15 +378,16 @@ func TestSearchGroupRulesViaStudy(t *testing.T) {
 	if err := b.JoinStudy(bob.Key, "StressStudy"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
+	got, _ = b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
 	if len(got) != 1 || got[0] != "alice" {
 		t.Fatalf("member search = %v", got)
 	}
 }
 
 func TestSearchMissingLabelNoMatch(t *testing.T) {
+	ctx := context.Background()
 	b, bob := newBrokerWith(t, map[string]string{"alice": `[{"Action":"Allow"}]`})
-	got, err := b.Search(bob.Key, &SearchQuery{LocationLabel: "dungeon", Reference: ref})
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{LocationLabel: "dungeon", Reference: ref})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,6 +397,7 @@ func TestSearchMissingLabelNoMatch(t *testing.T) {
 }
 
 func TestSearchTimeRange(t *testing.T) {
+	ctx := context.Background()
 	feb, _ := timeutil.NewRange(
 		time.Date(2011, 2, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2011, 3, 1, 0, 0, 0, 0, time.UTC))
@@ -394,7 +405,7 @@ func TestSearchTimeRange(t *testing.T) {
 		// alice shares only during February 2011.
 		"alice": `[{"TimeRange":{"Start":"2011-02-01T00:00:00Z","End":"2011-03-01T00:00:00Z"},"Action":"Allow"}]`,
 	})
-	got, err := b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, TimeRange: feb, Reference: ref})
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, TimeRange: feb, Reference: ref})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,13 +415,14 @@ func TestSearchTimeRange(t *testing.T) {
 	apr, _ := timeutil.NewRange(
 		time.Date(2011, 4, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2011, 5, 1, 0, 0, 0, 0, time.UTC))
-	got, _ = b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, TimeRange: apr, Reference: ref})
+	got, _ = b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, TimeRange: apr, Reference: ref})
 	if len(got) != 0 {
 		t.Fatalf("April search = %v", got)
 	}
 }
 
 func TestSearchValidate(t *testing.T) {
+	ctx := context.Background()
 	b, bob := newBrokerWith(t, nil)
 	bad := []*SearchQuery{
 		{Sensors: []string{""}},
@@ -419,22 +431,23 @@ func TestSearchValidate(t *testing.T) {
 		{Region: geo.Rect{MinLat: 10, MaxLat: 5, MinLon: 0, MaxLon: 0}},
 	}
 	for i, q := range bad {
-		if _, err := b.Search(bob.Key, q); err == nil {
+		if _, err := b.SearchCtx(ctx, bob.Key, q); err == nil {
 			t.Errorf("case %d should fail", i)
 		}
 	}
-	if _, err := b.Search("bogus", &SearchQuery{}); err == nil {
+	if _, err := b.SearchCtx(ctx, "bogus", &SearchQuery{}); err == nil {
 		t.Error("bad key should fail")
 	}
 }
 
 func TestSearchRegionProbe(t *testing.T) {
+	ctx := context.Background()
 	rect, _ := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
 	b, bob := newBrokerWith(t, map[string]string{
 		// Shares only inside the campus rect (by raw region, not label).
 		"alice": `[{"Region":{"rect":{"minLat":34.05,"minLon":-118.46,"maxLat":34.08,"maxLon":-118.43}},"Action":"Allow"}]`,
 	})
-	got, err := b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Region: rect, Reference: ref})
+	got, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Region: rect, Reference: ref})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +455,7 @@ func TestSearchRegionProbe(t *testing.T) {
 		t.Fatalf("region search = %v", got)
 	}
 	far, _ := geo.NewRect(geo.Point{Lat: 48, Lon: 2}, geo.Point{Lat: 49, Lon: 3})
-	got, _ = b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Region: far, Reference: ref})
+	got, _ = b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Region: far, Reference: ref})
 	if len(got) != 0 {
 		t.Fatalf("far region search = %v", got)
 	}

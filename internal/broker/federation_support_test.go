@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -11,12 +12,13 @@ import (
 // study contributor rosters; these cover both broker extensions.
 
 func TestSearchInfoCarriesStoreAddresses(t *testing.T) {
+	ctx := context.Background()
 	b, bob := newBrokerWith(t, map[string]string{
 		"alice": `[{"Action":"Allow"}]`,
 		"carol": `[{"Sensor":["Accelerometer"],"Action":"Allow"}]`,
 	})
 	rep, _ := timeutil.ParseRepeated([]string{"Wed"}, []string{"9:00am", "6:00pm"})
-	hits, err := b.SearchInfo(bob.Key, &SearchQuery{
+	hits, err := b.SearchInfoCtx(ctx, bob.Key, &SearchQuery{
 		Sensors:       []string{"ECG"},
 		LocationLabel: "work",
 		RepeatTime:    rep,
@@ -28,11 +30,11 @@ func TestSearchInfoCarriesStoreAddresses(t *testing.T) {
 	if len(hits) != 1 || hits[0].Contributor != "alice" || hits[0].StoreAddr != "store-alice" {
 		t.Fatalf("hits = %+v, want alice@store-alice", hits)
 	}
-	if _, err := b.SearchInfo("bogus", &SearchQuery{}); err == nil {
+	if _, err := b.SearchInfoCtx(ctx, "bogus", &SearchQuery{}); err == nil {
 		t.Error("bad key should fail")
 	}
 	// Search stays a thin view over SearchInfo.
-	names, err := b.Search(bob.Key, &SearchQuery{
+	names, err := b.SearchCtx(ctx, bob.Key, &SearchQuery{
 		Sensors:       []string{"ECG"},
 		LocationLabel: "work",
 		RepeatTime:    rep,

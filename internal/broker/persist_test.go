@@ -10,15 +10,16 @@ import (
 )
 
 func TestBrokerStateSurvivesRestart(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	b, err := NewPersistent(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.RegisterContributor("alice", "store-alice"); err != nil {
+	if err := b.RegisterContributor(ctx, "alice", "store-alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncRules("alice", 1, []byte(`[{"Action":"Allow"}]`), workPlaces(t)); err != nil {
+	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Allow"}]`), workPlaces(t)); err != nil {
 		t.Fatal(err)
 	}
 	bob, err := b.RegisterConsumer("Bob")
@@ -26,7 +27,7 @@ func TestBrokerStateSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.RegisterStore(&fakeStore{addr: "store-alice"})
-	cred, err := b.Connect(context.Background(), bob.Key, "alice")
+	cred, err := b.Connect(ctx, bob.Key, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestBrokerStateSurvivesRestart(t *testing.T) {
 		t.Errorf("study = %v, %v", members, err)
 	}
 	// The rule replica recompiled: searches work immediately.
-	got, err := b2.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
+	got, err := b2.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
 	if err != nil || len(got) != 1 || got[0] != "alice" {
 		t.Errorf("search after restart = %v, %v", got, err)
 	}
@@ -80,9 +81,10 @@ func TestBrokerStateSurvivesRestart(t *testing.T) {
 }
 
 func TestBrokerGroupMembershipSurvives(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	b, _ := NewPersistent(dir)
-	if err := b.SyncRules("alice", 1, []byte(`[{"Group":["Study"],"Action":"Allow"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Group":["Study"],"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
 	bob, _ := b.RegisterConsumer("bob")
@@ -95,7 +97,7 @@ func TestBrokerGroupMembershipSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b2.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
+	got, err := b2.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
 	if err != nil || len(got) != 1 {
 		t.Errorf("group search after restart = %v, %v", got, err)
 	}
@@ -122,6 +124,7 @@ func TestBrokerCorruptState(t *testing.T) {
 }
 
 func TestBrokerTornTempFileDoesNotCorruptState(t *testing.T) {
+	ctx := context.Background()
 	// A crash mid-save leaves a torn temp file but never a torn state
 	// file (write-temp → fsync → rename). Reopen must succeed on the
 	// intact state and the next save must replace the debris.
@@ -130,7 +133,7 @@ func TestBrokerTornTempFileDoesNotCorruptState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncRules("alice", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
 	torn := filepath.Join(dir, stateFileName+".tmp")
@@ -178,6 +181,7 @@ func TestBrokerStateFilePermissions(t *testing.T) {
 // Unserialised saves collide on WriteFileAtomic's temp name (a call fails
 // although its mutation took effect) and can commit an older snapshot last.
 func TestBrokerConcurrentSavesNeitherFailNorRegress(t *testing.T) {
+	ctx := context.Background()
 	const workers, rounds = 4, 12
 	dir := t.TempDir()
 	b, err := NewPersistent(dir)
@@ -190,11 +194,11 @@ func TestBrokerConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := fmt.Sprintf("contributor%d", i)
-			if err := b.RegisterContributor(name, "store-"+name); err != nil {
+			if err := b.RegisterContributor(ctx, name, "store-"+name); err != nil {
 				t.Errorf("RegisterContributor: %v", err)
 			}
 			for v := uint64(1); v <= rounds; v++ {
-				if err := b.SyncRules(name, v, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+				if err := b.SyncRules(ctx, name, v, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 					t.Errorf("SyncRules: %v", err)
 				}
 			}

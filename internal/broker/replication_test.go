@@ -1,24 +1,26 @@
 package broker
 
 import (
+	"context"
 	"testing"
 
 	"sensorsafe/internal/resilience"
 )
 
 func TestSyncRulesVersionMonotonic(t *testing.T) {
+	ctx := context.Background()
 	b := New()
-	if err := b.SyncRules("alice", 3, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "alice", 3, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Older push is rejected with the stale sentinel — retries of a
 	// superseded replica must not roll the broker backwards.
-	err := b.SyncRules("alice", 2, []byte(`[{"Action":"Deny"}]`), nil)
+	err := b.SyncRules(ctx, "alice", 2, []byte(`[{"Action":"Deny"}]`), nil)
 	if !resilience.IsStale(err) {
 		t.Fatalf("stale push err = %v, want ErrStaleVersion", err)
 	}
 	// Re-push of the applied version is an idempotent no-op.
-	if err := b.SyncRules("alice", 3, []byte(`[{"Action":"Deny"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "alice", 3, []byte(`[{"Action":"Deny"}]`), nil); err != nil {
 		t.Fatalf("duplicate push should no-op: %v", err)
 	}
 	reps := b.Replicas()
@@ -31,7 +33,7 @@ func TestSyncRulesVersionMonotonic(t *testing.T) {
 	if err2 != nil {
 		t.Fatal(err2)
 	}
-	got, err2 := b.Search(bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
+	got, err2 := b.SearchCtx(ctx, bob.Key, &SearchQuery{Sensors: []string{"ECG"}, Reference: ref})
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -41,12 +43,13 @@ func TestSyncRulesVersionMonotonic(t *testing.T) {
 }
 
 func TestSyncDigestReportsStale(t *testing.T) {
+	ctx := context.Background()
 	b := New()
-	if err := b.SyncRules("alice", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Store claims alice is at version 4 and hosts carol (unknown here).
-	stale, err := b.SyncDigest("store-1", map[string]uint64{"alice": 4, "carol": 2})
+	stale, err := b.SyncDigest(ctx, "store-1", map[string]uint64{"alice": 4, "carol": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +71,13 @@ func TestSyncDigestReportsStale(t *testing.T) {
 		t.Errorf("carol entry = %+v", reps[1])
 	}
 	// Pushing the missing versions converges the digest to empty.
-	if err := b.SyncRules("alice", 4, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "alice", 4, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncRules("carol", 2, []byte(`[{"Action":"Deny"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "carol", 2, []byte(`[{"Action":"Deny"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
-	stale, err = b.SyncDigest("store-1", map[string]uint64{"alice": 4, "carol": 2})
+	stale, err = b.SyncDigest(ctx, "store-1", map[string]uint64{"alice": 4, "carol": 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +92,17 @@ func TestSyncDigestReportsStale(t *testing.T) {
 }
 
 func TestReplicaVersionsSurviveRestart(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	b, err := NewPersistent(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SyncRules("alice", 2, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+	if err := b.SyncRules(ctx, "alice", 2, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Digest marks alice stale (store at 5) before the "crash".
-	if _, err := b.SyncDigest("store-1", map[string]uint64{"alice": 5}); err != nil {
+	if _, err := b.SyncDigest(ctx, "store-1", map[string]uint64{"alice": 5}); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := NewPersistent(dir)
@@ -110,7 +114,7 @@ func TestReplicaVersionsSurviveRestart(t *testing.T) {
 		t.Fatalf("restored replicas = %+v", reps)
 	}
 	// Version monotonicity survives too: an old push is still rejected.
-	if err := b2.SyncRules("alice", 1, []byte(`[{"Action":"Deny"}]`), nil); !resilience.IsStale(err) {
+	if err := b2.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Deny"}]`), nil); !resilience.IsStale(err) {
 		t.Fatalf("stale push after restart = %v", err)
 	}
 }

@@ -76,14 +76,10 @@ type SearchHit struct {
 	StoreAddr   string `json:"storeAddr"`
 }
 
-// Search returns the names of contributors whose replicated rules release
-// everything the query demands to this consumer, sorted. A contributor
-// matches when at least one probe location passes at every probe instant.
-func (s *Service) Search(key auth.APIKey, q *SearchQuery) ([]string, error) {
-	return s.SearchCtx(context.Background(), key, q)
-}
-
-// SearchCtx is Search carrying the caller's context for span correlation.
+// SearchCtx returns the names of contributors whose replicated rules
+// release everything the query demands to this consumer, sorted. A
+// contributor matches when at least one probe location passes at every
+// probe instant.
 func (s *Service) SearchCtx(ctx context.Context, key auth.APIKey, q *SearchQuery) ([]string, error) {
 	hits, err := s.SearchInfoCtx(ctx, key, q)
 	if err != nil {
@@ -96,16 +92,10 @@ func (s *Service) SearchCtx(ctx context.Context, key auth.APIKey, q *SearchQuery
 	return names, nil
 }
 
-// SearchInfo is Search with store addresses: it returns {contributor,
-// storeAddr} pairs sorted by contributor, the one-call resolution path
-// federated cohort queries are built on.
-func (s *Service) SearchInfo(key auth.APIKey, q *SearchQuery) ([]SearchHit, error) {
-	return s.SearchInfoCtx(context.Background(), key, q)
-}
-
-// SearchInfoCtx is SearchInfo carrying the caller's context, so the
-// broker.search span joins the request trace and HTTP handlers propagate
-// their deadline.
+// SearchInfoCtx is SearchCtx with store addresses: it returns
+// {contributor, storeAddr} pairs sorted by contributor, the one-call
+// resolution path federated cohort queries are built on. The
+// broker.search span joins ctx's trace.
 func (s *Service) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *SearchQuery) ([]SearchHit, error) {
 	_, _, stop := obs.Span(ctx, "broker.search")
 	defer stop(nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -19,6 +20,7 @@ import (
 // collection on as with it off. The policies sweep from share-everything
 // (nothing saved) to share-nothing (every upload saved).
 func TestRuleAwareCollectionPreservesReleases(t *testing.T) {
+	ctx := context.Background()
 	homeRect, err := geo.NewRect(
 		geo.Point{Lat: home.Lat - 0.0002, Lon: home.Lon - 0.0002},
 		geo.Point{Lat: home.Lat + 0.0002, Lon: home.Lon + 0.0002})
@@ -53,7 +55,7 @@ func TestRuleAwareCollectionPreservesReleases(t *testing.T) {
 		if err := alice.SetRules(ruleJSON); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := alice.RecordDay(day, ruleAware)
+		rep, err := alice.RecordDay(ctx, day, ruleAware)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +63,7 @@ func TestRuleAwareCollectionPreservesReleases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rels, err := bob.Query("alice", &query.Query{})
+		rels, err := bob.QueryCtx(ctx, "alice", &query.Query{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,8 +59,8 @@ func (n *Network) AddStore(name, dir string) (*datastore.Service, error) {
 	svc, err := datastore.New(datastore.Options{
 		Name:      name,
 		Dir:       dir,
-		Sync:      n.Broker,
-		Directory: n.Broker,
+		Sync:      brokerLink{n.Broker},
+		Directory: brokerLink{n.Broker},
 	})
 	if err != nil {
 		return nil, err
@@ -75,6 +75,23 @@ func (n *Network) AddStore(name, dir string) (*datastore.Service, error) {
 	n.mu.Unlock()
 	n.Broker.RegisterStore(svc)
 	return svc, nil
+}
+
+// brokerLink is the in-process hop from a store to the broker: it gives
+// the broker's replica and directory methods the names the store's
+// datastore.SyncTarget and datastore.Directory seams call.
+type brokerLink struct{ b *broker.Service }
+
+func (l brokerLink) SyncRulesCtx(ctx context.Context, contributor string, version uint64, ruleSet []byte, places []geo.Region) error {
+	return l.b.SyncRules(ctx, contributor, version, ruleSet, places)
+}
+
+func (l brokerLink) SyncDigestCtx(ctx context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
+	return l.b.SyncDigest(ctx, storeAddr, versions)
+}
+
+func (l brokerLink) RegisterContributorCtx(ctx context.Context, name, storeAddr string) error {
+	return l.b.RegisterContributor(ctx, name, storeAddr)
 }
 
 // Store returns a store by name.
@@ -169,8 +186,8 @@ func (c *Contributor) Phone(ruleAware bool) *phone.Phone {
 }
 
 // RecordDay generates and uploads a scripted scenario through the phone.
-func (c *Contributor) RecordDay(sc *sensors.Scenario, ruleAware bool) (*phone.Report, error) {
-	return c.Phone(ruleAware).Run(sc)
+func (c *Contributor) RecordDay(ctx context.Context, sc *sensors.Scenario, ruleAware bool) (*phone.Report, error) {
+	return c.Phone(ruleAware).RunCtx(ctx, sc)
 }
 
 // ReviewData fetches the contributor's own raw data (no enforcement),
@@ -237,17 +254,12 @@ func (c *Consumer) Directory() ([]broker.ContributorInfo, error) {
 
 // Search finds contributors whose privacy rules release what the query
 // demands.
-func (c *Consumer) Search(q *broker.SearchQuery) ([]string, error) {
-	return c.network.Broker.Search(c.Key, q)
+func (c *Consumer) Search(ctx context.Context, q *broker.SearchQuery) ([]string, error) {
+	return c.network.Broker.SearchCtx(ctx, c.Key, q)
 }
 
-// Query downloads a contributor's data directly from their store (the
-// broker only brokers the credential).
-func (c *Consumer) Query(contributor string, q *query.Query) ([]*abstraction.Release, error) {
-	return c.QueryCtx(context.Background(), contributor, q)
-}
-
-// QueryCtx is Query carrying the caller's context through the credential
+// QueryCtx downloads a contributor's data directly from their store (the
+// broker only brokers the credential). ctx runs through the credential
 // handshake and the store query, so one deadline bounds the whole hop.
 func (c *Consumer) QueryCtx(ctx context.Context, contributor string, q *query.Query) ([]*abstraction.Release, error) {
 	cred, err := c.network.Broker.Connect(ctx, c.Key, contributor)
@@ -264,10 +276,10 @@ func (c *Consumer) QueryCtx(ctx context.Context, contributor string, q *query.Qu
 }
 
 // QueryMany queries a list of contributors and concatenates the releases.
-func (c *Consumer) QueryMany(contributors []string, q *query.Query) ([]*abstraction.Release, error) {
+func (c *Consumer) QueryMany(ctx context.Context, contributors []string, q *query.Query) ([]*abstraction.Release, error) {
 	var out []*abstraction.Release
 	for _, name := range contributors {
-		rels, err := c.Query(name, q)
+		rels, err := c.QueryCtx(ctx, name, q)
 		if err != nil {
 			return nil, fmt.Errorf("core: querying %s: %w", name, err)
 		}

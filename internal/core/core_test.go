@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -68,6 +69,7 @@ func TestContributorAppearsInBrokerDirectory(t *testing.T) {
 // to end: Alice the contributor, Bob the behavioural-study coordinator,
 // and Coach the personal health coach.
 func TestSection6Storyline(t *testing.T) {
+	ctx := context.Background()
 	n := network(t, "alice-store")
 	alice, err := n.NewContributor("alice-store", "alice")
 	if err != nil {
@@ -105,7 +107,7 @@ func TestSection6Storyline(t *testing.T) {
 			{Duration: 2 * time.Minute, Activity: rules.CtxStill, Stressed: true},
 		},
 	}
-	if _, err := alice.RecordDay(day, false); err != nil {
+	if _, err := alice.RecordDay(ctx, day, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +125,7 @@ func TestSection6Storyline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := bob.Query("alice", &query.Query{})
+	rels, err := bob.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestSection6Storyline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coachRels, err := coach.Query("alice", &query.Query{})
+	coachRels, err := coach.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestSection6Storyline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eveRels, err := eve.Query("alice", &query.Query{})
+	eveRels, err := eve.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,6 +198,7 @@ func TestSection6Storyline(t *testing.T) {
 }
 
 func TestBrokerSearchAcrossStores(t *testing.T) {
+	ctx := context.Background()
 	// 20 contributors across 4 institutional stores (the IRB setting);
 	// half share stress while driving, half deny it. Bob's search must
 	// return exactly the sharing half.
@@ -226,7 +229,7 @@ func TestBrokerSearchAcrossStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := bob.Search(&broker.SearchQuery{
+	got, err := bob.Search(ctx, &broker.SearchQuery{
 		Sensors:        []string{"ECG", "Respiration"},
 		ActiveContexts: []string{rules.CtxDrive},
 		Reference:      t0,
@@ -256,6 +259,7 @@ func TestBrokerSearchAcrossStores(t *testing.T) {
 }
 
 func TestQueryManyAggregates(t *testing.T) {
+	ctx := context.Background()
 	n := network(t, "s1", "s2")
 	for i, store := range []string{"s1", "s2"} {
 		c, err := n.NewContributor(store, fmt.Sprintf("c%d", i))
@@ -269,12 +273,12 @@ func TestQueryManyAggregates(t *testing.T) {
 			Start: t0, Origin: home, Seed: int64(i),
 			Phases: []sensors.Phase{{Duration: time.Minute, Activity: rules.CtxStill}},
 		}
-		if _, err := c.RecordDay(day, false); err != nil {
+		if _, err := c.RecordDay(ctx, day, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	bob, _ := n.NewConsumer("bob")
-	rels, err := bob.QueryMany([]string{"c0", "c1"}, &query.Query{})
+	rels, err := bob.QueryMany(ctx, []string{"c0", "c1"}, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,12 +289,13 @@ func TestQueryManyAggregates(t *testing.T) {
 	if !seen["c0"] || !seen["c1"] {
 		t.Errorf("contributors seen = %v", seen)
 	}
-	if _, err := bob.QueryMany([]string{"ghost"}, &query.Query{}); err == nil {
+	if _, err := bob.QueryMany(ctx, []string{"ghost"}, &query.Query{}); err == nil {
 		t.Error("unknown contributor should fail")
 	}
 }
 
 func TestStudyMembershipFlow(t *testing.T) {
+	ctx := context.Background()
 	n := network(t, "s1")
 	alice, _ := n.NewContributor("s1", "alice")
 	if err := alice.SetRules(`[{"Group":["StressStudy"],"Action":"Allow"}]`); err != nil {
@@ -304,7 +309,7 @@ func TestStudyMembershipFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Broker search sees Bob as a member.
-	got, err := bob.Search(&broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
+	got, err := bob.Search(ctx, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -15,6 +16,7 @@ import (
 // Example walks the paper's Fig. 4 scenario end to end: Alice shares
 // everything at UCLA with Bob, except stress while in conversation.
 func Example() {
+	ctx := context.Background()
 	net := core.NewNetwork()
 	defer net.Close()
 	if _, err := net.AddStore("alice-store", ""); err != nil {
@@ -49,7 +51,7 @@ func Example() {
 		seg.Values = append(seg.Values, []float64{1, 2})
 	}
 	_ = seg.Annotate(rules.CtxConversation, start.Add(20*time.Second), start.Add(40*time.Second))
-	if _, err := alice.Store.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := alice.Store.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		log.Fatal(err)
 	}
 
@@ -57,7 +59,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rels, err := bob.Query("alice", &query.Query{})
+	rels, err := bob.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		log.Fatal(err)
 	}

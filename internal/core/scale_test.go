@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -18,6 +19,7 @@ import (
 // and summarizing. It guards against cross-contributor leaks and
 // accounting errors at scale.
 func TestScaleSoak(t *testing.T) {
+	ctx := context.Background()
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
@@ -69,7 +71,7 @@ func TestScaleSoak(t *testing.T) {
 				{Duration: 45 * time.Second, Activity: rules.CtxDrive, Stressed: true, Heading: float64(i * 13)},
 			},
 		}
-		if _, err := c.RecordDay(day, false); err != nil {
+		if _, err := c.RecordDay(ctx, day, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +94,7 @@ func TestScaleSoak(t *testing.T) {
 	// Search: who shares raw stress data while driving? Exactly the i%3==0
 	// cohort (i%3==1 hides stress while driving; i%3==2 abstracts location,
 	// which blocks GPS but not ECG — so they still match).
-	match, err := coord.Search(&broker.SearchQuery{
+	match, err := coord.Search(ctx, &broker.SearchQuery{
 		Sensors:        []string{"ECG", "Respiration"},
 		ActiveContexts: []string{rules.CtxDrive},
 		Reference:      t0,
@@ -115,7 +117,7 @@ func TestScaleSoak(t *testing.T) {
 	for i := 0; i < contributors; i++ {
 		all = append(all, fmt.Sprintf("p%03d", i))
 	}
-	rels, err := coord.QueryMany(all, &query.Query{})
+	rels, err := coord.QueryMany(ctx, all, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 // scenarioNetwork builds one store with Alice's data shared only with Bob.
 func scenarioNetwork(t *testing.T) (*Network, *Contributor, *Consumer) {
 	t.Helper()
+	ctx := context.Background()
 	n := network(t, "s")
 	alice, err := n.NewContributor("s", "alice")
 	if err != nil {
@@ -32,7 +34,7 @@ func scenarioNetwork(t *testing.T) (*Network, *Contributor, *Consumer) {
 		Start: t0, Origin: home, Seed: 3,
 		Phases: []sensors.Phase{{Duration: time.Minute, Activity: rules.CtxStill}},
 	}
-	if _, err := alice.RecordDay(day, false); err != nil {
+	if _, err := alice.RecordDay(ctx, day, false); err != nil {
 		t.Fatal(err)
 	}
 	bob, err := n.NewConsumer("Bob")
@@ -70,13 +72,14 @@ func TestAttackStolenKeyRotation(t *testing.T) {
 }
 
 func TestAttackRoleConfusion(t *testing.T) {
+	ctx := context.Background()
 	// Scenario: a consumer key is used against every contributor-only
 	// surface, and vice versa. Each call must fail on role, not fall
 	// through to data.
 	_, alice, bob := scenarioNetwork(t)
 	svc := alice.Store
 
-	if _, err := svc.Upload(bob.Key, nil); err == nil {
+	if _, err := svc.UploadCtx(ctx, bob.Key, nil); err == nil {
 		t.Error("consumer upload must fail")
 	}
 	if err := svc.SetRules(bob.Key, []byte(`[{"Action":"Allow"}]`)); err == nil {
@@ -91,12 +94,13 @@ func TestAttackRoleConfusion(t *testing.T) {
 	if _, err := svc.Audit(bob.Key, audit.Filter{}); err == nil {
 		t.Error("consumer audit read must fail")
 	}
-	if _, err := svc.Query(alice.Key, &query.Query{}); err == nil {
+	if _, err := svc.QueryCtx(ctx, alice.Key, &query.Query{}); err == nil {
 		t.Error("contributor consumer-query must fail")
 	}
 }
 
 func TestAttackUploadForgery(t *testing.T) {
+	ctx := context.Background()
 	// Scenario: Mallory (a contributor on the same institutional store)
 	// uploads segments claiming to be Alice's, hoping they surface in
 	// Alice's data under Alice's permissive rules.
@@ -112,11 +116,11 @@ func TestAttackUploadForgery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mallory.Store.Upload(mallory.Key, rec.Phone); err == nil {
+	if _, err := mallory.Store.UploadCtx(ctx, mallory.Key, rec.Phone); err == nil {
 		t.Fatal("forged upload must be rejected")
 	}
 	// Bob's view of Alice's data is unchanged (nothing after t0+1h).
-	rels, err := bob.Query("alice", &query.Query{From: t0.Add(time.Hour)})
+	rels, err := bob.QueryCtx(ctx, "alice", &query.Query{From: t0.Add(time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +130,7 @@ func TestAttackUploadForgery(t *testing.T) {
 }
 
 func TestAttackGroupSelfAssertion(t *testing.T) {
+	ctx := context.Background()
 	// Scenario: Eve registers as a consumer and tries to benefit from
 	// Alice's group-scoped rule without the contributor (or broker study)
 	// granting membership. Group membership is store-side state only the
@@ -139,11 +144,11 @@ func TestAttackGroupSelfAssertion(t *testing.T) {
 		Start: t0, Origin: home, Seed: 3,
 		Phases: []sensors.Phase{{Duration: time.Minute, Activity: rules.CtxStill}},
 	}
-	if _, err := alice.RecordDay(day, false); err != nil {
+	if _, err := alice.RecordDay(ctx, day, false); err != nil {
 		t.Fatal(err)
 	}
 	eve, _ := n.NewConsumer("Eve")
-	rels, err := eve.Query("alice", &query.Query{})
+	rels, err := eve.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +158,7 @@ func TestAttackGroupSelfAssertion(t *testing.T) {
 }
 
 func TestAttackCompromisedBrokerCannotLeakData(t *testing.T) {
+	ctx := context.Background()
 	// Scenario: the broker is compromised and its replica of Alice's rules
 	// is replaced with an allow-everything forgery. The broker's search
 	// now lies — but enforcement lives at the store, so the attacker still
@@ -166,17 +172,17 @@ func TestAttackCompromisedBrokerCannotLeakData(t *testing.T) {
 		Start: t0, Origin: home, Seed: 3,
 		Phases: []sensors.Phase{{Duration: time.Minute, Activity: rules.CtxStill}},
 	}
-	if _, err := alice.RecordDay(day, false); err != nil {
+	if _, err := alice.RecordDay(ctx, day, false); err != nil {
 		t.Fatal(err)
 	}
 	// Forged replica: broker believes Alice shares with everyone. The
 	// forged version outruns the store's real one so the broker applies it
 	// (a stale forgery would be rejected outright).
-	if err := n.Broker.SyncRules("alice", 99, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+	if err := n.Broker.SyncRules(ctx, "alice", 99, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)
 	}
 	eve, _ := n.NewConsumer("Eve")
-	match, err := eve.Search(&broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
+	match, err := eve.Search(ctx, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +190,7 @@ func TestAttackCompromisedBrokerCannotLeakData(t *testing.T) {
 		t.Fatalf("forged replica should fool the search: %v", match)
 	}
 	// But the store is authoritative: Eve gets nothing.
-	rels, err := eve.Query("alice", &query.Query{})
+	rels, err := eve.QueryCtx(ctx, "alice", &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +200,7 @@ func TestAttackCompromisedBrokerCannotLeakData(t *testing.T) {
 }
 
 func TestAttackContextFilterProbing(t *testing.T) {
+	ctx := context.Background()
 	// Scenario: Eve cannot read Alice's stress data but tries to *infer*
 	// stress occurrences by issuing context-filtered queries and observing
 	// which time windows return results. Filters run on released contexts
@@ -213,18 +220,18 @@ func TestAttackContextFilterProbing(t *testing.T) {
 			{Duration: time.Minute, Activity: rules.CtxStill},
 		},
 	}
-	if _, err := alice.RecordDay(day, false); err != nil {
+	if _, err := alice.RecordDay(ctx, day, false); err != nil {
 		t.Fatal(err)
 	}
 	eve, _ := n.NewConsumer("Eve")
-	probe, err := eve.Query("alice", &query.Query{Contexts: []string{"Stressed"}})
+	probe, err := eve.QueryCtx(ctx, "alice", &query.Query{Contexts: []string{"Stressed"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(probe) != 0 {
 		t.Error("context-filter probing revealed hidden stress spans")
 	}
-	probeNeg, err := eve.Query("alice", &query.Query{Contexts: []string{"NotStressed"}})
+	probeNeg, err := eve.QueryCtx(ctx, "alice", &query.Query{Contexts: []string{"NotStressed"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -11,11 +12,12 @@ import (
 )
 
 func TestQueryIsAudited(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 	p := packet("alice", t0, 600)
 	_ = p.Annotate(rules.CtxConversation, t0.Add(20*time.Second), t0.Add(40*time.Second))
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{p}); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{p}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetRules(alice.Key, []byte(`[
@@ -26,12 +28,12 @@ func TestQueryIsAudited(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := s.Query(bob.Key, &query.Query{}); err != nil {
+	if _, err := s.QueryCtx(ctx, bob.Key, &query.Query{}); err != nil {
 		t.Fatal(err)
 	}
 	// Eve gets nothing — still audited as withheld.
 	eve, _ := s.RegisterConsumer("Eve")
-	if _, err := s.Query(eve.Key, &query.Query{}); err != nil {
+	if _, err := s.QueryCtx(ctx, eve.Key, &query.Query{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,16 +106,17 @@ func TestQueryIsAudited(t *testing.T) {
 }
 
 func TestAuditRecordsQueryText(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	q := &query.Query{Channels: []string{"ECG"}, Limit: 5}
-	if _, err := s.Query(bob.Key, q); err != nil {
+	if _, err := s.QueryCtx(ctx, bob.Key, q); err != nil {
 		t.Fatal(err)
 	}
 	events, _ := s.Audit(alice.Key, audit.Filter{})

@@ -75,16 +75,19 @@ var (
 // target can reject stale or duplicated replicas, and the digest exchange
 // lets the store discover which replicas the target is missing after an
 // outage.
+//
+// The store calls both methods with its service context, which Close
+// cancels, so a hung target cannot hold up shutdown.
 type SyncTarget interface {
-	// SyncRules applies one contributor's replica at the given version.
+	// SyncRulesCtx applies one contributor's replica at the given version.
 	// Implementations must be idempotent per version and reject versions
 	// older than what they already applied with an error satisfying
 	// resilience.IsStale.
-	SyncRules(contributor string, version uint64, ruleSet []byte, places []geo.Region) error
-	// SyncDigest reports every contributor this store hosts with its
+	SyncRulesCtx(ctx context.Context, contributor string, version uint64, ruleSet []byte, places []geo.Region) error
+	// SyncDigestCtx reports every contributor this store hosts with its
 	// current rule version; the target answers with the names whose
 	// replicas are behind and need a full push.
-	SyncDigest(storeAddr string, versions map[string]uint64) ([]string, error)
+	SyncDigestCtx(ctx context.Context, storeAddr string, versions map[string]uint64) ([]string, error)
 }
 
 // Directory is the broker-side contributor directory; stores push new
@@ -92,7 +95,7 @@ type SyncTarget interface {
 // are first registered on their data store, they are automatically
 // registered on the broker, too").
 type Directory interface {
-	RegisterContributor(name, storeAddr string) error
+	RegisterContributorCtx(ctx context.Context, name, storeAddr string) error
 }
 
 // Options configures a store service.
@@ -195,8 +198,11 @@ type Service struct {
 	// the stream hub's locks and mu, never while holding either.
 	saveMu sync.Mutex
 
-	stopSync chan struct{}
-	syncDone chan struct{}
+	// ctx is the service's lifetime: every outbound call to the sync
+	// target and directory carries it, and Close cancels it first.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	syncDone chan struct{} // nil unless the anti-entropy loop runs
 }
 
 // New opens a remote data store service.
@@ -220,6 +226,8 @@ func New(opts Options) (*Service, error) {
 		contributors: make(map[string]*contributorState),
 		pending:      make(map[string]uint64),
 	}
+	//sslint:ignore ctxpropagate the service lifetime is the call-tree root of the store's outbound broker calls
+	svc.ctx, svc.cancel = context.WithCancel(context.Background())
 	svc.stream = stream.New(stream.Options{
 		Rules:          svc,
 		Geocoder:       opts.Geocoder,
@@ -227,26 +235,27 @@ func New(opts Options) (*Service, error) {
 		OnChange:       svc.saveStreamState,
 	})
 	if err := svc.loadState(); err != nil {
+		svc.cancel()
 		st.Close()
 		return nil, err
 	}
 	if opts.Sync != nil && opts.SyncInterval > 0 {
-		svc.stopSync = make(chan struct{})
 		svc.syncDone = make(chan struct{})
 		go svc.syncLoop()
 	}
 	return svc, nil
 }
 
-// Close persists metadata and releases the underlying storage. Saving here
+// Close cancels the service context (aborting any broker call in flight),
+// persists metadata and releases the underlying storage. Saving here
 // captures stream positions advanced by uploads (which, unlike metadata
 // mutations, do not rewrite the state file on the hot path), so a graceful
 // shutdown surfaces undelivered segments as a gap instead of losing them.
 func (s *Service) Close() error {
-	if s.stopSync != nil {
-		close(s.stopSync)
+	s.cancel()
+	if s.syncDone != nil {
 		<-s.syncDone
-		s.stopSync = nil
+		s.syncDone = nil
 	}
 	if err := s.saveState(); err != nil {
 		s.store.Close()
@@ -295,7 +304,7 @@ func (s *Service) RegisterContributor(name string) (auth.User, error) {
 		return u, err
 	}
 	if s.opts.Directory != nil {
-		if err := s.opts.Directory.RegisterContributor(u.Name, s.opts.Name); err != nil {
+		if err := s.opts.Directory.RegisterContributorCtx(s.ctx, u.Name, s.opts.Name); err != nil {
 			return u, fmt.Errorf("datastore: broker registration for %s: %w", name, err)
 		}
 	}
@@ -369,18 +378,12 @@ func (s *Service) stateLocked(contributor string) (*contributorState, error) {
 	return st, nil
 }
 
-// Upload ingests a batch of wave segments for the contributor owning the
+// UploadCtx ingests a batch of wave segments for the contributor owning the
 // key. Packets run through the wave-segment optimizer (merging
 // timestamp-consecutive packets, §5.1), and the segment engine's Put
 // extends the stream's newest stored record with a segment that continues
 // it, so steady streaming still produces few large records. Returns the
-// number of segments stored.
-func (s *Service) Upload(key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
-	return s.UploadCtx(context.Background(), key, segs)
-}
-
-// UploadCtx is Upload carrying the caller's context, so HTTP ingest spans
-// correlate with the request trace instead of a fresh background context.
+// number of segments stored. The datastore.upload span joins ctx's trace.
 func (s *Service) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavesegment.Segment) (written int, err error) {
 	ctx, uspan, stopUpload := obs.Span(ctx, "datastore.upload")
 	defer func() {
@@ -616,7 +619,7 @@ func (s *Service) pushSync(contributor string) error {
 	if err != nil {
 		return err
 	}
-	err = s.opts.Sync.SyncRules(contributor, version, data, places)
+	err = s.opts.Sync.SyncRulesCtx(s.ctx, contributor, version, data, places)
 	switch {
 	case err == nil:
 		metricSyncPushes.With("ok").Inc()
@@ -688,7 +691,7 @@ func (s *Service) AntiEntropy() error {
 			firstErr = err
 		}
 	}
-	stale, err := s.opts.Sync.SyncDigest(s.opts.Name, versions)
+	stale, err := s.opts.Sync.SyncDigestCtx(s.ctx, s.opts.Name, versions)
 	if err != nil {
 		if firstErr == nil {
 			firstErr = err
@@ -718,7 +721,7 @@ func (s *Service) syncLoop() {
 	for {
 		t := time.NewTimer(delay)
 		select {
-		case <-s.stopSync:
+		case <-s.ctx.Done():
 			t.Stop()
 			return
 		case <-t.C:
@@ -733,18 +736,11 @@ func (s *Service) syncLoop() {
 	}
 }
 
-// Query answers a consumer's data request: scan matching records, enforce
-// each contributor's privacy rules span by span, then apply the query's
-// channel projection and context filter to the *released* data (filtering
-// on released rather than raw annotations so the filter cannot leak
-// withheld contexts).
-func (s *Service) Query(key auth.APIKey, q *query.Query) ([]*abstraction.Release, error) {
-	return s.QueryCtx(context.Background(), key, q)
-}
-
-// QueryCtx is Query carrying the caller's context: enforcement spans land
-// in the request trace, and HTTP handlers must use it so deadlines reach
-// the rule engine.
+// QueryCtx answers a consumer's data request: scan matching records,
+// enforce each contributor's privacy rules span by span, then apply the
+// query's channel projection and context filter to the *released* data
+// (filtering on released rather than raw annotations so the filter cannot
+// leak withheld contexts). Enforcement spans land in ctx's trace.
 func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query) (out []*abstraction.Release, err error) {
 	ctx, qspan, stopQuery := obs.Span(ctx, "datastore.query")
 	defer func() {
@@ -956,10 +952,12 @@ func (s *Service) QueryOwn(key auth.APIKey, q *query.Query) ([]*wavesegment.Segm
 	return out, nil
 }
 
-// RulesFor returns the compiled rule engine for a contributor; the phone
-// simulator uses this for privacy-rule-aware collection (§5.3), and tests
-// probe it directly. Returns nil when the contributor has no rules yet.
-func (s *Service) RulesFor(key auth.APIKey) (*rules.Engine, error) {
+// RulesForCtx returns the compiled rule engine for a contributor; the
+// phone simulator uses this for privacy-rule-aware collection (§5.3), and
+// tests probe it directly. Returns nil when the contributor has no rules
+// yet. The context is part of the phone.Store contract and unused here
+// because no further hop exists.
+func (s *Service) RulesForCtx(_ context.Context, key auth.APIKey) (*rules.Engine, error) {
 	u, err := s.authenticate(key, auth.RoleContributor)
 	if err != nil {
 		return nil, err

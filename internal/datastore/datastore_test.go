@@ -76,28 +76,30 @@ func setupAliceBob(t *testing.T, s *Service) (alice, bob auth.User) {
 }
 
 func TestRegisterAndRoles(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 	if alice.Role != auth.RoleContributor || bob.Role != auth.RoleConsumer {
 		t.Fatal("roles wrong")
 	}
 	// Role enforcement.
-	if _, err := s.Upload(bob.Key, packetStream("Bob", t0, 1)); !errors.Is(err, ErrNotContributor) {
+	if _, err := s.UploadCtx(ctx, bob.Key, packetStream("Bob", t0, 1)); !errors.Is(err, ErrNotContributor) {
 		t.Errorf("consumer upload: %v", err)
 	}
-	if _, err := s.Query(alice.Key, &query.Query{}); !errors.Is(err, ErrNotConsumer) {
+	if _, err := s.QueryCtx(ctx, alice.Key, &query.Query{}); !errors.Is(err, ErrNotConsumer) {
 		t.Errorf("contributor query: %v", err)
 	}
-	if _, err := s.Upload("bogus", nil); !errors.Is(err, auth.ErrBadKey) {
+	if _, err := s.UploadCtx(ctx, "bogus", nil); !errors.Is(err, auth.ErrBadKey) {
 		t.Errorf("bad key: %v", err)
 	}
 }
 
 func TestUploadOptimizesPackets(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{MaxSegmentSamples: 1 << 20})
 	alice, _ := setupAliceBob(t, s)
 	// 100 consecutive 64-sample packets merge into one record.
-	n, err := s.Upload(alice.Key, packetStream("alice", t0, 100))
+	n, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +112,16 @@ func TestUploadOptimizesPackets(t *testing.T) {
 }
 
 func TestUploadsExtendStreamTail(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{MaxSegmentSamples: 1 << 20})
 	alice, _ := setupAliceBob(t, s)
 	packets := packetStream("alice", t0, 10)
 	// Upload in two consecutive batches: the second must extend the first's
 	// record instead of creating another.
-	if _, err := s.Upload(alice.Key, packets[:5]); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packets[:5]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packets[5:]); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packets[5:]); err != nil {
 		t.Fatal(err)
 	}
 	if s.SegmentCount() != 1 {
@@ -138,16 +141,17 @@ func TestUploadsExtendStreamTail(t *testing.T) {
 // flushed starts a new record instead of deleting the flushed one and
 // rewriting it; compaction then joins the two.
 func TestUploadAcrossFlushLeavesNoTombstone(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{Dir: t.TempDir()})
 	alice, _ := setupAliceBob(t, s)
 	packets := packetStream("alice", t0, 10)
-	if _, err := s.Upload(alice.Key, packets[:5]); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packets[:5]); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.store.(*segstore.Store).Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packets[5:]); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packets[5:]); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := s.SegmentStoreStats()
@@ -174,9 +178,10 @@ func TestUploadAcrossFlushLeavesNoTombstone(t *testing.T) {
 }
 
 func TestUploadRespectsSegmentCap(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{MaxSegmentSamples: 200})
 	alice, _ := setupAliceBob(t, s)
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 10)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 10)); err != nil {
 		t.Fatal(err)
 	}
 	segs, _ := s.QueryOwn(alice.Key, &query.Query{})
@@ -191,15 +196,16 @@ func TestUploadRespectsSegmentCap(t *testing.T) {
 }
 
 func TestUploadOwnershipChecks(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, _ := setupAliceBob(t, s)
 	// Foreign contributor name rejected.
-	if _, err := s.Upload(alice.Key, packetStream("mallory", t0, 1)); !errors.Is(err, ErrWrongOwner) {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("mallory", t0, 1)); !errors.Is(err, ErrWrongOwner) {
 		t.Errorf("foreign upload: %v", err)
 	}
 	// Blank contributor is stamped with the owner.
 	p := packet("", t0, 10)
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{p}); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{p}); err != nil {
 		t.Fatal(err)
 	}
 	segs, _ := s.QueryOwn(alice.Key, &query.Query{})
@@ -207,21 +213,22 @@ func TestUploadOwnershipChecks(t *testing.T) {
 		t.Errorf("stamped contributor = %v", segs)
 	}
 	// Invalid segments rejected.
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{{}}); err == nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{{}}); err == nil {
 		t.Error("invalid segment should be rejected")
 	}
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{nil}); err == nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{nil}); err == nil {
 		t.Error("nil segment should be rejected")
 	}
 }
 
 func TestQueryDefaultDeny(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 5)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	rels, err := s.Query(bob.Key, &query.Query{})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +238,16 @@ func TestQueryDefaultDeny(t *testing.T) {
 }
 
 func TestSetRulesAndQuery(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 5)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetRules(alice.Key, []byte(`[{"Consumer":["Bob"],"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	rels, err := s.Query(bob.Key, &query.Query{})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,12 +267,12 @@ func TestSetRulesAndQuery(t *testing.T) {
 		t.Errorf("rules = %v, %v", rs, err)
 	}
 	// Eve the unknown consumer cannot query; unknown keys fail.
-	if _, err := s.Query("bogus", &query.Query{}); err == nil {
+	if _, err := s.QueryCtx(ctx, "bogus", &query.Query{}); err == nil {
 		t.Error("bad key should fail")
 	}
 	// A second consumer is not covered by Alice's Bob-only rule.
 	eve, _ := s.RegisterConsumer("Eve")
-	rels, err = s.Query(eve.Key, &query.Query{})
+	rels, err = s.QueryCtx(ctx, eve.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,16 +293,17 @@ func TestSetRulesRejectsBadJSON(t *testing.T) {
 }
 
 func TestDefinePlaceAffectsRules(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 2)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetRules(alice.Key, []byte(`[{"Consumer":["Bob"],"LocationLabel":["UCLA"],"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	// Label not defined yet: rule cannot match.
-	rels, _ := s.Query(bob.Key, &query.Query{})
+	rels, _ := s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if len(rels) != 0 {
 		t.Error("undefined label should match nothing")
 	}
@@ -302,7 +311,7 @@ func TestDefinePlaceAffectsRules(t *testing.T) {
 	if err := s.DefinePlace(alice.Key, "UCLA", geo.Region{Rect: rect}); err != nil {
 		t.Fatal(err)
 	}
-	rels, _ = s.Query(bob.Key, &query.Query{})
+	rels, _ = s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if len(rels) != 1 {
 		t.Errorf("after defining UCLA: releases = %d, want 1", len(rels))
 	}
@@ -316,11 +325,12 @@ func TestDefinePlaceAffectsRules(t *testing.T) {
 }
 
 func TestQueryChannelProjectionAndContextFilter(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 	p := packet("alice", t0, 600, wavesegment.ChannelECG, wavesegment.ChannelAccelX)
 	_ = p.Annotate(rules.CtxDrive, t0, t0.Add(30*time.Second))
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{p}); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{p}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
@@ -329,7 +339,7 @@ func TestQueryChannelProjectionAndContextFilter(t *testing.T) {
 
 	// Channel projection. The Drive annotation edge at +30 s splits
 	// enforcement into two spans, so two releases come back, each ECG-only.
-	rels, err := s.Query(bob.Key, &query.Query{Channels: []string{"ECG"}})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{Channels: []string{"ECG"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +353,7 @@ func TestQueryChannelProjectionAndContextFilter(t *testing.T) {
 	}
 
 	// Context filter: Drive spans only.
-	rels, err = s.Query(bob.Key, &query.Query{Contexts: []string{"Drive"}})
+	rels, err = s.QueryCtx(ctx, bob.Key, &query.Query{Contexts: []string{"Drive"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +365,7 @@ func TestQueryChannelProjectionAndContextFilter(t *testing.T) {
 	}
 
 	// Context filter for a context that never occurs.
-	rels, err = s.Query(bob.Key, &query.Query{Contexts: []string{"Smoking"}})
+	rels, err = s.QueryCtx(ctx, bob.Key, &query.Query{Contexts: []string{"Smoking"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +375,7 @@ func TestQueryChannelProjectionAndContextFilter(t *testing.T) {
 }
 
 func TestContextFilterCannotLeakHiddenContexts(t *testing.T) {
+	ctx := context.Background()
 	// Alice hides stress; Bob filters by Stressed. Even though raw
 	// annotations contain stress spans, the filter runs on released
 	// contexts, so nothing comes back.
@@ -372,7 +383,7 @@ func TestContextFilterCannotLeakHiddenContexts(t *testing.T) {
 	alice, bob := setupAliceBob(t, s)
 	p := packet("alice", t0, 600)
 	_ = p.Annotate(rules.CtxStressed, t0, t0.Add(60*time.Second))
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{p}); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{p}); err != nil {
 		t.Fatal(err)
 	}
 	ruleJSON := `[
@@ -381,7 +392,7 @@ func TestContextFilterCannotLeakHiddenContexts(t *testing.T) {
 	if err := s.SetRules(alice.Key, []byte(ruleJSON)); err != nil {
 		t.Fatal(err)
 	}
-	rels, err := s.Query(bob.Key, &query.Query{Contexts: []string{"Stressed"}})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{Contexts: []string{"Stressed"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,39 +402,41 @@ func TestContextFilterCannotLeakHiddenContexts(t *testing.T) {
 }
 
 func TestGroupScopedRules(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 2)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetRules(alice.Key, []byte(`[{"Group":["StressStudy"],"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	// Bob not in the study yet.
-	rels, _ := s.Query(bob.Key, &query.Query{})
+	rels, _ := s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if len(rels) != 0 {
 		t.Error("non-member should get nothing")
 	}
 	if err := s.AssignConsumerGroups(alice.Key, "Bob", []string{"StressStudy"}); err != nil {
 		t.Fatal(err)
 	}
-	rels, _ = s.Query(bob.Key, &query.Query{})
+	rels, _ = s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if len(rels) != 1 {
 		t.Errorf("member releases = %d, want 1", len(rels))
 	}
 }
 
 func TestQueryOwnScopedToOwner(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, _ := setupAliceBob(t, s)
 	carol, err := s.RegisterContributor("carol")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(carol.Key, packetStream("carol", t0, 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, carol.Key, packetStream("carol", t0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	segs, err := s.QueryOwn(alice.Key, &query.Query{Contributor: "carol"})
@@ -446,14 +459,14 @@ type recordingSync struct {
 	digests int
 }
 
-func (r *recordingSync) SyncRules(contributor string, version uint64, ruleSet []byte, places []geo.Region) error {
+func (r *recordingSync) SyncRulesCtx(_ context.Context, contributor string, version uint64, ruleSet []byte, places []geo.Region) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.calls = append(r.calls, contributor)
 	return nil
 }
 
-func (r *recordingSync) SyncDigest(storeAddr string, versions map[string]uint64) ([]string, error) {
+func (r *recordingSync) SyncDigestCtx(_ context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.digests++
@@ -483,6 +496,7 @@ func TestRuleSyncPushes(t *testing.T) {
 }
 
 func TestPersistentServiceSurvivesReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	s, err := New(Options{Dir: dir})
 	if err != nil {
@@ -492,7 +506,7 @@ func TestPersistentServiceSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 3)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -510,9 +524,10 @@ func TestPersistentServiceSurvivesReopen(t *testing.T) {
 }
 
 func TestRulesForEngine(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, _ := setupAliceBob(t, s)
-	e, err := s.RulesFor(alice.Key)
+	e, err := s.RulesForCtx(ctx, alice.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +537,7 @@ func TestRulesForEngine(t *testing.T) {
 	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	e, err = s.RulesFor(alice.Key)
+	e, err = s.RulesForCtx(ctx, alice.Key)
 	if err != nil || e == nil {
 		t.Fatalf("engine = %v, %v", e, err)
 	}
@@ -533,6 +548,7 @@ func TestRulesForEngine(t *testing.T) {
 }
 
 func TestAccessorsAndProvisioning(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{Name: "store-x"})
 	if s.Name() != "store-x" || s.Addr() != "store-x" {
 		t.Errorf("Name/Addr = %q/%q", s.Name(), s.Addr())
@@ -540,14 +556,14 @@ func TestAccessorsAndProvisioning(t *testing.T) {
 	if s.Users() == nil || s.Web() == nil || s.Storage() == nil {
 		t.Error("accessors must not be nil")
 	}
-	key, err := s.ProvisionConsumer(context.Background(), "bob")
+	key, err := s.ProvisionConsumer(ctx, "bob")
 	if err != nil || key == "" {
 		t.Fatalf("ProvisionConsumer = %q, %v", key, err)
 	}
-	if _, err := s.Query(key, &query.Query{}); err != nil {
+	if _, err := s.QueryCtx(ctx, key, &query.Query{}); err != nil {
 		t.Errorf("provisioned key should query: %v", err)
 	}
-	if _, err := s.ProvisionConsumer(context.Background(), "bob"); err == nil {
+	if _, err := s.ProvisionConsumer(ctx, "bob"); err == nil {
 		t.Error("duplicate provisioning should fail")
 	}
 }
@@ -571,6 +587,7 @@ func TestRotateKeyLocal(t *testing.T) {
 }
 
 func TestConcurrentUploadsAndQueries(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
@@ -583,7 +600,7 @@ func TestConcurrentUploadsAndQueries(t *testing.T) {
 			defer wg.Done()
 			start := t0.Add(time.Duration(w) * time.Hour)
 			for i := 0; i < 10; i++ {
-				if _, err := s.Upload(alice.Key, packetStream("alice", start.Add(time.Duration(i)*time.Minute), 2)); err != nil {
+				if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", start.Add(time.Duration(i)*time.Minute), 2)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -593,7 +610,7 @@ func TestConcurrentUploadsAndQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := s.Query(bob.Key, &query.Query{Limit: 5}); err != nil {
+				if _, err := s.QueryCtx(ctx, bob.Key, &query.Query{Limit: 5}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 // annotation-driven abstraction — shapes the uniform-interval tests never
 // exercise.
 func TestEpisodicSamplingPipeline(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 
@@ -41,7 +43,7 @@ func TestEpisodicSamplingPipeline(t *testing.T) {
 	seg.Start = seg.Timestamps[0]
 	_ = seg.Annotate(rules.CtxDrive, t0, t0.Add(4*time.Second))
 
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SetRules(alice.Key, []byte(`[{"Consumer":["Bob"],"Action":"Allow"}]`)); err != nil {
@@ -58,7 +60,7 @@ func TestEpisodicSamplingPipeline(t *testing.T) {
 	}
 
 	// Enforced query with a window covering only the first burst.
-	rels, err := s.Query(bob.Key, &query.Query{From: t0, To: t0.Add(10 * time.Second)})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{From: t0, To: t0.Add(10 * time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestEpisodicSamplingPipeline(t *testing.T) {
 	]`)); err != nil {
 		t.Fatal(err)
 	}
-	rels, err = s.Query(bob.Key, &query.Query{})
+	rels, err = s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -15,7 +16,7 @@ type failingSync struct {
 	calls int
 }
 
-func (f *failingSync) SyncRules(string, uint64, []byte, []geo.Region) error {
+func (f *failingSync) SyncRulesCtx(context.Context, string, uint64, []byte, []geo.Region) error {
 	f.calls++
 	if f.down {
 		return errors.New("broker unreachable")
@@ -23,7 +24,7 @@ func (f *failingSync) SyncRules(string, uint64, []byte, []geo.Region) error {
 	return nil
 }
 
-func (f *failingSync) SyncDigest(string, map[string]uint64) ([]string, error) {
+func (f *failingSync) SyncDigestCtx(context.Context, string, map[string]uint64) ([]string, error) {
 	if f.down {
 		return nil, errors.New("broker unreachable")
 	}
@@ -31,6 +32,7 @@ func (f *failingSync) SyncDigest(string, map[string]uint64) ([]string, error) {
 }
 
 func TestSyncFailureDoesNotCorruptStore(t *testing.T) {
+	ctx := context.Background()
 	sync := &failingSync{down: true}
 	s := newService(t, Options{Sync: sync})
 	alice, bob := setupAliceBob(t, s)
@@ -49,10 +51,10 @@ func TestSyncFailureDoesNotCorruptStore(t *testing.T) {
 	}
 	// The rules were installed locally and enforcement works: the store is
 	// authoritative, the broker replica is best-effort.
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	rels, err := s.Query(bob.Key, &query.Query{})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,11 +82,12 @@ func TestSyncFailureDoesNotCorruptStore(t *testing.T) {
 // failingDirectory simulates a broker rejecting contributor registration.
 type failingDirectory struct{}
 
-func (failingDirectory) RegisterContributor(string, string) error {
+func (failingDirectory) RegisterContributorCtx(context.Context, string, string) error {
 	return errors.New("broker unreachable")
 }
 
 func TestDirectoryFailureStillCreatesAccount(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{Directory: failingDirectory{}})
 	u, err := s.RegisterContributor("alice")
 	if err == nil {
@@ -95,12 +98,13 @@ func TestDirectoryFailureStillCreatesAccount(t *testing.T) {
 	if u.Key == "" {
 		t.Fatal("local account should still be issued")
 	}
-	if _, err := s.Upload(u.Key, packetStream("alice", t0, 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, u.Key, packetStream("alice", t0, 1)); err != nil {
 		t.Fatalf("local account should work: %v", err)
 	}
 }
 
 func TestQueryWindowClipping(t *testing.T) {
+	ctx := context.Background()
 	// Regression for the episodic-window bug: releases must never contain
 	// samples outside the query window, even when a stored record spans it.
 	s := newService(t, Options{MaxSegmentSamples: 1 << 20})
@@ -109,11 +113,11 @@ func TestQueryWindowClipping(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One 10-minute record.
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 94)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 94)); err != nil {
 		t.Fatal(err)
 	}
 	from, to := t0.Add(60*1e9), t0.Add(120*1e9) // [t0+1m, t0+2m)
-	rels, err := s.Query(bob.Key, &query.Query{From: from, To: to})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{From: from, To: to})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 )
 
 func TestFullStateSurvivesReopen(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	s, err := New(Options{Dir: dir})
 	if err != nil {
@@ -42,7 +44,7 @@ func TestFullStateSurvivesReopen(t *testing.T) {
 	if err := s.AssignConsumerGroups(alice.Key, "Bob", []string{"Study"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 2)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -57,7 +59,7 @@ func TestFullStateSurvivesReopen(t *testing.T) {
 	defer s2.Close()
 
 	// Old API keys still authenticate.
-	rels, err := s2.Query(bob.Key, &query.Query{})
+	rels, err := s2.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil {
 		t.Fatalf("Bob's key should survive: %v", err)
 	}
@@ -261,6 +263,7 @@ func TestEveryRuleSetHasAnIndex(t *testing.T) {
 // Unserialised they collide on WriteFileAtomic's temp name (SetRules fails
 // although the rules took effect) and can commit an older snapshot last.
 func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
+	ctx := context.Background()
 	const workers, rounds = 4, 12
 	dir := t.TempDir()
 	s := newService(t, Options{Dir: dir})
@@ -284,7 +287,7 @@ func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 	// One stored segment per round, an hour apart so none merge: every
 	// subscription gets `rounds` events to acknowledge one at a time.
 	for r := 0; r < rounds; r++ {
-		if _, err := s.Upload(alice.Key, packetStream("alice", t0.Add(time.Duration(r)*time.Hour), 1)); err != nil {
+		if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0.Add(time.Duration(r)*time.Hour), 1)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func TestRecommendFromStoredData(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 
@@ -18,7 +20,7 @@ func TestRecommendFromStoredData(t *testing.T) {
 	p := packet("alice", t0, 3600) // 6 minutes at 10 Hz
 	_ = p.Annotate(rules.CtxStressed, t0, t0.Add(4*time.Minute))
 	_ = p.Annotate(rules.CtxDrive, t0, t0.Add(3*time.Minute))
-	if _, err := s.Upload(alice.Key, []*wavesegment.Segment{p}); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{p}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,7 +45,7 @@ func TestRecommendFromStoredData(t *testing.T) {
 	if err := s.SetRules(alice.Key, []byte(ruleSet)); err != nil {
 		t.Fatalf("suggested rule does not install: %v\n%s", err, ruleSet)
 	}
-	rels, err := s.Query(bob.Key, &query.Query{})
+	rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package datastore
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 // consumer subscribed before an upload receives the post-merge segment
 // with the contributor's rules applied.
 func TestStreamDeliversUploadThroughRules(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
@@ -22,7 +24,7 @@ func TestStreamDeliversUploadThroughRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 2)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	b, err := s.StreamNext(bob.Key, info.ID, info.Cursor, time.Second)
@@ -52,6 +54,7 @@ func TestStreamDeliversUploadThroughRules(t *testing.T) {
 // stored tail, subscribers still receive exactly that upload's merged
 // segment, not the record it grew.
 func TestStreamDeliversUploadsNotTheGrownTail(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
@@ -64,7 +67,7 @@ func TestStreamDeliversUploadsNotTheGrownTail(t *testing.T) {
 	packets := packetStream("alice", t0, 4)
 	cursor := info.Cursor
 	for i, batch := range [][]*wavesegment.Segment{packets[:2], packets[2:]} {
-		if _, err := s.Upload(alice.Key, batch); err != nil {
+		if _, err := s.UploadCtx(ctx, alice.Key, batch); err != nil {
 			t.Fatal(err)
 		}
 		b, err := s.StreamNext(bob.Key, info.ID, cursor, time.Second)
@@ -90,6 +93,7 @@ func TestStreamDeliversUploadsNotTheGrownTail(t *testing.T) {
 // the rules, uploads again, and checks the next delivery reflects the new
 // rules.
 func TestStreamRuleChangeMidStream(t *testing.T) {
+	ctx := context.Background()
 	cases := []struct {
 		name   string
 		before string
@@ -159,7 +163,7 @@ func TestStreamRuleChangeMidStream(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Upload(alice.Key, packetStream("alice", t0, 1)); err != nil {
+			if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 1)); err != nil {
 				t.Fatal(err)
 			}
 			b, err := s.StreamNext(bob.Key, info.ID, info.Cursor, time.Second)
@@ -176,7 +180,7 @@ func TestStreamRuleChangeMidStream(t *testing.T) {
 			}
 			// Upload far enough ahead that the segment cannot coalesce
 			// into the first record.
-			if _, err := s.Upload(alice.Key, packetStream("alice", t0.Add(time.Hour), 1)); err != nil {
+			if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0.Add(time.Hour), 1)); err != nil {
 				t.Fatal(err)
 			}
 			b2, err := s.StreamNext(bob.Key, info.ID, b.Cursor, time.Second)
@@ -197,6 +201,7 @@ func TestStreamRuleChangeMidStream(t *testing.T) {
 // then flips the rules BEFORE the consumer polls: the buffered, undelivered
 // segment must be filtered by the rules in force at delivery time.
 func TestStreamRefiltersBufferedSegments(t *testing.T) {
+	ctx := context.Background()
 	s := newService(t, Options{})
 	alice, bob := setupAliceBob(t, s)
 	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
@@ -206,7 +211,7 @@ func TestStreamRefiltersBufferedSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Revocation lands while the segment sits undelivered in the buffer.
@@ -226,6 +231,7 @@ func TestStreamRefiltersBufferedSegments(t *testing.T) {
 // registrations and acked cursors persist in state.json; segments that were
 // buffered but unacked at shutdown surface as a gap after reopen.
 func TestStreamSubscriptionsSurviveRestart(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	s := newService(t, Options{Dir: dir})
 	alice, bob := setupAliceBob(t, s)
@@ -236,7 +242,7 @@ func TestStreamSubscriptionsSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0, 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	b, err := s.StreamNext(bob.Key, info.ID, info.Cursor, time.Second)
@@ -250,7 +256,7 @@ func TestStreamSubscriptionsSurviveRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One more upload the consumer never sees before the store goes down.
-	if _, err := s.Upload(alice.Key, packetStream("alice", t0.Add(time.Hour), 1)); err != nil {
+	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0.Add(time.Hour), 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -10,12 +11,13 @@ import (
 )
 
 func TestAuditOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Consumer":["Bob"],"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Consumer":["Bob"],"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	seg := &wavesegment.Segment{
@@ -23,19 +25,19 @@ func TestAuditOverHTTP(t *testing.T) {
 		Location: home, Channels: []string{wavesegment.ChannelECG},
 		Values: [][]float64{{1}, {2}, {3}},
 	}
-	if _, err := d.storeClient.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		t.Fatal(err)
 	}
-	bob, _ := d.storeClient.Register("Bob", "consumer")
-	eve, _ := d.storeClient.Register("Eve", "consumer")
-	if _, err := d.storeClient.Query(bob.Key, &query.Query{}); err != nil {
+	bob, _ := d.storeClient.RegisterCtx(ctx, "Bob", "consumer")
+	eve, _ := d.storeClient.RegisterCtx(ctx, "Eve", "consumer")
+	if _, err := d.storeClient.QueryCtx(ctx, bob.Key, &query.Query{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.storeClient.Query(eve.Key, &query.Query{}); err != nil {
+	if _, err := d.storeClient.QueryCtx(ctx, eve.Key, &query.Query{}); err != nil {
 		t.Fatal(err)
 	}
 
-	events, err := d.storeClient.Audit(alice.Key, "", time.Time{}, 0)
+	events, err := d.storeClient.AuditCtx(ctx, alice.Key, "", time.Time{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,39 +53,40 @@ func TestAuditOverHTTP(t *testing.T) {
 	}
 
 	// Filter by consumer over the wire.
-	events, err = d.storeClient.Audit(alice.Key, "bob", time.Time{}, 0)
+	events, err = d.storeClient.AuditCtx(ctx, alice.Key, "bob", time.Time{}, 0)
 	if err != nil || len(events) != 1 {
 		t.Fatalf("filtered events = %v, %v", events, err)
 	}
 
-	sums, err := d.storeClient.AuditSummary(alice.Key)
+	sums, err := d.storeClient.AuditSummaryCtx(ctx, alice.Key)
 	if err != nil || len(sums) != 2 {
 		t.Fatalf("summary = %v, %v", sums, err)
 	}
 
 	// Consumers are rejected.
-	if _, err := d.storeClient.Audit(bob.Key, "", time.Time{}, 0); err == nil || !strings.Contains(err.Error(), "403") {
+	if _, err := d.storeClient.AuditCtx(ctx, bob.Key, "", time.Time{}, 0); err == nil || !strings.Contains(err.Error(), "403") {
 		t.Errorf("consumer audit access: %v", err)
 	}
 }
 
 func TestWebLoginOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetPassword(alice.Key, "hunter2"); err != nil {
+	if err := d.storeClient.SetPasswordCtx(ctx, alice.Key, "hunter2"); err != nil {
 		t.Fatal(err)
 	}
-	token, err := d.storeClient.Login("alice", "hunter2")
+	token, err := d.storeClient.LoginCtx(ctx, "alice", "hunter2")
 	if err != nil || token == "" {
 		t.Fatalf("login = %q, %v", token, err)
 	}
-	if _, err := d.storeClient.Login("alice", "wrong"); err == nil || !strings.Contains(err.Error(), "401") {
+	if _, err := d.storeClient.LoginCtx(ctx, "alice", "wrong"); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Errorf("wrong password: %v", err)
 	}
-	if err := d.storeClient.SetPassword("bogus-key", "pw"); err == nil {
+	if err := d.storeClient.SetPasswordCtx(ctx, "bogus-key", "pw"); err == nil {
 		t.Error("bad key should not set a password")
 	}
 }

@@ -207,21 +207,21 @@ func NewBrokerHandlerOverload(svc *broker.Service, ctrl *overload.Controller) ht
 	}))
 
 	mux.HandleFunc("/api/contributors/register", post(func(ctx context.Context, r *brokerRegisterContribReq) (okResp, error) {
-		if err := svc.RegisterContributor(r.Name, r.StoreAddr); err != nil {
+		if err := svc.RegisterContributor(ctx, r.Name, r.StoreAddr); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
 	}))
 
 	mux.HandleFunc("/api/sync", post(func(ctx context.Context, r *brokerSyncReq) (okResp, error) {
-		if err := svc.SyncRules(r.Contributor, r.Version, r.Rules, r.Places); err != nil {
+		if err := svc.SyncRules(ctx, r.Contributor, r.Version, r.Rules, r.Places); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
 	}))
 
 	mux.HandleFunc("/api/sync/digest", post(func(ctx context.Context, r *syncDigestReq) (syncDigestResp, error) {
-		stale, err := svc.SyncDigest(r.StoreAddr, r.Versions)
+		stale, err := svc.SyncDigest(ctx, r.StoreAddr, r.Versions)
 		if err != nil {
 			return syncDigestResp{}, err
 		}

@@ -105,10 +105,11 @@ func sumSamples(segs []*wavesegment.Segment) int {
 // their retries spill to the durable outbox; once the network heals, a
 // drain must deliver every sample exactly once.
 func TestChaosUploadZeroLoss(t *testing.T) {
+	ctx := context.Background()
 	d := deployChaos(t, []faultnet.Rule{
 		{Path: "/api/", Drop: 0.2, Status: 0.1, StatusCode: 503, RetryAfter: time.Millisecond},
 	}, nil)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestChaosUploadZeroLoss(t *testing.T) {
 		BatchPackets: 2,
 		Outbox:       &phone.Outbox{Dir: filepath.Join(t.TempDir(), "outbox")},
 	}
-	rep, err := p.Run(&sensors.Scenario{
+	rep, err := p.RunCtx(ctx, &sensors.Scenario{
 		Start: t0, Origin: home, Seed: 3,
 		Phases: []sensors.Phase{{Duration: 4 * time.Minute, Activity: rules.CtxStill}},
 	})
@@ -133,7 +134,7 @@ func TestChaosUploadZeroLoss(t *testing.T) {
 
 	// Total blackout for the next session: every batch must spill.
 	d.storeNet.Configure(faultnet.Rule{Path: "/api/", Drop: 1})
-	rep2, err := p.Run(&sensors.Scenario{
+	rep2, err := p.RunCtx(ctx, &sensors.Scenario{
 		Start: t0.Add(time.Hour), Origin: home, Seed: 4,
 		Phases: []sensors.Phase{{Duration: 2 * time.Minute, Activity: rules.CtxStill}},
 	})
@@ -146,7 +147,7 @@ func TestChaosUploadZeroLoss(t *testing.T) {
 
 	// Heal, then drain everything that spilled.
 	d.storeNet.Configure()
-	if _, _, err := p.DrainOutbox(); err != nil {
+	if _, _, err := p.DrainOutbox(ctx); err != nil {
 		t.Fatalf("drain after heal: %v", err)
 	}
 	if p.Outbox.Pending() != 0 {
@@ -171,6 +172,7 @@ func TestChaosUploadZeroLoss(t *testing.T) {
 // sharpest probe — a second execution would return 409 duplicate-user —
 // and upload counts prove no batch was ingested twice.
 func TestChaosMutationExactlyOnce(t *testing.T) {
+	ctx := context.Background()
 	d := deployChaos(t, []faultnet.Rule{
 		{Path: "/api/", Torn: 0.4},
 	}, nil)
@@ -185,7 +187,7 @@ func TestChaosMutationExactlyOnce(t *testing.T) {
 		if name == "alice" {
 			role = "contributor"
 		}
-		u, err := d.storeClient.Register(name, role)
+		u, err := d.storeClient.RegisterCtx(ctx, name, role)
 		if err != nil {
 			t.Fatalf("register %s through torn bodies: %v", name, err)
 		}
@@ -201,7 +203,7 @@ func TestChaosMutationExactlyOnce(t *testing.T) {
 	const batches, perBatch = 5, 10
 	for i := 0; i < batches; i++ {
 		seg := streamPacket(t0.Add(time.Duration(i)*time.Hour), perBatch)
-		if _, err := d.storeClient.Upload(key, []*wavesegment.Segment{seg}); err != nil {
+		if _, err := d.storeClient.UploadCtx(ctx, key, []*wavesegment.Segment{seg}); err != nil {
 			t.Fatalf("upload %d: %v", i, err)
 		}
 	}
@@ -216,7 +218,7 @@ func TestChaosMutationExactlyOnce(t *testing.T) {
 
 	// A retried key rotation must rotate once: the key the client received
 	// is the live one.
-	fresh, err := d.storeClient.RotateKey(key)
+	fresh, err := d.storeClient.RotateKeyCtx(ctx, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,22 +233,23 @@ func TestChaosMutationExactlyOnce(t *testing.T) {
 // replica so the revoked rules are no longer served by search, and the
 // staleness gauge returns to zero.
 func TestChaosBrokerOutageConvergence(t *testing.T) {
+	ctx := context.Background()
 	d := deployChaos(t, nil, nil)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	// Bob talks to the broker over a clean connection: the partition under
 	// test severs the store→broker hop, not the consumer's.
 	consumer := &BrokerClient{BaseURL: d.brokerClient.BaseURL}
-	bob, err := consumer.RegisterConsumer("bob")
+	bob, err := consumer.RegisterConsumerCtx(ctx, "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := consumer.Search(bob.Key, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
+	found, err := consumer.SearchCtx(ctx, bob.Key, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
 	if err != nil || len(found) != 1 {
 		t.Fatalf("pre-outage search = %v, %v", found, err)
 	}
@@ -254,7 +257,7 @@ func TestChaosBrokerOutageConvergence(t *testing.T) {
 	// Partition the broker, then revoke everything. The store accepts the
 	// change (the push waits in the outbox) instead of failing the user.
 	d.brokerNet.Configure(faultnet.Rule{Path: "/", Drop: 1})
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[]`)); err != nil {
 		t.Fatalf("revocation during outage must succeed locally: %v", err)
 	}
 	if d.storeSvc.SyncBacklog() == 0 {
@@ -262,7 +265,7 @@ func TestChaosBrokerOutageConvergence(t *testing.T) {
 	}
 	// The broker still serves the stale replica during the partition —
 	// that is the window anti-entropy exists to close.
-	found, err = consumer.Search(bob.Key, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
+	found, err = consumer.SearchCtx(ctx, bob.Key, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
 	if err != nil || len(found) != 1 {
 		t.Fatalf("search during partition = %v, %v", found, err)
 	}
@@ -275,7 +278,7 @@ func TestChaosBrokerOutageConvergence(t *testing.T) {
 	if d.storeSvc.SyncBacklog() != 0 {
 		t.Fatalf("outbox should drain, %d pending", d.storeSvc.SyncBacklog())
 	}
-	found, err = consumer.Search(bob.Key, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
+	found, err = consumer.SearchCtx(ctx, bob.Key, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +299,7 @@ func TestChaosBrokerOutageConvergence(t *testing.T) {
 // global time order — while the partitioned stores surface as explicit
 // unreachable reports, never as silent truncation.
 func TestChaosFederationPartialFailure(t *testing.T) {
+	ctx := context.Background()
 	const (
 		nStores   = 12
 		nDown     = 3
@@ -327,11 +331,11 @@ func TestChaosFederationPartialFailure(t *testing.T) {
 
 		// Setup runs over a clean client; faults start at query time.
 		clean := &StoreClient{BaseURL: storeURL}
-		owner, err := clean.Register(name, "contributor")
+		owner, err := clean.RegisterCtx(ctx, name, "contributor")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := clean.SetRules(owner.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		if err := clean.SetRulesCtx(ctx, owner.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 			t.Fatal(err)
 		}
 		segs := make([]*wavesegment.Segment, segsPerUp)
@@ -339,7 +343,7 @@ func TestChaosFederationPartialFailure(t *testing.T) {
 			segs[j] = streamPacket(t0.Add(time.Duration(i)*10*time.Minute+time.Duration(j)*6*time.Hour), 4)
 			segs[j].Contributor = name
 		}
-		if _, err := clean.Upload(owner.Key, segs); err != nil {
+		if _, err := clean.UploadCtx(ctx, owner.Key, segs); err != nil {
 			t.Fatal(err)
 		}
 
@@ -352,7 +356,7 @@ func TestChaosFederationPartialFailure(t *testing.T) {
 		}
 	}
 
-	bob, err := bc.RegisterConsumer("Bob")
+	bob, err := bc.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +369,7 @@ func TestChaosFederationPartialFailure(t *testing.T) {
 			}
 		})
 
-	res, err := eng.CohortQuery(context.Background(), &federation.Request{
+	res, err := eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Contributors: names},
 	})
 	if err != nil {
@@ -428,29 +432,30 @@ func TestChaosFederationPartialFailure(t *testing.T) {
 // all-or-nothing, so the subscriber must see every event exactly once in
 // order despite the faults.
 func TestChaosStreamReconnect(t *testing.T) {
+	ctx := context.Background()
 	d := deployChaos(t, []faultnet.Rule{
 		{Path: "/api/stream/", Drop: 0.25, Torn: 0.15},
 	}, nil)
 	clean := &StoreClient{BaseURL: d.storeClient.BaseURL} // producer side, no faults
-	alice, err := clean.Register("alice", "contributor")
+	alice, err := clean.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clean.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := clean.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := clean.Register("bob", "consumer")
+	bob, err := clean.RegisterCtx(ctx, "bob", "consumer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := d.storeClient.Subscribe(bob.Key, "alice", nil)
+	info, err := d.storeClient.SubscribeCtx(ctx, bob.Key, "alice", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	const wantEvents = 8
 	for i := 0; i < wantEvents; i++ {
-		if _, err := clean.Upload(alice.Key, []*wavesegment.Segment{streamPacket(t0.Add(time.Duration(i)*time.Hour), 4)}); err != nil {
+		if _, err := clean.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{streamPacket(t0.Add(time.Duration(i)*time.Hour), 4)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -459,7 +464,7 @@ func TestChaosStreamReconnect(t *testing.T) {
 	cursor := info.Cursor
 	deadline := time.Now().Add(30 * time.Second)
 	for len(seen) < wantEvents && time.Now().Before(deadline) {
-		b, err := d.storeClient.Next(bob.Key, info.ID, cursor, 2*time.Second)
+		b, err := d.storeClient.NextCtx(ctx, bob.Key, info.ID, cursor, 2*time.Second)
 		if err != nil {
 			// Every attempt of this poll failed; the cursor is untouched,
 			// so the next poll resumes without loss.

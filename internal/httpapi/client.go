@@ -40,16 +40,15 @@ func doJSON(ctx context.Context, hc *http.Client, pol *resilience.Policy, baseUR
 		return fmt.Errorf("httpapi: encode request: %w", err)
 	}
 	url := strings.TrimRight(baseURL, "/") + path
-	id := obs.RequestID(ctx)
-	if id == "" {
-		id = obs.NewRequestID()
+	if obs.RequestID(ctx) == "" {
+		ctx = obs.WithRequestID(ctx, obs.NewRequestID())
 	}
 	var idem string
 	if mutating {
 		idem = obs.NewRequestID()
 	}
 	return pol.Do(ctx, path, func(actx context.Context) error {
-		return postOnce(actx, hc, url, path, id, idem, body, resp)
+		return postOnce(actx, hc, url, path, idem, body, resp)
 	})
 }
 
@@ -58,26 +57,38 @@ func doJSON(ctx context.Context, hc *http.Client, pol *resilience.Policy, baseUR
 // the server's Retry-After hint, and other statuses are terminal. Each
 // attempt is its own client span (so hedges and retries are separately
 // visible in the trace) and propagates it over the wire via traceparent.
-func postOnce(ctx context.Context, hc *http.Client, url, path, id, idem string, body []byte, resp any) error {
+func postOnce(ctx context.Context, hc *http.Client, url, path, idem string, body []byte, resp any) error {
 	ctx, span, stop := obs.Span(ctx, "http.client")
 	span.SetAttr(trace.String("path", path))
-	err := postAttempt(ctx, hc, url, path, id, idem, body, resp)
+	err := postAttempt(ctx, hc, url, path, idem, body, resp)
 	stop(err)
 	return err
 }
 
-func postAttempt(ctx context.Context, hc *http.Client, url, path, id, idem string, body []byte, resp any) error {
+// setCallHeaders joins an outbound request to its context's request and
+// trace: the context's X-Request-ID (a fresh one when it carries none) and
+// its traceparent.
+func setCallHeaders(req *http.Request) {
+	ctx := req.Context()
+	id := obs.RequestID(ctx)
+	if id == "" {
+		id = obs.NewRequestID()
+	}
+	req.Header.Set(requestIDHeader, id)
+	if tp := trace.Traceparent(ctx); tp != "" {
+		req.Header.Set(trace.Header, tp)
+	}
+}
+
+func postAttempt(ctx context.Context, hc *http.Client, url, path, idem string, body []byte, resp any) error {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return resilience.MarkTerminal(fmt.Errorf("httpapi: build request: %w", err))
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
-	httpReq.Header.Set(requestIDHeader, id)
+	setCallHeaders(httpReq)
 	if idem != "" {
 		httpReq.Header.Set(idempotencyKeyHeader, idem)
-	}
-	if tp := trace.Traceparent(ctx); tp != "" {
-		httpReq.Header.Set(trace.Header, tp)
 	}
 	httpResp, err := hc.Do(httpReq)
 	if err != nil {
@@ -136,14 +147,7 @@ func getHealth(ctx context.Context, hc *http.Client, baseURL string) (Health, er
 	if err != nil {
 		return Health{}, fmt.Errorf("httpapi: build request: %w", err)
 	}
-	id := obs.RequestID(ctx)
-	if id == "" {
-		id = obs.NewRequestID()
-	}
-	req.Header.Set(requestIDHeader, id)
-	if tp := trace.Traceparent(ctx); tp != "" {
-		req.Header.Set(trace.Header, tp)
-	}
+	setCallHeaders(req)
 	resp, err := hc.Do(req)
 	if err != nil {
 		return Health{}, fmt.Errorf("httpapi: GET %s: %w", url, err)
@@ -160,8 +164,8 @@ func getHealth(ctx context.Context, hc *http.Client, baseURL string) (Health, er
 }
 
 // StoreClient is a typed client for a remote data store's API. It
-// satisfies phone.Store (Upload, RulesFor) and broker.StoreConn (Addr,
-// ProvisionConsumer).
+// satisfies phone.Store (UploadCtx, RulesForCtx) and broker.StoreConn
+// (Addr, ProvisionConsumer).
 type StoreClient struct {
 	// BaseURL is the store's address, e.g. "http://store1.example:8080".
 	BaseURL string
@@ -188,11 +192,6 @@ func (c *StoreClient) call(ctx context.Context, path string, mutating bool, req,
 // Addr returns the store's base URL.
 func (c *StoreClient) Addr() string { return c.BaseURL }
 
-// Register creates an account on the store.
-func (c *StoreClient) Register(name, role string) (auth.User, error) {
-	return c.RegisterCtx(context.Background(), name, role)
-}
-
 // RegisterCtx creates an account on the store.
 func (c *StoreClient) RegisterCtx(ctx context.Context, name, role string) (auth.User, error) {
 	var resp registerResp
@@ -217,19 +216,9 @@ func (c *StoreClient) ProvisionConsumer(ctx context.Context, name string) (auth.
 	return u.Key, nil
 }
 
-// Health fetches the store's /healthz report.
-func (c *StoreClient) Health() (Health, error) {
-	return c.HealthCtx(context.Background())
-}
-
 // HealthCtx fetches the store's /healthz report.
 func (c *StoreClient) HealthCtx(ctx context.Context) (Health, error) {
 	return getHealth(ctx, c.hc(), c.BaseURL)
-}
-
-// Upload sends wave segments (Fig. 5 JSON on the wire).
-func (c *StoreClient) Upload(key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
-	return c.UploadCtx(context.Background(), key, segs)
 }
 
 // UploadCtx sends wave segments (Fig. 5 JSON on the wire).
@@ -241,11 +230,6 @@ func (c *StoreClient) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wa
 	return resp.Records, nil
 }
 
-// Query runs an enforced consumer query.
-func (c *StoreClient) Query(key auth.APIKey, q *query.Query) ([]*abstraction.Release, error) {
-	return c.QueryCtx(context.Background(), key, q)
-}
-
 // QueryCtx runs an enforced consumer query.
 func (c *StoreClient) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query) ([]*abstraction.Release, error) {
 	var resp queryResp
@@ -253,11 +237,6 @@ func (c *StoreClient) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Qu
 		return nil, err
 	}
 	return resp.Releases, nil
-}
-
-// QueryText runs an enforced consumer query written in the mini-language.
-func (c *StoreClient) QueryText(key auth.APIKey, text string) ([]*abstraction.Release, error) {
-	return c.QueryTextCtx(context.Background(), key, text)
 }
 
 // QueryTextCtx runs an enforced consumer query written in the mini-language.
@@ -269,11 +248,6 @@ func (c *StoreClient) QueryTextCtx(ctx context.Context, key auth.APIKey, text st
 	return resp.Releases, nil
 }
 
-// QueryOwn retrieves the owner's raw data.
-func (c *StoreClient) QueryOwn(key auth.APIKey, q *query.Query) ([]*wavesegment.Segment, error) {
-	return c.QueryOwnCtx(context.Background(), key, q)
-}
-
 // QueryOwnCtx retrieves the owner's raw data.
 func (c *StoreClient) QueryOwnCtx(ctx context.Context, key auth.APIKey, q *query.Query) ([]*wavesegment.Segment, error) {
 	var resp queryOwnResp
@@ -283,19 +257,9 @@ func (c *StoreClient) QueryOwnCtx(ctx context.Context, key auth.APIKey, q *query
 	return resp.Segments, nil
 }
 
-// SetRules replaces the owner's privacy rules (Fig. 4 JSON).
-func (c *StoreClient) SetRules(key auth.APIKey, ruleSetJSON []byte) error {
-	return c.SetRulesCtx(context.Background(), key, ruleSetJSON)
-}
-
 // SetRulesCtx replaces the owner's privacy rules (Fig. 4 JSON).
 func (c *StoreClient) SetRulesCtx(ctx context.Context, key auth.APIKey, ruleSetJSON []byte) error {
 	return c.call(ctx, "/api/rules/set", true, &rulesSetReq{Key: key, Rules: ruleSetJSON}, &okResp{})
-}
-
-// Rules fetches the owner's privacy rules.
-func (c *StoreClient) Rules(key auth.APIKey) ([]byte, error) {
-	return c.RulesCtx(context.Background(), key)
 }
 
 // RulesCtx fetches the owner's privacy rules.
@@ -307,20 +271,10 @@ func (c *StoreClient) RulesCtx(ctx context.Context, key auth.APIKey) ([]byte, er
 	return resp.Rules, nil
 }
 
-// DefinePlace registers a labeled region.
-func (c *StoreClient) DefinePlace(key auth.APIKey, label string, region geo.Region) error {
-	return c.DefinePlaceCtx(context.Background(), key, label, region)
-}
-
 // DefinePlaceCtx registers a labeled region.
 func (c *StoreClient) DefinePlaceCtx(ctx context.Context, key auth.APIKey, label string, region geo.Region) error {
 	return c.call(ctx, "/api/places/define",
 		true, &placeDefineReq{Key: key, Label: label, Region: region}, &okResp{})
-}
-
-// Places lists the owner's labeled regions.
-func (c *StoreClient) Places(key auth.APIKey) ([]geo.Region, error) {
-	return c.PlacesCtx(context.Background(), key)
 }
 
 // PlacesCtx lists the owner's labeled regions.
@@ -332,22 +286,11 @@ func (c *StoreClient) PlacesCtx(ctx context.Context, key auth.APIKey) ([]geo.Reg
 	return resp.Places, nil
 }
 
-// AssignConsumerGroups records a consumer's groups for the owner's
-// group-scoped rules.
-func (c *StoreClient) AssignConsumerGroups(key auth.APIKey, consumer string, groups []string) error {
-	return c.AssignConsumerGroupsCtx(context.Background(), key, consumer, groups)
-}
-
 // AssignConsumerGroupsCtx records a consumer's groups for the owner's
 // group-scoped rules.
 func (c *StoreClient) AssignConsumerGroupsCtx(ctx context.Context, key auth.APIKey, consumer string, groups []string) error {
 	return c.call(ctx, "/api/groups/assign",
 		true, &groupsAssignReq{Key: key, Consumer: consumer, Groups: groups}, &okResp{})
-}
-
-// Audit fetches the owner's access trail, newest first.
-func (c *StoreClient) Audit(key auth.APIKey, consumer string, since time.Time, limit int) ([]audit.Event, error) {
-	return c.AuditCtx(context.Background(), key, consumer, since, limit)
 }
 
 // AuditCtx fetches the owner's access trail, newest first.
@@ -363,11 +306,6 @@ func (c *StoreClient) AuditCtx(ctx context.Context, key auth.APIKey, consumer st
 	return resp.Events, nil
 }
 
-// AuditSummary fetches the owner's per-consumer access aggregates.
-func (c *StoreClient) AuditSummary(key auth.APIKey) ([]audit.ConsumerSummary, error) {
-	return c.AuditSummaryCtx(context.Background(), key)
-}
-
 // AuditSummaryCtx fetches the owner's per-consumer access aggregates.
 func (c *StoreClient) AuditSummaryCtx(ctx context.Context, key auth.APIKey) ([]audit.ConsumerSummary, error) {
 	var resp auditSummaryResp
@@ -375,11 +313,6 @@ func (c *StoreClient) AuditSummaryCtx(ctx context.Context, key auth.APIKey) ([]a
 		return nil, err
 	}
 	return resp.Consumers, nil
-}
-
-// RotateKey invalidates the presented key and returns a fresh one.
-func (c *StoreClient) RotateKey(key auth.APIKey) (auth.APIKey, error) {
-	return c.RotateKeyCtx(context.Background(), key)
 }
 
 // RotateKeyCtx invalidates the presented key and returns a fresh one.
@@ -391,11 +324,6 @@ func (c *StoreClient) RotateKeyCtx(ctx context.Context, key auth.APIKey) (auth.A
 		return "", err
 	}
 	return resp.Key, nil
-}
-
-// Recommend fetches privacy-rule suggestions mined from the owner's data.
-func (c *StoreClient) Recommend(key auth.APIKey, minOverlap float64, minDuration time.Duration) ([]recommend.Suggestion, error) {
-	return c.RecommendCtx(context.Background(), key, minOverlap, minDuration)
 }
 
 // RecommendCtx fetches privacy-rule suggestions mined from the owner's data.
@@ -411,19 +339,9 @@ func (c *StoreClient) RecommendCtx(ctx context.Context, key auth.APIKey, minOver
 	return resp.Suggestions, nil
 }
 
-// SetPassword sets the web-UI password, authenticating with the API key.
-func (c *StoreClient) SetPassword(key auth.APIKey, password string) error {
-	return c.SetPasswordCtx(context.Background(), key, password)
-}
-
 // SetPasswordCtx sets the web-UI password, authenticating with the API key.
 func (c *StoreClient) SetPasswordCtx(ctx context.Context, key auth.APIKey, password string) error {
 	return c.call(ctx, "/api/password", true, &passwordReq{Key: key, Password: password}, &okResp{})
-}
-
-// Login exchanges a username/password for a web session token.
-func (c *StoreClient) Login(name, password string) (string, error) {
-	return c.LoginCtx(context.Background(), name, password)
 }
 
 // LoginCtx exchanges a username/password for a web session token.
@@ -435,13 +353,8 @@ func (c *StoreClient) LoginCtx(ctx context.Context, name, password string) (stri
 	return resp.Token, nil
 }
 
-// RulesFor downloads and compiles the owner's rule set — the phone's
+// RulesForCtx downloads and compiles the owner's rule set — the phone's
 // §5.3 path. Returns nil when the owner has no rules yet.
-func (c *StoreClient) RulesFor(key auth.APIKey) (*rules.Engine, error) {
-	return c.RulesForCtx(context.Background(), key)
-}
-
-// RulesForCtx downloads and compiles the owner's rule set.
 func (c *StoreClient) RulesForCtx(ctx context.Context, key auth.APIKey) (*rules.Engine, error) {
 	data, err := c.RulesCtx(ctx, key)
 	if err != nil {
@@ -490,19 +403,9 @@ func (c *BrokerClient) call(ctx context.Context, path string, mutating bool, req
 	return doJSON(ctx, c.hc(), c.Retry, c.BaseURL, path, mutating, req, resp)
 }
 
-// Health fetches the broker's /healthz report.
-func (c *BrokerClient) Health() (Health, error) {
-	return c.HealthCtx(context.Background())
-}
-
 // HealthCtx fetches the broker's /healthz report.
 func (c *BrokerClient) HealthCtx(ctx context.Context) (Health, error) {
 	return getHealth(ctx, c.hc(), c.BaseURL)
-}
-
-// RegisterConsumer creates a consumer account.
-func (c *BrokerClient) RegisterConsumer(name string) (auth.User, error) {
-	return c.RegisterConsumerCtx(context.Background(), name)
 }
 
 // RegisterConsumerCtx creates a consumer account.
@@ -514,37 +417,22 @@ func (c *BrokerClient) RegisterConsumerCtx(ctx context.Context, name string) (au
 	return auth.User{Name: resp.Name, Role: auth.RoleConsumer, Key: resp.Key}, nil
 }
 
-// RegisterContributor records a contributor → store mapping.
-func (c *BrokerClient) RegisterContributor(name, storeAddr string) error {
-	return c.RegisterContributorCtx(context.Background(), name, storeAddr)
-}
-
 // RegisterContributorCtx records a contributor → store mapping.
 func (c *BrokerClient) RegisterContributorCtx(ctx context.Context, name, storeAddr string) error {
 	return c.call(ctx, "/api/contributors/register",
 		true, &brokerRegisterContribReq{Name: name, StoreAddr: storeAddr}, &okResp{})
 }
 
-// SyncRules pushes a contributor's versioned rule replica
+// SyncRulesCtx pushes a contributor's versioned rule replica
 // (datastore.SyncTarget). A broker holding a newer version rejects the
 // push with resilience.ErrStaleVersion.
-func (c *BrokerClient) SyncRules(contributor string, version uint64, ruleSetJSON []byte, places []geo.Region) error {
-	return c.SyncRulesCtx(context.Background(), contributor, version, ruleSetJSON, places)
-}
-
-// SyncRulesCtx pushes a contributor's versioned rule replica.
 func (c *BrokerClient) SyncRulesCtx(ctx context.Context, contributor string, version uint64, ruleSetJSON []byte, places []geo.Region) error {
 	return c.call(ctx, "/api/sync",
 		true, &brokerSyncReq{Contributor: contributor, Version: version, Rules: ruleSetJSON, Places: places}, &okResp{})
 }
 
-// SyncDigest reports the store's replica versions and returns the
+// SyncDigestCtx reports the store's replica versions and returns the
 // contributors whose broker replica is stale (datastore.SyncTarget).
-func (c *BrokerClient) SyncDigest(storeAddr string, versions map[string]uint64) ([]string, error) {
-	return c.SyncDigestCtx(context.Background(), storeAddr, versions)
-}
-
-// SyncDigestCtx reports the store's replica versions to the broker.
 // Re-execution returns fresh staleness, so no idempotency key is needed.
 func (c *BrokerClient) SyncDigestCtx(ctx context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
 	var resp syncDigestResp
@@ -552,11 +440,6 @@ func (c *BrokerClient) SyncDigestCtx(ctx context.Context, storeAddr string, vers
 		return nil, err
 	}
 	return resp.Stale, nil
-}
-
-// Replicas lists the broker's per-contributor replica status.
-func (c *BrokerClient) Replicas() ([]broker.ReplicaStatus, error) {
-	return c.ReplicasCtx(context.Background())
 }
 
 // ReplicasCtx lists the broker's per-contributor replica status.
@@ -568,11 +451,6 @@ func (c *BrokerClient) ReplicasCtx(ctx context.Context) ([]broker.ReplicaStatus,
 	return resp.Replicas, nil
 }
 
-// Directory lists contributors.
-func (c *BrokerClient) Directory(key auth.APIKey) ([]broker.ContributorInfo, error) {
-	return c.DirectoryCtx(context.Background(), key)
-}
-
 // DirectoryCtx lists contributors.
 func (c *BrokerClient) DirectoryCtx(ctx context.Context, key auth.APIKey) ([]broker.ContributorInfo, error) {
 	var resp directoryResp
@@ -580,12 +458,6 @@ func (c *BrokerClient) DirectoryCtx(ctx context.Context, key auth.APIKey) ([]bro
 		return nil, err
 	}
 	return resp.Contributors, nil
-}
-
-// Connect provisions (or fetches) the consumer's credential for a
-// contributor's store.
-func (c *BrokerClient) Connect(key auth.APIKey, contributor string) (broker.Credential, error) {
-	return c.ConnectCtx(context.Background(), key, contributor)
 }
 
 // ConnectCtx provisions (or fetches) the consumer's credential for a
@@ -598,11 +470,6 @@ func (c *BrokerClient) ConnectCtx(ctx context.Context, key auth.APIKey, contribu
 	return resp, nil
 }
 
-// Credentials fetches every vaulted credential.
-func (c *BrokerClient) Credentials(key auth.APIKey) ([]broker.Credential, error) {
-	return c.CredentialsCtx(context.Background(), key)
-}
-
 // CredentialsCtx fetches every vaulted credential.
 func (c *BrokerClient) CredentialsCtx(ctx context.Context, key auth.APIKey) ([]broker.Credential, error) {
 	var resp credentialsResp
@@ -610,11 +477,6 @@ func (c *BrokerClient) CredentialsCtx(ctx context.Context, key auth.APIKey) ([]b
 		return nil, err
 	}
 	return resp.Credentials, nil
-}
-
-// Search runs a contributor search.
-func (c *BrokerClient) Search(key auth.APIKey, q *broker.SearchQuery) ([]string, error) {
-	return c.SearchCtx(context.Background(), key, q)
 }
 
 // SearchCtx runs a contributor search.
@@ -630,14 +492,8 @@ func (c *BrokerClient) SearchCtx(ctx context.Context, key auth.APIKey, q *broker
 	return names, nil
 }
 
-// SearchInfo runs a contributor search returning {contributor, storeAddr}
-// pairs, saving the per-hit Directory round-trip.
-func (c *BrokerClient) SearchInfo(key auth.APIKey, q *broker.SearchQuery) ([]broker.SearchHit, error) {
-	return c.SearchInfoCtx(context.Background(), key, q)
-}
-
 // SearchInfoCtx runs a contributor search returning {contributor,
-// storeAddr} pairs in one call.
+// storeAddr} pairs, saving the per-hit Directory round-trip.
 func (c *BrokerClient) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *broker.SearchQuery) ([]broker.SearchHit, error) {
 	wire := &searchWire{
 		Key:            key,
@@ -675,30 +531,12 @@ func (c *BrokerClient) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *br
 	if err := c.call(ctx, "/api/search", false, wire, &resp); err != nil {
 		return nil, err
 	}
-	if resp.Hits != nil {
-		return resp.Hits, nil
-	}
-	// Older broker without hits in the response: names only.
-	hits := make([]broker.SearchHit, len(resp.Contributors))
-	for i, n := range resp.Contributors {
-		hits[i] = broker.SearchHit{Contributor: n}
-	}
-	return hits, nil
-}
-
-// SaveList stores a named contributor list.
-func (c *BrokerClient) SaveList(key auth.APIKey, name string, members []string) error {
-	return c.SaveListCtx(context.Background(), key, name, members)
+	return resp.Hits, nil
 }
 
 // SaveListCtx stores a named contributor list.
 func (c *BrokerClient) SaveListCtx(ctx context.Context, key auth.APIKey, name string, members []string) error {
 	return c.call(ctx, "/api/lists/save", true, &listSaveReq{Key: key, Name: name, Members: members}, &okResp{})
-}
-
-// List fetches a saved contributor list.
-func (c *BrokerClient) List(key auth.APIKey, name string) ([]string, error) {
-	return c.ListCtx(context.Background(), key, name)
 }
 
 // ListCtx fetches a saved contributor list.
@@ -710,29 +548,14 @@ func (c *BrokerClient) ListCtx(ctx context.Context, key auth.APIKey, name string
 	return resp.Members, nil
 }
 
-// CreateStudy declares a study.
-func (c *BrokerClient) CreateStudy(name string) error {
-	return c.CreateStudyCtx(context.Background(), name)
-}
-
 // CreateStudyCtx declares a study.
 func (c *BrokerClient) CreateStudyCtx(ctx context.Context, name string) error {
 	return c.call(ctx, "/api/studies/create", true, &studyReq{Study: name}, &okResp{})
 }
 
-// JoinStudy adds the consumer to a study.
-func (c *BrokerClient) JoinStudy(key auth.APIKey, study string) error {
-	return c.JoinStudyCtx(context.Background(), key, study)
-}
-
 // JoinStudyCtx adds the consumer to a study.
 func (c *BrokerClient) JoinStudyCtx(ctx context.Context, key auth.APIKey, study string) error {
 	return c.call(ctx, "/api/studies/join", true, &studyReq{Key: key, Study: study}, &okResp{})
-}
-
-// StudyMembers lists a study's members.
-func (c *BrokerClient) StudyMembers(study string) ([]string, error) {
-	return c.StudyMembersCtx(context.Background(), study)
 }
 
 // StudyMembersCtx lists a study's members.
@@ -744,20 +567,10 @@ func (c *BrokerClient) StudyMembersCtx(ctx context.Context, study string) ([]str
 	return resp.Members, nil
 }
 
-// EnrollContributor adds a contributor to a study's cohort roster.
-func (c *BrokerClient) EnrollContributor(study, contributor string) error {
-	return c.EnrollContributorCtx(context.Background(), study, contributor)
-}
-
 // EnrollContributorCtx adds a contributor to a study's cohort roster.
 func (c *BrokerClient) EnrollContributorCtx(ctx context.Context, study, contributor string) error {
 	return c.call(ctx, "/api/studies/enroll",
 		true, &studyReq{Study: study, Contributor: contributor}, &okResp{})
-}
-
-// StudyContributors lists a study's enrolled contributor cohort.
-func (c *BrokerClient) StudyContributors(study string) ([]string, error) {
-	return c.StudyContributorsCtx(context.Background(), study)
 }
 
 // StudyContributorsCtx lists a study's enrolled contributor cohort.

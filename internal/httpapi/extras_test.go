@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -35,12 +36,13 @@ func timeutilRange(from, to string) (timeutil.Range, error) {
 }
 
 func TestRotateKeyOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := d.storeClient.RotateKey(alice.Key)
+	fresh, err := d.storeClient.RotateKeyCtx(ctx, alice.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,29 +50,30 @@ func TestRotateKeyOverHTTP(t *testing.T) {
 		t.Fatalf("rotation returned %q", fresh)
 	}
 	// Old key dead, new key live.
-	if _, err := d.storeClient.QueryOwn(alice.Key, &query.Query{}); err == nil || !strings.Contains(err.Error(), "401") {
+	if _, err := d.storeClient.QueryOwnCtx(ctx, alice.Key, &query.Query{}); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Errorf("old key after rotation: %v", err)
 	}
-	if _, err := d.storeClient.QueryOwn(fresh, &query.Query{}); err != nil {
+	if _, err := d.storeClient.QueryOwnCtx(ctx, fresh, &query.Query{}); err != nil {
 		t.Errorf("new key: %v", err)
 	}
-	if _, err := d.storeClient.RotateKey("bogus"); err == nil {
+	if _, err := d.storeClient.RotateKeyCtx(ctx, "bogus"); err == nil {
 		t.Error("bad key rotation should fail")
 	}
 }
 
 func TestSearchWireFullOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	// Exercise every field of the search wire format: context levels,
 	// explicit region, repeat window, absolute range, reference.
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	bob, _ := d.brokerClient.RegisterConsumer("bob")
+	bob, _ := d.brokerClient.RegisterConsumerCtx(ctx, "bob")
 
 	rect, _ := geoRect(34, -119, 35, -118)
 	rep, _ := timeutilRepeated([]string{"Mon", "Tue", "Wed", "Thu", "Fri"}, []string{"9:00am", "6:00pm"})
@@ -84,7 +87,7 @@ func TestSearchWireFullOverHTTP(t *testing.T) {
 		ActiveContexts: []string{rules.CtxWalk},
 		Reference:      t0,
 	}
-	got, err := d.brokerClient.Search(bob.Key, q)
+	got, err := d.brokerClient.SearchCtx(ctx, bob.Key, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,16 +99,17 @@ func TestSearchWireFullOverHTTP(t *testing.T) {
 		{Contexts: map[rules.Category]rules.Level{"Altitude": rules.LevelRaw}},
 	}
 	for _, bq := range bad {
-		if _, err := d.brokerClient.Search(bob.Key, bq); err == nil {
+		if _, err := d.brokerClient.SearchCtx(ctx, bob.Key, bq); err == nil {
 			t.Errorf("expected error for %+v", bq)
 		}
 	}
 }
 
 func TestAssignConsumerGroupsOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, _ := d.storeClient.Register("alice", "contributor")
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Group":["Study"],"Action":"Allow"}]`)); err != nil {
+	alice, _ := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Group":["Study"],"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	seg := &wavesegment.Segment{
@@ -113,36 +117,37 @@ func TestAssignConsumerGroupsOverHTTP(t *testing.T) {
 		Location: home, Channels: []string{wavesegment.ChannelECG},
 		Values: [][]float64{{1}, {2}},
 	}
-	if _, err := d.storeClient.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		t.Fatal(err)
 	}
-	bob, _ := d.storeClient.Register("bob", "consumer")
-	rels, _ := d.storeClient.Query(bob.Key, &query.Query{})
+	bob, _ := d.storeClient.RegisterCtx(ctx, "bob", "consumer")
+	rels, _ := d.storeClient.QueryCtx(ctx, bob.Key, &query.Query{})
 	if len(rels) != 0 {
 		t.Fatal("non-member should get nothing")
 	}
-	if err := d.storeClient.AssignConsumerGroups(alice.Key, "bob", []string{"Study"}); err != nil {
+	if err := d.storeClient.AssignConsumerGroupsCtx(ctx, alice.Key, "bob", []string{"Study"}); err != nil {
 		t.Fatal(err)
 	}
-	rels, err := d.storeClient.Query(bob.Key, &query.Query{})
+	rels, err := d.storeClient.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil || len(rels) != 1 {
 		t.Fatalf("member releases = %v, %v", rels, err)
 	}
 }
 
 func TestRulesForOverHTTPWithPlaces(t *testing.T) {
+	ctx := context.Background()
 	// RulesFor must download places too, so label-conditioned rules work on
 	// the phone.
 	d := deploy(t)
-	alice, _ := d.storeClient.Register("alice", "contributor")
+	alice, _ := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	rect, _ := geoRect(34.02, -118.50, 34.03, -118.49)
-	if err := d.storeClient.DefinePlace(alice.Key, "home", geo.Region{Rect: rect}); err != nil {
+	if err := d.storeClient.DefinePlaceCtx(ctx, alice.Key, "home", geo.Region{Rect: rect}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"LocationLabel":["home"],"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"LocationLabel":["home"],"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.storeClient.RulesFor(alice.Key)
+	e, err := d.storeClient.RulesForCtx(ctx, alice.Key)
 	if err != nil || e == nil {
 		t.Fatalf("RulesFor = %v, %v", e, err)
 	}
@@ -152,16 +157,17 @@ func TestRulesForOverHTTPWithPlaces(t *testing.T) {
 		t.Errorf("compiled engine wrong: home=%v away=%v", inHome, away)
 	}
 	// No rules yet → nil engine, no error.
-	carol, _ := d.storeClient.Register("carol", "contributor")
-	e, err = d.storeClient.RulesFor(carol.Key)
+	carol, _ := d.storeClient.RegisterCtx(ctx, "carol", "contributor")
+	e, err = d.storeClient.RulesForCtx(ctx, carol.Key)
 	if err != nil || e != nil {
 		t.Errorf("empty RulesFor = %v, %v", e, err)
 	}
 }
 
 func TestRecommendOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +180,11 @@ func TestRecommendOverHTTP(t *testing.T) {
 	}
 	_ = seg.Annotate(rules.CtxStressed, t0, t0.Add(5*time.Minute))
 	_ = seg.Annotate(rules.CtxDrive, t0, t0.Add(4*time.Minute))
-	if _, err := d.storeClient.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		t.Fatal(err)
 	}
 
-	sugs, err := d.storeClient.Recommend(alice.Key, 0, 0)
+	sugs, err := d.storeClient.RecommendCtx(ctx, alice.Key, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +198,7 @@ func TestRecommendOverHTTP(t *testing.T) {
 		t.Errorf("suggestion fields = %+v", sugs[0])
 	}
 	// Custom thresholds travel.
-	none, err := d.storeClient.Recommend(alice.Key, 0.99, 30*time.Minute)
+	none, err := d.storeClient.RecommendCtx(ctx, alice.Key, 0.99, 30*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +206,8 @@ func TestRecommendOverHTTP(t *testing.T) {
 		t.Errorf("impossible thresholds should yield nothing: %+v", none)
 	}
 	// Consumers cannot mine.
-	bob, _ := d.storeClient.Register("bob", "consumer")
-	if _, err := d.storeClient.Recommend(bob.Key, 0, 0); err == nil || !strings.Contains(err.Error(), "403") {
+	bob, _ := d.storeClient.RegisterCtx(ctx, "bob", "consumer")
+	if _, err := d.storeClient.RecommendCtx(ctx, bob.Key, 0, 0); err == nil || !strings.Contains(err.Error(), "403") {
 		t.Errorf("consumer recommend: %v", err)
 	}
 }

@@ -32,6 +32,7 @@ type fedDeployment struct {
 // contributor, each with its own rules and data, all over real HTTP.
 func deployFederated(t *testing.T, members map[string]fedContributor) *fedDeployment {
 	t.Helper()
+	ctx := context.Background()
 	d := &fedDeployment{bsvc: broker.New(), stores: make(map[string]*StoreClient)}
 	inner := NewBrokerHandler(d.bsvc)
 	brokerServer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -56,11 +57,11 @@ func deployFederated(t *testing.T, members map[string]fedContributor) *fedDeploy
 		sc := &StoreClient{BaseURL: storeServer.URL}
 		d.stores[name] = sc
 
-		owner, err := sc.Register(name, "contributor")
+		owner, err := sc.RegisterCtx(ctx, name, "contributor")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.SetRules(owner.Key, []byte(m.rules)); err != nil {
+		if err := sc.SetRulesCtx(ctx, owner.Key, []byte(m.rules)); err != nil {
 			t.Fatal(err)
 		}
 		segs := make([]*wavesegment.Segment, len(m.offsets))
@@ -72,7 +73,7 @@ func deployFederated(t *testing.T, members map[string]fedContributor) *fedDeploy
 			}
 		}
 		if len(segs) > 0 {
-			if _, err := sc.Upload(owner.Key, segs); err != nil {
+			if _, err := sc.UploadCtx(ctx, owner.Key, segs); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -93,14 +94,15 @@ func fedMembers() map[string]fedContributor {
 }
 
 func TestFederatedCohortOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deployFederated(t, fedMembers())
-	bob, err := d.bc.RegisterConsumer("Bob")
+	bob, err := d.bc.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := NewFederation(d.bc, bob.Key, federation.Options{PerStoreTimeout: 5 * time.Second})
 
-	res, err := eng.CohortQuery(context.Background(), &federation.Request{
+	res, err := eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Contributors: []string{"alice", "bea", "cara"}},
 	})
 	if err != nil {
@@ -141,7 +143,7 @@ func TestFederatedCohortOverHTTP(t *testing.T) {
 	if base != 3 {
 		t.Errorf("first query made %d Connect calls, want 3", base)
 	}
-	if _, err := eng.CohortQuery(context.Background(), &federation.Request{
+	if _, err := eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Contributors: []string{"alice", "bea", "cara"}},
 	}); err != nil {
 		t.Fatal(err)
@@ -152,15 +154,16 @@ func TestFederatedCohortOverHTTP(t *testing.T) {
 }
 
 func TestFederatedCursorResumeOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deployFederated(t, fedMembers())
-	bob, err := d.bc.RegisterConsumer("Bob")
+	bob, err := d.bc.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := NewFederation(d.bc, bob.Key, federation.Options{})
 
 	cohort := federation.Cohort{Contributors: []string{"alice", "bea", "cara"}}
-	oneShot, err := eng.CohortQuery(context.Background(), &federation.Request{Cohort: cohort})
+	oneShot, err := eng.CohortQuery(ctx, &federation.Request{Cohort: cohort})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +174,7 @@ func TestFederatedCursorResumeOverHTTP(t *testing.T) {
 		if pages > 10 {
 			t.Fatal("pagination does not terminate")
 		}
-		res, err := eng.CohortQuery(context.Background(), &federation.Request{Cohort: cohort, Limit: 2, Cursor: cursor})
+		res, err := eng.CohortQuery(ctx, &federation.Request{Cohort: cohort, Limit: 2, Cursor: cursor})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,8 +197,9 @@ func TestFederatedCursorResumeOverHTTP(t *testing.T) {
 }
 
 func TestFederatedSelectorsOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deployFederated(t, fedMembers())
-	bob, err := d.bc.RegisterConsumer("Bob")
+	bob, err := d.bc.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +207,7 @@ func TestFederatedSelectorsOverHTTP(t *testing.T) {
 
 	// Search selector: hits carry store addresses from the broker replica
 	// match; cara's deny-all keeps her out of the cohort entirely.
-	res, err := eng.CohortQuery(context.Background(), &federation.Request{
+	res, err := eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Search: &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0}},
 	})
 	if err != nil {
@@ -217,10 +221,10 @@ func TestFederatedSelectorsOverHTTP(t *testing.T) {
 	}
 
 	// Saved-list selector.
-	if err := d.bc.SaveList(bob.Key, "pilot", []string{"bea"}); err != nil {
+	if err := d.bc.SaveListCtx(ctx, bob.Key, "pilot", []string{"bea"}); err != nil {
 		t.Fatal(err)
 	}
-	res, err = eng.CohortQuery(context.Background(), &federation.Request{
+	res, err = eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{List: "pilot"},
 	})
 	if err != nil {
@@ -231,19 +235,19 @@ func TestFederatedSelectorsOverHTTP(t *testing.T) {
 	}
 
 	// Study roster selector, over the new enroll/contributors endpoints.
-	if err := d.bc.CreateStudy("asthma"); err != nil {
+	if err := d.bc.CreateStudyCtx(ctx, "asthma"); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"alice", "bea"} {
-		if err := d.bc.EnrollContributor("asthma", name); err != nil {
+		if err := d.bc.EnrollContributorCtx(ctx, "asthma", name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	roster, err := d.bc.StudyContributors("asthma")
+	roster, err := d.bc.StudyContributorsCtx(ctx, "asthma")
 	if err != nil || len(roster) != 2 {
 		t.Fatalf("roster = %v, %v", roster, err)
 	}
-	res, err = eng.CohortQuery(context.Background(), &federation.Request{
+	res, err = eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Study: "asthma"},
 	})
 	if err != nil {
@@ -255,17 +259,18 @@ func TestFederatedSelectorsOverHTTP(t *testing.T) {
 }
 
 func TestFederatedDownStoreIsReported(t *testing.T) {
+	ctx := context.Background()
 	d := deployFederated(t, fedMembers())
-	bob, err := d.bc.RegisterConsumer("Bob")
+	bob, err := d.bc.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// dora is in the directory but her store address points nowhere.
-	if err := d.bc.RegisterContributor("dora", "http://127.0.0.1:1"); err != nil {
+	if err := d.bc.RegisterContributorCtx(ctx, "dora", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
 	eng := NewFederation(d.bc, bob.Key, federation.Options{PerStoreTimeout: 2 * time.Second})
-	res, err := eng.CohortQuery(context.Background(), &federation.Request{
+	res, err := eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Contributors: []string{"alice", "dora"}},
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -71,15 +72,16 @@ type lazyDirectory struct {
 	addr *string
 }
 
-func (d *lazyDirectory) RegisterContributor(name, _ string) error {
-	return d.bc.RegisterContributor(name, *d.addr)
+func (d *lazyDirectory) RegisterContributorCtx(ctx context.Context, name, _ string) error {
+	return d.bc.RegisterContributorCtx(ctx, name, *d.addr)
 }
 
 func TestEndToEndOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
 
 	// Alice registers on her store; the store registers her on the broker.
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 
 	// Alice labels her campus and sets Fig. 4-style rules.
 	rect, _ := geo.NewRect(geo.Point{Lat: 34.02, Lon: -118.50}, geo.Point{Lat: 34.03, Lon: -118.49})
-	if err := d.storeClient.DefinePlace(alice.Key, "home", geo.Region{Rect: rect}); err != nil {
+	if err := d.storeClient.DefinePlaceCtx(ctx, alice.Key, "home", geo.Region{Rect: rect}); err != nil {
 		t.Fatal(err)
 	}
 	ruleJSON := `[
@@ -97,13 +99,13 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	  {"Consumer": ["Bob"], "Context": ["Drive"],
 	   "Action": {"Abstraction": {"Stress": "NotShared"}}}
 	]`
-	if err := d.storeClient.SetRules(alice.Key, []byte(ruleJSON)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(ruleJSON)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Her phone runs a scripted morning over the HTTP client.
 	p := &phone.Phone{Contributor: "alice", Key: alice.Key, Store: d.storeClient}
-	rep, err := p.Run(&sensors.Scenario{
+	rep, err := p.RunCtx(ctx, &sensors.Scenario{
 		Start: t0, Origin: home, Seed: 5,
 		Phases: []sensors.Phase{
 			{Duration: 2 * time.Minute, Activity: rules.CtxStill, Stressed: true},
@@ -119,18 +121,18 @@ func TestEndToEndOverHTTP(t *testing.T) {
 
 	// Bob registers on the broker, finds Alice, connects, and queries her
 	// store directly.
-	bob, err := d.brokerClient.RegisterConsumer("Bob")
+	bob, err := d.brokerClient.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := d.brokerClient.Directory(bob.Key)
+	dir, err := d.brokerClient.DirectoryCtx(ctx, bob.Key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dir) != 1 || dir[0].Name != "alice" || dir[0].RuleCount != 2 {
 		t.Fatalf("directory = %+v", dir)
 	}
-	cred, err := d.brokerClient.Connect(bob.Key, "alice")
+	cred, err := d.brokerClient.ConnectCtx(ctx, bob.Key, "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 		t.Errorf("credential addr = %q", cred.StoreAddr)
 	}
 
-	rels, err := d.storeClient.Query(cred.Key, &query.Query{})
+	rels, err := d.storeClient.QueryCtx(ctx, cred.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,32 +171,33 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Credentials are vaulted.
-	creds, err := d.brokerClient.Credentials(bob.Key)
+	creds, err := d.brokerClient.CredentialsCtx(ctx, bob.Key)
 	if err != nil || len(creds) != 1 || creds[0].Key != cred.Key {
 		t.Errorf("credentials = %v, %v", creds, err)
 	}
 }
 
 func TestBrokerSearchOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rect, _ := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
-	if err := d.storeClient.DefinePlace(alice.Key, "work", geo.Region{Rect: rect}); err != nil {
+	if err := d.storeClient.DefinePlaceCtx(ctx, alice.Key, "work", geo.Region{Rect: rect}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 
-	bob, err := d.brokerClient.RegisterConsumer("Bob")
+	bob, err := d.brokerClient.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep, _ := timeutil.ParseRepeated([]string{"Mon", "Tue", "Wed", "Thu", "Fri"}, []string{"9:00am", "6:00pm"})
-	got, err := d.brokerClient.Search(bob.Key, &broker.SearchQuery{
+	got, err := d.brokerClient.SearchCtx(ctx, bob.Key, &broker.SearchQuery{
 		Sensors:       []string{"ECG", "Respiration"},
 		LocationLabel: "work",
 		RepeatTime:    rep,
@@ -208,29 +211,30 @@ func TestBrokerSearchOverHTTP(t *testing.T) {
 	}
 
 	// Lists and studies over the wire.
-	if err := d.brokerClient.SaveList(bob.Key, "myStudy", got); err != nil {
+	if err := d.brokerClient.SaveListCtx(ctx, bob.Key, "myStudy", got); err != nil {
 		t.Fatal(err)
 	}
-	members, err := d.brokerClient.List(bob.Key, "myStudy")
+	members, err := d.brokerClient.ListCtx(ctx, bob.Key, "myStudy")
 	if err != nil || len(members) != 1 {
 		t.Fatalf("list = %v, %v", members, err)
 	}
-	if err := d.brokerClient.CreateStudy("S"); err != nil {
+	if err := d.brokerClient.CreateStudyCtx(ctx, "S"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.brokerClient.JoinStudy(bob.Key, "S"); err != nil {
+	if err := d.brokerClient.JoinStudyCtx(ctx, bob.Key, "S"); err != nil {
 		t.Fatal(err)
 	}
-	ms, err := d.brokerClient.StudyMembers("S")
+	ms, err := d.brokerClient.StudyMembersCtx(ctx, "S")
 	if err != nil || len(ms) != 1 || ms[0] != "bob" {
 		t.Fatalf("study members = %v, %v", ms, err)
 	}
 }
 
 func TestQueryTextOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, _ := d.storeClient.Register("alice", "contributor")
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	alice, _ := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	seg := &wavesegment.Segment{
@@ -238,51 +242,52 @@ func TestQueryTextOverHTTP(t *testing.T) {
 		Location: home, Channels: []string{wavesegment.ChannelECG},
 		Values: [][]float64{{1}, {2}, {3}},
 	}
-	if _, err := d.storeClient.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		t.Fatal(err)
 	}
-	bob, _ := d.storeClient.Register("bob", "consumer")
-	rels, err := d.storeClient.QueryText(bob.Key, "channels(ECG) limit(10)")
+	bob, _ := d.storeClient.RegisterCtx(ctx, "bob", "consumer")
+	rels, err := d.storeClient.QueryTextCtx(ctx, bob.Key, "channels(ECG) limit(10)")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rels) != 1 || rels[0].Segment.NumSamples() != 3 {
 		t.Fatalf("releases = %+v", rels)
 	}
-	if _, err := d.storeClient.QueryText(bob.Key, "bogus(("); err == nil {
+	if _, err := d.storeClient.QueryTextCtx(ctx, bob.Key, "bogus(("); err == nil {
 		t.Error("bad query text should error")
 	}
 }
 
 func TestHTTPErrorMapping(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
 	// Unauthorized.
-	if _, err := d.storeClient.Query("bogus", &query.Query{}); err == nil || !strings.Contains(err.Error(), "401") {
+	if _, err := d.storeClient.QueryCtx(ctx, "bogus", &query.Query{}); err == nil || !strings.Contains(err.Error(), "401") {
 		t.Errorf("bad key error = %v", err)
 	}
 	// Conflict on duplicate registration.
-	if _, err := d.storeClient.Register("dup", "consumer"); err != nil {
+	if _, err := d.storeClient.RegisterCtx(ctx, "dup", "consumer"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.storeClient.Register("dup", "consumer"); err == nil || !strings.Contains(err.Error(), "409") {
+	if _, err := d.storeClient.RegisterCtx(ctx, "dup", "consumer"); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Errorf("duplicate error = %v", err)
 	}
 	// Unknown role.
-	if _, err := d.storeClient.Register("x", "wizard"); err == nil {
+	if _, err := d.storeClient.RegisterCtx(ctx, "x", "wizard"); err == nil {
 		t.Error("unknown role should error")
 	}
 	// Not found.
-	bob, _ := d.brokerClient.RegisterConsumer("bob")
-	if _, err := d.brokerClient.Connect(bob.Key, "nobody"); err == nil || !strings.Contains(err.Error(), "404") {
+	bob, _ := d.brokerClient.RegisterConsumerCtx(ctx, "bob")
+	if _, err := d.brokerClient.ConnectCtx(ctx, bob.Key, "nobody"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Errorf("unknown contributor error = %v", err)
 	}
 	// Forbidden: consumer uploading.
-	bobStore, _ := d.storeClient.Register("bobstore", "consumer")
+	bobStore, _ := d.storeClient.RegisterCtx(ctx, "bobstore", "consumer")
 	seg := &wavesegment.Segment{
 		Contributor: "bobstore", Start: t0, Interval: time.Second,
 		Channels: []string{"ECG"}, Values: [][]float64{{1}},
 	}
-	if _, err := d.storeClient.Upload(bobStore.Key, []*wavesegment.Segment{seg}); err == nil || !strings.Contains(err.Error(), "403") {
+	if _, err := d.storeClient.UploadCtx(ctx, bobStore.Key, []*wavesegment.Segment{seg}); err == nil || !strings.Contains(err.Error(), "403") {
 		t.Errorf("forbidden error = %v", err)
 	}
 }
@@ -321,12 +326,13 @@ func TestMethodNotAllowedAndPages(t *testing.T) {
 }
 
 func TestHealthEndpoints(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	if _, err := d.storeClient.Register("alice", "contributor"); err != nil {
+	if _, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor"); err != nil {
 		t.Fatal(err)
 	}
 
-	sh, err := d.storeClient.Health()
+	sh, err := d.storeClient.HealthCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +346,7 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Errorf("store health users = %d, want 1", sh.Users)
 	}
 
-	bh, err := d.brokerClient.Health()
+	bh, err := d.brokerClient.HealthCtx(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,16 +360,17 @@ func TestHealthEndpoints(t *testing.T) {
 }
 
 func TestRuleAwarePhoneOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, _ := d.storeClient.Register("alice", "contributor")
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[
+	alice, _ := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[
 	  {"Action":"Allow"},
 	  {"Context":["Drive"],"Action":"Deny"}
 	]`)); err != nil {
 		t.Fatal(err)
 	}
 	p := &phone.Phone{Contributor: "alice", Key: alice.Key, Store: d.storeClient, RuleAware: true}
-	rep, err := p.Run(&sensors.Scenario{
+	rep, err := p.RunCtx(ctx, &sensors.Scenario{
 		Start: t0, Origin: home, Seed: 5,
 		Phases: []sensors.Phase{
 			{Duration: 2 * time.Minute, Activity: rules.CtxStill},
@@ -375,5 +382,46 @@ func TestRuleAwarePhoneOverHTTP(t *testing.T) {
 	}
 	if rep.PacketsDiscarded == 0 || rep.PacketsUploaded == 0 {
 		t.Fatalf("report = %+v", rep)
+	}
+}
+
+// TestCloseDoesNotWaitOutHungBroker: the store's anti-entropy calls carry
+// its service context, so Close cancels a round stuck on a broker that
+// never answers instead of waiting out the client's timeouts and retries.
+func TestCloseDoesNotWaitOutHungBroker(t *testing.T) {
+	release := make(chan struct{})
+	reached := make(chan struct{}, 1)
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case reached <- struct{}{}:
+		default:
+		}
+		<-release
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+
+	svc, err := datastore.New(datastore.Options{
+		Sync:         &BrokerClient{BaseURL: hung.URL},
+		SyncInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-reached:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no anti-entropy round reached the broker")
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- svc.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close is waiting on the hung broker")
 	}
 }

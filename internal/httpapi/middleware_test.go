@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -69,12 +70,13 @@ func TestRequestIDEchoedWhenPresent(t *testing.T) {
 // exposition contains the HTTP counters, latency buckets, and the release
 // decision counter.
 func TestMetricsEndpointAfterTraffic(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
 	seg := &wavesegment.Segment{
@@ -82,14 +84,14 @@ func TestMetricsEndpointAfterTraffic(t *testing.T) {
 		Location: home, Channels: []string{wavesegment.ChannelECG},
 		Values: [][]float64{{1}, {2}},
 	}
-	if _, err := d.storeClient.Upload(alice.Key, []*wavesegment.Segment{seg}); err != nil {
+	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := d.storeClient.Register("bob", "consumer")
+	bob, err := d.storeClient.RegisterCtx(ctx, "bob", "consumer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := d.storeClient.QueryText(bob.Key, "channels(ECG)")
+	rels, err := d.storeClient.QueryTextCtx(ctx, bob.Key, "channels(ECG)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +133,21 @@ func TestMetricsEndpointAfterTraffic(t *testing.T) {
 // services' request logs: the broker's own log line and the store's line
 // for the server-to-server ProvisionConsumer hop.
 func TestRequestIDCorrelatesBrokerAndStoreLogs(t *testing.T) {
+	ctx := context.Background()
 	var buf syncBuffer
 	old := logDest
 	logDest = &buf
 	defer func() { logDest = old }()
 
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := d.brokerClient.RegisterConsumer("bob")
+	bob, err := d.brokerClient.RegisterConsumerCtx(ctx, "bob")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -73,26 +74,27 @@ func shedCode(err error) bool {
 // loss, privacy mutations never shed); after recovery the rules written
 // during the brownout are enforced on what was ingested during it.
 func TestChaosOverloadBrownout(t *testing.T) {
+	ctx := context.Background()
 	d := deployOverload(t)
 
-	alice, err := d.client.Register("alice", "contributor")
+	alice, err := d.client.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.client.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := d.client.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := d.client.Register("Bob", "consumer")
+	bob, err := d.client.RegisterCtx(ctx, "Bob", "consumer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := d.client.Subscribe(bob.Key, "alice", nil)
+	sub, err := d.client.SubscribeCtx(ctx, bob.Key, "alice", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Baseline ingest before the storm: one packet = one record.
-	if n, err := d.client.Upload(alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)}); err != nil || n != 1 {
+	if n, err := d.client.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)}); err != nil || n != 1 {
 		t.Fatalf("baseline upload = %d, %v", n, err)
 	}
 
@@ -138,14 +140,14 @@ func TestChaosOverloadBrownout(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < queriesPerWorker; i++ {
-				if _, err := d.client.Query(bob.Key, &query.Query{}); shedCode(err) {
+				if _, err := d.client.QueryCtx(ctx, bob.Key, &query.Query{}); shedCode(err) {
 					queryShed.Add(1)
 				} else {
 					queryOther.Add(1)
 				}
 			}
 			for i := 0; i < streamsPerWorker; i++ {
-				if _, err := d.client.Next(bob.Key, sub.ID, sub.Cursor, 0); shedCode(err) {
+				if _, err := d.client.NextCtx(ctx, bob.Key, sub.ID, sub.Cursor, 0); shedCode(err) {
 					streamShed.Add(1)
 				} else {
 					streamOther.Add(1)
@@ -153,7 +155,7 @@ func TestChaosOverloadBrownout(t *testing.T) {
 			}
 			for i := 0; i < uploadsPerWorker; i++ {
 				seg := streamPacket(t0.Add(time.Duration(w*uploadsPerWorker+i+1)*time.Hour), 8)
-				switch n, err := d.client.Upload(alice.Key, []*wavesegment.Segment{seg}); {
+				switch n, err := d.client.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); {
 				case err == nil:
 					uploadOK.Add(1)
 					recordsIn.Add(int64(n))
@@ -179,7 +181,7 @@ func TestChaosOverloadBrownout(t *testing.T) {
 
 	// Privacy-rule mutations ride the never-shed tier: tightening location
 	// sharing mid-brownout must succeed.
-	if err := d.client.SetRules(alice.Key, []byte(`[
+	if err := d.client.SetRulesCtx(ctx, alice.Key, []byte(`[
 	  {"Action":"Allow"},
 	  {"Action":{"Abstraction":{"Location":"City"}}}
 	]`)); err != nil {
@@ -194,7 +196,7 @@ func TestChaosOverloadBrownout(t *testing.T) {
 
 	// Zero ingest loss: every record accepted during the brownout is
 	// queryable afterwards.
-	segs, err := d.client.QueryOwn(alice.Key, &query.Query{})
+	segs, err := d.client.QueryOwnCtx(ctx, alice.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +211,7 @@ func TestChaosOverloadBrownout(t *testing.T) {
 
 	// Zero privacy violations: the rule set written during the brownout
 	// governs the releases, including data ingested while overloaded.
-	rels, err := d.client.Query(bob.Key, &query.Query{})
+	rels, err := d.client.QueryCtx(ctx, bob.Key, &query.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +229,10 @@ func TestChaosOverloadBrownout(t *testing.T) {
 // when the stream gate is full, an extra long-poll waits out its queue
 // deadline and is shed with 429 while the slot holders complete normally.
 func TestChaosOverloadCapacityShed(t *testing.T) {
+	ctx := context.Background()
 	d := deployOverload(t)
 
-	if _, err := d.client.Register("alice", "contributor"); err != nil {
+	if _, err := d.client.RegisterCtx(ctx, "alice", "contributor"); err != nil {
 		t.Fatal(err)
 	}
 	type subscriber struct {
@@ -238,11 +241,11 @@ func TestChaosOverloadCapacityShed(t *testing.T) {
 	}
 	var subs []subscriber
 	for _, name := range []string{"Bob", "Carol", "Dave"} {
-		u, err := d.client.Register(name, "consumer")
+		u, err := d.client.RegisterCtx(ctx, name, "consumer")
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := d.client.Subscribe(u.Key, "alice", nil)
+		info, err := d.client.SubscribeCtx(ctx, u.Key, "alice", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +259,7 @@ func TestChaosOverloadCapacityShed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := d.client.Next(s.key, s.id, "0", time.Second); err != nil {
+			if _, err := d.client.NextCtx(ctx, s.key, s.id, "0", time.Second); err != nil {
 				t.Errorf("slot-holding poll failed: %v", err)
 			}
 		}()
@@ -270,7 +273,7 @@ func TestChaosOverloadCapacityShed(t *testing.T) {
 	}
 
 	// The third poll cannot get a slot within the 25ms queue wait.
-	if _, err := d.client.Next(subs[2].key, subs[2].id, "0", 0); !shedCode(err) {
+	if _, err := d.client.NextCtx(ctx, subs[2].key, subs[2].id, "0", 0); !shedCode(err) {
 		t.Errorf("over-capacity poll = %v, want 429 shed", err)
 	}
 	if st := d.ctrl.State(); st != overload.StateHealthy {

@@ -6,17 +6,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
 
 	"sensorsafe/internal/auth"
-	"sensorsafe/internal/obs"
 	"sensorsafe/internal/stream"
 )
 
-// Live-sharing client SDK. Subscribe/Next/AckStream/Unsubscribe mirror the
-// hub API over the long-poll endpoint; Live consumes the SSE endpoint and
+// Live-sharing client SDK. SubscribeCtx/NextCtx/AckStreamCtx/UnsubscribeCtx
+// mirror the hub API over the long-poll endpoint; Live consumes the SSE endpoint and
 // invokes a callback per event until the stream ends.
 
 // streamClient returns an HTTP client whose timeout comfortably exceeds a
@@ -28,14 +28,9 @@ func (c *StoreClient) streamClient(wait time.Duration) *http.Client {
 	return &http.Client{Timeout: wait + 30*time.Second}
 }
 
-// Subscribe opens (or resumes) a live subscription to a contributor's
+// SubscribeCtx opens (or resumes) a live subscription to a contributor's
 // channels. The returned SubInfo carries the subscription ID and the
 // durable cursor to resume from.
-func (c *StoreClient) Subscribe(key auth.APIKey, contributor string, channels []string) (stream.SubInfo, error) {
-	return c.SubscribeCtx(context.Background(), key, contributor, channels)
-}
-
-// SubscribeCtx opens (or resumes) a live subscription.
 func (c *StoreClient) SubscribeCtx(ctx context.Context, key auth.APIKey, contributor string, channels []string) (stream.SubInfo, error) {
 	var resp stream.SubInfo
 	err := c.call(ctx, "/api/stream/subscribe",
@@ -43,14 +38,9 @@ func (c *StoreClient) SubscribeCtx(ctx context.Context, key auth.APIKey, contrib
 	return resp, err
 }
 
-// Next long-polls for the next batch of stream events, blocking up to wait
-// on the server side. Passing the previous batch's cursor acknowledges it.
-func (c *StoreClient) Next(key auth.APIKey, id, cursor string, wait time.Duration) (stream.Batch, error) {
-	return c.NextCtx(context.Background(), key, id, cursor, wait)
-}
-
-// NextCtx long-polls for the next batch of stream events. Retries are
-// safe without an idempotency key: the cursor makes redelivery
+// NextCtx long-polls for the next batch of stream events, blocking up to
+// wait on the server side. Passing the previous batch's cursor
+// acknowledges it. Retries are safe without an idempotency key: the cursor makes redelivery
 // all-or-nothing, so a retried poll re-reads from the same position.
 // Note a Policy.PerAttemptTimeout shorter than wait would sever every
 // poll; the default policy sets none.
@@ -61,20 +51,10 @@ func (c *StoreClient) NextCtx(ctx context.Context, key auth.APIKey, id, cursor s
 	return resp, err
 }
 
-// AckStream advances the durable cursor without polling.
-func (c *StoreClient) AckStream(key auth.APIKey, id, cursor string) error {
-	return c.AckStreamCtx(context.Background(), key, id, cursor)
-}
-
 // AckStreamCtx advances the durable cursor without polling.
 func (c *StoreClient) AckStreamCtx(ctx context.Context, key auth.APIKey, id, cursor string) error {
 	return c.call(ctx, "/api/stream/ack",
 		false, &streamAckReq{Key: key, ID: id, Cursor: cursor}, &okResp{})
-}
-
-// Unsubscribe revokes a live subscription.
-func (c *StoreClient) Unsubscribe(key auth.APIKey, id string) error {
-	return c.UnsubscribeCtx(context.Background(), key, id)
 }
 
 // UnsubscribeCtx revokes a live subscription.
@@ -99,7 +79,7 @@ func (c *StoreClient) Live(ctx context.Context, key auth.APIKey, id, cursor stri
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept", "text/event-stream")
-	req.Header.Set(requestIDHeader, obs.NewRequestID())
+	setCallHeaders(req)
 
 	// No client timeout: the stream is open-ended; ctx bounds its life.
 	hc := &http.Client{Transport: c.hc().Transport}
@@ -110,7 +90,7 @@ func (c *StoreClient) Live(ctx context.Context, key auth.APIKey, id, cursor stri
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		var eb errorBody
-		if json.NewDecoder(resp.Body).Decode(&eb) == nil && eb.Error != "" {
+		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&eb) == nil && eb.Error != "" {
 			return cursor, fmt.Errorf("httpapi: /api/stream/live: %s (HTTP %d)", eb.Error, resp.StatusCode)
 		}
 		return cursor, fmt.Errorf("httpapi: /api/stream/live: HTTP %d", resp.StatusCode)

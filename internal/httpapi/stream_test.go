@@ -28,24 +28,25 @@ func streamPacket(start time.Time, n int) *wavesegment.Segment {
 // with the contributor's abstraction applied, and a disconnect +
 // resubscribe with the returned cursor replays nothing acknowledged.
 func TestStreamOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// City-level location: the delivered release must carry no exact point.
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[
 	  {"Action":"Allow"},
 	  {"Action":{"Abstraction":{"Location":"City"}}}
 	]`)); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := d.storeClient.Register("Bob", "consumer")
+	bob, err := d.storeClient.RegisterCtx(ctx, "Bob", "consumer")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	info, err := d.storeClient.Subscribe(bob.Key, "alice", nil)
+	info, err := d.storeClient.SubscribeCtx(ctx, bob.Key, "alice", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +57,9 @@ func TestStreamOverHTTP(t *testing.T) {
 	// Upload lands after the subscription; one long-poll must return it.
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		d.storeClient.Upload(alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)})
+		d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)})
 	}()
-	b, err := d.storeClient.Next(bob.Key, info.ID, info.Cursor, 10*time.Second)
+	b, err := d.storeClient.NextCtx(ctx, bob.Key, info.ID, info.Cursor, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,20 +74,20 @@ func TestStreamOverHTTP(t *testing.T) {
 
 	// Ack the batch, "disconnect", upload again, resubscribe: the consumer
 	// gets only the new segment — nothing acked replays, nothing is lost.
-	if err := d.storeClient.AckStream(bob.Key, info.ID, b.Cursor); err != nil {
+	if err := d.storeClient.AckStreamCtx(ctx, bob.Key, info.ID, b.Cursor); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.storeClient.Upload(alice.Key, []*wavesegment.Segment{streamPacket(t0.Add(time.Hour), 8)}); err != nil {
+	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{streamPacket(t0.Add(time.Hour), 8)}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := d.storeClient.Subscribe(bob.Key, "alice", nil)
+	again, err := d.storeClient.SubscribeCtx(ctx, bob.Key, "alice", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.Resumed || again.ID != info.ID || again.Cursor != b.Cursor {
 		t.Fatalf("resubscribe = %+v (want resumed at %s)", again, b.Cursor)
 	}
-	b2, err := d.storeClient.Next(bob.Key, again.ID, again.Cursor, 10*time.Second)
+	b2, err := d.storeClient.NextCtx(ctx, bob.Key, again.ID, again.Cursor, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +96,11 @@ func TestStreamOverHTTP(t *testing.T) {
 	}
 
 	// Error mapping: foreign and unknown subscriptions.
-	eve, _ := d.storeClient.Register("Eve", "consumer")
-	if _, err := d.storeClient.Next(eve.Key, info.ID, "", 0); err == nil {
+	eve, _ := d.storeClient.RegisterCtx(ctx, "Eve", "consumer")
+	if _, err := d.storeClient.NextCtx(ctx, eve.Key, info.ID, "", 0); err == nil {
 		t.Error("foreign poll must fail")
 	}
-	if _, err := d.storeClient.Next(bob.Key, "nope", "", 0); err == nil {
+	if _, err := d.storeClient.NextCtx(ctx, bob.Key, "nope", "", 0); err == nil {
 		t.Error("unknown subscription must 404")
 	}
 }
@@ -108,24 +109,25 @@ func TestStreamOverHTTP(t *testing.T) {
 // arrive as they are ingested, and the callback sees the terminal bye when
 // the hub shuts down.
 func TestStreamSSEOverHTTP(t *testing.T) {
+	ctx := context.Background()
 	d := deploy(t)
-	alice, err := d.storeClient.Register("alice", "contributor")
+	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.storeClient.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := d.storeClient.Register("Bob", "consumer")
+	bob, err := d.storeClient.RegisterCtx(ctx, "Bob", "consumer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := d.storeClient.Subscribe(bob.Key, "alice", nil)
+	info, err := d.storeClient.SubscribeCtx(ctx, bob.Key, "alice", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
 	defer cancel()
 	events := make(chan stream.Event, 16)
 	liveDone := make(chan error, 1)
@@ -138,7 +140,7 @@ func TestStreamSSEOverHTTP(t *testing.T) {
 	}()
 
 	time.Sleep(100 * time.Millisecond) // let the stream attach
-	if _, err := d.storeClient.Upload(alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)}); err != nil {
+	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)}); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"crypto/tls"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 )
 
 func TestSelfSignedTLSEndToEnd(t *testing.T) {
+	ctx := context.Background()
 	cfg, err := SelfSignedTLS([]string{"127.0.0.1", "localhost"}, time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -41,25 +43,25 @@ func TestSelfSignedTLSEndToEnd(t *testing.T) {
 			Transport: &http.Transport{TLSClientConfig: InsecureClientTLS()},
 		},
 	}
-	alice, err := client.Register("alice", "contributor")
+	alice, err := client.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+	if err := client.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := client.Register("bob", "consumer")
+	bob, err := client.RegisterCtx(ctx, "bob", "consumer")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.Query(bob.Key, &query.Query{}); err != nil {
+	if _, err := client.QueryCtx(ctx, bob.Key, &query.Query{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// A default client (which verifies certificates) must reject the
 	// self-signed cert — proving TLS is actually on.
 	plain := &StoreClient{BaseURL: srv.URL, HTTP: &http.Client{Timeout: 5 * time.Second}}
-	if _, err := plain.Register("eve", "consumer"); err == nil {
+	if _, err := plain.RegisterCtx(ctx, "eve", "consumer"); err == nil {
 		t.Error("verifying client should reject the self-signed certificate")
 	}
 }

@@ -15,6 +15,10 @@ import (
 	"sensorsafe/internal/datastore"
 	"sensorsafe/internal/federation"
 	"sensorsafe/internal/obs/trace"
+	"sensorsafe/internal/phone"
+	"sensorsafe/internal/rules"
+	"sensorsafe/internal/sensors"
+	"sensorsafe/internal/stream"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -38,6 +42,7 @@ type tracedStore struct {
 // server-side services reachable (for audit-trail assertions).
 func deployTraced(t *testing.T, members map[string]tracedMember) (*BrokerClient, map[string]*tracedStore) {
 	t.Helper()
+	ctx := context.Background()
 	// A fresh collector per test: earlier tests in this package (chaos
 	// suites especially) fill the process default with error/slow traces,
 	// which the retention policy keeps at the expense of new boring ones.
@@ -69,11 +74,11 @@ func deployTraced(t *testing.T, members map[string]tracedMember) (*BrokerClient,
 		storeURL = storeServer.URL
 		sc := &StoreClient{BaseURL: storeServer.URL}
 
-		owner, err := sc.Register(name, "contributor")
+		owner, err := sc.RegisterCtx(ctx, name, "contributor")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.SetRules(owner.Key, []byte(m.rules)); err != nil {
+		if err := sc.SetRulesCtx(ctx, owner.Key, []byte(m.rules)); err != nil {
 			t.Fatal(err)
 		}
 		seg := &wavesegment.Segment{
@@ -81,7 +86,7 @@ func deployTraced(t *testing.T, members map[string]tracedMember) (*BrokerClient,
 			Location: home, Channels: []string{wavesegment.ChannelECG},
 			Values: [][]float64{{1}, {2}},
 		}
-		if _, err := sc.Upload(owner.Key, []*wavesegment.Segment{seg}); err != nil {
+		if _, err := sc.UploadCtx(ctx, owner.Key, []*wavesegment.Segment{seg}); err != nil {
 			t.Fatal(err)
 		}
 		stores[name] = &tracedStore{svc: svc, client: sc, url: storeServer.URL, ownerKey: owner.Key}
@@ -119,11 +124,11 @@ func hasAncestor(spans []*trace.SpanData, s *trace.SpanData, want string) bool {
 // collectTrace polls the default collector until cond holds for the trace
 // or the deadline passes (spans from losing hedge attempts and parallel
 // goroutines may end after the query returns).
-func collectTrace(t *testing.T, id string, cond func([]*trace.SpanData) bool) []*trace.SpanData {
+func collectTrace(t *testing.T, col *trace.Collector, id string, cond func([]*trace.SpanData) bool) []*trace.SpanData {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		spans := trace.Default().Trace(id)
+		spans := col.Trace(id)
 		if cond(spans) || time.Now().After(deadline) {
 			return spans
 		}
@@ -137,18 +142,19 @@ func collectTrace(t *testing.T, id string, cond func([]*trace.SpanData) bool) []
 // store's rule evaluation with decision provenance — all linked into one
 // tree by exact parent IDs, across real HTTP hops.
 func TestTraceSpansFederatedQuery(t *testing.T) {
+	ctx := context.Background()
 	bc, stores := deployTraced(t, map[string]tracedMember{
 		"alice": {rules: `[{"ID":"share-ecg","Action":"Allow"}]`},
 		"bea":   {rules: `[{"ID":"share-ecg","Action":"Allow"}]`},
 		"cara":  {rules: `[{"ID":"lockdown","Action":"Deny"}]`},
 	})
-	bob, err := bc.RegisterConsumer("Bob")
+	bob, err := bc.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := NewFederation(bc, bob.Key, federation.Options{PerStoreTimeout: 5 * time.Second})
 
-	ctx, root := trace.Start(context.Background(), "test.cohort")
+	ctx, root := trace.Start(ctx, "test.cohort")
 	res, err := eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Contributors: []string{"alice", "bea", "cara"}},
 	})
@@ -161,7 +167,7 @@ func TestTraceSpansFederatedQuery(t *testing.T) {
 	}
 
 	tid := root.TraceIDString()
-	spans := collectTrace(t, tid, func(spans []*trace.SpanData) bool {
+	spans := collectTrace(t, trace.Default(), tid, func(spans []*trace.SpanData) bool {
 		n := spansByName(spans)
 		return len(n["broker.connect"]) >= 3 && len(n["datastore.rule_eval"]) >= 3
 	})
@@ -288,10 +294,11 @@ func rootSpanID(s *trace.Span) string {
 // duplicate attempt shows up as its own federation.hedge span under the
 // store's fan-out leg.
 func TestTraceHedgeSpanLabeled(t *testing.T) {
+	ctx := context.Background()
 	bc, _ := deployTraced(t, map[string]tracedMember{
 		"dana": {rules: `[{"ID":"share-ecg","Action":"Allow"}]`, delay: 80 * time.Millisecond},
 	})
-	bob, err := bc.RegisterConsumer("Bob")
+	bob, err := bc.RegisterConsumerCtx(ctx, "Bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +307,7 @@ func TestTraceHedgeSpanLabeled(t *testing.T) {
 		HedgeAfter:      10 * time.Millisecond,
 	})
 
-	ctx, root := trace.Start(context.Background(), "test.hedge")
+	ctx, root := trace.Start(ctx, "test.hedge")
 	res, err := eng.CohortQuery(ctx, &federation.Request{
 		Cohort: federation.Cohort{Contributors: []string{"dana"}},
 	})
@@ -313,7 +320,7 @@ func TestTraceHedgeSpanLabeled(t *testing.T) {
 	}
 
 	tid := root.TraceIDString()
-	spans := collectTrace(t, tid, func(spans []*trace.SpanData) bool {
+	spans := collectTrace(t, trace.Default(), tid, func(spans []*trace.SpanData) bool {
 		return len(spansByName(spans)["federation.hedge"]) >= 1
 	})
 	byName := spansByName(spans)
@@ -341,4 +348,125 @@ func names(byName map[string][]*trace.SpanData) []string {
 		out = append(out, n)
 	}
 	return out
+}
+
+// storeWithCollector serves a fresh in-memory store whose server-side spans
+// go to a collector of their own, as they would in a separate process.
+func storeWithCollector(t *testing.T) (*datastore.Service, *StoreClient, *trace.Collector) {
+	t.Helper()
+	svc, err := datastore.New(datastore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	col := trace.NewCollector(0, 0, 0)
+	inner := NewStoreHandler(svc)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inner.ServeHTTP(w, r.WithContext(trace.WithCollector(r.Context(), col)))
+	}))
+	t.Cleanup(srv.Close)
+	return svc, &StoreClient{BaseURL: srv.URL}, col
+}
+
+// serverRoutes counts the http.server spans per route.
+func serverRoutes(spans []*trace.SpanData) map[string]int {
+	n := make(map[string]int)
+	for _, s := range spans {
+		if s.Name == "http.server" {
+			route, _ := s.Attrs["route"].(string)
+			n[route]++
+		}
+	}
+	return n
+}
+
+// TestPhoneSessionIsOneTrace runs a rule-aware phone with one batch left
+// in its outbox from an earlier session: the rule download, the outbox
+// drain and the fresh upload are all hops of the one session, so the
+// store's server spans for them all carry the session's trace ID.
+func TestPhoneSessionIsOneTrace(t *testing.T) {
+	ctx := context.Background()
+	_, sc, col := storeWithCollector(t)
+	alice, err := sc.RegisterCtx(ctx, "alice", "contributor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	outbox := &phone.Outbox{Dir: t.TempDir()}
+	if err := outbox.Spill([]*wavesegment.Segment{streamPacket(t0.Add(-time.Hour), 8)}); err != nil {
+		t.Fatal(err)
+	}
+	p := &phone.Phone{Contributor: "alice", Key: alice.Key, Store: sc,
+		RuleAware: true, Outbox: outbox, BatchPackets: 1 << 20}
+
+	ctx, root := trace.Start(ctx, "test.phone_session")
+	rep, err := p.RunCtx(ctx, &sensors.Scenario{Start: t0, Origin: home, Seed: 3,
+		Phases: []sensors.Phase{{Duration: time.Minute, Activity: rules.CtxStill}}})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BatchesRecovered != 1 || rep.PacketsUploaded == 0 {
+		t.Fatalf("report = %+v, want the spilled batch recovered and fresh packets uploaded", rep)
+	}
+
+	want := map[string]int{"/api/rules/get": 1, "/api/places/list": 1, "/api/upload": 2}
+	spans := collectTrace(t, col, root.TraceIDString(), func(spans []*trace.SpanData) bool {
+		return serverRoutes(spans)["/api/upload"] == want["/api/upload"]
+	})
+	got := serverRoutes(spans)
+	for route, n := range want {
+		if got[route] != n {
+			t.Errorf("store spans in the session's trace: %s × %d, want %d (all: %v)", route, got[route], n, got)
+		}
+	}
+}
+
+// TestLiveJoinsCallerTrace: the SSE stream is a hop of the caller's
+// request like any other client call, so the store's server span for
+// /api/stream/live lands in the caller's trace.
+func TestLiveJoinsCallerTrace(t *testing.T) {
+	ctx := context.Background()
+	svc, sc, col := storeWithCollector(t)
+	alice, err := sc.RegisterCtx(ctx, "alice", "contributor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	bob, err := sc.RegisterCtx(ctx, "Bob", "consumer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sc.SubscribeCtx(ctx, bob.Key, "alice", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sc.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)}); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first event proves the stream attached; the hub's bye then ends
+	// it, and with it the store's server span.
+	ctx, root := trace.Start(ctx, "test.live")
+	_, err = sc.Live(ctx, bob.Key, info.ID, info.Cursor, func(ev stream.Event) error {
+		if ev.Kind == stream.KindData {
+			svc.Stream().Shutdown()
+		}
+		return nil
+	})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spans := collectTrace(t, col, root.TraceIDString(), func(spans []*trace.SpanData) bool {
+		return serverRoutes(spans)["/api/stream/live"] > 0
+	})
+	if got := serverRoutes(spans); got["/api/stream/live"] != 1 {
+		t.Fatalf("store spans in the caller's trace = %v, want one /api/stream/live", got)
+	}
 }

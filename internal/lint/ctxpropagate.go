@@ -6,18 +6,12 @@ import (
 	"strings"
 )
 
-// CtxPropagate enforces context threading below cmd/:
-//
-//  1. Library code must not mint fresh contexts with context.Background()
-//     or context.TODO(). The only exemption is the module's convenience
-//     convention — a wrapper whose entire body is a single call delegating
-//     to its own ...Ctx sibling (`func (c *C) Query(..) { return
-//     c.QueryCtx(context.Background(), ..) }`), which is how the HTTP
-//     clients expose deadline-free variants.
-//  2. Inside any function that already has a context.Context parameter in
-//     scope, calling Foo(...) when a FooCtx sibling exists drops the
-//     caller's deadline and cancellation on the floor; the call site must
-//     use the Ctx variant.
+// CtxPropagate enforces context threading below cmd/: library code must
+// not mint fresh contexts with context.Background() or context.TODO(),
+// which sever the caller's deadline, cancellation and trace. Every
+// library call takes the caller's ctx; a genuine call-tree root (a
+// background maintenance round, a service's lifetime) says so with an
+// //sslint:ignore ctxpropagate directive and its reason.
 var CtxPropagate = &Analyzer{
 	Name: "ctxpropagate",
 	Doc:  "library code must propagate request contexts instead of minting context.Background()",
@@ -29,167 +23,21 @@ var CtxPropagate = &Analyzer{
 
 func runCtxPropagate(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		var stack []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			checkBackground(pass, call, stack)
-			checkDroppedCtx(pass, call, stack)
+			fn, ok := calleeObj(pass.Pkg, call).(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
+				return true
+			}
+			if fn.Name() == "Background" || fn.Name() == "TODO" {
+				pass.Reportf(call.Pos(),
+					"context.%s() in library code severs deadline/cancellation propagation; thread the caller's ctx",
+					fn.Name())
+			}
 			return true
 		})
 	}
-}
-
-// checkBackground implements rule 1.
-func checkBackground(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
-	fn, ok := calleeObj(pass.Pkg, call).(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "context" {
-		return
-	}
-	if fn.Name() != "Background" && fn.Name() != "TODO" {
-		return
-	}
-	if isDelegatingWrapper(enclosingFuncDecl(stack)) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"context.%s() in library code severs deadline/cancellation propagation; thread the caller's ctx (or make this a single-statement wrapper delegating to a ...Ctx sibling)",
-		fn.Name())
-}
-
-// checkDroppedCtx implements rule 2.
-func checkDroppedCtx(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
-	if !ctxInScope(pass.Pkg, stack) {
-		return
-	}
-	fn, ok := calleeObj(pass.Pkg, call).(*types.Func)
-	if !ok || strings.HasSuffix(fn.Name(), "Ctx") || signatureTakesContext(fn) {
-		return
-	}
-	sibling := ctxSibling(pass, call, fn)
-	if sibling == nil || !signatureTakesContext(sibling) {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"call to %s drops the in-scope request context; use %s(ctx, ...) so deadlines propagate",
-		fn.Name(), sibling.Name())
-}
-
-// ctxSibling looks for a FooCtx function/method next to the callee Foo.
-func ctxSibling(pass *Pass, call *ast.CallExpr, fn *types.Func) *types.Func {
-	want := fn.Name() + "Ctx"
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if x, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			if pn, ok := pass.Pkg.Info.Uses[x].(*types.PkgName); ok {
-				sib, _ := pn.Imported().Scope().Lookup(want).(*types.Func)
-				return sib
-			}
-		}
-		recv := pass.Pkg.Info.Types[sel.X].Type
-		if recv == nil {
-			return nil
-		}
-		obj, _, _ := types.LookupFieldOrMethod(recv, true, pass.Pkg.Types, want)
-		sib, _ := obj.(*types.Func)
-		return sib
-	}
-	if fn.Pkg() == nil {
-		return nil
-	}
-	sib, _ := fn.Pkg().Scope().Lookup(want).(*types.Func)
-	return sib
-}
-
-// ctxInScope reports whether any enclosing function on the stack declares
-// a context.Context parameter (closures capture it, so nested literals
-// count too).
-func ctxInScope(pkg *Package, stack []ast.Node) bool {
-	for _, n := range stack {
-		var ft *ast.FuncType
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			ft = fn.Type
-		case *ast.FuncLit:
-			ft = fn.Type
-		default:
-			continue
-		}
-		if ft.Params == nil {
-			continue
-		}
-		for _, field := range ft.Params.List {
-			if isContextType(pkg.Info.Types[field.Type].Type) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func enclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd
-		}
-	}
-	return nil
-}
-
-// isDelegatingWrapper reports whether fd's whole body is one call to its
-// own ...Ctx sibling — the module's sanctioned deadline-free convenience
-// form.
-func isDelegatingWrapper(fd *ast.FuncDecl) bool {
-	if fd == nil || fd.Body == nil || len(fd.Body.List) != 1 {
-		return false
-	}
-	var call *ast.CallExpr
-	switch st := fd.Body.List[0].(type) {
-	case *ast.ReturnStmt:
-		if len(st.Results) != 1 {
-			return false
-		}
-		call, _ = ast.Unparen(st.Results[0]).(*ast.CallExpr)
-	case *ast.ExprStmt:
-		call, _ = ast.Unparen(st.X).(*ast.CallExpr)
-	}
-	if call == nil {
-		return false
-	}
-	var name string
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = fn.Name
-	case *ast.SelectorExpr:
-		name = fn.Sel.Name
-	}
-	return name == fd.Name.Name+"Ctx"
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-func signatureTakesContext(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if isContextType(sig.Params().At(i).Type()) {
-			return true
-		}
-	}
-	return false
 }

@@ -1,13 +1,18 @@
 // Package bad exercises the ctxpropagate analyzer: minting contexts in
-// library code and dropping an in-scope context are both flagged.
+// library code is flagged, including in a wrapper that only delegates to
+// a context-taking sibling.
 package bad
 
 import "context"
 
 type client struct{}
 
-func (c *client) Fetch(n int) error                         { _ = n; return nil }
 func (c *client) FetchCtx(ctx context.Context, n int) error { _ = ctx; _ = n; return nil }
+
+// Fetch is a deadline-free wrapper: it drops its caller's context.
+func (c *client) Fetch(n int) error {
+	return c.FetchCtx(context.Background(), n) // want "context.Background() in library code"
+}
 
 func mint() context.Context {
 	return context.Background() // want "context.Background() in library code"
@@ -15,9 +20,4 @@ func mint() context.Context {
 
 func todo() context.Context {
 	return context.TODO() // want "context.TODO() in library code"
-}
-
-func handler(ctx context.Context, c *client) error {
-	_ = ctx
-	return c.Fetch(1) // want "drops the in-scope request context"
 }

@@ -1,6 +1,6 @@
 // Package clean shows the context shapes the ctxpropagate analyzer must
-// accept: the delegating-wrapper convention, proper Ctx call sites, and an
-// explicit ignore directive at a call-tree root.
+// accept: call sites that pass the caller's ctx on, and an explicit ignore
+// directive at a call-tree root.
 package clean
 
 import "context"
@@ -8,12 +8,6 @@ import "context"
 type client struct{}
 
 func (c *client) FetchCtx(ctx context.Context, n int) error { _ = ctx; _ = n; return nil }
-
-// Fetch is the sanctioned single-statement wrapper delegating to its own
-// Ctx sibling.
-func (c *client) Fetch(n int) error {
-	return c.FetchCtx(context.Background(), n)
-}
 
 func handler(ctx context.Context, c *client) error {
 	return c.FetchCtx(ctx, 1)

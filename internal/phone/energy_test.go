@@ -1,6 +1,7 @@
 package phone
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ func TestEnergyModelArithmetic(t *testing.T) {
 }
 
 func TestEnergySavingsFromRuleAwareCollection(t *testing.T) {
+	ctx := context.Background()
 	// Sensors stay off while home-bound data is unshareable, so the
 	// rule-aware session spends strictly less energy on every component.
 	svc, p := setup(t)
@@ -30,7 +32,7 @@ func TestEnergySavingsFromRuleAwareCollection(t *testing.T) {
 	sc := scenario(sensors.Phase{Duration: 4 * time.Minute, Activity: rules.CtxStill})
 
 	p.RuleAware = false
-	naive, err := p.Run(sc)
+	naive, err := p.RunCtx(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestEnergySavingsFromRuleAwareCollection(t *testing.T) {
 	  {"TimeRange":{"Start":"2011-02-16T08:02:00Z"},"Action":"Allow"}
 	]`)
 	p2.RuleAware = true
-	aware, err := p2.Run(sc)
+	aware, err := p2.RunCtx(ctx, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package phone
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -124,7 +125,7 @@ func (o *Outbox) Pending() int {
 // Batches spilled while a drain is running wait for the next pass, and
 // two overlapping drains at worst re-upload a batch the other already
 // delivered (idempotent) and find its file already gone.
-func (o *Outbox) Drain(store Store, key auth.APIKey) (batches, records int, err error) {
+func (o *Outbox) Drain(ctx context.Context, store Store, key auth.APIKey) (batches, records int, err error) {
 	o.mu.Lock()
 	if err := o.scanLocked(); err != nil {
 		o.mu.Unlock()
@@ -145,7 +146,7 @@ func (o *Outbox) Drain(store Store, key auth.APIKey) (batches, records int, err 
 		if err := json.Unmarshal(data, &batch); err != nil {
 			return batches, records, fmt.Errorf("phone: decode outbox batch %s: %w", name, err)
 		}
-		n, err := store.Upload(key, batch)
+		n, err := store.UploadCtx(ctx, key, batch)
 		if err != nil {
 			o.refreshPending()
 			return batches, records, fmt.Errorf("phone: drain outbox: %w", err)

@@ -1,6 +1,7 @@
 package phone
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,15 +21,16 @@ type outageStore struct {
 	uploads int
 }
 
-func (s *outageStore) Upload(key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
+func (s *outageStore) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
 	if s.down {
 		return 0, os.ErrDeadlineExceeded
 	}
 	s.uploads++
-	return s.Store.Upload(key, segs)
+	return s.Store.UploadCtx(ctx, key, segs)
 }
 
 func TestOutboxSpillsAndDrains(t *testing.T) {
+	ctx := context.Background()
 	svc, p := setup(t)
 	flaky := &outageStore{Store: svc, down: true}
 	p.Store = flaky
@@ -36,7 +38,7 @@ func TestOutboxSpillsAndDrains(t *testing.T) {
 	p.BatchPackets = 2
 
 	sc := scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill})
-	rep, err := p.Run(sc)
+	rep, err := p.RunCtx(ctx, sc)
 	if err != nil {
 		t.Fatalf("outage must not abort the session: %v", err)
 	}
@@ -52,7 +54,7 @@ func TestOutboxSpillsAndDrains(t *testing.T) {
 
 	// Connectivity returns: an explicit drain delivers every sample.
 	flaky.down = false
-	batches, records, err := p.DrainOutbox()
+	batches, records, err := p.DrainOutbox(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +70,7 @@ func TestOutboxSpillsAndDrains(t *testing.T) {
 }
 
 func TestOutboxDrainsAtSessionStart(t *testing.T) {
+	ctx := context.Background()
 	svc, p := setup(t)
 	flaky := &outageStore{Store: svc, down: true}
 	p.Store = flaky
@@ -75,7 +78,7 @@ func TestOutboxDrainsAtSessionStart(t *testing.T) {
 	p.Outbox = &Outbox{Dir: dir}
 
 	sc := scenario(sensors.Phase{Duration: time.Minute, Activity: rules.CtxStill})
-	if _, err := p.Run(sc); err != nil {
+	if _, err := p.RunCtx(ctx, sc); err != nil {
 		t.Fatal(err)
 	}
 	spilled := p.Outbox.Pending()
@@ -88,7 +91,7 @@ func TestOutboxDrainsAtSessionStart(t *testing.T) {
 	flaky.down = false
 	p2 := &Phone{Contributor: p.Contributor, Key: p.Key, Store: flaky,
 		Outbox: &Outbox{Dir: dir}}
-	rep, err := p2.Run(scenario(sensors.Phase{Duration: time.Minute, Activity: rules.CtxWalk}))
+	rep, err := p2.RunCtx(ctx, scenario(sensors.Phase{Duration: time.Minute, Activity: rules.CtxWalk}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,30 +22,14 @@ import (
 )
 
 // Store is the phone's view of its remote data store. *datastore.Service
-// satisfies it directly; networked phones use the HTTP client.
+// satisfies it directly; networked phones use the HTTP client. Both calls
+// take the session's context, so every phone→store hop joins its trace.
 type Store interface {
-	// Upload ingests annotated wave segments.
-	Upload(key auth.APIKey, segs []*wavesegment.Segment) (int, error)
-	// RulesFor returns the owner's compiled rule engine (nil when the
-	// owner has not defined rules yet).
-	RulesFor(key auth.APIKey) (*rules.Engine, error)
-}
-
-// CtxStore is an optional Store capability: stores that accept a context
-// get the phone session's trace propagated into each upload, so
-// phone→store hops join the session's trace tree. *datastore.Service and
-// the HTTP client both implement it.
-type CtxStore interface {
+	// UploadCtx ingests annotated wave segments.
 	UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavesegment.Segment) (int, error)
-}
-
-// upload sends one batch, using the context-aware path when the store
-// supports it.
-func upload(ctx context.Context, st Store, key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
-	if cs, ok := st.(CtxStore); ok {
-		return cs.UploadCtx(ctx, key, segs)
-	}
-	return st.Upload(key, segs)
+	// RulesForCtx returns the owner's compiled rule engine (nil when the
+	// owner has not defined rules yet).
+	RulesForCtx(ctx context.Context, key auth.APIKey) (*rules.Engine, error)
 }
 
 // Phone is one simulated device.
@@ -158,14 +142,9 @@ func (m EnergyModel) Estimate(r *Report) Energy {
 	return e
 }
 
-// Run executes a scripted scenario end to end and reports what was
-// collected and uploaded.
-func (p *Phone) Run(sc *sensors.Scenario) (*Report, error) {
-	return p.RunCtx(context.Background(), sc)
-}
-
-// RunCtx is Run with a caller context; the context's trace follows every
-// upload to the store.
+// RunCtx executes a scripted scenario end to end and reports what was
+// collected and uploaded. ctx's trace follows the rule download, the
+// outbox drain and every upload to the store.
 func (p *Phone) RunCtx(ctx context.Context, sc *sensors.Scenario) (*Report, error) {
 	if p.Store == nil {
 		return nil, fmt.Errorf("phone: no store configured")
@@ -179,20 +158,15 @@ func (p *Phone) RunCtx(ctx context.Context, sc *sensors.Scenario) (*Report, erro
 
 // DrainOutbox re-uploads spilled batches immediately (no-op without an
 // outbox). It returns how many batches and store records made it.
-func (p *Phone) DrainOutbox() (batches, records int, err error) {
+func (p *Phone) DrainOutbox(ctx context.Context) (batches, records int, err error) {
 	if p.Outbox == nil {
 		return 0, 0, nil
 	}
-	return p.Outbox.Drain(p.Store, p.Key)
+	return p.Outbox.Drain(ctx, p.Store, p.Key)
 }
 
-// Process runs inference, annotation, rule-aware filtering, and upload over
-// an existing recording.
-func (p *Phone) Process(rec *sensors.Recording) (*Report, error) {
-	return p.ProcessCtx(context.Background(), rec)
-}
-
-// ProcessCtx is Process with a caller context (see RunCtx).
+// ProcessCtx runs inference, annotation, rule-aware filtering, and upload
+// over an existing recording (see RunCtx).
 func (p *Phone) ProcessCtx(ctx context.Context, rec *sensors.Recording) (*Report, error) {
 	ann := &inference.Annotator{Window: p.Window}
 	all := rec.AllSegments()
@@ -201,7 +175,7 @@ func (p *Phone) ProcessCtx(ctx context.Context, rec *sensors.Recording) (*Report
 
 	var engine *rules.Engine
 	if p.RuleAware {
-		e, err := p.Store.RulesFor(p.Key)
+		e, err := p.Store.RulesForCtx(ctx, p.Key)
 		if err != nil {
 			return nil, fmt.Errorf("phone: downloading rules: %w", err)
 		}
@@ -214,7 +188,7 @@ func (p *Phone) ProcessCtx(ctx context.Context, rec *sensors.Recording) (*Report
 	// first so the store sees data in rough arrival order. A still-down
 	// store is not an error — the spilled batches just wait.
 	if p.Outbox != nil {
-		drained, n, _ := p.Outbox.Drain(p.Store, p.Key)
+		drained, n, _ := p.Outbox.Drain(ctx, p.Store, p.Key)
 		rep.BatchesRecovered = drained
 		rep.RecordsWritten += n
 	}
@@ -228,7 +202,7 @@ func (p *Phone) ProcessCtx(ctx context.Context, rec *sensors.Recording) (*Report
 		if len(batch) == 0 {
 			return nil
 		}
-		n, err := upload(ctx, p.Store, p.Key, batch)
+		n, err := p.Store.UploadCtx(ctx, p.Key, batch)
 		if err != nil {
 			// Spill on failure: with an outbox the session survives a
 			// store outage; the batch is durable and drains later.

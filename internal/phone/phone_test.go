@@ -1,6 +1,7 @@
 package phone
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -35,8 +36,9 @@ func scenario(phases ...sensors.Phase) *sensors.Scenario {
 }
 
 func TestRunUploadsEverythingWhenNotRuleAware(t *testing.T) {
+	ctx := context.Background()
 	svc, p := setup(t)
-	rep, err := p.Run(scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
+	rep, err := p.RunCtx(ctx, scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +57,10 @@ func TestRunUploadsEverythingWhenNotRuleAware(t *testing.T) {
 }
 
 func TestRuleAwareNoRulesSkipsAll(t *testing.T) {
+	ctx := context.Background()
 	svc, p := setup(t)
 	p.RuleAware = true
-	rep, err := p.Run(scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
+	rep, err := p.RunCtx(ctx, scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +80,11 @@ func setRules(t *testing.T, svc *datastore.Service, p *Phone, ruleJSON string) {
 }
 
 func TestRuleAwareAllowAllUploadsAll(t *testing.T) {
+	ctx := context.Background()
 	svc, p := setup(t)
 	p.RuleAware = true
 	setRules(t, svc, p, `[{"Action":"Allow"}]`)
-	rep, err := p.Run(scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
+	rep, err := p.RunCtx(ctx, scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +94,7 @@ func TestRuleAwareAllowAllUploadsAll(t *testing.T) {
 }
 
 func TestRuleAwareDiscardsDeniedContext(t *testing.T) {
+	ctx := context.Background()
 	// Alice's §6 rule: stop collecting stress-related sensors while
 	// driving. We model the storyline with a deny-everything-while-driving
 	// rule: driving packets are collected (context must be inferred first)
@@ -100,7 +105,7 @@ func TestRuleAwareDiscardsDeniedContext(t *testing.T) {
 	  {"Action":"Allow"},
 	  {"Context":["Drive"],"Action":"Deny"}
 	]`)
-	rep, err := p.Run(scenario(
+	rep, err := p.RunCtx(ctx, scenario(
 		sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill},
 		sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxDrive, Heading: 90},
 		sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill},
@@ -127,6 +132,7 @@ func TestRuleAwareDiscardsDeniedContext(t *testing.T) {
 }
 
 func TestRuleAwareSkipsDeniedLocation(t *testing.T) {
+	ctx := context.Background()
 	// "deny accelerometer data at home" generalized: share only at UCLA.
 	// Everything recorded at home can be skipped without collection
 	// because the decision needs no context.
@@ -138,7 +144,7 @@ func TestRuleAwareSkipsDeniedLocation(t *testing.T) {
 	}
 	setRules(t, svc, p, `[{"LocationLabel":["UCLA"],"Action":"Allow"}]`)
 	// The scenario stays at home the whole time.
-	rep, err := p.Run(scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
+	rep, err := p.RunCtx(ctx, scenario(sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxStill}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +157,14 @@ func TestRuleAwareSkipsDeniedLocation(t *testing.T) {
 }
 
 func TestRuleAwareTimeWindow(t *testing.T) {
+	ctx := context.Background()
 	// Share only 8:00-8:02am; the scenario runs 8:00-8:04.
 	svc, p := setup(t)
 	p.RuleAware = true
 	setRules(t, svc, p, `[
 	  {"TimeRange":{"Start":"2011-02-16T08:00:00Z","End":"2011-02-16T08:02:00Z"},"Action":"Allow"}
 	]`)
-	rep, err := p.Run(scenario(sensors.Phase{Duration: 4 * time.Minute, Activity: rules.CtxStill}))
+	rep, err := p.RunCtx(ctx, scenario(sensors.Phase{Duration: 4 * time.Minute, Activity: rules.CtxStill}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +179,10 @@ func TestRuleAwareTimeWindow(t *testing.T) {
 }
 
 func TestUploadedDataIsAnnotatedAndQueryable(t *testing.T) {
+	ctx := context.Background()
 	svc, p := setup(t)
 	setRules(t, svc, p, `[{"Action":"Allow"}]`)
-	if _, err := p.Run(scenario(
+	if _, err := p.RunCtx(ctx, scenario(
 		sensors.Phase{Duration: 2 * time.Minute, Activity: rules.CtxDrive, Heading: 45},
 	)); err != nil {
 		t.Fatal(err)
@@ -183,7 +191,7 @@ func TestUploadedDataIsAnnotatedAndQueryable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := svc.Query(bob.Key, &query.Query{Contexts: []string{"Drive"}})
+	rels, err := svc.QueryCtx(ctx, bob.Key, &query.Query{Contexts: []string{"Drive"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,15 +201,17 @@ func TestUploadedDataIsAnnotatedAndQueryable(t *testing.T) {
 }
 
 func TestRunWithoutStore(t *testing.T) {
+	ctx := context.Background()
 	p := &Phone{Contributor: "alice"}
-	if _, err := p.Run(scenario(sensors.Phase{Duration: time.Minute, Activity: rules.CtxStill})); err == nil {
+	if _, err := p.RunCtx(ctx, scenario(sensors.Phase{Duration: time.Minute, Activity: rules.CtxStill})); err == nil {
 		t.Error("missing store should error")
 	}
 }
 
 func TestRunInvalidScenario(t *testing.T) {
+	ctx := context.Background()
 	_, p := setup(t)
-	if _, err := p.Run(&sensors.Scenario{}); err == nil {
+	if _, err := p.RunCtx(ctx, &sensors.Scenario{}); err == nil {
 		t.Error("invalid scenario should error")
 	}
 }
