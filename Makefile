@@ -67,19 +67,20 @@ bench-smoke:
 chaos:
 	$(GO) test -run TestChaos -count=1 -v ./internal/httpapi/
 
-# Short fuzz campaigns on the untrusted-input parsers, the WAL replay and
-# the segment file format.
+# Short fuzz campaigns on the untrusted-input parsers (including the
+# traceparent header), the WAL replay and the segment file format.
 fuzz:
 	$(GO) test -fuzz=FuzzRuleJSON -fuzztime=30s ./internal/rules/
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=30s ./internal/wavesegment/
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/query/
 	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz=FuzzSegmentFile -fuzztime=30s ./internal/segstore/
+	$(GO) test -fuzz=FuzzTraceparent -fuzztime=30s ./internal/obs/trace/
 
 # fuzz-seeds replays the checked-in fuzz corpora once (no new inputs) so
 # CI catches regressions on known-tricky parser inputs cheaply.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/query/ ./internal/segstore/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/query/ ./internal/segstore/ ./internal/obs/trace/
 
 examples:
 	$(GO) run ./examples/quickstart

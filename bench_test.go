@@ -83,7 +83,7 @@ func BenchmarkEnforceSegment(b *testing.B) {
 			seg := enforceSegment(60)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := abstraction.Enforce(engine, "consumer-0", nil, seg, gc); err != nil {
+				if _, _, err := abstraction.EnforceExplained(engine, "consumer-0", nil, seg, gc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -49,7 +49,8 @@ func (r *Release) Empty() bool {
 
 // Apply transforms one segment under a single constant decision. The
 // caller is responsible for the decision actually being constant across the
-// segment's span (see Enforce). A nil return means nothing is released.
+// segment's span (see EnforceExplained). A nil return means nothing is
+// released.
 func Apply(d *rules.Decision, seg *wavesegment.Segment, gc geo.Geocoder) (*Release, error) {
 	if d == nil || seg == nil {
 		return nil, fmt.Errorf("abstraction: nil decision or segment")
@@ -158,21 +159,16 @@ func shiftSegment(s *wavesegment.Segment, d time.Duration) {
 	}
 }
 
-// Enforce runs full access control for one consumer over one stored
-// segment: it cuts the segment at every instant where the decision can
-// change — rule time-condition boundaries and context annotation edges —
-// evaluates the rule engine for each span, and transforms each span under
-// its decision. Spans that release nothing are dropped.
-func Enforce(e rules.Decider, consumer string, consumerGroups []string, seg *wavesegment.Segment, gc geo.Geocoder) ([]*Release, error) {
-	rels, _, err := EnforceExplained(e, consumer, consumerGroups, seg, gc)
-	return rels, err
-}
-
-// EnforceExplained is Enforce that also returns the engine decision
-// behind each release, index-aligned with the releases. The decisions
-// are provenance for traces and audit trails (matched rule IDs, granted
-// granularities); they stay out of the Release shape on purpose so
-// policy structure cannot leak into consumer-facing payloads.
+// EnforceExplained runs full access control for one consumer over one
+// stored segment: it cuts the segment at every instant where the decision
+// can change — rule time-condition boundaries and context annotation
+// edges — evaluates the rule engine for each span, and transforms each
+// span under its decision. Spans that release nothing are dropped. It
+// also returns the engine decision behind each release, index-aligned
+// with the releases. The decisions are provenance for traces and audit
+// trails (matched rule IDs, granted granularities); they stay out of the
+// Release shape on purpose so policy structure cannot leak into
+// consumer-facing payloads.
 func EnforceExplained(e rules.Decider, consumer string, consumerGroups []string, seg *wavesegment.Segment, gc geo.Geocoder) ([]*Release, []*rules.Decision, error) {
 	if seg == nil {
 		return nil, nil, fmt.Errorf("abstraction: nil segment")
@@ -232,17 +228,4 @@ func spanCuts(e rules.Decider, seg *wavesegment.Segment, start, end time.Time) [
 		}
 	}
 	return dedup
-}
-
-// EnforceAll enforces a batch of segments, concatenating the releases.
-func EnforceAll(e rules.Decider, consumer string, consumerGroups []string, segs []*wavesegment.Segment, gc geo.Geocoder) ([]*Release, error) {
-	var out []*Release
-	for _, s := range segs {
-		rels, err := Enforce(e, consumer, consumerGroups, s, gc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rels...)
-	}
-	return out, nil
 }

@@ -281,7 +281,7 @@ func TestEnforceContextSpans(t *testing.T) {
 	seg := fullSegment(t0) // 60 s
 	_ = seg.Annotate(rules.CtxConversation, t0.Add(20*time.Second), t0.Add(40*time.Second))
 
-	rels, err := Enforce(e, "Bob", nil, seg, gc)
+	rels, _, err := EnforceExplained(e, "Bob", nil, seg, gc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestEnforceTimeBoundaries(t *testing.T) {
 	rep, _ := timeutil.ParseRepeated(nil, []string{"10:14am", "11:00am"})
 	e := engine(t, nil, &rules.Rule{RepeatTimes: []timeutil.Repeated{rep}, Action: rules.Allow()})
 	seg := fullSegment(t0) // 10:13:45 .. 10:14:45
-	rels, err := Enforce(e, "Bob", nil, seg, gc)
+	rels, _, err := EnforceExplained(e, "Bob", nil, seg, gc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestEnforceDenyWhileDriving(t *testing.T) {
 	)
 	seg := fullSegment(t0)
 	_ = seg.Annotate(rules.CtxDrive, t0.Add(30*time.Second), t0.Add(60*time.Second))
-	rels, err := Enforce(e, "Bob", nil, seg, gc)
+	rels, _, err := EnforceExplained(e, "Bob", nil, seg, gc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,27 +366,11 @@ func TestEnforceDenyWhileDriving(t *testing.T) {
 
 func TestEnforceInvalidSegment(t *testing.T) {
 	e := engine(t, nil, &rules.Rule{Action: rules.Allow()})
-	if _, err := Enforce(e, "Bob", nil, &wavesegment.Segment{}, gc); err == nil {
+	if _, _, err := EnforceExplained(e, "Bob", nil, &wavesegment.Segment{}, gc); err == nil {
 		t.Error("invalid segment should error")
 	}
-	if _, err := Enforce(e, "Bob", nil, nil, gc); err == nil {
+	if _, _, err := EnforceExplained(e, "Bob", nil, nil, gc); err == nil {
 		t.Error("nil segment should error")
-	}
-}
-
-func TestEnforceAll(t *testing.T) {
-	e := engine(t, nil, &rules.Rule{Action: rules.Allow()})
-	segs := []*wavesegment.Segment{fullSegment(t0), fullSegment(t0.Add(time.Hour))}
-	rels, err := EnforceAll(e, "Bob", nil, segs, gc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rels) != 2 {
-		t.Fatalf("releases = %d", len(rels))
-	}
-	bad := []*wavesegment.Segment{{}}
-	if _, err := EnforceAll(e, "Bob", nil, bad, gc); err == nil {
-		t.Error("invalid batch should error")
 	}
 }
 

@@ -89,7 +89,7 @@ func TestPropertyEnforceConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rels, err := Enforce(e, "bob", nil, seg, gc)
+		rels, _, err := EnforceExplained(e, "bob", nil, seg, gc)
 		if err != nil {
 			return false
 		}
@@ -150,7 +150,7 @@ func TestPropertyEnforceNeverLeaksHiddenContexts(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rels, err := Enforce(e, "bob", nil, seg, gc)
+		rels, _, err := EnforceExplained(e, "bob", nil, seg, gc)
 		if err != nil {
 			return false
 		}

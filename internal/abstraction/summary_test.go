@@ -70,7 +70,7 @@ func TestSummarizeEndToEnd(t *testing.T) {
 	e := engine(t, nil, &rules.Rule{Action: rules.Allow()})
 	seg := fullSegment(t0)
 	_ = seg.Annotate(rules.CtxWalk, t0, t0.Add(30*time.Second))
-	rels, err := Enforce(e, "bob", nil, seg, geo.GridGeocoder{})
+	rels, _, err := EnforceExplained(e, "bob", nil, seg, geo.GridGeocoder{})
 	if err != nil {
 		t.Fatal(err)
 	}

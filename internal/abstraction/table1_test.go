@@ -66,7 +66,8 @@ func t1Enforce(ruleJSON, consumer string, groups []string) ([]*abstraction.Relea
 	if err != nil {
 		return nil, err
 	}
-	return abstraction.Enforce(e, consumer, groups, t1Segment(), geo.GridGeocoder{})
+	rels, _, err := abstraction.EnforceExplained(e, consumer, groups, t1Segment(), geo.GridGeocoder{})
+	return rels, err
 }
 
 // expectShared asserts the rule set releases (or withholds) data for the

@@ -2,9 +2,10 @@
 // keeps for its contributors. The paper's §2 positions SensorSafe as an
 // extension of the Personal Data Vault (Mun et al., 2010), whose trace
 // audit lets a data owner see exactly who accessed what; this package
-// supplies that capability: every consumer query is recorded with the
-// consumer identity, query, matched spans, and the decision outcome per
-// span (released in full, abstracted, or withheld), and contributors can
+// supplies that capability: every consumer query and live-stream delivery
+// is recorded with the consumer identity, query, matched spans, the
+// decision outcome per span (released in full, abstracted, or withheld)
+// and the rules and rule version behind it, and contributors can
 // review and aggregate their trail.
 package audit
 
@@ -62,6 +63,12 @@ type Event struct {
 	Channels []string `json:"channels,omitempty"`
 	// Contexts released (possibly abstracted labels).
 	Contexts []string `json:"contexts,omitempty"`
+	// RuleVersion is the contributor's rule-set version that decided the
+	// release (or withheld it).
+	RuleVersion uint64 `json:"ruleVersion,omitempty"`
+	// Rules are the sorted IDs of the rules that matched the release
+	// (rules without an ID are not listed).
+	Rules []string `json:"rules,omitempty"`
 	// TraceID cross-references the distributed trace of the query that
 	// caused this access (32 hex chars, empty when the query carried no
 	// trace): the trail answers *what* was released, /debug/traces?id=

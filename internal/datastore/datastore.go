@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -230,7 +231,6 @@ func New(opts Options) (*Service, error) {
 	svc.ctx, svc.cancel = context.WithCancel(context.Background())
 	svc.stream = stream.New(stream.Options{
 		Rules:          svc,
-		Geocoder:       opts.Geocoder,
 		BufferSegments: opts.StreamBufferSegments,
 		OnChange:       svc.saveStreamState,
 	})
@@ -521,15 +521,20 @@ func (s *Service) DefinePlace(key auth.APIKey, label string, region geo.Region) 
 		s.mu.Unlock()
 		return err
 	}
-	if err := st.gazetteer.Define(label, region); err != nil {
+	// Copy on write: Recommend and the engines RulesForCtx hands out read
+	// the current gazetteer with no lock held, and a failed compile must
+	// leave no half-applied place behind.
+	gaz := st.gazetteer.Clone()
+	if err := gaz.Define(label, region); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	engine, err := rules.NewEngine(st.rules, st.gazetteer)
+	engine, err := rules.NewEngine(st.rules, gaz)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
+	st.gazetteer = gaz
 	st.engine = engine
 	st.ruleVersion++
 	st.recompileIndex()
@@ -737,19 +742,14 @@ func (s *Service) syncLoop() {
 }
 
 // QueryCtx answers a consumer's data request: scan matching records,
-// enforce each contributor's privacy rules span by span, then apply the
-// query's channel projection and context filter to the *released* data
-// (filtering on released rather than raw annotations so the filter cannot
-// leak withheld contexts). Enforcement spans land in ctx's trace.
+// clip each to the requested window and pass it through release.
+// Enforcement spans land in ctx's trace.
 func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query) (out []*abstraction.Release, err error) {
 	ctx, qspan, stopQuery := obs.Span(ctx, "datastore.query")
 	defer func() {
 		qspan.SetAttr(trace.Int("releases", len(out)))
 		stopQuery(err)
 	}()
-	// Audit events cross-reference the query's trace: the trail answers
-	// what was released, the trace answers why.
-	traceID := trace.IDFromContext(ctx)
 	u, err := s.authenticate(key, auth.RoleConsumer)
 	if err != nil {
 		return nil, err
@@ -763,6 +763,9 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 	}
 	metricSegmentsScanned.Add(float64(len(results)))
 
+	// Audit events cross-reference the query's trace: the trail answers
+	// what was released, the trace answers why.
+	who := audit.Event{Consumer: u.Name, Query: q.String(), TraceID: trace.IDFromContext(ctx)}
 	for _, res := range results {
 		seg := res.Segment
 		// Clip to the requested window: the scan matches any overlapping
@@ -772,94 +775,109 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 				continue
 			}
 		}
-		s.mu.RLock()
-		st, err := s.stateLocked(seg.Contributor)
-		var decider rules.Decider
-		var groups []string
-		var ruleVersion uint64
-		if err == nil {
-			decider = st.decider()
-			groups = st.groups[normName(u.Name)]
-			ruleVersion = st.ruleVersion
-		}
-		s.mu.RUnlock()
-		if err != nil || decider == nil {
-			metricReleases.With("deny").Inc()
-			continue // contributor without rules: default deny
-		}
-		// The rule-eval span carries decision provenance: matched rule
-		// IDs, the rule-set version they came from, the effective
-		// allow/abstract/deny class, and per-release granted granularity
-		// events — every release below is explainable from the trace.
 		_, espan, stopEval := obs.Span(ctx, "datastore.rule_eval")
-		espan.SetAttr(trace.String("contributor", seg.Contributor),
-			trace.Int64("rule_version", int64(ruleVersion)))
-		rels, decisions, err := abstraction.EnforceExplained(decider, u.Name, groups, seg, s.opts.Geocoder)
+		rels, _, _, err := s.release(who, seg, q, espan)
+		stopEval(err)
 		if err != nil {
-			stopEval(err)
 			return nil, err
 		}
-		delivered := 0
-		decisionClass := "deny"
-		matched := make(map[string]bool)
-		for i, rel := range rels {
-			if rel = postFilter(rel, q); rel != nil {
-				out = append(out, rel)
-				delivered++
-				ev := auditEvent(u.Name, q, rel, seg)
-				ev.TraceID = traceID
-				if ev.Outcome == audit.OutcomeRaw {
-					metricReleases.With("allow").Inc()
-					decisionClass = "allow"
-				} else {
-					metricReleases.With("abstract").Inc()
-					if decisionClass != "allow" {
-						decisionClass = "abstract"
-					}
-				}
-				for _, id := range decisions[i].Matched {
-					matched[id] = true
-				}
-				espan.AddEvent("release.decision",
-					trace.String("outcome", ev.Outcome.String()),
-					trace.String("rules", strings.Join(decisions[i].Matched, ",")),
-					trace.Bool("cached", decisions[i].Cached),
-					trace.String("location_granularity", rel.Location.Granularity.String()),
-					trace.String("time_granularity", rel.TimeGranularity.String()))
-				s.trail.Record(ev)
-			}
-		}
-		if delivered == 0 {
-			metricReleases.With("deny").Inc()
-			s.trail.Record(audit.Event{
-				Contributor: seg.Contributor, Consumer: u.Name, Query: q.String(),
-				SpanStart: seg.StartTime(), SpanEnd: seg.EndTime(),
-				Outcome: audit.OutcomeWithheld, TraceID: traceID,
-			})
-		}
-		matchedIDs := make([]string, 0, len(matched))
-		for id := range matched {
-			matchedIDs = append(matchedIDs, id)
-		}
-		sort.Strings(matchedIDs)
-		espan.SetAttr(trace.String("decision", decisionClass),
-			trace.String("rules_matched", strings.Join(matchedIDs, ",")),
-			trace.Int("releases", delivered))
-		stopEval(nil)
+		out = append(out, rels...)
 	}
 	return out, nil
 }
 
-// auditEvent classifies one delivered release for the owner's audit trail:
-// raw when every dimension flowed at full fidelity — all stored channels
-// the consumer asked for, exact coordinates, exact timestamps — and
-// abstracted when enforcement held anything back.
-func auditEvent(consumer string, q *query.Query, rel *abstraction.Release, seg *wavesegment.Segment) audit.Event {
-	e := audit.Event{
-		Contributor: seg.Contributor, Consumer: consumer, Query: q.String(),
-		SpanStart: rel.Start, SpanEnd: rel.End,
-		Outcome: audit.OutcomeAbstracted,
+// release is the store's one egress for stored data, shared by queries
+// and live-stream deliveries: it enforces the segment contributor's
+// current rules for the consumer named in who, applies q's channel
+// projection and context filter to the *released* data (so the filter
+// cannot leak withheld contexts), and records every release in the audit
+// trail, starting from who's consumer, query text and trace ID. span
+// (nil-safe) receives the decision provenance: rule version, matched
+// rule IDs, the effective allow/abstract/deny class, and one
+// release.decision event per release. It returns the releases, the rule
+// version that decided them, and their joint classification: raw when
+// every release flowed at full fidelity, withheld when none survived.
+func (s *Service) release(who audit.Event, seg *wavesegment.Segment, q *query.Query, span *trace.Span) ([]*abstraction.Release, uint64, audit.Outcome, error) {
+	s.mu.RLock()
+	st, err := s.stateLocked(seg.Contributor)
+	var decider rules.Decider
+	var groups []string
+	var version uint64
+	if err == nil {
+		decider = st.decider()
+		groups = st.groups[normName(who.Consumer)]
+		version = st.ruleVersion
 	}
+	s.mu.RUnlock()
+	span.SetAttr(trace.String("contributor", seg.Contributor),
+		trace.Int64("rule_version", int64(version)))
+	if err != nil || decider == nil {
+		metricReleases.With("deny").Inc()
+		return nil, version, audit.OutcomeWithheld, nil // contributor without rules: default deny
+	}
+	rels, decisions, err := abstraction.EnforceExplained(decider, who.Consumer, groups, seg, s.opts.Geocoder)
+	if err != nil {
+		return nil, version, audit.OutcomeWithheld, err
+	}
+	var out []*abstraction.Release
+	outcome := audit.OutcomeWithheld
+	decisionClass := "deny"
+	var matched []string
+	for i, rel := range rels {
+		if rel = postFilter(rel, q); rel == nil {
+			continue
+		}
+		out = append(out, rel)
+		ev := auditEvent(who, q, rel, seg)
+		ev.RuleVersion = version
+		ev.Rules = slices.Clone(decisions[i].Matched)
+		sort.Strings(ev.Rules)
+		if ev.Outcome == audit.OutcomeRaw {
+			metricReleases.With("allow").Inc()
+			decisionClass = "allow"
+		} else {
+			metricReleases.With("abstract").Inc()
+			if decisionClass != "allow" {
+				decisionClass = "abstract"
+			}
+		}
+		if outcome != audit.OutcomeAbstracted {
+			outcome = ev.Outcome
+		}
+		matched = append(matched, ev.Rules...)
+		span.AddEvent("release.decision",
+			trace.String("outcome", ev.Outcome.String()),
+			trace.String("rules", strings.Join(decisions[i].Matched, ",")),
+			trace.Bool("cached", decisions[i].Cached),
+			trace.String("location_granularity", rel.Location.Granularity.String()),
+			trace.String("time_granularity", rel.TimeGranularity.String()))
+		s.trail.Record(ev)
+	}
+	if len(out) == 0 {
+		metricReleases.With("deny").Inc()
+		ev := who
+		ev.Contributor = seg.Contributor
+		ev.SpanStart, ev.SpanEnd = seg.StartTime(), seg.EndTime()
+		ev.Outcome = audit.OutcomeWithheld
+		ev.RuleVersion = version
+		s.trail.Record(ev)
+	}
+	sort.Strings(matched)
+	span.SetAttr(trace.String("decision", decisionClass),
+		trace.String("rules_matched", strings.Join(slices.Compact(matched), ",")),
+		trace.Int("releases", len(out)))
+	return out, version, outcome, nil
+}
+
+// auditEvent classifies one delivered release for the owner's audit trail,
+// starting from who: raw when every dimension flowed at full fidelity —
+// all stored channels the consumer asked for, exact coordinates, exact
+// timestamps — and abstracted when enforcement held anything back.
+func auditEvent(who audit.Event, q *query.Query, rel *abstraction.Release, seg *wavesegment.Segment) audit.Event {
+	e := who
+	e.Contributor = seg.Contributor
+	e.SpanStart, e.SpanEnd = rel.Start, rel.End
+	e.Outcome = audit.OutcomeAbstracted
 	if rel.Segment != nil {
 		e.Channels = append([]string(nil), rel.Segment.Channels...)
 	}
@@ -941,13 +959,15 @@ func (s *Service) QueryOwn(key auth.APIKey, q *query.Query) ([]*wavesegment.Segm
 	}
 	sq := q.Storage()
 	sq.Contributor = u.Name // owners see only their own data
-	results, err := s.store.Scan(sq)
+	results, err := s.store.ScanRefs(sq)
 	if err != nil {
 		return nil, err
 	}
+	// Callers (core.Contributor.ReviewData) hold on to what they get, so
+	// they get copies.
 	out := make([]*wavesegment.Segment, len(results))
 	for i, r := range results {
-		out[i] = r.Segment
+		out[i] = r.Segment.Clone()
 	}
 	return out, nil
 }

@@ -3,15 +3,19 @@ package datastore
 import (
 	"time"
 
+	"sensorsafe/internal/abstraction"
+	"sensorsafe/internal/audit"
 	"sensorsafe/internal/auth"
+	"sensorsafe/internal/query"
 	"sensorsafe/internal/rules"
 	"sensorsafe/internal/stream"
+	"sensorsafe/internal/wavesegment"
 )
 
 // Live-sharing API: the authenticated surface over the store's stream hub.
 // Consumers subscribe to a contributor's channels and poll for segments
-// that were ingested after the subscription, each re-filtered through the
-// contributor's current privacy rules at delivery time.
+// that were ingested after the subscription, each passed through release
+// under the contributor's current privacy rules at delivery time.
 
 // Stream exposes the hub for server wiring (graceful shutdown, health).
 func (s *Service) Stream() *stream.Hub { return s.stream }
@@ -62,8 +66,18 @@ func (s *Service) Unsubscribe(key auth.APIKey, id string) error {
 	return s.stream.Unsubscribe(u.Name, id)
 }
 
-// StreamEngine implements stream.RuleSource: the contributor's compiled
-// rule index and current rule version. A nil decider denies everything.
+// StreamRelease implements stream.RuleSource: a subscription is the query
+// for its channels, so a delivery goes through release exactly like a
+// query and is audited as "stream <query>". Hub.Next carries no context,
+// so stream audit events carry no trace ID.
+func (s *Service) StreamRelease(consumer string, channels []string, seg *wavesegment.Segment) ([]*abstraction.Release, uint64, audit.Outcome, error) {
+	q := &query.Query{Channels: channels}
+	return s.release(audit.Event{Consumer: consumer, Query: "stream " + q.String()}, seg, q, nil)
+}
+
+// StreamEngine returns the contributor's compiled rule index and current
+// rule version, the decider release uses; benchmarks read it to time
+// enforcement on its own. A nil decider denies everything.
 func (s *Service) StreamEngine(contributor string) (rules.Decider, uint64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -72,16 +86,4 @@ func (s *Service) StreamEngine(contributor string) (rules.Decider, uint64, error
 		return nil, 0, err
 	}
 	return st.decider(), st.ruleVersion, nil
-}
-
-// StreamGroups implements stream.RuleSource: the groups this contributor
-// assigned to the consumer (group-scoped rules).
-func (s *Service) StreamGroups(contributor, consumer string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, err := s.stateLocked(contributor)
-	if err != nil {
-		return nil
-	}
-	return append([]string(nil), st.groups[normName(consumer)]...)
 }

@@ -2,10 +2,16 @@ package datastore
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"sensorsafe/internal/abstraction"
+	"sensorsafe/internal/audit"
 	"sensorsafe/internal/geo"
+	"sensorsafe/internal/query"
+	"sensorsafe/internal/rules"
 	"sensorsafe/internal/stream"
 	"sensorsafe/internal/wavesegment"
 )
@@ -197,9 +203,10 @@ func TestStreamRuleChangeMidStream(t *testing.T) {
 	}
 }
 
-// TestStreamRefiltersBufferedSegments uploads while one rule set is live,
-// then flips the rules BEFORE the consumer polls: the buffered, undelivered
-// segment must be filtered by the rules in force at delivery time.
+// TestStreamRefiltersBufferedSegments delivers one upload, then buffers
+// two more and flips the rules to deny BEFORE the consumer polls: the
+// buffered, undelivered segments must be filtered by the rules in force
+// at delivery time, and the cursor must still move past them.
 func TestStreamRefiltersBufferedSegments(t *testing.T) {
 	ctx := context.Background()
 	s := newService(t, Options{})
@@ -214,16 +221,155 @@ func TestStreamRefiltersBufferedSegments(t *testing.T) {
 	if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// Revocation lands while the segment sits undelivered in the buffer.
-	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Deny"}]`)); err != nil {
-		t.Fatal(err)
-	}
-	b, err := s.StreamNext(bob.Key, info.ID, info.Cursor, 50*time.Millisecond)
+	b, err := s.StreamNext(bob.Key, info.ID, info.Cursor, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Events) != 0 {
-		t.Fatalf("buffered segment leaked after revocation: %+v", b.Events)
+	if len(b.Events) != 1 || b.Events[0].RuleVersion != 1 || b.Events[0].Releases[0].Segment == nil {
+		t.Fatalf("pre-flip delivery = %+v", b.Events)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, err := s.UploadCtx(ctx, alice.Key, packetStream("alice", t0.Add(time.Duration(i)*time.Hour), 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Revocation lands while the segments sit undelivered in the buffer.
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Deny"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	b2, err := s.StreamNext(bob.Key, info.ID, b.Cursor, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b2.Events) != 0 {
+		t.Fatalf("buffered segments leaked after revocation: %+v", b2.Events)
+	}
+	if b2.Cursor != "3" {
+		t.Fatalf("cursor must advance past suppressed segments, got %s", b2.Cursor)
+	}
+}
+
+// TestStreamChannelSubscriptionProjects: a channel-filtered subscription
+// receives only its channels, and a segment carrying none of them takes
+// no sequence number.
+func TestStreamChannelSubscriptionProjects(t *testing.T) {
+	ctx := context.Background()
+	s := newService(t, Options{})
+	alice, bob := setupAliceBob(t, s)
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	info, err := s.Subscribe(bob.Key, "alice", []string{"ECG"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := []*wavesegment.Segment{
+		packet("alice", t0, 64),
+		packet("alice", t0.Add(time.Hour), 64, wavesegment.ChannelMicrophone),
+	}
+	if _, err := s.UploadCtx(ctx, alice.Key, upload); err != nil {
+		t.Fatal(err)
+	}
+	b, err := s.StreamNext(bob.Key, info.ID, info.Cursor, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Events) != 1 || b.Cursor != "1" {
+		t.Fatalf("events = %+v, cursor %s; want one event at cursor 1", b.Events, b.Cursor)
+	}
+	rel := b.Events[0].Releases[0]
+	if rel.Segment == nil || len(rel.Segment.Channels) != 1 || rel.Segment.Channels[0] != "ECG" {
+		t.Fatalf("projection wrong: %+v", rel.Segment)
+	}
+}
+
+// TestStreamReleasesEqualQueryReleases holds the two egresses to one
+// release path: for each rule set, a subscription's data event carries
+// exactly the releases a query for the same channels over the uploaded
+// packet's window returns, and both leave the same audit events but for
+// when they happened, the query text and the trace ID.
+func TestStreamReleasesEqualQueryReleases(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name   string
+		rules  string
+		groups []string
+	}{
+		{"allow-all", `[{"ID":"all","Action":"Allow"}]`, nil},
+		{"deny", `[{"ID":"none","Action":"Deny"}]`, nil},
+		{"city-level location", `[{"ID":"all","Action":"Allow"},
+			{"ID":"city","Action":{"Abstraction":{"Location":"City"}}}]`, nil},
+		{"channel-restricted", `[{"ID":"ecg","Sensor":["ECG"],"Action":"Allow"}]`, nil},
+		{"group-scoped", `[{"ID":"study","Group":["StressStudy"],"Action":"Allow"}]`, []string{"StressStudy"}},
+		{"smoking closure", `[{"ID":"all","Action":"Allow"},
+			{"ID":"hide-smoking","Action":{"Abstraction":{"Smoking":"NotShared"}}}]`, nil},
+	}
+	for _, tc := range cases {
+		for _, channels := range [][]string{nil, {"ECG"}} {
+			t.Run(fmt.Sprintf("%s/channels=%v", tc.name, channels), func(t *testing.T) {
+				s := newService(t, Options{})
+				alice, bob := setupAliceBob(t, s)
+				if err := s.SetRules(alice.Key, []byte(tc.rules)); err != nil {
+					t.Fatal(err)
+				}
+				if tc.groups != nil {
+					if err := s.AssignConsumerGroups(alice.Key, "Bob", tc.groups); err != nil {
+						t.Fatal(err)
+					}
+				}
+				info, err := s.Subscribe(bob.Key, "alice", channels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := packet("alice", t0, 600)
+				_ = p.Annotate(rules.CtxSmoking, t0.Add(20*time.Second), t0.Add(40*time.Second))
+				if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{p}); err != nil {
+					t.Fatal(err)
+				}
+				b, err := s.StreamNext(bob.Key, info.ID, info.Cursor, 50*time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var streamed []*abstraction.Release
+				for _, ev := range b.Events {
+					streamed = append(streamed, ev.Releases...)
+				}
+				streamAudit, err := s.Audit(alice.Key, audit.Filter{})
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				q := &query.Query{Channels: channels, From: p.StartTime(), To: p.EndTime()}
+				queried, err := s.QueryCtx(ctx, bob.Key, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(streamed, queried) {
+					t.Fatalf("stream released %d, query %d:\nstream %+v\nquery  %+v", len(streamed), len(queried), streamed, queried)
+				}
+				all, err := s.Audit(alice.Key, audit.Filter{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				queryAudit := all[:len(all)-len(streamAudit)]
+				if len(streamAudit) == 0 || len(streamAudit) != len(queryAudit) {
+					t.Fatalf("audit events: stream %d, query %d", len(streamAudit), len(queryAudit))
+				}
+				for i := range streamAudit {
+					se, qe := streamAudit[i], queryAudit[i]
+					if se.Query != "stream "+(&query.Query{Channels: channels}).String() || se.TraceID != "" {
+						t.Errorf("stream event labelled %q, trace %q", se.Query, se.TraceID)
+					}
+					if se.RuleVersion == 0 {
+						t.Errorf("stream event carries no rule version: %+v", se)
+					}
+					se.At, se.Query, se.TraceID = qe.At, qe.Query, qe.TraceID
+					if !reflect.DeepEqual(se, qe) {
+						t.Errorf("audit event %d differs:\nstream %+v\nquery  %+v", i, se, qe)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 //     wavesegment decoders (byte → Segment), and wavesegment.Segment
 //     composite literals outside the codec package.
 //   - Sanitizers: the release pipeline — internal/abstraction
-//     (Apply/Enforce return Release values) and internal/rules decisions.
+//     (Apply/EnforceExplained return Release values) and internal/rules decisions.
 //     Their results are clean by definition; that is the invariant the
 //     rest of the analysis enforces.
 //   - Sinks: consumer-facing egress — composite literals and field writes

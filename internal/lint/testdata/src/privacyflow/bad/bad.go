@@ -28,8 +28,8 @@ func level1(svc *datastore.Service) []*wavesegment.Segment {
 }
 
 func level2(svc *datastore.Service) []*wavesegment.Segment {
-	st := svc.Storage()                      // want "datastore.Storage"
-	results, err := st.Scan(storage.Query{}) // want "call to storage.Scan"
+	st := svc.Storage()                          // want "datastore.Storage"
+	results, err := st.ScanRefs(storage.Query{}) // want "call to storage.ScanRefs"
 	if err != nil {
 		return nil
 	}

@@ -35,14 +35,14 @@ func level2(rels []*abstraction.Release) []*wavesegment.Segment {
 }
 
 // sanitized decodes a raw segment — tainted at birth — but launders it
-// through abstraction.EnforceAll before it reaches the response: the
+// through abstraction.EnforceExplained before it reaches the response: the
 // sanitizer axiom must cut the flow.
 func sanitized(e rules.Decider, data []byte, gc geo.Geocoder) (queryResp, error) {
 	seg, err := wavesegment.UnmarshalJSONSegment(data)
 	if err != nil {
 		return queryResp{}, err
 	}
-	rels, err := abstraction.EnforceAll(e, "consumer", nil, []*wavesegment.Segment{seg}, gc)
+	rels, _, err := abstraction.EnforceExplained(e, "consumer", nil, seg, gc)
 	if err != nil {
 		return queryResp{}, err
 	}

@@ -19,8 +19,8 @@ func leak(svc *datastore.Service) queryResp {
 }
 
 func rawScan(svc *datastore.Service) []*wavesegment.Segment {
-	st := svc.Storage()                      // want "datastore.Storage"
-	results, err := st.Scan(storage.Query{}) // want "call to storage.Scan"
+	st := svc.Storage()                          // want "datastore.Storage"
+	results, err := st.ScanRefs(storage.Query{}) // want "call to storage.ScanRefs"
 	if err != nil {
 		return nil
 	}

@@ -114,6 +114,30 @@ func TestParseTraceparentRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzTraceparent feeds untrusted traceparent headers to the parser: it
+// must never panic, and whatever it accepts must be a valid context that
+// formats back to a header parsing to the same context.
+func FuzzTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("00-0AF7651916CD43DD8448EB211C80319C-B7AD6B7169203331-ff")
+	f.Add("00-00000000000000000000000000000000-b7ad6b7169203331-01")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-zz")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		if !sc.Valid() {
+			t.Fatalf("ParseTraceparent(%q) accepted invalid %+v", h, sc)
+		}
+		again, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || again != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its header %q parses to %+v, %v", h, sc, sc.Traceparent(), again, ok)
+		}
+	})
+}
+
 func TestNilSpanMethodsAreSafe(t *testing.T) {
 	var s *Span
 	s.SetAttr(String("k", "v"))

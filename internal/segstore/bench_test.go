@@ -53,7 +53,7 @@ func BenchmarkDiskScan(b *testing.B) {
 		b.Run(eng.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Scan(storage.Query{})
+				res, err := eng.ScanRefs(storage.Query{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -98,7 +98,7 @@ func BenchmarkDiskPointQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Scan(storage.Query{Contributor: "c7", From: from, To: to})
+		res, err := s.ScanRefs(storage.Query{Contributor: "c7", From: from, To: to})
 		if err != nil {
 			b.Fatal(err)
 		}

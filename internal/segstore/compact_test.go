@@ -44,7 +44,7 @@ func flatten(t *testing.T, res []storage.Result) map[string]map[int64][]float64 
 
 func mustScan(t *testing.T, s storage.Engine) []storage.Result {
 	t.Helper()
-	res, err := s.Scan(storage.Query{})
+	res, err := s.ScanRefs(storage.Query{})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -282,7 +282,7 @@ func TestCompactionUnderConcurrentIngest(t *testing.T) {
 				t.Errorf("compact: %v", err)
 				return
 			}
-			if _, err := s.Scan(storage.Query{Contributor: "writer0"}); err != nil {
+			if _, err := s.ScanRefs(storage.Query{Contributor: "writer0"}); err != nil {
 				t.Errorf("scan during compaction: %v", err)
 				return
 			}

@@ -38,7 +38,7 @@ func crash(t *testing.T, s *Store) {
 // — a duplicate means a record is visible from two sources at once.
 func scanIDs(t *testing.T, s *Store) map[storage.ID]string {
 	t.Helper()
-	res, err := s.Scan(storage.Query{})
+	res, err := s.ScanRefs(storage.Query{})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}

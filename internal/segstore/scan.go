@@ -242,8 +242,10 @@ func (sn *scanSnapshot) iterators(q *storage.Query) []recIterator {
 	return its
 }
 
-// scan is the shared Scan/ScanRefs implementation.
-func (s *Store) scan(q storage.Query, clone bool) ([]storage.Result, error) {
+// ScanRefs returns matching segments ordered by start time. Memtable
+// records are shared with the store and disk records are fresh per-scan
+// decodes; callers must mutate neither.
+func (s *Store) ScanRefs(q storage.Query) ([]storage.Result, error) {
 	sn, err := s.snapshot(&q)
 	if err != nil {
 		return nil, err
@@ -286,30 +288,10 @@ func (s *Store) scan(q storage.Query, clone bool) ([]storage.Result, error) {
 		if sn.tomb[r.id] || !q.Matches(r.seg) {
 			continue
 		}
-		seg := r.seg
-		// Disk records are fresh per-scan decodes — already private, so
-		// cloning them would only double the read path's allocations.
-		// Memtable records are shared with the store and must be copied.
-		if _, disk := head.it.(*diskIter); clone && !disk {
-			seg = seg.Clone()
-		}
-		out = append(out, storage.Result{ID: r.id, Segment: seg})
+		out = append(out, storage.Result{ID: r.id, Segment: r.seg})
 		if q.Limit > 0 && len(out) >= q.Limit {
 			break
 		}
 	}
 	return out, nil
-}
-
-// Scan returns matching segments ordered by start time. Returned
-// memtable-resident segments are copies; disk-resident ones are fresh
-// decodes.
-func (s *Store) Scan(q storage.Query) ([]storage.Result, error) {
-	return s.scan(q, true)
-}
-
-// ScanRefs is Scan without cloning memtable records: the returned
-// segments must not be mutated.
-func (s *Store) ScanRefs(q storage.Query) ([]storage.Result, error) {
-	return s.scan(q, false)
 }

@@ -130,11 +130,11 @@ func TestDifferentialAgainstLegacyEngine(t *testing.T) {
 		{Contributor: "carol", From: t0, To: t0.Add(30000 * time.Second), Limit: 11},
 	}
 	for qi, q := range queries {
-		want, err := legacy.Scan(q)
+		want, err := legacy.ScanRefs(q)
 		if err != nil {
 			t.Fatalf("legacy scan %d: %v", qi, err)
 		}
-		got, err := seg.Scan(q)
+		got, err := seg.ScanRefs(q)
 		if err != nil {
 			t.Fatalf("segstore scan %d: %v", qi, err)
 		}
@@ -217,8 +217,8 @@ func TestDifferentialContiguousStreams(t *testing.T) {
 				t.Fatalf("count: segstore %d memory %d, want equal and most of 400 puts extending", seg.Count(), mem.Count())
 			}
 			for _, q := range []storage.Query{{}, {Contributor: "bob"}, {Channels: []string{"gsr"}}} {
-				want, _ := mem.Scan(q)
-				got, _ := seg.Scan(q)
+				want, _ := mem.ScanRefs(q)
+				got, _ := seg.ScanRefs(q)
 				if !resultsEqual(t, want, got) {
 					t.Fatalf("scan %+v diverges: memory %d results, segstore %d", q, len(want), len(got))
 				}
@@ -333,7 +333,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if s2.Count() != len(want) {
 		t.Fatalf("count after reopen: %d want %d", s2.Count(), len(want))
 	}
-	got, err := s2.Scan(storage.Query{})
+	got, err := s2.ScanRefs(storage.Query{})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -388,7 +388,7 @@ func TestDeleteSemantics(t *testing.T) {
 	if s.Count() != 0 {
 		t.Fatalf("count after deletes: %d", s.Count())
 	}
-	res, err := s.Scan(storage.Query{})
+	res, err := s.ScanRefs(storage.Query{})
 	if err != nil || len(res) != 0 {
 		t.Fatalf("scan after deletes: %d results, err %v", len(res), err)
 	}
@@ -439,7 +439,7 @@ func TestScanDuringCompactionFileRemoval(t *testing.T) {
 	}
 	// And a fresh scan (post-compaction sources) holds the same data.
 	samples := 0
-	res, err := s.Scan(storage.Query{})
+	res, err := s.ScanRefs(storage.Query{})
 	if err != nil {
 		t.Fatalf("fresh scan: %v", err)
 	}

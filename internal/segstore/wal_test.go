@@ -96,7 +96,7 @@ func FuzzWALReplay(f *testing.F) {
 			return
 		}
 		defer s2.Close()
-		res, err := s2.Scan(storage.Query{})
+		res, err := s2.ScanRefs(storage.Query{})
 		if err != nil {
 			t.Fatalf("scan after replay: %v", err)
 		}

@@ -41,7 +41,9 @@ var (
 type Engine interface {
 	Put(seg *wavesegment.Segment) (ID, error)
 	Count() int
-	Scan(q Query) ([]Result, error)
+	// ScanRefs returns matching segments ordered by start time. They may
+	// be the engine's own records: callers must not mutate them, and
+	// clone what they hand on.
 	ScanRefs(q Query) ([]Result, error)
 	Close() error
 }
@@ -225,15 +227,17 @@ func (q *Query) matches(seg *wavesegment.Segment) bool {
 	return true
 }
 
-// Result pairs a stored segment copy with its ID.
+// Result pairs a stored segment with its ID.
 type Result struct {
 	ID      ID
 	Segment *wavesegment.Segment
 }
 
-// scan returns matching records ordered by start time, walking only
+// ScanRefs returns matching records ordered by start time, walking only
 // records with StartTime < q.To (binary search) and filtering the rest.
-func (s *Store) scan(q Query, clone bool) ([]Result, error) {
+// The returned segments are the store's own records and must not be
+// mutated.
+func (s *Store) ScanRefs(q Query) ([]Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -250,26 +254,13 @@ func (s *Store) scan(q Query, clone bool) ([]Result, error) {
 		if !q.matches(rec.seg) {
 			continue
 		}
-		seg := rec.seg
-		if clone {
-			seg = seg.Clone()
-		}
-		out = append(out, Result{ID: rec.id, Segment: seg})
+		out = append(out, Result{ID: rec.id, Segment: rec.seg})
 		if q.Limit > 0 && len(out) >= q.Limit {
 			break
 		}
 	}
 	return out, nil
 }
-
-// Scan returns matching segments ordered by start time. The returned
-// segments are copies.
-func (s *Store) Scan(q Query) ([]Result, error) { return s.scan(q, true) }
-
-// ScanRefs is Scan without cloning: the returned segments are the store's
-// own records and must not be mutated. Query pipelines that immediately
-// transform (project/slice) segments use this to avoid copying blobs.
-func (s *Store) ScanRefs(q Query) ([]Result, error) { return s.scan(q, false) }
 
 // Close releases the store. Further calls fail with ErrClosed.
 func (s *Store) Close() error {

@@ -106,7 +106,7 @@ func TestScanTimeRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Scan(Query{From: t0.Add(2 * time.Minute), To: t0.Add(5 * time.Minute)})
+	got, err := s.ScanRefs(Query{From: t0.Add(2 * time.Minute), To: t0.Add(5 * time.Minute)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,12 @@ func TestScanTimeRange(t *testing.T) {
 	}
 	// Half-open semantics: a segment starting exactly at To is excluded; one
 	// ending exactly at From is excluded.
-	got, _ = s.Scan(Query{From: t0.Add(time.Second), To: t0.Add(time.Minute)})
+	got, _ = s.ScanRefs(Query{From: t0.Add(time.Second), To: t0.Add(time.Minute)})
 	if len(got) != 0 {
 		t.Errorf("boundary scan = %d segments, want 0", len(got))
 	}
 	// Overlap: window inside a segment matches it.
-	got, _ = s.Scan(Query{From: t0.Add(200 * time.Millisecond), To: t0.Add(300 * time.Millisecond)})
+	got, _ = s.ScanRefs(Query{From: t0.Add(200 * time.Millisecond), To: t0.Add(300 * time.Millisecond)})
 	if len(got) != 1 {
 		t.Errorf("interior scan = %d segments, want 1", len(got))
 	}
@@ -145,24 +145,24 @@ func TestScanFilters(t *testing.T) {
 	far.Location = geo.Point{Lat: 48.85, Lon: 2.35}
 	mustPut(far)
 
-	got, _ := s.Scan(Query{Contributor: "alice"})
+	got, _ := s.ScanRefs(Query{Contributor: "alice"})
 	if len(got) != 2 {
 		t.Errorf("contributor filter: %d, want 2", len(got))
 	}
-	got, _ = s.Scan(Query{Channels: []string{wavesegment.ChannelAccelX, wavesegment.ChannelAccelY}})
+	got, _ = s.ScanRefs(Query{Channels: []string{wavesegment.ChannelAccelX, wavesegment.ChannelAccelY}})
 	if len(got) != 1 || got[0].Segment.Contributor != "bob" {
 		t.Errorf("channel filter: %v", got)
 	}
 	rect, _ := geo.NewRect(geo.Point{Lat: 34, Lon: -119}, geo.Point{Lat: 35, Lon: -118})
-	got, _ = s.Scan(Query{Region: rect})
+	got, _ = s.ScanRefs(Query{Region: rect})
 	if len(got) != 2 {
 		t.Errorf("region filter: %d, want 2", len(got))
 	}
-	got, _ = s.Scan(Query{Limit: 1})
+	got, _ = s.ScanRefs(Query{Limit: 1})
 	if len(got) != 1 {
 		t.Errorf("limit: %d, want 1", len(got))
 	}
-	got, _ = s.Scan(Query{})
+	got, _ = s.ScanRefs(Query{})
 	if len(got) != 3 {
 		t.Errorf("match-all: %d, want 3", len(got))
 	}
@@ -195,7 +195,7 @@ func TestClosedStoreErrors(t *testing.T) {
 	if err := s.Delete(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Delete on closed: %v", err)
 	}
-	if _, err := s.Scan(Query{}); !errors.Is(err, ErrClosed) {
+	if _, err := s.ScanRefs(Query{}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Scan on closed: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -221,7 +221,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := s.Scan(Query{Limit: 5}); err != nil {
+				if _, err := s.ScanRefs(Query{Limit: 5}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -349,7 +349,7 @@ func TestScanOrderWithEqualStarts(t *testing.T) {
 	s := memStore(t)
 	a, _ := s.Put(seg("alice", t0, 10))
 	b, _ := s.Put(seg("alice", t0, 20))
-	got, _ := s.Scan(Query{})
+	got, _ := s.ScanRefs(Query{})
 	if len(got) != 2 || got[0].ID != a || got[1].ID != b {
 		t.Errorf("equal-start order: %v", got)
 	}

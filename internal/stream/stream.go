@@ -1,7 +1,7 @@
 // Package stream is SensorSafe's live-sharing subsystem: consumers
 // subscribe to a contributor's channels and every newly-ingested
-// (post-merge) wave segment is pushed through the full privacy-rule
-// pipeline — rule match, dependency-closure check, abstraction — before
+// (post-merge) wave segment is pushed through the store's release path —
+// rule match, dependency-closure check, abstraction, audit — before
 // delivery. The paper serves continuous sensory data (ECG, respiration,
 // GPS) yet its API is pull-only; this package adds the push half: a
 // subscription registry keyed by (consumer, contributor, channels),
@@ -29,10 +29,9 @@ import (
 	"time"
 
 	"sensorsafe/internal/abstraction"
-	"sensorsafe/internal/geo"
+	"sensorsafe/internal/audit"
 	"sensorsafe/internal/obs"
 	"sensorsafe/internal/rules"
-	"sensorsafe/internal/timeutil"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -109,13 +108,16 @@ type SubInfo struct {
 	Lagging bool `json:"lagging,omitempty"`
 }
 
-// RuleSource resolves the privacy-rule state used to filter deliveries;
-// *datastore.Service implements it. StreamEngine may return a nil decider
-// (contributor has no rules yet), which denies everything; the datastore
-// returns the contributor's compiled rule index.
+// RuleSource releases one buffered segment to one subscriber;
+// *datastore.Service implements it with the release path its queries
+// use, so a delivery is decided, projected onto the subscribed channels
+// and audited exactly like a query for those channels. It returns the
+// releases, the rule version that decided them, and their joint
+// classification (audit.OutcomeRaw when every release flowed at full
+// fidelity, OutcomeWithheld when none survived). An error releases
+// nothing.
 type RuleSource interface {
-	StreamEngine(contributor string) (rules.Decider, uint64, error)
-	StreamGroups(contributor, consumer string) []string
+	StreamRelease(consumer string, channels []string, seg *wavesegment.Segment) ([]*abstraction.Release, uint64, audit.Outcome, error)
 }
 
 // DefaultBufferSegments bounds each subscription's undelivered backlog.
@@ -128,8 +130,6 @@ const maxBatchEvents = 64
 type Options struct {
 	// Rules filters every delivery (required).
 	Rules RuleSource
-	// Geocoder used for location abstraction (GridGeocoder if nil).
-	Geocoder geo.Geocoder
 	// BufferSegments caps each subscription's ring buffer
 	// (DefaultBufferSegments if zero).
 	BufferSegments int
@@ -149,7 +149,7 @@ type entry struct {
 // sub is one live subscription.
 type sub struct {
 	id          string
-	consumer    string // normalized
+	consumer    string // as subscribed; compared case-insensitively
 	contributor string // normalized
 	channels    []string
 
@@ -176,9 +176,6 @@ type Hub struct {
 
 // New builds a hub.
 func New(opts Options) *Hub {
-	if opts.Geocoder == nil {
-		opts.Geocoder = geo.GridGeocoder{}
-	}
 	if opts.BufferSegments <= 0 {
 		opts.BufferSegments = DefaultBufferSegments
 	}
@@ -227,7 +224,7 @@ func (h *Hub) Subscribe(consumer, contributor string, channels []string) (SubInf
 	}
 	s := &sub{
 		id:          newSubID(),
-		consumer:    norm(consumer),
+		consumer:    strings.TrimSpace(consumer),
 		contributor: norm(contributor),
 		channels:    append([]string(nil), channels...),
 		notify:      make(chan struct{}, 1),
@@ -274,12 +271,12 @@ func (h *Hub) Unsubscribe(consumer, id string) error {
 		h.mu.Unlock()
 		return ErrUnknownSubscription
 	}
-	if s.consumer != norm(consumer) {
+	if norm(s.consumer) != norm(consumer) {
 		h.mu.Unlock()
 		return ErrNotOwner
 	}
 	delete(h.subs, id)
-	delete(h.byKey, subKey(s.consumer, s.contributor, s.channels))
+	delete(h.byKey, subKey(norm(s.consumer), s.contributor, s.channels))
 	list := h.byContrib[s.contributor]
 	for i, other := range list {
 		if other == s {
@@ -433,7 +430,7 @@ func (h *Hub) lookup(consumer, id string) (*sub, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownSubscription, id)
 	}
-	if s.consumer != norm(consumer) {
+	if norm(s.consumer) != norm(consumer) {
 		return nil, ErrNotOwner
 	}
 	return s, nil
@@ -555,19 +552,14 @@ func (h *Hub) collect(s *sub, cur uint64) ([]Event, uint64) {
 		return evs, cur
 	}
 
-	engine, version, err := h.opts.Rules.StreamEngine(s.contributor)
-	var groups []string
-	if err == nil && engine != nil {
-		groups = h.opts.Rules.StreamGroups(s.contributor, s.consumer)
-	}
 	for _, e := range pending {
-		rels := h.enforce(engine, err, s, e.seg, groups)
+		rels, version, outcome, err := h.opts.Rules.StreamRelease(s.consumer, s.channels, e.seg)
 		cur = e.seq
-		if len(rels) == 0 {
-			metricSegments.With("suppressed").Inc()
+		if err != nil || len(rels) == 0 {
+			metricSegments.With("suppressed").Inc() // enforcement errors fail closed
 			continue
 		}
-		if fullFidelity(rels, e.seg) {
+		if outcome == audit.OutcomeRaw {
 			metricSegments.With("delivered").Inc()
 		} else {
 			metricSegments.With("abstracted").Inc()
@@ -579,48 +571,6 @@ func (h *Hub) collect(s *sub, cur uint64) ([]Event, uint64) {
 		})
 	}
 	return evs, cur
-}
-
-// enforce runs the full rule pipeline over one buffered segment for one
-// subscriber and applies the subscription's channel projection. A missing
-// or failing engine denies (privacy-safe default).
-func (h *Hub) enforce(engine rules.Decider, engineErr error, s *sub, seg *wavesegment.Segment, groups []string) []*abstraction.Release {
-	if engineErr != nil || engine == nil {
-		return nil
-	}
-	rels, err := abstraction.Enforce(engine, s.consumer, groups, seg, h.opts.Geocoder)
-	if err != nil {
-		return nil // enforcement errors must fail closed, never leak raw data
-	}
-	if len(s.channels) == 0 {
-		return rels
-	}
-	want := rules.ExpandSensorNames(s.channels)
-	out := rels[:0]
-	for _, rel := range rels {
-		if rel.Segment != nil {
-			rel.Segment = rel.Segment.Project(want)
-		}
-		if !rel.Empty() {
-			out = append(out, rel)
-		}
-	}
-	return out
-}
-
-// fullFidelity reports whether every release flowed raw: all stored
-// channels, exact coordinates, exact timestamps (mirrors the audit
-// trail's raw/abstracted split).
-func fullFidelity(rels []*abstraction.Release, seg *wavesegment.Segment) bool {
-	for _, rel := range rels {
-		if rel.Segment == nil ||
-			len(rel.Segment.Channels) != len(seg.Channels) ||
-			rel.Location.Granularity != geo.LocCoordinates ||
-			rel.TimeGranularity != timeutil.GranMillisecond {
-			return false
-		}
-	}
-	return true
 }
 
 // changed fires the persistence hook with no locks held.
@@ -677,7 +627,7 @@ func (h *Hub) Restore(states []SubscriptionState) {
 		if _, dup := h.subs[st.ID]; dup {
 			continue
 		}
-		key := subKey(st.Consumer, st.Contributor, st.Channels)
+		key := subKey(norm(st.Consumer), norm(st.Contributor), st.Channels)
 		if _, dup := h.byKey[key]; dup {
 			continue
 		}
@@ -687,7 +637,7 @@ func (h *Hub) Restore(states []SubscriptionState) {
 		}
 		s := &sub{
 			id:          st.ID,
-			consumer:    norm(st.Consumer),
+			consumer:    strings.TrimSpace(st.Consumer),
 			contributor: norm(st.Contributor),
 			channels:    append([]string(nil), st.Channels...),
 			acked:       st.Acked,

@@ -6,52 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"sensorsafe/internal/abstraction"
+	"sensorsafe/internal/audit"
 	"sensorsafe/internal/geo"
-	"sensorsafe/internal/rules"
 	"sensorsafe/internal/wavesegment"
 )
 
 var t0 = time.Date(2026, 8, 5, 9, 0, 0, 0, time.UTC)
 
-// fakeRules is a mutable RuleSource for hub-level tests.
-type fakeRules struct {
-	mu      sync.Mutex
-	engine  *rules.Engine
-	version uint64
-}
+// fakeRules is a RuleSource for hub-level tests: it releases every
+// segment whole under rule version 1. Rule semantics are tested against
+// the real release path in internal/datastore.
+type fakeRules struct{}
 
-func (f *fakeRules) StreamEngine(string) (rules.Decider, uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.engine == nil {
-		return nil, f.version, nil
-	}
-	return f.engine, f.version, nil
-}
-
-func (f *fakeRules) StreamGroups(string, string) []string { return nil }
-
-func (f *fakeRules) set(t *testing.T, ruleJSON string) {
-	t.Helper()
-	rs, err := rules.UnmarshalRuleSet([]byte(ruleJSON))
-	if err != nil {
-		t.Fatalf("rules: %v", err)
-	}
-	e, err := rules.NewEngine(rs, nil)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	f.mu.Lock()
-	f.engine = e
-	f.version++
-	f.mu.Unlock()
-}
-
-func allowAll(t *testing.T) *fakeRules {
-	t.Helper()
-	f := &fakeRules{}
-	f.set(t, `[{"Action":"Allow"}]`)
-	return f
+func (fakeRules) StreamRelease(_ string, _ []string, seg *wavesegment.Segment) ([]*abstraction.Release, uint64, audit.Outcome, error) {
+	return []*abstraction.Release{{Contributor: seg.Contributor, Segment: seg}}, 1, audit.OutcomeRaw, nil
 }
 
 // seg builds an n-sample ECG segment starting at start.
@@ -74,7 +43,7 @@ func newHub(src RuleSource, buffer int) *Hub {
 }
 
 func TestSubscribePublishNext(t *testing.T) {
-	h := newHub(allowAll(t), 0)
+	h := newHub(fakeRules{}, 0)
 	info, err := h.Subscribe("Bob", "Alice", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +83,7 @@ func TestSubscribePublishNext(t *testing.T) {
 }
 
 func TestNextWakesOnPublish(t *testing.T) {
-	h := newHub(allowAll(t), 0)
+	h := newHub(fakeRules{}, 0)
 	info, _ := h.Subscribe("bob", "alice", nil)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -134,7 +103,7 @@ func TestNextWakesOnPublish(t *testing.T) {
 }
 
 func TestCursorResumeNoLossNoDuplication(t *testing.T) {
-	h := newHub(allowAll(t), 0)
+	h := newHub(fakeRules{}, 0)
 	info, _ := h.Subscribe("bob", "alice", nil)
 	for i := 0; i < 3; i++ {
 		h.Publish("alice", seg(t0.Add(time.Duration(i)*time.Second), 4))
@@ -169,7 +138,7 @@ func TestCursorResumeNoLossNoDuplication(t *testing.T) {
 }
 
 func TestDistinctChannelTuplesAreDistinctSubscriptions(t *testing.T) {
-	h := newHub(allowAll(t), 0)
+	h := newHub(fakeRules{}, 0)
 	a, _ := h.Subscribe("bob", "alice", nil)
 	b, _ := h.Subscribe("bob", "alice", []string{"ECG"})
 	if a.ID == b.ID {
@@ -185,7 +154,7 @@ func TestDistinctChannelTuplesAreDistinctSubscriptions(t *testing.T) {
 }
 
 func TestOverflowDropsOldestAndSurfacesGap(t *testing.T) {
-	h := newHub(allowAll(t), 4)
+	h := newHub(fakeRules{}, 4)
 	info, _ := h.Subscribe("bob", "alice", nil)
 	for i := 0; i < 10; i++ {
 		h.Publish("alice", seg(t0.Add(time.Duration(i)*time.Second), 2))
@@ -216,8 +185,33 @@ func TestOverflowDropsOldestAndSurfacesGap(t *testing.T) {
 	}
 }
 
+// revocable is a RuleSource that releases whole segments under version 1
+// until revoke, then withholds everything under version 2.
+type revocable struct {
+	mu      sync.Mutex
+	revoked bool
+}
+
+func (r *revocable) StreamRelease(consumer string, channels []string, seg *wavesegment.Segment) ([]*abstraction.Release, uint64, audit.Outcome, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.revoked {
+		return nil, 2, audit.OutcomeWithheld, nil
+	}
+	return fakeRules{}.StreamRelease(consumer, channels, seg)
+}
+
+func (r *revocable) revoke() {
+	r.mu.Lock()
+	r.revoked = true
+	r.mu.Unlock()
+}
+
+// TestRuleFlipRefiltersBufferedSegments checks that the hub decides at
+// delivery time, not at publish time: segments buffered before a
+// revocation are withheld, and the cursor still moves past them.
 func TestRuleFlipRefiltersBufferedSegments(t *testing.T) {
-	src := allowAll(t)
+	src := &revocable{}
 	h := newHub(src, 0)
 	info, _ := h.Subscribe("bob", "alice", nil)
 
@@ -230,7 +224,7 @@ func TestRuleFlipRefiltersBufferedSegments(t *testing.T) {
 	// Two more segments land in the buffer, then the contributor revokes.
 	h.Publish("alice", seg(t0.Add(time.Second), 4))
 	h.Publish("alice", seg(t0.Add(2*time.Second), 4))
-	src.set(t, `[{"Action":"Deny"}]`)
+	src.revoke()
 
 	b2, err := h.Next("bob", info.ID, b.Cursor, 20*time.Millisecond)
 	if err != nil {
@@ -244,37 +238,8 @@ func TestRuleFlipRefiltersBufferedSegments(t *testing.T) {
 	}
 }
 
-func TestChannelSubscriptionProjects(t *testing.T) {
-	h := newHub(allowAll(t), 0)
-	info, _ := h.Subscribe("bob", "alice", []string{"ECG"})
-
-	multi := seg(t0, 4)
-	multi.Channels = []string{"ECG", "Respiration"}
-	for i := range multi.Values {
-		multi.Values[i] = []float64{1, 2}
-	}
-	h.Publish("alice", multi)
-
-	// A segment with none of the requested channels is not even enqueued.
-	other := seg(t0.Add(time.Second), 4)
-	other.Channels = []string{"Microphone"}
-	h.Publish("alice", other)
-
-	b, _ := h.Next("bob", info.ID, "", time.Second)
-	if len(b.Events) != 1 {
-		t.Fatalf("events = %+v", b.Events)
-	}
-	rel := b.Events[0].Releases[0]
-	if rel.Segment == nil || len(rel.Segment.Channels) != 1 || rel.Segment.Channels[0] != "ECG" {
-		t.Fatalf("projection wrong: %+v", rel.Segment)
-	}
-	if b.Cursor != "1" {
-		t.Fatalf("non-matching segment consumed a seq: cursor %s", b.Cursor)
-	}
-}
-
 func TestUnsubscribeAndBye(t *testing.T) {
-	h := newHub(allowAll(t), 0)
+	h := newHub(fakeRules{}, 0)
 	info, _ := h.Subscribe("bob", "alice", nil)
 	if err := h.Unsubscribe("eve", info.ID); err != ErrNotOwner {
 		t.Fatalf("foreign unsubscribe: %v", err)
@@ -291,7 +256,7 @@ func TestUnsubscribeAndBye(t *testing.T) {
 }
 
 func TestShutdownDeliversTerminalEvent(t *testing.T) {
-	h := newHub(allowAll(t), 0)
+	h := newHub(fakeRules{}, 0)
 	info, _ := h.Subscribe("bob", "alice", nil)
 	done := make(chan Batch, 1)
 	go func() {
@@ -311,7 +276,7 @@ func TestShutdownDeliversTerminalEvent(t *testing.T) {
 }
 
 func TestSnapshotRestoreResumesCursorWithGap(t *testing.T) {
-	h := newHub(allowAll(t), 0)
+	h := newHub(fakeRules{}, 0)
 	info, _ := h.Subscribe("bob", "alice", nil)
 	for i := 0; i < 5; i++ {
 		h.Publish("alice", seg(t0.Add(time.Duration(i)*time.Second), 2))
@@ -326,7 +291,7 @@ func TestSnapshotRestoreResumesCursorWithGap(t *testing.T) {
 
 	// "Restart": a fresh hub restores the registration but not the buffer;
 	// the three unacked segments surface as one gap.
-	h2 := newHub(allowAll(t), 0)
+	h2 := newHub(fakeRules{}, 0)
 	h2.Restore(states)
 	again, err := h2.Subscribe("bob", "alice", nil)
 	if err != nil {
@@ -347,8 +312,7 @@ func TestSnapshotRestoreResumesCursorWithGap(t *testing.T) {
 func TestOnChangeFiresOnDurableMutations(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
-	src := allowAll(t)
-	h := New(Options{Rules: src, OnChange: func() { mu.Lock(); calls++; mu.Unlock() }})
+	h := New(Options{Rules: fakeRules{}, OnChange: func() { mu.Lock(); calls++; mu.Unlock() }})
 	info, _ := h.Subscribe("bob", "alice", nil)
 	h.Publish("alice", seg(t0, 2))
 	if err := h.Ack("bob", info.ID, "1"); err != nil {
@@ -377,7 +341,7 @@ func TestConcurrentSubscribersAgainstConcurrentIngest(t *testing.T) {
 		publishers  = 2
 		perPub      = 150
 	)
-	h := newHub(allowAll(t), 32)
+	h := newHub(fakeRules{}, 32)
 	total := uint64(publishers * perPub)
 
 	infos := make([]SubInfo, subscribers)
