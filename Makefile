@@ -67,15 +67,19 @@ bench-smoke:
 chaos:
 	$(GO) test -run TestChaos -count=1 -v ./internal/httpapi/
 
-# Short fuzz campaigns on the untrusted-input parsers (including the
-# traceparent header), the WAL replay and the segment file format.
+# Short fuzz campaigns on every fuzzer: the untrusted-input parsers
+# (including the traceparent header and context labels), the WAL replay
+# and the segment file format. Patterns are anchored because -fuzz must
+# match exactly one target per package.
 fuzz:
-	$(GO) test -fuzz=FuzzRuleJSON -fuzztime=30s ./internal/rules/
-	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=30s ./internal/wavesegment/
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/query/
-	$(GO) test -fuzz=FuzzWALReplay -fuzztime=30s ./internal/segstore/
-	$(GO) test -fuzz=FuzzSegmentFile -fuzztime=30s ./internal/segstore/
-	$(GO) test -fuzz=FuzzTraceparent -fuzztime=30s ./internal/obs/trace/
+	$(GO) test -fuzz='^FuzzRuleJSON$$' -fuzztime=30s ./internal/rules/
+	$(GO) test -fuzz='^FuzzParseContextLabel$$' -fuzztime=30s ./internal/rules/
+	$(GO) test -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=30s ./internal/wavesegment/
+	$(GO) test -fuzz='^FuzzUnmarshalJSONSegment$$' -fuzztime=30s ./internal/wavesegment/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/query/
+	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=30s ./internal/segstore/
+	$(GO) test -fuzz='^FuzzSegmentFile$$' -fuzztime=30s ./internal/segstore/
+	$(GO) test -fuzz='^FuzzTraceparent$$' -fuzztime=30s ./internal/obs/trace/
 
 # fuzz-seeds replays the checked-in fuzz corpora once (no new inputs) so
 # CI catches regressions on known-tricky parser inputs cheaply.

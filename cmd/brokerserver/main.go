@@ -50,16 +50,7 @@ func main() {
 	logger.Info("listening", "listen", *listen, "dir", *dir, "tls", *useTLS, "pprof", *withPprof)
 	ctrl := overload.NewController(overload.BrokerDefaults())
 	handler := mountPprof(httpapi.NewBrokerHandlerOverload(svc, ctrl), *withPprof)
-	// Slowloris hardening: bound header/body reads and idle keep-alives.
-	// No WriteTimeout — the overload middleware sets per-request write
-	// deadlines instead, so nothing long-lived is capped globally.
-	server := &http.Server{
-		Addr:              *listen,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	server := httpapi.NewServer(*listen, handler)
 	if *useTLS {
 		tlsCfg, err := httpapi.SelfSignedTLS([]string{"localhost", "127.0.0.1"}, 0)
 		if err != nil {

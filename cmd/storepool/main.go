@@ -15,11 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"sensorsafe/internal/datastore"
 	"sensorsafe/internal/httpapi"
@@ -60,13 +58,7 @@ func main() {
 		addr := fmt.Sprintf(":%d", port)
 		// Each pool slot gets its own admission controller: one tenant's
 		// storm browns out only that tenant's store.
-		server := &http.Server{
-			Addr:              addr,
-			Handler:           httpapi.NewStoreHandler(svc),
-			ReadHeaderTimeout: 10 * time.Second,
-			ReadTimeout:       2 * time.Minute,
-			IdleTimeout:       2 * time.Minute,
-		}
+		server := httpapi.NewServer(addr, httpapi.NewStoreHandler(svc))
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

@@ -93,17 +93,7 @@ func main() {
 		"tls", *useTLS, "pprof", *withPprof)
 	ctrl := overload.NewController(overload.StoreDefaults())
 	handler := mountPprof(httpapi.NewStoreHandlerOverload(svc, ctrl), *withPprof)
-	// Slowloris hardening: bound header/body reads and idle keep-alives.
-	// Deliberately no WriteTimeout — it would cap every SSE stream's
-	// lifetime; the overload middleware sets per-request write deadlines
-	// and serveSSE rolls its own per frame.
-	server := &http.Server{
-		Addr:              *listen,
-		Handler:           handler,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
+	server := httpapi.NewServer(*listen, handler)
 	if *useTLS {
 		tlsCfg, err := httpapi.SelfSignedTLS([]string{"localhost", "127.0.0.1"}, 0)
 		if err != nil {
@@ -130,8 +120,8 @@ func main() {
 	}
 
 	// Graceful shutdown: send the terminal bye to live-sharing subscribers
-	// first so blocked long-polls and SSE streams return inside the grace
-	// window, then drain the remaining requests.
+	// first so blocked long-polls return inside the grace window, then
+	// drain the remaining requests.
 	logger.Info("shutting down", "grace", shutdownGrace.String())
 	svc.Stream().Shutdown()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)

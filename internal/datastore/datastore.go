@@ -106,17 +106,12 @@ type Options struct {
 	// MaxSegmentSamples caps merged wave segments
 	// (wavesegment.DefaultMaxSamples if zero).
 	MaxSegmentSamples int
-	// Geocoder used for location abstraction (GridGeocoder if nil).
-	Geocoder geo.Geocoder
 	// Sync, when set, receives rule replicas on every change.
 	Sync SyncTarget
 	// Directory, when set, receives contributor registrations.
 	Directory Directory
 	// Name identifies this store instance (e.g. its address).
 	Name string
-	// StreamBufferSegments caps each live subscription's undelivered
-	// backlog (stream.DefaultBufferSegments if zero).
-	StreamBufferSegments int
 	// SyncInterval, when > 0 and Sync is set, runs the background
 	// anti-entropy loop at this cadence: drain the durable outbox, exchange
 	// a version digest, push whatever the target reports as stale. Zero
@@ -208,9 +203,6 @@ type Service struct {
 
 // New opens a remote data store service.
 func New(opts Options) (*Service, error) {
-	if opts.Geocoder == nil {
-		opts.Geocoder = geo.GridGeocoder{}
-	}
 	if opts.MaxSegmentSamples <= 0 {
 		opts.MaxSegmentSamples = wavesegment.DefaultMaxSamples
 	}
@@ -230,9 +222,8 @@ func New(opts Options) (*Service, error) {
 	//sslint:ignore ctxpropagate the service lifetime is the call-tree root of the store's outbound broker calls
 	svc.ctx, svc.cancel = context.WithCancel(context.Background())
 	svc.stream = stream.New(stream.Options{
-		Rules:          svc,
-		BufferSegments: opts.StreamBufferSegments,
-		OnChange:       svc.saveStreamState,
+		Rules:    svc,
+		OnChange: svc.saveStreamState,
 	})
 	if err := svc.loadState(); err != nil {
 		svc.cancel()
@@ -815,7 +806,7 @@ func (s *Service) release(who audit.Event, seg *wavesegment.Segment, q *query.Qu
 		metricReleases.With("deny").Inc()
 		return nil, version, audit.OutcomeWithheld, nil // contributor without rules: default deny
 	}
-	rels, decisions, err := abstraction.EnforceExplained(decider, who.Consumer, groups, seg, s.opts.Geocoder)
+	rels, decisions, err := abstraction.EnforceExplained(decider, who.Consumer, groups, seg, geo.GridGeocoder{})
 	if err != nil {
 		return nil, version, audit.OutcomeWithheld, err
 	}

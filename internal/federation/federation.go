@@ -139,13 +139,6 @@ type Request struct {
 	// Cursor resumes a paginated query (opaque token from a previous
 	// Result).
 	Cursor string
-	// Overrides (0 = engine option / default).
-	Concurrency     int
-	PerStoreTimeout time.Duration
-	HedgeAfter      time.Duration
-	// NoHedge forces hedging off for this request even when the engine
-	// default enables it.
-	NoHedge bool
 }
 
 // Result is one page of a federated cohort query.
@@ -352,10 +345,7 @@ func (e *Engine) resolve(ctx context.Context, c *Cohort) (members []member, err 
 // waits for all of them (each is individually deadlined, so the gather
 // converges even with stores hanging).
 func (e *Engine) scatter(ctx context.Context, members []member, req *Request) []fetchResult {
-	conc := req.Concurrency
-	if conc <= 0 {
-		conc = e.Options.Concurrency
-	}
+	conc := e.Options.Concurrency
 	if conc <= 0 {
 		conc = defaultConcurrency
 	}
@@ -419,23 +409,13 @@ func (e *Engine) fetchMember(ctx context.Context, m member, req *Request) fetchR
 	}
 	q.Contributor = m.contributor
 
-	timeout := req.PerStoreTimeout
-	if timeout <= 0 {
-		timeout = e.Options.PerStoreTimeout
-	}
+	timeout := e.Options.PerStoreTimeout
 	if timeout <= 0 {
 		timeout = defaultPerStoreTimeout
 	}
-	hedge := req.HedgeAfter
-	if hedge <= 0 {
-		hedge = e.Options.HedgeAfter
-	}
-	if req.NoHedge {
-		hedge = 0
-	}
 
 	start := time.Now()
-	res.rels, res.hedged, res.hedgeWon, res.err = fetch(ctx, st, cred.Key, q, timeout, hedge)
+	res.rels, res.hedged, res.hedgeWon, res.err = fetch(ctx, st, cred.Key, q, timeout, e.Options.HedgeAfter)
 	res.latency = time.Since(start)
 	metricStoreLatency.Observe(res.latency.Seconds())
 	return res

@@ -277,9 +277,9 @@ func TestPartialFailureReports(t *testing.T) {
 		"dave":  {errs: []error{denied, denied, denied}},
 	}
 	e, _ := deployFake(stores)
+	e.Options.PerStoreTimeout = 50 * time.Millisecond
 	res, err := e.CohortQuery(context.Background(), &Request{
-		Cohort:          Cohort{Contributors: []string{"alice", "bob", "carol", "dave"}},
-		PerStoreTimeout: 50 * time.Millisecond,
+		Cohort: Cohort{Contributors: []string{"alice", "bob", "carol", "dave"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,12 +375,11 @@ func TestHedgedRequestBeatsStraggler(t *testing.T) {
 	}
 	e, _ := deployFake(map[string]*fakeStore{"alice": {}})
 	e.Dial = func(string) Store { return slowOnce }
+	e.Options.HedgeAfter = 20 * time.Millisecond
 
 	start := time.Now()
 	res, err := e.CohortQuery(context.Background(), &Request{
-		Cohort:          Cohort{Contributors: []string{"alice"}},
-		HedgeAfter:      20 * time.Millisecond,
-		PerStoreTimeout: 2 * time.Second,
+		Cohort: Cohort{Contributors: []string{"alice"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -399,15 +398,10 @@ func TestHedgedRequestBeatsStraggler(t *testing.T) {
 }
 
 // TestScatterConcurrencyBound checks that the fan-out never has more store
-// queries in flight than the engine's Concurrency option or the request's
-// override, and that it does reach the bound rather than running serially.
+// queries in flight than the engine's Concurrency option, and that it does
+// reach the bound rather than running serially.
 func TestScatterConcurrencyBound(t *testing.T) {
-	for _, tc := range []struct {
-		engine, request, want int
-	}{
-		{3, 0, 3},
-		{3, 2, 2},
-	} {
+	for _, bound := range []int{3, 5} {
 		stores := make(map[string]*fakeStore)
 		var names []string
 		for i := 0; i < 12; i++ {
@@ -416,14 +410,13 @@ func TestScatterConcurrencyBound(t *testing.T) {
 			names = append(names, name)
 		}
 		e, _ := deployFake(stores)
-		e.Options.Concurrency = tc.engine
-		g := &gauge{bound: int32(tc.want), full: make(chan struct{})}
+		e.Options.Concurrency = bound
+		g := &gauge{bound: int32(bound), full: make(chan struct{})}
 		e.Dial = func(addr string) Store {
 			return &gaugedStore{gauge: g, inner: stores[strings.TrimPrefix(addr, "mem://")]}
 		}
 		res, err := e.CohortQuery(context.Background(), &Request{
-			Cohort:      Cohort{Contributors: names},
-			Concurrency: tc.request,
+			Cohort: Cohort{Contributors: names},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -431,8 +424,8 @@ func TestScatterConcurrencyBound(t *testing.T) {
 		if res.Partial || len(res.Releases) != len(names) {
 			t.Fatalf("partial=%v with %d releases, want all %d", res.Partial, len(res.Releases), len(names))
 		}
-		if peak := g.peak.Load(); peak != int32(tc.want) {
-			t.Errorf("engine %d, request %d: peak in-flight store queries %d, want %d", tc.engine, tc.request, peak, tc.want)
+		if peak := g.peak.Load(); peak != int32(bound) {
+			t.Errorf("Concurrency %d: peak in-flight store queries %d", bound, peak)
 		}
 	}
 }
@@ -552,7 +545,7 @@ func TestBreakerSkipsTrippedStore(t *testing.T) {
 
 	ctx := context.Background()
 	req := func() *Request {
-		return &Request{Cohort: Cohort{Contributors: []string{"alice", "bob"}}, NoHedge: true}
+		return &Request{Cohort: Cohort{Contributors: []string{"alice", "bob"}}}
 	}
 	var lastShed bool
 	for i := 0; i < 10; i++ {

@@ -57,18 +57,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// Flush forwards to the underlying writer so streaming handlers (SSE) keep
-// working through the middleware.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// Unwrap lets http.ResponseController reach the connection through the
-// middleware stack (per-request write deadlines in withOverload).
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
 // recordingWriter tees a handler's status and body so the outcome can be
 // cached for idempotent replay.
 type recordingWriter struct {
@@ -86,9 +74,6 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 	w.buf.Write(p)
 	return w.ResponseWriter.Write(p)
 }
-
-// Unwrap: see (*statusWriter).Unwrap.
-func (w *recordingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // withIdempotency dedupes mutating requests that carry an
 // X-Idempotency-Key: the first execution's outcome is recorded in a

@@ -16,17 +16,6 @@ import (
 // the resilience clients already parse it (delta-seconds or HTTP-date).
 const retryAfterHeader = "Retry-After"
 
-// requestWriteTimeout bounds how long one non-streaming response may take
-// to write. It replaces http.Server.WriteTimeout, which would also kill
-// long-lived SSE streams; instead each request gets its own deadline here
-// and serveSSE rolls its own forward every frame.
-const requestWriteTimeout = 2 * time.Minute
-
-// sseWriteTimeout is the rolling per-frame deadline for SSE streams: each
-// poll iteration pushes it past the next keep-alive, so a healthy stream
-// lives forever but a client that stops reading is disconnected.
-const sseWriteTimeout = ssePollWait + 45*time.Second
-
 // classifier maps a mux route pattern to its priority class; gated=false
 // bypasses admission entirely (health, metrics, debug).
 type classifier func(route string) (class overload.Class, gated bool)
@@ -113,15 +102,6 @@ func withOverload(ctrl *overload.Controller, classify classifier, mux *http.Serv
 		span.SetAttr(
 			trace.String("overload.class", class.String()),
 			trace.String("overload.state", ctrl.State().String()))
-
-		// Per-request write deadline instead of a server-wide WriteTimeout
-		// (which would kill SSE); serveSSE re-arms its own rolling deadline.
-		rc := http.NewResponseController(w)
-		if route != "/api/stream/live" {
-			// Errors are expected for recorders in tests; a real *http.Server
-			// connection always supports deadlines.
-			_ = rc.SetWriteDeadline(time.Now().Add(requestWriteTimeout))
-		}
 		next.ServeHTTP(w, r)
 	})
 }

@@ -1,14 +1,8 @@
 package httpapi
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"sensorsafe/internal/auth"
@@ -16,8 +10,7 @@ import (
 )
 
 // Live-sharing client SDK. SubscribeCtx/NextCtx/AckStreamCtx/UnsubscribeCtx
-// mirror the hub API over the long-poll endpoint; Live consumes the SSE endpoint and
-// invokes a callback per event until the stream ends.
+// mirror the hub API over the long-poll endpoint.
 
 // streamClient returns an HTTP client whose timeout comfortably exceeds a
 // long-poll wait (the default 30 s client would sever a 60 s poll).
@@ -61,74 +54,4 @@ func (c *StoreClient) AckStreamCtx(ctx context.Context, key auth.APIKey, id, cur
 func (c *StoreClient) UnsubscribeCtx(ctx context.Context, key auth.APIKey, id string) error {
 	return c.call(ctx, "/api/stream/unsubscribe",
 		true, &streamIDReq{Key: key, ID: id}, &okResp{})
-}
-
-// Live attaches to the SSE endpoint and calls fn for every event until the
-// server closes the stream (bye), the context is canceled, or the
-// connection drops. It returns the cursor of the last event received —
-// resubscribe (or call Live again) with it to resume without replay.
-func (c *StoreClient) Live(ctx context.Context, key auth.APIKey, id, cursor string, fn func(stream.Event) error) (string, error) {
-	body, err := json.Marshal(&streamNextReq{Key: key, ID: id, Cursor: cursor})
-	if err != nil {
-		return cursor, fmt.Errorf("httpapi: encode request: %w", err)
-	}
-	url := strings.TrimRight(c.BaseURL, "/") + "/api/stream/live"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return cursor, fmt.Errorf("httpapi: build request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", "text/event-stream")
-	setCallHeaders(req)
-
-	// No client timeout: the stream is open-ended; ctx bounds its life.
-	hc := &http.Client{Transport: c.hc().Transport}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return cursor, fmt.Errorf("httpapi: POST %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&eb) == nil && eb.Error != "" {
-			return cursor, fmt.Errorf("httpapi: /api/stream/live: %s (HTTP %d)", eb.Error, resp.StatusCode)
-		}
-		return cursor, fmt.Errorf("httpapi: /api/stream/live: HTTP %d", resp.StatusCode)
-	}
-
-	last := cursor
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), maxBodyBytes)
-	var data []byte
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case line == "":
-			if len(data) == 0 {
-				continue // keep-alive ping
-			}
-			var ev stream.Event
-			if err := json.Unmarshal(data, &ev); err != nil {
-				return last, fmt.Errorf("httpapi: decode SSE event: %w", err)
-			}
-			data = nil
-			if ev.Cursor != "" {
-				last = ev.Cursor
-			}
-			if err := fn(ev); err != nil {
-				return last, err
-			}
-			if ev.Kind == stream.KindBye {
-				return last, nil
-			}
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:"))...)
-		default:
-			// id:/event:/comment lines — the JSON payload carries it all.
-		}
-	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return last, fmt.Errorf("httpapi: SSE stream: %w", err)
-	}
-	return last, nil
 }

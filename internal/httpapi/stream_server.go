@@ -2,8 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -14,15 +12,10 @@ import (
 	"sensorsafe/internal/stream"
 )
 
-// Live-sharing transport. Two shapes over the same hub:
-//
-//   - POST /api/stream/next — long-poll: blocks up to waitMs for events,
-//     returns a Batch whose cursor acknowledges (and frees) everything in
-//     earlier batches the caller passed back.
-//   - POST /api/stream/live — server-sent events: one POST (the key stays
-//     out of URLs, per §5.4) holding the connection open; each event is a
-//     JSON-encoded stream.Event frame with its seq as the SSE id, so a
-//     reconnecting client resumes from the last id it saw.
+// Live-sharing transport: the long-poll POST /api/stream/next blocks up
+// to waitMs for events and returns a Batch whose cursor acknowledges (and
+// frees) everything in earlier batches the caller passed back. The key
+// travels in the body, never in the URL (§5.4).
 
 // maxStreamWait bounds a single long-poll round trip.
 const maxStreamWait = 60 * time.Second
@@ -89,101 +82,4 @@ func registerStreamAPI(mux *http.ServeMux, svc *datastore.Service) {
 		}
 		return okResp{OK: true}, nil
 	}))
-
-	mux.HandleFunc("/api/stream/live", func(w http.ResponseWriter, r *http.Request) {
-		serveSSE(w, r, svc)
-	})
-}
-
-// ssePollWait is how long each internal hub poll blocks between checks of
-// the client connection; short enough that a gone client is noticed fast.
-const ssePollWait = 15 * time.Second
-
-// serveSSE streams events until the client disconnects or the hub shuts
-// down. Events the client has received are acknowledged on the next hub
-// poll (batch cursors are passed back in), so a client that vanishes
-// mid-stream resumes from its last delivered frame.
-func serveSSE(w http.ResponseWriter, r *http.Request, svc *datastore.Service) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, fmt.Errorf("%w: %s", errMethodNotAllowed, r.Method))
-		return
-	}
-	var req streamNextReq
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("httpapi: bad request JSON: %w", err))
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, fmt.Errorf("httpapi: response writer does not support streaming"))
-		return
-	}
-	// Validate credentials with a non-blocking poll before committing to
-	// the event-stream content type.
-	cursor := req.Cursor
-	first, err := svc.StreamNext(req.Key, req.ID, cursor, 0)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	// The servers deliberately run without a global WriteTimeout (it
-	// would cap every SSE stream's lifetime); instead each poll iteration
-	// rolls a per-frame write deadline forward, so a client that stops
-	// reading is disconnected within one deadline instead of pinning the
-	// connection forever. SetWriteDeadline errors are ignored: test
-	// recorders don't implement it, real server connections do.
-	rc := http.NewResponseController(w)
-	ctx := r.Context()
-	batch := first
-	for {
-		_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout))
-		for _, ev := range batch.Events {
-			if err := writeSSEEvent(w, ev); err != nil {
-				return
-			}
-		}
-		if len(batch.Events) > 0 {
-			flusher.Flush()
-			for _, ev := range batch.Events {
-				if ev.Kind == stream.KindBye {
-					return
-				}
-			}
-		} else {
-			// Keep-alive comment so proxies and clients see a live stream.
-			if _, err := fmt.Fprint(w, ": ping\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-		cursor = batch.Cursor
-		if ctx.Err() != nil {
-			return
-		}
-		batch, err = svc.StreamNext(req.Key, req.ID, cursor, ssePollWait)
-		if err != nil {
-			return
-		}
-	}
-}
-
-// writeSSEEvent emits one stream.Event as an SSE frame:
-//
-//	id: <seq>
-//	event: <kind>
-//	data: <event JSON>
-func writeSSEEvent(w http.ResponseWriter, ev stream.Event) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Kind, data)
-	return err
 }

@@ -104,68 +104,3 @@ func TestStreamOverHTTP(t *testing.T) {
 		t.Error("unknown subscription must 404")
 	}
 }
-
-// TestStreamSSEOverHTTP exercises /api/stream/live end to end: events
-// arrive as they are ingested, and the callback sees the terminal bye when
-// the hub shuts down.
-func TestStreamSSEOverHTTP(t *testing.T) {
-	ctx := context.Background()
-	d := deploy(t)
-	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
-		t.Fatal(err)
-	}
-	bob, err := d.storeClient.RegisterCtx(ctx, "Bob", "consumer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := d.storeClient.SubscribeCtx(ctx, bob.Key, "alice", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-	defer cancel()
-	events := make(chan stream.Event, 16)
-	liveDone := make(chan error, 1)
-	go func() {
-		_, err := d.storeClient.Live(ctx, bob.Key, info.ID, info.Cursor, func(ev stream.Event) error {
-			events <- ev
-			return nil
-		})
-		liveDone <- err
-	}()
-
-	time.Sleep(100 * time.Millisecond) // let the stream attach
-	if _, err := d.storeClient.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{streamPacket(t0, 8)}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-events:
-		if ev.Kind != stream.KindData || ev.Seq != 1 || len(ev.Releases) == 0 {
-			t.Fatalf("SSE event = %+v", ev)
-		}
-	case <-ctx.Done():
-		t.Fatal("no SSE event before deadline")
-	}
-
-	// Graceful hub shutdown terminates the stream with a bye frame.
-	d.storeSvc.Stream().Shutdown()
-	deadline := time.After(10 * time.Second)
-	for {
-		select {
-		case ev := <-events:
-			if ev.Kind == stream.KindBye {
-				if err := <-liveDone; err != nil {
-					t.Fatalf("Live returned error after bye: %v", err)
-				}
-				return
-			}
-		case <-deadline:
-			t.Fatal("no bye frame after shutdown")
-		}
-	}
-}

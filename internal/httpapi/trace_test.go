@@ -424,12 +424,13 @@ func TestPhoneSessionIsOneTrace(t *testing.T) {
 	}
 }
 
-// TestLiveJoinsCallerTrace: the SSE stream is a hop of the caller's
+// TestStreamNextJoinsCallerTrace: a long-poll is a hop of the caller's
 // request like any other client call, so the store's server span for
-// /api/stream/live lands in the caller's trace.
-func TestLiveJoinsCallerTrace(t *testing.T) {
+// /api/stream/next lands in the caller's trace, with the hub delivery as
+// its child.
+func TestStreamNextJoinsCallerTrace(t *testing.T) {
 	ctx := context.Background()
-	svc, sc, col := storeWithCollector(t)
+	_, sc, col := storeWithCollector(t)
 	alice, err := sc.RegisterCtx(ctx, "alice", "contributor")
 	if err != nil {
 		t.Fatal(err)
@@ -449,24 +450,35 @@ func TestLiveJoinsCallerTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The first event proves the stream attached; the hub's bye then ends
-	// it, and with it the store's server span.
-	ctx, root := trace.Start(ctx, "test.live")
-	_, err = sc.Live(ctx, bob.Key, info.ID, info.Cursor, func(ev stream.Event) error {
-		if ev.Kind == stream.KindData {
-			svc.Stream().Shutdown()
-		}
-		return nil
-	})
+	ctx, root := trace.Start(ctx, "test.next")
+	batch, err := sc.NextCtx(ctx, bob.Key, info.ID, info.Cursor, time.Second)
 	root.End()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(batch.Events) == 0 || batch.Events[0].Kind != stream.KindData {
+		t.Fatalf("batch = %+v, want the uploaded packet", batch.Events)
+	}
 
 	spans := collectTrace(t, col, root.TraceIDString(), func(spans []*trace.SpanData) bool {
-		return serverRoutes(spans)["/api/stream/live"] > 0
+		return serverRoutes(spans)["/api/stream/next"] > 0
 	})
-	if got := serverRoutes(spans); got["/api/stream/live"] != 1 {
-		t.Fatalf("store spans in the caller's trace = %v, want one /api/stream/live", got)
+	if got := serverRoutes(spans); got["/api/stream/next"] != 1 {
+		t.Fatalf("store spans in the caller's trace = %v, want one /api/stream/next", got)
 	}
+	var server *trace.SpanData
+	for _, s := range spans {
+		if s.Name == "http.server" && s.Attrs["route"] == "/api/stream/next" {
+			server = s
+		}
+	}
+	for _, s := range spans {
+		if s.Name == "stream.deliver" {
+			if s.ParentID != server.SpanID {
+				t.Fatalf("stream.deliver parent = %s, want the /api/stream/next server span %s", s.ParentID, server.SpanID)
+			}
+			return
+		}
+	}
+	t.Fatalf("no stream.deliver span in the caller's trace (%d spans)", len(spans))
 }

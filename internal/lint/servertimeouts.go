@@ -10,10 +10,10 @@ import (
 // calls (which construct an unconfigurable Server internally). A server
 // without ReadHeaderTimeout holds a connection open for as long as a
 // client cares to dribble header bytes — the classic slowloris resource
-// exhaustion — so every SensorSafe listener must bound it. WriteTimeout is
-// deliberately NOT required: a global write deadline would cap SSE stream
-// lifetimes; the overload middleware sets per-request write deadlines
-// instead.
+// exhaustion — so every SensorSafe listener must bound it. The binaries'
+// write deadline is the WriteTimeout that httpapi.NewServer sets; it is
+// not required here yet, because the benchmark's in-process store server
+// (bench/ladder.go) does not set it.
 var ServerTimeouts = &Analyzer{
 	Name: "servertimeouts",
 	Doc:  "http.Server literals must set ReadHeaderTimeout (slowloris hardening); bare http.ListenAndServe cannot",

@@ -38,7 +38,7 @@ import (
 type Class int
 
 const (
-	// ClassStream is live-sharing delivery (long-poll, SSE). Shed first:
+	// ClassStream is live-sharing delivery (long-poll). Shed first:
 	// subscribers hold durable cursors and resume with exact-count gap
 	// events, so dropped delivery loses nothing.
 	ClassStream Class = iota
@@ -155,11 +155,9 @@ type Config struct {
 	RateBurst float64
 	// DegradedAt / OverloadedAt are the pressure thresholds for entering
 	// each state (defaults 0.75 / 0.92). Leaving a state additionally
-	// requires pressure below threshold − RecoverMargin (default 0.10),
-	// so the state machine does not flap at the boundary.
-	DegradedAt    float64
-	OverloadedAt  float64
-	RecoverMargin float64
+	// requires pressure below threshold − recoverMargin.
+	DegradedAt   float64
+	OverloadedAt float64
 	// RecomputeEvery rate-limits pressure recomputation (default 250ms).
 	// Recomputation is lazy — driven by Admit/State/Pressure calls — so
 	// an idle controller costs nothing.
@@ -195,9 +193,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OverloadedAt <= 0 {
 		c.OverloadedAt = 0.92
-	}
-	if c.RecoverMargin <= 0 {
-		c.RecoverMargin = 0.10
 	}
 	if c.RecomputeEvery <= 0 {
 		c.RecomputeEvery = 250 * time.Millisecond
@@ -254,6 +249,11 @@ const maxPrincipals = 8192
 
 // ewmaAlpha weights the newest queue-wait observation.
 const ewmaAlpha = 0.2
+
+// recoverMargin is the hysteresis below a state's entry threshold that
+// pressure must reach before the controller leaves that state, so it does
+// not flap at the boundary.
+const recoverMargin = 0.10
 
 // Controller is one server's admission controller. Safe for concurrent
 // use. Create with NewController.
@@ -544,15 +544,15 @@ func (c *Controller) nextStateLocked(p float64) State {
 		if p >= c.cfg.OverloadedAt {
 			return StateOverloaded
 		}
-		if p < c.cfg.DegradedAt-c.cfg.RecoverMargin {
+		if p < c.cfg.DegradedAt-recoverMargin {
 			return StateHealthy
 		}
 	case StateOverloaded:
-		if p < c.cfg.OverloadedAt-c.cfg.RecoverMargin {
+		if p < c.cfg.OverloadedAt-recoverMargin {
 			if p >= c.cfg.DegradedAt {
 				return StateDegraded
 			}
-			if p < c.cfg.DegradedAt-c.cfg.RecoverMargin {
+			if p < c.cfg.DegradedAt-recoverMargin {
 				return StateHealthy
 			}
 			return StateDegraded

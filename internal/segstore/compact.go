@@ -14,6 +14,9 @@ import (
 	"sensorsafe/internal/wavesegment"
 )
 
+// targetFileBytes rolls compaction output files.
+const targetFileBytes = 4 << 20
+
 // Compaction: the background process that keeps the file set tiered and
 // small. One round picks the accumulated L0 files (plus any L1 files
 // overlapping their time range, so a record's neighbors end up adjacent)
@@ -21,7 +24,7 @@ import (
 // their contributor runs in (start, id) order; runs the paper's
 // wave-segment merge (§5.1, E2) continuously on adjacent same-stream
 // records; physically drops tombstoned records; and rolls the merged
-// stream into L1 files capped at TargetFileBytes. The new manifest
+// stream into L1 files capped at targetFileBytes. The new manifest
 // generation is the commit point — a crash at any earlier moment leaves
 // the previous generation intact, and the orphaned half-written outputs
 // are removed at the next open.
@@ -164,7 +167,7 @@ func (s *Store) compactRound(force bool) (mergedAway, reclaimed int, err error) 
 		if err := writer.add(rc); err != nil {
 			return err
 		}
-		if int64(writer.off) >= s.opts.TargetFileBytes {
+		if int64(writer.off) >= targetFileBytes {
 			meta, err := writer.finish()
 			writer = nil
 			if err != nil {

@@ -54,8 +54,6 @@ type Options struct {
 	// L0CompactThreshold is how many L0 files accumulate before the
 	// compactor merges them into L1. Default 4.
 	L0CompactThreshold int
-	// TargetFileBytes rolls compaction output files. Default 4 MiB.
-	TargetFileBytes int64
 	// SyncEveryWrite fsyncs the WAL on every append. Off by default: a
 	// crash loses at most the unsynced tail.
 	SyncEveryWrite bool
@@ -70,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.L0CompactThreshold <= 0 {
 		o.L0CompactThreshold = 4
-	}
-	if o.TargetFileBytes <= 0 {
-		o.TargetFileBytes = 4 << 20
 	}
 	return o
 }

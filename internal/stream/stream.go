@@ -402,8 +402,8 @@ func parseCursor(cursor string, acked uint64) (uint64, error) {
 	return v, nil
 }
 
-// Ack advances the durable cursor without waiting for events (SSE
-// transports and clean client shutdowns use it).
+// Ack advances the durable cursor without waiting for events (the
+// /api/stream/ack endpoint and clean client shutdowns use it).
 func (h *Hub) Ack(consumer, id, cursor string) error {
 	s, err := h.lookup(consumer, id)
 	if err != nil {
