@@ -68,9 +68,9 @@ chaos:
 	$(GO) test -run TestChaos -count=1 -v ./internal/httpapi/
 
 # Short fuzz campaigns on every fuzzer: the untrusted-input parsers
-# (including the traceparent header and context labels), the WAL replay
-# and the segment file format. Patterns are anchored because -fuzz must
-# match exactly one target per package.
+# (including the traceparent header and context labels), the WAL replay,
+# the segment file format and the manifest. Patterns are anchored
+# because -fuzz must match exactly one target per package.
 fuzz:
 	$(GO) test -fuzz='^FuzzRuleJSON$$' -fuzztime=30s ./internal/rules/
 	$(GO) test -fuzz='^FuzzParseContextLabel$$' -fuzztime=30s ./internal/rules/
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/query/
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz='^FuzzSegmentFile$$' -fuzztime=30s ./internal/segstore/
+	$(GO) test -fuzz='^FuzzManifest$$' -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz='^FuzzTraceparent$$' -fuzztime=30s ./internal/obs/trace/
 
 # fuzz-seeds replays the checked-in fuzz corpora once (no new inputs) so

@@ -65,11 +65,11 @@ func main() {
 			fmt.Println("rules installed and replicated to the broker")
 			return
 		}
-		data, err := sc.RulesCtx(ctx, apiKey)
+		policy, err := sc.PolicyCtx(ctx, apiKey)
 		if err != nil {
 			log.Fatalf("contributorcli: %v", err)
 		}
-		fmt.Println(string(data))
+		fmt.Println(string(policy.Rules))
 
 	case "place":
 		fs := flag.NewFlagSet("place", flag.ExitOnError)

@@ -24,7 +24,6 @@ import (
 	"sensorsafe/internal/obs/trace"
 	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/ruleindex"
-	"sensorsafe/internal/rules"
 )
 
 // StoreConn is the broker's handle to one remote data store, used to
@@ -75,31 +74,14 @@ type Credential struct {
 type contributorEntry struct {
 	name      string
 	storeAddr string
-	rules     []*rules.Rule
-	gazetteer *geo.Gazetteer
-	engine    *rules.Engine
-	// index is the compiled evaluation plan over the replica, rebuilt on
-	// every applied sync; federated search fan-out probes it instead of
-	// scanning the linear engine.
-	index *ruleindex.Index
-
-	// version is the rule-set version of the replica the broker has
-	// applied; storeVersion is the highest version the contributor's store
-	// has *claimed* (via a push or a digest). storeVersion > version means
-	// the replica is stale and anti-entropy owes us a push.
-	version      uint64
+	// policy is the applied replica, compiled at its version (the empty
+	// policy at version 0 until the first push); search probes it.
+	// storeVersion is the highest version the contributor's store has
+	// *claimed* (via a push or a digest). storeVersion > policy.Version()
+	// means the replica is stale and anti-entropy owes us a push.
+	policy       *ruleindex.Index
 	storeVersion uint64
 	syncedAt     time.Time
-}
-
-// decider returns the evaluation seam for this replica: the compiled
-// index, which every site that assigns engine builds with it; nil when no
-// rules have replicated yet (default deny).
-func (e *contributorEntry) decider() rules.Decider {
-	if e.index != nil {
-		return e.index
-	}
-	return nil
 }
 
 type consumerEntry struct {
@@ -177,11 +159,7 @@ func (s *Service) RegisterContributor(_ context.Context, name, storeAddr string)
 	if e, ok := s.contributors[norm(name)]; ok {
 		e.storeAddr = storeAddr
 	} else {
-		s.contributors[norm(name)] = &contributorEntry{
-			name:      name,
-			storeAddr: storeAddr,
-			gazetteer: geo.NewGazetteer(),
-		}
+		s.contributors[norm(name)] = &contributorEntry{name: name, storeAddr: storeAddr, policy: ruleindex.Empty()}
 	}
 	metricDirectorySize.Set(float64(len(s.contributors)))
 	s.mu.Unlock()
@@ -198,46 +176,37 @@ func (s *Service) RegisterContributor(_ context.Context, name, storeAddr string)
 // an idempotent no-op, so retried or duplicated syncs cannot roll the
 // replica backwards.
 func (s *Service) SyncRules(_ context.Context, contributor string, version uint64, ruleSetJSON []byte, places []geo.Region) error {
-	rs, err := rules.UnmarshalRuleSet(ruleSetJSON)
+	// An absent rule set is malformed, not empty: the store pushes an
+	// empty rule set as [].
+	if len(ruleSetJSON) == 0 {
+		metricSyncRejects.With("malformed").Inc()
+		return fmt.Errorf("broker: rule replica for %s has no rule set", contributor)
+	}
+	policy, err := ruleindex.Load(ruleindex.State{Rules: ruleSetJSON, Places: places, RuleVersion: version})
 	if err != nil {
 		metricSyncRejects.With("malformed").Inc()
 		return fmt.Errorf("broker: bad rule replica for %s: %w", contributor, err)
 	}
-	gaz := geo.NewGazetteer()
-	for _, rg := range places {
-		if err := gaz.Define(rg.Label, rg); err != nil {
-			metricSyncRejects.With("malformed").Inc()
-			return fmt.Errorf("broker: bad place replica for %s: %w", contributor, err)
-		}
-	}
-	engine, err := rules.NewEngine(rs, gaz)
-	if err != nil {
-		metricSyncRejects.With("malformed").Inc()
-		return fmt.Errorf("broker: rule replica for %s does not compile: %w", contributor, err)
-	}
 	s.mu.Lock()
 	e, ok := s.contributors[norm(contributor)]
 	if !ok {
-		e = &contributorEntry{name: contributor}
+		e = &contributorEntry{name: contributor, policy: ruleindex.Empty()}
 		s.contributors[norm(contributor)] = e
 	}
-	if version < e.version {
+	applied := e.policy.Version()
+	if version < applied {
 		s.mu.Unlock()
 		metricSyncRejects.With("stale").Inc()
 		return fmt.Errorf("broker: replica for %s at version %d, push carries %d: %w",
-			contributor, e.version, version, resilience.ErrStaleVersion)
+			contributor, applied, version, resilience.ErrStaleVersion)
 	}
-	if version == e.version && version > 0 {
+	if version == applied && version > 0 {
 		// Duplicate of the already-applied version (a retry whose first
 		// attempt landed): converged, nothing to do.
 		s.mu.Unlock()
 		return nil
 	}
-	e.rules = rs
-	e.gazetteer = gaz
-	e.engine = engine
-	e.version = version
-	e.index = ruleindex.FromEngine(engine, ruleindex.Options{Version: version})
+	e.policy = policy
 	if version > e.storeVersion {
 		e.storeVersion = version
 	}
@@ -261,7 +230,7 @@ func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[s
 	for name, v := range versions {
 		e, ok := s.contributors[norm(name)]
 		if !ok {
-			e = &contributorEntry{name: name, storeAddr: storeAddr, gazetteer: geo.NewGazetteer()}
+			e = &contributorEntry{name: name, storeAddr: storeAddr, policy: ruleindex.Empty()}
 			s.contributors[norm(name)] = e
 			changed = true
 		} else if e.storeAddr == "" && storeAddr != "" {
@@ -272,7 +241,7 @@ func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[s
 			e.storeVersion = v
 			changed = true
 		}
-		if e.storeVersion > e.version {
+		if e.storeVersion > e.policy.Version() {
 			stale = append(stale, e.name)
 		}
 	}
@@ -292,7 +261,7 @@ func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[s
 func (s *Service) recomputeStaleLocked() {
 	n := 0
 	for _, e := range s.contributors {
-		if e.storeVersion > e.version {
+		if e.storeVersion > e.policy.Version() {
 			n++
 		}
 	}
@@ -319,9 +288,9 @@ func (s *Service) Replicas() []ReplicaStatus {
 		out = append(out, ReplicaStatus{
 			Name:         e.name,
 			StoreAddr:    e.storeAddr,
-			Version:      e.version,
+			Version:      e.policy.Version(),
 			StoreVersion: e.storeVersion,
-			Stale:        e.storeVersion > e.version,
+			Stale:        e.storeVersion > e.policy.Version(),
 			SyncedAt:     e.syncedAt,
 		})
 	}
@@ -367,7 +336,7 @@ func (s *Service) Directory(key auth.APIKey) ([]ContributorInfo, error) {
 	defer s.mu.RUnlock()
 	out := make([]ContributorInfo, 0, len(s.contributors))
 	for _, e := range s.contributors {
-		out = append(out, ContributorInfo{Name: e.name, StoreAddr: e.storeAddr, RuleCount: len(e.rules)})
+		out = append(out, ContributorInfo{Name: e.name, StoreAddr: e.storeAddr, RuleCount: e.policy.Len()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil

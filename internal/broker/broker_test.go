@@ -94,6 +94,12 @@ func TestSyncRulesValidation(t *testing.T) {
 	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Allow"}]`), []geo.Region{{Label: "x"}}); err == nil {
 		t.Error("bad place replica should be rejected")
 	}
+	if err := b.SyncRules(ctx, "alice", 1, nil, nil); err == nil {
+		t.Error("a replica without a rule set should be rejected")
+	}
+	if b.ContributorCount() != 0 {
+		t.Error("rejected replicas should not register the contributor")
+	}
 	// Implicit registration through sync.
 	if err := b.SyncRules(ctx, "dave", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
 		t.Fatal(err)

@@ -9,10 +9,8 @@ import (
 	"sort"
 
 	"sensorsafe/internal/auth"
-	"sensorsafe/internal/geo"
 	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/ruleindex"
-	"sensorsafe/internal/rules"
 )
 
 // Broker persistence: the directory of contributors with their rule
@@ -24,14 +22,12 @@ import (
 const stateFileName = "broker_state.json"
 
 type persistedBrokerContributor struct {
-	Name      string          `json:"name"`
-	StoreAddr string          `json:"storeAddr,omitempty"`
-	Rules     json.RawMessage `json:"rules,omitempty"`
-	Places    []geo.Region    `json:"places,omitempty"`
-	// RuleVersion is the applied replica version; StoreVersion the highest
-	// version the store has claimed. Persisting both means a broker restart
-	// still knows which replicas were stale.
-	RuleVersion  uint64 `json:"ruleVersion,omitempty"`
+	Name      string `json:"name"`
+	StoreAddr string `json:"storeAddr,omitempty"`
+	// State is the applied replica at its version; StoreVersion the
+	// highest version the store has claimed. Persisting both means a
+	// broker restart still knows which replicas were stale.
+	ruleindex.State
 	StoreVersion uint64 `json:"storeVersion,omitempty"`
 }
 
@@ -98,27 +94,13 @@ func (s *Service) snapshotState() (*persistedBrokerState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for key, ce := range s.contributors {
-		pc := &persistedBrokerContributor{
-			Name: ce.name, StoreAddr: ce.storeAddr,
-			RuleVersion: ce.version, StoreVersion: ce.storeVersion,
+		ps, err := ce.policy.State()
+		if err != nil {
+			return nil, err
 		}
-		if len(ce.rules) > 0 {
-			data, err := rules.MarshalRuleSet(ce.rules)
-			if err != nil {
-				return nil, err
-			}
-			pc.Rules = data
+		st.Contributors[key] = &persistedBrokerContributor{
+			Name: ce.name, StoreAddr: ce.storeAddr, State: ps, StoreVersion: ce.storeVersion,
 		}
-		if ce.gazetteer != nil {
-			labels := ce.gazetteer.Labels()
-			sort.Strings(labels)
-			for _, l := range labels {
-				if rg, ok := ce.gazetteer.Lookup(l); ok {
-					pc.Places = append(pc.Places, rg)
-				}
-			}
-		}
-		st.Contributors[key] = pc
 	}
 	for key, e := range s.consumers {
 		pc := &persistedBrokerConsumer{Groups: append([]string(nil), e.groups...)}
@@ -178,29 +160,13 @@ func (s *Service) loadState() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for key, pc := range st.Contributors {
-		ce := &contributorEntry{
-			name: pc.Name, storeAddr: pc.StoreAddr, gazetteer: geo.NewGazetteer(),
-			version: pc.RuleVersion, storeVersion: pc.StoreVersion,
+		policy, err := ruleindex.Load(pc.State)
+		if err != nil {
+			return fmt.Errorf("broker: restore policy for %s: %w", pc.Name, err)
 		}
-		for _, rg := range pc.Places {
-			if err := ce.gazetteer.Define(rg.Label, rg); err != nil {
-				return fmt.Errorf("broker: restore place %q: %w", rg.Label, err)
-			}
+		s.contributors[key] = &contributorEntry{
+			name: pc.Name, storeAddr: pc.StoreAddr, policy: policy, storeVersion: pc.StoreVersion,
 		}
-		if len(pc.Rules) > 0 {
-			rs, err := rules.UnmarshalRuleSet(pc.Rules)
-			if err != nil {
-				return fmt.Errorf("broker: restore rules for %s: %w", pc.Name, err)
-			}
-			engine, err := rules.NewEngine(rs, ce.gazetteer)
-			if err != nil {
-				return fmt.Errorf("broker: recompile rules for %s: %w", pc.Name, err)
-			}
-			ce.rules = rs
-			ce.engine = engine
-			ce.index = ruleindex.FromEngine(engine, ruleindex.Options{Version: ce.version})
-		}
-		s.contributors[key] = ce
 	}
 	metricDirectorySize.Set(float64(len(s.contributors)))
 	s.recomputeStaleLocked()

@@ -2,11 +2,17 @@ package broker
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"sensorsafe/internal/auth"
+	"sensorsafe/internal/rules"
 )
 
 func TestBrokerStateSurvivesRestart(t *testing.T) {
@@ -229,5 +235,90 @@ func TestBrokerConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 	}
 	if n := len(b2.Users().Snapshot()); n != workers*rounds {
 		t.Errorf("reopened accounts = %d, want %d", n, workers*rounds)
+	}
+}
+
+// TestParentBrokerStateLoads: testdata/broker_state.json was written by
+// the broker before a replica became one compiled policy. It loads into
+// the same directory, replica versions and search answers
+// (broker_views.json, recorded from that broker after a restart), and
+// re-saving it writes equal JSON.
+func TestParentBrokerStateLoads(t *testing.T) {
+	ctx := context.Background()
+	data, err := os.ReadFile(filepath.Join("testdata", stateFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, stateFileName), data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPersistent(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := b.snapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resaved, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want any
+	if err := json.Unmarshal(resaved, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("re-saved state differs from the loaded file:\n got %s\nwant %s", resaved, data)
+	}
+
+	var bob auth.APIKey
+	for _, u := range snap.Users {
+		if u.Name == "Bob" {
+			bob = u.Key
+		}
+	}
+	reps := b.Replicas()
+	for i := range reps {
+		reps[i].SyncedAt = time.Time{}
+	}
+	dirList, err := b.Directory(bob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := time.Date(2011, 2, 16, 10, 0, 0, 0, time.UTC)
+	searches := map[string][]string{}
+	for name, q := range map[string]*SearchQuery{
+		"any":      {Reference: ref},
+		"ecg":      {Reference: ref, Sensors: []string{"ECG"}},
+		"ucla-ecg": {Reference: ref, Sensors: []string{"ECG"}, LocationLabel: "UCLA"},
+		"work":     {Reference: ref, LocationLabel: "Work"},
+		"stress":   {Reference: ref, Contexts: map[rules.Category]rules.Level{rules.CategoryStress: rules.LevelNotShared}},
+	} {
+		if searches[name], err = b.SearchCtx(ctx, bob, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	views, err := json.Marshal(map[string]any{"replicas": reps, "directory": dirList, "searches": searches})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantViews, err := os.ReadFile(filepath.Join("testdata", "broker_views.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotV, wantV any
+	if err := json.Unmarshal(views, &gotV); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(wantViews, &wantV); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotV, wantV) {
+		t.Errorf("restored views:\n got %s\nwant %s", views, wantViews)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/obs"
+	"sensorsafe/internal/ruleindex"
 	"sensorsafe/internal/rules"
 	"sensorsafe/internal/timeutil"
 )
@@ -113,8 +114,8 @@ func (s *Service) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *SearchQ
 	groups := append([]string(nil), e.groups...)
 	var matched []SearchHit
 	for _, ce := range s.contributors {
-		if ce.decider() == nil {
-			continue // no rules replicated yet: default deny
+		if ce.policy.Len() == 0 {
+			continue // no rules: default deny
 		}
 		if s.contributorMatches(ce, u.Name, groups, q) {
 			matched = append(matched, SearchHit{Contributor: ce.name, StoreAddr: ce.storeAddr})
@@ -128,7 +129,7 @@ func (s *Service) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *SearchQ
 // compiled index — cohort fan-out evaluates every contributor at several
 // probe points, so the memoized cache pays off across repeated searches.
 func (s *Service) contributorMatches(ce *contributorEntry, consumer string, groups []string, q *SearchQuery) bool {
-	locations := probeLocations(ce, q)
+	locations := probeLocations(ce.policy, q)
 	if len(locations) == 0 {
 		return false
 	}
@@ -136,12 +137,11 @@ func (s *Service) contributorMatches(ce *contributorEntry, consumer string, grou
 	if len(instants) == 0 {
 		return false
 	}
-	decider := ce.decider()
 	sensors := rules.ExpandSensorNames(q.Sensors)
 	for _, loc := range locations {
 		allOK := true
 		for _, at := range instants {
-			d := decider.Decide(&rules.Request{
+			d := ce.policy.Decide(&rules.Request{
 				Consumer:       consumer,
 				ConsumerGroups: groups,
 				At:             at,
@@ -178,9 +178,9 @@ func decisionSatisfies(d *rules.Decision, sensors []string, contexts map[rules.C
 }
 
 // probeLocations picks the coordinates at which to evaluate the rules.
-func probeLocations(ce *contributorEntry, q *SearchQuery) []geo.Point {
+func probeLocations(policy *ruleindex.Index, q *SearchQuery) []geo.Point {
 	if q.LocationLabel != "" {
-		rg, ok := ce.gazetteer.Lookup(q.LocationLabel)
+		rg, ok := policy.Engine().Gazetteer().Lookup(q.LocationLabel)
 		if !ok {
 			return nil
 		}
@@ -193,10 +193,8 @@ func probeLocations(ce *contributorEntry, q *SearchQuery) []geo.Point {
 	// the data either somewhere labeled or anywhere at all; probe each
 	// labeled place and one unlabeled point.
 	var pts []geo.Point
-	for _, label := range ce.gazetteer.Labels() {
-		if rg, ok := ce.gazetteer.Lookup(label); ok {
-			pts = append(pts, rg.Bounds().Center())
-		}
+	for _, rg := range policy.Places() {
+		pts = append(pts, rg.Bounds().Center())
 	}
 	pts = append(pts, geo.Point{Lat: 0, Lon: 0})
 	return pts

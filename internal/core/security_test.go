@@ -65,7 +65,8 @@ func TestAttackStolenKeyRotation(t *testing.T) {
 	if _, err := alice.Store.QueryOwn(fresh, &query.Query{}); err != nil {
 		t.Errorf("fresh key: %v", err)
 	}
-	data, err := alice.Store.Rules(fresh)
+	policy, err := alice.Store.Policy(fresh)
+	data := policy.Rules
 	if err != nil || len(data) == 0 {
 		t.Errorf("rules after rotation: %v", err)
 	}

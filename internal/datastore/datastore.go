@@ -130,44 +130,17 @@ type Options struct {
 }
 
 // contributorState is the per-contributor slice of an (institutional)
-// store: rules, labeled places, and the compiled engine plus its indexed
-// evaluation plan.
+// store.
 type contributorState struct {
-	rules     []*rules.Rule
-	gazetteer *geo.Gazetteer
-	engine    *rules.Engine
-	// index is the compiled evaluation plan over engine's rules, rebuilt
-	// (with a fresh decision cache) on every rule or place mutation so a
-	// version bump can never serve a stale memoized decision.
-	index *ruleindex.Index
+	// policy is the contributor's rules and labeled places, compiled at
+	// their current version. Every rule or place change compiles a new
+	// one (with a fresh decision cache) at the next version and swaps it
+	// in, so a version bump can never serve a stale memoized decision and
+	// a reader holding the old one needs no lock.
+	policy *ruleindex.Index
 	// groups maps consumer name → group/study names, as assigned by this
 	// contributor (used by group-scoped rules).
 	groups map[string][]string
-	// ruleVersion increments on every rule or place change; live-stream
-	// deliveries are stamped with it so a consumer can see exactly which
-	// rule set filtered each segment.
-	ruleVersion uint64
-}
-
-// decider returns the evaluation seam release paths must use: the indexed
-// plan, which every site that assigns engine compiles with it. Nil when
-// the contributor has no rules (default deny).
-func (st *contributorState) decider() rules.Decider {
-	if st.index != nil {
-		return st.index
-	}
-	return nil
-}
-
-// recompileIndex rebuilds the contributor's indexed evaluation plan from
-// the current engine, stamped with the current rule version. Callers must
-// hold the service write lock and must have bumped ruleVersion first.
-func (st *contributorState) recompileIndex() {
-	if st.engine == nil {
-		st.index = nil
-		return
-	}
-	st.index = ruleindex.FromEngine(st.engine, ruleindex.Options{Version: st.ruleVersion})
 }
 
 // Service is one remote data store.
@@ -287,8 +260,8 @@ func (s *Service) RegisterContributor(name string) (auth.User, error) {
 	}
 	s.mu.Lock()
 	s.contributors[normName(name)] = &contributorState{
-		gazetteer: geo.NewGazetteer(),
-		groups:    make(map[string][]string),
+		policy: ruleindex.Empty(),
+		groups: make(map[string][]string),
 	}
 	s.mu.Unlock()
 	if err := s.saveState(); err != nil {
@@ -367,6 +340,17 @@ func (s *Service) stateLocked(contributor string) (*contributorState, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, contributor)
 	}
 	return st, nil
+}
+
+// policyOf returns the contributor's current policy.
+func (s *Service) policyOf(contributor string) (*ruleindex.Index, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	st, err := s.stateLocked(contributor)
+	if err != nil {
+		return nil, err
+	}
+	return st.policy, nil
 }
 
 // UploadCtx ingests a batch of wave segments for the contributor owning the
@@ -457,112 +441,64 @@ func (s *Service) SetRules(key auth.APIKey, ruleSetJSON []byte) error {
 	if err != nil {
 		return err
 	}
+	return s.commitPolicy(u.Name, func(cur *ruleindex.Index) ([]*rules.Rule, []geo.Region) {
+		return rs, cur.Places()
+	})
+}
+
+// DefinePlace registers (or replaces) a labeled region in the
+// contributor's policy and pushes the replica to the sync target.
+func (s *Service) DefinePlace(key auth.APIKey, label string, region geo.Region) error {
+	u, err := s.authenticate(key, auth.RoleContributor)
+	if err != nil {
+		return err
+	}
+	region.Label = label
+	return s.commitPolicy(u.Name, func(cur *ruleindex.Index) ([]*rules.Rule, []geo.Region) {
+		return cur.Engine().CompiledRules(), append(cur.Places(), region)
+	})
+}
+
+// commitPolicy compiles the contributor's next policy from the rules and
+// places change derives from the current one, swaps it in at the next
+// version, and persists and replicates it.
+func (s *Service) commitPolicy(contributor string, change func(cur *ruleindex.Index) ([]*rules.Rule, []geo.Region)) error {
 	s.mu.Lock()
-	st, err := s.stateLocked(u.Name)
-	if err != nil {
-		s.mu.Unlock()
-		return err
+	st, err := s.stateLocked(contributor)
+	if err == nil {
+		rs, places := change(st.policy)
+		var next *ruleindex.Index
+		if next, err = ruleindex.Compile(rs, places, st.policy.Version()+1); err == nil {
+			st.policy = next
+			s.enqueueSyncLocked(contributor, next.Version())
+		}
 	}
-	engine, err := rules.NewEngine(rs, st.gazetteer)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	st.rules = rs
-	st.engine = engine
-	st.ruleVersion++
-	st.recompileIndex()
-	s.enqueueSyncLocked(u.Name, st.ruleVersion)
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if err := s.saveState(); err != nil {
 		return err
 	}
 	// Replicate best-effort: the change is already committed locally and
 	// queued in the durable outbox, so a broker outage here is not an
 	// error — the anti-entropy loop (or ResyncAll) delivers it later.
-	_ = s.pushSync(u.Name)
+	_ = s.pushSync(contributor)
 	return nil
 }
 
-// Rules returns the contributor's current rule set as Fig. 4 JSON.
-func (s *Service) Rules(key auth.APIKey) ([]byte, error) {
+// Policy returns the contributor's current rules, places and version,
+// all read from the one compiled policy.
+func (s *Service) Policy(key auth.APIKey) (ruleindex.State, error) {
 	u, err := s.authenticate(key, auth.RoleContributor)
 	if err != nil {
-		return nil, err
+		return ruleindex.State{}, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, err := s.stateLocked(u.Name)
+	p, err := s.policyOf(u.Name)
 	if err != nil {
-		return nil, err
+		return ruleindex.State{}, err
 	}
-	return rules.MarshalRuleSet(st.rules)
-}
-
-// DefinePlace registers (or replaces) a labeled region in the
-// contributor's gazetteer and recompiles the rule engine.
-func (s *Service) DefinePlace(key auth.APIKey, label string, region geo.Region) error {
-	u, err := s.authenticate(key, auth.RoleContributor)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	st, err := s.stateLocked(u.Name)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	// Copy on write: Recommend and the engines RulesForCtx hands out read
-	// the current gazetteer with no lock held, and a failed compile must
-	// leave no half-applied place behind.
-	gaz := st.gazetteer.Clone()
-	if err := gaz.Define(label, region); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	engine, err := rules.NewEngine(st.rules, gaz)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	st.gazetteer = gaz
-	st.engine = engine
-	st.ruleVersion++
-	st.recompileIndex()
-	s.enqueueSyncLocked(u.Name, st.ruleVersion)
-	s.mu.Unlock()
-	if err := s.saveState(); err != nil {
-		return err
-	}
-	_ = s.pushSync(u.Name)
-	return nil
-}
-
-// Places lists the contributor's labeled regions.
-func (s *Service) Places(key auth.APIKey) ([]geo.Region, error) {
-	u, err := s.authenticate(key, auth.RoleContributor)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, err := s.stateLocked(u.Name)
-	if err != nil {
-		return nil, err
-	}
-	return placesOf(st), nil
-}
-
-func placesOf(st *contributorState) []geo.Region {
-	labels := st.gazetteer.Labels()
-	sort.Strings(labels)
-	out := make([]geo.Region, 0, len(labels))
-	for _, l := range labels {
-		if rg, ok := st.gazetteer.Lookup(l); ok {
-			out = append(out, rg)
-		}
-	}
-	return out
+	return p.State()
 }
 
 // AssignConsumerGroups records the groups/studies a consumer belongs to for
@@ -602,20 +538,16 @@ func (s *Service) pushSync(contributor string) error {
 	if s.opts.Sync == nil {
 		return nil
 	}
-	s.mu.RLock()
-	st, err := s.stateLocked(contributor)
-	if err != nil {
-		s.mu.RUnlock()
-		return err
-	}
-	version := st.ruleVersion
-	data, err := rules.MarshalRuleSet(st.rules)
-	places := placesOf(st)
-	s.mu.RUnlock()
+	p, err := s.policyOf(contributor)
 	if err != nil {
 		return err
 	}
-	err = s.opts.Sync.SyncRulesCtx(s.ctx, contributor, version, data, places)
+	ps, err := p.State()
+	if err != nil {
+		return err
+	}
+	version := ps.RuleVersion
+	err = s.opts.Sync.SyncRulesCtx(s.ctx, contributor, version, ps.RuleSet(), ps.Places)
 	switch {
 	case err == nil:
 		metricSyncPushes.With("ok").Inc()
@@ -677,7 +609,7 @@ func (s *Service) AntiEntropy() error {
 	}
 	versions := make(map[string]uint64, len(s.contributors))
 	for name, cs := range s.contributors {
-		versions[name] = cs.ruleVersion
+		versions[name] = cs.policy.Version()
 	}
 	s.mu.RUnlock()
 	sort.Strings(queued)
@@ -734,7 +666,9 @@ func (s *Service) syncLoop() {
 
 // QueryCtx answers a consumer's data request: scan matching records,
 // clip each to the requested window and pass it through release.
-// Enforcement spans land in ctx's trace.
+// q.Limit counts records that released something, so withheld records
+// neither use it up nor show in limit − answers; a record's releases
+// are never split. Enforcement spans land in ctx's trace.
 func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query) (out []*abstraction.Release, err error) {
 	ctx, qspan, stopQuery := obs.Span(ctx, "datastore.query")
 	defer func() {
@@ -748,33 +682,60 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	results, err := s.store.ScanRefs(q.Storage())
-	if err != nil {
-		return nil, err
-	}
-	metricSegmentsScanned.Add(float64(len(results)))
-
 	// Audit events cross-reference the query's trace: the trail answers
 	// what was released, the trace answers why.
 	who := audit.Event{Consumer: u.Name, Query: q.String(), TraceID: trace.IDFromContext(ctx)}
-	for _, res := range results {
-		seg := res.Segment
-		// Clip to the requested window: the scan matches any overlapping
-		// record, but only samples inside [From, To) may be released.
-		if !q.From.IsZero() || !q.To.IsZero() {
-			if seg = seg.Slice(q.From, q.To); seg == nil {
-				continue
-			}
-		}
-		_, espan, stopEval := obs.Span(ctx, "datastore.rule_eval")
-		rels, _, _, err := s.release(who, seg, q, espan)
-		stopEval(err)
+	// Limit counts records that released something, so a withheld record
+	// must not use it up. The scan stays bounded by what the loop
+	// examines: it reads a page of Limit records and, while fewer than
+	// Limit have released and the page was full, a page twice the size,
+	// skipping the records an earlier page decided.
+	sq := q.Storage()
+	var decided map[storage.ID]bool
+	released := 0
+	for {
+		results, err := s.store.ScanRefs(sq)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rels...)
+		for _, res := range results {
+			if q.Limit > 0 && released == q.Limit {
+				break
+			}
+			if decided[res.ID] {
+				continue
+			}
+			metricSegmentsScanned.Inc()
+			seg := res.Segment
+			// Clip to the requested window: the scan matches any overlapping
+			// record, but only samples inside [From, To) may be released.
+			if !q.From.IsZero() || !q.To.IsZero() {
+				if seg = seg.Slice(q.From, q.To); seg == nil {
+					continue
+				}
+			}
+			_, espan, stopEval := obs.Span(ctx, "datastore.rule_eval")
+			rels, _, _, err := s.release(who, seg, q, espan)
+			stopEval(err)
+			if err != nil {
+				return nil, err
+			}
+			if len(rels) > 0 {
+				released++
+			}
+			out = append(out, rels...)
+		}
+		if sq.Limit == 0 || released == q.Limit || len(results) < sq.Limit {
+			return out, nil
+		}
+		if decided == nil {
+			decided = make(map[storage.ID]bool, len(results))
+		}
+		for _, res := range results {
+			decided[res.ID] = true
+		}
+		sq.Limit *= 2
 	}
-	return out, nil
 }
 
 // release is the store's one egress for stored data, shared by queries
@@ -791,22 +752,20 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 func (s *Service) release(who audit.Event, seg *wavesegment.Segment, q *query.Query, span *trace.Span) ([]*abstraction.Release, uint64, audit.Outcome, error) {
 	s.mu.RLock()
 	st, err := s.stateLocked(seg.Contributor)
-	var decider rules.Decider
+	var policy *ruleindex.Index
 	var groups []string
-	var version uint64
 	if err == nil {
-		decider = st.decider()
-		groups = st.groups[normName(who.Consumer)]
-		version = st.ruleVersion
+		policy, groups = st.policy, st.groups[normName(who.Consumer)]
 	}
 	s.mu.RUnlock()
-	span.SetAttr(trace.String("contributor", seg.Contributor),
-		trace.Int64("rule_version", int64(version)))
-	if err != nil || decider == nil {
+	span.SetAttr(trace.String("contributor", seg.Contributor))
+	if err != nil {
 		metricReleases.With("deny").Inc()
-		return nil, version, audit.OutcomeWithheld, nil // contributor without rules: default deny
+		return nil, 0, audit.OutcomeWithheld, nil // record of an unknown contributor: default deny
 	}
-	rels, decisions, err := abstraction.EnforceExplained(decider, who.Consumer, groups, seg, geo.GridGeocoder{})
+	version := policy.Version()
+	span.SetAttr(trace.Int64("rule_version", int64(version)))
+	rels, decisions, err := abstraction.EnforceExplained(policy, who.Consumer, groups, seg, geo.GridGeocoder{})
 	if err != nil {
 		return nil, version, audit.OutcomeWithheld, err
 	}
@@ -965,21 +924,19 @@ func (s *Service) QueryOwn(key auth.APIKey, q *query.Query) ([]*wavesegment.Segm
 
 // RulesForCtx returns the compiled rule engine for a contributor; the
 // phone simulator uses this for privacy-rule-aware collection (§5.3), and
-// tests probe it directly. Returns nil when the contributor has no rules
-// yet. The context is part of the phone.Store contract and unused here
+// tests probe it directly. Returns nil when the contributor has no rules.
+// The context is part of the phone.Store contract and unused here
 // because no further hop exists.
 func (s *Service) RulesForCtx(_ context.Context, key auth.APIKey) (*rules.Engine, error) {
 	u, err := s.authenticate(key, auth.RoleContributor)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, err := s.stateLocked(u.Name)
-	if err != nil {
+	p, err := s.policyOf(u.Name)
+	if err != nil || p.Len() == 0 {
 		return nil, err
 	}
-	return st.engine, nil
+	return p.Engine(), nil
 }
 
 // RuleIndexStats reports every contributor's compiled-index state, keyed
@@ -990,8 +947,8 @@ func (s *Service) RuleIndexStats() map[string]ruleindex.Stats {
 	defer s.mu.RUnlock()
 	out := make(map[string]ruleindex.Stats)
 	for name, st := range s.contributors {
-		if st.index != nil {
-			out[name] = st.index.Stats()
+		if st.policy.Len() > 0 {
+			out[name] = st.policy.Stats()
 		}
 	}
 	return out
@@ -1017,11 +974,9 @@ func (s *Service) Recommend(key auth.APIKey, opts recommend.Options) ([]recommen
 		segs[i] = r.Segment
 	}
 	if opts.Gazetteer == nil {
-		s.mu.RLock()
-		if st, err := s.stateLocked(u.Name); err == nil {
-			opts.Gazetteer = st.gazetteer
+		if p, err := s.policyOf(u.Name); err == nil {
+			opts.Gazetteer = p.Engine().Gazetteer()
 		}
-		s.mu.RUnlock()
 	}
 	return recommend.Analyze(segs, opts), nil
 }

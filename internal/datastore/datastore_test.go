@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sensorsafe/internal/audit"
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/query"
@@ -258,7 +259,8 @@ func TestSetRulesAndQuery(t *testing.T) {
 		t.Errorf("released samples = %d", rels[0].Segment.NumSamples())
 	}
 	// Round trip of rules JSON.
-	data, err := s.Rules(alice.Key)
+	policy, err := s.Policy(alice.Key)
+	data := policy.Rules
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,8 @@ func TestDefinePlaceAffectsRules(t *testing.T) {
 	if len(rels) != 1 {
 		t.Errorf("after defining UCLA: releases = %d, want 1", len(rels))
 	}
-	places, err := s.Places(alice.Key)
+	policy, err := s.Policy(alice.Key)
+	places := policy.Places
 	if err != nil || len(places) != 1 || places[0].Label != "UCLA" {
 		t.Errorf("places = %v, %v", places, err)
 	}
@@ -618,4 +621,89 @@ func TestConcurrentUploadsAndQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestLimitCountsReleasedRecords: Limit counts records that released
+// something. A withheld record before the granted one must not use up
+// the limit, or the consumer gets silently less and limit − answers
+// counts the withheld records.
+func TestLimitCountsReleasedRecords(t *testing.T) {
+	ctx := context.Background()
+	s := newService(t, Options{})
+	alice, bob := setupAliceBob(t, s)
+	if err := s.SetRules(alice.Key, []byte(`[{"Sensor":["SkinTemperature"],"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	segs := []*wavesegment.Segment{
+		packet("alice", t0, 10, wavesegment.ChannelECG),
+		packet("alice", t0.Add(time.Hour), 10, wavesegment.ChannelSkinTemp),
+		packet("alice", t0.Add(2*time.Hour), 10, wavesegment.ChannelSkinTemp),
+	}
+	if _, err := s.UploadCtx(ctx, alice.Key, segs); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct{ limit, want int }{{1, 1}, {0, 2}, {2, 2}, {3, 2}} {
+		rels, err := s.QueryCtx(ctx, bob.Key, &query.Query{Limit: c.limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rels) != c.want {
+			t.Errorf("Limit %d: %d releases, want %d", c.limit, len(rels), c.want)
+		}
+		for _, r := range rels {
+			if r.Start.Before(t0.Add(time.Hour)) {
+				t.Errorf("Limit %d: release at %v, want only the skin-temperature records", c.limit, r.Start)
+			}
+		}
+		if i > 0 {
+			continue
+		}
+		// The trail records exactly what Limit 1 returned: the withheld
+		// ECG record and the first granted record, not the second.
+		events, err := s.Audit(alice.Key, audit.Filter{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(events) != 2 || events[0].Outcome == audit.OutcomeWithheld || events[1].Outcome != audit.OutcomeWithheld {
+			t.Errorf("trail after Limit 1 = %+v; want one withheld read, then one release", events)
+		}
+	}
+}
+
+// TestLimitScanIsBounded: a Limit query examines about Limit records,
+// not every match, and a withheld record costs one more.
+func TestLimitScanIsBounded(t *testing.T) {
+	ctx := context.Background()
+	s := newService(t, Options{})
+	alice, bob := setupAliceBob(t, s)
+	if err := s.SetRules(alice.Key, []byte(`[{"Sensor":["SkinTemperature"],"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	segs := []*wavesegment.Segment{packet("alice", t0, 10, wavesegment.ChannelECG)}
+	for i := 1; i <= 40; i++ {
+		segs = append(segs, packet("alice", t0.Add(time.Duration(i)*time.Hour), 10, wavesegment.ChannelSkinTemp))
+	}
+	if _, err := s.UploadCtx(ctx, alice.Key, segs); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q       query.Query
+		scanned float64
+	}{
+		{query.Query{Limit: 3, From: t0.Add(time.Hour)}, 3},
+		{query.Query{Limit: 1}, 2},
+		{query.Query{Limit: 5}, 6},
+	} {
+		before := metricSegmentsScanned.Value()
+		rels, err := s.QueryCtx(ctx, bob.Key, &c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rels) != c.q.Limit {
+			t.Errorf("%s: %d releases, want %d", c.q.String(), len(rels), c.q.Limit)
+		}
+		if got := metricSegmentsScanned.Value() - before; got != c.scanned {
+			t.Errorf("%s: scanned %v records, want %v", c.q.String(), got, c.scanned)
+		}
+	}
 }

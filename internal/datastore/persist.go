@@ -10,9 +10,8 @@ import (
 	"sort"
 
 	"sensorsafe/internal/auth"
-	"sensorsafe/internal/geo"
 	"sensorsafe/internal/resilience"
-	"sensorsafe/internal/rules"
+	"sensorsafe/internal/ruleindex"
 	"sensorsafe/internal/stream"
 )
 
@@ -32,10 +31,8 @@ type persistedUser struct {
 }
 
 type persistedContributor struct {
-	Rules       json.RawMessage     `json:"rules,omitempty"`
-	Places      []geo.Region        `json:"places,omitempty"`
-	Groups      map[string][]string `json:"groups,omitempty"`
-	RuleVersion uint64              `json:"ruleVersion,omitempty"`
+	ruleindex.State
+	Groups map[string][]string `json:"groups,omitempty"`
 }
 
 type persistedState struct {
@@ -105,14 +102,11 @@ func (s *Service) snapshotState() (*persistedState, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		cs := s.contributors[name]
-		pc := &persistedContributor{Places: placesOf(cs), RuleVersion: cs.ruleVersion}
-		if len(cs.rules) > 0 {
-			data, err := rules.MarshalRuleSet(cs.rules)
-			if err != nil {
-				return nil, err
-			}
-			pc.Rules = data
+		ps, err := cs.policy.State()
+		if err != nil {
+			return nil, err
 		}
+		pc := &persistedContributor{State: ps}
 		if len(cs.groups) > 0 {
 			pc.Groups = make(map[string][]string, len(cs.groups))
 			for consumer, groups := range cs.groups {
@@ -155,29 +149,11 @@ func (s *Service) loadState() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, pc := range st.Contributors {
-		cs := &contributorState{
-			gazetteer:   geo.NewGazetteer(),
-			groups:      make(map[string][]string),
-			ruleVersion: pc.RuleVersion,
+		policy, err := ruleindex.Load(pc.State)
+		if err != nil {
+			return fmt.Errorf("datastore: restore policy for %s: %w", name, err)
 		}
-		for _, rg := range pc.Places {
-			if err := cs.gazetteer.Define(rg.Label, rg); err != nil {
-				return fmt.Errorf("datastore: restore place %q: %w", rg.Label, err)
-			}
-		}
-		if len(pc.Rules) > 0 {
-			rs, err := rules.UnmarshalRuleSet(pc.Rules)
-			if err != nil {
-				return fmt.Errorf("datastore: restore rules for %s: %w", name, err)
-			}
-			engine, err := rules.NewEngine(rs, cs.gazetteer)
-			if err != nil {
-				return fmt.Errorf("datastore: recompile rules for %s: %w", name, err)
-			}
-			cs.rules = rs
-			cs.engine = engine
-			cs.recompileIndex()
-		}
+		cs := &contributorState{policy: policy, groups: make(map[string][]string)}
 		for consumer, groups := range pc.Groups {
 			cs.groups[consumer] = groups
 		}

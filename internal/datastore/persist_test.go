@@ -67,7 +67,8 @@ func TestFullStateSurvivesReopen(t *testing.T) {
 		t.Errorf("releases after reopen = %d, want 1 (rules+places+groups restored)", len(rels))
 	}
 	// Rules round trip.
-	data, err := s2.Rules(alice.Key)
+	policy, err := s2.Policy(alice.Key)
+	data := policy.Rules
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +77,9 @@ func TestFullStateSurvivesReopen(t *testing.T) {
 		t.Errorf("restored rules = %v, %v", rs, err)
 	}
 	// Places round trip.
-	places, err := s2.Places(alice.Key)
-	if err != nil || len(places) != 1 || places[0].Label != "UCLA" {
-		t.Errorf("restored places = %v, %v", places, err)
+	places := policy.Places
+	if len(places) != 1 || places[0].Label != "UCLA" {
+		t.Errorf("restored places = %v", places)
 	}
 	// New registrations continue to work (no key collisions).
 	if _, err := s2.RegisterConsumer("Carol"); err != nil {
@@ -134,7 +135,8 @@ func TestTornTempFileDoesNotCorruptState(t *testing.T) {
 		t.Fatalf("torn temp file must not block reopen: %v", err)
 	}
 	defer s2.Close()
-	data, err := s2.Rules(alice.Key)
+	policy, err := s2.Policy(alice.Key)
+	data := policy.Rules
 	if err != nil || len(data) == 0 {
 		t.Fatalf("state lost after torn-temp crash: %v", err)
 	}

@@ -71,7 +71,8 @@ func TestDefinePlaceDoesNotRaceReaders(t *testing.T) {
 	}()
 	wg.Wait()
 
-	places, err := s.Places(alice.Key)
+	policy, err := s.Policy(alice.Key)
+	places := policy.Places
 	if err != nil || len(places) != rounds+1 {
 		t.Fatalf("places = %d, %v; want %d", len(places), err, rounds+1)
 	}

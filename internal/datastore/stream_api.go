@@ -75,15 +75,14 @@ func (s *Service) StreamRelease(consumer string, channels []string, seg *waveseg
 	return s.release(audit.Event{Consumer: consumer, Query: "stream " + q.String()}, seg, q, nil)
 }
 
-// StreamEngine returns the contributor's compiled rule index and current
-// rule version, the decider release uses; benchmarks read it to time
-// enforcement on its own. A nil decider denies everything.
+// StreamEngine returns the contributor's policy and its version, the
+// decider release uses; benchmarks read it to time enforcement on its
+// own. A contributor without rules gets the empty policy, which denies
+// everything.
 func (s *Service) StreamEngine(contributor string) (rules.Decider, uint64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, err := s.stateLocked(contributor)
+	p, err := s.policyOf(contributor)
 	if err != nil {
 		return nil, 0, err
 	}
-	return st.decider(), st.ruleVersion, nil
+	return p, p.Version(), nil
 }

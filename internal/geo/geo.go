@@ -8,7 +8,6 @@ package geo
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"strings"
 )
@@ -239,9 +238,5 @@ func (g *Gazetteer) Labels() []string {
 
 // Len returns the number of defined regions.
 func (g *Gazetteer) Len() int { return len(g.regions) }
-
-// Clone returns a copy that Define and Remove on either side leave the
-// other unchanged.
-func (g *Gazetteer) Clone() *Gazetteer { return &Gazetteer{regions: maps.Clone(g.regions)} }
 
 func normalizeLabel(s string) string { return strings.ToLower(strings.TrimSpace(s)) }

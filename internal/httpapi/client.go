@@ -21,6 +21,7 @@ import (
 	"sensorsafe/internal/query"
 	"sensorsafe/internal/recommend"
 	"sensorsafe/internal/resilience"
+	"sensorsafe/internal/ruleindex"
 	"sensorsafe/internal/rules"
 	"sensorsafe/internal/wavesegment"
 )
@@ -262,28 +263,20 @@ func (c *StoreClient) SetRulesCtx(ctx context.Context, key auth.APIKey, ruleSetJ
 	return c.call(ctx, "/api/rules/set", true, &rulesSetReq{Key: key, Rules: ruleSetJSON}, &okResp{})
 }
 
-// RulesCtx fetches the owner's privacy rules.
-func (c *StoreClient) RulesCtx(ctx context.Context, key auth.APIKey) ([]byte, error) {
+// PolicyCtx fetches the owner's privacy rules, labeled places and their
+// version in one request.
+func (c *StoreClient) PolicyCtx(ctx context.Context, key auth.APIKey) (ruleindex.State, error) {
 	var resp rulesGetResp
 	if err := c.call(ctx, "/api/rules/get", false, &rulesGetReq{Key: key}, &resp); err != nil {
-		return nil, err
+		return ruleindex.State{}, err
 	}
-	return resp.Rules, nil
+	return ruleindex.State{Rules: resp.Rules, Places: resp.Places, RuleVersion: resp.RuleVersion}, nil
 }
 
 // DefinePlaceCtx registers a labeled region.
 func (c *StoreClient) DefinePlaceCtx(ctx context.Context, key auth.APIKey, label string, region geo.Region) error {
 	return c.call(ctx, "/api/places/define",
 		true, &placeDefineReq{Key: key, Label: label, Region: region}, &okResp{})
-}
-
-// PlacesCtx lists the owner's labeled regions.
-func (c *StoreClient) PlacesCtx(ctx context.Context, key auth.APIKey) ([]geo.Region, error) {
-	var resp placesListResp
-	if err := c.call(ctx, "/api/places/list", false, &rulesGetReq{Key: key}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Places, nil
 }
 
 // AssignConsumerGroupsCtx records a consumer's groups for the owner's
@@ -353,31 +346,18 @@ func (c *StoreClient) LoginCtx(ctx context.Context, name, password string) (stri
 	return resp.Token, nil
 }
 
-// RulesForCtx downloads and compiles the owner's rule set — the phone's
-// §5.3 path. Returns nil when the owner has no rules yet.
+// RulesForCtx downloads and compiles the owner's policy — the phone's
+// §5.3 path. Returns nil when the owner has no rules.
 func (c *StoreClient) RulesForCtx(ctx context.Context, key auth.APIKey) (*rules.Engine, error) {
-	data, err := c.RulesCtx(ctx, key)
+	st, err := c.PolicyCtx(ctx, key)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := rules.UnmarshalRuleSet(data)
-	if err != nil {
+	policy, err := ruleindex.Load(st)
+	if err != nil || policy.Len() == 0 {
 		return nil, err
 	}
-	if len(rs) == 0 {
-		return nil, nil
-	}
-	places, err := c.PlacesCtx(ctx, key)
-	if err != nil {
-		return nil, err
-	}
-	gaz := geo.NewGazetteer()
-	for _, rg := range places {
-		if err := gaz.Define(rg.Label, rg); err != nil {
-			return nil, err
-		}
-	}
-	return rules.NewEngine(rs, gaz)
+	return policy.Engine(), nil
 }
 
 // BrokerClient is a typed client for the broker's API. It satisfies

@@ -385,6 +385,64 @@ func TestRuleAwarePhoneOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRulesForIsOneRequest: the phone gets its policy in one request,
+// so a place defined right after that request cannot pair one version's
+// rules with the next version's places.
+func TestRulesForIsOneRequest(t *testing.T) {
+	ctx := context.Background()
+	svc, err := datastore.New(datastore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	alice, err := svc.RegisterContributor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	homeRect, _ := geo.NewRect(geo.Point{Lat: 34.02, Lon: -118.50}, geo.Point{Lat: 34.03, Lon: -118.49})
+	if err := svc.DefinePlace(alice.Key, "home", geo.Region{Rect: homeRect}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.SetRules(alice.Key, []byte(`[{"LocationLabel":["home"],"Action":"Deny"},{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Count requests, and define a second place right after the first
+	// one is answered: a client that fetched places separately would see
+	// version 3's places beside version 2's rules.
+	var calls []string
+	h := NewStoreHandler(svc)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		calls = append(calls, r.URL.Path)
+		if len(calls) == 1 {
+			if err := svc.DefinePlace(alice.Key, "work", geo.Region{Rect: homeRect}); err != nil {
+				t.Error(err)
+			}
+		}
+	}))
+	t.Cleanup(srv.Close)
+	sc := &StoreClient{BaseURL: srv.URL}
+
+	eng, err := sc.RulesForCtx(ctx, alice.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != 1 || calls[0] != "/api/rules/get" {
+		t.Fatalf("RulesForCtx made requests %v, want one /api/rules/get", calls)
+	}
+	if got := eng.Gazetteer().Labels(); len(got) != 1 || got[0] != "home" {
+		t.Errorf("compiled places = %v, want version 2's [home]", got)
+	}
+	st, err := sc.PolicyCtx(ctx, alice.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.RuleVersion != 3 || len(st.Places) != 2 {
+		t.Errorf("policy after the late place = version %d with %d places, want version 3 with 2", st.RuleVersion, len(st.Places))
+	}
+}
+
 // TestCloseDoesNotWaitOutHungBroker: the store's anti-entropy calls carry
 // its service context, so Close cancels a round stuck on a broker that
 // never answers instead of waiting out the client's timeouts and retries.

@@ -69,18 +69,19 @@ type rulesGetReq struct {
 	Key auth.APIKey `json:"key"`
 }
 
+// rulesGetResp is the owner's whole policy, read from one compiled
+// value, so the phone never pairs one version's rules with another's
+// places.
 type rulesGetResp struct {
-	Rules json.RawMessage `json:"rules"`
+	Rules       json.RawMessage `json:"rules"`
+	Places      []geo.Region    `json:"places"`
+	RuleVersion uint64          `json:"ruleVersion"`
 }
 
 type placeDefineReq struct {
 	Key    auth.APIKey `json:"key"`
 	Label  string      `json:"label"`
 	Region geo.Region  `json:"region"`
-}
-
-type placesListResp struct {
-	Places []geo.Region `json:"places"`
 }
 
 type groupsAssignReq struct {
@@ -216,11 +217,11 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 	}))
 
 	mux.HandleFunc("/api/rules/get", post(func(ctx context.Context, r *rulesGetReq) (rulesGetResp, error) {
-		data, err := svc.Rules(r.Key)
+		p, err := svc.Policy(r.Key)
 		if err != nil {
 			return rulesGetResp{}, err
 		}
-		return rulesGetResp{Rules: data}, nil
+		return rulesGetResp{Rules: p.RuleSet(), Places: p.Places, RuleVersion: p.RuleVersion}, nil
 	}))
 
 	mux.HandleFunc("/api/places/define", post(func(ctx context.Context, r *placeDefineReq) (okResp, error) {
@@ -228,14 +229,6 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
-
-	mux.HandleFunc("/api/places/list", post(func(ctx context.Context, r *rulesGetReq) (placesListResp, error) {
-		ps, err := svc.Places(r.Key)
-		if err != nil {
-			return placesListResp{}, err
-		}
-		return placesListResp{Places: ps}, nil
 	}))
 
 	mux.HandleFunc("/api/groups/assign", post(func(ctx context.Context, r *groupsAssignReq) (okResp, error) {
@@ -425,9 +418,8 @@ const storeAdminHTML = `<!DOCTYPE html>
 <li>POST /api/query {key, query|text}</li>
 <li>POST /api/queryown {key, query|text}</li>
 <li>POST /api/rules/set {key, rules} &mdash; Fig. 4 JSON</li>
-<li>POST /api/rules/get {key}</li>
+<li>POST /api/rules/get {key} &rarr; {rules, places, ruleVersion}</li>
 <li>POST /api/places/define {key, label, region}</li>
-<li>POST /api/places/list {key}</li>
 <li>POST /api/groups/assign {key, consumer, groups}</li>
 </ul>
 </body></html>

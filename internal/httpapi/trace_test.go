@@ -381,7 +381,7 @@ func serverRoutes(spans []*trace.SpanData) map[string]int {
 }
 
 // TestPhoneSessionIsOneTrace runs a rule-aware phone with one batch left
-// in its outbox from an earlier session: the rule download, the outbox
+// in its outbox from an earlier session: the policy download, the outbox
 // drain and the fresh upload are all hops of the one session, so the
 // store's server spans for them all carry the session's trace ID.
 func TestPhoneSessionIsOneTrace(t *testing.T) {
@@ -412,7 +412,8 @@ func TestPhoneSessionIsOneTrace(t *testing.T) {
 		t.Fatalf("report = %+v, want the spilled batch recovered and fresh packets uploaded", rep)
 	}
 
-	want := map[string]int{"/api/rules/get": 1, "/api/places/list": 1, "/api/upload": 2}
+	// The policy comes in one request: rules and places together.
+	want := map[string]int{"/api/rules/get": 1, "/api/upload": 2}
 	spans := collectTrace(t, col, root.TraceIDString(), func(spans []*trace.SpanData) bool {
 		return serverRoutes(spans)["/api/upload"] == want["/api/upload"]
 	})

@@ -37,7 +37,11 @@ type Query struct {
 	// Contexts restricts to spans annotated with at least one listed
 	// context label.
 	Contexts []string `json:"contexts,omitempty"`
-	// Limit caps the number of returned segments (0 = unlimited).
+	// Limit caps the number of stored records a consumer query answers
+	// from, counting only records that released something (0 =
+	// unlimited); a withheld record does not use it up. Storage passes
+	// it to the scan as a raw record cap, which is what an owner's
+	// review of their own data gets.
 	Limit int `json:"limit,omitempty"`
 }
 

@@ -67,21 +67,21 @@ type Index struct {
 	cache   *decisionCache
 }
 
-// New validates and compiles a rule set. gaz may be nil when no rule uses
-// location labels; labels are resolved against it at compile time, so
-// callers must recompile whenever rules or places change (the datastore
-// and broker already do — every mutation bumps the rule version).
+// New validates and compiles a rule set with explicit cache options (the
+// package's tests and benchmarks size the cache). gaz may be nil when no
+// rule uses location labels; labels are resolved against it at compile
+// time. Everything else builds a policy with Compile or Load.
 func New(rs []*rules.Rule, gaz *geo.Gazetteer, opts Options) (*Index, error) {
 	eng, err := rules.NewEngine(rs, gaz)
 	if err != nil {
 		return nil, fmt.Errorf("ruleindex: %w", err)
 	}
-	return FromEngine(eng, opts), nil
+	return fromEngine(eng, opts), nil
 }
 
-// FromEngine compiles an index over an already-built engine, sharing its
+// fromEngine compiles an index over an already-built engine, sharing its
 // compiled rules so both evaluate the exact same rule objects.
-func FromEngine(eng *rules.Engine, opts Options) *Index {
+func fromEngine(eng *rules.Engine, opts Options) *Index {
 	start := time.Now()
 	crs := eng.CompiledRules()
 	n := len(crs)

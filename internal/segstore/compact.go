@@ -159,7 +159,7 @@ func (s *Store) compactRound(force bool) (mergedAway, reclaimed int, err error) 
 		if writer == nil {
 			fileSeq++
 			var werr error
-			writer, werr = newSegWriter(s.dir, fmt.Sprintf("seg-%08d.seg", fileSeq), 1)
+			writer, werr = newSegWriter(s.dir, segFileName(fileSeq), 1)
 			if werr != nil {
 				return werr
 			}

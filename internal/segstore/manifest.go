@@ -39,6 +39,25 @@ func manifestName(gen uint64) string {
 	return fmt.Sprintf("manifest-%08d.json", gen)
 }
 
+// segFileName is the name of segment file n; a manifest may name no
+// other kind of file.
+func segFileName(n uint64) string {
+	return fmt.Sprintf("seg-%08d.seg", n)
+}
+
+// checkFiles rejects a generation naming a file segFileName would not
+// produce: the names are untrusted input, and "../x.seg" would make Open
+// serve, and the next compaction delete, a file outside the store.
+func (m *manifest) checkFiles() error {
+	for _, f := range m.Files {
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(f.Name, "seg-"), ".seg"), 10, 64)
+		if err != nil || f.Name != segFileName(n) {
+			return fmt.Errorf("names segment file %q", f.Name)
+		}
+	}
+	return nil
+}
+
 func parseManifestName(name string) (uint64, bool) {
 	if !strings.HasPrefix(name, "manifest-") || !strings.HasSuffix(name, ".json") {
 		return 0, false
@@ -106,8 +125,9 @@ func listManifestGens(dir string) ([]uint64, error) {
 }
 
 // loadManifest returns the newest manifest generation that passes its
-// checksum, or nil when the directory holds none (fresh store). A torn
-// or corrupt newest generation falls back to the one before it.
+// checksum and names only segment files, or nil when the directory holds
+// none (fresh store). A torn or corrupt newest generation falls back to
+// the one before it.
 func loadManifest(dir string) (*manifest, error) {
 	gens, err := listManifestGens(dir)
 	if err != nil {
@@ -133,6 +153,10 @@ func loadManifest(dir string) (*manifest, error) {
 		}
 		if sum != m.CRC {
 			lastErr = fmt.Errorf("segstore: manifest %s: checksum mismatch (torn write?)", manifestName(gens[i]))
+			continue
+		}
+		if err := m.checkFiles(); err != nil {
+			lastErr = fmt.Errorf("segstore: manifest %s: %w", manifestName(gens[i]), err)
 			continue
 		}
 		return &m, nil

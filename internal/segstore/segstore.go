@@ -674,7 +674,7 @@ func (s *Store) flushLocked() error {
 	var meta fileMeta
 	wrote := false
 	if total > 0 {
-		w, err := newSegWriter(s.dir, fmt.Sprintf("seg-%08d.seg", fileSeq), 0)
+		w, err := newSegWriter(s.dir, segFileName(fileSeq), 0)
 		if err != nil {
 			return err
 		}
