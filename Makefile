@@ -68,7 +68,8 @@ chaos:
 	$(GO) test -run TestChaos -count=1 -v ./internal/httpapi/
 
 # Short fuzz campaigns on every fuzzer: the untrusted-input parsers
-# (including the traceparent header and context labels), the WAL replay,
+# (including the traceparent header and context labels), the one-pass
+# Fig. 5 JSON decoders against encoding/json, the WAL replay,
 # the segment file format and the manifest. Patterns are anchored
 # because -fuzz must match exactly one target per package.
 fuzz:
@@ -76,6 +77,8 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseContextLabel$$' -fuzztime=30s ./internal/rules/
 	$(GO) test -fuzz='^FuzzUnmarshalBinary$$' -fuzztime=30s ./internal/wavesegment/
 	$(GO) test -fuzz='^FuzzUnmarshalJSONSegment$$' -fuzztime=30s ./internal/wavesegment/
+	$(GO) test -fuzz='^FuzzQueryResponse$$' -fuzztime=30s ./internal/httpapi/
+	$(GO) test -fuzz='^FuzzReader$$' -fuzztime=30s ./internal/jsonwire/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/query/
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz='^FuzzSegmentFile$$' -fuzztime=30s ./internal/segstore/
@@ -85,7 +88,7 @@ fuzz:
 # fuzz-seeds replays the checked-in fuzz corpora once (no new inputs) so
 # CI catches regressions on known-tricky parser inputs cheaply.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/query/ ./internal/segstore/ ./internal/obs/trace/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/httpapi/ ./internal/jsonwire/ ./internal/query/ ./internal/segstore/ ./internal/obs/trace/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -11,9 +11,11 @@ package abstraction
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"sensorsafe/internal/geo"
+	"sensorsafe/internal/jsonwire"
 	"sensorsafe/internal/rules"
 	"sensorsafe/internal/timeutil"
 	"sensorsafe/internal/wavesegment"
@@ -37,6 +39,97 @@ type Release struct {
 	Segment *wavesegment.Segment `json:"segment,omitempty"`
 	// Contexts are the abstracted context labels covering the span.
 	Contexts []wavesegment.Annotation `json:"contexts,omitempty"`
+}
+
+var releaseFields = []string{"contributor", "start", "end", "timeGranularity", "location", "segment", "contexts"}
+
+// AppendJSON appends the release in one pass, byte for byte what
+// encoding/json writes for the struct above: its tags are the wire
+// contract, and a new field needs a line here and in DecodeJSON.
+func (r *Release) AppendJSON(b []byte) ([]byte, error) {
+	b = append(b, '{')
+	if r.Contributor != "" {
+		b = append(b, `"contributor":`...)
+		b = jsonwire.AppendString(b, r.Contributor)
+		b = append(b, ',')
+	}
+	start, err := r.Start.MarshalJSON()
+	if err != nil {
+		return b, err
+	}
+	end, err := r.End.MarshalJSON()
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `"start":`...)
+	b = append(b, start...)
+	b = append(b, `,"end":`...)
+	b = append(b, end...)
+	b = append(b, `,"timeGranularity":`...)
+	b = strconv.AppendInt(b, int64(r.TimeGranularity), 10)
+	b = append(b, `,"location":`...)
+	if b, err = r.Location.AppendJSON(b); err != nil {
+		return b, err
+	}
+	if r.Segment != nil {
+		b = append(b, `,"segment":`...)
+		if b, err = r.Segment.AppendJSON(b); err != nil {
+			return b, err
+		}
+	}
+	if len(r.Contexts) > 0 {
+		b = append(b, `,"contexts":`...)
+		if b, err = wavesegment.AppendAnnotations(b, r.Contexts); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// DecodeJSON decodes the release that comes next in rd into r, with
+// encoding/json's semantics: fields the document does not name keep
+// their values, and null leaves r as it was.
+func (r *Release) DecodeJSON(rd *jsonwire.Reader) error {
+	if rd.Null() {
+		return nil
+	}
+	return rd.Object(func(key []byte) error {
+		switch jsonwire.Field(key, releaseFields) {
+		case 0:
+			return rd.StringInto(&r.Contributor)
+		case 1:
+			return decodeTime(rd, &r.Start)
+		case 2:
+			return decodeTime(rd, &r.End)
+		case 3:
+			return rd.IntInto((*int)(&r.TimeGranularity))
+		case 4:
+			return r.Location.DecodeJSON(rd)
+		case 5:
+			if rd.Null() {
+				r.Segment = nil
+				return nil
+			}
+			seg, err := wavesegment.DecodeJSON(rd)
+			if err == nil {
+				r.Segment = seg
+			}
+			return err
+		case 6:
+			return wavesegment.DecodeAnnotations(rd, &r.Contexts)
+		}
+		return rd.Skip()
+	})
+}
+
+// decodeTime hands the next value to time.Time's own decoder, as
+// encoding/json does.
+func decodeTime(rd *jsonwire.Reader, t *time.Time) error {
+	raw, err := rd.Raw()
+	if err != nil {
+		return err
+	}
+	return t.UnmarshalJSON(raw)
 }
 
 // Empty reports whether the release carries no information at all. A bare

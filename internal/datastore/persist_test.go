@@ -213,9 +213,9 @@ func TestPreSegstoreDirectoryRefused(t *testing.T) {
 	}
 }
 
-// TestEveryRuleSetHasAnIndex pins the invariant that lets decider()
-// return the index or nothing: after every mutation that (re)builds a
-// contributor's engine, and after a reopen, each contributor with rules
+// TestEveryRuleSetHasAnIndex pins the invariant that every contributor's
+// policy is a compiled index: after every mutation that (re)builds a
+// contributor's policy, and after a reopen, each contributor with rules
 // is listed by RuleIndexStats at its current rule version.
 func TestEveryRuleSetHasAnIndex(t *testing.T) {
 	dir := t.TempDir()

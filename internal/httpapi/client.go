@@ -30,12 +30,12 @@ import (
 // envelopes to Go errors, retrying under pol (resilience.Default() when
 // nil). Every attempt carries the same X-Request-ID — the context's when
 // present (so a server handling an inbound request propagates its ID to
-// outbound service-to-service calls), fresh otherwise. Mutating calls
-// additionally carry one X-Idempotency-Key for the whole logical call, so
-// a retry whose first attempt actually executed (lost response, torn
-// body) replays the original outcome server-side instead of applying the
-// mutation twice.
-func doJSON(ctx context.Context, hc *http.Client, pol *resilience.Policy, baseURL, path string, mutating bool, req, resp any) error {
+// outbound service-to-service calls), fresh otherwise. Calls to
+// mutatingRoutes additionally carry one X-Idempotency-Key for the whole
+// logical call, so a retry whose first attempt actually executed (lost
+// response, torn body) replays the original outcome server-side instead
+// of applying the mutation twice.
+func doJSON(ctx context.Context, hc *http.Client, pol *resilience.Policy, baseURL, path string, req, resp any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("httpapi: encode request: %w", err)
@@ -45,7 +45,7 @@ func doJSON(ctx context.Context, hc *http.Client, pol *resilience.Policy, baseUR
 		ctx = obs.WithRequestID(ctx, obs.NewRequestID())
 	}
 	var idem string
-	if mutating {
+	if mutatingRoutes[path] {
 		idem = obs.NewRequestID()
 	}
 	return pol.Do(ctx, path, func(actx context.Context) error {
@@ -96,9 +96,13 @@ func postAttempt(ctx context.Context, hc *http.Client, url, path, idem string, b
 		return fmt.Errorf("httpapi: POST %s: %w", url, err)
 	}
 	defer httpResp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, maxBodyBytes))
+	data, err := io.ReadAll(io.LimitReader(httpResp.Body, maxBodyBytes+1))
 	if err != nil {
 		return fmt.Errorf("httpapi: read response: %w", err)
+	}
+	if len(data) > maxBodyBytes {
+		// The same call would return the same body again.
+		return resilience.MarkTerminal(fmt.Errorf("httpapi: %s: response body exceeds the %d MiB cap", path, maxBodyBytes>>20))
 	}
 	if httpResp.StatusCode != http.StatusOK {
 		msg := fmt.Sprintf("httpapi: %s: HTTP %d", path, httpResp.StatusCode)
@@ -111,7 +115,12 @@ func postAttempt(ctx context.Context, hc *http.Client, url, path, idem string, b
 	if resp == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, resp); err != nil {
+	if d, ok := resp.(jsonDecoder); ok {
+		err = d.DecodeJSON(data)
+	} else {
+		err = json.Unmarshal(data, resp)
+	}
+	if err != nil {
 		// The full body was read above, so this is malformed JSON, not a
 		// torn read — retrying would decode the same bytes again.
 		return resilience.MarkTerminal(fmt.Errorf("httpapi: decode response: %w", err))
@@ -186,8 +195,8 @@ func (c *StoreClient) hc() *http.Client {
 }
 
 // call runs one logical JSON call under the client's retry policy.
-func (c *StoreClient) call(ctx context.Context, path string, mutating bool, req, resp any) error {
-	return doJSON(ctx, c.hc(), c.Retry, c.BaseURL, path, mutating, req, resp)
+func (c *StoreClient) call(ctx context.Context, path string, req, resp any) error {
+	return doJSON(ctx, c.hc(), c.Retry, c.BaseURL, path, req, resp)
 }
 
 // Addr returns the store's base URL.
@@ -196,7 +205,7 @@ func (c *StoreClient) Addr() string { return c.BaseURL }
 // RegisterCtx creates an account on the store.
 func (c *StoreClient) RegisterCtx(ctx context.Context, name, role string) (auth.User, error) {
 	var resp registerResp
-	if err := c.call(ctx, "/api/register", true, &registerReq{Name: name, Role: role}, &resp); err != nil {
+	if err := c.call(ctx, "/api/register", &registerReq{Name: name, Role: role}, &resp); err != nil {
 		return auth.User{}, err
 	}
 	r := auth.RoleConsumer
@@ -225,7 +234,7 @@ func (c *StoreClient) HealthCtx(ctx context.Context) (Health, error) {
 // UploadCtx sends wave segments (Fig. 5 JSON on the wire).
 func (c *StoreClient) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
 	var resp uploadResp
-	if err := c.call(ctx, "/api/upload", true, &uploadReq{Key: key, Segments: segs}, &resp); err != nil {
+	if err := c.call(ctx, "/api/upload", &uploadReq{Key: key, Segments: segs}, &resp); err != nil {
 		return 0, err
 	}
 	return resp.Records, nil
@@ -234,7 +243,7 @@ func (c *StoreClient) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wa
 // QueryCtx runs an enforced consumer query.
 func (c *StoreClient) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query) ([]*abstraction.Release, error) {
 	var resp queryResp
-	if err := c.call(ctx, "/api/query", false, &queryReq{Key: key, Query: q}, &resp); err != nil {
+	if err := c.call(ctx, "/api/query", &queryReq{Key: key, Query: q}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Releases, nil
@@ -243,7 +252,7 @@ func (c *StoreClient) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Qu
 // QueryTextCtx runs an enforced consumer query written in the mini-language.
 func (c *StoreClient) QueryTextCtx(ctx context.Context, key auth.APIKey, text string) ([]*abstraction.Release, error) {
 	var resp queryResp
-	if err := c.call(ctx, "/api/query", false, &queryReq{Key: key, Text: text}, &resp); err != nil {
+	if err := c.call(ctx, "/api/query", &queryReq{Key: key, Text: text}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Releases, nil
@@ -252,7 +261,7 @@ func (c *StoreClient) QueryTextCtx(ctx context.Context, key auth.APIKey, text st
 // QueryOwnCtx retrieves the owner's raw data.
 func (c *StoreClient) QueryOwnCtx(ctx context.Context, key auth.APIKey, q *query.Query) ([]*wavesegment.Segment, error) {
 	var resp queryOwnResp
-	if err := c.call(ctx, "/api/queryown", false, &queryReq{Key: key, Query: q}, &resp); err != nil {
+	if err := c.call(ctx, "/api/queryown", &queryReq{Key: key, Query: q}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Segments, nil
@@ -260,14 +269,14 @@ func (c *StoreClient) QueryOwnCtx(ctx context.Context, key auth.APIKey, q *query
 
 // SetRulesCtx replaces the owner's privacy rules (Fig. 4 JSON).
 func (c *StoreClient) SetRulesCtx(ctx context.Context, key auth.APIKey, ruleSetJSON []byte) error {
-	return c.call(ctx, "/api/rules/set", true, &rulesSetReq{Key: key, Rules: ruleSetJSON}, &okResp{})
+	return c.call(ctx, "/api/rules/set", &rulesSetReq{Key: key, Rules: ruleSetJSON}, &okResp{})
 }
 
 // PolicyCtx fetches the owner's privacy rules, labeled places and their
 // version in one request.
 func (c *StoreClient) PolicyCtx(ctx context.Context, key auth.APIKey) (ruleindex.State, error) {
 	var resp rulesGetResp
-	if err := c.call(ctx, "/api/rules/get", false, &rulesGetReq{Key: key}, &resp); err != nil {
+	if err := c.call(ctx, "/api/rules/get", &rulesGetReq{Key: key}, &resp); err != nil {
 		return ruleindex.State{}, err
 	}
 	return ruleindex.State{Rules: resp.Rules, Places: resp.Places, RuleVersion: resp.RuleVersion}, nil
@@ -276,14 +285,14 @@ func (c *StoreClient) PolicyCtx(ctx context.Context, key auth.APIKey) (ruleindex
 // DefinePlaceCtx registers a labeled region.
 func (c *StoreClient) DefinePlaceCtx(ctx context.Context, key auth.APIKey, label string, region geo.Region) error {
 	return c.call(ctx, "/api/places/define",
-		true, &placeDefineReq{Key: key, Label: label, Region: region}, &okResp{})
+		&placeDefineReq{Key: key, Label: label, Region: region}, &okResp{})
 }
 
 // AssignConsumerGroupsCtx records a consumer's groups for the owner's
 // group-scoped rules.
 func (c *StoreClient) AssignConsumerGroupsCtx(ctx context.Context, key auth.APIKey, consumer string, groups []string) error {
 	return c.call(ctx, "/api/groups/assign",
-		true, &groupsAssignReq{Key: key, Consumer: consumer, Groups: groups}, &okResp{})
+		&groupsAssignReq{Key: key, Consumer: consumer, Groups: groups}, &okResp{})
 }
 
 // AuditCtx fetches the owner's access trail, newest first.
@@ -293,7 +302,7 @@ func (c *StoreClient) AuditCtx(ctx context.Context, key auth.APIKey, consumer st
 		req.Since = since.Format(time.RFC3339)
 	}
 	var resp auditEventsResp
-	if err := c.call(ctx, "/api/audit/events", false, req, &resp); err != nil {
+	if err := c.call(ctx, "/api/audit/events", req, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Events, nil
@@ -302,7 +311,7 @@ func (c *StoreClient) AuditCtx(ctx context.Context, key auth.APIKey, consumer st
 // AuditSummaryCtx fetches the owner's per-consumer access aggregates.
 func (c *StoreClient) AuditSummaryCtx(ctx context.Context, key auth.APIKey) ([]audit.ConsumerSummary, error) {
 	var resp auditSummaryResp
-	if err := c.call(ctx, "/api/audit/summary", false, &rulesGetReq{Key: key}, &resp); err != nil {
+	if err := c.call(ctx, "/api/audit/summary", &rulesGetReq{Key: key}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Consumers, nil
@@ -313,7 +322,7 @@ func (c *StoreClient) AuditSummaryCtx(ctx context.Context, key auth.APIKey) ([]a
 // twice and strand the client with a key it never saw.
 func (c *StoreClient) RotateKeyCtx(ctx context.Context, key auth.APIKey) (auth.APIKey, error) {
 	var resp registerResp
-	if err := c.call(ctx, "/api/rotate", true, &rulesGetReq{Key: key}, &resp); err != nil {
+	if err := c.call(ctx, "/api/rotate", &rulesGetReq{Key: key}, &resp); err != nil {
 		return "", err
 	}
 	return resp.Key, nil
@@ -326,7 +335,7 @@ func (c *StoreClient) RecommendCtx(ctx context.Context, key auth.APIKey, minOver
 		req.MinDuration = minDuration.String()
 	}
 	var resp recommendResp
-	if err := c.call(ctx, "/api/recommend", false, req, &resp); err != nil {
+	if err := c.call(ctx, "/api/recommend", req, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Suggestions, nil
@@ -334,13 +343,13 @@ func (c *StoreClient) RecommendCtx(ctx context.Context, key auth.APIKey, minOver
 
 // SetPasswordCtx sets the web-UI password, authenticating with the API key.
 func (c *StoreClient) SetPasswordCtx(ctx context.Context, key auth.APIKey, password string) error {
-	return c.call(ctx, "/api/password", true, &passwordReq{Key: key, Password: password}, &okResp{})
+	return c.call(ctx, "/api/password", &passwordReq{Key: key, Password: password}, &okResp{})
 }
 
 // LoginCtx exchanges a username/password for a web session token.
 func (c *StoreClient) LoginCtx(ctx context.Context, name, password string) (string, error) {
 	var resp loginResp
-	if err := c.call(ctx, "/api/login", true, &loginReq{Name: name, Password: password}, &resp); err != nil {
+	if err := c.call(ctx, "/api/login", &loginReq{Name: name, Password: password}, &resp); err != nil {
 		return "", err
 	}
 	return resp.Token, nil
@@ -379,8 +388,8 @@ func (c *BrokerClient) hc() *http.Client {
 }
 
 // call runs one logical JSON call under the client's retry policy.
-func (c *BrokerClient) call(ctx context.Context, path string, mutating bool, req, resp any) error {
-	return doJSON(ctx, c.hc(), c.Retry, c.BaseURL, path, mutating, req, resp)
+func (c *BrokerClient) call(ctx context.Context, path string, req, resp any) error {
+	return doJSON(ctx, c.hc(), c.Retry, c.BaseURL, path, req, resp)
 }
 
 // HealthCtx fetches the broker's /healthz report.
@@ -391,7 +400,7 @@ func (c *BrokerClient) HealthCtx(ctx context.Context) (Health, error) {
 // RegisterConsumerCtx creates a consumer account.
 func (c *BrokerClient) RegisterConsumerCtx(ctx context.Context, name string) (auth.User, error) {
 	var resp registerResp
-	if err := c.call(ctx, "/api/consumers/register", true, &registerReq{Name: name}, &resp); err != nil {
+	if err := c.call(ctx, "/api/consumers/register", &registerReq{Name: name}, &resp); err != nil {
 		return auth.User{}, err
 	}
 	return auth.User{Name: resp.Name, Role: auth.RoleConsumer, Key: resp.Key}, nil
@@ -400,7 +409,7 @@ func (c *BrokerClient) RegisterConsumerCtx(ctx context.Context, name string) (au
 // RegisterContributorCtx records a contributor → store mapping.
 func (c *BrokerClient) RegisterContributorCtx(ctx context.Context, name, storeAddr string) error {
 	return c.call(ctx, "/api/contributors/register",
-		true, &brokerRegisterContribReq{Name: name, StoreAddr: storeAddr}, &okResp{})
+		&brokerRegisterContribReq{Name: name, StoreAddr: storeAddr}, &okResp{})
 }
 
 // SyncRulesCtx pushes a contributor's versioned rule replica
@@ -408,7 +417,7 @@ func (c *BrokerClient) RegisterContributorCtx(ctx context.Context, name, storeAd
 // push with resilience.ErrStaleVersion.
 func (c *BrokerClient) SyncRulesCtx(ctx context.Context, contributor string, version uint64, ruleSetJSON []byte, places []geo.Region) error {
 	return c.call(ctx, "/api/sync",
-		true, &brokerSyncReq{Contributor: contributor, Version: version, Rules: ruleSetJSON, Places: places}, &okResp{})
+		&brokerSyncReq{Contributor: contributor, Version: version, Rules: ruleSetJSON, Places: places}, &okResp{})
 }
 
 // SyncDigestCtx reports the store's replica versions and returns the
@@ -416,7 +425,7 @@ func (c *BrokerClient) SyncRulesCtx(ctx context.Context, contributor string, ver
 // Re-execution returns fresh staleness, so no idempotency key is needed.
 func (c *BrokerClient) SyncDigestCtx(ctx context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
 	var resp syncDigestResp
-	if err := c.call(ctx, "/api/sync/digest", false, &syncDigestReq{StoreAddr: storeAddr, Versions: versions}, &resp); err != nil {
+	if err := c.call(ctx, "/api/sync/digest", &syncDigestReq{StoreAddr: storeAddr, Versions: versions}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Stale, nil
@@ -425,7 +434,7 @@ func (c *BrokerClient) SyncDigestCtx(ctx context.Context, storeAddr string, vers
 // ReplicasCtx lists the broker's per-contributor replica status.
 func (c *BrokerClient) ReplicasCtx(ctx context.Context) ([]broker.ReplicaStatus, error) {
 	var resp replicasResp
-	if err := c.call(ctx, "/api/replicas", false, &struct{}{}, &resp); err != nil {
+	if err := c.call(ctx, "/api/replicas", &struct{}{}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Replicas, nil
@@ -434,7 +443,7 @@ func (c *BrokerClient) ReplicasCtx(ctx context.Context) ([]broker.ReplicaStatus,
 // DirectoryCtx lists contributors.
 func (c *BrokerClient) DirectoryCtx(ctx context.Context, key auth.APIKey) ([]broker.ContributorInfo, error) {
 	var resp directoryResp
-	if err := c.call(ctx, "/api/directory", false, &keyReq{Key: key}, &resp); err != nil {
+	if err := c.call(ctx, "/api/directory", &keyReq{Key: key}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Contributors, nil
@@ -444,7 +453,7 @@ func (c *BrokerClient) DirectoryCtx(ctx context.Context, key auth.APIKey) ([]bro
 // contributor's store.
 func (c *BrokerClient) ConnectCtx(ctx context.Context, key auth.APIKey, contributor string) (broker.Credential, error) {
 	var resp broker.Credential
-	if err := c.call(ctx, "/api/connect", true, &connectReq{Key: key, Contributor: contributor}, &resp); err != nil {
+	if err := c.call(ctx, "/api/connect", &connectReq{Key: key, Contributor: contributor}, &resp); err != nil {
 		return broker.Credential{}, err
 	}
 	return resp, nil
@@ -453,7 +462,7 @@ func (c *BrokerClient) ConnectCtx(ctx context.Context, key auth.APIKey, contribu
 // CredentialsCtx fetches every vaulted credential.
 func (c *BrokerClient) CredentialsCtx(ctx context.Context, key auth.APIKey) ([]broker.Credential, error) {
 	var resp credentialsResp
-	if err := c.call(ctx, "/api/credentials", false, &keyReq{Key: key}, &resp); err != nil {
+	if err := c.call(ctx, "/api/credentials", &keyReq{Key: key}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Credentials, nil
@@ -508,7 +517,7 @@ func (c *BrokerClient) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *br
 		wire.Reference = q.Reference.Format(time.RFC3339)
 	}
 	var resp searchResp
-	if err := c.call(ctx, "/api/search", false, wire, &resp); err != nil {
+	if err := c.call(ctx, "/api/search", wire, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Hits, nil
@@ -516,13 +525,13 @@ func (c *BrokerClient) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *br
 
 // SaveListCtx stores a named contributor list.
 func (c *BrokerClient) SaveListCtx(ctx context.Context, key auth.APIKey, name string, members []string) error {
-	return c.call(ctx, "/api/lists/save", true, &listSaveReq{Key: key, Name: name, Members: members}, &okResp{})
+	return c.call(ctx, "/api/lists/save", &listSaveReq{Key: key, Name: name, Members: members}, &okResp{})
 }
 
 // ListCtx fetches a saved contributor list.
 func (c *BrokerClient) ListCtx(ctx context.Context, key auth.APIKey, name string) ([]string, error) {
 	var resp listGetResp
-	if err := c.call(ctx, "/api/lists/get", false, &listGetReq{Key: key, Name: name}, &resp); err != nil {
+	if err := c.call(ctx, "/api/lists/get", &listGetReq{Key: key, Name: name}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Members, nil
@@ -530,18 +539,18 @@ func (c *BrokerClient) ListCtx(ctx context.Context, key auth.APIKey, name string
 
 // CreateStudyCtx declares a study.
 func (c *BrokerClient) CreateStudyCtx(ctx context.Context, name string) error {
-	return c.call(ctx, "/api/studies/create", true, &studyReq{Study: name}, &okResp{})
+	return c.call(ctx, "/api/studies/create", &studyReq{Study: name}, &okResp{})
 }
 
 // JoinStudyCtx adds the consumer to a study.
 func (c *BrokerClient) JoinStudyCtx(ctx context.Context, key auth.APIKey, study string) error {
-	return c.call(ctx, "/api/studies/join", true, &studyReq{Key: key, Study: study}, &okResp{})
+	return c.call(ctx, "/api/studies/join", &studyReq{Key: key, Study: study}, &okResp{})
 }
 
 // StudyMembersCtx lists a study's members.
 func (c *BrokerClient) StudyMembersCtx(ctx context.Context, study string) ([]string, error) {
 	var resp studyMembersResp
-	if err := c.call(ctx, "/api/studies/members", false, &studyReq{Study: study}, &resp); err != nil {
+	if err := c.call(ctx, "/api/studies/members", &studyReq{Study: study}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Members, nil
@@ -550,13 +559,13 @@ func (c *BrokerClient) StudyMembersCtx(ctx context.Context, study string) ([]str
 // EnrollContributorCtx adds a contributor to a study's cohort roster.
 func (c *BrokerClient) EnrollContributorCtx(ctx context.Context, study, contributor string) error {
 	return c.call(ctx, "/api/studies/enroll",
-		true, &studyReq{Study: study, Contributor: contributor}, &okResp{})
+		&studyReq{Study: study, Contributor: contributor}, &okResp{})
 }
 
 // StudyContributorsCtx lists a study's enrolled contributor cohort.
 func (c *BrokerClient) StudyContributorsCtx(ctx context.Context, study string) ([]string, error) {
 	var resp studyContributorsResp
-	if err := c.call(ctx, "/api/studies/contributors", false, &studyReq{Study: study}, &resp); err != nil {
+	if err := c.call(ctx, "/api/studies/contributors", &studyReq{Study: study}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Contributors, nil

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/broker"
@@ -22,7 +23,9 @@ import (
 	"sensorsafe/internal/stream"
 )
 
-// maxBodyBytes bounds request bodies (64 MiB covers large upload batches).
+// maxBodyBytes bounds request and response bodies (64 MiB covers large
+// upload batches). A longer body is refused by name: 413 on the server,
+// a terminal error naming the cap on the client.
 const maxBodyBytes = 64 << 20
 
 // errorBody is the uniform error envelope.
@@ -33,9 +36,43 @@ type errorBody struct {
 // errMethodNotAllowed marks non-POST calls on POST-only API endpoints.
 var errMethodNotAllowed = errors.New("httpapi: method not allowed")
 
-// writeJSON encodes a 200 response.
+// jsonAppender is a body that writes its own JSON, byte for byte what
+// encoding/json writes for it.
+type jsonAppender interface {
+	AppendJSON(b []byte) ([]byte, error)
+}
+
+// jsonDecoder is a body that decodes its own JSON, accepting exactly what
+// json.Unmarshal accepts.
+type jsonDecoder interface {
+	DecodeJSON(data []byte) error
+}
+
+// bodyBufs recycles the buffers self-appending bodies are written into,
+// so a large response is not regrown from nothing every time.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody is the largest buffer bodyBufs keeps.
+const maxPooledBody = 16 << 20
+
+// writeJSON encodes a 200 response, as json.Encoder does: compact, HTML
+// escaped, newline-terminated.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	if a, ok := v.(jsonAppender); ok {
+		buf := bodyBufs.Get().(*[]byte)
+		b, err := a.AppendJSON((*buf)[:0])
+		if err == nil {
+			w.Write(append(b, '\n'))
+		}
+		// On an error, write nothing, as json.Encoder does: the client
+		// sees an empty body, not a truncated one.
+		if cap(b) <= maxPooledBody {
+			*buf = b
+			bodyBufs.Put(buf)
+		}
+		return
+	}
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		// Too late for a status change; the connection will show the
 		// truncated body.
@@ -70,6 +107,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusConflict
 	case errors.Is(err, errMethodNotAllowed):
 		status = http.StatusMethodNotAllowed
+	case errors.As(err, new(*http.MaxBytesError)):
+		status = http.StatusRequestEntityTooLarge
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -87,9 +126,9 @@ func post[Req any, Resp any](handle func(context.Context, *Req) (Resp, error)) h
 			writeError(w, fmt.Errorf("%w: %s", errMethodNotAllowed, r.Method))
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
-			writeError(w, fmt.Errorf("httpapi: reading body: %w", err))
+			writeError(w, fmt.Errorf("httpapi: reading body (cap %d MiB): %w", maxBodyBytes>>20, err))
 			return
 		}
 		var req Req

@@ -23,6 +23,31 @@ const requestIDHeader = "X-Request-ID"
 // the recorded outcome instead of re-executing the mutation.
 const idempotencyKeyHeader = "X-Idempotency-Key"
 
+// mutatingRoutes are the routes, on either server, whose calls change
+// state. The typed clients send an X-Idempotency-Key only to these, and
+// withIdempotency honours it only on these: a read is never cached, so
+// it can neither replay another route's answer nor pin a large body.
+var mutatingRoutes = map[string]bool{
+	"/api/register":              true,
+	"/api/upload":                true,
+	"/api/rules/set":             true,
+	"/api/places/define":         true,
+	"/api/groups/assign":         true,
+	"/api/rotate":                true,
+	"/api/password":              true,
+	"/api/login":                 true,
+	"/api/stream/subscribe":      true,
+	"/api/stream/unsubscribe":    true,
+	"/api/consumers/register":    true,
+	"/api/contributors/register": true,
+	"/api/sync":                  true,
+	"/api/connect":               true,
+	"/api/lists/save":            true,
+	"/api/studies/create":        true,
+	"/api/studies/join":          true,
+	"/api/studies/enroll":        true,
+}
+
 // idempotencyReplayHeader is set on responses served from the idempotency
 // cache rather than by re-executing the handler.
 const idempotencyReplayHeader = "X-Idempotency-Replay"
@@ -75,20 +100,21 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// withIdempotency dedupes mutating requests that carry an
+// withIdempotency dedupes POSTs to mutatingRoutes that carry an
 // X-Idempotency-Key: the first execution's outcome is recorded in a
-// bounded LRU and replayed byte-for-byte for retries of the same logical
-// call, giving retried mutations exactly-once application. Transient
-// outcomes (5xx, 429) are not cached — a retry after those must
-// re-execute, not replay the failure.
+// bounded LRU, under the route and the key, and replayed byte-for-byte
+// for retries of the same logical call, giving retried mutations
+// exactly-once application. Transient outcomes (5xx, 429) are not cached
+// — a retry after those must re-execute, not replay the failure.
 func withIdempotency(component string, cache *resilience.IdemCache, next http.Handler) http.Handler {
 	replays := metricIdemReplays.With(component)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key := r.Header.Get(idempotencyKeyHeader)
-		if key == "" || r.Method != http.MethodPost {
+		if key == "" || r.Method != http.MethodPost || !mutatingRoutes[r.URL.Path] {
 			next.ServeHTTP(w, r)
 			return
 		}
+		key = r.URL.Path + " " + key
 		if cached, ok := cache.Get(key); ok {
 			replays.Inc()
 			if cached.ContentType != "" {

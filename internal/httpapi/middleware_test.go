@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sensorsafe/internal/datastore"
+	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -186,5 +189,66 @@ func TestRequestIDCorrelatesBrokerAndStoreLogs(t *testing.T) {
 	}
 	if !sawStore {
 		t.Error("request ID missing from store logs (server-to-server propagation broken)")
+	}
+}
+
+// postWithIdemKey sends one raw POST carrying an X-Idempotency-Key.
+func postWithIdemKey(t *testing.T, h http.Handler, path, body, key string) *httptest.ResponseRecorder {
+	t.Helper()
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	req.Header.Set(idempotencyKeyHeader, key)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+// TestIdempotencyKeyIsBoundToItsRoute reuses one key on a register and
+// then on a query: the query must run, not replay the register's answer
+// (and with it the new user's API key).
+func TestIdempotencyKeyIsBoundToItsRoute(t *testing.T) {
+	svc, err := datastore.New(datastore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	h := NewStoreHandler(svc)
+	reg := postWithIdemKey(t, h, "/api/register", `{"name":"alice","role":"contributor"}`, "K1")
+	if reg.Code != http.StatusOK {
+		t.Fatalf("register: HTTP %d %s", reg.Code, reg.Body)
+	}
+	q := postWithIdemKey(t, h, "/api/query", `{"key":"nope"}`, "K1")
+	if q.Header().Get(idempotencyReplayHeader) != "" || bytes.Equal(q.Body.Bytes(), reg.Body.Bytes()) {
+		t.Fatalf("query replayed the register response: %s", q.Body)
+	}
+	if q.Code != http.StatusUnauthorized {
+		t.Errorf("query with a bad key: HTTP %d, want 401", q.Code)
+	}
+	// The same key on the same mutating route still replays.
+	again := postWithIdemKey(t, h, "/api/register", `{"name":"alice","role":"contributor"}`, "K1")
+	if again.Header().Get(idempotencyReplayHeader) != "true" || !bytes.Equal(again.Body.Bytes(), reg.Body.Bytes()) {
+		t.Errorf("retried register not replayed: HTTP %d %s", again.Code, again.Body)
+	}
+}
+
+// TestIdempotencyKeyIgnoredOnReads sends keyed reads: none may be cached.
+func TestIdempotencyKeyIgnoredOnReads(t *testing.T) {
+	mux := http.NewServeMux()
+	runs := 0
+	mux.HandleFunc("/api/query", func(w http.ResponseWriter, r *http.Request) {
+		runs++
+		writeJSON(w, queryResp{})
+	})
+	cache := resilience.NewIdemCache(0)
+	h := withIdempotency("store", cache, mux)
+	for i := 0; i < 3; i++ {
+		if rec := postWithIdemKey(t, h, "/api/query", `{}`, "K1"); rec.Header().Get(idempotencyReplayHeader) != "" {
+			t.Fatalf("read %d replayed", i)
+		}
+	}
+	if n := cache.Len(); n != 0 {
+		t.Errorf("keyed reads left %d cache entries, want 0", n)
+	}
+	if runs != 3 {
+		t.Errorf("handler ran %d times, want 3", runs)
 	}
 }

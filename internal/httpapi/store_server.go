@@ -16,6 +16,7 @@ import (
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/datastore"
 	"sensorsafe/internal/geo"
+	"sensorsafe/internal/jsonwire"
 	"sensorsafe/internal/query"
 	"sensorsafe/internal/recommend"
 	"sensorsafe/internal/resilience"
@@ -54,6 +55,64 @@ type queryReq struct {
 
 type queryResp struct {
 	Releases []*abstraction.Release `json:"releases"`
+}
+
+// AppendJSON writes the /api/query body in one pass, byte for byte what
+// encoding/json writes for queryResp.
+func (q queryResp) AppendJSON(b []byte) ([]byte, error) {
+	if q.Releases == nil {
+		return append(b, `{"releases":null}`...), nil
+	}
+	b = append(b, `{"releases":[`...)
+	for i, rel := range q.Releases {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if rel == nil {
+			b = append(b, "null"...)
+			continue
+		}
+		var err error
+		if b, err = rel.AppendJSON(b); err != nil {
+			return b, err
+		}
+	}
+	return append(b, "]}"...), nil
+}
+
+var queryRespFields = []string{"releases"}
+
+// DecodeJSON decodes an /api/query body into q in one pass, accepting
+// exactly what json.Unmarshal accepts and leaving q as it would.
+func (q *queryResp) DecodeJSON(data []byte) error {
+	r := jsonwire.NewReader(data)
+	if !r.Null() {
+		err := r.Object(func(key []byte) error {
+			if jsonwire.Field(key, queryRespFields) != 0 {
+				return r.Skip()
+			}
+			if r.Null() {
+				q.Releases = nil
+				return nil
+			}
+			var err error
+			q.Releases, err = jsonwire.Slice(r, q.Releases, func(rel **abstraction.Release) error {
+				if r.Null() {
+					*rel = nil
+					return nil
+				}
+				if *rel == nil {
+					*rel = new(abstraction.Release)
+				}
+				return (*rel).DecodeJSON(r)
+			})
+			return err
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return r.End()
 }
 
 type queryOwnResp struct {

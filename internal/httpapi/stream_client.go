@@ -27,7 +27,7 @@ func (c *StoreClient) streamClient(wait time.Duration) *http.Client {
 func (c *StoreClient) SubscribeCtx(ctx context.Context, key auth.APIKey, contributor string, channels []string) (stream.SubInfo, error) {
 	var resp stream.SubInfo
 	err := c.call(ctx, "/api/stream/subscribe",
-		true, &streamSubscribeReq{Key: key, Contributor: contributor, Channels: channels}, &resp)
+		&streamSubscribeReq{Key: key, Contributor: contributor, Channels: channels}, &resp)
 	return resp, err
 }
 
@@ -40,18 +40,18 @@ func (c *StoreClient) SubscribeCtx(ctx context.Context, key auth.APIKey, contrib
 func (c *StoreClient) NextCtx(ctx context.Context, key auth.APIKey, id, cursor string, wait time.Duration) (stream.Batch, error) {
 	var resp stream.Batch
 	err := doJSON(ctx, c.streamClient(wait), c.Retry, c.BaseURL, "/api/stream/next",
-		false, &streamNextReq{Key: key, ID: id, Cursor: cursor, WaitMs: int(wait / time.Millisecond)}, &resp)
+		&streamNextReq{Key: key, ID: id, Cursor: cursor, WaitMs: int(wait / time.Millisecond)}, &resp)
 	return resp, err
 }
 
 // AckStreamCtx advances the durable cursor without polling.
 func (c *StoreClient) AckStreamCtx(ctx context.Context, key auth.APIKey, id, cursor string) error {
 	return c.call(ctx, "/api/stream/ack",
-		false, &streamAckReq{Key: key, ID: id, Cursor: cursor}, &okResp{})
+		&streamAckReq{Key: key, ID: id, Cursor: cursor}, &okResp{})
 }
 
 // UnsubscribeCtx revokes a live subscription.
 func (c *StoreClient) UnsubscribeCtx(ctx context.Context, key auth.APIKey, id string) error {
 	return c.call(ctx, "/api/stream/unsubscribe",
-		true, &streamIDReq{Key: key, ID: id}, &okResp{})
+		&streamIDReq{Key: key, ID: id}, &okResp{})
 }
