@@ -5,7 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"sensorsafe/internal/geo"
+	"sensorsafe/internal/inference"
+	"sensorsafe/internal/sensors"
 	"sensorsafe/internal/storage"
+	"sensorsafe/internal/wavesegment"
 )
 
 // benchFill puts 20 contributors x 1000 records (4 samples each, 10s
@@ -106,4 +110,76 @@ func BenchmarkDiskPointQuery(b *testing.B) {
 			b.Fatal("point query returned nothing")
 		}
 	}
+}
+
+// BenchmarkWindowRead is every 1 min read of four compacted DayInTheLife
+// sessions (66 min each, uploaded as the store ingests them: 16-packet
+// batches, merged per stream). It reports the scan work counters per
+// read; the memtable is sized so the only flush is Compact's, and the
+// counts repeat exactly from run to run.
+func BenchmarkWindowRead(b *testing.B) {
+	start := time.Date(2011, 2, 14, 9, 30, 0, 0, time.UTC)
+	s, err := Open(Options{Dir: b.TempDir(), MemtableBytes: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	var length time.Duration
+	for c := 0; c < 4; c++ {
+		sc := sensors.DayInTheLife(start, geo.Point{Lat: 34.0689, Lon: -118.4452}, 1)
+		sc.Seed = int64(c + 1)
+		length = sc.Duration()
+		rec, err := sensors.Generate(fmt.Sprintf("c%d", c), sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packets := rec.AllSegments()
+		inference.ApplyAnnotations(packets, (&inference.Annotator{}).Annotate(packets))
+		for lo := 0; lo < len(packets); lo += 16 {
+			streams := make(map[string][]*wavesegment.Segment)
+			var order []string
+			for _, p := range packets[lo:min(lo+16, len(packets))] {
+				k := p.StreamKey()
+				if streams[k] == nil {
+					order = append(order, k)
+				}
+				streams[k] = append(streams[k], p)
+			}
+			for _, k := range order {
+				merged, err := wavesegment.OptimizeAll(streams[k], wavesegment.DefaultMaxSamples)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, seg := range merged {
+					if _, err := s.Put(seg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	if err := s.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	blocks0, inflated0 := metricScanBlocks.Value(), metricScanInflated.Value()
+	reads := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for c := 0; c < 4; c++ {
+			for off := time.Duration(0); off+time.Minute <= length; off += time.Minute {
+				from := start.Add(off)
+				res, err := s.ScanRefs(storage.Query{Contributor: fmt.Sprintf("c%d", c), From: from, To: from.Add(time.Minute)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res) == 0 {
+					b.Fatalf("c%d at +%v: empty read", c, off)
+				}
+				reads++
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(reads), "ns/read")
+	b.ReportMetric((metricScanBlocks.Value()-blocks0)/float64(reads), "blocks/read")
+	b.ReportMetric((metricScanInflated.Value()-inflated0)/float64(reads), "inflated-B/read")
 }

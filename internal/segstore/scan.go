@@ -72,6 +72,10 @@ type diskIter struct {
 
 	started bool
 	pre     chan prefetched // nil when no block is in flight
+
+	// scan counts decoded blocks in the scan work counters; compaction's
+	// iterators leave it false.
+	scan bool
 }
 
 type prefetched struct {
@@ -87,6 +91,14 @@ func newDiskIter(r *segReader, contributor string, from, to time.Time) *diskIter
 	if !to.IsZero() {
 		it.toNano = to.UnixNano()
 	}
+	return it
+}
+
+// newScanIter is newDiskIter for a read, counted in the scan work
+// counters.
+func newScanIter(r *segReader, contributor string, from, to time.Time) *diskIter {
+	it := newDiskIter(r, contributor, from, to)
+	it.scan = true
 	return it
 }
 
@@ -124,6 +136,10 @@ func (it *diskIter) arm() {
 	it.pre = ch
 	go func() {
 		recs, err := it.r.readBlock(bi)
+		if err == nil && it.scan {
+			metricScanBlocks.Inc()
+			metricScanInflated.Add(float64(it.r.blocks[bi].rawBytes))
+		}
 		ch <- prefetched{recs: recs, err: err}
 	}()
 }
@@ -232,11 +248,11 @@ func (sn *scanSnapshot) iterators(q *storage.Query) []recIterator {
 	}
 	for _, r := range sn.readers {
 		if q.Contributor != "" {
-			its = append(its, newDiskIter(r, q.Contributor, q.From, q.To))
+			its = append(its, newScanIter(r, q.Contributor, q.From, q.To))
 			continue
 		}
 		for c := range r.byContrib {
-			its = append(its, newDiskIter(r, c, q.From, q.To))
+			its = append(its, newScanIter(r, c, q.From, q.To))
 		}
 	}
 	return its

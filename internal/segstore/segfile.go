@@ -19,7 +19,8 @@ import (
 // segments in a columnar per-contributor/per-channel layout:
 //
 //	header  "SSEG1\n"
-//	blocks  (each: flate-compressed body, CRC'd; one contributor per block)
+//	blocks  (each: flate-compressed body, CRC'd; one contributor per block,
+//	        cut at blockBytes decoded or blockRecords records)
 //	footer  sparse index: one entry per block with contributor, byte range,
 //	        CRC, time bounds, ID bounds, record count, raw size
 //	trailer u32 footer length, u32 footer CRC, magic "SSF1"
@@ -46,21 +47,26 @@ var (
 )
 
 const (
-	// blockRecords caps how many records one block holds; the sparse
-	// index resolves time ranges to at most this many decoded records.
-	// Larger blocks amortize the per-stream flate table setup and read
-	// in bigger sequential chunks; smaller blocks give point queries a
-	// tighter decode bound. 128 keeps point reads cheap while full scans
-	// pay the flate fixed cost 4x less often than the original 32.
+	// blockBytes is where the writer cuts a block: once a contributor's
+	// pending records estimate (rawEstimate) at least this many decoded
+	// bytes, they become one block. A block is the unit a read inflates,
+	// so a read costs about its window plus one block at each edge, not
+	// the minutes of data a record-count cut packs around it: a phone's
+	// 6-channel, 64-sample packets rarely wave-merge (each carries its
+	// own location), and 128 of them decode to about 400 KB. A block is
+	// below blockBytes plus its last record's estimate.
+	blockBytes = 64 << 10
+	// blockRecords caps how many records one block holds when the
+	// records are small enough that blockBytes does not cut first.
+	// decodeBlock rejects a record count far past it as implausible.
 	blockRecords = 128
 	flagRecTimed = 1
 
 	// maxBlockRawBytes caps one block's decompressed size as the footer
 	// states it. readBlock allocates this much before decompressing, so a
-	// footer claiming more is rejected at open. The writer cuts a block
-	// once its records reach a quarter of the cap; one more record, which
-	// a 64 MiB upload body limits to well under that quarter, cannot
-	// carry it past the cap.
+	// footer claiming more is rejected at open. The writer never comes
+	// near it: a block is under blockBytes plus one record, and a 64 MiB
+	// upload body limits one record to well under the cap.
 	maxBlockRawBytes = 1 << 30
 	// maxDeflateRatio is DEFLATE's best case (a 258-byte match per two
 	// bits), so no block inflates to more than this many times its
@@ -211,7 +217,7 @@ func (w *segWriter) add(r rec) error {
 	}
 	w.pending[c] = append(w.pending[c], r)
 	w.pendingRaw[c] += rawEstimate(r.seg)
-	if len(w.pending[c]) >= blockRecords || w.pendingRaw[c] >= maxBlockRawBytes/4 {
+	if len(w.pending[c]) >= blockRecords || w.pendingRaw[c] >= blockBytes {
 		return w.flushContributor(c)
 	}
 	return nil

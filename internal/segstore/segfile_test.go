@@ -203,7 +203,8 @@ func TestSegfileTornFileDetected(t *testing.T) {
 }
 
 // TestDiskIterPruning checks the sparse-index fast paths: windows
-// entirely before or after the data decode nothing.
+// entirely before or after the data decode nothing, and a window inside
+// it decodes exactly the blocks it overlaps.
 func TestDiskIterPruning(t *testing.T) {
 	dir := t.TempDir()
 	total := blockRecords * 2
@@ -241,12 +242,19 @@ func TestDiskIterPruning(t *testing.T) {
 	if got := count(time.Time{}, t0.Add(-time.Hour)); got != 0 {
 		t.Fatalf("window before all data decoded %d records", got)
 	}
-	// A window inside the second block must not decode more than the
-	// blocks that can overlap it (block granularity, filtered later by
-	// Query.Matches).
-	mid := (blockRecords + blockRecords/2) * 100
-	if got := count(t0.Add(time.Duration(mid)*time.Second), t0.Add(time.Duration(mid+100)*time.Second)); got == 0 || got > blockRecords {
-		t.Fatalf("narrow window decoded %d records", got)
+	// A window decodes exactly the records of the blocks that overlap it
+	// (block granularity, filtered later by Query.Matches): the second
+	// block for a window inside it, both for one across the cut.
+	if len(r.blocks) != 2 || r.blocks[0].records != blockRecords {
+		t.Fatalf("want two %d-record blocks, got %d blocks", blockRecords, len(r.blocks))
+	}
+	at := func(rec int) time.Time { return t0.Add(time.Duration(rec*100) * time.Second) }
+	mid := blockRecords + blockRecords/2
+	if got := count(at(mid), at(mid+1)); got != blockRecords {
+		t.Fatalf("window inside the second block decoded %d records, want its %d", got, blockRecords)
+	}
+	if got := count(at(blockRecords-1), at(blockRecords).Add(time.Second)); got != total {
+		t.Fatalf("window across the block cut decoded %d records, want both blocks' %d", got, total)
 	}
 }
 
@@ -345,36 +353,56 @@ func TestOpenSegReaderRejectsBadFooter(t *testing.T) {
 // and decode every block. Either may refuse the bytes, but neither may
 // panic or allocate more than the input can justify — a block inflates at
 // most maxDeflateRatio-fold, and decoding it costs a bounded multiple of
-// that. Seeds are a real flushed file (periodic, aperiodic and annotated
-// records over two contributors) and truncations of it.
+// that. Seeds are two real flushed files and truncations of the first:
+// periodic, aperiodic and annotated records over two contributors, and
+// records large enough that the blockBytes cut closes a block every few
+// records.
 func FuzzSegmentFile(f *testing.F) {
 	dir := f.TempDir()
+	writeSeed := func(name string, segs []*wavesegment.Segment) (blocks int, data []byte) {
+		w, err := newSegWriter(dir, name, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i, s := range segs {
+			if err := w.add(rec{id: storage.ID(i + 1), seg: s}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		meta, err := w.finish()
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err = os.ReadFile(filepath.Join(dir, meta.Name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return len(w.blocks), data
+	}
 	annotated := mkSeg("bob", time.Hour, 8)
 	if err := annotated.Annotate("Walk", annotated.Start, annotated.Start.Add(3*time.Second)); err != nil {
 		f.Fatal(err)
 	}
-	w, err := newSegWriter(dir, "seed.seg", 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i, s := range []*wavesegment.Segment{
+	_, seed := writeSeed("seed.seg", []*wavesegment.Segment{
 		mkSeg("alice", 0, 6, "hr", "gsr"), mkSeg("alice", time.Minute, 4), mkTimedSeg("bob", 0, 4), annotated,
-	} {
-		if err := w.add(rec{id: storage.ID(i + 1), seg: s}); err != nil {
-			f.Fatal(err)
-		}
-	}
-	meta, err := w.finish()
-	if err != nil {
-		f.Fatal(err)
-	}
-	seed, err := os.ReadFile(filepath.Join(dir, meta.Name))
-	if err != nil {
-		f.Fatal(err)
-	}
+	})
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(seed[:len(segHeader)+segTrailerLen])
+
+	var large []*wavesegment.Segment
+	for i := 0; i < 10; i++ {
+		s := mkSeg("alice", time.Duration(i)*time.Hour, 1500, "hr", "gsr")
+		for _, row := range s.Values {
+			row[0], row[1] = float64(60+i), 0.5 // flat columns keep the seed small
+		}
+		large = append(large, s)
+	}
+	blocks, cut := writeSeed("seed-cut.seg", large)
+	if blocks < 3 {
+		f.Fatalf("large-record seed has %d blocks, want the byte cut to fire several times", blocks)
+	}
+	f.Add(cut)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, "f.seg"), data, 0o600); err != nil {

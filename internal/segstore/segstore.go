@@ -73,15 +73,17 @@ func (o Options) withDefaults() Options {
 }
 
 var (
-	metricFlushes     = obs.NewCounter("sensorsafe_segstore_flushes_total", "Memtable flushes to L0 segment files.")
-	metricCompactions = obs.NewCounter("sensorsafe_segstore_compactions_total", "Background compaction runs completed.")
-	metricMerged      = obs.NewCounter("sensorsafe_segstore_merged_records_total", "Records merged away by the wave-segment optimizer during compaction.")
-	metricReclaimed   = obs.NewCounter("sensorsafe_segstore_reclaimed_records_total", "Tombstoned records physically dropped by compaction.")
-	metricWALReplayed = obs.NewCounter("sensorsafe_segstore_wal_replayed_total", "WAL-tail records replayed at open.")
-	metricFiles       = obs.NewGaugeVec("sensorsafe_segstore_files", "Live segment files by LSM level.", "level")
-	metricMemBytes    = obs.NewGauge("sensorsafe_segstore_memtable_bytes", "Bytes held in the active memtable.")
-	metricTombstones  = obs.NewGauge("sensorsafe_segstore_tombstones", "Deleted IDs awaiting physical reclamation.")
-	metricMaintErr    = obs.NewCounter("sensorsafe_segstore_maintenance_errors_total", "Background flush/compaction failures.")
+	metricFlushes      = obs.NewCounter("sensorsafe_segstore_flushes_total", "Memtable flushes to L0 segment files.")
+	metricCompactions  = obs.NewCounter("sensorsafe_segstore_compactions_total", "Background compaction runs completed.")
+	metricMerged       = obs.NewCounter("sensorsafe_segstore_merged_records_total", "Records merged away by the wave-segment optimizer during compaction.")
+	metricReclaimed    = obs.NewCounter("sensorsafe_segstore_reclaimed_records_total", "Tombstoned records physically dropped by compaction.")
+	metricWALReplayed  = obs.NewCounter("sensorsafe_segstore_wal_replayed_total", "WAL-tail records replayed at open.")
+	metricFiles        = obs.NewGaugeVec("sensorsafe_segstore_files", "Live segment files by LSM level.", "level")
+	metricMemBytes     = obs.NewGauge("sensorsafe_segstore_memtable_bytes", "Bytes held in the active memtable.")
+	metricTombstones   = obs.NewGauge("sensorsafe_segstore_tombstones", "Deleted IDs awaiting physical reclamation.")
+	metricMaintErr     = obs.NewCounter("sensorsafe_segstore_maintenance_errors_total", "Background flush/compaction failures.")
+	metricScanBlocks   = obs.NewCounter("sensorsafe_segstore_scan_blocks_total", "Segment-file blocks decoded by reads (compaction and Get excluded).")
+	metricScanInflated = obs.NewCounter("sensorsafe_segstore_scan_inflated_bytes_total", "Decompressed bytes of the blocks reads decoded (compaction and Get excluded).")
 )
 
 // Store is the engine. All exported methods are safe for concurrent
