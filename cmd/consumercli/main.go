@@ -14,7 +14,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -30,9 +30,11 @@ import (
 	"sensorsafe/internal/broker"
 	"sensorsafe/internal/federation"
 	"sensorsafe/internal/httpapi"
+	"sensorsafe/internal/obs"
 	"sensorsafe/internal/obs/trace"
 	"sensorsafe/internal/overload"
 	"sensorsafe/internal/query"
+	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/ruleindex"
 	"sensorsafe/internal/segstore"
 	"sensorsafe/internal/stream"
@@ -223,12 +225,11 @@ func main() {
 		// Root span for the whole page: broker resolution, every store's
 		// fan-out leg, and the stores' release decisions all join this trace
 		// (inspect with `consumercli trace -from <server> <id>`).
-		ctx, span := trace.Start(ctx, "consumer.cohort")
+		ctx, span, stop := obs.Span(ctx, "consumer.cohort")
 		res, err := eng.CohortQuery(ctx, &federation.Request{
 			Cohort: cohort, Query: dq, Limit: *limit, Cursor: *cursor,
 		})
-		span.SetError(err)
-		span.End()
+		stop(err)
 		if err != nil {
 			log.Fatalf("consumercli: cohort: %v", err)
 		}
@@ -326,7 +327,7 @@ func main() {
 		if base == "" {
 			base = *brokerURL
 		}
-		spans, err := fetchTrace(base, fs.Arg(0))
+		spans, err := fetchTrace(ctx, base, fs.Arg(0))
 		if err != nil {
 			log.Fatalf("consumercli: trace: %v", err)
 		}
@@ -339,7 +340,7 @@ func main() {
 		if *storeURL == "" {
 			log.Fatal("consumercli: usage: storestats -store http://store:8081")
 		}
-		if err := printStoreStats(*storeURL); err != nil {
+		if err := printStoreStats(ctx, *storeURL); err != nil {
 			log.Fatalf("consumercli: storestats: %v", err)
 		}
 
@@ -350,7 +351,7 @@ func main() {
 		if *storeURL == "" {
 			log.Fatal("consumercli: usage: rulestats -store http://store:8081")
 		}
-		if err := printRuleStats(*storeURL); err != nil {
+		if err := printRuleStats(ctx, *storeURL); err != nil {
 			log.Fatalf("consumercli: rulestats: %v", err)
 		}
 
@@ -422,21 +423,13 @@ func printHealth(bc *httpapi.BrokerClient, key auth.APIKey) error {
 // printStoreStats renders a store's segment-engine internals from its
 // /debug/segstore endpoint: per-level file counts, live/dead records,
 // WAL size, and last compaction.
-func printStoreStats(base string) error {
-	u := strings.TrimRight(base, "/") + "/debug/segstore"
-	resp, err := http.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return fmt.Errorf("%s: store runs the in-memory engine (no segstore stats)", u)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %d", u, resp.StatusCode)
-	}
+func printStoreStats(ctx context.Context, base string) error {
 	var st segstore.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := httpapi.GetJSON(ctx, nil, base, "/debug/segstore", httpapi.MaxBodyBytes, &st); err != nil {
+		var se *resilience.StatusError
+		if errors.As(err, &se) && se.Code == http.StatusNotFound {
+			return fmt.Errorf("%w: the store runs the in-memory engine (no segstore stats)", err)
+		}
 		return err
 	}
 	fmt.Printf("segstore %s\n", st.Dir)
@@ -475,18 +468,9 @@ func max64(a, b int64) int64 {
 // printRuleStats renders a store's per-contributor compiled rule-index
 // state from its /debug/ruleindex endpoint: rule count, compile time,
 // decision-cache effectiveness, and index shape.
-func printRuleStats(base string) error {
-	u := strings.TrimRight(base, "/") + "/debug/ruleindex"
-	resp, err := http.Get(u)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: HTTP %d", u, resp.StatusCode)
-	}
+func printRuleStats(ctx context.Context, base string) error {
 	var stats map[string]ruleindex.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := httpapi.GetJSON(ctx, nil, base, "/debug/ruleindex", httpapi.MaxBodyBytes, &stats); err != nil {
 		return err
 	}
 	if len(stats) == 0 {
@@ -516,21 +500,16 @@ func printRuleStats(base string) error {
 // endpoint. Traces are per-process: a cohort query's broker spans live on
 // the broker, each store's enforcement spans on that store — all under the
 // same trace ID.
-func fetchTrace(base, id string) ([]*trace.SpanData, error) {
-	u := strings.TrimRight(base, "/") + "/debug/traces?id=" + url.QueryEscape(id)
-	resp, err := http.Get(u)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: HTTP %d (trace evicted or never sampled?)", u, resp.StatusCode)
-	}
+func fetchTrace(ctx context.Context, base, id string) ([]*trace.SpanData, error) {
 	var body struct {
 		TraceID string            `json:"traceId"`
 		Spans   []*trace.SpanData `json:"spans"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	if err := httpapi.GetJSON(ctx, nil, base, "/debug/traces?id="+url.QueryEscape(id), httpapi.MaxBodyBytes, &body); err != nil {
+		var se *resilience.StatusError
+		if errors.As(err, &se) {
+			return nil, fmt.Errorf("%w (trace evicted or never sampled?)", err)
+		}
 		return nil, err
 	}
 	return body.Spans, nil

@@ -21,6 +21,7 @@ import (
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/httpapi"
+	"sensorsafe/internal/obs"
 	"sensorsafe/internal/obs/trace"
 	"sensorsafe/internal/phone"
 	"sensorsafe/internal/sensors"
@@ -91,11 +92,10 @@ func main() {
 	// Root span for the whole session: the rule download, the outbox drain
 	// and every upload carry a traceparent that descends from it, so the
 	// store's /debug/traces shows the session as one tree.
-	ctx, span := trace.Start(ctx, "phone.session",
-		trace.String("contributor", *contributor))
+	ctx, span, stop := obs.Span(ctx, "phone.session")
+	span.SetAttr(trace.String("contributor", *contributor))
 	rep, err := p.RunCtx(ctx, sc)
-	span.SetError(err)
-	span.End()
+	stop(err)
 	if err != nil {
 		log.Fatalf("phonesim: %v", err)
 	}

@@ -32,7 +32,7 @@ func TestServerRefusesOverCapBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc.Close() })
-	body := io.MultiReader(strings.NewReader(`{"key":"k"}`), io.LimitReader(spaces{}, maxBodyBytes))
+	body := io.MultiReader(strings.NewReader(`{"key":"k"}`), io.LimitReader(spaces{}, MaxBodyBytes))
 	req := httptest.NewRequest(http.MethodPost, "/api/upload", body)
 	rec := httptest.NewRecorder()
 	NewStoreHandler(svc).ServeHTTP(rec, req)
@@ -52,7 +52,7 @@ func TestClientRefusesOverCapResponse(t *testing.T) {
 		hits.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		io.WriteString(w, `{"releases":[]}`)
-		io.Copy(w, io.LimitReader(spaces{}, maxBodyBytes))
+		io.Copy(w, io.LimitReader(spaces{}, MaxBodyBytes))
 	}))
 	t.Cleanup(srv.Close)
 	c := &StoreClient{BaseURL: srv.URL}
@@ -62,5 +62,25 @@ func TestClientRefusesOverCapResponse(t *testing.T) {
 	}
 	if n := hits.Load(); n != 1 {
 		t.Errorf("server hit %d times, want 1 (the error is terminal)", n)
+	}
+}
+
+// TestGetJSONRefusesEndlessBody serves a 200 whose body never ends: the
+// bounded GET must stop at the cap its caller passed and name it, both
+// directly and behind HealthCtx's 1 MiB cap.
+func TestGetJSONRefusesEndlessBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, `{"status":"ok"`)
+		io.Copy(w, spaces{}) // until the client hangs up
+	}))
+	t.Cleanup(srv.Close)
+	ctx := context.Background()
+	var v map[string]any
+	if err := GetJSON(ctx, nil, srv.URL, "/debug/segstore", 4<<20, &v); err == nil || !strings.Contains(err.Error(), "4 MiB cap") {
+		t.Errorf("GetJSON: error %v, want one naming the 4 MiB cap", err)
+	}
+	if _, err := (&StoreClient{BaseURL: srv.URL}).HealthCtx(ctx); err == nil || !strings.Contains(err.Error(), "1 MiB cap") {
+		t.Errorf("HealthCtx: error %v, want one naming the 1 MiB cap", err)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/broker"
 	"sensorsafe/internal/geo"
-	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/rules"
 	"sensorsafe/internal/timeutil"
 )
@@ -189,6 +188,11 @@ func NewBrokerHandler(svc *broker.Service) http.Handler {
 // are dialed on demand, so consumer provisioning works without explicit
 // store registration (and across broker restarts).
 func NewBrokerHandlerOverload(svc *broker.Service, ctrl *overload.Controller) http.Handler {
+	return brokerAPI(svc, ctrl).handler()
+}
+
+// brokerAPI mounts the broker's routes and its ungated status endpoints.
+func brokerAPI(svc *broker.Service, ctrl *overload.Controller) *api {
 	start := time.Now()
 	svc.SetStoreDialer(func(addr string) broker.StoreConn {
 		if strings.HasPrefix(addr, "http://") || strings.HasPrefix(addr, "https://") {
@@ -196,63 +200,63 @@ func NewBrokerHandlerOverload(svc *broker.Service, ctrl *overload.Controller) ht
 		}
 		return nil
 	})
-	mux := http.NewServeMux()
+	a := newAPI("broker", ctrl)
 
-	mux.HandleFunc("/api/consumers/register", post(func(ctx context.Context, r *registerReq) (registerResp, error) {
+	brokerConsumersRegister.mount(a, func(ctx context.Context, r *registerReq) (registerResp, error) {
 		u, err := svc.RegisterConsumer(r.Name)
 		if err != nil {
 			return registerResp{}, err
 		}
 		return registerResp{Name: u.Name, Role: u.Role.String(), Key: u.Key}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/contributors/register", post(func(ctx context.Context, r *brokerRegisterContribReq) (okResp, error) {
+	brokerContributorsRegister.mount(a, func(ctx context.Context, r *brokerRegisterContribReq) (okResp, error) {
 		if err := svc.RegisterContributor(ctx, r.Name, r.StoreAddr); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/sync", post(func(ctx context.Context, r *brokerSyncReq) (okResp, error) {
+	brokerSync.mount(a, func(ctx context.Context, r *brokerSyncReq) (okResp, error) {
 		if err := svc.SyncRules(ctx, r.Contributor, r.Version, r.Rules, r.Places); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/sync/digest", post(func(ctx context.Context, r *syncDigestReq) (syncDigestResp, error) {
+	brokerSyncDigest.mount(a, func(ctx context.Context, r *syncDigestReq) (syncDigestResp, error) {
 		stale, err := svc.SyncDigest(ctx, r.StoreAddr, r.Versions)
 		if err != nil {
 			return syncDigestResp{}, err
 		}
 		return syncDigestResp{Stale: stale}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/replicas", post(func(ctx context.Context, r *struct{}) (replicasResp, error) {
+	brokerReplicas.mount(a, func(ctx context.Context, r *struct{}) (replicasResp, error) {
 		return replicasResp{Replicas: svc.Replicas()}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/directory", post(func(ctx context.Context, r *keyReq) (directoryResp, error) {
+	brokerDirectory.mount(a, func(ctx context.Context, r *keyReq) (directoryResp, error) {
 		dir, err := svc.Directory(r.Key)
 		if err != nil {
 			return directoryResp{}, err
 		}
 		return directoryResp{Contributors: dir}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/connect", post(func(ctx context.Context, r *connectReq) (broker.Credential, error) {
+	brokerConnect.mount(a, func(ctx context.Context, r *connectReq) (broker.Credential, error) {
 		return svc.Connect(ctx, r.Key, r.Contributor)
-	}))
+	})
 
-	mux.HandleFunc("/api/credentials", post(func(ctx context.Context, r *keyReq) (credentialsResp, error) {
+	brokerCredentials.mount(a, func(ctx context.Context, r *keyReq) (credentialsResp, error) {
 		creds, err := svc.Credentials(r.Key)
 		if err != nil {
 			return credentialsResp{}, err
 		}
 		return credentialsResp{Credentials: creds}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/search", post(func(ctx context.Context, r *searchWire) (searchResp, error) {
+	brokerSearch.mount(a, func(ctx context.Context, r *searchWire) (searchResp, error) {
 		q, err := r.toQuery()
 		if err != nil {
 			return searchResp{}, err
@@ -266,61 +270,61 @@ func NewBrokerHandlerOverload(svc *broker.Service, ctrl *overload.Controller) ht
 			resp.Contributors[i] = h.Contributor
 		}
 		return resp, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/lists/save", post(func(ctx context.Context, r *listSaveReq) (okResp, error) {
+	brokerListsSave.mount(a, func(ctx context.Context, r *listSaveReq) (okResp, error) {
 		if err := svc.SaveList(r.Key, r.Name, r.Members); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/lists/get", post(func(ctx context.Context, r *listGetReq) (listGetResp, error) {
+	brokerListsGet.mount(a, func(ctx context.Context, r *listGetReq) (listGetResp, error) {
 		members, err := svc.List(r.Key, r.Name)
 		if err != nil {
 			return listGetResp{}, err
 		}
 		return listGetResp{Members: members}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/studies/create", post(func(ctx context.Context, r *studyReq) (okResp, error) {
+	brokerStudiesCreate.mount(a, func(ctx context.Context, r *studyReq) (okResp, error) {
 		if err := svc.CreateStudy(r.Study); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/studies/join", post(func(ctx context.Context, r *studyReq) (okResp, error) {
+	brokerStudiesJoin.mount(a, func(ctx context.Context, r *studyReq) (okResp, error) {
 		if err := svc.JoinStudy(r.Key, r.Study); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/studies/members", post(func(ctx context.Context, r *studyReq) (studyMembersResp, error) {
+	brokerStudiesMembers.mount(a, func(ctx context.Context, r *studyReq) (studyMembersResp, error) {
 		members, err := svc.StudyMembers(r.Study)
 		if err != nil {
 			return studyMembersResp{}, err
 		}
 		return studyMembersResp{Members: members}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/studies/enroll", post(func(ctx context.Context, r *studyReq) (okResp, error) {
+	brokerStudiesEnroll.mount(a, func(ctx context.Context, r *studyReq) (okResp, error) {
 		if err := svc.EnrollContributor(r.Study, r.Contributor); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/studies/contributors", post(func(ctx context.Context, r *studyReq) (studyContributorsResp, error) {
+	brokerStudiesContributors.mount(a, func(ctx context.Context, r *studyReq) (studyContributorsResp, error) {
 		names, err := svc.StudyContributors(r.Study)
 		if err != nil {
 			return studyContributorsResp{}, err
 		}
 		return studyContributorsResp{Contributors: names}, nil
-	}))
+	})
 
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	a.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, Health{
 			Status:       "ok",
 			UptimeS:      time.Since(start).Seconds(),
@@ -331,45 +335,15 @@ func NewBrokerHandlerOverload(svc *broker.Service, ctrl *overload.Controller) ht
 		})
 	})
 
-	mux.Handle("/metrics", obs.Handler())
+	a.mux.Handle("/metrics", obs.Handler())
 
 	// Completed traces (sampled: errored or slow spans, bounded ring). The
 	// payload carries span metadata only — names, IDs, rule provenance —
 	// never sensor data.
-	mux.Handle("/debug/traces", trace.Handler())
+	a.mux.Handle("/debug/traces", trace.Handler())
 
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprintf(w, brokerAdminHTML, svc.ContributorCount(), svc.Users().Len())
+	a.mountAdmin("SensorSafe Broker", func() string {
+		return fmt.Sprintf("Contributors: %d · Consumers: %d", svc.ContributorCount(), svc.Users().Len())
 	})
-
-	inner := withOverload(ctrl, brokerRouteClass, mux,
-		withIdempotency("broker", resilience.NewIdemCache(0), mux))
-	return withObs("broker", mux, inner)
+	return a
 }
-
-const brokerAdminHTML = `<!DOCTYPE html>
-<html><head><title>SensorSafe Broker</title></head>
-<body>
-<h1>SensorSafe Broker</h1>
-<p>Contributors: %d &middot; Consumers: %d</p>
-<h2>API</h2>
-<ul>
-<li>POST /api/consumers/register {name}</li>
-<li>POST /api/contributors/register {name, storeAddr}</li>
-<li>POST /api/sync {contributor, version, rules, places}</li>
-<li>POST /api/sync/digest {storeAddr, versions}</li>
-<li>POST /api/replicas</li>
-<li>POST /api/directory {key}</li>
-<li>POST /api/connect {key, contributor}</li>
-<li>POST /api/credentials {key}</li>
-<li>POST /api/search {key, sensors, contexts, locationLabel, repeatDay, repeatHourMin, ...}</li>
-<li>POST /api/lists/save | /api/lists/get</li>
-<li>POST /api/studies/create | join | members | enroll | contributors</li>
-</ul>
-</body></html>
-`

@@ -26,31 +26,53 @@ import (
 	"sensorsafe/internal/wavesegment"
 )
 
-// doJSON posts a JSON body and decodes the JSON response, mapping error
-// envelopes to Go errors, retrying under pol (resilience.Default() when
-// nil). Every attempt carries the same X-Request-ID — the context's when
-// present (so a server handling an inbound request propagates its ID to
-// outbound service-to-service calls), fresh otherwise. Calls to
-// mutatingRoutes additionally carry one X-Idempotency-Key for the whole
-// logical call, so a retry whose first attempt actually executed (lost
-// response, torn body) replays the original outcome server-side instead
-// of applying the mutation twice.
-func doJSON(ctx context.Context, hc *http.Client, pol *resilience.Policy, baseURL, path string, req, resp any) error {
+// peer is the server a typed client calls. StoreClient and BrokerClient
+// hold the same three fields, so each converts to a peer.
+type peer struct {
+	BaseURL string
+	HTTP    *http.Client
+	Retry   *resilience.Policy
+}
+
+// client returns the peer's HTTP client, a 30 s one when none is set.
+func (p peer) client() *http.Client {
+	if p.HTTP != nil {
+		return p.HTTP
+	}
+	return &http.Client{Timeout: 30 * time.Second}
+}
+
+// call posts req to rt on p as one logical call and decodes the answer,
+// mapping error envelopes to Go errors and retrying under p.Retry
+// (resilience.Default() when nil). Every attempt carries the same
+// X-Request-ID — the context's when present (so a server handling an
+// inbound request propagates its ID to outbound service-to-service
+// calls), fresh otherwise. A call to a mutating route also carries one
+// X-Idempotency-Key for the whole logical call, so a retry whose first
+// attempt actually executed (lost response, torn body) replays the
+// original outcome server-side instead of applying the mutation twice.
+func (rt route[Req, Resp]) call(ctx context.Context, p peer, req *Req) (Resp, error) {
+	var resp, zero Resp
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("httpapi: encode request: %w", err)
+		return zero, fmt.Errorf("httpapi: encode request: %w", err)
 	}
-	url := strings.TrimRight(baseURL, "/") + path
+	url := strings.TrimRight(p.BaseURL, "/") + rt.path
 	if obs.RequestID(ctx) == "" {
 		ctx = obs.WithRequestID(ctx, obs.NewRequestID())
 	}
 	var idem string
-	if mutatingRoutes[path] {
+	if rt.mutates {
 		idem = obs.NewRequestID()
 	}
-	return pol.Do(ctx, path, func(actx context.Context) error {
-		return postOnce(actx, hc, url, path, idem, body, resp)
+	hc := p.client()
+	err = p.Retry.Do(ctx, rt.path, func(actx context.Context) error {
+		return postOnce(actx, hc, url, rt.path, idem, body, &resp)
 	})
+	if err != nil {
+		return zero, err
+	}
+	return resp, nil
 }
 
 // postOnce executes one HTTP attempt, classifying failures for the retry
@@ -96,13 +118,9 @@ func postAttempt(ctx context.Context, hc *http.Client, url, path, idem string, b
 		return fmt.Errorf("httpapi: POST %s: %w", url, err)
 	}
 	defer httpResp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(httpResp.Body, maxBodyBytes+1))
+	data, err := readCapped(httpResp.Body, MaxBodyBytes, path)
 	if err != nil {
-		return fmt.Errorf("httpapi: read response: %w", err)
-	}
-	if len(data) > maxBodyBytes {
-		// The same call would return the same body again.
-		return resilience.MarkTerminal(fmt.Errorf("httpapi: %s: response body exceeds the %d MiB cap", path, maxBodyBytes>>20))
+		return err
 	}
 	if httpResp.StatusCode != http.StatusOK {
 		msg := fmt.Sprintf("httpapi: %s: HTTP %d", path, httpResp.StatusCode)
@@ -111,9 +129,6 @@ func postAttempt(ctx context.Context, hc *http.Client, url, path, idem string, b
 			msg = fmt.Sprintf("httpapi: %s: %s (HTTP %d)", path, eb.Error, httpResp.StatusCode)
 		}
 		return resilience.Status(httpResp.StatusCode, parseRetryAfter(httpResp.Header), "%s", msg)
-	}
-	if resp == nil {
-		return nil
 	}
 	if d, ok := resp.(jsonDecoder); ok {
 		err = d.DecodeJSON(data)
@@ -126,6 +141,21 @@ func postAttempt(ctx context.Context, hc *http.Client, url, path, idem string, b
 		return resilience.MarkTerminal(fmt.Errorf("httpapi: decode response: %w", err))
 	}
 	return nil
+}
+
+// readCapped reads a response body of at most limit bytes. A longer body
+// is a terminal error naming the cap: the same call would return the
+// same body again.
+func readCapped(body io.Reader, limit int64, what string) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(body, limit+1))
+	if err != nil {
+		return nil, fmt.Errorf("httpapi: read response: %w", err)
+	}
+	if int64(len(data)) > limit {
+		return nil, resilience.MarkTerminal(fmt.Errorf("httpapi: %s: response body exceeds the %g MiB cap",
+			what, float64(limit)/(1<<20)))
+	}
+	return data, nil
 }
 
 // parseRetryAfter reads a Retry-After header (delta-seconds or HTTP-date).
@@ -145,30 +175,41 @@ func parseRetryAfter(h http.Header) time.Duration {
 	return 0
 }
 
-func defaultClient() *http.Client {
-	return &http.Client{Timeout: 30 * time.Second}
-}
-
-// getHealth fetches and decodes a server's /healthz report, carrying the
-// same request-ID correlation as the JSON endpoints.
-func getHealth(ctx context.Context, hc *http.Client, baseURL string) (Health, error) {
-	url := strings.TrimRight(baseURL, "/") + "/healthz"
+// GetJSON fetches baseURL+path and decodes its 200 JSON body into v: the
+// bounded GET behind the health probes and the debug endpoints. It uses
+// hc (a 30 s client when nil), joins the context's request ID and trace
+// like the POST calls, and refuses a body longer than limit bytes with an
+// error naming the cap. Any other status is a *resilience.StatusError.
+func GetJSON(ctx context.Context, hc *http.Client, baseURL, path string, limit int64, v any) error {
+	url := strings.TrimRight(baseURL, "/") + path
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
-		return Health{}, fmt.Errorf("httpapi: build request: %w", err)
+		return fmt.Errorf("httpapi: build request: %w", err)
 	}
 	setCallHeaders(req)
-	resp, err := hc.Do(req)
+	resp, err := peer{HTTP: hc}.client().Do(req)
 	if err != nil {
-		return Health{}, fmt.Errorf("httpapi: GET %s: %w", url, err)
+		return fmt.Errorf("httpapi: GET %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return Health{}, fmt.Errorf("httpapi: /healthz: HTTP %d", resp.StatusCode)
+		return resilience.Status(resp.StatusCode, 0, "httpapi: GET %s: HTTP %d", url, resp.StatusCode)
 	}
+	data, err := readCapped(resp.Body, limit, "GET "+url)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("httpapi: GET %s: decode: %w", url, err)
+	}
+	return nil
+}
+
+// getHealth fetches a server's /healthz report, at most 1 MiB of it.
+func getHealth(ctx context.Context, p peer) (Health, error) {
 	var h Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("httpapi: decode health: %w", err)
+	if err := GetJSON(ctx, p.HTTP, p.BaseURL, "/healthz", 1<<20, &h); err != nil {
+		return Health{}, err
 	}
 	return h, nil
 }
@@ -187,25 +228,13 @@ type StoreClient struct {
 	Retry *resilience.Policy
 }
 
-func (c *StoreClient) hc() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return defaultClient()
-}
-
-// call runs one logical JSON call under the client's retry policy.
-func (c *StoreClient) call(ctx context.Context, path string, req, resp any) error {
-	return doJSON(ctx, c.hc(), c.Retry, c.BaseURL, path, req, resp)
-}
-
 // Addr returns the store's base URL.
 func (c *StoreClient) Addr() string { return c.BaseURL }
 
 // RegisterCtx creates an account on the store.
 func (c *StoreClient) RegisterCtx(ctx context.Context, name, role string) (auth.User, error) {
-	var resp registerResp
-	if err := c.call(ctx, "/api/register", &registerReq{Name: name, Role: role}, &resp); err != nil {
+	resp, err := storeRegister.call(ctx, peer(*c), &registerReq{Name: name, Role: role})
+	if err != nil {
 		return auth.User{}, err
 	}
 	r := auth.RoleConsumer
@@ -228,55 +257,44 @@ func (c *StoreClient) ProvisionConsumer(ctx context.Context, name string) (auth.
 
 // HealthCtx fetches the store's /healthz report.
 func (c *StoreClient) HealthCtx(ctx context.Context) (Health, error) {
-	return getHealth(ctx, c.hc(), c.BaseURL)
+	return getHealth(ctx, peer(*c))
 }
 
 // UploadCtx sends wave segments (Fig. 5 JSON on the wire).
 func (c *StoreClient) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavesegment.Segment) (int, error) {
-	var resp uploadResp
-	if err := c.call(ctx, "/api/upload", &uploadReq{Key: key, Segments: segs}, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Records, nil
+	resp, err := storeUpload.call(ctx, peer(*c), &uploadReq{Key: key, Segments: segs})
+	return resp.Records, err
 }
 
 // QueryCtx runs an enforced consumer query.
 func (c *StoreClient) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query) ([]*abstraction.Release, error) {
-	var resp queryResp
-	if err := c.call(ctx, "/api/query", &queryReq{Key: key, Query: q}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Releases, nil
+	resp, err := storeQuery.call(ctx, peer(*c), &queryReq{Key: key, Query: q})
+	return resp.Releases, err
 }
 
 // QueryTextCtx runs an enforced consumer query written in the mini-language.
 func (c *StoreClient) QueryTextCtx(ctx context.Context, key auth.APIKey, text string) ([]*abstraction.Release, error) {
-	var resp queryResp
-	if err := c.call(ctx, "/api/query", &queryReq{Key: key, Text: text}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Releases, nil
+	resp, err := storeQuery.call(ctx, peer(*c), &queryReq{Key: key, Text: text})
+	return resp.Releases, err
 }
 
 // QueryOwnCtx retrieves the owner's raw data.
 func (c *StoreClient) QueryOwnCtx(ctx context.Context, key auth.APIKey, q *query.Query) ([]*wavesegment.Segment, error) {
-	var resp queryOwnResp
-	if err := c.call(ctx, "/api/queryown", &queryReq{Key: key, Query: q}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Segments, nil
+	resp, err := storeQueryOwn.call(ctx, peer(*c), &queryReq{Key: key, Query: q})
+	return resp.Segments, err
 }
 
 // SetRulesCtx replaces the owner's privacy rules (Fig. 4 JSON).
 func (c *StoreClient) SetRulesCtx(ctx context.Context, key auth.APIKey, ruleSetJSON []byte) error {
-	return c.call(ctx, "/api/rules/set", &rulesSetReq{Key: key, Rules: ruleSetJSON}, &okResp{})
+	_, err := storeRulesSet.call(ctx, peer(*c), &rulesSetReq{Key: key, Rules: ruleSetJSON})
+	return err
 }
 
 // PolicyCtx fetches the owner's privacy rules, labeled places and their
 // version in one request.
 func (c *StoreClient) PolicyCtx(ctx context.Context, key auth.APIKey) (ruleindex.State, error) {
-	var resp rulesGetResp
-	if err := c.call(ctx, "/api/rules/get", &rulesGetReq{Key: key}, &resp); err != nil {
+	resp, err := storeRulesGet.call(ctx, peer(*c), &rulesGetReq{Key: key})
+	if err != nil {
 		return ruleindex.State{}, err
 	}
 	return ruleindex.State{Rules: resp.Rules, Places: resp.Places, RuleVersion: resp.RuleVersion}, nil
@@ -284,15 +302,17 @@ func (c *StoreClient) PolicyCtx(ctx context.Context, key auth.APIKey) (ruleindex
 
 // DefinePlaceCtx registers a labeled region.
 func (c *StoreClient) DefinePlaceCtx(ctx context.Context, key auth.APIKey, label string, region geo.Region) error {
-	return c.call(ctx, "/api/places/define",
-		&placeDefineReq{Key: key, Label: label, Region: region}, &okResp{})
+	_, err := storePlacesDefine.call(ctx, peer(*c),
+		&placeDefineReq{Key: key, Label: label, Region: region})
+	return err
 }
 
 // AssignConsumerGroupsCtx records a consumer's groups for the owner's
 // group-scoped rules.
 func (c *StoreClient) AssignConsumerGroupsCtx(ctx context.Context, key auth.APIKey, consumer string, groups []string) error {
-	return c.call(ctx, "/api/groups/assign",
-		&groupsAssignReq{Key: key, Consumer: consumer, Groups: groups}, &okResp{})
+	_, err := storeGroupsAssign.call(ctx, peer(*c),
+		&groupsAssignReq{Key: key, Consumer: consumer, Groups: groups})
+	return err
 }
 
 // AuditCtx fetches the owner's access trail, newest first.
@@ -301,31 +321,22 @@ func (c *StoreClient) AuditCtx(ctx context.Context, key auth.APIKey, consumer st
 	if !since.IsZero() {
 		req.Since = since.Format(time.RFC3339)
 	}
-	var resp auditEventsResp
-	if err := c.call(ctx, "/api/audit/events", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Events, nil
+	resp, err := storeAuditEvents.call(ctx, peer(*c), req)
+	return resp.Events, err
 }
 
 // AuditSummaryCtx fetches the owner's per-consumer access aggregates.
 func (c *StoreClient) AuditSummaryCtx(ctx context.Context, key auth.APIKey) ([]audit.ConsumerSummary, error) {
-	var resp auditSummaryResp
-	if err := c.call(ctx, "/api/audit/summary", &rulesGetReq{Key: key}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Consumers, nil
+	resp, err := storeAuditSummary.call(ctx, peer(*c), &rulesGetReq{Key: key})
+	return resp.Consumers, err
 }
 
 // RotateKeyCtx invalidates the presented key and returns a fresh one.
 // The idempotency key matters here: a retried rotation must not rotate
 // twice and strand the client with a key it never saw.
 func (c *StoreClient) RotateKeyCtx(ctx context.Context, key auth.APIKey) (auth.APIKey, error) {
-	var resp registerResp
-	if err := c.call(ctx, "/api/rotate", &rulesGetReq{Key: key}, &resp); err != nil {
-		return "", err
-	}
-	return resp.Key, nil
+	resp, err := storeRotate.call(ctx, peer(*c), &rulesGetReq{Key: key})
+	return resp.Key, err
 }
 
 // RecommendCtx fetches privacy-rule suggestions mined from the owner's data.
@@ -334,25 +345,20 @@ func (c *StoreClient) RecommendCtx(ctx context.Context, key auth.APIKey, minOver
 	if minDuration > 0 {
 		req.MinDuration = minDuration.String()
 	}
-	var resp recommendResp
-	if err := c.call(ctx, "/api/recommend", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Suggestions, nil
+	resp, err := storeRecommend.call(ctx, peer(*c), req)
+	return resp.Suggestions, err
 }
 
 // SetPasswordCtx sets the web-UI password, authenticating with the API key.
 func (c *StoreClient) SetPasswordCtx(ctx context.Context, key auth.APIKey, password string) error {
-	return c.call(ctx, "/api/password", &passwordReq{Key: key, Password: password}, &okResp{})
+	_, err := storePassword.call(ctx, peer(*c), &passwordReq{Key: key, Password: password})
+	return err
 }
 
 // LoginCtx exchanges a username/password for a web session token.
 func (c *StoreClient) LoginCtx(ctx context.Context, name, password string) (string, error) {
-	var resp loginResp
-	if err := c.call(ctx, "/api/login", &loginReq{Name: name, Password: password}, &resp); err != nil {
-		return "", err
-	}
-	return resp.Token, nil
+	resp, err := storeLogin.call(ctx, peer(*c), &loginReq{Name: name, Password: password})
+	return resp.Token, err
 }
 
 // RulesForCtx downloads and compiles the owner's policy — the phone's
@@ -380,27 +386,15 @@ type BrokerClient struct {
 	Retry *resilience.Policy
 }
 
-func (c *BrokerClient) hc() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return defaultClient()
-}
-
-// call runs one logical JSON call under the client's retry policy.
-func (c *BrokerClient) call(ctx context.Context, path string, req, resp any) error {
-	return doJSON(ctx, c.hc(), c.Retry, c.BaseURL, path, req, resp)
-}
-
 // HealthCtx fetches the broker's /healthz report.
 func (c *BrokerClient) HealthCtx(ctx context.Context) (Health, error) {
-	return getHealth(ctx, c.hc(), c.BaseURL)
+	return getHealth(ctx, peer(*c))
 }
 
 // RegisterConsumerCtx creates a consumer account.
 func (c *BrokerClient) RegisterConsumerCtx(ctx context.Context, name string) (auth.User, error) {
-	var resp registerResp
-	if err := c.call(ctx, "/api/consumers/register", &registerReq{Name: name}, &resp); err != nil {
+	resp, err := brokerConsumersRegister.call(ctx, peer(*c), &registerReq{Name: name})
+	if err != nil {
 		return auth.User{}, err
 	}
 	return auth.User{Name: resp.Name, Role: auth.RoleConsumer, Key: resp.Key}, nil
@@ -408,64 +402,51 @@ func (c *BrokerClient) RegisterConsumerCtx(ctx context.Context, name string) (au
 
 // RegisterContributorCtx records a contributor → store mapping.
 func (c *BrokerClient) RegisterContributorCtx(ctx context.Context, name, storeAddr string) error {
-	return c.call(ctx, "/api/contributors/register",
-		&brokerRegisterContribReq{Name: name, StoreAddr: storeAddr}, &okResp{})
+	_, err := brokerContributorsRegister.call(ctx, peer(*c),
+		&brokerRegisterContribReq{Name: name, StoreAddr: storeAddr})
+	return err
 }
 
 // SyncRulesCtx pushes a contributor's versioned rule replica
 // (datastore.SyncTarget). A broker holding a newer version rejects the
 // push with resilience.ErrStaleVersion.
 func (c *BrokerClient) SyncRulesCtx(ctx context.Context, contributor string, version uint64, ruleSetJSON []byte, places []geo.Region) error {
-	return c.call(ctx, "/api/sync",
-		&brokerSyncReq{Contributor: contributor, Version: version, Rules: ruleSetJSON, Places: places}, &okResp{})
+	_, err := brokerSync.call(ctx, peer(*c),
+		&brokerSyncReq{Contributor: contributor, Version: version, Rules: ruleSetJSON, Places: places})
+	return err
 }
 
 // SyncDigestCtx reports the store's replica versions and returns the
 // contributors whose broker replica is stale (datastore.SyncTarget).
 // Re-execution returns fresh staleness, so no idempotency key is needed.
 func (c *BrokerClient) SyncDigestCtx(ctx context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
-	var resp syncDigestResp
-	if err := c.call(ctx, "/api/sync/digest", &syncDigestReq{StoreAddr: storeAddr, Versions: versions}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Stale, nil
+	resp, err := brokerSyncDigest.call(ctx, peer(*c), &syncDigestReq{StoreAddr: storeAddr, Versions: versions})
+	return resp.Stale, err
 }
 
 // ReplicasCtx lists the broker's per-contributor replica status.
 func (c *BrokerClient) ReplicasCtx(ctx context.Context) ([]broker.ReplicaStatus, error) {
-	var resp replicasResp
-	if err := c.call(ctx, "/api/replicas", &struct{}{}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Replicas, nil
+	resp, err := brokerReplicas.call(ctx, peer(*c), &struct{}{})
+	return resp.Replicas, err
 }
 
 // DirectoryCtx lists contributors.
 func (c *BrokerClient) DirectoryCtx(ctx context.Context, key auth.APIKey) ([]broker.ContributorInfo, error) {
-	var resp directoryResp
-	if err := c.call(ctx, "/api/directory", &keyReq{Key: key}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Contributors, nil
+	resp, err := brokerDirectory.call(ctx, peer(*c), &keyReq{Key: key})
+	return resp.Contributors, err
 }
 
 // ConnectCtx provisions (or fetches) the consumer's credential for a
 // contributor's store.
 func (c *BrokerClient) ConnectCtx(ctx context.Context, key auth.APIKey, contributor string) (broker.Credential, error) {
-	var resp broker.Credential
-	if err := c.call(ctx, "/api/connect", &connectReq{Key: key, Contributor: contributor}, &resp); err != nil {
-		return broker.Credential{}, err
-	}
-	return resp, nil
+	resp, err := brokerConnect.call(ctx, peer(*c), &connectReq{Key: key, Contributor: contributor})
+	return resp, err
 }
 
 // CredentialsCtx fetches every vaulted credential.
 func (c *BrokerClient) CredentialsCtx(ctx context.Context, key auth.APIKey) ([]broker.Credential, error) {
-	var resp credentialsResp
-	if err := c.call(ctx, "/api/credentials", &keyReq{Key: key}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Credentials, nil
+	resp, err := brokerCredentials.call(ctx, peer(*c), &keyReq{Key: key})
+	return resp.Credentials, err
 }
 
 // SearchCtx runs a contributor search.
@@ -516,57 +497,50 @@ func (c *BrokerClient) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *br
 	if !q.Reference.IsZero() {
 		wire.Reference = q.Reference.Format(time.RFC3339)
 	}
-	var resp searchResp
-	if err := c.call(ctx, "/api/search", wire, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Hits, nil
+	resp, err := brokerSearch.call(ctx, peer(*c), wire)
+	return resp.Hits, err
 }
 
 // SaveListCtx stores a named contributor list.
 func (c *BrokerClient) SaveListCtx(ctx context.Context, key auth.APIKey, name string, members []string) error {
-	return c.call(ctx, "/api/lists/save", &listSaveReq{Key: key, Name: name, Members: members}, &okResp{})
+	_, err := brokerListsSave.call(ctx, peer(*c),
+		&listSaveReq{Key: key, Name: name, Members: members})
+	return err
 }
 
 // ListCtx fetches a saved contributor list.
 func (c *BrokerClient) ListCtx(ctx context.Context, key auth.APIKey, name string) ([]string, error) {
-	var resp listGetResp
-	if err := c.call(ctx, "/api/lists/get", &listGetReq{Key: key, Name: name}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Members, nil
+	resp, err := brokerListsGet.call(ctx, peer(*c), &listGetReq{Key: key, Name: name})
+	return resp.Members, err
 }
 
 // CreateStudyCtx declares a study.
 func (c *BrokerClient) CreateStudyCtx(ctx context.Context, name string) error {
-	return c.call(ctx, "/api/studies/create", &studyReq{Study: name}, &okResp{})
+	_, err := brokerStudiesCreate.call(ctx, peer(*c), &studyReq{Study: name})
+	return err
 }
 
 // JoinStudyCtx adds the consumer to a study.
 func (c *BrokerClient) JoinStudyCtx(ctx context.Context, key auth.APIKey, study string) error {
-	return c.call(ctx, "/api/studies/join", &studyReq{Key: key, Study: study}, &okResp{})
+	_, err := brokerStudiesJoin.call(ctx, peer(*c), &studyReq{Key: key, Study: study})
+	return err
 }
 
 // StudyMembersCtx lists a study's members.
 func (c *BrokerClient) StudyMembersCtx(ctx context.Context, study string) ([]string, error) {
-	var resp studyMembersResp
-	if err := c.call(ctx, "/api/studies/members", &studyReq{Study: study}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Members, nil
+	resp, err := brokerStudiesMembers.call(ctx, peer(*c), &studyReq{Study: study})
+	return resp.Members, err
 }
 
 // EnrollContributorCtx adds a contributor to a study's cohort roster.
 func (c *BrokerClient) EnrollContributorCtx(ctx context.Context, study, contributor string) error {
-	return c.call(ctx, "/api/studies/enroll",
-		&studyReq{Study: study, Contributor: contributor}, &okResp{})
+	_, err := brokerStudiesEnroll.call(ctx, peer(*c),
+		&studyReq{Study: study, Contributor: contributor})
+	return err
 }
 
 // StudyContributorsCtx lists a study's enrolled contributor cohort.
 func (c *BrokerClient) StudyContributorsCtx(ctx context.Context, study string) ([]string, error) {
-	var resp studyContributorsResp
-	if err := c.call(ctx, "/api/studies/contributors", &studyReq{Study: study}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Contributors, nil
+	resp, err := brokerStudiesContributors.call(ctx, peer(*c), &studyReq{Study: study})
+	return resp.Contributors, err
 }

@@ -23,10 +23,10 @@ import (
 	"sensorsafe/internal/stream"
 )
 
-// maxBodyBytes bounds request and response bodies (64 MiB covers large
+// MaxBodyBytes bounds request and response bodies (64 MiB covers large
 // upload batches). A longer body is refused by name: 413 on the server,
 // a terminal error naming the cap on the client.
-const maxBodyBytes = 64 << 20
+const MaxBodyBytes = 64 << 20
 
 // errorBody is the uniform error envelope.
 type errorBody struct {
@@ -126,9 +126,9 @@ func post[Req any, Resp any](handle func(context.Context, *Req) (Resp, error)) h
 			writeError(w, fmt.Errorf("%w: %s", errMethodNotAllowed, r.Method))
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil {
-			writeError(w, fmt.Errorf("httpapi: reading body (cap %d MiB): %w", maxBodyBytes>>20, err))
+			writeError(w, fmt.Errorf("httpapi: reading body (cap %d MiB): %w", MaxBodyBytes>>20, err))
 			return
 		}
 		var req Req

@@ -23,31 +23,6 @@ const requestIDHeader = "X-Request-ID"
 // the recorded outcome instead of re-executing the mutation.
 const idempotencyKeyHeader = "X-Idempotency-Key"
 
-// mutatingRoutes are the routes, on either server, whose calls change
-// state. The typed clients send an X-Idempotency-Key only to these, and
-// withIdempotency honours it only on these: a read is never cached, so
-// it can neither replay another route's answer nor pin a large body.
-var mutatingRoutes = map[string]bool{
-	"/api/register":              true,
-	"/api/upload":                true,
-	"/api/rules/set":             true,
-	"/api/places/define":         true,
-	"/api/groups/assign":         true,
-	"/api/rotate":                true,
-	"/api/password":              true,
-	"/api/login":                 true,
-	"/api/stream/subscribe":      true,
-	"/api/stream/unsubscribe":    true,
-	"/api/consumers/register":    true,
-	"/api/contributors/register": true,
-	"/api/sync":                  true,
-	"/api/connect":               true,
-	"/api/lists/save":            true,
-	"/api/studies/create":        true,
-	"/api/studies/join":          true,
-	"/api/studies/enroll":        true,
-}
-
 // idempotencyReplayHeader is set on responses served from the idempotency
 // cache rather than by re-executing the handler.
 const idempotencyReplayHeader = "X-Idempotency-Replay"
@@ -100,21 +75,21 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// withIdempotency dedupes POSTs to mutatingRoutes that carry an
-// X-Idempotency-Key: the first execution's outcome is recorded in a
-// bounded LRU, under the route and the key, and replayed byte-for-byte
-// for retries of the same logical call, giving retried mutations
-// exactly-once application. Transient outcomes (5xx, 429) are not cached
-// — a retry after those must re-execute, not replay the failure.
-func withIdempotency(component string, cache *resilience.IdemCache, next http.Handler) http.Handler {
+// idempotent dedupes keyed POSTs to one mutating route: the first
+// execution's outcome is recorded in a bounded LRU, under the route and
+// the X-Idempotency-Key, and replayed byte-for-byte for retries of the
+// same logical call, giving retried mutations exactly-once application.
+// Transient outcomes (5xx, 429) are not cached — a retry after those must
+// re-execute, not replay the failure.
+func idempotent(component, path string, cache *resilience.IdemCache, next http.Handler) http.Handler {
 	replays := metricIdemReplays.With(component)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key := r.Header.Get(idempotencyKeyHeader)
-		if key == "" || r.Method != http.MethodPost || !mutatingRoutes[r.URL.Path] {
+		if key == "" || r.Method != http.MethodPost {
 			next.ServeHTTP(w, r)
 			return
 		}
-		key = r.URL.Path + " " + key
+		key = path + " " + key
 		if cached, ok := cache.Get(key); ok {
 			replays.Inc()
 			if cached.ContentType != "" {
@@ -137,18 +112,27 @@ func withIdempotency(component string, cache *resilience.IdemCache, next http.Ha
 	})
 }
 
-// withObs wraps a server handler with the observability middleware:
+// methodLabel is the method label of sensorsafe_http_requests_total:
+// the standard methods by name, any other as "other", so a client cannot
+// add series by inventing methods.
+func methodLabel(method string) string {
+	switch method {
+	case http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+		http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace:
+		return method
+	}
+	return "other"
+}
+
+// withObs wraps a server's mux with the observability middleware:
 // method/route/status counters, an in-flight gauge, latency histograms,
-// request logging, and X-Request-ID generation + propagation. Routes are
-// taken from the mux's registered patterns so metric cardinality stays
-// bounded no matter what paths clients probe; inner is the handler
-// actually served (the mux, possibly wrapped in withIdempotency).
-func withObs(component string, mux *http.ServeMux, inner http.Handler) http.Handler {
+// an http.server span, request logging, and X-Request-ID generation +
+// propagation. Routes are taken from the mux's registered patterns and
+// methods are folded by methodLabel, so metric cardinality stays bounded
+// no matter what clients send.
+func withObs(component string, mux *http.ServeMux) http.Handler {
 	logger := obs.NewLogger(component, logDest)
 	inFlight := metricHTTPInFlight.With(component)
-	if inner == nil {
-		inner = mux
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		id := r.Header.Get(requestIDHeader)
@@ -162,33 +146,36 @@ func withObs(component string, mux *http.ServeMux, inner http.Handler) http.Hand
 		if _, pattern := mux.Handler(r); pattern != "" {
 			route = pattern
 		}
+		method := methodLabel(r.Method)
 
 		// Join the caller's trace when the request carries a traceparent
 		// header, then open this hop's server span; handlers see the span
 		// through the request context, so their child spans nest under it.
 		ctx = trace.WithRemoteParent(ctx, r.Header.Get(trace.Header))
-		ctx, span := trace.Start(ctx, "http.server",
+		ctx, span, stop := obs.Span(ctx, "http.server")
+		span.SetAttr(
 			trace.String("component", component),
-			trace.String("method", r.Method),
+			trace.String("method", method),
 			trace.String("route", route))
 
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		inFlight.Inc()
-		inner.ServeHTTP(sw, r.WithContext(ctx))
+		mux.ServeHTTP(sw, r.WithContext(ctx))
 		inFlight.Dec()
 
 		span.SetAttr(trace.Int("status", sw.status))
+		var failed error
 		if sw.status >= http.StatusInternalServerError {
-			span.SetError(fmt.Errorf("HTTP %d", sw.status))
+			failed = fmt.Errorf("HTTP %d", sw.status)
 		}
-		span.End()
+		stop(failed)
 
 		elapsed := time.Since(start)
-		metricHTTPRequests.With(component, r.Method, route, strconv.Itoa(sw.status)).Inc()
+		metricHTTPRequests.With(component, method, route, strconv.Itoa(sw.status)).Inc()
 		metricHTTPLatency.With(component, route).Observe(elapsed.Seconds())
 		logArgs := []any{
 			"request_id", id,
-			"method", r.Method,
+			"method", method,
 			"route", route,
 			"status", sw.status,
 			"duration_ms", float64(elapsed.Microseconds()) / 1000,

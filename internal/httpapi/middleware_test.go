@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"sensorsafe/internal/datastore"
-	"sensorsafe/internal/resilience"
+	"sensorsafe/internal/overload"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -131,6 +131,30 @@ func TestMetricsEndpointAfterTraffic(t *testing.T) {
 	}
 }
 
+// TestMetricsMethodLabelIsBounded sends 50 requests with invented
+// methods: they must all count under method="other" and add no series of
+// their own.
+func TestMetricsMethodLabelIsBounded(t *testing.T) {
+	svc, err := datastore.New(datastore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	h := NewStoreHandler(svc)
+	for i := 0; i < 50; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(fmt.Sprintf("PROBE%d", i), "/api/upload", nil))
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	exposition := rec.Body.String()
+	if strings.Contains(exposition, "PROBE") {
+		t.Error("invented methods became metric series")
+	}
+	if want := `sensorsafe_http_requests_total{component="store",method="other",route="/api/upload",status="405"}`; !strings.Contains(exposition, want) {
+		t.Errorf("exposition missing %s", want)
+	}
+}
+
 // TestRequestIDCorrelatesBrokerAndStoreLogs sends one /api/connect call
 // with an explicit X-Request-ID and checks the same ID shows up in both
 // services' request logs: the broker's own log line and the store's line
@@ -230,25 +254,38 @@ func TestIdempotencyKeyIsBoundToItsRoute(t *testing.T) {
 	}
 }
 
-// TestIdempotencyKeyIgnoredOnReads sends keyed reads: none may be cached.
+// TestIdempotencyKeyIgnoredOnReads mounts the declared read and mutating
+// routes on one api and sends each the same key three times: no read may
+// be cached, and the mutation must run once and replay twice.
 func TestIdempotencyKeyIgnoredOnReads(t *testing.T) {
-	mux := http.NewServeMux()
-	runs := 0
-	mux.HandleFunc("/api/query", func(w http.ResponseWriter, r *http.Request) {
-		runs++
-		writeJSON(w, queryResp{})
+	a := newAPI("store", overload.NewController(overload.StoreDefaults()))
+	reads, writes := 0, 0
+	storeQuery.mount(a, func(context.Context, *queryReq) (queryResp, error) {
+		reads++
+		return queryResp{}, nil
 	})
-	cache := resilience.NewIdemCache(0)
-	h := withIdempotency("store", cache, mux)
+	storeRegister.mount(a, func(context.Context, *registerReq) (registerResp, error) {
+		writes++
+		return registerResp{Name: "alice"}, nil
+	})
 	for i := 0; i < 3; i++ {
-		if rec := postWithIdemKey(t, h, "/api/query", `{}`, "K1"); rec.Header().Get(idempotencyReplayHeader) != "" {
+		if rec := postWithIdemKey(t, a.mux, storeQuery.path, `{}`, "K1"); rec.Header().Get(idempotencyReplayHeader) != "" {
 			t.Fatalf("read %d replayed", i)
 		}
 	}
-	if n := cache.Len(); n != 0 {
+	if n := a.idem.Len(); n != 0 {
 		t.Errorf("keyed reads left %d cache entries, want 0", n)
 	}
-	if runs != 3 {
-		t.Errorf("handler ran %d times, want 3", runs)
+	if reads != 3 {
+		t.Errorf("read handler ran %d times, want 3", reads)
+	}
+	for i := 0; i < 3; i++ {
+		rec := postWithIdemKey(t, a.mux, storeRegister.path, `{}`, "K1")
+		if replayed := rec.Header().Get(idempotencyReplayHeader) == "true"; replayed != (i > 0) {
+			t.Errorf("mutation %d: replayed=%v, want %v", i, replayed, i > 0)
+		}
+	}
+	if writes != 1 {
+		t.Errorf("mutating handler ran %d times, want 1", writes)
 	}
 }

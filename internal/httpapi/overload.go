@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"sensorsafe/internal/obs/trace"
@@ -15,52 +14,6 @@ import (
 // retryAfterHeader carries the server's backoff hint on 429 responses;
 // the resilience clients already parse it (delta-seconds or HTTP-date).
 const retryAfterHeader = "Retry-After"
-
-// classifier maps a mux route pattern to its priority class; gated=false
-// bypasses admission entirely (health, metrics, debug).
-type classifier func(route string) (class overload.Class, gated bool)
-
-// storeRouteClass assigns store routes: ingest (uploads, rule and account
-// mutations — the paper's never-shed tier), stream (live delivery, shed
-// first), query (consumer reads). Unmatched paths 404 cheaply; admitting
-// them would let scanners occupy gate slots.
-func storeRouteClass(route string) (overload.Class, bool) {
-	switch {
-	case route == "/api/upload",
-		route == "/api/register",
-		route == "/api/rotate",
-		route == "/api/password",
-		route == "/api/login",
-		route == "/api/groups/assign",
-		strings.HasPrefix(route, "/api/rules/"),
-		strings.HasPrefix(route, "/api/places/"):
-		return overload.ClassIngest, true
-	case strings.HasPrefix(route, "/api/stream/"):
-		return overload.ClassStream, true
-	case route == "/api/query",
-		route == "/api/queryown",
-		route == "/api/recommend",
-		strings.HasPrefix(route, "/api/audit/"):
-		return overload.ClassQuery, true
-	}
-	return 0, false
-}
-
-// brokerRouteClass assigns broker routes: store-originated sync plus
-// registrations are ingest; every other API call is directory traffic
-// (shed only by gate overflow, never by brownout).
-func brokerRouteClass(route string) (overload.Class, bool) {
-	switch {
-	case route == "/api/sync",
-		route == "/api/sync/digest",
-		route == "/api/contributors/register",
-		route == "/api/consumers/register":
-		return overload.ClassIngest, true
-	case strings.HasPrefix(route, "/api/"):
-		return overload.ClassDirectory, true
-	}
-	return 0, false
-}
 
 // principalOf identifies the client for per-principal rate limiting: the
 // remote IP without the ephemeral port, so one client's connections share
@@ -73,21 +26,12 @@ func principalOf(r *http.Request) string {
 	return host
 }
 
-// withOverload mounts the admission controller between withObs and the
-// idempotency layer: shed requests answer 429 + Retry-After without
-// touching handlers (or the idempotency cache, which never stores 429s),
-// and admitted ones release their gate slot when the handler returns.
-func withOverload(ctrl *overload.Controller, classify classifier, mux *http.ServeMux, next http.Handler) http.Handler {
+// admit gates next behind the admission controller's class: a shed
+// request answers 429 + Retry-After without reaching next (or the
+// idempotency cache behind it, which never stores 429s), and an admitted
+// one releases its gate slot when next returns.
+func admit(ctrl *overload.Controller, class overload.Class, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		route := "unmatched"
-		if _, pattern := mux.Handler(r); pattern != "" {
-			route = pattern
-		}
-		class, gated := classify(route)
-		if !gated {
-			next.ServeHTTP(w, r)
-			return
-		}
 		span := trace.FromContext(r.Context())
 		release, rej := ctrl.Admit(r.Context(), class, principalOf(r))
 		if rej != nil {

@@ -19,7 +19,6 @@ import (
 	"sensorsafe/internal/jsonwire"
 	"sensorsafe/internal/query"
 	"sensorsafe/internal/recommend"
-	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -211,11 +210,16 @@ func NewStoreHandler(svc *datastore.Service) http.Handler {
 // engine's live backlog as pressure signals, so a struggling storage
 // layer browns out stream delivery and queries before ingest suffers.
 func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) http.Handler {
+	return storeAPI(svc, ctrl).handler()
+}
+
+// storeAPI mounts the store's routes and its ungated status endpoints.
+func storeAPI(svc *datastore.Service, ctrl *overload.Controller) *api {
 	start := time.Now()
-	mux := http.NewServeMux()
+	a := newAPI("store", ctrl)
 	registerStorePressure(ctrl, svc)
 
-	mux.HandleFunc("/api/register", post(func(ctx context.Context, r *registerReq) (registerResp, error) {
+	storeRegister.mount(a, func(ctx context.Context, r *registerReq) (registerResp, error) {
 		var u auth.User
 		var err error
 		switch r.Role {
@@ -230,17 +234,17 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 			return registerResp{}, err
 		}
 		return registerResp{Name: u.Name, Role: u.Role.String(), Key: u.Key}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/upload", post(func(ctx context.Context, r *uploadReq) (uploadResp, error) {
+	storeUpload.mount(a, func(ctx context.Context, r *uploadReq) (uploadResp, error) {
 		n, err := svc.UploadCtx(ctx, r.Key, r.Segments)
 		if err != nil {
 			return uploadResp{}, err
 		}
 		return uploadResp{Records: n}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/query", post(func(ctx context.Context, r *queryReq) (queryResp, error) {
+	storeQuery.mount(a, func(ctx context.Context, r *queryReq) (queryResp, error) {
 		q, err := r.resolve()
 		if err != nil {
 			return queryResp{}, err
@@ -250,9 +254,9 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 			return queryResp{}, err
 		}
 		return queryResp{Releases: rels}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/queryown", post(func(ctx context.Context, r *queryReq) (queryOwnResp, error) {
+	storeQueryOwn.mount(a, func(ctx context.Context, r *queryReq) (queryOwnResp, error) {
 		q, err := r.resolve()
 		if err != nil {
 			return queryOwnResp{}, err
@@ -266,38 +270,38 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 		// the key owner's records, so no third party's data can flow here.
 		//sslint:ignore privacyflow owner-only endpoint; QueryOwn is scoped to the authenticated contributor
 		return queryOwnResp{Segments: segs}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/rules/set", post(func(ctx context.Context, r *rulesSetReq) (okResp, error) {
+	storeRulesSet.mount(a, func(ctx context.Context, r *rulesSetReq) (okResp, error) {
 		if err := svc.SetRules(r.Key, r.Rules); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/rules/get", post(func(ctx context.Context, r *rulesGetReq) (rulesGetResp, error) {
+	storeRulesGet.mount(a, func(ctx context.Context, r *rulesGetReq) (rulesGetResp, error) {
 		p, err := svc.Policy(r.Key)
 		if err != nil {
 			return rulesGetResp{}, err
 		}
 		return rulesGetResp{Rules: p.RuleSet(), Places: p.Places, RuleVersion: p.RuleVersion}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/places/define", post(func(ctx context.Context, r *placeDefineReq) (okResp, error) {
+	storePlacesDefine.mount(a, func(ctx context.Context, r *placeDefineReq) (okResp, error) {
 		if err := svc.DefinePlace(r.Key, r.Label, r.Region); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/groups/assign", post(func(ctx context.Context, r *groupsAssignReq) (okResp, error) {
+	storeGroupsAssign.mount(a, func(ctx context.Context, r *groupsAssignReq) (okResp, error) {
 		if err := svc.AssignConsumerGroups(r.Key, r.Consumer, r.Groups); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/audit/events", post(func(ctx context.Context, r *auditEventsReq) (auditEventsResp, error) {
+	storeAuditEvents.mount(a, func(ctx context.Context, r *auditEventsReq) (auditEventsResp, error) {
 		f := audit.Filter{Consumer: r.Consumer, Limit: r.Limit}
 		if r.Since != "" {
 			since, err := time.Parse(time.RFC3339, r.Since)
@@ -311,25 +315,25 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 			return auditEventsResp{}, err
 		}
 		return auditEventsResp{Events: events}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/audit/summary", post(func(ctx context.Context, r *rulesGetReq) (auditSummaryResp, error) {
+	storeAuditSummary.mount(a, func(ctx context.Context, r *rulesGetReq) (auditSummaryResp, error) {
 		sums, err := svc.AuditSummary(r.Key)
 		if err != nil {
 			return auditSummaryResp{}, err
 		}
 		return auditSummaryResp{Consumers: sums}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/rotate", post(func(ctx context.Context, r *rulesGetReq) (registerResp, error) {
+	storeRotate.mount(a, func(ctx context.Context, r *rulesGetReq) (registerResp, error) {
 		newKey, err := svc.RotateKey(r.Key)
 		if err != nil {
 			return registerResp{}, err
 		}
 		return registerResp{Key: newKey}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/recommend", post(func(ctx context.Context, r *recommendReq) (recommendResp, error) {
+	storeRecommend.mount(a, func(ctx context.Context, r *recommendReq) (recommendResp, error) {
 		opts := recommend.Options{MinOverlap: r.MinOverlap}
 		if r.MinDuration != "" {
 			d, err := time.ParseDuration(r.MinDuration)
@@ -343,13 +347,13 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 			return recommendResp{}, err
 		}
 		return recommendResp{Suggestions: sugs}, nil
-	}))
+	})
 
 	// Web-UI login (paper §5.4: "Accesses to web user interfaces are
 	// authenticated by a login system using a username and a password").
 	// A user proves API-key possession to set their password, then logs in
 	// for a session token.
-	mux.HandleFunc("/api/password", post(func(ctx context.Context, r *passwordReq) (okResp, error) {
+	storePassword.mount(a, func(ctx context.Context, r *passwordReq) (okResp, error) {
 		u, err := svc.Users().Authenticate(r.Key)
 		if err != nil {
 			return okResp{}, err
@@ -358,19 +362,19 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/login", post(func(ctx context.Context, r *loginReq) (loginResp, error) {
+	storeLogin.mount(a, func(ctx context.Context, r *loginReq) (loginResp, error) {
 		token, err := svc.Web().Login(r.Name, r.Password)
 		if err != nil {
 			return loginResp{}, err
 		}
 		return loginResp{Token: token}, nil
-	}))
+	})
 
-	registerStreamAPI(mux, svc)
+	registerStreamAPI(a, svc)
 
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	a.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, Health{
 			Status:      "ok",
 			UptimeS:     time.Since(start).Seconds(),
@@ -382,17 +386,17 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 		})
 	})
 
-	mux.Handle("/metrics", obs.Handler())
+	a.mux.Handle("/metrics", obs.Handler())
 
 	// Completed traces (sampled: errored or slow spans, bounded ring). The
 	// payload carries span metadata only — names, IDs, rule provenance —
 	// never sensor data.
-	mux.Handle("/debug/traces", trace.Handler())
+	a.mux.Handle("/debug/traces", trace.Handler())
 
 	// Segment-engine internals: file counts per level, live/dead
 	// records, WAL size, last compaction. Metadata only, no sensor
 	// data. 404 when the service runs the in-memory engine.
-	mux.HandleFunc("/debug/segstore", func(w http.ResponseWriter, r *http.Request) {
+	a.mux.HandleFunc("/debug/segstore", func(w http.ResponseWriter, r *http.Request) {
 		stats, ok := svc.SegmentStoreStats()
 		if !ok {
 			http.Error(w, "segment engine stats unavailable (in-memory store)", http.StatusNotFound)
@@ -404,22 +408,14 @@ func NewStoreHandlerOverload(svc *datastore.Service, ctrl *overload.Controller) 
 	// Compiled rule-index internals per contributor: rule count, compile
 	// time, decision-cache hit ratio and evictions, index shape. Metadata
 	// only — rule conditions and sensor data never appear.
-	mux.HandleFunc("/debug/ruleindex", func(w http.ResponseWriter, r *http.Request) {
+	a.mux.HandleFunc("/debug/ruleindex", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, svc.RuleIndexStats())
 	})
 
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		fmt.Fprintf(w, storeAdminHTML, svc.Name(), svc.SegmentCount(), svc.Users().Len())
+	a.mountAdmin("SensorSafe Remote Data Store: "+svc.Name(), func() string {
+		return fmt.Sprintf("Stored wave segments: %d · Registered users: %d", svc.SegmentCount(), svc.Users().Len())
 	})
-
-	inner := withOverload(ctrl, storeRouteClass, mux,
-		withIdempotency("store", resilience.NewIdemCache(0), mux))
-	return withObs("store", mux, inner)
+	return a
 }
 
 // registerStorePressure feeds the segment engine's live backlog into the
@@ -462,24 +458,3 @@ func registerStorePressure(ctrl *overload.Controller, svc *datastore.Service) {
 		return float64(l0) / float64(2*st.L0Threshold)
 	})
 }
-
-// storeAdminHTML is the minimal web UI of the store (the paper's Fig. 3 UI
-// produces exactly the rule JSON the /api/rules endpoints accept).
-const storeAdminHTML = `<!DOCTYPE html>
-<html><head><title>SensorSafe Remote Data Store</title></head>
-<body>
-<h1>SensorSafe Remote Data Store: %s</h1>
-<p>Stored wave segments: %d &middot; Registered users: %d</p>
-<h2>API</h2>
-<ul>
-<li>POST /api/register {name, role}</li>
-<li>POST /api/upload {key, segments}</li>
-<li>POST /api/query {key, query|text}</li>
-<li>POST /api/queryown {key, query|text}</li>
-<li>POST /api/rules/set {key, rules} &mdash; Fig. 4 JSON</li>
-<li>POST /api/rules/get {key} &rarr; {rules, places, ruleVersion}</li>
-<li>POST /api/places/define {key, label, region}</li>
-<li>POST /api/groups/assign {key, consumer, groups}</li>
-</ul>
-</body></html>
-`

@@ -12,23 +12,12 @@ import (
 // Live-sharing client SDK. SubscribeCtx/NextCtx/AckStreamCtx/UnsubscribeCtx
 // mirror the hub API over the long-poll endpoint.
 
-// streamClient returns an HTTP client whose timeout comfortably exceeds a
-// long-poll wait (the default 30 s client would sever a 60 s poll).
-func (c *StoreClient) streamClient(wait time.Duration) *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Timeout: wait + 30*time.Second}
-}
-
 // SubscribeCtx opens (or resumes) a live subscription to a contributor's
 // channels. The returned SubInfo carries the subscription ID and the
 // durable cursor to resume from.
 func (c *StoreClient) SubscribeCtx(ctx context.Context, key auth.APIKey, contributor string, channels []string) (stream.SubInfo, error) {
-	var resp stream.SubInfo
-	err := c.call(ctx, "/api/stream/subscribe",
-		&streamSubscribeReq{Key: key, Contributor: contributor, Channels: channels}, &resp)
-	return resp, err
+	return streamSubscribe.call(ctx, peer(*c),
+		&streamSubscribeReq{Key: key, Contributor: contributor, Channels: channels})
 }
 
 // NextCtx long-polls for the next batch of stream events, blocking up to
@@ -38,20 +27,23 @@ func (c *StoreClient) SubscribeCtx(ctx context.Context, key auth.APIKey, contrib
 // Note a Policy.PerAttemptTimeout shorter than wait would sever every
 // poll; the default policy sets none.
 func (c *StoreClient) NextCtx(ctx context.Context, key auth.APIKey, id, cursor string, wait time.Duration) (stream.Batch, error) {
-	var resp stream.Batch
-	err := doJSON(ctx, c.streamClient(wait), c.Retry, c.BaseURL, "/api/stream/next",
-		&streamNextReq{Key: key, ID: id, Cursor: cursor, WaitMs: int(wait / time.Millisecond)}, &resp)
-	return resp, err
+	p := peer(*c)
+	if p.HTTP == nil {
+		// The default 30 s client would sever a 60 s poll.
+		p.HTTP = &http.Client{Timeout: wait + 30*time.Second}
+	}
+	return streamNext.call(ctx, p,
+		&streamNextReq{Key: key, ID: id, Cursor: cursor, WaitMs: int(wait / time.Millisecond)})
 }
 
 // AckStreamCtx advances the durable cursor without polling.
 func (c *StoreClient) AckStreamCtx(ctx context.Context, key auth.APIKey, id, cursor string) error {
-	return c.call(ctx, "/api/stream/ack",
-		&streamAckReq{Key: key, ID: id, Cursor: cursor}, &okResp{})
+	_, err := streamAck.call(ctx, peer(*c), &streamAckReq{Key: key, ID: id, Cursor: cursor})
+	return err
 }
 
 // UnsubscribeCtx revokes a live subscription.
 func (c *StoreClient) UnsubscribeCtx(ctx context.Context, key auth.APIKey, id string) error {
-	return c.call(ctx, "/api/stream/unsubscribe",
-		&streamIDReq{Key: key, ID: id}, &okResp{})
+	_, err := streamUnsubscribe.call(ctx, peer(*c), &streamIDReq{Key: key, ID: id})
+	return err
 }

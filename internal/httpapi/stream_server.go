@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"net/http"
 	"time"
 
 	"sensorsafe/internal/auth"
@@ -55,31 +54,31 @@ func clampWait(ms int) time.Duration {
 	return d
 }
 
-// registerStreamAPI mounts the live-sharing endpoints on the store mux.
-func registerStreamAPI(mux *http.ServeMux, svc *datastore.Service) {
-	mux.HandleFunc("/api/stream/subscribe", post(func(ctx context.Context, r *streamSubscribeReq) (stream.SubInfo, error) {
+// registerStreamAPI mounts the live-sharing routes on the store.
+func registerStreamAPI(a *api, svc *datastore.Service) {
+	streamSubscribe.mount(a, func(ctx context.Context, r *streamSubscribeReq) (stream.SubInfo, error) {
 		return svc.Subscribe(r.Key, r.Contributor, r.Channels)
-	}))
+	})
 
-	mux.HandleFunc("/api/stream/next", post(func(ctx context.Context, r *streamNextReq) (stream.Batch, error) {
+	streamNext.mount(a, func(ctx context.Context, r *streamNextReq) (stream.Batch, error) {
 		_, span, stop := obs.Span(ctx, "stream.deliver")
 		batch, err := svc.StreamNext(r.Key, r.ID, r.Cursor, clampWait(r.WaitMs))
 		span.SetAttr(trace.Int("events", len(batch.Events)))
 		stop(err)
 		return batch, err
-	}))
+	})
 
-	mux.HandleFunc("/api/stream/ack", post(func(ctx context.Context, r *streamAckReq) (okResp, error) {
+	streamAck.mount(a, func(ctx context.Context, r *streamAckReq) (okResp, error) {
 		if err := svc.StreamAck(r.Key, r.ID, r.Cursor); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 
-	mux.HandleFunc("/api/stream/unsubscribe", post(func(ctx context.Context, r *streamIDReq) (okResp, error) {
+	streamUnsubscribe.mount(a, func(ctx context.Context, r *streamIDReq) (okResp, error) {
 		if err := svc.Unsubscribe(r.Key, r.ID); err != nil {
 			return okResp{}, err
 		}
 		return okResp{OK: true}, nil
-	}))
+	})
 }

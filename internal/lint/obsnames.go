@@ -21,6 +21,10 @@ import (
 // exactly one instrumented operation, both in /debug/traces trees and in
 // the sensorsafe_span_seconds histogram's "span" label.
 //
+// Outside internal/obs it also reports every trace.Start call: obs.Span
+// is the one span entry point, so every span is both traced and timed in
+// sensorsafe_span_seconds.
+//
 // The obs package and its trace subpackage are exempt: their wrappers
 // forward name parameters by design.
 var ObsNames = &Analyzer{
@@ -83,6 +87,10 @@ func runObsNames(pass *Pass) {
 		case pkg == obsPath && obsRegistrars[fn.Name()]:
 			checkMetricName(pass, seen, fn.Name(), call.Args[0])
 		case (pkg == obsPath || pkg == tracePath) && spanRegistrars[fn.Name()] && len(call.Args) >= 2:
+			if pkg == tracePath {
+				pass.Reportf(call.Pos(),
+					"trace.Start outside internal/obs: use obs.Span, which both traces and times the span")
+			}
 			checkSpanName(pass, spansSeen, fn.Name(), call.Args[1])
 		}
 	})

@@ -1,6 +1,7 @@
 // Package bad exercises the obsnames analyzer: non-constant names, bad
 // casing, and duplicate registrations are all flagged — for metric
-// families and for trace span names alike.
+// families and for trace span names alike — and so is a span started
+// with trace.Start instead of obs.Span.
 package bad
 
 import (
@@ -31,6 +32,6 @@ func badSpans(ctx context.Context) {
 
 	_, _, stop := obs.Span(ctx, "fixture.dup_span") // unique: accepted
 	stop(nil)
-	_, span := trace.Start(ctx, "fixture.dup_span") // want "already instrumented"
+	_, span := trace.Start(ctx, "fixture.dup_span") // want "already instrumented" // want "use obs.Span"
 	span.End()
 }

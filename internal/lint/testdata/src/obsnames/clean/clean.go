@@ -22,6 +22,7 @@ func tracedWork(ctx context.Context) {
 	_ = ctx
 	_ = span
 	stop(nil)
-	_, root := trace.Start(context.Background(), "fixture.session")
-	root.End()
+	_, root, stopRoot := obs.Span(context.Background(), "fixture.session")
+	root.SetAttr(trace.String("fixture", "root"))
+	stopRoot(nil)
 }
