@@ -69,9 +69,9 @@ chaos:
 
 # Short fuzz campaigns on every fuzzer: the untrusted-input parsers
 # (including the traceparent header and context labels), the one-pass
-# Fig. 5 JSON decoders against encoding/json, the WAL replay,
-# the segment file format and the manifest. Patterns are anchored
-# because -fuzz must match exactly one target per package.
+# Fig. 5 JSON decoders against encoding/json, the WAL replay, the
+# segment file format, the manifest and the cursor log. Patterns are
+# anchored because -fuzz must match exactly one target per package.
 fuzz:
 	$(GO) test -fuzz='^FuzzRuleJSON$$' -fuzztime=30s ./internal/rules/
 	$(GO) test -fuzz='^FuzzParseContextLabel$$' -fuzztime=30s ./internal/rules/
@@ -83,12 +83,13 @@ fuzz:
 	$(GO) test -fuzz='^FuzzWALReplay$$' -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz='^FuzzSegmentFile$$' -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz='^FuzzManifest$$' -fuzztime=30s ./internal/segstore/
+	$(GO) test -fuzz='^FuzzCursorLog$$' -fuzztime=30s ./internal/datastore/
 	$(GO) test -fuzz='^FuzzTraceparent$$' -fuzztime=30s ./internal/obs/trace/
 
 # fuzz-seeds replays the checked-in fuzz corpora once (no new inputs) so
 # CI catches regressions on known-tricky parser inputs cheaply.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/httpapi/ ./internal/jsonwire/ ./internal/query/ ./internal/segstore/ ./internal/obs/trace/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/httpapi/ ./internal/jsonwire/ ./internal/query/ ./internal/segstore/ ./internal/datastore/ ./internal/obs/trace/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -57,7 +58,11 @@ var (
 	metricAntiEntropy = obs.NewCounterVec("sensorsafe_datastore_antientropy_total",
 		"Anti-entropy reconciliation rounds, by result.", "result")
 	metricStateSaveErrors = obs.NewCounter("sensorsafe_datastore_state_save_errors_total",
-		"State-file writes triggered by stream mutations that failed (no caller to return the error to).")
+		"Cursor-log appends that failed (no caller to return the error to).")
+	metricStateWrites = obs.NewCounter("sensorsafe_datastore_state_writes_total",
+		"Full state-file rewrites.")
+	metricCursorLogFrames = obs.NewCounter("sensorsafe_datastore_cursor_log_frames_total",
+		"Frames appended to the cursor log (subscribes, unsubscribes, cursor advances).")
 )
 
 // Errors returned by the service.
@@ -163,9 +168,21 @@ type Service struct {
 
 	// saveMu serialises saveState: snapshot and write happen under it, so
 	// concurrent savers cannot collide on WriteFileAtomic's fixed temp
-	// name or commit an older snapshot after a newer one. Taken before
-	// the stream hub's locks and mu, never while holding either.
+	// name or commit an older snapshot after a newer one. Taken after
+	// logMu and before the stream hub's locks and mu, never while holding
+	// any of those three.
 	saveMu sync.Mutex
+
+	// logMu serialises the cursor log: every append, and every fold that
+	// writes the state file and empties the log. Taken before saveMu and
+	// the stream hub's locks.
+	logMu     sync.Mutex
+	cursorLog *os.File // nil for in-memory stores and after Close; guarded by logMu
+	logBytes  int64    // the log's size; guarded by logMu
+	// foldKick wakes foldLoop when an append pushes the log past
+	// cursorLogFoldBytes; foldDone closes when foldLoop returns.
+	foldKick chan struct{}
+	foldDone chan struct{}
 
 	// ctx is the service's lifetime: every outbound call to the sync
 	// target and directory carries it, and Close cancels it first.
@@ -194,14 +211,21 @@ func New(opts Options) (*Service, error) {
 	}
 	//sslint:ignore ctxpropagate the service lifetime is the call-tree root of the store's outbound broker calls
 	svc.ctx, svc.cancel = context.WithCancel(context.Background())
-	svc.stream = stream.New(stream.Options{
-		Rules:    svc,
-		OnChange: svc.saveStreamState,
-	})
-	if err := svc.loadState(); err != nil {
+	svc.stream = stream.New(stream.Options{Rules: svc, OnChange: svc.logCursor})
+	err = svc.loadState()
+	if err == nil {
+		err = svc.foldCursorLog()
+	}
+	if err != nil {
+		svc.discardCursorLog()
 		svc.cancel()
 		st.Close()
 		return nil, err
+	}
+	if opts.Dir != "" {
+		svc.foldKick = make(chan struct{}, 1)
+		svc.foldDone = make(chan struct{})
+		go svc.foldLoop()
 	}
 	if opts.Sync != nil && opts.SyncInterval > 0 {
 		svc.syncDone = make(chan struct{})
@@ -211,9 +235,9 @@ func New(opts Options) (*Service, error) {
 }
 
 // Close cancels the service context (aborting any broker call in flight),
-// persists metadata and releases the underlying storage. Saving here
-// captures stream positions advanced by uploads (which, unlike metadata
-// mutations, do not rewrite the state file on the hot path), so a graceful
+// folds the cursor log into one last state-file write, leaving the log
+// empty, and releases the underlying storage. The write also captures
+// stream positions advanced by uploads, which log nothing, so a graceful
 // shutdown surfaces undelivered segments as a gap instead of losing them.
 func (s *Service) Close() error {
 	s.cancel()
@@ -221,7 +245,11 @@ func (s *Service) Close() error {
 		<-s.syncDone
 		s.syncDone = nil
 	}
-	if err := s.saveState(); err != nil {
+	if s.foldDone != nil {
+		<-s.foldDone
+		s.foldDone = nil
+	}
+	if err := s.closeCursorLog(); err != nil {
 		s.store.Close()
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,9 +16,12 @@ import (
 
 // Metadata persistence: sensor data lives in the segment engine; everything
 // else a store must not lose across restarts — accounts and API keys,
-// privacy rules, labeled places, and consumer group assignments — is kept
-// in a JSON state file rewritten atomically (tmp + rename) on every
-// mutation. In-memory stores (Dir == "") skip persistence entirely.
+// privacy rules, labeled places, consumer group assignments, the sync
+// outbox and stream subscriptions — is kept in a JSON state file,
+// rewritten atomically (tmp + rename) on every control mutation. Stream
+// subscribes, unsubscribes and cursor advances instead append one frame
+// to the cursor log (cursorlog.go), which a later rewrite folds in.
+// In-memory stores (Dir == "") skip persistence entirely.
 
 // stateFileName is the metadata file inside the store directory.
 const stateFileName = "state.json"
@@ -39,8 +41,9 @@ type persistedState struct {
 	Users        []persistedUser                  `json:"users"`
 	Contributors map[string]*persistedContributor `json:"contributors"`
 	// Subscriptions are the live-sharing registrations and their durable
-	// cursors; buffered-but-unacked segments are not persisted and
-	// surface as a gap event after a restart.
+	// cursors as of this write; the cursor log holds the changes since.
+	// Buffered-but-unacked segments are not persisted and surface as a
+	// gap event after a restart.
 	Subscriptions []stream.SubscriptionState `json:"subscriptions,omitempty"`
 	// PendingSync is the durable replica outbox: contributor → rule-set
 	// version still awaiting acknowledgment from the sync target. Persisted
@@ -67,18 +70,8 @@ func (s *Service) saveState() error {
 	if err := resilience.WriteFileAtomic(filepath.Join(s.opts.Dir, stateFileName), data, 0o600); err != nil {
 		return fmt.Errorf("datastore: write state: %w", err)
 	}
+	metricStateWrites.Inc()
 	return nil
-}
-
-// saveStreamState is the stream hub's OnChange hook (subscribe,
-// unsubscribe, cursor advance). The hub has no caller to hand a failed
-// write to, so it is logged and counted; the next successful save
-// carries the same cursors.
-func (s *Service) saveStreamState() {
-	if err := s.saveState(); err != nil {
-		metricStateSaveErrors.Inc()
-		slog.Error("datastore: persist stream state", "store", s.opts.Name, "err", err)
-	}
 }
 
 func (s *Service) snapshotState() (*persistedState, error) {
@@ -118,21 +111,30 @@ func (s *Service) snapshotState() (*persistedState, error) {
 	return st, nil
 }
 
-// loadState restores metadata at startup; a missing file is a fresh store.
+// loadState restores metadata at startup: the state file (a missing one
+// is a fresh store), then the cursor log replayed over its
+// subscriptions.
 func (s *Service) loadState() error {
 	if s.opts.Dir == "" {
 		return nil
 	}
-	data, err := os.ReadFile(filepath.Join(s.opts.Dir, stateFileName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("datastore: read state: %w", err)
-	}
 	var st persistedState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("datastore: decode state: %w", err)
+	data, err := os.ReadFile(filepath.Join(s.opts.Dir, stateFileName))
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil:
+		return fmt.Errorf("datastore: read state: %w", err)
+	default:
+		if err := json.Unmarshal(data, &st); err != nil {
+			return fmt.Errorf("datastore: decode state: %w", err)
+		}
+	}
+	logged, err := s.openCursorLog()
+	if err != nil {
+		return err
+	}
+	if st.Subscriptions, err = replayCursorLog(st.Subscriptions, logged); err != nil {
+		return err
 	}
 	users := make([]auth.User, 0, len(st.Users))
 	for _, pu := range st.Users {

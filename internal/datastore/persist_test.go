@@ -166,6 +166,13 @@ func TestStateFilePermissions(t *testing.T) {
 	if perm := info.Mode().Perm(); perm != 0o600 {
 		t.Errorf("state file mode = %o, want 600 (contains API keys)", perm)
 	}
+	info, err = os.Stat(filepath.Join(dir, cursorLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := info.Mode().Perm(); perm != 0o600 {
+		t.Errorf("cursor log mode = %o, want 600 (names consumers and their subscriptions)", perm)
+	}
 }
 
 func TestRestoredRulesStillSync(t *testing.T) {
@@ -259,11 +266,12 @@ func TestEveryRuleSetHasAnIndex(t *testing.T) {
 	check(newService(t, Options{Dir: dir}), "reopen", map[string]uint64{"alice": 2, "carol": 2})
 }
 
-// TestConcurrentSavesNeitherFailNorRegress races the two writers of the
-// state file — rule mutations, which return the save's error, and stream
-// registrations and acks, which persist through the hub's OnChange hook.
-// Unserialised they collide on WriteFileAtomic's temp name (SetRules fails
-// although the rules took effect) and can commit an older snapshot last.
+// TestConcurrentSavesNeitherFailNorRegress races rule mutations, which
+// rewrite the state file and return the save's error, against stream
+// registrations and acks, which append to the cursor log through the
+// hub's OnChange hook. Unserialised, state-file writers collide on
+// WriteFileAtomic's temp name (SetRules fails although the rules took
+// effect) and can commit an older snapshot last.
 func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 	ctx := context.Background()
 	const workers, rounds = 4, 12
@@ -319,15 +327,17 @@ func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Reopen a copy of the state file as it stands now: closing s would
-	// save once more and mask a stale last write.
-	data, err := os.ReadFile(filepath.Join(dir, stateFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Reopen a copy of the state file and the cursor log as they stand
+	// now: closing s would save once more and mask a stale last write.
 	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, stateFileName), data, 0o600); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{stateFileName, cursorLogName} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir2, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2 := newService(t, Options{Dir: dir2})
 	if _, version, err := s2.StreamEngine("alice"); err != nil || version != 1+workers*rounds {

@@ -6,11 +6,15 @@ import (
 )
 
 // AtomicWrite flags direct os.WriteFile / os.Create calls. Every durable
-// state or outbox file in SensorSafe must go through
-// resilience.WriteFileAtomic (temp file + fsync + rename) so a crash
-// mid-write never leaves a truncated JSON state file behind. The only
-// function allowed to touch the raw APIs is an atomic-write helper
-// itself (a function named WriteFileAtomic).
+// state or outbox file in SensorSafe that is written whole must go
+// through resilience.WriteFileAtomic (temp file + fsync + rename) so a
+// crash mid-write never leaves a truncated JSON state file behind. The
+// one other sanctioned durable-write scheme is the framed append log:
+// files opened for appending (os.OpenFile with O_APPEND), whose records
+// are internal/walframe frames a replay can tell from a torn tail, as
+// segstore's WAL and the datastore's cursor log are. The only function
+// allowed to touch the raw APIs is an atomic-write helper itself (a
+// function named WriteFileAtomic).
 var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
 	Doc:  "direct os.WriteFile/os.Create calls bypass crash-safe persistence; use resilience.WriteFileAtomic",

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"sensorsafe/internal/geo"
@@ -65,6 +66,12 @@ type Index struct {
 	timeIdx *timeIndex
 	geoIdx  *geoIndex
 	cache   *decisionCache
+
+	// rulesJSON is rs as Fig. 4 JSON, marshalled by the first State call
+	// and shared, read-only, by every later one.
+	rulesOnce sync.Once
+	rulesJSON []byte
+	rulesErr  error
 }
 
 // New validates and compiles a rule set with explicit cache options (the

@@ -71,17 +71,18 @@ func Load(st State) (*Index, error) {
 	return Compile(rs, st.Places, st.RuleVersion)
 }
 
-// State returns the policy's stored form.
+// State returns the policy's stored form. The rules are marshalled once
+// per Index, so st.Rules is shared between calls and read-only.
 func (ix *Index) State() (State, error) {
-	st := State{Places: ix.Places(), RuleVersion: ix.version}
-	if len(ix.rs) > 0 {
-		data, err := rules.MarshalRuleSet(ix.rs)
-		if err != nil {
-			return State{}, err
+	ix.rulesOnce.Do(func() {
+		if len(ix.rs) > 0 {
+			ix.rulesJSON, ix.rulesErr = rules.MarshalRuleSet(ix.rs)
 		}
-		st.Rules = data
+	})
+	if ix.rulesErr != nil {
+		return State{}, ix.rulesErr
 	}
-	return st, nil
+	return State{Rules: ix.rulesJSON, Places: ix.Places(), RuleVersion: ix.version}, nil
 }
 
 // Places returns the policy's labeled places sorted by label; empty,

@@ -3,7 +3,6 @@ package segstore
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +11,7 @@ import (
 	"strings"
 
 	"sensorsafe/internal/storage"
+	"sensorsafe/internal/walframe"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -21,10 +21,10 @@ import (
 // records the flushed sequence number, sealed files are garbage-collected.
 //
 // Files are named wal-%016x.log by the sequence number of their first
-// record, so replay order is lexical order. Each record is framed
+// record, so replay order is lexical order. Each record is one walframe
+// frame whose body is
 //
-//	u32 bodyLen | u32 crc32(body) | body
-//	body = typ byte | seq u64 | id u64 | payload
+//	typ byte | seq u64 | id u64 | payload
 //
 // where payload is empty for deletes and, for puts and appends, the
 // MarshalBinary blob of the segment the caller passed to Put. A put
@@ -41,6 +41,8 @@ const (
 	walRecPut    = 1
 	walRecDelete = 2
 	walRecAppend = 3
+
+	walBodyMin = 1 + 8 + 8 // typ | seq | id
 )
 
 // walRecord is one replayed WAL entry.
@@ -146,15 +148,12 @@ func (w *wal) rotate(firstSeq uint64) error {
 
 // walFrame encodes one record in the frame format above.
 func walFrame(typ byte, seq uint64, id storage.ID, payload []byte) []byte {
-	body := make([]byte, 0, 1+8+8+len(payload))
+	body := make([]byte, 0, walBodyMin+len(payload))
 	body = append(body, typ)
 	body = putUint64(body, seq)
 	body = putUint64(body, uint64(id))
 	body = append(body, payload...)
-	frame := make([]byte, 0, 8+len(body))
-	frame = putUint32(frame, uint32(len(body)))
-	frame = putUint32(frame, crc32.ChecksumIEEE(body))
-	return append(frame, body...)
+	return walframe.Append(make([]byte, 0, walframe.HeaderLen+len(body)), body)
 }
 
 // append durably logs one record. The frame is written in one Write call
@@ -215,8 +214,8 @@ func (w *wal) close() error {
 }
 
 // replayWALFile streams one log file's records through fn. last marks
-// the newest file: a torn tail there is a clean crash point and replay
-// just stops; anywhere else it is corruption and an error.
+// the newest file: a torn or corrupt frame there is a clean crash point
+// and replay just stops; anywhere else it is corruption and an error.
 func replayWALFile(dir string, wf *walFile, last bool, fn func(walRecord) error) error {
 	path := filepath.Join(dir, wf.name)
 	data, err := os.ReadFile(path)
@@ -224,36 +223,9 @@ func replayWALFile(dir string, wf *walFile, last bool, fn func(walRecord) error)
 		return fmt.Errorf("segstore: read wal %s: %w", wf.name, err)
 	}
 	wf.bytes = int64(len(data))
-	off := 0
-	for off < len(data) {
-		if off+8 > len(data) {
-			if last {
-				return nil
-			}
-			return fmt.Errorf("segstore: wal %s: torn frame header at %d", wf.name, off)
-		}
-		r := &byteReader{data: data, off: off}
-		bodyLen := r.uint32()
-		sum := r.uint32()
-		if bodyLen < 1+8+8 || r.off+int(bodyLen) > len(data) {
-			if last {
-				return nil
-			}
-			return fmt.Errorf("segstore: wal %s: torn frame at %d", wf.name, off)
-		}
-		body := data[r.off : r.off+int(bodyLen)]
-		if crc32.ChecksumIEEE(body) != sum {
-			if last {
-				return nil
-			}
-			return fmt.Errorf("segstore: wal %s: CRC mismatch at %d", wf.name, off)
-		}
-		br := &byteReader{data: body}
-		var recd walRecord
-		if len(body) > 0 {
-			recd.typ = body[0]
-			br.off = 1
-		}
+	err = walframe.Scan(data, walBodyMin, func(off int, body []byte) error {
+		recd := walRecord{typ: body[0]}
+		br := &byteReader{data: body, off: 1}
 		recd.seq = br.uint64()
 		recd.id = storage.ID(br.uint64())
 		switch recd.typ {
@@ -274,13 +246,17 @@ func replayWALFile(dir string, wf *walFile, last bool, fn func(walRecord) error)
 		if recd.seq > wf.maxSeq {
 			wf.maxSeq = recd.seq
 		}
-		if err := fn(recd); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
+		return fn(recd)
+	})
+	var bad *walframe.BadFrame
+	switch {
+	case errors.As(err, &bad):
+		if last {
+			return nil
 		}
-		off = r.off + int(bodyLen)
+		return fmt.Errorf("segstore: wal %s: %w", wf.name, err)
+	case errors.Is(err, io.EOF):
+		return nil
 	}
-	return nil
+	return err
 }

@@ -134,9 +134,10 @@ type Options struct {
 	// (DefaultBufferSegments if zero).
 	BufferSegments int
 	// OnChange, when set, is called after every durable mutation
-	// (subscribe, unsubscribe, cursor advance) with no hub locks held;
-	// the datastore hooks its state persistence here.
-	OnChange func()
+	// (subscribe, unsubscribe, cursor advance) with the subscription's ID
+	// and no hub locks held; Subscription then reports its durable state,
+	// or that it is gone. The datastore logs each change here.
+	OnChange func(id string)
 }
 
 // entry is one buffered, not-yet-acknowledged segment.
@@ -243,7 +244,7 @@ func (h *Hub) Subscribe(consumer, contributor string, channels []string) (SubInf
 		s.mu.Unlock()
 	}
 	metricSubscribers.Inc()
-	h.changed()
+	h.changed(s.id)
 	s.mu.Lock()
 	info := s.info(false)
 	s.mu.Unlock()
@@ -294,7 +295,7 @@ func (h *Hub) Unsubscribe(consumer, id string) error {
 		metricLagging.Dec()
 	}
 	metricSubscribers.Dec()
-	h.changed()
+	h.changed(id)
 	return nil
 }
 
@@ -418,7 +419,7 @@ func (h *Hub) Ack(consumer, id, cursor string) error {
 	changed := s.advanceLocked(cur)
 	s.mu.Unlock()
 	if changed {
-		h.changed()
+		h.changed(id)
 	}
 	return nil
 }
@@ -484,7 +485,7 @@ func (h *Hub) Next(consumer, id, cursor string, wait time.Duration) (Batch, erro
 	ackChanged := s.advanceLocked(cur)
 	s.mu.Unlock()
 	if ackChanged {
-		h.changed()
+		h.changed(id)
 	}
 
 	deadline := time.Now().Add(wait)
@@ -574,9 +575,9 @@ func (h *Hub) collect(s *sub, cur uint64) ([]Event, uint64) {
 }
 
 // changed fires the persistence hook with no locks held.
-func (h *Hub) changed() {
+func (h *Hub) changed(id string) {
 	if h.opts.OnChange != nil {
-		h.opts.OnChange()
+		h.opts.OnChange(id)
 	}
 }
 
@@ -602,16 +603,32 @@ func (h *Hub) Snapshot() []SubscriptionState {
 	h.mu.RUnlock()
 	out := make([]SubscriptionState, 0, len(all))
 	for _, s := range all {
-		s.mu.Lock()
-		out = append(out, SubscriptionState{
-			ID: s.id, Consumer: s.consumer, Contributor: s.contributor,
-			Channels: append([]string(nil), s.channels...),
-			Acked:    s.acked, Next: s.next,
-		})
-		s.mu.Unlock()
+		out = append(out, s.state())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// Subscription reports one subscription's durable state; ok is false
+// once it has been unsubscribed (or was never registered).
+func (h *Hub) Subscription(id string) (SubscriptionState, bool) {
+	h.mu.RLock()
+	s, ok := h.subs[id]
+	h.mu.RUnlock()
+	if !ok {
+		return SubscriptionState{}, false
+	}
+	return s.state(), true
+}
+
+func (s *sub) state() SubscriptionState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SubscriptionState{
+		ID: s.id, Consumer: s.consumer, Contributor: s.contributor,
+		Channels: append([]string(nil), s.channels...),
+		Acked:    s.acked, Next: s.next,
+	}
 }
 
 // Restore re-registers persisted subscriptions at startup. Buffers start

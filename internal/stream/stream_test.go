@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -311,8 +312,16 @@ func TestSnapshotRestoreResumesCursorWithGap(t *testing.T) {
 
 func TestOnChangeFiresOnDurableMutations(t *testing.T) {
 	var mu sync.Mutex
-	calls := 0
-	h := New(Options{Rules: fakeRules{}, OnChange: func() { mu.Lock(); calls++; mu.Unlock() }})
+	var calls []string
+	var h *Hub
+	var live []bool // what Subscription reported inside each call
+	h = New(Options{Rules: fakeRules{}, OnChange: func(id string) {
+		_, ok := h.Subscription(id) // no hub lock is held
+		mu.Lock()
+		calls = append(calls, id)
+		live = append(live, ok)
+		mu.Unlock()
+	}})
 	info, _ := h.Subscribe("bob", "alice", nil)
 	h.Publish("alice", seg(t0, 2))
 	if err := h.Ack("bob", info.ID, "1"); err != nil {
@@ -321,13 +330,24 @@ func TestOnChangeFiresOnDurableMutations(t *testing.T) {
 	if err := h.Ack("bob", info.ID, "1"); err != nil { // no-op: cursor unchanged
 		t.Fatal(err)
 	}
+	if st, ok := h.Subscription(info.ID); !ok || st.Acked != 1 || st.Next != 1 || st.Consumer != "bob" || st.Contributor != "alice" {
+		t.Fatalf("Subscription = %+v, %v; want bob/alice acked 1 next 1", st, ok)
+	}
 	if err := h.Unsubscribe("bob", info.ID); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if calls != 3 { // subscribe + first ack + unsubscribe
-		t.Fatalf("OnChange calls = %d, want 3", calls)
+	if len(calls) != 3 { // subscribe + first ack + unsubscribe
+		t.Fatalf("OnChange calls = %d, want 3", len(calls))
+	}
+	for i, id := range calls {
+		if id != info.ID {
+			t.Errorf("OnChange call %d got ID %q, want %q", i, id, info.ID)
+		}
+	}
+	if want := []bool{true, true, false}; !reflect.DeepEqual(live, want) {
+		t.Errorf("Subscription inside OnChange reported live = %v, want %v", live, want)
 	}
 }
 
