@@ -4,7 +4,7 @@
 // stores and make each virtual machine accessible by its owner only".
 // Each pool slot is a fully isolated store service (own accounts, rules,
 // storage directory, audit trail) on its own port, all registered with the
-// same broker.
+// same broker, each running anti-entropy against it every 30 s.
 //
 // Usage:
 //
@@ -48,6 +48,7 @@ func main() {
 			bc := &httpapi.BrokerClient{BaseURL: *brokerURL}
 			opts.Sync = bc
 			opts.Directory = bc
+			opts.SyncInterval = datastore.DefaultSyncInterval
 		}
 		svc, err := datastore.New(opts)
 		if err != nil {

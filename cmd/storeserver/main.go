@@ -9,9 +9,10 @@
 //	    -dir ./data/store1 -broker http://localhost:8080
 //
 // With -broker set, contributor registrations and rule changes propagate to
-// the broker over its HTTP API, exactly as in a multi-host deployment; add
-// -sync-interval 30s to run periodic anti-entropy so rule replicas converge
-// even after a broker outage outlasts the push retries.
+// the broker over its HTTP API, exactly as in a multi-host deployment, and
+// an anti-entropy round every -sync-interval (default 30s; 0 disables it)
+// pushes each replica the broker reports as behind, so rule replicas
+// converge after a broker outage or a crash cut a push off.
 //
 // With -dir set, segments live in the persistent columnar engine
 // (internal/segstore) under <dir>/segstore; tune it with -segstore-dir,
@@ -51,7 +52,7 @@ func main() {
 	name := flag.String("name", "", "public address of this store (defaults to http://localhost<listen>)")
 	dir := flag.String("dir", "", "storage directory (empty = in-memory)")
 	brokerURL := flag.String("broker", "", "broker base URL for rule sync and contributor registration")
-	syncInterval := flag.Duration("sync-interval", 0, "anti-entropy period for broker rule replicas (0 = disabled; only meaningful with -broker)")
+	syncInterval := flag.Duration("sync-interval", datastore.DefaultSyncInterval, "anti-entropy period for broker rule replicas (0 = disabled; only meaningful with -broker)")
 	maxSamples := flag.Int("max-segment-samples", 0, "wave-segment size cap (0 = default)")
 	segstoreDir := flag.String("segstore-dir", "", "segment-engine directory (default <dir>/segstore; only meaningful with -dir)")
 	memtableBytes := flag.Int64("memtable-bytes", 0, "segment-engine hot-tail budget before flushing to disk (0 = default 4MiB)")

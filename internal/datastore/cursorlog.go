@@ -10,51 +10,92 @@ import (
 	"path/filepath"
 	"sort"
 
+	"sensorsafe/internal/ruleindex"
 	"sensorsafe/internal/stream"
 	"sensorsafe/internal/walframe"
 )
 
-// The cursor log keeps stream subscriptions durable between state.json
-// rewrites. Every subscribe, unsubscribe and cursor advance appends one
-// walframe frame to it and fsyncs it before the hub call returns, instead
-// of rewriting the whole state file. Restart reads state.json's
-// subscriptions as the snapshot and replays the log over it. Once the log
-// passes cursorLogFoldBytes, and on Close, it is folded: state.json is
-// rewritten and the log emptied.
+// The store's log keeps its control state durable between state.json
+// writes. Every control mutation (an account registered or its key
+// rotated, a contributor's rules, places or groups changed) and every
+// stream subscribe, unsubscribe and cursor advance appends one walframe
+// frame with the new state of what it changed, and fsyncs it before the
+// call returns. Restart reads state.json as the snapshot and replays the
+// log over it. Once the log passes cursorLogFoldBytes, and on Close, it
+// is folded: state.json is rewritten and the log emptied.
 
-// cursorLogName is the cursor log inside the store directory.
+// cursorLogName is the log inside the store directory. It held only
+// stream cursors when it was named, and keeps the name so those
+// directories replay unchanged.
 const cursorLogName = "cursors.log"
 
-// cursorLogFoldBytes is the log size past which a background fold writes
-// state.json and empties the log: at about 100 bytes a frame, some ten
-// thousand acks.
+// cursorLogFoldBytes is the log size past which the append that crosses
+// it folds the log into state.json: at about 100 bytes a cursor frame,
+// some ten thousand acks.
 const cursorLogFoldBytes = 1 << 20
 
-// cursorRecord is one frame's body: a subscription's durable state after
-// a subscribe or cursor advance, or its ID alone with Removed set after
-// an unsubscribe.
-type cursorRecord struct {
-	stream.SubscriptionState
-	Removed bool `json:"removed,omitempty"`
+// logRecord is one frame's body: at least one of
+//   - a subscription's durable state after a subscribe or cursor
+//     advance, or its ID alone with Removed set after an unsubscribe;
+//   - User, an account after its registration or key rotation;
+//   - Policy, a contributor's policy and groups after its registration
+//     or a rule, place or group change.
+type logRecord struct {
+	*stream.SubscriptionState
+	Removed bool               `json:"removed,omitempty"`
+	User    *persistedUser     `json:"user,omitempty"`
+	Policy  *contributorRecord `json:"policy,omitempty"`
 }
 
-// replayCursorLog applies the log's frames, in order, to the
-// subscriptions of a state.json snapshot and returns the result sorted by
-// ID. A frame merges into the subscription with its ID by the max of
-// acked and next, so frames the snapshot already holds, or two acks
-// whose frames landed out of order, never move a cursor back; a removal
-// deletes the subscription. Every frame is fsynced before the next is
-// written, so only the last can be torn: a bad Final frame is where a
-// crash cut an append short, any other bad frame is an error.
-func replayCursorLog(snap []stream.SubscriptionState, data []byte) ([]stream.SubscriptionState, error) {
-	subs := make(map[string]stream.SubscriptionState, len(snap))
-	for _, st := range snap {
-		subs[st.ID] = st
+// contributorRecord is a contributor's stored form under its normalized
+// name.
+type contributorRecord struct {
+	Name string `json:"name"`
+	persistedContributor
+}
+
+// replayLog applies the log's frames, in order, to a state.json snapshot.
+// Users and contributors are last-writer-wins: a frame holds the whole
+// state of what it names as it was when appended, so a later frame is
+// never older than an earlier one. A cursor frame merges into the
+// subscription with its ID by the max of acked and next, so frames the
+// snapshot already holds, or two acks whose frames landed out of order,
+// never move a cursor back; a removal deletes the subscription. Every
+// frame is fsynced before the next is written, so only the last can be
+// torn: a bad Final frame is where a crash cut an append short, any
+// other bad frame, a frame with none of the three, and a policy that
+// does not compile are errors.
+func replayLog(st *persistedState, data []byte) error {
+	users := make(map[string]persistedUser, len(st.Users))
+	for _, u := range st.Users {
+		users[normName(u.Name)] = u
+	}
+	subs := make(map[string]stream.SubscriptionState, len(st.Subscriptions))
+	for _, sub := range st.Subscriptions {
+		subs[sub.ID] = sub
+	}
+	if st.Contributors == nil {
+		st.Contributors = make(map[string]*persistedContributor)
 	}
 	err := walframe.Scan(data, 1, func(off int, body []byte) error {
-		var rec cursorRecord
-		if err := json.Unmarshal(body, &rec); err != nil || rec.ID == "" {
+		var rec logRecord
+		if err := json.Unmarshal(body, &rec); err != nil ||
+			rec.SubscriptionState == nil && rec.User == nil && rec.Policy == nil ||
+			rec.SubscriptionState != nil && rec.ID == "" ||
+			rec.Policy != nil && rec.Policy.Name == "" {
 			return fmt.Errorf("bad record at %d", off)
+		}
+		if rec.Policy != nil {
+			if _, err := ruleindex.Load(rec.Policy.State); err != nil {
+				return fmt.Errorf("bad policy for %s at %d: %w", rec.Policy.Name, off, err)
+			}
+			st.Contributors[rec.Policy.Name] = &rec.Policy.persistedContributor
+		}
+		if rec.User != nil {
+			users[normName(rec.User.Name)] = *rec.User
+		}
+		if rec.SubscriptionState == nil {
+			return nil
 		}
 		cur, ok := subs[rec.ID]
 		switch {
@@ -65,24 +106,29 @@ func replayCursorLog(snap []stream.SubscriptionState, data []byte) ([]stream.Sub
 			cur.Next = max(cur.Next, rec.Next)
 			subs[rec.ID] = cur
 		default:
-			subs[rec.ID] = rec.SubscriptionState
+			subs[rec.ID] = *rec.SubscriptionState
 		}
 		return nil
 	})
 	var bad *walframe.BadFrame
 	if err != nil && !(errors.As(err, &bad) && bad.Final) {
-		return nil, fmt.Errorf("datastore: cursor log: %w", err)
+		return fmt.Errorf("datastore: cursor log: %w", err)
 	}
-	out := make([]stream.SubscriptionState, 0, len(subs))
-	for _, st := range subs {
-		out = append(out, st)
+	st.Users = st.Users[:0]
+	for _, u := range users {
+		st.Users = append(st.Users, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out, nil
+	sort.Slice(st.Users, func(i, j int) bool { return st.Users[i].Name < st.Users[j].Name })
+	st.Subscriptions = make([]stream.SubscriptionState, 0, len(subs))
+	for _, sub := range subs {
+		st.Subscriptions = append(st.Subscriptions, sub)
+	}
+	sort.Slice(st.Subscriptions, func(i, j int) bool { return st.Subscriptions[i].ID < st.Subscriptions[j].ID })
+	return nil
 }
 
-// openCursorLog opens the directory's cursor log for appending, creating
-// it empty, and returns what it holds.
+// openCursorLog opens the directory's log for appending, creating it
+// empty, and returns what it holds.
 func (s *Service) openCursorLog() ([]byte, error) {
 	f, err := os.OpenFile(filepath.Join(s.opts.Dir, cursorLogName), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o600)
 	if err != nil {
@@ -103,33 +149,77 @@ func (s *Service) openCursorLog() ([]byte, error) {
 	return data, nil
 }
 
-// logCursor is the stream hub's OnChange hook. It appends one frame with
-// the subscription's durable state, or its removal, and fsyncs it before
-// the hub call returns. The state is read under logMu, so a
-// subscription's frames follow the hub's order and none follows its
-// removal. The hub has no caller to hand a failed append to, so it is
-// logged and counted; the cursor then resumes from its last durable
-// position and redelivers.
-func (s *Service) logCursor(id string) {
+// logChange appends one frame, built by read from the store's current
+// state, and fsyncs it. read runs under logMu, so frames about one thing
+// follow the order its changes took, none follows a removal, and the
+// last frame about it is its newest state. Callers hold neither s.mu nor
+// a hub lock: a fold may run before logChange returns.
+func (s *Service) logChange(read func(rec *logRecord) error) error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	if s.cursorLog == nil { // in-memory store, or closed
-		return
+	if s.cursorLog == nil {
+		if s.opts.Dir == "" {
+			return nil // in-memory store
+		}
+		return errors.New("datastore: store is closed")
 	}
-	rec := cursorRecord{SubscriptionState: stream.SubscriptionState{ID: id}, Removed: true}
-	if st, ok := s.stream.Subscription(id); ok {
-		rec = cursorRecord{SubscriptionState: st}
+	var rec logRecord
+	if err := read(&rec); err != nil {
+		return err
 	}
-	if err := s.appendCursorLocked(rec); err != nil {
+	return s.appendLocked(rec)
+}
+
+// logCursor is the stream hub's OnChange hook: it logs the
+// subscription's durable state, or its removal. The hub has no caller to
+// hand a failed append to, so it is logged and counted; the cursor then
+// resumes from its last durable position and redelivers.
+func (s *Service) logCursor(id string) {
+	err := s.logChange(func(rec *logRecord) error {
+		st, ok := s.stream.Subscription(id)
+		st.ID = id
+		rec.SubscriptionState, rec.Removed = &st, !ok
+		return nil
+	})
+	if err != nil {
 		metricStateSaveErrors.Inc()
 		slog.Error("datastore: append cursor log", "store", s.opts.Name, "err", err)
 	}
 }
 
-// appendCursorLocked writes and fsyncs one frame; callers hold s.logMu.
-// A failed write is cut back off the log, so the next frame does not
-// land behind a torn one.
-func (s *Service) appendCursorLocked(rec cursorRecord) error {
+// logControl logs a control mutation before it returns: the account
+// named user, the policy and groups of the contributor named
+// contributor, or both; a name left "" is not logged.
+func (s *Service) logControl(user, contributor string) error {
+	return s.logChange(func(rec *logRecord) error {
+		if user != "" {
+			u, ok := s.users.SnapshotUser(user)
+			if !ok {
+				return fmt.Errorf("%w: %s", ErrUnknownUser, user)
+			}
+			rec.User = userRecord(u)
+		}
+		if contributor == "" {
+			return nil
+		}
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		cs, err := s.stateLocked(contributor)
+		if err != nil {
+			return err
+		}
+		pc, err := cs.persisted()
+		rec.Policy = &contributorRecord{Name: normName(contributor), persistedContributor: pc}
+		return err
+	})
+}
+
+// appendLocked writes and fsyncs one frame; callers hold s.logMu. A
+// failed write is cut back off the log, so the next frame does not land
+// behind a torn one. The append that takes the log past
+// cursorLogFoldBytes folds it; the frame is durable either way, so a
+// failed fold is logged and the next append tries again.
+func (s *Service) appendLocked(rec logRecord) error {
 	body, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -145,28 +235,11 @@ func (s *Service) appendCursorLocked(rec cursorRecord) error {
 	s.logBytes += int64(len(frame))
 	metricCursorLogFrames.Inc()
 	if s.logBytes >= cursorLogFoldBytes {
-		select {
-		case s.foldKick <- struct{}{}:
-		default: // a fold is already due
+		if err := s.foldLocked(); err != nil {
+			slog.Error("datastore: fold cursor log", "store", s.opts.Name, "err", err)
 		}
 	}
 	return nil
-}
-
-// foldLoop folds the cursor log whenever an append pushes it past
-// cursorLogFoldBytes, until the service context ends.
-func (s *Service) foldLoop() {
-	defer close(s.foldDone)
-	for {
-		select {
-		case <-s.ctx.Done():
-			return
-		case <-s.foldKick:
-			if err := s.foldCursorLog(); err != nil {
-				slog.Error("datastore: fold cursor log", "store", s.opts.Name, "err", err)
-			}
-		}
-	}
 }
 
 // foldCursorLog folds a log that holds frames. New calls it too, so a
@@ -180,11 +253,12 @@ func (s *Service) foldCursorLog() error {
 	return s.foldLocked()
 }
 
-// foldLocked writes state.json, whose subscriptions then hold every
-// logged change, and empties the log; callers hold s.logMu. Doing both
-// under logMu means every advance whose call returned is either in that
-// state.json or in the log after it. A log a failed truncate leaves full
-// only replays changes state.json already holds.
+// foldLocked writes state.json, which then holds every logged change,
+// and empties the log; callers hold s.logMu. Doing both under logMu
+// means every change whose call returned is either in that state.json
+// or in the log after it. A log a failed truncate leaves full replays
+// over that state.json; its last frame about anything holds every change
+// to it whose call returned, so no acknowledged change moves back.
 func (s *Service) foldLocked() error {
 	if err := s.saveState(); err != nil {
 		return err
@@ -203,7 +277,7 @@ func (s *Service) foldLocked() error {
 }
 
 // closeCursorLog writes state.json a last time, empties the log and
-// closes it; a hub change after Close is no longer logged.
+// closes it; a change after Close is no longer logged.
 func (s *Service) closeCursorLog() error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()

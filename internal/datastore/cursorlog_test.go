@@ -3,6 +3,7 @@ package datastore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,9 +12,11 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-	"time"
 
 	"sensorsafe/internal/auth"
+	"sensorsafe/internal/geo"
+	"sensorsafe/internal/ruleindex"
+	"sensorsafe/internal/rules"
 	"sensorsafe/internal/stream"
 	"sensorsafe/internal/walframe"
 )
@@ -24,9 +27,6 @@ import (
 // about the state file and the cursor log.
 func kill(s *Service) {
 	s.cancel()
-	if s.foldDone != nil {
-		<-s.foldDone
-	}
 	s.discardCursorLog()
 	s.store.Close()
 }
@@ -199,12 +199,14 @@ func TestCrashCorruptInnerFrameIsAnError(t *testing.T) {
 // TestCrashBetweenFoldAndLogReset: the fold wrote the state file but the
 // crash came before the log was emptied. Replaying the whole log over
 // the newer state file moves no cursor back — not even next, which the
-// fold captured past the last frame — and does not bring back a
-// subscription that was unsubscribed.
+// fold captured past the last frame — does not bring back a
+// subscription that was unsubscribed, and rolls back no policy version,
+// key rotation or group assignment logged between the cursor frames.
 func TestCrashBetweenFoldAndLogReset(t *testing.T) {
 	dir := t.TempDir()
 	s := mustNew(t, dir)
 	bob, sub := subscribedBob(t, s, 4)
+	alice, _ := s.users.SnapshotUser("alice")
 	carol, err := s.RegisterConsumer("carol")
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +215,27 @@ func TestCrashBetweenFoldAndLogReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ackTo(t, s, bob.Key, sub.ID, 1, 3)
+	ackTo(t, s, bob.Key, sub.ID, 1, 1)
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	oldKeys := []auth.APIKey{bob.Key}
+	for i := 0; i < 2; i++ {
+		fresh, err := s.RotateKey(bob.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldKeys, bob.Key = append(oldKeys, bob.Key), fresh
+	}
+	ackTo(t, s, bob.Key, sub.ID, 2, 2)
+	if err := s.AssignConsumerGroups(alice.Key, "Bob", []string{"Study"}); err != nil {
+		t.Fatal(err)
+	}
+	revoke := []byte(`[{"Group":["Study"],"Action":"Deny"}]`)
+	if err := s.SetRules(alice.Key, revoke); err != nil {
+		t.Fatal(err)
+	}
+	ackTo(t, s, bob.Key, sub.ID, 3, 3)
 	if err := s.Unsubscribe(carol.Key, gone.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +260,24 @@ func TestCrashBetweenFoldAndLogReset(t *testing.T) {
 	subs := s2.stream.Snapshot()
 	if len(subs) != 1 || subs[0].ID != sub.ID || subs[0].Acked != 3 || subs[0].Next != 7 {
 		t.Fatalf("subscriptions after the crash = %+v, want only %s at acked 3, next 7", subs, sub.ID)
+	}
+	policy, err := s2.Policy(alice.Key)
+	if err != nil || policy.RuleVersion != 2 {
+		t.Fatalf("policy after the crash = %+v, %v; want version 2", policy, err)
+	}
+	if rs, err := rules.UnmarshalRuleSet(policy.Rules); err != nil || len(rs) != 1 || rs[0].Action.Kind != rules.ActionDeny {
+		t.Errorf("rules after the crash = %s, want the revocation", policy.Rules)
+	}
+	for _, old := range oldKeys {
+		if _, err := s2.users.Authenticate(old); err == nil {
+			t.Errorf("rotated-out key %.8s… authenticates after the crash", old)
+		}
+	}
+	if _, err := s2.users.Authenticate(bob.Key); err != nil {
+		t.Errorf("Bob's last key after the crash: %v", err)
+	}
+	if groups := s2.contributors["alice"].groups["bob"]; !reflect.DeepEqual(groups, []string{"Study"}) {
+		t.Errorf("Bob's groups after the crash = %v, want [Study]", groups)
 	}
 }
 
@@ -315,8 +355,8 @@ func TestFoldLosesNothing(t *testing.T) {
 }
 
 // TestLogPastThresholdIsFolded: the append that takes the log past
-// cursorLogFoldBytes wakes the background fold, which writes the state
-// file with the new cursor and empties the log.
+// cursorLogFoldBytes folds it before the ack returns: the state file
+// holds the new cursor and the log is empty.
 func TestLogPastThresholdIsFolded(t *testing.T) {
 	dir := t.TempDir()
 	s := newService(t, Options{Dir: dir})
@@ -325,16 +365,11 @@ func TestLogPastThresholdIsFolded(t *testing.T) {
 	s.logBytes = cursorLogFoldBytes - 1 // as if some ten thousand acks were logged
 	s.logMu.Unlock()
 	ackTo(t, s, bob.Key, sub.ID, 1, 1)
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.logMu.Lock()
-		folded := s.logBytes == 0
-		s.logMu.Unlock()
-		if folded {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no fold after the log passed its threshold")
-		}
+	s.logMu.Lock()
+	folded := s.logBytes == 0
+	s.logMu.Unlock()
+	if !folded {
+		t.Fatal("no fold after the log passed its threshold")
 	}
 	if got := mustRead(t, filepath.Join(dir, cursorLogName)); len(got) != 0 {
 		t.Errorf("fold left %d log bytes", len(got))
@@ -407,64 +442,110 @@ func durable(subs []stream.SubscriptionState) []stream.SubscriptionState {
 	return out
 }
 
+// durableJSON is a state's JSON with each subscription cut to what
+// replay must restore exactly (see durable).
+func durableJSON(t *testing.T, st *persistedState) string {
+	t.Helper()
+	cp := *st
+	cp.Subscriptions = durable(st.Subscriptions)
+	data, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 // TestCursorReplayIsIdempotent: after a random run of subscribes,
-// publishes, acks, polls and unsubscribes, the log replayed over a state
-// file snapshot taken at any point since it was last emptied gives the
-// final subscriptions and cursors, and no next beyond the final one.
+// publishes, acks, polls and unsubscribes mixed with rule and place
+// changes, key rotations, group assignments and registrations, the log
+// replayed over a state file snapshot taken at any point since it was
+// last emptied gives the final users, policies, groups, subscriptions
+// and cursors, and no next beyond the final one.
 func TestCursorReplayIsIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	s := newService(t, Options{Dir: dir})
 	rng := rand.New(rand.NewSource(1))
 	consumers := []string{"bob", "carol", "dave"}
 	channelSets := [][]string{nil, {"ECG"}, {"ECG", "Respiration"}}
-	snaps := [][]stream.SubscriptionState{s.stream.Snapshot()}
+	ruleSets := []string{`[]`, `[{"Action":"Allow"}]`, `[{"Group":["Study"],"Sensor":["ECG"],"Action":"Allow"}]`}
+	rect, _ := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
+	snapshot := func() *persistedState {
+		st, err := s.snapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	snaps := []*persistedState{snapshot()}
+	alice, err := s.RegisterContributor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]auth.APIKey)
+	for _, c := range consumers {
+		u, err := s.RegisterConsumer(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[c] = u.Key
+	}
+	snaps = append(snaps, snapshot())
 	for i := 0; i < 400; i++ {
 		live := s.stream.Snapshot()
-		switch op := rng.Intn(10); {
+		var err error
+		switch op := rng.Intn(14); {
 		case op < 2:
-			if _, err := s.stream.Subscribe(consumers[rng.Intn(len(consumers))], "alice", channelSets[rng.Intn(len(channelSets))]); err != nil {
-				t.Fatal(err)
-			}
+			_, err = s.stream.Subscribe(consumers[rng.Intn(len(consumers))], "alice", channelSets[rng.Intn(len(channelSets))])
 		case op < 5:
 			s.stream.Publish("alice", packet("alice", t0, 4))
 		case op < 9 && len(live) > 0:
 			st := live[rng.Intn(len(live))]
 			cur := strconv.FormatUint(st.Acked+uint64(rng.Intn(4)), 10)
 			if op == 8 {
-				if _, err := s.stream.Next(st.Consumer, st.ID, cur, 0); err != nil {
-					t.Fatal(err)
-				}
-			} else if err := s.stream.Ack(st.Consumer, st.ID, cur); err != nil {
-				t.Fatal(err)
+				_, err = s.stream.Next(st.Consumer, st.ID, cur, 0)
+			} else {
+				err = s.stream.Ack(st.Consumer, st.ID, cur)
 			}
-		case len(live) > 1: // the last one stays, so there is a cursor to check
+		case op == 9 && len(live) > 1: // the last one stays, so there is a cursor to check
 			st := live[rng.Intn(len(live))]
-			if err := s.stream.Unsubscribe(st.Consumer, st.ID); err != nil {
-				t.Fatal(err)
-			}
+			err = s.stream.Unsubscribe(st.Consumer, st.ID)
+		case op == 10 && rng.Intn(2) == 0:
+			err = s.SetRules(alice.Key, []byte(ruleSets[rng.Intn(len(ruleSets))]))
+		case op == 10:
+			err = s.DefinePlace(alice.Key, fmt.Sprintf("place%d", rng.Intn(3)), geo.Region{Rect: rect})
+		case op == 11:
+			c := consumers[rng.Intn(len(consumers))]
+			keys[c], err = s.RotateKey(keys[c])
+		case op == 12:
+			err = s.AssignConsumerGroups(alice.Key, consumers[rng.Intn(len(consumers))], [][]string{nil, {"Study"}, {"Study", "Cohort"}}[rng.Intn(3)])
+		case op == 13:
+			_, err = s.RegisterConsumer(fmt.Sprintf("extra%d", i))
 		}
-		snaps = append(snaps, s.stream.Snapshot())
-	}
-	final := s.stream.Snapshot()
-	logged := mustRead(t, filepath.Join(dir, cursorLogName))
-	for k, snap := range snaps {
-		got, err := replayCursorLog(snap, logged)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(durable(got), durable(final)) {
-			t.Fatalf("replay over snapshot %d = %+v, want %+v", k, got, final)
+		snaps = append(snaps, snapshot())
+	}
+	final := snapshot()
+	want := durableJSON(t, final)
+	logged := mustRead(t, filepath.Join(dir, cursorLogName))
+	for k, snap := range snaps {
+		if err := replayLog(snap, logged); err != nil {
+			t.Fatal(err)
 		}
-		for i := range got {
-			if got[i].Next > final[i].Next {
-				t.Fatalf("replay over snapshot %d: %s next %d, past the final %d", k, got[i].ID, got[i].Next, final[i].Next)
+		if got := durableJSON(t, snap); got != want {
+			t.Fatalf("replay over snapshot %d =\n%s\nwant\n%s", k, got, want)
+		}
+		for i, sub := range snap.Subscriptions {
+			if sub.Next > final.Subscriptions[i].Next {
+				t.Fatalf("replay over snapshot %d: %s next %d, past the final %d", k, sub.ID, sub.Next, final.Subscriptions[i].Next)
 			}
 		}
 	}
 }
 
-// logOf frames cursor records as the store appends them.
-func logOf(t testing.TB, recs ...cursorRecord) []byte {
+// logOf frames records as the store appends them.
+func logOf(t testing.TB, recs ...logRecord) []byte {
 	t.Helper()
 	var out []byte
 	for _, rec := range recs {
@@ -477,32 +558,40 @@ func logOf(t testing.TB, recs ...cursorRecord) []byte {
 	return out
 }
 
-func put(id string, acked, next uint64) cursorRecord {
-	return cursorRecord{SubscriptionState: stream.SubscriptionState{ID: id, Consumer: "bob", Contributor: "alice", Acked: acked, Next: next}}
+func put(id string, acked, next uint64) logRecord {
+	return logRecord{SubscriptionState: &stream.SubscriptionState{ID: id, Consumer: "bob", Contributor: "alice", Acked: acked, Next: next}}
 }
 
-func removed(id string) cursorRecord {
-	return cursorRecord{SubscriptionState: stream.SubscriptionState{ID: id}, Removed: true}
+func removed(id string) logRecord {
+	return logRecord{SubscriptionState: &stream.SubscriptionState{ID: id}, Removed: true}
+}
+
+// replaySubs replays a log over a snapshot holding only subscriptions.
+func replaySubs(snap []stream.SubscriptionState, data []byte) ([]stream.SubscriptionState, error) {
+	st := persistedState{Subscriptions: snap}
+	err := replayLog(&st, data)
+	return st.Subscriptions, err
 }
 
 // TestCursorReplayMergesByMax: frames that landed out of order, or that
 // a newer snapshot already holds, move no cursor back, and a removal in
 // the log keeps a subscription removed.
 func TestCursorReplayMergesByMax(t *testing.T) {
-	newer := []stream.SubscriptionState{put("a", 9, 12).SubscriptionState}
-	got, err := replayCursorLog(newer, logOf(t, put("a", 5, 6), put("b", 4, 8), put("b", 3, 9), put("c", 1, 1), removed("c")))
+	newer := []stream.SubscriptionState{*put("a", 9, 12).SubscriptionState}
+	got, err := replaySubs(newer, logOf(t, put("a", 5, 6), put("b", 4, 8), put("b", 3, 9), put("c", 1, 1), removed("c")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []stream.SubscriptionState{put("a", 9, 12).SubscriptionState, put("b", 4, 9).SubscriptionState}
+	want := []stream.SubscriptionState{*put("a", 9, 12).SubscriptionState, *put("b", 4, 9).SubscriptionState}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("replay = %+v, want %+v", got, want)
 	}
 }
 
-// FuzzCursorLog treats a cursor log as untrusted input: replay must never
-// panic, and a log it accepts must replay over its own result to the
-// same state.
+// FuzzCursorLog treats a store's log as untrusted input: replay must
+// never panic, a log it accepts must replay over its own result to the
+// same state, and every policy in that state must compile, so an open
+// never loads half a policy.
 func FuzzCursorLog(f *testing.F) {
 	valid := logOf(f, put("a", 1, 2), put("b", 0, 3), put("a", 3, 3), removed("b"), put("b", 7, 7))
 	corrupt := bytes.Clone(valid)
@@ -514,17 +603,235 @@ func FuzzCursorLog(f *testing.F) {
 	f.Add(walframe.Append(nil, []byte(`{"id":"x","channels":["ECG",""],"acked":18446744073709551615}`)))
 	f.Add(walframe.Append(nil, []byte(`{}`)))
 	f.Add([]byte{})
+	alice := persistedUser{Name: "alice", Role: "contributor", Key: "k-alice"}
+	policy := &contributorRecord{Name: "alice", persistedContributor: persistedContributor{
+		State:  ruleindex.State{Rules: json.RawMessage(`[{"Group":["Study"],"Action":"Allow"}]`), RuleVersion: 3},
+		Groups: map[string][]string{"bob": {"Study"}},
+	}}
+	f.Add(logOf(f,
+		logRecord{User: &alice, Policy: &contributorRecord{Name: "alice"}},
+		logRecord{User: &persistedUser{Name: "Bob", Role: "consumer", Key: "k1"}},
+		put("a", 1, 2),
+		logRecord{Policy: policy},
+		logRecord{User: &persistedUser{Name: "bob", Role: "consumer", Key: "k2"}},
+		put("a", 2, 2)))
+	f.Add(walframe.Append(nil, []byte(`{"policy":{"name":"alice","rules":[{"Action":"Sometimes"}],"ruleVersion":2}}`)))
+	f.Add(walframe.Append(nil, []byte(`{"policy":{"name":"alice","rules":[{"Action":"Allow"},{"Sensor":"ECG"}]}}`)))
+	f.Add(walframe.Append(nil, []byte(`{"policy":{"rules":[]},"user":{"name":"","key":""}}`)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		once, err := replayCursorLog(nil, data)
-		if err != nil {
+		var once persistedState
+		if err := replayLog(&once, data); err != nil {
 			return
 		}
-		twice, err := replayCursorLog(once, data)
-		if err != nil {
+		for name, pc := range once.Contributors {
+			if _, err := ruleindex.Load(pc.State); err != nil {
+				t.Fatalf("replay accepted a policy for %s that does not compile: %v", name, err)
+			}
+		}
+		var twice persistedState
+		if err := replayLog(&twice, data); err != nil {
+			t.Fatalf("replay failed on a log it accepted: %v", err)
+		}
+		if err := replayLog(&twice, data); err != nil {
 			t.Fatalf("replay over its own result failed: %v", err)
 		}
 		if !reflect.DeepEqual(once, twice) {
 			t.Fatalf("replay is not idempotent:\n once %+v\ntwice %+v", once, twice)
 		}
 	})
+}
+
+// TestControlMutationsAppendFramesNotStateWrites: each kind of control
+// mutation appends one frame to the log and rewrites no state file, a
+// rule or place change with a sync target included.
+func TestControlMutationsAppendFramesNotStateWrites(t *testing.T) {
+	s := newService(t, Options{Dir: t.TempDir(), Sync: &recordingSync{}})
+	frames, writes := metricCursorLogFrames.Value(), metricStateWrites.Value()
+	alice, bob := setupAliceBob(t, s)
+	if _, err := s.RotateKey(bob.Key); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	rect, _ := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
+	if err := s.DefinePlace(alice.Key, "UCLA", geo.Region{Rect: rect}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AssignConsumerGroups(alice.Key, "Bob", []string{"Study"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := metricCursorLogFrames.Value() - frames; got != 6 {
+		t.Errorf("6 control mutations appended %v frames, want 6", got)
+	}
+	if got := metricStateWrites.Value() - writes; got != 0 {
+		t.Errorf("6 control mutations rewrote the state file %v times, want 0", got)
+	}
+}
+
+// decisions returns a contributor's rule version and what its policy
+// decides for policyProbes.
+func decisions(t *testing.T, s *Service, contributor string) (uint64, []string) {
+	t.Helper()
+	d, version, err := s.StreamEngine(contributor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, req := range policyProbes() {
+		got := d.Decide(req)
+		got.Cached = false
+		data, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(data))
+	}
+	return version, out
+}
+
+// TestCrashAfterPolicyChangeRestoresIt: killed after DefinePlace and
+// SetRules, a store reopens at the same rule version, and the restored
+// policy decides every probe as the live one did.
+func TestCrashAfterPolicyChangeRestoresIt(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, dir)
+	alice, _ := setupAliceBob(t, s)
+	rect, _ := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
+	if err := s.DefinePlace(alice.Key, "UCLA", geo.Region{Rect: rect}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRules(alice.Key, []byte(`[{"Group":["Study"],"LocationLabel":["UCLA"],"Action":"Allow"},
+		{"Consumer":["Bob"],"Action":{"Abstraction":{"Location":"City"}}}]`)); err != nil {
+		t.Fatal(err)
+	}
+	version, want := decisions(t, s, "alice")
+	kill(s)
+	s = mustNew(t, dir)
+	defer kill(s)
+	if v, got := decisions(t, s, "alice"); v != version || !reflect.DeepEqual(got, want) {
+		t.Errorf("after the crash: version %d, decisions %v; want version %d, %v", v, got, version, want)
+	}
+}
+
+// TestCrashAfterRotateKey: killed after a key rotation, a store rejects
+// the old key and accepts the new one.
+func TestCrashAfterRotateKey(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, dir)
+	_, bob := setupAliceBob(t, s)
+	fresh, err := s.RotateKey(bob.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill(s)
+	s = mustNew(t, dir)
+	defer kill(s)
+	if _, err := s.authenticate(bob.Key, auth.RoleConsumer); err == nil {
+		t.Error("the rotated-out key authenticates after the crash")
+	}
+	if _, err := s.authenticate(fresh, auth.RoleConsumer); err != nil {
+		t.Errorf("the new key after the crash: %v", err)
+	}
+}
+
+// TestCrashAfterAssignGroups: killed after a group assignment, a store
+// restores it.
+func TestCrashAfterAssignGroups(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, dir)
+	alice, _ := setupAliceBob(t, s)
+	if err := s.AssignConsumerGroups(alice.Key, "Bob", []string{"Study", "Cohort-2"}); err != nil {
+		t.Fatal(err)
+	}
+	kill(s)
+	s = mustNew(t, dir)
+	defer kill(s)
+	if got := s.contributors["alice"].groups["bob"]; !reflect.DeepEqual(got, []string{"Study", "Cohort-2"}) {
+		t.Errorf("Bob's groups after the crash = %v, want [Study Cohort-2]", got)
+	}
+}
+
+// TestCrashAfterRegisterContributor: killed after a contributor's
+// registration, a store restores both the account and its empty policy.
+func TestCrashAfterRegisterContributor(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, dir)
+	alice, err := s.RegisterContributor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	kill(s)
+	s = mustNew(t, dir)
+	defer kill(s)
+	policy, err := s.Policy(alice.Key)
+	if err != nil {
+		t.Fatalf("alice after the crash: %v", err)
+	}
+	if !reflect.DeepEqual(policy, ruleindex.State{Places: []geo.Region{}}) {
+		t.Errorf("alice's policy after the crash = %+v, want the empty one", policy)
+	}
+}
+
+// TestCrashTornFinalPolicyFrame: a policy frame the crash cut short is
+// an append that never returned; the store reopens at the policy before
+// it.
+func TestCrashTornFinalPolicyFrame(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, dir)
+	alice, _ := setupAliceBob(t, s)
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	version, want := decisions(t, s, "alice")
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Deny"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	kill(s)
+	path := filepath.Join(dir, cursorLogName)
+	data := mustRead(t, path)
+	if err := os.WriteFile(path, data[:len(data)-5], 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s = mustNew(t, dir)
+	defer kill(s)
+	if v, got := decisions(t, s, "alice"); v != version || !reflect.DeepEqual(got, want) {
+		t.Errorf("after a torn policy frame: version %d, decisions %v; want version %d, %v", v, got, version, want)
+	}
+}
+
+// TestCrashMalformedPolicyFrameFailsOpen: a whole policy frame whose
+// rules do not compile is corruption, wherever it lies in the log: the
+// open fails and leaves the log as it was, rather than load a policy
+// the store never held.
+func TestCrashMalformedPolicyFrameFailsOpen(t *testing.T) {
+	bad := walframe.Append(nil, []byte(`{"policy":{"name":"alice","rules":[{"Action":"Sometimes"}],"ruleVersion":2}}`))
+	for name, after := range map[string][]byte{
+		"final": nil,
+		"inner": logOf(t, logRecord{User: &persistedUser{Name: "carol", Role: "consumer", Key: "k-carol"}}),
+		"overwritten": logOf(t, logRecord{Policy: &contributorRecord{Name: "alice", persistedContributor: persistedContributor{
+			State: ruleindex.State{Rules: json.RawMessage(`[{"Action":"Allow"}]`), RuleVersion: 3}}}}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := mustNew(t, dir)
+			alice, _ := setupAliceBob(t, s)
+			if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+				t.Fatal(err)
+			}
+			kill(s)
+			path := filepath.Join(dir, cursorLogName)
+			data := append(append(mustRead(t, path), bad...), after...)
+			if err := os.WriteFile(path, data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := New(Options{Dir: dir}); err == nil {
+				kill(s)
+				t.Fatal("a policy frame with malformed rules opened without error")
+			}
+			if got := mustRead(t, path); !bytes.Equal(got, data) {
+				t.Error("a failed open changed the log")
+			}
+		})
+	}
 }

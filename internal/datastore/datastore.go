@@ -51,8 +51,6 @@ var (
 	metricReleases = obs.NewCounterVec("sensorsafe_datastore_releases_total",
 		"Release decisions after rule enforcement, per enforcement span.",
 		"decision")
-	metricSyncPending = obs.NewGauge("sensorsafe_datastore_sync_pending",
-		"Rule replicas queued in the durable outbox awaiting a broker push.")
 	metricSyncPushes = obs.NewCounterVec("sensorsafe_datastore_sync_pushes_total",
 		"Replica pushes attempted against the sync target, by result.", "result")
 	metricAntiEntropy = obs.NewCounterVec("sensorsafe_datastore_antientropy_total",
@@ -60,9 +58,9 @@ var (
 	metricStateSaveErrors = obs.NewCounter("sensorsafe_datastore_state_save_errors_total",
 		"Cursor-log appends that failed (no caller to return the error to).")
 	metricStateWrites = obs.NewCounter("sensorsafe_datastore_state_writes_total",
-		"Full state-file rewrites.")
+		"Full state-file rewrites (log folds and Close).")
 	metricCursorLogFrames = obs.NewCounter("sensorsafe_datastore_cursor_log_frames_total",
-		"Frames appended to the cursor log (subscribes, unsubscribes, cursor advances).")
+		"Frames appended to the store's log (one per control mutation or stream change).")
 )
 
 // Errors returned by the service.
@@ -118,10 +116,11 @@ type Options struct {
 	// Name identifies this store instance (e.g. its address).
 	Name string
 	// SyncInterval, when > 0 and Sync is set, runs the background
-	// anti-entropy loop at this cadence: drain the durable outbox, exchange
-	// a version digest, push whatever the target reports as stale. Zero
-	// means reconciliation only happens on explicit AntiEntropy/ResyncAll
-	// calls (the pre-existing behavior; tests rely on it).
+	// anti-entropy loop at this cadence: exchange a version digest and
+	// push whatever the target reports as stale. That loop is what
+	// delivers a replica a failed push or a crash left behind. Zero means
+	// reconciliation only happens on explicit AntiEntropy/ResyncAll calls
+	// (tests rely on it); the shipped servers use DefaultSyncInterval.
 	SyncInterval time.Duration
 	// SegstoreDir overrides where the persistent segment engine keeps
 	// its files (default Dir/segstore). Ignored for in-memory stores.
@@ -133,6 +132,9 @@ type Options struct {
 	// period (0 disables background compaction).
 	CompactInterval time.Duration
 }
+
+// DefaultSyncInterval is the shipped servers' anti-entropy period.
+const DefaultSyncInterval = 30 * time.Second
 
 // contributorState is the per-contributor slice of an (institutional)
 // store.
@@ -159,30 +161,14 @@ type Service struct {
 
 	mu           sync.RWMutex
 	contributors map[string]*contributorState // guarded by mu
-	// pending is the durable replica outbox: contributor → rule-set version
-	// queued for push. Entries survive restarts (persisted in the state
-	// file) and are cleared only when the sync target acknowledges the
-	// version (or rejects it as stale, which means it already converged).
-	// Guarded by mu.
-	pending map[string]uint64
 
-	// saveMu serialises saveState: snapshot and write happen under it, so
-	// concurrent savers cannot collide on WriteFileAtomic's fixed temp
-	// name or commit an older snapshot after a newer one. Taken after
-	// logMu and before the stream hub's locks and mu, never while holding
-	// any of those three.
-	saveMu sync.Mutex
-
-	// logMu serialises the cursor log: every append, and every fold that
-	// writes the state file and empties the log. Taken before saveMu and
-	// the stream hub's locks.
+	// logMu serialises the store's log: every append, and every fold that
+	// writes the state file and empties the log. Lock order: logMu, then
+	// the stream hub's locks, then mu; nothing holding a hub lock or mu
+	// appends.
 	logMu     sync.Mutex
 	cursorLog *os.File // nil for in-memory stores and after Close; guarded by logMu
 	logBytes  int64    // the log's size; guarded by logMu
-	// foldKick wakes foldLoop when an append pushes the log past
-	// cursorLogFoldBytes; foldDone closes when foldLoop returns.
-	foldKick chan struct{}
-	foldDone chan struct{}
 
 	// ctx is the service's lifetime: every outbound call to the sync
 	// target and directory carries it, and Close cancels it first.
@@ -207,7 +193,6 @@ func New(opts Options) (*Service, error) {
 		web:          auth.NewPasswords(0),
 		trail:        audit.NewTrail(0),
 		contributors: make(map[string]*contributorState),
-		pending:      make(map[string]uint64),
 	}
 	//sslint:ignore ctxpropagate the service lifetime is the call-tree root of the store's outbound broker calls
 	svc.ctx, svc.cancel = context.WithCancel(context.Background())
@@ -221,11 +206,6 @@ func New(opts Options) (*Service, error) {
 		svc.cancel()
 		st.Close()
 		return nil, err
-	}
-	if opts.Dir != "" {
-		svc.foldKick = make(chan struct{}, 1)
-		svc.foldDone = make(chan struct{})
-		go svc.foldLoop()
 	}
 	if opts.Sync != nil && opts.SyncInterval > 0 {
 		svc.syncDone = make(chan struct{})
@@ -244,10 +224,6 @@ func (s *Service) Close() error {
 	if s.syncDone != nil {
 		<-s.syncDone
 		s.syncDone = nil
-	}
-	if s.foldDone != nil {
-		<-s.foldDone
-		s.foldDone = nil
 	}
 	if err := s.closeCursorLog(); err != nil {
 		s.store.Close()
@@ -292,7 +268,7 @@ func (s *Service) RegisterContributor(name string) (auth.User, error) {
 		groups: make(map[string][]string),
 	}
 	s.mu.Unlock()
-	if err := s.saveState(); err != nil {
+	if err := s.logControl(u.Name, u.Name); err != nil {
 		return u, err
 	}
 	if s.opts.Directory != nil {
@@ -326,7 +302,7 @@ func (s *Service) RegisterConsumer(name string) (auth.User, error) {
 	if err != nil {
 		return auth.User{}, err
 	}
-	return u, s.saveState()
+	return u, s.logControl(u.Name, "")
 }
 
 // RotateKey invalidates the presented API key and issues a fresh one for
@@ -341,7 +317,7 @@ func (s *Service) RotateKey(key auth.APIKey) (auth.APIKey, error) {
 	if err != nil {
 		return "", err
 	}
-	return newKey, s.saveState()
+	return newKey, s.logControl(u.Name, "")
 }
 
 // authenticate resolves a key and checks the expected role.
@@ -489,7 +465,7 @@ func (s *Service) DefinePlace(key auth.APIKey, label string, region geo.Region) 
 
 // commitPolicy compiles the contributor's next policy from the rules and
 // places change derives from the current one, swaps it in at the next
-// version, and persists and replicates it.
+// version, logs it and replicates it.
 func (s *Service) commitPolicy(contributor string, change func(cur *ruleindex.Index) ([]*rules.Rule, []geo.Region)) error {
 	s.mu.Lock()
 	st, err := s.stateLocked(contributor)
@@ -498,19 +474,19 @@ func (s *Service) commitPolicy(contributor string, change func(cur *ruleindex.In
 		var next *ruleindex.Index
 		if next, err = ruleindex.Compile(rs, places, st.policy.Version()+1); err == nil {
 			st.policy = next
-			s.enqueueSyncLocked(contributor, next.Version())
 		}
 	}
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := s.saveState(); err != nil {
+	if err := s.logControl("", contributor); err != nil {
 		return err
 	}
-	// Replicate best-effort: the change is already committed locally and
-	// queued in the durable outbox, so a broker outage here is not an
-	// error — the anti-entropy loop (or ResyncAll) delivers it later.
+	// Replicate best-effort: the change is already durable, so a broker
+	// outage here is not an error. The target then still holds the older
+	// version, which the next anti-entropy round's digest reports, so
+	// that round (or ResyncAll) pushes this one.
 	_ = s.pushSync(contributor)
 	return nil
 }
@@ -544,24 +520,14 @@ func (s *Service) AssignConsumerGroups(key auth.APIKey, consumer string, groups 
 	}
 	st.groups[normName(consumer)] = append([]string(nil), groups...)
 	s.mu.Unlock()
-	return s.saveState()
-}
-
-// enqueueSyncLocked records a replica version in the durable outbox;
-// caller holds s.mu.
-func (s *Service) enqueueSyncLocked(contributor string, version uint64) {
-	if s.opts.Sync == nil {
-		return
-	}
-	s.pending[normName(contributor)] = version
-	metricSyncPending.Set(float64(len(s.pending)))
+	return s.logControl("", u.Name)
 }
 
 // pushSync replicates the contributor's rules and places (stamped with
-// the current rule version) to the sync target, if configured. On success
-// — or on a stale rejection, which means the target already converged
-// past this version — the outbox entry is cleared; on any other failure
-// it stays queued for the anti-entropy loop.
+// the current rule version) to the sync target, if configured. A stale
+// rejection means the target already converged past this version and is
+// no error; any other failure leaves the replica behind for the next
+// anti-entropy round.
 func (s *Service) pushSync(contributor string) error {
 	if s.opts.Sync == nil {
 		return nil
@@ -574,8 +540,7 @@ func (s *Service) pushSync(contributor string) error {
 	if err != nil {
 		return err
 	}
-	version := ps.RuleVersion
-	err = s.opts.Sync.SyncRulesCtx(s.ctx, contributor, version, ps.RuleSet(), ps.Places)
+	err = s.opts.Sync.SyncRulesCtx(s.ctx, contributor, ps.RuleVersion, ps.RuleSet(), ps.Places)
 	switch {
 	case err == nil:
 		metricSyncPushes.With("ok").Inc()
@@ -585,14 +550,6 @@ func (s *Service) pushSync(contributor string) error {
 		metricSyncPushes.With("error").Inc()
 		return err
 	}
-	s.mu.Lock()
-	if v, ok := s.pending[normName(contributor)]; ok && v <= version {
-		delete(s.pending, normName(contributor))
-		metricSyncPending.Set(float64(len(s.pending)))
-		s.mu.Unlock()
-		return s.saveState()
-	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -614,54 +571,30 @@ func (s *Service) ResyncAll() error {
 	return nil
 }
 
-// SyncBacklog reports how many replicas sit in the durable outbox.
-func (s *Service) SyncBacklog() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.pending)
-}
-
 // AntiEntropy performs one reconciliation round against the sync target:
-// drain the durable outbox, then exchange a version digest and push
-// whatever the target reports as stale. Returns the first error so the
-// background loop can back off; partial progress still counts (each
-// successful push clears its own outbox entry).
+// exchange a version digest and push every replica the target reports as
+// behind, which covers any push a broker outage or a crash cut off.
+// Returns the first error so the background loop can back off; the
+// other pushes still run.
 func (s *Service) AntiEntropy() error {
 	if s.opts.Sync == nil {
 		return nil
 	}
 	s.mu.RLock()
-	queued := make([]string, 0, len(s.pending))
-	for name := range s.pending {
-		queued = append(queued, name)
-	}
 	versions := make(map[string]uint64, len(s.contributors))
 	for name, cs := range s.contributors {
 		versions[name] = cs.policy.Version()
 	}
 	s.mu.RUnlock()
-	sort.Strings(queued)
-	var firstErr error
-	for _, name := range queued {
-		if err := s.pushSync(name); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
 	stale, err := s.opts.Sync.SyncDigestCtx(s.ctx, s.opts.Name, versions)
-	if err != nil {
-		if firstErr == nil {
-			firstErr = err
-		}
-	} else {
-		for _, name := range stale {
-			if err := s.pushSync(name); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, name := range stale {
+		if perr := s.pushSync(name); perr != nil && err == nil {
+			err = perr
 		}
 	}
-	if firstErr != nil {
+	if err != nil {
 		metricAntiEntropy.With("error").Inc()
-		return firstErr
+		return err
 	}
 	metricAntiEntropy.With("ok").Inc()
 	return nil

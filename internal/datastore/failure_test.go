@@ -3,6 +3,7 @@ package datastore
 import (
 	"context"
 	"errors"
+	"sort"
 	"testing"
 
 	"sensorsafe/internal/geo"
@@ -10,25 +11,39 @@ import (
 )
 
 // failingSync simulates a broker that is down or rejecting replicas; flip
-// down to false to heal it.
+// down to false to heal it. Like the broker, it keeps the version of each
+// replica it applied, and its digest names the contributors whose store
+// version is ahead of that.
 type failingSync struct {
-	down  bool
-	calls int
+	down    bool
+	calls   int
+	applied map[string]uint64
 }
 
-func (f *failingSync) SyncRulesCtx(context.Context, string, uint64, []byte, []geo.Region) error {
+func (f *failingSync) SyncRulesCtx(_ context.Context, contributor string, version uint64, _ []byte, _ []geo.Region) error {
 	f.calls++
 	if f.down {
 		return errors.New("broker unreachable")
 	}
+	if f.applied == nil {
+		f.applied = make(map[string]uint64)
+	}
+	f.applied[normName(contributor)] = version
 	return nil
 }
 
-func (f *failingSync) SyncDigestCtx(context.Context, string, map[string]uint64) ([]string, error) {
+func (f *failingSync) SyncDigestCtx(_ context.Context, _ string, versions map[string]uint64) ([]string, error) {
 	if f.down {
 		return nil, errors.New("broker unreachable")
 	}
-	return nil, nil
+	var stale []string
+	for name, v := range versions {
+		if v > f.applied[normName(name)] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	return stale, nil
 }
 
 func TestSyncFailureDoesNotCorruptStore(t *testing.T) {
@@ -38,16 +53,16 @@ func TestSyncFailureDoesNotCorruptStore(t *testing.T) {
 	alice, bob := setupAliceBob(t, s)
 
 	// SetRules succeeds locally even though the broker is down: the change
-	// is committed and queued in the durable outbox instead of surfacing
-	// the push failure to the contributor.
+	// is committed and the replica left behind instead of surfacing the
+	// push failure to the contributor.
 	if err := s.SetRules(alice.Key, []byte(`[{"Consumer":["Bob"],"Action":"Allow"}]`)); err != nil {
 		t.Fatalf("broker outage must not fail a local rule change: %v", err)
 	}
 	if sync.calls == 0 {
 		t.Fatal("sync was never attempted")
 	}
-	if s.SyncBacklog() != 1 {
-		t.Fatalf("failed push should stay in the outbox: backlog = %d", s.SyncBacklog())
+	if v := sync.applied["alice"]; v != 0 {
+		t.Fatalf("failed push reached the target: replica version = %d", v)
 	}
 	// The rules were installed locally and enforcement works: the store is
 	// authoritative, the broker replica is best-effort.
@@ -68,14 +83,48 @@ func TestSyncFailureDoesNotCorruptStore(t *testing.T) {
 	if err := s.AntiEntropy(); err == nil {
 		t.Error("anti-entropy against a failing broker should error")
 	}
-	// Recovery: when the broker returns, one anti-entropy round drains the
-	// outbox.
+	// Recovery: when the broker returns, one anti-entropy round's digest
+	// finds the replica behind and pushes it.
 	sync.down = false
 	if err := s.AntiEntropy(); err != nil {
 		t.Fatalf("anti-entropy after recovery: %v", err)
 	}
-	if s.SyncBacklog() != 0 {
-		t.Fatalf("outbox should drain after recovery: backlog = %d", s.SyncBacklog())
+	if v := sync.applied["alice"]; v != 1 {
+		t.Fatalf("replica version after recovery = %d, want 1", v)
+	}
+}
+
+// TestCrashAfterCommitBeforePush: a rule change is durable when SetRules
+// returns, before its push succeeds. A store killed with the push failed
+// and reopened against a working target converges the replica in one
+// anti-entropy round.
+func TestCrashAfterCommitBeforePush(t *testing.T) {
+	dir := t.TempDir()
+	down := &failingSync{down: true}
+	s, err := New(Options{Dir: dir, Sync: down})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, _ := setupAliceBob(t, s)
+	if err := s.SetRules(alice.Key, []byte(`[{"Consumer":["Bob"],"Action":"Allow"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	if down.calls == 0 {
+		t.Fatal("sync was never attempted")
+	}
+	kill(s)
+
+	up := &failingSync{}
+	s, err = New(Options{Dir: dir, Sync: up})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kill(s)
+	if err := s.AntiEntropy(); err != nil {
+		t.Fatal(err)
+	}
+	if v := up.applied["alice"]; v != 1 {
+		t.Fatalf("replica version after reopen and anti-entropy = %d, want 1", v)
 	}
 }
 

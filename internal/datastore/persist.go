@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/resilience"
@@ -16,12 +15,12 @@ import (
 
 // Metadata persistence: sensor data lives in the segment engine; everything
 // else a store must not lose across restarts — accounts and API keys,
-// privacy rules, labeled places, consumer group assignments, the sync
-// outbox and stream subscriptions — is kept in a JSON state file,
-// rewritten atomically (tmp + rename) on every control mutation. Stream
-// subscribes, unsubscribes and cursor advances instead append one frame
-// to the cursor log (cursorlog.go), which a later rewrite folds in.
-// In-memory stores (Dir == "") skip persistence entirely.
+// privacy rules, labeled places, consumer group assignments and stream
+// subscriptions — is kept in two files. Every control mutation and every
+// stream change appends one frame to the store's log (cursorlog.go),
+// fsynced before the call returns. The JSON state file is the snapshot
+// that log is folded into: only a fold writes it, atomically (tmp +
+// rename). In-memory stores (Dir == "") skip persistence entirely.
 
 // stateFileName is the metadata file inside the store directory.
 const stateFileName = "state.json"
@@ -32,33 +31,34 @@ type persistedUser struct {
 	Key  auth.APIKey `json:"key"`
 }
 
+func userRecord(u auth.User) *persistedUser {
+	return &persistedUser{Name: u.Name, Role: u.Role.String(), Key: u.Key}
+}
+
 type persistedContributor struct {
 	ruleindex.State
 	Groups map[string][]string `json:"groups,omitempty"`
 }
 
+// persistedState is the state file. Files written while the store kept
+// a durable sync outbox also hold "pendingSync"; decoding ignores it,
+// since the anti-entropy digest finds every replica it listed.
 type persistedState struct {
 	Users        []persistedUser                  `json:"users"`
 	Contributors map[string]*persistedContributor `json:"contributors"`
 	// Subscriptions are the live-sharing registrations and their durable
-	// cursors as of this write; the cursor log holds the changes since.
+	// cursors as of this write; the log holds the changes since.
 	// Buffered-but-unacked segments are not persisted and surface as a
 	// gap event after a restart.
 	Subscriptions []stream.SubscriptionState `json:"subscriptions,omitempty"`
-	// PendingSync is the durable replica outbox: contributor → rule-set
-	// version still awaiting acknowledgment from the sync target. Persisted
-	// so a crash between a rule change and a successful broker push cannot
-	// silently drop the replica.
-	PendingSync map[string]uint64 `json:"pendingSync,omitempty"`
 }
 
-// saveState writes the metadata file. Callers must not hold s.mu.
+// saveState writes the metadata file. Its one caller is the fold, which
+// holds s.logMu and no other of the store's locks.
 func (s *Service) saveState() error {
 	if s.opts.Dir == "" {
 		return nil
 	}
-	s.saveMu.Lock()
-	defer s.saveMu.Unlock()
 	st, err := s.snapshotState()
 	if err != nil {
 		return err
@@ -78,42 +78,38 @@ func (s *Service) snapshotState() (*persistedState, error) {
 	st := &persistedState{Contributors: make(map[string]*persistedContributor)}
 	st.Subscriptions = s.stream.Snapshot() // before s.mu: hub locks never nest inside it
 	for _, u := range s.users.Snapshot() {
-		st.Users = append(st.Users, persistedUser{Name: u.Name, Role: u.Role.String(), Key: u.Key})
+		st.Users = append(st.Users, *userRecord(u))
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.pending) > 0 {
-		st.PendingSync = make(map[string]uint64, len(s.pending))
-		for name, v := range s.pending {
-			st.PendingSync[name] = v
-		}
-	}
-	names := make([]string, 0, len(s.contributors))
-	for name := range s.contributors {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		cs := s.contributors[name]
-		ps, err := cs.policy.State()
+	for name, cs := range s.contributors {
+		pc, err := cs.persisted()
 		if err != nil {
 			return nil, err
 		}
-		pc := &persistedContributor{State: ps}
-		if len(cs.groups) > 0 {
-			pc.Groups = make(map[string][]string, len(cs.groups))
-			for consumer, groups := range cs.groups {
-				pc.Groups[consumer] = append([]string(nil), groups...)
-			}
-		}
-		st.Contributors[name] = pc
+		st.Contributors[name] = &pc
 	}
 	return st, nil
 }
 
+// persisted returns the contributor's stored form; callers hold s.mu.
+func (cs *contributorState) persisted() (persistedContributor, error) {
+	ps, err := cs.policy.State()
+	if err != nil {
+		return persistedContributor{}, err
+	}
+	pc := persistedContributor{State: ps}
+	if len(cs.groups) > 0 {
+		pc.Groups = make(map[string][]string, len(cs.groups))
+		for consumer, groups := range cs.groups {
+			pc.Groups[consumer] = append([]string(nil), groups...)
+		}
+	}
+	return pc, nil
+}
+
 // loadState restores metadata at startup: the state file (a missing one
-// is a fresh store), then the cursor log replayed over its
-// subscriptions.
+// is a fresh store), then the log replayed over it.
 func (s *Service) loadState() error {
 	if s.opts.Dir == "" {
 		return nil
@@ -133,7 +129,7 @@ func (s *Service) loadState() error {
 	if err != nil {
 		return err
 	}
-	if st.Subscriptions, err = replayCursorLog(st.Subscriptions, logged); err != nil {
+	if err := replayLog(&st, logged); err != nil {
 		return err
 	}
 	users := make([]auth.User, 0, len(st.Users))
@@ -161,9 +157,5 @@ func (s *Service) loadState() error {
 		}
 		s.contributors[name] = cs
 	}
-	for name, v := range st.PendingSync {
-		s.pending[name] = v
-	}
-	metricSyncPending.Set(float64(len(s.pending)))
 	return nil
 }

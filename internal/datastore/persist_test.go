@@ -2,6 +2,7 @@ package datastore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -109,7 +110,7 @@ func TestTornTempFileDoesNotCorruptState(t *testing.T) {
 	// Crash simulation: a process died mid-save, leaving a torn temp file
 	// next to a complete state file (the atomic-rename protocol's only
 	// possible wreckage). Reopen must load the intact state, and the next
-	// save must clobber the debris rather than trip over it.
+	// fold must clobber the debris rather than trip over it.
 	dir := t.TempDir()
 	s, err := New(Options{Dir: dir})
 	if err != nil {
@@ -140,8 +141,11 @@ func TestTornTempFileDoesNotCorruptState(t *testing.T) {
 	if err != nil || len(data) == 0 {
 		t.Fatalf("state lost after torn-temp crash: %v", err)
 	}
-	// The next save overwrites the debris and leaves no temp behind.
+	// The next fold overwrites the debris and leaves no temp behind.
 	if _, err := s2.RegisterConsumer("Bob"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.foldCursorLog(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(torn); !os.IsNotExist(err) {
@@ -157,6 +161,9 @@ func TestStateFilePermissions(t *testing.T) {
 	}
 	defer s.Close()
 	if _, err := s.RegisterContributor("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.foldCursorLog(); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(filepath.Join(dir, stateFileName))
@@ -267,11 +274,11 @@ func TestEveryRuleSetHasAnIndex(t *testing.T) {
 }
 
 // TestConcurrentSavesNeitherFailNorRegress races rule mutations, which
-// rewrite the state file and return the save's error, against stream
-// registrations and acks, which append to the cursor log through the
-// hub's OnChange hook. Unserialised, state-file writers collide on
-// WriteFileAtomic's temp name (SetRules fails although the rules took
-// effect) and can commit an older snapshot last.
+// append to the log and return the append's error, against stream
+// registrations and acks, which append to it through the hub's OnChange
+// hook. Every append returns without error, and the copy taken before any
+// fold reopens at the last rule version and every last cursor: no
+// frame with an older state landed after a newer one.
 func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 	ctx := context.Background()
 	const workers, rounds = 4, 12
@@ -327,11 +334,15 @@ func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Reopen a copy of the state file and the cursor log as they stand
-	// now: closing s would save once more and mask a stale last write.
+	// Reopen a copy of the state file and the log as they stand now:
+	// closing s would save once more and mask a stale last write. No fold
+	// has run, so there may be no state file yet.
 	dir2 := t.TempDir()
 	for _, name := range []string{stateFileName, cursorLogName} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) && name == stateFileName {
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,5 +365,25 @@ func TestConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 		if !again.Resumed || again.ID != subs[i].ID || again.Cursor != strconv.Itoa(rounds) {
 			t.Errorf("reopened subscription %d = %+v, want resumed at cursor %d", i, again, rounds)
 		}
+	}
+}
+
+// TestMutationAfterCloseFails: Close folds and closes a persistent
+// store's log, so a control mutation that arrives later reports that it
+// was not made durable instead of returning as if it were.
+func TestMutationAfterCloseFails(t *testing.T) {
+	s, err := New(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := s.RegisterContributor("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err == nil {
+		t.Error("SetRules after Close returned no error, but nothing logged it")
 	}
 }

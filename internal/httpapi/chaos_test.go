@@ -228,10 +228,10 @@ func TestChaosMutationExactlyOnce(t *testing.T) {
 }
 
 // TestChaosBrokerOutageConvergence revokes a contributor's rules while the
-// broker is unreachable. The store's durable outbox holds the push; after
-// the partition heals, one anti-entropy round must converge the broker's
-// replica so the revoked rules are no longer served by search, and the
-// staleness gauge returns to zero.
+// broker is unreachable. The push is lost; after the partition heals, one
+// anti-entropy round's digest must find the replica behind and converge
+// it, so the revoked rules are no longer served by search and no replica
+// reads stale.
 func TestChaosBrokerOutageConvergence(t *testing.T) {
 	ctx := context.Background()
 	d := deployChaos(t, nil, nil)
@@ -255,13 +255,13 @@ func TestChaosBrokerOutageConvergence(t *testing.T) {
 	}
 
 	// Partition the broker, then revoke everything. The store accepts the
-	// change (the push waits in the outbox) instead of failing the user.
+	// change instead of failing the user; the push never arrives.
 	d.brokerNet.Configure(faultnet.Rule{Path: "/", Drop: 1})
 	if err := d.storeClient.SetRulesCtx(ctx, alice.Key, []byte(`[]`)); err != nil {
 		t.Fatalf("revocation during outage must succeed locally: %v", err)
 	}
-	if d.storeSvc.SyncBacklog() == 0 {
-		t.Fatal("revocation should be queued for the broker")
+	if r := d.brokerSvc.Replicas(); len(r) != 1 || r[0].Version != 1 {
+		t.Fatalf("replicas during partition = %+v, want alice still at version 1", r)
 	}
 	// The broker still serves the stale replica during the partition —
 	// that is the window anti-entropy exists to close.
@@ -275,8 +275,8 @@ func TestChaosBrokerOutageConvergence(t *testing.T) {
 	if err := d.storeSvc.AntiEntropy(); err != nil {
 		t.Fatalf("anti-entropy after heal: %v", err)
 	}
-	if d.storeSvc.SyncBacklog() != 0 {
-		t.Fatalf("outbox should drain, %d pending", d.storeSvc.SyncBacklog())
+	if r := d.brokerSvc.Replicas(); len(r) != 1 || r[0].Version != 2 {
+		t.Fatalf("replicas after anti-entropy = %+v, want alice at version 2", r)
 	}
 	found, err = consumer.SearchCtx(ctx, bob.Key, &broker.SearchQuery{Sensors: []string{"ECG"}, Reference: t0})
 	if err != nil {
