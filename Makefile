@@ -70,7 +70,9 @@ chaos:
 # Short fuzz campaigns on every fuzzer: the untrusted-input parsers
 # (including the traceparent header and context labels), the one-pass
 # Fig. 5 JSON decoders against encoding/json, the WAL replay, the
-# segment file format, the manifest and the cursor log. Patterns are
+# segment file format, the manifest, the cursor log and the broker's
+# log (its inputs each open a broker on disk, so minimizing one is cut
+# short to keep the campaign fuzzing). Patterns are
 # anchored because -fuzz must match exactly one target per package.
 fuzz:
 	$(GO) test -fuzz='^FuzzRuleJSON$$' -fuzztime=30s ./internal/rules/
@@ -84,12 +86,13 @@ fuzz:
 	$(GO) test -fuzz='^FuzzSegmentFile$$' -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz='^FuzzManifest$$' -fuzztime=30s ./internal/segstore/
 	$(GO) test -fuzz='^FuzzCursorLog$$' -fuzztime=30s ./internal/datastore/
+	$(GO) test -fuzz='^FuzzBrokerLog$$' -fuzztime=30s -fuzzminimizetime=200x ./internal/broker/
 	$(GO) test -fuzz='^FuzzTraceparent$$' -fuzztime=30s ./internal/obs/trace/
 
 # fuzz-seeds replays the checked-in fuzz corpora once (no new inputs) so
 # CI catches regressions on known-tricky parser inputs cheaply.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/httpapi/ ./internal/jsonwire/ ./internal/query/ ./internal/segstore/ ./internal/datastore/ ./internal/obs/trace/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/rules/ ./internal/wavesegment/ ./internal/httpapi/ ./internal/jsonwire/ ./internal/query/ ./internal/segstore/ ./internal/datastore/ ./internal/broker/ ./internal/obs/trace/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -5,7 +5,11 @@
 //
 // Usage:
 //
-//	brokerserver -listen :8080
+//	brokerserver -listen :8080 [-dir DIR]
+//
+// With -dir, every mutation appends one fsynced frame to DIR/broker.log,
+// and a graceful stop (SIGINT/SIGTERM) folds that log into
+// DIR/broker_state.json; after a crash the next start replays and folds it.
 //
 // The broker exposes Prometheus metrics at /metrics and a JSON health report
 // at /healthz; pass -pprof to additionally mount net/http/pprof profiling
@@ -81,6 +85,10 @@ func main() {
 	defer cancel()
 	if err := server.Shutdown(shutdownCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("shutdown", "err", err)
+	}
+	// Fold the broker's log into its state file, leaving the log empty.
+	if err := svc.Close(); err != nil {
+		logger.Error("close", "err", err)
 	}
 }
 

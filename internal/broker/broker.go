@@ -24,6 +24,7 @@ import (
 	"sensorsafe/internal/obs/trace"
 	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/ruleindex"
+	"sensorsafe/internal/walframe"
 )
 
 // StoreConn is the broker's handle to one remote data store, used to
@@ -95,9 +96,11 @@ type Service struct {
 	users *auth.Registry
 	web   *auth.Passwords
 	dir   string // persistence directory ("" = in-memory)
-	// saveMu serialises saveState (snapshot + write), for the reason
-	// datastore.Service.saveMu gives; taken before mu, never under it.
-	saveMu sync.Mutex
+	// logMu serialises the broker's log: every append, and every fold
+	// that writes the state file and empties the log. Lock order: logMu,
+	// then mu; nothing holding mu appends.
+	logMu sync.Mutex
+	log   *walframe.Log // nil for an in-memory broker; guarded by logMu
 
 	mu           sync.RWMutex
 	contributors map[string]*contributorEntry // guarded by mu
@@ -106,7 +109,13 @@ type Service struct {
 	studies      map[string]map[string]bool   // study → consumer set; guarded by mu
 	rosters      map[string]map[string]string // study → norm contributor → display name; guarded by mu
 	dial         func(addr string) StoreConn  // guarded by mu
+	// provisioning marks each (consumer, store) pair a Connect is
+	// provisioning; the channel closes when it is done. guarded by mu
+	provisioning map[provision]chan struct{}
 }
+
+// provision names a consumer, by normalized name, on a store.
+type provision struct{ consumer, store string }
 
 // New returns an empty broker.
 func New() *Service {
@@ -118,6 +127,7 @@ func New() *Service {
 		stores:       make(map[string]StoreConn),
 		studies:      make(map[string]map[string]bool),
 		rosters:      make(map[string]map[string]string),
+		provisioning: make(map[provision]chan struct{}),
 	}
 }
 
@@ -163,7 +173,7 @@ func (s *Service) RegisterContributor(_ context.Context, name, storeAddr string)
 	}
 	metricDirectorySize.Set(float64(len(s.contributors)))
 	s.mu.Unlock()
-	return s.saveState()
+	return s.logChange(change{contributors: []string{norm(name)}})
 }
 
 // SyncRules receives a contributor's rule replica stamped with the
@@ -214,7 +224,7 @@ func (s *Service) SyncRules(_ context.Context, contributor string, version uint6
 	metricDirectorySize.Set(float64(len(s.contributors)))
 	s.recomputeStaleLocked()
 	s.mu.Unlock()
-	return s.saveState()
+	return s.logChange(change{contributors: []string{norm(contributor)}})
 }
 
 // SyncDigest is the anti-entropy exchange: the store reports every
@@ -224,23 +234,21 @@ func (s *Service) SyncRules(_ context.Context, contributor string, version uint6
 // never heard of (lost registration) are created with the reporting
 // store's address, and missing store addresses are backfilled.
 func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
-	var stale []string
+	var stale, changed []string
 	s.mu.Lock()
-	changed := false
 	for name, v := range versions {
 		e, ok := s.contributors[norm(name)]
 		if !ok {
-			e = &contributorEntry{name: name, storeAddr: storeAddr, policy: ruleindex.Empty()}
+			e = &contributorEntry{name: name, policy: ruleindex.Empty()}
 			s.contributors[norm(name)] = e
-			changed = true
-		} else if e.storeAddr == "" && storeAddr != "" {
+		}
+		if !ok || e.storeAddr == "" && storeAddr != "" || v > e.storeVersion {
+			changed = append(changed, norm(name))
+		}
+		if e.storeAddr == "" {
 			e.storeAddr = storeAddr
-			changed = true
 		}
-		if v > e.storeVersion {
-			e.storeVersion = v
-			changed = true
-		}
+		e.storeVersion = max(e.storeVersion, v)
 		if e.storeVersion > e.policy.Version() {
 			stale = append(stale, e.name)
 		}
@@ -249,8 +257,8 @@ func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[s
 	s.recomputeStaleLocked()
 	s.mu.Unlock()
 	sort.Strings(stale)
-	if changed {
-		if err := s.saveState(); err != nil {
+	if len(changed) > 0 {
+		if err := s.logChange(change{contributors: changed}); err != nil {
 			return stale, err
 		}
 	}
@@ -310,7 +318,7 @@ func (s *Service) RegisterConsumer(name string) (auth.User, error) {
 		keys:  make(map[string]auth.APIKey),
 	}
 	s.mu.Unlock()
-	return u, s.saveState()
+	return u, s.logChange(change{user: name, consumer: norm(name)})
 }
 
 func (s *Service) authConsumer(key auth.APIKey) (auth.User, *consumerEntry, error) {
@@ -358,29 +366,51 @@ func (s *Service) Connect(ctx context.Context, key auth.APIKey, contributor stri
 	if err != nil {
 		return Credential{}, err
 	}
-	s.mu.RLock()
-	ce, ok := s.contributors[norm(contributor)]
-	var conn StoreConn
-	var addr string
-	if ok {
-		addr = ce.storeAddr
-		conn = s.stores[addr]
-	}
-	if ok {
-		if k, vaulted := e.keys[addr]; vaulted {
-			s.mu.RUnlock()
+	// One Connect provisions a (consumer, store) pair, since the store
+	// registers a name once: any other waits for it outside mu, then
+	// reads the vault again.
+	var p provision
+	var done chan struct{}
+	for {
+		s.mu.Lock()
+		ce, ok := s.contributors[norm(contributor)]
+		if !ok {
+			s.mu.Unlock()
+			return Credential{}, fmt.Errorf("%w: %s", ErrUnknownContributor, contributor)
+		}
+		p = provision{norm(u.Name), ce.storeAddr}
+		k, vaulted := e.keys[p.store]
+		busy, inFlight := s.provisioning[p]
+		if !vaulted && !inFlight {
+			done = make(chan struct{})
+			s.provisioning[p] = done
+		}
+		s.mu.Unlock()
+		if vaulted {
 			cspan.SetAttr(trace.Bool("vaulted", true))
-			return Credential{StoreAddr: addr, Key: k}, nil
+			return Credential{StoreAddr: p.store, Key: k}, nil
+		}
+		if !inFlight {
+			break
+		}
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			return Credential{}, ctx.Err()
 		}
 	}
-	s.mu.RUnlock()
-	if !ok {
-		return Credential{}, fmt.Errorf("%w: %s", ErrUnknownContributor, contributor)
-	}
-	if conn == nil && addr != "" {
-		// Snapshot the dial hook and re-check the cache under the lock, but
-		// run the dial itself unlocked: a slow or hung connect must not
-		// stall every other broker operation behind mu.
+	defer func() {
+		s.mu.Lock()
+		delete(s.provisioning, p)
+		s.mu.Unlock()
+		close(done)
+	}()
+	addr := p.store
+	var conn StoreConn
+	if addr != "" {
+		// Snapshot the dial hook and the cache under the lock, but run the
+		// dial itself unlocked: a slow or hung connect must not stall every
+		// other broker operation behind mu.
 		s.mu.RLock()
 		dial := s.dial
 		conn = s.stores[addr]
@@ -411,7 +441,7 @@ func (s *Service) Connect(ctx context.Context, key auth.APIKey, contributor stri
 	s.mu.Lock()
 	e.keys[addr] = storeKey
 	s.mu.Unlock()
-	if err := s.saveState(); err != nil {
+	if err := s.logChange(change{consumer: norm(u.Name)}); err != nil {
 		return Credential{}, err
 	}
 	return Credential{StoreAddr: addr, Key: storeKey}, nil
@@ -436,7 +466,7 @@ func (s *Service) Credentials(key auth.APIKey) ([]Credential, error) {
 
 // SaveList stores a named contributor list in the consumer's account.
 func (s *Service) SaveList(key auth.APIKey, listName string, members []string) error {
-	_, e, err := s.authConsumer(key)
+	u, e, err := s.authConsumer(key)
 	if err != nil {
 		return err
 	}
@@ -446,7 +476,7 @@ func (s *Service) SaveList(key auth.APIKey, listName string, members []string) e
 	s.mu.Lock()
 	e.lists[norm(listName)] = append([]string(nil), members...)
 	s.mu.Unlock()
-	return s.saveState()
+	return s.logChange(change{consumer: norm(u.Name)})
 }
 
 // List retrieves a saved contributor list.
@@ -474,7 +504,7 @@ func (s *Service) CreateStudy(name string) error {
 		s.studies[norm(name)] = make(map[string]bool)
 	}
 	s.mu.Unlock()
-	return s.saveState()
+	return s.logChange(change{study: norm(name)})
 }
 
 // JoinStudy adds the consumer to a study; study membership feeds
@@ -495,7 +525,7 @@ func (s *Service) JoinStudy(key auth.APIKey, study string) error {
 		e.groups = append(e.groups, study)
 	}
 	s.mu.Unlock()
-	return s.saveState()
+	return s.logChange(change{consumer: norm(u.Name), study: norm(study)})
 }
 
 // EnrollContributor adds a contributor to a study's cohort roster — the
@@ -518,7 +548,7 @@ func (s *Service) EnrollContributor(study, contributor string) error {
 	}
 	roster[norm(contributor)] = contributor
 	s.mu.Unlock()
-	return s.saveState()
+	return s.logChange(change{roster: norm(study)})
 }
 
 // StudyContributors lists a study's enrolled contributor cohort, sorted.

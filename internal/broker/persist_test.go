@@ -131,15 +131,18 @@ func TestBrokerCorruptState(t *testing.T) {
 
 func TestBrokerTornTempFileDoesNotCorruptState(t *testing.T) {
 	ctx := context.Background()
-	// A crash mid-save leaves a torn temp file but never a torn state
+	// A crash mid-fold leaves a torn temp file but never a torn state
 	// file (write-temp → fsync → rename). Reopen must succeed on the
-	// intact state and the next save must replace the debris.
+	// intact state and the next fold must replace the debris.
 	dir := t.TempDir()
 	b, err := NewPersistent(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.SyncRules(ctx, "alice", 1, []byte(`[{"Action":"Allow"}]`), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
 	torn := filepath.Join(dir, stateFileName+".tmp")
@@ -158,6 +161,9 @@ func TestBrokerTornTempFileDoesNotCorruptState(t *testing.T) {
 	if _, err := b2.RegisterConsumer("bob"); err != nil {
 		t.Fatal(err)
 	}
+	if err := b2.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := os.Stat(torn); !os.IsNotExist(err) {
 		t.Errorf("temp file should be gone after a successful save: %v", err)
 	}
@@ -173,6 +179,16 @@ func TestBrokerStateFilePermissions(t *testing.T) {
 	if u.Key == "" {
 		t.Fatal("no key issued")
 	}
+	logInfo, err := os.Stat(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perm := logInfo.Mode().Perm(); perm != 0o600 {
+		t.Errorf("log mode = %o, want 600 (contains API keys)", perm)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
 	info, err := os.Stat(filepath.Join(dir, stateFileName))
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +198,11 @@ func TestBrokerStateFilePermissions(t *testing.T) {
 	}
 }
 
-// TestBrokerConcurrentSavesNeitherFailNorRegress races the broker's state
-// writers: stores pushing rule replicas beside consumers registering.
-// Unserialised saves collide on WriteFileAtomic's temp name (a call fails
-// although its mutation took effect) and can commit an older snapshot last.
+// TestBrokerConcurrentSavesNeitherFailNorRegress races the broker's
+// mutations: stores pushing rule replicas beside consumers registering.
+// Unserialised appends could interleave frames or land an older frame
+// last, and a call could fail although its mutation took effect; Close
+// then folds what they logged into the state file the reopen reads.
 func TestBrokerConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 	ctx := context.Background()
 	const workers, rounds = 4, 12
@@ -219,6 +236,9 @@ func TestBrokerConcurrentSavesNeitherFailNorRegress(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	b2, err := NewPersistent(dir)
 	if err != nil {

@@ -4,10 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"sensorsafe/internal/ruleindex"
@@ -21,18 +18,14 @@ import (
 // stream subscribe, unsubscribe and cursor advance appends one walframe
 // frame with the new state of what it changed, and fsyncs it before the
 // call returns. Restart reads state.json as the snapshot and replays the
-// log over it. Once the log passes cursorLogFoldBytes, and on Close, it
-// is folded: state.json is rewritten and the log emptied.
+// log over it. Once the log reaches walframe.FoldBytes, and on Close, it
+// is folded: state.json is rewritten and the log emptied. The file
+// mechanics are walframe.Log's; logMu guards it.
 
 // cursorLogName is the log inside the store directory. It held only
 // stream cursors when it was named, and keeps the name so those
 // directories replay unchanged.
 const cursorLogName = "cursors.log"
-
-// cursorLogFoldBytes is the log size past which the append that crosses
-// it folds the log into state.json: at about 100 bytes a cursor frame,
-// some ten thousand acks.
-const cursorLogFoldBytes = 1 << 20
 
 // logRecord is one frame's body: at least one of
 //   - a subscription's durable state after a subscribe or cursor
@@ -127,47 +120,40 @@ func replayLog(st *persistedState, data []byte) error {
 	return nil
 }
 
-// openCursorLog opens the directory's log for appending, creating it
-// empty, and returns what it holds.
-func (s *Service) openCursorLog() ([]byte, error) {
-	f, err := os.OpenFile(filepath.Join(s.opts.Dir, cursorLogName), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("datastore: open cursor log: %w", err)
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("datastore: read cursor log: %w", err)
-	}
-	if d, err := os.Open(s.opts.Dir); err == nil { // make a new file's name durable
-		_ = d.Sync()
-		d.Close()
-	}
-	s.logMu.Lock()
-	s.cursorLog, s.logBytes = f, int64(len(data))
-	s.logMu.Unlock()
-	return data, nil
-}
-
 // logChange appends one frame, built by read from the store's current
 // state, and fsyncs it. read runs under logMu, so frames about one thing
 // follow the order its changes took, none follows a removal, and the
 // last frame about it is its newest state. Callers hold neither s.mu nor
-// a hub lock: a fold may run before logChange returns.
+// a hub lock: a fold may run before logChange returns. The append that
+// takes the log to walframe.FoldBytes folds it; the frame is durable
+// either way, so a failed fold is logged and the next append tries again.
+// A fold writes state.json under logMu, so every change whose call
+// returned is in that state.json or in the log after it.
 func (s *Service) logChange(read func(rec *logRecord) error) error {
 	s.logMu.Lock()
 	defer s.logMu.Unlock()
-	if s.cursorLog == nil {
-		if s.opts.Dir == "" {
-			return nil // in-memory store
-		}
-		return errors.New("datastore: store is closed")
+	if s.log == nil {
+		return nil // in-memory store
 	}
 	var rec logRecord
 	if err := read(&rec); err != nil {
 		return err
 	}
-	return s.appendLocked(rec)
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	full, err := s.log.Append(body)
+	if err != nil {
+		return fmt.Errorf("datastore: cursor log: %w", err)
+	}
+	metricCursorLogFrames.Inc()
+	if full {
+		if err := s.log.Fold(s.saveState()); err != nil {
+			slog.Error("datastore: fold cursor log", "store", s.opts.Name, "err", err)
+		}
+	}
+	return nil
 }
 
 // logCursor is the stream hub's OnChange hook: it logs the
@@ -212,92 +198,4 @@ func (s *Service) logControl(user, contributor string) error {
 		rec.Policy = &contributorRecord{Name: normName(contributor), persistedContributor: pc}
 		return err
 	})
-}
-
-// appendLocked writes and fsyncs one frame; callers hold s.logMu. A
-// failed write is cut back off the log, so the next frame does not land
-// behind a torn one. The append that takes the log past
-// cursorLogFoldBytes folds it; the frame is durable either way, so a
-// failed fold is logged and the next append tries again.
-func (s *Service) appendLocked(rec logRecord) error {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	frame := walframe.Append(make([]byte, 0, walframe.HeaderLen+len(body)), body)
-	if _, err = s.cursorLog.Write(frame); err == nil {
-		err = s.cursorLog.Sync()
-	}
-	if err != nil {
-		_ = s.cursorLog.Truncate(s.logBytes) // best effort; the append's error is what matters
-		return err
-	}
-	s.logBytes += int64(len(frame))
-	metricCursorLogFrames.Inc()
-	if s.logBytes >= cursorLogFoldBytes {
-		if err := s.foldLocked(); err != nil {
-			slog.Error("datastore: fold cursor log", "store", s.opts.Name, "err", err)
-		}
-	}
-	return nil
-}
-
-// foldCursorLog folds a log that holds frames. New calls it too, so a
-// torn tail a crash left never sits in front of the next frame.
-func (s *Service) foldCursorLog() error {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if s.logBytes == 0 {
-		return nil
-	}
-	return s.foldLocked()
-}
-
-// foldLocked writes state.json, which then holds every logged change,
-// and empties the log; callers hold s.logMu. Doing both under logMu
-// means every change whose call returned is either in that state.json
-// or in the log after it. A log a failed truncate leaves full replays
-// over that state.json; its last frame about anything holds every change
-// to it whose call returned, so no acknowledged change moves back.
-func (s *Service) foldLocked() error {
-	if err := s.saveState(); err != nil {
-		return err
-	}
-	if s.logBytes == 0 {
-		return nil
-	}
-	if err := s.cursorLog.Truncate(0); err != nil {
-		return fmt.Errorf("datastore: empty cursor log: %w", err)
-	}
-	if err := s.cursorLog.Sync(); err != nil {
-		return fmt.Errorf("datastore: empty cursor log: %w", err)
-	}
-	s.logBytes = 0
-	return nil
-}
-
-// closeCursorLog writes state.json a last time, empties the log and
-// closes it; a change after Close is no longer logged.
-func (s *Service) closeCursorLog() error {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	err := s.foldLocked()
-	if s.cursorLog != nil {
-		if cerr := s.cursorLog.Close(); err == nil {
-			err = cerr
-		}
-		s.cursorLog = nil
-	}
-	return err
-}
-
-// discardCursorLog closes the log without folding it, for a New that
-// fails and must leave the directory as it found it.
-func (s *Service) discardCursorLog() {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if s.cursorLog != nil {
-		s.cursorLog.Close()
-		s.cursorLog = nil
-	}
 }

@@ -27,8 +27,20 @@ import (
 // about the state file and the cursor log.
 func kill(s *Service) {
 	s.cancel()
-	s.discardCursorLog()
+	s.logMu.Lock()
+	s.log.Close()
+	s.logMu.Unlock()
 	s.store.Close()
+}
+
+// foldCursorLog folds a log that holds frames, as New does at open.
+func (s *Service) foldCursorLog() error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if s.log.Len() == 0 {
+		return nil
+	}
+	return s.log.Fold(s.saveState())
 }
 
 // mustNew opens a store the test kills instead of closing.
@@ -355,18 +367,16 @@ func TestFoldLosesNothing(t *testing.T) {
 }
 
 // TestLogPastThresholdIsFolded: the append that takes the log past
-// cursorLogFoldBytes folds it before the ack returns: the state file
+// walframe.FoldBytes folds it before the ack returns: the state file
 // holds the new cursor and the log is empty.
 func TestLogPastThresholdIsFolded(t *testing.T) {
 	dir := t.TempDir()
 	s := newService(t, Options{Dir: dir})
 	bob, sub := subscribedBob(t, s, 2)
-	s.logMu.Lock()
-	s.logBytes = cursorLogFoldBytes - 1 // as if some ten thousand acks were logged
-	s.logMu.Unlock()
+	padToFold(t, s, sub.ID) // as if some ten thousand acks were logged
 	ackTo(t, s, bob.Key, sub.ID, 1, 1)
 	s.logMu.Lock()
-	folded := s.logBytes == 0
+	folded := s.log.Len() == 0
 	s.logMu.Unlock()
 	if !folded {
 		t.Fatal("no fold after the log passed its threshold")
@@ -380,6 +390,24 @@ func TestLogPastThresholdIsFolded(t *testing.T) {
 	}
 	if len(st.Subscriptions) != 1 || st.Subscriptions[0].Acked != 1 {
 		t.Errorf("folded subscriptions = %+v, want one acked at 1", st.Subscriptions)
+	}
+}
+
+// padToFold appends one frame, the subscription's durable state padded
+// with blanks, that leaves the log a byte short of walframe.FoldBytes.
+func padToFold(t *testing.T, s *Service, id string) {
+	t.Helper()
+	st, _ := s.stream.Subscription(id)
+	st.ID = id
+	body, err := json.Marshal(logRecord{SubscriptionState: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	pad := walframe.FoldBytes - 1 - s.log.Len() - walframe.HeaderLen - int64(len(body))
+	if _, err := s.log.Append(append(body, bytes.Repeat([]byte{' '}, int(pad))...)); err != nil {
+		t.Fatal(err)
 	}
 }
 

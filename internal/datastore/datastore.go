@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -33,6 +32,7 @@ import (
 	"sensorsafe/internal/storage"
 	"sensorsafe/internal/stream"
 	"sensorsafe/internal/timeutil"
+	"sensorsafe/internal/walframe"
 	"sensorsafe/internal/wavesegment"
 )
 
@@ -166,9 +166,8 @@ type Service struct {
 	// writes the state file and empties the log. Lock order: logMu, then
 	// the stream hub's locks, then mu; nothing holding a hub lock or mu
 	// appends.
-	logMu     sync.Mutex
-	cursorLog *os.File // nil for in-memory stores and after Close; guarded by logMu
-	logBytes  int64    // the log's size; guarded by logMu
+	logMu sync.Mutex
+	log   *walframe.Log // nil for in-memory stores; guarded by logMu
 
 	// ctx is the service's lifetime: every outbound call to the sync
 	// target and directory carries it, and Close cancels it first.
@@ -197,12 +196,16 @@ func New(opts Options) (*Service, error) {
 	//sslint:ignore ctxpropagate the service lifetime is the call-tree root of the store's outbound broker calls
 	svc.ctx, svc.cancel = context.WithCancel(context.Background())
 	svc.stream = stream.New(stream.Options{Rules: svc, OnChange: svc.logCursor})
+	svc.logMu.Lock()
 	err = svc.loadState()
-	if err == nil {
-		err = svc.foldCursorLog()
+	if err == nil && svc.log.Len() > 0 { // so a torn tail never sits in front of the next frame
+		err = svc.log.Fold(svc.saveState())
 	}
 	if err != nil {
-		svc.discardCursorLog()
+		svc.log.Close() // unfolded: the directory stays as New found it
+	}
+	svc.logMu.Unlock()
+	if err != nil {
 		svc.cancel()
 		st.Close()
 		return nil, err
@@ -225,11 +228,10 @@ func (s *Service) Close() error {
 		<-s.syncDone
 		s.syncDone = nil
 	}
-	if err := s.closeCursorLog(); err != nil {
-		s.store.Close()
-		return err
-	}
-	return s.store.Close()
+	s.logMu.Lock()
+	err := errors.Join(s.log.Fold(s.saveState()), s.log.Close())
+	s.logMu.Unlock()
+	return errors.Join(err, s.store.Close())
 }
 
 // Name returns the store's configured name.

@@ -11,6 +11,7 @@ import (
 	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/ruleindex"
 	"sensorsafe/internal/stream"
+	"sensorsafe/internal/walframe"
 )
 
 // Metadata persistence: sensor data lives in the segment engine; everything
@@ -109,7 +110,8 @@ func (cs *contributorState) persisted() (persistedContributor, error) {
 }
 
 // loadState restores metadata at startup: the state file (a missing one
-// is a fresh store), then the log replayed over it.
+// is a fresh store), then the log replayed over it. Callers hold
+// s.logMu.
 func (s *Service) loadState() error {
 	if s.opts.Dir == "" {
 		return nil
@@ -125,9 +127,9 @@ func (s *Service) loadState() error {
 			return fmt.Errorf("datastore: decode state: %w", err)
 		}
 	}
-	logged, err := s.openCursorLog()
-	if err != nil {
-		return err
+	var logged []byte
+	if s.log, logged, err = walframe.Open(filepath.Join(s.opts.Dir, cursorLogName)); err != nil {
+		return fmt.Errorf("datastore: open cursor log: %w", err)
 	}
 	if err := replayLog(&st, logged); err != nil {
 		return err

@@ -12,7 +12,9 @@ import (
 // one other sanctioned durable-write scheme is the framed append log:
 // files opened for appending (os.OpenFile with O_APPEND), whose records
 // are internal/walframe frames a replay can tell from a torn tail, as
-// segstore's WAL and the datastore's cursor log are. The only function
+// segstore's WAL is, and as the datastore's cursor log and the broker's
+// log are through walframe.Log, which alone opens, fsyncs and truncates
+// them. The only function
 // allowed to touch the raw APIs is an atomic-write helper itself (a
 // function named WriteFileAtomic).
 var AtomicWrite = &Analyzer{

@@ -1,6 +1,8 @@
 // Package walframe is the record framing SensorSafe's append-only logs
-// share: segstore's write-ahead log and the datastore's cursor log. A
-// log is a sequence of frames
+// share, and Log, the file mechanics of its control logs. segstore's
+// write-ahead log uses the framing alone; the datastore's cursor log
+// (cursors.log) and the broker's log (broker.log) are each a Log. A log
+// is a sequence of frames
 //
 //	u32 bodyLen | u32 crc32(body) | body
 //
