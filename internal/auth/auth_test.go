@@ -23,26 +23,36 @@ func TestNewAPIKeyUniqueAndWellFormed(t *testing.T) {
 	}
 }
 
-func TestRegisterAuthenticate(t *testing.T) {
-	r := NewRegistry()
-	u, err := r.Register("Alice", RoleContributor)
+// mustPut registers name with a fresh key, as the servers do.
+func mustPut(t *testing.T, r *Registry, name string, role Role) User {
+	t.Helper()
+	key, err := NewAPIKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.Key == "" || u.Role != RoleContributor {
-		t.Fatalf("user = %+v", u)
+	u := User{Name: name, Role: role, Key: key}
+	if err := r.Put(u); err != nil {
+		t.Fatal(err)
 	}
+	return u
+}
+
+func TestRegisterAuthenticate(t *testing.T) {
+	r := NewRegistry()
+	u := mustPut(t, r, "Alice", RoleContributor)
 	got, err := r.Authenticate(u.Key)
-	if err != nil || got.Name != "Alice" {
+	if err != nil || got.Name != "Alice" || got.Role != RoleContributor {
 		t.Fatalf("Authenticate = %+v, %v", got, err)
 	}
 	if _, err := r.Authenticate("bogus"); !errors.Is(err, ErrBadKey) {
 		t.Errorf("bad key: %v", err)
 	}
-	if _, err := r.Register("alice", RoleConsumer); !errors.Is(err, ErrDuplicateUser) {
-		t.Errorf("duplicate (case-insensitive): %v", err)
+	// A name is matched case-insensitively: the same name replaces.
+	again := mustPut(t, r, "alice", RoleConsumer)
+	if got, err := r.Authenticate(again.Key); err != nil || got.Name != "alice" {
+		t.Errorf("replaced user = %+v, %v", got, err)
 	}
-	if _, err := r.Register("  ", RoleConsumer); err == nil {
+	if err := r.Put(User{Name: "  ", Key: "k"}); err == nil {
 		t.Error("blank name should be rejected")
 	}
 	if r.Len() != 1 {
@@ -52,7 +62,7 @@ func TestRegisterAuthenticate(t *testing.T) {
 
 func TestLookupBlanksKey(t *testing.T) {
 	r := NewRegistry()
-	u, _ := r.Register("alice", RoleContributor)
+	mustPut(t, r, "alice", RoleContributor)
 	got, err := r.Lookup("ALICE")
 	if err != nil {
 		t.Fatal(err)
@@ -63,59 +73,25 @@ func TestLookupBlanksKey(t *testing.T) {
 	if got.Name != "alice" {
 		t.Errorf("name = %q", got.Name)
 	}
-	_ = u
 	if _, err := r.Lookup("nobody"); !errors.Is(err, ErrUnknownUser) {
 		t.Errorf("unknown user: %v", err)
 	}
 }
 
+// TestRotateInvalidatesOldKey: rotation is a Put of the account under a
+// new key, which invalidates the old one.
 func TestRotateInvalidatesOldKey(t *testing.T) {
 	r := NewRegistry()
-	u, _ := r.Register("alice", RoleContributor)
-	newKey, err := r.Rotate("alice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if newKey == u.Key {
+	u := mustPut(t, r, "alice", RoleContributor)
+	rotated := mustPut(t, r, "alice", RoleContributor)
+	if rotated.Key == u.Key {
 		t.Error("rotation must change the key")
 	}
 	if _, err := r.Authenticate(u.Key); !errors.Is(err, ErrBadKey) {
 		t.Error("old key must be invalid")
 	}
-	if got, err := r.Authenticate(newKey); err != nil || got.Name != "alice" {
+	if got, err := r.Authenticate(rotated.Key); err != nil || got.Name != "alice" {
 		t.Errorf("new key: %v, %v", got, err)
-	}
-	if _, err := r.Rotate("nobody"); !errors.Is(err, ErrUnknownUser) {
-		t.Errorf("rotate unknown: %v", err)
-	}
-}
-
-func TestRemove(t *testing.T) {
-	r := NewRegistry()
-	u, _ := r.Register("alice", RoleContributor)
-	if err := r.Remove("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Authenticate(u.Key); !errors.Is(err, ErrBadKey) {
-		t.Error("removed user's key must be invalid")
-	}
-	if err := r.Remove("alice"); !errors.Is(err, ErrUnknownUser) {
-		t.Errorf("double remove: %v", err)
-	}
-}
-
-func TestUsersSortedAndBlanked(t *testing.T) {
-	r := NewRegistry()
-	_, _ = r.Register("bob", RoleConsumer)
-	_, _ = r.Register("alice", RoleContributor)
-	us := r.Users()
-	if len(us) != 2 || us[0].Name != "alice" || us[1].Name != "bob" {
-		t.Fatalf("Users = %+v", us)
-	}
-	for _, u := range us {
-		if u.Key != "" {
-			t.Error("Users must blank keys")
-		}
 	}
 }
 
@@ -186,19 +162,23 @@ func TestPasswordChangeInvalidatesNothingButUsesNewHash(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestore: a snapshot Put user by user into an empty
+// registry, as a server's replay does, restores every account and key.
 func TestSnapshotRestore(t *testing.T) {
 	r := NewRegistry()
-	alice, _ := r.Register("alice", RoleContributor)
-	bob, _ := r.Register("bob", RoleConsumer)
+	bob := mustPut(t, r, "bob", RoleConsumer)
+	alice := mustPut(t, r, "alice", RoleContributor)
 
 	snap := r.Snapshot()
-	if len(snap) != 2 || snap[0].Name != "alice" || snap[0].Key == "" {
+	if len(snap) != 2 || snap[0].Name != "alice" || snap[1].Name != "bob" || snap[0].Key == "" {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 
 	r2 := NewRegistry()
-	if err := r2.Restore(snap); err != nil {
-		t.Fatal(err)
+	for _, u := range snap {
+		if err := r2.Put(u); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, err := r2.Authenticate(alice.Key)
 	if err != nil || got.Name != "alice" || got.Role != RoleContributor {
@@ -207,30 +187,30 @@ func TestSnapshotRestore(t *testing.T) {
 	if _, err := r2.Authenticate(bob.Key); err != nil {
 		t.Errorf("restored bob: %v", err)
 	}
-	// Restore replaces prior contents.
-	r3 := NewRegistry()
-	_, _ = r3.Register("mallory", RoleConsumer)
-	if err := r3.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r3.Lookup("mallory"); !errors.Is(err, ErrUnknownUser) {
-		t.Error("restore should replace existing users")
-	}
 }
 
-func TestRestoreRejectsBadSnapshots(t *testing.T) {
+func TestPutRejectsBadUsers(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Restore([]User{{Name: "x"}}); err == nil {
+	if err := r.Put(User{Name: "x"}); err == nil {
 		t.Error("user without key should be rejected")
 	}
-	if err := r.Restore([]User{{Name: "", Key: "k"}}); err == nil {
+	if err := r.Put(User{Name: "", Key: "k"}); err == nil {
 		t.Error("user without name should be rejected")
 	}
-	if err := r.Restore([]User{{Name: "a", Key: "k"}, {Name: "A", Key: "k2"}}); !errors.Is(err, ErrDuplicateUser) {
-		t.Errorf("duplicate names: %v", err)
+	if err := r.Put(User{Name: "a", Key: "k"}); err != nil {
+		t.Fatal(err)
 	}
-	if err := r.Restore([]User{{Name: "a", Key: "k"}, {Name: "b", Key: "k"}}); err == nil {
-		t.Error("duplicate keys should be rejected")
+	if err := r.Put(User{Name: "b", Key: "k"}); err == nil {
+		t.Error("a key another user holds should be rejected")
+	}
+	if got, err := r.Authenticate("k"); err != nil || got.Name != "a" || r.Len() != 1 {
+		t.Errorf("after a rejected Put: key k is %+v, %v; %d users", got, err, r.Len())
+	}
+	if err := r.Put(User{Name: "A", Key: "k2"}); err != nil || r.Len() != 1 {
+		t.Errorf("same name, other case: %v, %d users; want one user, replaced", err, r.Len())
+	}
+	if err := r.Put(User{Name: "b", Key: "k"}); err != nil {
+		t.Errorf("a key its holder gave up: %v", err)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -73,22 +74,24 @@ type Credential struct {
 }
 
 type contributorEntry struct {
-	name      string
-	storeAddr string
-	// policy is the applied replica, compiled at its version (the empty
-	// policy at version 0 until the first push); search probes it.
-	// storeVersion is the highest version the contributor's store has
-	// *claimed* (via a push or a digest). storeVersion > policy.Version()
-	// means the replica is stale and anti-entropy owes us a push.
+	Name      string `json:"name"`
+	StoreAddr string `json:"storeAddr,omitempty"`
+	// State is the applied replica at its version, policy it compiled
+	// (the empty policy at version 0 until the first push), which search
+	// probes. StoreVersion is the highest version the contributor's store
+	// has *claimed* (via a push or a digest): StoreVersion >
+	// policy.Version() means the replica is stale and anti-entropy owes
+	// us a push. Persisting both means a restart still knows it.
+	ruleindex.State
+	StoreVersion uint64 `json:"storeVersion,omitempty"`
 	policy       *ruleindex.Index
-	storeVersion uint64
 	syncedAt     time.Time
 }
 
 type consumerEntry struct {
-	lists  map[string][]string
-	keys   map[string]auth.APIKey // store addr → key
-	groups []string               // studies joined
+	Lists  map[string][]string    `json:"lists,omitempty"`
+	Keys   map[string]auth.APIKey `json:"keys,omitempty"`   // store addr → key
+	Groups []string               `json:"groups,omitempty"` // studies joined
 }
 
 // Service is a broker instance. Safe for concurrent use.
@@ -96,9 +99,10 @@ type Service struct {
 	users *auth.Registry
 	web   *auth.Passwords
 	dir   string // persistence directory ("" = in-memory)
-	// logMu serialises the broker's log: every append, and every fold
-	// that writes the state file and empties the log. Lock order: logMu,
-	// then mu; nothing holding mu appends.
+	// logMu is the writer lock: a mutation holds it while it reads the
+	// state its frame is built from, appends the frame and applies it,
+	// and a fold holds it while it writes the state file and empties the
+	// log. Lock order: logMu, then mu; nothing holding mu appends.
 	logMu sync.Mutex
 	log   *walframe.Log // nil for an in-memory broker; guarded by logMu
 
@@ -162,18 +166,22 @@ func (s *Service) SetStoreDialer(dial func(addr string) StoreConn) {
 // and SyncDigest it takes the caller's context, unused here because no
 // further hop exists.
 func (s *Service) RegisterContributor(_ context.Context, name, storeAddr string) error {
-	if norm(name) == "" {
+	key := norm(name)
+	if key == "" {
 		return fmt.Errorf("broker: empty contributor name")
 	}
-	s.mu.Lock()
-	if e, ok := s.contributors[norm(name)]; ok {
-		e.storeAddr = storeAddr
-	} else {
-		s.contributors[norm(name)] = &contributorEntry{name: name, storeAddr: storeAddr, policy: ruleindex.Empty()}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
+	e, ok := s.contributorLocked(name)
+	s.mu.RUnlock()
+	if ok && e.StoreAddr == storeAddr {
+		return nil
 	}
-	metricDirectorySize.Set(float64(len(s.contributors)))
-	s.mu.Unlock()
-	return s.logChange(change{contributors: []string{norm(name)}})
+	e.StoreAddr = storeAddr
+	f := frame()
+	f.Contributors[key] = e
+	return s.commit(f)
 }
 
 // SyncRules receives a contributor's rule replica stamped with the
@@ -197,15 +205,17 @@ func (s *Service) SyncRules(_ context.Context, contributor string, version uint6
 		metricSyncRejects.With("malformed").Inc()
 		return fmt.Errorf("broker: bad rule replica for %s: %w", contributor, err)
 	}
-	s.mu.Lock()
-	e, ok := s.contributors[norm(contributor)]
-	if !ok {
-		e = &contributorEntry{name: contributor, policy: ruleindex.Empty()}
-		s.contributors[norm(contributor)] = e
+	ps, err := policy.State()
+	if err != nil {
+		return err
 	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
+	e, _ := s.contributorLocked(contributor)
+	s.mu.RUnlock()
 	applied := e.policy.Version()
 	if version < applied {
-		s.mu.Unlock()
 		metricSyncRejects.With("stale").Inc()
 		return fmt.Errorf("broker: replica for %s at version %d, push carries %d: %w",
 			contributor, applied, version, resilience.ErrStaleVersion)
@@ -213,18 +223,13 @@ func (s *Service) SyncRules(_ context.Context, contributor string, version uint6
 	if version == applied && version > 0 {
 		// Duplicate of the already-applied version (a retry whose first
 		// attempt landed): converged, nothing to do.
-		s.mu.Unlock()
 		return nil
 	}
-	e.policy = policy
-	if version > e.storeVersion {
-		e.storeVersion = version
-	}
-	e.syncedAt = now()
-	metricDirectorySize.Set(float64(len(s.contributors)))
-	s.recomputeStaleLocked()
-	s.mu.Unlock()
-	return s.logChange(change{contributors: []string{norm(contributor)}})
+	e.State, e.policy, e.syncedAt = ps, policy, now()
+	e.StoreVersion = max(e.StoreVersion, version)
+	f := frame()
+	f.Contributors[norm(contributor)] = e
+	return s.commit(f)
 }
 
 // SyncDigest is the anti-entropy exchange: the store reports every
@@ -234,31 +239,33 @@ func (s *Service) SyncRules(_ context.Context, contributor string, version uint6
 // never heard of (lost registration) are created with the reporting
 // store's address, and missing store addresses are backfilled.
 func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[string]uint64) ([]string, error) {
-	var stale, changed []string
-	s.mu.Lock()
+	var stale []string
+	f := frame()
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
 	for name, v := range versions {
-		e, ok := s.contributors[norm(name)]
-		if !ok {
-			e = &contributorEntry{name: name, policy: ruleindex.Empty()}
-			s.contributors[norm(name)] = e
+		key := norm(name)
+		cur, known := f.Contributors[key] // met before, spelled another way
+		if !known {
+			cur, known = s.contributorLocked(name)
 		}
-		if !ok || e.storeAddr == "" && storeAddr != "" || v > e.storeVersion {
-			changed = append(changed, norm(name))
+		next := cur
+		if next.StoreAddr == "" {
+			next.StoreAddr = storeAddr
 		}
-		if e.storeAddr == "" {
-			e.storeAddr = storeAddr
+		next.StoreVersion = max(next.StoreVersion, v)
+		if next.StoreVersion > next.policy.Version() {
+			stale = append(stale, next.Name)
 		}
-		e.storeVersion = max(e.storeVersion, v)
-		if e.storeVersion > e.policy.Version() {
-			stale = append(stale, e.name)
+		if !known || next.StoreAddr != cur.StoreAddr || next.StoreVersion != cur.StoreVersion {
+			f.Contributors[key] = next
 		}
 	}
-	metricDirectorySize.Set(float64(len(s.contributors)))
-	s.recomputeStaleLocked()
-	s.mu.Unlock()
+	s.mu.RUnlock()
 	sort.Strings(stale)
-	if len(changed) > 0 {
-		if err := s.logChange(change{contributors: changed}); err != nil {
+	if len(f.Contributors) > 0 {
+		if err := s.commit(f); err != nil {
 			return stale, err
 		}
 	}
@@ -269,7 +276,7 @@ func (s *Service) SyncDigest(_ context.Context, storeAddr string, versions map[s
 func (s *Service) recomputeStaleLocked() {
 	n := 0
 	for _, e := range s.contributors {
-		if e.storeVersion > e.policy.Version() {
+		if e.StoreVersion > e.policy.Version() {
 			n++
 		}
 	}
@@ -294,11 +301,11 @@ func (s *Service) Replicas() []ReplicaStatus {
 	out := make([]ReplicaStatus, 0, len(s.contributors))
 	for _, e := range s.contributors {
 		out = append(out, ReplicaStatus{
-			Name:         e.name,
-			StoreAddr:    e.storeAddr,
+			Name:         e.Name,
+			StoreAddr:    e.StoreAddr,
 			Version:      e.policy.Version(),
-			StoreVersion: e.storeVersion,
-			Stale:        e.storeVersion > e.policy.Version(),
+			StoreVersion: e.StoreVersion,
+			Stale:        e.StoreVersion > e.policy.Version(),
 			SyncedAt:     e.syncedAt,
 		})
 	}
@@ -308,17 +315,26 @@ func (s *Service) Replicas() []ReplicaStatus {
 
 // RegisterConsumer creates a consumer account on the broker.
 func (s *Service) RegisterConsumer(name string) (auth.User, error) {
-	u, err := s.users.Register(name, auth.RoleConsumer)
+	if norm(name) == "" {
+		return auth.User{}, fmt.Errorf("broker: empty consumer name")
+	}
+	key, err := auth.NewAPIKey()
 	if err != nil {
 		return auth.User{}, err
 	}
-	s.mu.Lock()
-	s.consumers[norm(name)] = &consumerEntry{
-		lists: make(map[string][]string),
-		keys:  make(map[string]auth.APIKey),
+	u := auth.User{Name: name, Role: auth.RoleConsumer, Key: key, Registered: time.Now()}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if _, err := s.users.Lookup(name); err == nil {
+		return auth.User{}, fmt.Errorf("%w: %s", auth.ErrDuplicateUser, name)
 	}
-	s.mu.Unlock()
-	return u, s.logChange(change{user: name, consumer: norm(name)})
+	f := frame()
+	f.Users = []auth.User{u}
+	f.Consumers[norm(name)] = consumerEntry{}
+	if err := s.commit(f); err != nil {
+		return auth.User{}, err
+	}
+	return u, nil
 }
 
 func (s *Service) authConsumer(key auth.APIKey) (auth.User, *consumerEntry, error) {
@@ -344,7 +360,7 @@ func (s *Service) Directory(key auth.APIKey) ([]ContributorInfo, error) {
 	defer s.mu.RUnlock()
 	out := make([]ContributorInfo, 0, len(s.contributors))
 	for _, e := range s.contributors {
-		out = append(out, ContributorInfo{Name: e.name, StoreAddr: e.storeAddr, RuleCount: e.policy.Len()})
+		out = append(out, ContributorInfo{Name: e.Name, StoreAddr: e.StoreAddr, RuleCount: e.policy.Len()})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -378,8 +394,8 @@ func (s *Service) Connect(ctx context.Context, key auth.APIKey, contributor stri
 			s.mu.Unlock()
 			return Credential{}, fmt.Errorf("%w: %s", ErrUnknownContributor, contributor)
 		}
-		p = provision{norm(u.Name), ce.storeAddr}
-		k, vaulted := e.keys[p.store]
+		p = provision{norm(u.Name), ce.StoreAddr}
+		k, vaulted := e.Keys[p.store]
 		busy, inFlight := s.provisioning[p]
 		if !vaulted && !inFlight {
 			done = make(chan struct{})
@@ -438,10 +454,15 @@ func (s *Service) Connect(ctx context.Context, key auth.APIKey, contributor stri
 	}
 	metricProvisions.With("ok").Inc()
 	cspan.SetAttr(trace.Bool("vaulted", false))
-	s.mu.Lock()
-	e.keys[addr] = storeKey
-	s.mu.Unlock()
-	if err := s.logChange(change{consumer: norm(u.Name)}); err != nil {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
+	next := *e
+	s.mu.RUnlock()
+	next.Keys = with(next.Keys, addr, storeKey)
+	f := frame()
+	f.Consumers[p.consumer] = next
+	if err := s.commit(f); err != nil {
 		return Credential{}, err
 	}
 	return Credential{StoreAddr: addr, Key: storeKey}, nil
@@ -456,8 +477,8 @@ func (s *Service) Credentials(key auth.APIKey) ([]Credential, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]Credential, 0, len(e.keys))
-	for addr, k := range e.keys {
+	out := make([]Credential, 0, len(e.Keys))
+	for addr, k := range e.Keys {
 		out = append(out, Credential{StoreAddr: addr, Key: k})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].StoreAddr < out[j].StoreAddr })
@@ -470,13 +491,22 @@ func (s *Service) SaveList(key auth.APIKey, listName string, members []string) e
 	if err != nil {
 		return err
 	}
-	if norm(listName) == "" {
+	list := norm(listName)
+	if list == "" {
 		return fmt.Errorf("broker: empty list name")
 	}
-	s.mu.Lock()
-	e.lists[norm(listName)] = append([]string(nil), members...)
-	s.mu.Unlock()
-	return s.logChange(change{consumer: norm(u.Name)})
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
+	next := *e
+	s.mu.RUnlock()
+	if l, ok := next.Lists[list]; ok && slices.Equal(l, members) {
+		return nil
+	}
+	next.Lists = with(next.Lists, list, append([]string(nil), members...))
+	f := frame()
+	f.Consumers[norm(u.Name)] = next
+	return s.commit(f)
 }
 
 // List retrieves a saved contributor list.
@@ -487,7 +517,7 @@ func (s *Service) List(key auth.APIKey, listName string) ([]string, error) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	l, ok := e.lists[norm(listName)]
+	l, ok := e.Lists[norm(listName)]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownList, listName)
 	}
@@ -496,15 +526,21 @@ func (s *Service) List(key auth.APIKey, listName string) ([]string, error) {
 
 // CreateStudy declares a study/group name.
 func (s *Service) CreateStudy(name string) error {
-	if norm(name) == "" {
+	study := norm(name)
+	if study == "" {
 		return fmt.Errorf("broker: empty study name")
 	}
-	s.mu.Lock()
-	if _, dup := s.studies[norm(name)]; !dup {
-		s.studies[norm(name)] = make(map[string]bool)
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
+	_, dup := s.studies[study]
+	s.mu.RUnlock()
+	if dup {
+		return nil
 	}
-	s.mu.Unlock()
-	return s.logChange(change{study: norm(name)})
+	f := frame()
+	f.Studies[study] = nil
+	return s.commit(f)
 }
 
 // JoinStudy adds the consumer to a study; study membership feeds
@@ -514,18 +550,25 @@ func (s *Service) JoinStudy(key auth.APIKey, study string) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
+	me := norm(u.Name)
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
 	set, ok := s.studies[norm(study)]
+	joined, next := set[me], *e
+	s.mu.RUnlock()
 	if !ok {
-		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownStudy, study)
 	}
-	if !set[norm(u.Name)] {
-		set[norm(u.Name)] = true
-		e.groups = append(e.groups, study)
+	if joined {
+		return nil
 	}
-	s.mu.Unlock()
-	return s.logChange(change{consumer: norm(u.Name), study: norm(study)})
+	next.Groups = append(slices.Clip(next.Groups), study)
+	f := frame()
+	f.Consumers[me] = next
+	f.Studies[norm(study)] = append(members(set), me)
+	sort.Strings(f.Studies[norm(study)])
+	return s.commit(f)
 }
 
 // EnrollContributor adds a contributor to a study's cohort roster — the
@@ -536,19 +579,21 @@ func (s *Service) EnrollContributor(study, contributor string) error {
 	if norm(contributor) == "" {
 		return fmt.Errorf("broker: empty contributor name")
 	}
-	s.mu.Lock()
-	if _, ok := s.studies[norm(study)]; !ok {
-		s.mu.Unlock()
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.mu.RLock()
+	_, ok := s.studies[norm(study)]
+	roster := s.rosters[norm(study)]
+	s.mu.RUnlock()
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownStudy, study)
 	}
-	roster, ok := s.rosters[norm(study)]
-	if !ok {
-		roster = make(map[string]string)
-		s.rosters[norm(study)] = roster
+	if roster[norm(contributor)] == contributor {
+		return nil
 	}
-	roster[norm(contributor)] = contributor
-	s.mu.Unlock()
-	return s.logChange(change{roster: norm(study)})
+	f := frame()
+	f.StudyRosters = map[string][]string{norm(study): rosterNames(with(roster, norm(contributor), contributor))}
+	return s.commit(f)
 }
 
 // StudyContributors lists a study's enrolled contributor cohort, sorted.

@@ -30,7 +30,7 @@ func (f *fakeStore) ProvisionConsumer(_ context.Context, name string) (auth.APIK
 	return auth.APIKey(fmt.Sprintf("key-%s-%s", f.addr, name)), nil
 }
 
-func workPlaces(t *testing.T) []geo.Region {
+func workPlaces(t testing.TB) []geo.Region {
 	t.Helper()
 	rect, err := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
 	if err != nil {

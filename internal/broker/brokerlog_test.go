@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -77,7 +78,7 @@ type brokerFixture struct {
 	store *fakeStore
 }
 
-func seedBroker(t *testing.T, b *Service) brokerFixture {
+func seedBroker(t testing.TB, b *Service) brokerFixture {
 	t.Helper()
 	ctx := context.Background()
 	if err := b.RegisterContributor(ctx, "alice", "store-alice"); err != nil {
@@ -209,10 +210,117 @@ func TestBrokerMutationAfterCloseFails(t *testing.T) {
 	if err := b.CreateStudy("Study"); err == nil {
 		t.Error("a mutation after Close succeeded")
 	}
+	if _, err := b.StudyMembers("Study"); err == nil {
+		t.Error("a study whose creation failed is visible")
+	}
 	b2 := mustOpen(t, dir)
 	defer b2.Close()
 	if n := len(b2.Users().Snapshot()); n != 1 {
 		t.Errorf("reopened accounts = %d, want 1", n)
+	}
+}
+
+// TestBrokerFailedAppendChangesNothing: a mutation whose append fails,
+// here because the broker is closed, errors and leaves the state as it
+// was, for every mutation kind.
+func TestBrokerFailedAppendChangesNothing(t *testing.T) {
+	for _, m := range brokerMutations {
+		t.Run(m.name, func(t *testing.T) {
+			b := mustOpen(t, t.TempDir())
+			fx := seedBroker(t, b)
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := snapshot(t, b)
+			if err := m.mutate(b, fx); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("the mutation returned %v, want %v", err, os.ErrClosed)
+			}
+			if got := snapshot(t, b); !reflect.DeepEqual(got, before) {
+				t.Errorf("state after a failed append:\n got %+v\nwant %+v", got, before)
+			}
+			if _, err := b.StudyMembers("Pilot"); err == nil {
+				t.Error("a study whose creation failed is visible")
+			}
+		})
+	}
+}
+
+// TestIdempotentRetriesAppendNoFrame: a retried mutation that finds its
+// change already made appends no frame.
+func TestIdempotentRetriesAppendNoFrame(t *testing.T) {
+	ctx := context.Background()
+	b := mustOpen(t, t.TempDir())
+	defer b.Close()
+	fx := seedBroker(t, b)
+	for _, r := range []struct {
+		name string
+		call func() error
+	}{
+		{"RegisterContributor", func() error { return b.RegisterContributor(ctx, "alice", "store-alice") }},
+		{"SyncRules", func() error { return b.SyncRules(ctx, "alice", 2, []byte(`[]`), nil) }},
+		{"SyncDigest", func() error {
+			_, err := b.SyncDigest(ctx, "store-alice", map[string]uint64{"alice": 3, "dave": 1})
+			return err
+		}},
+		{"Connect", func() error {
+			_, err := b.Connect(ctx, fx.bob.Key, "alice")
+			return err
+		}},
+		{"SaveList", func() error { return b.SaveList(fx.bob.Key, "Cohort", []string{"alice", "carol"}) }},
+		{"CreateStudy", func() error { return b.CreateStudy("Pilot") }},
+		{"JoinStudy", func() error { return b.JoinStudy(fx.bob.Key, "Study") }},
+		{"EnrollContributor", func() error { return b.EnrollContributor("Study", "Alice") }},
+	} {
+		if err := r.call(); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		size := logLen(b)
+		if err := r.call(); err != nil {
+			t.Fatalf("%s retried: %v", r.name, err)
+		}
+		if got := logLen(b); got != size {
+			t.Errorf("%s retried: the log grew %d → %d bytes", r.name, size, got)
+		}
+	}
+}
+
+// logLen is the size of b's log in bytes.
+func logLen(b *Service) int {
+	b.logMu.Lock()
+	defer b.logMu.Unlock()
+	return int(b.log.Len())
+}
+
+// TestParentBrokerLogReplays: testdata/parentlog holds a state file and a
+// log of one frame per mutation kind, both written by the broker before a
+// mutation applied the frame it appended. Replayed here they give the
+// state that broker replayed them to, snapshot.json.
+func TestParentBrokerLogReplays(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{stateFileName, logName} {
+		if err := os.WriteFile(filepath.Join(dir, name), mustRead(t, filepath.Join("testdata", "parentlog", name)), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(frameOffsets(t, mustRead(t, filepath.Join(dir, logName)))); n != len(brokerMutations) {
+		t.Fatalf("the fixture log holds %d frames, want one per mutation kind (%d)", n, len(brokerMutations))
+	}
+	b := mustOpen(t, dir)
+	defer b.Close()
+	replayed, err := json.Marshal(snapshot(t, b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := mustRead(t, filepath.Join("testdata", "parentlog", "snapshot.json"))
+	var got, want any
+	if err := json.Unmarshal(replayed, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(golden, &want); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed state differs from the parent's:\n got %s\nwant %s", replayed, golden)
 	}
 }
 
@@ -309,48 +417,89 @@ func TestBrokerReplayIsIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	names := []string{"alice", "Bob", "carol", "dave"}
 	rules := []string{`[]`, `[{"Action":"Allow"}]`, `[{"Group":["Study"],"Sensor":["ECG"],"Action":"Allow"}]`}
-	logLen := func() int {
-		b.logMu.Lock()
-		defer b.logMu.Unlock()
-		return int(b.log.Len())
-	}
 	snaps := []*persistedBrokerState{snapshot(t, b)}
-	cuts := []int{logLen()}
+	cuts := []int{logLen(b)}
 	keys := []auth.APIKey{fx.bob.Key}
 	versions := map[string]uint64{"alice": 1}
-	for i := 0; i < 60; i++ {
+	// mutation returns a call of the given kind, its arguments drawn now.
+	mutation := func(kind, i int) func() error {
 		name := names[rng.Intn(len(names))]
 		key := keys[rng.Intn(len(keys))]
-		var err error
-		switch rng.Intn(9) {
+		switch kind {
 		case 0:
-			err = b.RegisterContributor(ctx, name, "store-alice")
+			return func() error { return b.RegisterContributor(ctx, name, "store-alice") }
 		case 1:
 			versions[name]++
-			err = b.SyncRules(ctx, name, versions[name], []byte(rules[rng.Intn(len(rules))]), workPlaces(t))
+			v, rs := versions[name], rules[rng.Intn(len(rules))]
+			return func() error { return b.SyncRules(ctx, name, v, []byte(rs), workPlaces(t)) }
 		case 2:
-			_, err = b.SyncDigest(ctx, "store-alice", map[string]uint64{name: versions[name] + uint64(rng.Intn(2))})
+			digest := map[string]uint64{name: versions[name] + uint64(rng.Intn(2))}
+			return func() error {
+				_, err := b.SyncDigest(ctx, "store-alice", digest)
+				return err
+			}
 		case 3:
-			var u auth.User
-			if u, err = b.RegisterConsumer(fmt.Sprintf("consumer%d", i)); err == nil {
-				keys = append(keys, u.Key)
+			consumer := fmt.Sprintf("consumer%d", i)
+			return func() error {
+				u, err := b.RegisterConsumer(consumer)
+				if err == nil {
+					keys = append(keys, u.Key)
+				}
+				return err
 			}
 		case 4:
-			_, err = b.Connect(ctx, key, "alice")
+			return func() error {
+				_, err := b.Connect(ctx, key, "alice")
+				return err
+			}
 		case 5:
-			err = b.SaveList(key, "list", names[:rng.Intn(len(names))])
+			members := names[:rng.Intn(len(names))]
+			return func() error { return b.SaveList(key, "list", members) }
 		case 6:
-			err = b.CreateStudy(fmt.Sprintf("study%d", rng.Intn(3)))
+			study := fmt.Sprintf("study%d", rng.Intn(3))
+			return func() error { return b.CreateStudy(study) }
 		case 7:
-			err = b.JoinStudy(key, "Study")
-		case 8:
-			err = b.EnrollContributor("Study", name)
+			return func() error { return b.JoinStudy(key, "Study") }
+		default:
+			return func() error { return b.EnrollContributor("Study", name) }
+		}
+	}
+	var last func() error
+	for i := 0; i < 80; i++ {
+		var err error
+		switch kind := rng.Intn(11); {
+		case kind < 9:
+			last = mutation(kind, i)
+			err = last()
+		case kind == 9 && last != nil: // a retry finds its change made
+			before := logLen(b)
+			if err = last(); errors.Is(err, auth.ErrDuplicateUser) {
+				err = nil
+			}
+			if logLen(b) != before {
+				t.Fatalf("mutation %d: a retry appended a frame", i)
+			}
+		case kind == 10: // a failed append changes nothing
+			b.logMu.Lock()
+			live := b.log
+			b.log = new(walframe.Log) // closed
+			b.logMu.Unlock()
+			failed := mutation(rng.Intn(9), i)()
+			b.logMu.Lock()
+			b.log = live
+			b.logMu.Unlock()
+			if failed != nil && !errors.Is(failed, os.ErrClosed) {
+				t.Fatalf("mutation %d against a closed log: %v", i, failed)
+			}
+			if got := snapshot(t, b); !reflect.DeepEqual(got, snaps[len(snaps)-1]) {
+				t.Fatalf("mutation %d: a failed append changed the state:\n got %+v\nwant %+v", i, got, snaps[len(snaps)-1])
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		snaps = append(snaps, snapshot(t, b))
-		cuts = append(cuts, logLen())
+		cuts = append(cuts, logLen(b))
 	}
 	final := snapshot(t, b)
 	kill(b)
@@ -471,6 +620,18 @@ func FuzzBrokerLog(f *testing.F) {
 			f.Add(mustRead(f, filepath.Join(dir, logName)))
 		}
 		kill(b)
+	}
+	// One frame of each kind, as the mutation builds it on a seeded broker.
+	for _, m := range brokerMutations {
+		dir := f.TempDir()
+		b := mustOpen(f, dir)
+		fx := seedBroker(f, b)
+		seeded := logLen(b)
+		if err := m.mutate(b, fx); err != nil {
+			f.Fatalf("%s: %v", m.name, err)
+		}
+		kill(b)
+		f.Add(mustRead(f, filepath.Join(dir, logName))[seeded:])
 	}
 	dir := f.TempDir()
 	b := mustOpen(f, dir)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,39 +18,37 @@ import (
 
 // Broker persistence: the directory of contributors with their rule
 // replicas, consumer accounts with vaulted per-store keys, saved lists,
-// and study membership all survive restarts in two files. Every mutation
-// appends one frame, a persistedBrokerState of the entries it changed,
-// to broker.log (a walframe.Log) and fsyncs it before it returns. Only a
-// fold of that log writes the JSON state file, atomically: when the log
+// and study membership all survive restarts in two files. A mutation is
+// a frame, a persistedBrokerState of the entries it changes as they are
+// to be. The mutation builds it from the current state and the request,
+// appends it to broker.log (a walframe.Log) and fsyncs it, and only then
+// applies it, so a failed append changes nothing. Replay applies the
+// state file and then every logged frame with the same apply. Only a
+// fold of the log writes the JSON state file, atomically: when the log
 // is full, at open after a crash, and on Close. Store connections (live
 // StoreConn handles) are re-registered by the stores at startup.
 
 const stateFileName, logName = "broker_state.json", "broker.log"
 
-type persistedBrokerContributor struct {
-	Name      string `json:"name"`
-	StoreAddr string `json:"storeAddr,omitempty"`
-	// State is the applied replica at its version; StoreVersion the
-	// highest version the store has claimed. Persisting both means a
-	// broker restart still knows which replicas were stale.
-	ruleindex.State
-	StoreVersion uint64 `json:"storeVersion,omitempty"`
-}
-
-type persistedBrokerConsumer struct {
-	Lists  map[string][]string    `json:"lists,omitempty"`
-	Keys   map[string]auth.APIKey `json:"keys,omitempty"`
-	Groups []string               `json:"groups,omitempty"`
-}
-
 type persistedBrokerState struct {
-	Users        []auth.User                           `json:"users"`
-	Contributors map[string]persistedBrokerContributor `json:"contributors"`
-	Consumers    map[string]persistedBrokerConsumer    `json:"consumers"`
-	Studies      map[string][]string                   `json:"studies"`
+	Users        []auth.User                 `json:"users"`
+	Contributors map[string]contributorEntry `json:"contributors"`
+	Consumers    map[string]consumerEntry    `json:"consumers"`
+	Studies      map[string][]string         `json:"studies"`
 	// StudyRosters holds each study's enrolled contributor cohort (display
 	// names; map keys re-derive by normalization on load).
 	StudyRosters map[string][]string `json:"studyRosters,omitempty"`
+}
+
+// frame returns an empty frame. Its maps are made so that none encodes
+// as null, which a broker that decodes frames over its snapshot, as
+// earlier versions did, would read as clearing that map.
+func frame() *persistedBrokerState {
+	return &persistedBrokerState{
+		Contributors: make(map[string]contributorEntry),
+		Consumers:    make(map[string]consumerEntry),
+		Studies:      make(map[string][]string),
+	}
 }
 
 // NewPersistent opens a broker whose state survives restarts in dir.
@@ -83,42 +82,27 @@ func (s *Service) Close() error {
 	return errors.Join(s.log.Fold(s.saveState()), s.log.Close())
 }
 
-// change names, by normalized key, the entries one mutation changed.
-type change struct {
-	user, consumer, study, roster string
-	contributors                  []string
-}
-
-// logChange appends one frame, the current state of c's entries, and
-// fsyncs it. The frame is read under logMu, so the last frame about an
-// entry is its newest state; callers do not hold mu. The append that
-// fills the log folds it; the frame is durable either way, so a failed
-// fold is logged and the next append tries again.
-func (s *Service) logChange(c change) error {
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if s.log == nil {
-		return nil // in-memory broker
+// commit makes one mutation's frame durable and then live: it appends f
+// and fsyncs it, then applies it. An in-memory broker skips only the
+// append, and a failed append applies nothing. The append that fills
+// the log folds it once f is applied; the frame is durable either way,
+// so a failed fold is logged and the next append tries again. Callers
+// hold s.logMu, under which they read what f is built from, and not
+// s.mu.
+func (s *Service) commit(f *persistedBrokerState) error {
+	full := false
+	if s.log != nil {
+		body, err := json.Marshal(f)
+		if err != nil {
+			return err
+		}
+		if full, err = s.log.Append(body); err != nil {
+			return fmt.Errorf("broker: append log: %w", err)
+		}
 	}
-	var users []auth.User
-	if u, ok := s.users.SnapshotUser(c.user); ok {
-		users = []auth.User{u}
-	}
-	s.mu.RLock()
-	f, err := persist(users, pick(s.contributors, c.contributors...), pick(s.consumers, c.consumer),
-		pick(s.studies, c.study), pick(s.rosters, c.roster))
-	s.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(f)
-	if err != nil {
-		return err
-	}
-	full, err := s.log.Append(body)
-	if err != nil {
-		return fmt.Errorf("broker: append log: %w", err)
-	}
+	s.mu.Lock()
+	s.applyLocked(f)
+	s.mu.Unlock()
 	if full {
 		if err := s.log.Fold(s.saveState()); err != nil {
 			slog.Error("broker: fold log", "err", err)
@@ -127,15 +111,66 @@ func (s *Service) logChange(c change) error {
 	return nil
 }
 
-// pick returns the entries of m under keys.
-func pick[V any](m map[string]V, keys ...string) map[string]V {
-	out := make(map[string]V, len(keys))
-	for _, k := range keys {
-		if v, ok := m[k]; ok {
-			out[k] = v
+// applyLocked installs each entry f holds in place of the current one:
+// the one write to the broker's state, for a live mutation and replay
+// alike. It cannot fail, since the mutation checked its request and
+// decode what replay read. No map or slice of an applied entry changes
+// again; a consumer entry is overwritten in place, since callers keep
+// one across s.mu. Callers hold s.mu.
+func (s *Service) applyLocked(f *persistedBrokerState) {
+	for key, e := range f.Contributors {
+		s.contributors[key] = &e
+	}
+	for key, e := range f.Consumers {
+		if cur := s.consumers[key]; cur != nil {
+			*cur = e
+		} else {
+			s.consumers[key] = &e
 		}
 	}
-	return out
+	for study, consumers := range f.Studies {
+		set := make(map[string]bool, len(consumers))
+		for _, c := range consumers {
+			set[c] = true
+		}
+		s.studies[study] = set
+	}
+	for study, names := range f.StudyRosters {
+		roster := make(map[string]string, len(names))
+		for _, n := range names {
+			roster[norm(n)] = n
+		}
+		s.rosters[study] = roster
+	}
+	for _, u := range f.Users {
+		_ = s.users.Put(u) // refuses only a key another account holds, which no broker writes
+	}
+	metricDirectorySize.Set(float64(len(s.contributors)))
+	s.recomputeStaleLocked()
+}
+
+// decode reads a frame from the state file or the log, the input replay
+// does not trust: it refuses an account without a name or a key and
+// compiles every replica, so a policy ruleindex.Load refuses fails the
+// open.
+func decode(data []byte) (*persistedBrokerState, error) {
+	var f persistedBrokerState
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, err
+	}
+	for _, u := range f.Users {
+		if norm(u.Name) == "" || u.Key == "" {
+			return nil, fmt.Errorf("account %q without name or key", u.Name)
+		}
+	}
+	for key, e := range f.Contributors {
+		var err error
+		if e.policy, err = ruleindex.Load(e.State); err != nil {
+			return nil, fmt.Errorf("replica for %s: %w", e.Name, err)
+		}
+		f.Contributors[key] = e
+	}
+	return &f, nil
 }
 
 // saveState writes the state file. Its one caller is the fold, which
@@ -158,173 +193,112 @@ func (s *Service) saveState() error {
 	return nil
 }
 
+// snapshotState returns the state in its stored form, each replica's
+// State as its policy gives it.
 func (s *Service) snapshotState() (*persistedBrokerState, error) {
-	users := s.users.Snapshot()
+	st := frame()
+	st.Users = s.users.Snapshot()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return persist(users, s.contributors, s.consumers, s.studies, s.rosters)
-}
-
-// persist returns the stored form of the given entries, which the
-// caller's s.mu guards.
-func persist(users []auth.User, contributors map[string]*contributorEntry, consumers map[string]*consumerEntry,
-	studies map[string]map[string]bool, rosters map[string]map[string]string) (*persistedBrokerState, error) {
-	st := &persistedBrokerState{
-		Users:        users,
-		Contributors: make(map[string]persistedBrokerContributor),
-		Consumers:    make(map[string]persistedBrokerConsumer),
-		Studies:      make(map[string][]string),
-	}
-	for key, ce := range contributors {
-		ps, err := ce.policy.State()
+	for key, e := range s.contributors {
+		ps, err := e.policy.State()
 		if err != nil {
 			return nil, err
 		}
-		st.Contributors[key] = persistedBrokerContributor{
-			Name: ce.name, StoreAddr: ce.storeAddr, State: ps, StoreVersion: ce.storeVersion,
-		}
+		st.Contributors[key] = contributorEntry{Name: e.Name, StoreAddr: e.StoreAddr, State: ps, StoreVersion: e.StoreVersion}
 	}
-	for key, e := range consumers {
-		pc := persistedBrokerConsumer{Groups: append([]string(nil), e.groups...)}
-		if len(e.lists) > 0 {
-			pc.Lists = make(map[string][]string, len(e.lists))
-			for n, members := range e.lists {
-				pc.Lists[n] = append([]string(nil), members...)
-			}
-		}
-		if len(e.keys) > 0 {
-			pc.Keys = make(map[string]auth.APIKey, len(e.keys))
-			for addr, k := range e.keys {
-				pc.Keys[addr] = k
-			}
-		}
-		st.Consumers[key] = pc
+	for key, e := range s.consumers {
+		st.Consumers[key] = *e
 	}
-	for study, members := range studies {
-		var out []string
-		for m := range members {
-			out = append(out, m)
-		}
-		sort.Strings(out)
-		st.Studies[study] = out
+	for study, set := range s.studies {
+		st.Studies[study] = members(set)
 	}
-	for study, roster := range rosters {
-		var out []string
-		for _, name := range roster {
-			out = append(out, name)
-		}
-		sort.Strings(out)
+	for study, roster := range s.rosters {
 		if st.StudyRosters == nil {
 			st.StudyRosters = make(map[string][]string)
 		}
-		st.StudyRosters[study] = out
+		st.StudyRosters[study] = rosterNames(roster)
 	}
 	return st, nil
 }
 
+// contributorLocked returns a copy of the named contributor's entry for a
+// mutation to change, or a new one with the empty policy and ok false.
+// Callers hold s.mu.
+func (s *Service) contributorLocked(name string) (e contributorEntry, ok bool) {
+	if cur, ok := s.contributors[norm(name)]; ok {
+		return *cur, true
+	}
+	return contributorEntry{Name: name, policy: ruleindex.Empty()}, false
+}
+
+// with returns a copy of m with k set to v: a mutation never changes a
+// map an applied entry holds.
+func with[K comparable, V any](m map[K]V, k K, v V) map[K]V {
+	out := make(map[K]V, len(m)+1)
+	maps.Copy(out, m)
+	out[k] = v
+	return out
+}
+
+// members returns a study's consumers, sorted; nil when it has none.
+func members(set map[string]bool) []string {
+	var out []string
+	for m := range set {
+		out = append(out, m)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// rosterNames returns a roster's display names, sorted.
+func rosterNames(roster map[string]string) []string {
+	var out []string
+	for _, name := range roster {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // loadState restores the broker at open: the state file (a missing one
-// is a fresh broker), then the log replayed over it. Callers hold
-// s.logMu.
+// is a fresh broker), then every frame of the log, each decoded and
+// applied in turn. A frame holds whole entries as they were when it was
+// appended, so a later frame about an entry is never older than an
+// earlier one, and replaying frames a folded state file already holds
+// ends where they did. Every frame is fsynced before the next is
+// written, so only the last can be torn: a bad Final frame is where a
+// crash cut an append short, any other bad frame is an error. Callers
+// hold s.logMu.
 func (s *Service) loadState() error {
-	var st persistedBrokerState
 	data, err := os.ReadFile(filepath.Join(s.dir, stateFileName))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-	case err != nil:
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("broker: read state: %w", err)
-	default:
-		if err := json.Unmarshal(data, &st); err != nil {
-			return fmt.Errorf("broker: decode state: %w", err)
-		}
 	}
 	var logged []byte
 	if s.log, logged, err = walframe.Open(filepath.Join(s.dir, logName)); err != nil {
 		return fmt.Errorf("broker: open log: %w", err)
 	}
-	if err := replayLog(&st, logged); err != nil {
-		return err
-	}
-	if len(st.Users) > 0 {
-		if err := s.users.Restore(st.Users); err != nil {
-			return fmt.Errorf("broker: restore users: %w", err)
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for key, pc := range st.Contributors {
-		policy, err := ruleindex.Load(pc.State)
+	if data != nil {
+		f, err := decode(data)
 		if err != nil {
-			return fmt.Errorf("broker: restore policy for %s: %w", pc.Name, err)
+			return fmt.Errorf("broker: decode state: %w", err)
 		}
-		s.contributors[key] = &contributorEntry{
-			name: pc.Name, storeAddr: pc.StoreAddr, policy: policy, storeVersion: pc.StoreVersion,
-		}
+		s.applyLocked(f)
 	}
-	metricDirectorySize.Set(float64(len(s.contributors)))
-	s.recomputeStaleLocked()
-	for key, pc := range st.Consumers {
-		e := &consumerEntry{
-			lists:  make(map[string][]string),
-			keys:   make(map[string]auth.APIKey),
-			groups: append([]string(nil), pc.Groups...),
-		}
-		for n, members := range pc.Lists {
-			e.lists[n] = append([]string(nil), members...)
-		}
-		for addr, k := range pc.Keys {
-			e.keys[addr] = k
-		}
-		s.consumers[key] = e
-	}
-	for study, members := range st.Studies {
-		set := make(map[string]bool, len(members))
-		for _, m := range members {
-			set[m] = true
-		}
-		s.studies[study] = set
-	}
-	for study, names := range st.StudyRosters {
-		roster := make(map[string]string, len(names))
-		for _, n := range names {
-			roster[norm(n)] = n
-		}
-		s.rosters[study] = roster
-	}
-	return nil
-}
-
-// replayLog applies the log's frames, in order, to a state-file
-// snapshot. Each frame holds the whole state of the entries it names as
-// it was when appended, so a later frame about an entry is never older
-// than an earlier one: decoding a frame over the snapshot replaces each
-// entry it holds, last writer wins (persist makes every map of a frame,
-// so none decodes as null and clears the snapshot's). Accounts are a
-// list, merged by name here. Every frame is fsynced before the
-// next is written, so only the last can be torn: a bad Final frame is
-// where a crash cut an append short, any other bad frame is an error. A
-// replica that does not compile fails loadState's ruleindex.Load.
-func replayLog(st *persistedBrokerState, data []byte) error {
-	users := make(map[string]auth.User, len(st.Users))
-	for _, u := range st.Users {
-		users[norm(u.Name)] = u
-	}
-	err := walframe.Scan(data, 1, func(off int, body []byte) error {
-		st.Users = nil
-		if err := json.Unmarshal(body, st); err != nil {
+	err = walframe.Scan(logged, 1, func(off int, body []byte) error {
+		f, err := decode(body)
+		if err != nil {
 			return fmt.Errorf("bad frame at %d: %w", off, err)
 		}
-		for _, u := range st.Users {
-			users[norm(u.Name)] = u
-		}
+		s.applyLocked(f)
 		return nil
 	})
 	var bad *walframe.BadFrame
 	if err != nil && !(errors.As(err, &bad) && bad.Final) {
 		return fmt.Errorf("broker: log: %w", err)
-	}
-	st.Users = nil
-	for _, u := range users {
-		st.Users = append(st.Users, u)
 	}
 	return nil
 }

@@ -111,14 +111,14 @@ func (s *Service) SearchInfoCtx(ctx context.Context, key auth.APIKey, q *SearchQ
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	groups := append([]string(nil), e.groups...)
+	groups := append([]string(nil), e.Groups...)
 	var matched []SearchHit
 	for _, ce := range s.contributors {
 		if ce.policy.Len() == 0 {
 			continue // no rules: default deny
 		}
 		if s.contributorMatches(ce, u.Name, groups, q) {
-			matched = append(matched, SearchHit{Contributor: ce.name, StoreAddr: ce.storeAddr})
+			matched = append(matched, SearchHit{Contributor: ce.Name, StoreAddr: ce.StoreAddr})
 		}
 	}
 	sort.Slice(matched, func(i, j int) bool { return matched[i].Contributor < matched[j].Contributor })

@@ -127,3 +127,59 @@ func TestAuditRecordsQueryText(t *testing.T) {
 		t.Errorf("audited channels = %v", events[0].Channels)
 	}
 }
+
+// TestAnswerCarriesOneRuleVersion: every record of one answer is decided
+// by the contributor's policy as the answer first read it, so however
+// the rules change while it is built, all its audit events carry one
+// rule version.
+func TestAnswerCarriesOneRuleVersion(t *testing.T) {
+	ctx := context.Background()
+	s := newService(t, Options{})
+	alice, bob := setupAliceBob(t, s)
+	const records = 64
+	var segs []*wavesegment.Segment
+	for i := 0; i < records; i++ { // a minute apart, so none merge
+		segs = append(segs, packet("alice", t0.Add(time.Duration(i)*time.Minute), 4))
+	}
+	if n, err := s.UploadCtx(ctx, alice.Key, segs); err != nil || n != records {
+		t.Fatalf("upload stored %d records, %v; want %d", n, err, records)
+	}
+	flips := [][]byte{[]byte(`[{"Action":"Allow"}]`), []byte(`[{"Consumer":["Bob"],"Action":"Allow"}]`)}
+	if err := s.SetRules(alice.Key, flips[0]); err != nil {
+		t.Fatal(err)
+	}
+	stop, flipped := make(chan struct{}), make(chan error)
+	go func() {
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				flipped <- nil
+				return
+			default:
+			}
+			if err := s.SetRules(alice.Key, flips[i%2]); err != nil {
+				flipped <- err
+				return
+			}
+		}
+	}()
+	for n := 0; n < 40; n++ {
+		before := s.trail.Len()
+		if _, err := s.QueryCtx(ctx, bob.Key, &query.Query{}); err != nil {
+			t.Fatal(err)
+		}
+		events := s.trail.Events(audit.Filter{Limit: s.trail.Len() - before})
+		if len(events) != records {
+			t.Fatalf("answer %d left %d audit events, want %d", n, len(events), records)
+		}
+		for _, ev := range events {
+			if ev.RuleVersion != events[0].RuleVersion {
+				t.Fatalf("answer %d carries rule versions %d and %d", n, events[0].RuleVersion, ev.RuleVersion)
+			}
+		}
+	}
+	close(stop)
+	if err := <-flipped; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,6 +3,7 @@ package datastore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -41,6 +42,29 @@ func (s *Service) foldCursorLog() error {
 		return nil
 	}
 	return s.log.Fold(s.saveState())
+}
+
+// replayLog replays a log over st as an opening store does, on an
+// in-memory store, and leaves in st the accounts and policies that store
+// then holds and the subscriptions replay merged.
+func replayLog(st *persistedState, data []byte) error {
+	s, err := New(Options{})
+	if err != nil {
+		return err
+	}
+	defer s.Close()
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if err := s.replay(st, data); err != nil {
+		return err
+	}
+	got, err := s.snapshotState()
+	if err != nil {
+		return err
+	}
+	got.Subscriptions = st.Subscriptions
+	*st = *got
+	return nil
 }
 
 // mustNew opens a store the test kills instead of closing.
@@ -218,7 +242,7 @@ func TestCrashBetweenFoldAndLogReset(t *testing.T) {
 	dir := t.TempDir()
 	s := mustNew(t, dir)
 	bob, sub := subscribedBob(t, s, 4)
-	alice, _ := s.users.SnapshotUser("alice")
+	alice := s.users.Snapshot()[1] // sorted by name: Bob, alice
 	carol, err := s.RegisterConsumer("carol")
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +312,7 @@ func TestCrashBetweenFoldAndLogReset(t *testing.T) {
 	if _, err := s2.users.Authenticate(bob.Key); err != nil {
 		t.Errorf("Bob's last key after the crash: %v", err)
 	}
-	if groups := s2.contributors["alice"].groups["bob"]; !reflect.DeepEqual(groups, []string{"Study"}) {
+	if groups := s2.contributors["alice"].Groups["bob"]; !reflect.DeepEqual(groups, []string{"Study"}) {
 		t.Errorf("Bob's groups after the crash = %v, want [Study]", groups)
 	}
 }
@@ -485,7 +509,8 @@ func durableJSON(t *testing.T, st *persistedState) string {
 
 // TestCursorReplayIsIdempotent: after a random run of subscribes,
 // publishes, acks, polls and unsubscribes mixed with rule and place
-// changes, key rotations, group assignments and registrations, the log
+// changes, key rotations, group assignments and registrations, retries
+// that append nothing and mutations whose append fails, the log
 // replayed over a state file snapshot taken at any point since it was
 // last emptied gives the final users, policies, groups, subscriptions
 // and cursors, and no next beyond the final one.
@@ -518,10 +543,48 @@ func TestCursorReplayIsIdempotent(t *testing.T) {
 		keys[c] = u.Key
 	}
 	snaps = append(snaps, snapshot())
+	groupSets := [][]string{nil, {"Study"}, {"Study", "Cohort"}}
+	var assigned func() error // the last group assignment made
+	// control returns a control mutation, its arguments drawn now.
+	control := func(i int) func() error {
+		c := consumers[rng.Intn(len(consumers))]
+		switch rng.Intn(5) {
+		case 0:
+			rs := ruleSets[rng.Intn(len(ruleSets))]
+			return func() error { return s.SetRules(alice.Key, []byte(rs)) }
+		case 1:
+			label := fmt.Sprintf("place%d", rng.Intn(3))
+			return func() error { return s.DefinePlace(alice.Key, label, geo.Region{Rect: rect}) }
+		case 2:
+			return func() error {
+				fresh, err := s.RotateKey(keys[c])
+				if err == nil {
+					keys[c] = fresh
+				}
+				return err
+			}
+		case 3:
+			groups := groupSets[rng.Intn(len(groupSets))]
+			var assign func() error
+			assign = func() error {
+				err := s.AssignConsumerGroups(alice.Key, c, groups)
+				if err == nil {
+					assigned = assign
+				}
+				return err
+			}
+			return assign
+		default:
+			return func() error {
+				_, err := s.RegisterConsumer(fmt.Sprintf("extra%d", i))
+				return err
+			}
+		}
+	}
 	for i := 0; i < 400; i++ {
 		live := s.stream.Snapshot()
 		var err error
-		switch op := rng.Intn(14); {
+		switch op := rng.Intn(16); {
 		case op < 2:
 			_, err = s.stream.Subscribe(consumers[rng.Intn(len(consumers))], "alice", channelSets[rng.Intn(len(channelSets))])
 		case op < 5:
@@ -537,17 +600,34 @@ func TestCursorReplayIsIdempotent(t *testing.T) {
 		case op == 9 && len(live) > 1: // the last one stays, so there is a cursor to check
 			st := live[rng.Intn(len(live))]
 			err = s.stream.Unsubscribe(st.Consumer, st.ID)
-		case op == 10 && rng.Intn(2) == 0:
-			err = s.SetRules(alice.Key, []byte(ruleSets[rng.Intn(len(ruleSets))]))
-		case op == 10:
-			err = s.DefinePlace(alice.Key, fmt.Sprintf("place%d", rng.Intn(3)), geo.Region{Rect: rect})
-		case op == 11:
-			c := consumers[rng.Intn(len(consumers))]
-			keys[c], err = s.RotateKey(keys[c])
-		case op == 12:
-			err = s.AssignConsumerGroups(alice.Key, consumers[rng.Intn(len(consumers))], [][]string{nil, {"Study"}, {"Study", "Cohort"}}[rng.Intn(3)])
-		case op == 13:
-			_, err = s.RegisterConsumer(fmt.Sprintf("extra%d", i))
+		case op < 14:
+			err = control(i)()
+		case op == 14: // retries that find their change made
+			frames := metricCursorLogFrames.Value()
+			if assigned != nil {
+				err = assigned()
+			}
+			if _, dup := s.RegisterConsumer(consumers[rng.Intn(len(consumers))]); !errors.Is(dup, auth.ErrDuplicateUser) {
+				t.Fatalf("op %d: a taken consumer name registered: %v", i, dup)
+			}
+			if metricCursorLogFrames.Value() != frames {
+				t.Fatalf("op %d: a retry appended a frame", i)
+			}
+		case op == 15: // a failed append changes nothing
+			s.logMu.Lock()
+			open := s.log
+			s.log = new(walframe.Log) // closed
+			s.logMu.Unlock()
+			failed := control(i)()
+			s.logMu.Lock()
+			s.log = open
+			s.logMu.Unlock()
+			if failed != nil && !errors.Is(failed, os.ErrClosed) {
+				t.Fatalf("op %d against a closed log: %v", i, failed)
+			}
+			if got := snapshot(); !reflect.DeepEqual(got, snaps[len(snaps)-1]) {
+				t.Fatalf("op %d: a failed append changed the state:\n got %+v\nwant %+v", i, got, snaps[len(snaps)-1])
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -643,6 +723,21 @@ func FuzzCursorLog(f *testing.F) {
 		logRecord{Policy: policy},
 		logRecord{User: &persistedUser{Name: "bob", Role: "consumer", Key: "k2"}},
 		put("a", 2, 2)))
+	// One frame of each control kind, as the mutation builds it.
+	for _, m := range controlMutations {
+		dir := f.TempDir()
+		s, err := New(Options{Dir: dir})
+		if err != nil {
+			f.Fatal(err)
+		}
+		alice, bob := setupAliceBob(f, s)
+		seeded := s.log.Len()
+		if err := m.mutate(s, alice, bob); err != nil {
+			f.Fatalf("%s: %v", m.name, err)
+		}
+		kill(s)
+		f.Add(mustRead(f, filepath.Join(dir, cursorLogName))[seeded:])
+	}
 	f.Add(walframe.Append(nil, []byte(`{"policy":{"name":"alice","rules":[{"Action":"Sometimes"}],"ruleVersion":2}}`)))
 	f.Add(walframe.Append(nil, []byte(`{"policy":{"name":"alice","rules":[{"Action":"Allow"},{"Sensor":"ECG"}]}}`)))
 	f.Add(walframe.Append(nil, []byte(`{"policy":{"rules":[]},"user":{"name":"","key":""}}`)))
@@ -694,6 +789,106 @@ func TestControlMutationsAppendFramesNotStateWrites(t *testing.T) {
 	}
 	if got := metricStateWrites.Value() - writes; got != 0 {
 		t.Errorf("6 control mutations rewrote the state file %v times, want 0", got)
+	}
+}
+
+// controlMutations are the store's control mutation kinds, one call
+// each on a store setupAliceBob filled.
+var controlMutations = []struct {
+	name   string
+	mutate func(s *Service, alice, bob auth.User) error
+}{
+	{"RegisterContributor", func(s *Service, _, _ auth.User) error {
+		_, err := s.RegisterContributor("carol")
+		return err
+	}},
+	{"RegisterConsumer", func(s *Service, _, _ auth.User) error {
+		_, err := s.RegisterConsumer("dave")
+		return err
+	}},
+	{"RotateKey", func(s *Service, _, bob auth.User) error {
+		_, err := s.RotateKey(bob.Key)
+		return err
+	}},
+	{"SetRules", func(s *Service, alice, _ auth.User) error { return s.SetRules(alice.Key, []byte(`[]`)) }},
+	{"DefinePlace", func(s *Service, alice, _ auth.User) error {
+		rect, _ := geo.NewRect(geo.Point{Lat: 34.05, Lon: -118.46}, geo.Point{Lat: 34.08, Lon: -118.43})
+		return s.DefinePlace(alice.Key, "UCLA", geo.Region{Rect: rect})
+	}},
+	{"AssignConsumerGroups", func(s *Service, alice, _ auth.User) error {
+		return s.AssignConsumerGroups(alice.Key, "Bob", []string{"Study"})
+	}},
+}
+
+// TestFailedAppendChangesNothing: a control mutation whose append fails,
+// here because the store is closed, errors and leaves the state as it
+// was, for every kind: Bob's old key still authenticates and the rules
+// before the failed change still decide his deliveries.
+func TestFailedAppendChangesNothing(t *testing.T) {
+	for _, m := range controlMutations {
+		t.Run(m.name, func(t *testing.T) {
+			s := mustNew(t, t.TempDir())
+			alice, bob := setupAliceBob(t, s)
+			if err := s.SetRules(alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.snapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.mutate(s, alice, bob); !errors.Is(err, os.ErrClosed) {
+				t.Errorf("the mutation returned %v, want %v", err, os.ErrClosed)
+			}
+			after, err := s.snapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(after, before) {
+				t.Errorf("state after a failed append:\n got %+v\nwant %+v", after, before)
+			}
+			if _, err := s.authenticate(bob.Key, auth.RoleConsumer); err != nil {
+				t.Errorf("Bob's key after a failed mutation: %v", err)
+			}
+			if rels, _, _, err := s.StreamRelease("Bob", nil, packet("alice", t0, 4)); err != nil || len(rels) == 0 {
+				t.Errorf("Bob's delivery after a failed mutation released %d, %v; want the allow rule's release", len(rels), err)
+			}
+		})
+	}
+}
+
+// TestIdempotentRetriesAppendNoFrame: a retried group assignment that
+// finds the groups already set, and a registration of a name already
+// taken, append no frame; a rule change always does, at its next version.
+func TestIdempotentRetriesAppendNoFrame(t *testing.T) {
+	s := mustNew(t, t.TempDir())
+	defer kill(s)
+	alice, _ := setupAliceBob(t, s)
+	frames := func() float64 { return metricCursorLogFrames.Value() }
+	start := frames()
+	for i := 0; i < 2; i++ {
+		if err := s.AssignConsumerGroups(alice.Key, "bob", []string{"Study"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.RegisterConsumer("BOB"); !errors.Is(err, auth.ErrDuplicateUser) {
+		t.Errorf("a second Bob: %v, want %v", err, auth.ErrDuplicateUser)
+	}
+	if _, err := s.RegisterContributor("Alice"); !errors.Is(err, auth.ErrDuplicateUser) {
+		t.Errorf("a second alice: %v, want %v", err, auth.ErrDuplicateUser)
+	}
+	if got := frames() - start; got != 1 {
+		t.Errorf("an assignment, its retry and two taken names appended %v frames, want 1", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.SetRules(alice.Key, []byte(`[]`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := frames() - start; got != 3 {
+		t.Errorf("after two equal rule sets the log holds %v new frames, want 3", got)
 	}
 }
 
@@ -775,7 +970,7 @@ func TestCrashAfterAssignGroups(t *testing.T) {
 	kill(s)
 	s = mustNew(t, dir)
 	defer kill(s)
-	if got := s.contributors["alice"].groups["bob"]; !reflect.DeepEqual(got, []string{"Study", "Cohort-2"}) {
+	if got := s.contributors["alice"].Groups["bob"]; !reflect.DeepEqual(got, []string{"Study", "Cohort-2"}) {
 		t.Errorf("Bob's groups after the crash = %v, want [Study Cohort-2]", got)
 	}
 }

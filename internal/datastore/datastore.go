@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -136,20 +137,6 @@ type Options struct {
 // DefaultSyncInterval is the shipped servers' anti-entropy period.
 const DefaultSyncInterval = 30 * time.Second
 
-// contributorState is the per-contributor slice of an (institutional)
-// store.
-type contributorState struct {
-	// policy is the contributor's rules and labeled places, compiled at
-	// their current version. Every rule or place change compiles a new
-	// one (with a fresh decision cache) at the next version and swaps it
-	// in, so a version bump can never serve a stale memoized decision and
-	// a reader holding the old one needs no lock.
-	policy *ruleindex.Index
-	// groups maps consumer name → group/study names, as assigned by this
-	// contributor (used by group-scoped rules).
-	groups map[string][]string
-}
-
 // Service is one remote data store.
 type Service struct {
 	opts   Options
@@ -160,12 +147,13 @@ type Service struct {
 	stream *stream.Hub
 
 	mu           sync.RWMutex
-	contributors map[string]*contributorState // guarded by mu
+	contributors map[string]*contributorRecord // guarded by mu
 
-	// logMu serialises the store's log: every append, and every fold that
-	// writes the state file and empties the log. Lock order: logMu, then
-	// the stream hub's locks, then mu; nothing holding a hub lock or mu
-	// appends.
+	// logMu is the writer lock: a control mutation holds it while it
+	// reads the state its record is built from, appends the record and
+	// applies it, and a fold holds it while it writes the state file and
+	// empties the log. Lock order: logMu, then the stream hub's locks,
+	// then mu; nothing holding a hub lock or mu appends.
 	logMu sync.Mutex
 	log   *walframe.Log // nil for in-memory stores; guarded by logMu
 
@@ -191,7 +179,7 @@ func New(opts Options) (*Service, error) {
 		users:        auth.NewRegistry(),
 		web:          auth.NewPasswords(0),
 		trail:        audit.NewTrail(0),
-		contributors: make(map[string]*contributorState),
+		contributors: make(map[string]*contributorRecord),
 	}
 	//sslint:ignore ctxpropagate the service lifetime is the call-tree root of the store's outbound broker calls
 	svc.ctx, svc.cancel = context.WithCancel(context.Background())
@@ -260,18 +248,9 @@ func (s *Service) SegmentStoreStats() (segstore.Stats, bool) {
 // RegisterContributor creates a contributor account with a fresh API key
 // and an empty (deny-everything) rule set.
 func (s *Service) RegisterContributor(name string) (auth.User, error) {
-	u, err := s.users.Register(name, auth.RoleContributor)
+	u, err := s.register(name, auth.RoleContributor)
 	if err != nil {
 		return auth.User{}, err
-	}
-	s.mu.Lock()
-	s.contributors[normName(name)] = &contributorState{
-		policy: ruleindex.Empty(),
-		groups: make(map[string][]string),
-	}
-	s.mu.Unlock()
-	if err := s.logControl(u.Name, u.Name); err != nil {
-		return u, err
 	}
 	if s.opts.Directory != nil {
 		if err := s.opts.Directory.RegisterContributorCtx(s.ctx, u.Name, s.opts.Name); err != nil {
@@ -300,26 +279,54 @@ func (s *Service) Addr() string { return s.opts.Name }
 // broker calls this on behalf of consumers (paper §5.4: "the registration
 // process is automatically handled by the broker").
 func (s *Service) RegisterConsumer(name string) (auth.User, error) {
-	u, err := s.users.Register(name, auth.RoleConsumer)
+	return s.register(name, auth.RoleConsumer)
+}
+
+// register commits a new account under a fresh API key; a contributor's
+// record also holds their empty (deny-everything) policy.
+func (s *Service) register(name string, role auth.Role) (auth.User, error) {
+	if normName(name) == "" {
+		return auth.User{}, fmt.Errorf("datastore: empty user name")
+	}
+	key, err := auth.NewAPIKey()
 	if err != nil {
 		return auth.User{}, err
 	}
-	return u, s.logControl(u.Name, "")
+	u := auth.User{Name: name, Role: role, Key: key}
+	rec := &logRecord{User: userRecord(u)}
+	if role == auth.RoleContributor {
+		rec.Policy = &contributorRecord{Name: normName(name), policy: ruleindex.Empty()}
+	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	if _, err := s.users.Lookup(name); err == nil {
+		return auth.User{}, fmt.Errorf("%w: %s", auth.ErrDuplicateUser, name)
+	}
+	if err := s.commit(rec); err != nil {
+		return auth.User{}, err
+	}
+	return u, nil
 }
 
 // RotateKey invalidates the presented API key and issues a fresh one for
 // the same account — the recovery path when a key leaks (the paper's
 // future-work security analysis; keys act as username and password, §5.4).
 func (s *Service) RotateKey(key auth.APIKey) (auth.APIKey, error) {
+	newKey, err := auth.NewAPIKey()
+	if err != nil {
+		return "", err
+	}
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
 	u, err := s.users.Authenticate(key)
 	if err != nil {
 		return "", err
 	}
-	newKey, err := s.users.Rotate(u.Name)
-	if err != nil {
+	u.Key = newKey
+	if err := s.commit(&logRecord{User: userRecord(u)}); err != nil {
 		return "", err
 	}
-	return newKey, s.logControl(u.Name, "")
+	return newKey, nil
 }
 
 // authenticate resolves a key and checks the expected role.
@@ -339,24 +346,22 @@ func (s *Service) authenticate(key auth.APIKey, role auth.Role) (auth.User, erro
 
 func normName(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 
-// stateLocked resolves a contributor's rule state; callers must hold s.mu.
-func (s *Service) stateLocked(contributor string) (*contributorState, error) {
-	st, ok := s.contributors[normName(contributor)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, contributor)
-	}
-	return st, nil
+// contributorOf returns the contributor's current record, which never
+// changes once applied, so a caller may keep it; nil for a contributor
+// the store does not know.
+func (s *Service) contributorOf(contributor string) *contributorRecord {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.contributors[normName(contributor)]
 }
 
 // policyOf returns the contributor's current policy.
 func (s *Service) policyOf(contributor string) (*ruleindex.Index, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st, err := s.stateLocked(contributor)
-	if err != nil {
-		return nil, err
+	cs := s.contributorOf(contributor)
+	if cs == nil {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownUser, contributor)
 	}
-	return st.policy, nil
+	return cs.policy, nil
 }
 
 // UploadCtx ingests a batch of wave segments for the contributor owning the
@@ -466,23 +471,20 @@ func (s *Service) DefinePlace(key auth.APIKey, label string, region geo.Region) 
 }
 
 // commitPolicy compiles the contributor's next policy from the rules and
-// places change derives from the current one, swaps it in at the next
-// version, logs it and replicates it.
+// places change derives from the current one, commits it at the next
+// version and replicates it.
 func (s *Service) commitPolicy(contributor string, change func(cur *ruleindex.Index) ([]*rules.Rule, []geo.Region)) error {
-	s.mu.Lock()
-	st, err := s.stateLocked(contributor)
-	if err == nil {
-		rs, places := change(st.policy)
-		var next *ruleindex.Index
-		if next, err = ruleindex.Compile(rs, places, st.policy.Version()+1); err == nil {
-			st.policy = next
+	err := s.updateContributor(contributor, func(rec *contributorRecord) (bool, error) {
+		rs, places := change(rec.policy)
+		next, err := ruleindex.Compile(rs, places, rec.policy.Version()+1)
+		if err != nil {
+			return false, err
 		}
-	}
-	s.mu.Unlock()
+		rec.policy = next
+		rec.State, err = next.State()
+		return true, err
+	})
 	if err != nil {
-		return err
-	}
-	if err := s.logControl("", contributor); err != nil {
 		return err
 	}
 	// Replicate best-effort: the change is already durable, so a broker
@@ -514,15 +516,35 @@ func (s *Service) AssignConsumerGroups(key auth.APIKey, consumer string, groups 
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	st, err := s.stateLocked(u.Name)
-	if err != nil {
-		s.mu.Unlock()
+	return s.updateContributor(u.Name, func(rec *contributorRecord) (bool, error) {
+		c := normName(consumer)
+		if slices.Equal(rec.Groups[c], groups) {
+			return false, nil
+		}
+		rec.Groups = maps.Clone(rec.Groups)
+		if rec.Groups == nil {
+			rec.Groups = make(map[string][]string)
+		}
+		rec.Groups[c] = append([]string(nil), groups...)
+		return true, nil
+	})
+}
+
+// updateContributor commits the contributor's record as edit leaves a
+// copy of it; edit replaces what it changes, reports whether it changed
+// anything, and a record it did not change is not committed.
+func (s *Service) updateContributor(contributor string, edit func(rec *contributorRecord) (bool, error)) error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	cur := s.contributorOf(contributor)
+	if cur == nil {
+		return fmt.Errorf("%w: %s", ErrUnknownUser, contributor)
+	}
+	rec := *cur
+	if changed, err := edit(&rec); err != nil || !changed {
 		return err
 	}
-	st.groups[normName(consumer)] = append([]string(nil), groups...)
-	s.mu.Unlock()
-	return s.logControl("", u.Name)
+	return s.commit(&logRecord{Policy: &rec})
 }
 
 // pushSync replicates the contributor's rules and places (stamped with
@@ -648,6 +670,9 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 	// Audit events cross-reference the query's trace: the trail answers
 	// what was released, the trace answers why.
 	who := audit.Event{Consumer: u.Name, Query: q.String(), TraceID: trace.IDFromContext(ctx)}
+	// Each contributor's record is read once, at their first record in
+	// the answer, so a rule change while it is built decides none of it.
+	pinned := make(map[string]*contributorRecord)
 	// Limit counts records that released something, so a withheld record
 	// must not use it up. The scan stays bounded by what the loop
 	// examines: it reads a page of Limit records and, while fewer than
@@ -677,8 +702,14 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 					continue
 				}
 			}
+			owner := normName(seg.Contributor)
+			cs, ok := pinned[owner]
+			if !ok {
+				cs = s.contributorOf(owner)
+				pinned[owner] = cs
+			}
 			_, espan, stopEval := obs.Span(ctx, "datastore.rule_eval")
-			rels, _, _, err := s.release(who, seg, q, espan)
+			rels, _, _, err := s.release(who, seg, q, espan, cs)
 			stopEval(err)
 			if err != nil {
 				return nil, err
@@ -702,8 +733,9 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 }
 
 // release is the store's one egress for stored data, shared by queries
-// and live-stream deliveries: it enforces the segment contributor's
-// current rules for the consumer named in who, applies q's channel
+// and live-stream deliveries: it enforces cs, the segment contributor's
+// record as the caller read it (nil for a contributor the store does not
+// know), for the consumer named in who, applies q's channel
 // projection and context filter to the *released* data (so the filter
 // cannot leak withheld contexts), and records every release in the audit
 // trail, starting from who's consumer, query text and trace ID. span
@@ -712,23 +744,15 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 // release.decision event per release. It returns the releases, the rule
 // version that decided them, and their joint classification: raw when
 // every release flowed at full fidelity, withheld when none survived.
-func (s *Service) release(who audit.Event, seg *wavesegment.Segment, q *query.Query, span *trace.Span) ([]*abstraction.Release, uint64, audit.Outcome, error) {
-	s.mu.RLock()
-	st, err := s.stateLocked(seg.Contributor)
-	var policy *ruleindex.Index
-	var groups []string
-	if err == nil {
-		policy, groups = st.policy, st.groups[normName(who.Consumer)]
-	}
-	s.mu.RUnlock()
+func (s *Service) release(who audit.Event, seg *wavesegment.Segment, q *query.Query, span *trace.Span, cs *contributorRecord) ([]*abstraction.Release, uint64, audit.Outcome, error) {
 	span.SetAttr(trace.String("contributor", seg.Contributor))
-	if err != nil {
+	if cs == nil {
 		metricReleases.With("deny").Inc()
 		return nil, 0, audit.OutcomeWithheld, nil // record of an unknown contributor: default deny
 	}
-	version := policy.Version()
+	version := cs.policy.Version()
 	span.SetAttr(trace.Int64("rule_version", int64(version)))
-	rels, decisions, err := abstraction.EnforceExplained(policy, who.Consumer, groups, seg, geo.GridGeocoder{})
+	rels, decisions, err := abstraction.EnforceExplained(cs.policy, who.Consumer, cs.Groups[normName(who.Consumer)], seg, geo.GridGeocoder{})
 	if err != nil {
 		return nil, version, audit.OutcomeWithheld, err
 	}

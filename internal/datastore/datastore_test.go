@@ -64,7 +64,7 @@ func packetStream(contributor string, start time.Time, count int) []*wavesegment
 	return out
 }
 
-func setupAliceBob(t *testing.T, s *Service) (alice, bob auth.User) {
+func setupAliceBob(t testing.TB, s *Service) (alice, bob auth.User) {
 	t.Helper()
 	var err error
 	if alice, err = s.RegisterContributor("alice"); err != nil {

@@ -17,11 +17,13 @@ import (
 // Metadata persistence: sensor data lives in the segment engine; everything
 // else a store must not lose across restarts — accounts and API keys,
 // privacy rules, labeled places, consumer group assignments and stream
-// subscriptions — is kept in two files. Every control mutation and every
-// stream change appends one frame to the store's log (cursorlog.go),
-// fsynced before the call returns. The JSON state file is the snapshot
-// that log is folded into: only a fold writes it, atomically (tmp +
-// rename). In-memory stores (Dir == "") skip persistence entirely.
+// subscriptions — is kept in two files. Every control mutation appends
+// its frame to the store's log (cursorlog.go), fsynced, and then applies
+// it; every stream change is logged the same way after the hub made it.
+// The JSON state file is the snapshot that log is folded into: only a
+// fold writes it, atomically (tmp + rename), and replay applies it with
+// the same apply as the log's frames. In-memory stores (Dir == "") skip
+// persistence entirely.
 
 // stateFileName is the metadata file inside the store directory.
 const stateFileName = "state.json"
@@ -34,6 +36,15 @@ type persistedUser struct {
 
 func userRecord(u auth.User) *persistedUser {
 	return &persistedUser{Name: u.Name, Role: u.Role.String(), Key: u.Key}
+}
+
+// user is the account a record holds.
+func (pu *persistedUser) user() auth.User {
+	role := auth.RoleConsumer
+	if pu.Role == auth.RoleContributor.String() {
+		role = auth.RoleContributor
+	}
+	return auth.User{Name: pu.Name, Role: role, Key: pu.Key}
 }
 
 type persistedContributor struct {
@@ -84,29 +95,13 @@ func (s *Service) snapshotState() (*persistedState, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for name, cs := range s.contributors {
-		pc, err := cs.persisted()
+		ps, err := cs.policy.State()
 		if err != nil {
 			return nil, err
 		}
-		st.Contributors[name] = &pc
+		st.Contributors[name] = &persistedContributor{State: ps, Groups: cs.Groups}
 	}
 	return st, nil
-}
-
-// persisted returns the contributor's stored form; callers hold s.mu.
-func (cs *contributorState) persisted() (persistedContributor, error) {
-	ps, err := cs.policy.State()
-	if err != nil {
-		return persistedContributor{}, err
-	}
-	pc := persistedContributor{State: ps}
-	if len(cs.groups) > 0 {
-		pc.Groups = make(map[string][]string, len(cs.groups))
-		for consumer, groups := range cs.groups {
-			pc.Groups[consumer] = append([]string(nil), groups...)
-		}
-	}
-	return pc, nil
 }
 
 // loadState restores metadata at startup: the state file (a missing one
@@ -131,33 +126,9 @@ func (s *Service) loadState() error {
 	if s.log, logged, err = walframe.Open(filepath.Join(s.opts.Dir, cursorLogName)); err != nil {
 		return fmt.Errorf("datastore: open cursor log: %w", err)
 	}
-	if err := replayLog(&st, logged); err != nil {
+	if err := s.replay(&st, logged); err != nil {
 		return err
 	}
-	users := make([]auth.User, 0, len(st.Users))
-	for _, pu := range st.Users {
-		role := auth.RoleConsumer
-		if pu.Role == auth.RoleContributor.String() {
-			role = auth.RoleContributor
-		}
-		users = append(users, auth.User{Name: pu.Name, Role: role, Key: pu.Key})
-	}
-	if err := s.users.Restore(users); err != nil {
-		return fmt.Errorf("datastore: restore users: %w", err)
-	}
 	s.stream.Restore(st.Subscriptions)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, pc := range st.Contributors {
-		policy, err := ruleindex.Load(pc.State)
-		if err != nil {
-			return fmt.Errorf("datastore: restore policy for %s: %w", name, err)
-		}
-		cs := &contributorState{policy: policy, groups: make(map[string][]string)}
-		for consumer, groups := range pc.Groups {
-			cs.groups[consumer] = groups
-		}
-		s.contributors[name] = cs
-	}
 	return nil
 }

@@ -153,7 +153,7 @@ func TestParentStateFileLoads(t *testing.T) {
 	}
 }
 
-func mustRead(t *testing.T, path string) []byte {
+func mustRead(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -28,10 +28,7 @@ func (s *Service) Subscribe(key auth.APIKey, contributor string, channels []stri
 	if err != nil {
 		return stream.SubInfo{}, err
 	}
-	s.mu.RLock()
-	_, err = s.stateLocked(contributor)
-	s.mu.RUnlock()
-	if err != nil {
+	if _, err := s.policyOf(contributor); err != nil {
 		return stream.SubInfo{}, err
 	}
 	return s.stream.Subscribe(u.Name, contributor, channels)
@@ -68,11 +65,12 @@ func (s *Service) Unsubscribe(key auth.APIKey, id string) error {
 
 // StreamRelease implements stream.RuleSource: a subscription is the query
 // for its channels, so a delivery goes through release exactly like a
-// query and is audited as "stream <query>". Hub.Next carries no context,
-// so stream audit events carry no trace ID.
+// query and is audited as "stream <query>", under the contributor's
+// record as the delivery first reads it. Hub.Next carries no context, so
+// stream audit events carry no trace ID.
 func (s *Service) StreamRelease(consumer string, channels []string, seg *wavesegment.Segment) ([]*abstraction.Release, uint64, audit.Outcome, error) {
 	q := &query.Query{Channels: channels}
-	return s.release(audit.Event{Consumer: consumer, Query: "stream " + q.String()}, seg, q, nil)
+	return s.release(audit.Event{Consumer: consumer, Query: "stream " + q.String()}, seg, q, nil, s.contributorOf(seg.Contributor))
 }
 
 // StreamEngine returns the contributor's policy and its version, the
