@@ -32,7 +32,6 @@ import (
 	"sensorsafe/internal/httpapi"
 	"sensorsafe/internal/obs"
 	"sensorsafe/internal/obs/trace"
-	"sensorsafe/internal/overload"
 	"sensorsafe/internal/query"
 	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/ruleindex"
@@ -370,33 +369,24 @@ func main() {
 
 // printHealth surveys the fleet: the broker's /healthz plus, when a key
 // allows reading the directory, every store's — showing each server's
-// degradation state and pressure alongside a probe circuit breaker
-// (the same BreakerSet federation uses; one failed probe trips it, so an
-// unreachable store renders as open).
+// degradation state and pressure, or why it could not be reached.
 func printHealth(bc *httpapi.BrokerClient, key auth.APIKey) error {
-	breakers := overload.NewBreakerSet(overload.BreakerConfig{FailureThreshold: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	probe := func(kind, name, base string, fetch func() (httpapi.Health, error)) {
-		br := breakers.For(base)
-		var h httpapi.Health
-		err := br.Allow()
-		if err == nil {
-			h, err = fetch()
-			br.Report(err)
-		}
+		h, err := fetch()
 		if err != nil {
-			fmt.Printf("%-8s %-20s %-30s unreachable (%v); breaker %s\n", kind, name, base, err, br.State())
+			fmt.Printf("%-8s %-20s %-30s unreachable (%v)\n", kind, name, base, err)
 			return
 		}
 		deg := h.Degradation
 		if deg == "" {
 			deg = "unknown"
 		}
-		fmt.Printf("%-8s %-20s %-30s %s, %s (pressure %.2f), up %s; breaker %s\n",
+		fmt.Printf("%-8s %-20s %-30s %s, %s (pressure %.2f), up %s\n",
 			kind, name, base, h.Status, deg, h.Pressure,
-			(time.Duration(h.UptimeS) * time.Second).Round(time.Second), br.State())
+			(time.Duration(h.UptimeS) * time.Second).Round(time.Second))
 	}
 
 	probe("broker", "-", bc.BaseURL, func() (httpapi.Health, error) { return bc.HealthCtx(ctx) })

@@ -30,7 +30,6 @@ import (
 	"sensorsafe/internal/broker"
 	"sensorsafe/internal/obs"
 	"sensorsafe/internal/obs/trace"
-	"sensorsafe/internal/overload"
 	"sensorsafe/internal/query"
 )
 
@@ -170,11 +169,6 @@ type Engine struct {
 	Dial func(addr string) Store
 	// Options are the engine-wide defaults.
 	Options Options
-	// Breakers, when set, holds one circuit breaker per store address:
-	// fetches (hedges included) against a tripped store are skipped
-	// entirely and reported as OutcomeShed, so scatter-gather stops
-	// hammering a member that is down or shedding. Nil disables breaking.
-	Breakers *overload.BreakerSet
 
 	mu       sync.Mutex
 	creds    map[string]broker.Credential // contributor → store credential; guarded by mu
@@ -389,16 +383,6 @@ func (e *Engine) fetchMember(ctx context.Context, m member, req *Request) fetchR
 	// actually provisioned the key.
 	if cred.StoreAddr != "" {
 		res.storeAddr = cred.StoreAddr
-	}
-	if br := e.Breakers.For(res.storeAddr); br != nil {
-		if err := br.Allow(); err != nil {
-			// Known-bad member: skip the fetch (and any hedge) entirely and
-			// let the report say "shed", not "unreachable".
-			mspan.SetAttr(trace.Bool("breaker_open", true))
-			res.err = fmt.Errorf("federation: %s: %w", m.contributor, err)
-			return res
-		}
-		defer func() { br.Report(res.err) }()
 	}
 	st := e.store(res.storeAddr)
 

@@ -14,7 +14,6 @@ import (
 	"sensorsafe/internal/abstraction"
 	"sensorsafe/internal/auth"
 	"sensorsafe/internal/broker"
-	"sensorsafe/internal/overload"
 	"sensorsafe/internal/query"
 	"sensorsafe/internal/resilience"
 )
@@ -493,7 +492,6 @@ func TestClassify(t *testing.T) {
 		{&resilience.StatusError{Code: 404, Msg: "x"}, OutcomeDenied},
 		{&resilience.StatusError{Code: 503, Msg: "x"}, OutcomeUnreachable},
 		{&resilience.StatusError{Code: 429, Msg: "x"}, OutcomeShed},
-		{fmt.Errorf("skip: %w", resilience.ErrCircuitOpen), OutcomeShed},
 		{&resilience.StatusError{Code: 400, Msg: "x"}, OutcomeError},
 		{&url.Error{Op: "Post", URL: "u", Err: errors.New("refused")}, OutcomeUnreachable},
 		{errors.New("weird"), OutcomeError},
@@ -524,59 +522,5 @@ func TestCursorRoundTrip(t *testing.T) {
 	empty, err := decodeCursor("")
 	if err != nil || len(empty.Consumed) != 0 {
 		t.Fatalf("empty cursor = %+v, %v", empty, err)
-	}
-}
-
-// TestBreakerSkipsTrippedStore proves scatter-gather stops touching a
-// store once its breaker trips: the dead member reports shed (not
-// unreachable), healthy members keep answering, and total calls against
-// the dead store stay at the trip threshold.
-func TestBreakerSkipsTrippedStore(t *testing.T) {
-	dead := &fakeStore{}
-	for i := 0; i < 100; i++ {
-		dead.errs = append(dead.errs, &resilience.StatusError{Code: 503, Msg: "down"})
-	}
-	stores := map[string]*fakeStore{
-		"alice": {rels: []*abstraction.Release{rel("alice", 0)}},
-		"bob":   dead,
-	}
-	e, _ := deployFake(stores)
-	e.Breakers = overload.NewBreakerSet(overload.BreakerConfig{FailureThreshold: 3, OpenFor: time.Hour})
-
-	ctx := context.Background()
-	req := func() *Request {
-		return &Request{Cohort: Cohort{Contributors: []string{"alice", "bob"}}}
-	}
-	var lastShed bool
-	for i := 0; i < 10; i++ {
-		res, err := e.CohortQuery(ctx, req())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Partial {
-			t.Fatalf("query %d: dead member must make the result partial", i)
-		}
-		for _, rep := range res.Reports {
-			switch rep.Contributor {
-			case "alice":
-				if rep.Outcome != OutcomeOK {
-					t.Fatalf("query %d: healthy store outcome %s", i, rep.Outcome)
-				}
-			case "bob":
-				lastShed = rep.Outcome == OutcomeShed
-				if rep.Outcome != OutcomeUnreachable && rep.Outcome != OutcomeShed {
-					t.Fatalf("query %d: dead store outcome %s", i, rep.Outcome)
-				}
-			}
-		}
-	}
-	if !lastShed {
-		t.Fatal("tripped store must report shed once the breaker opens")
-	}
-	if got := dead.calls.Load(); got != 3 {
-		t.Fatalf("dead store saw %d calls, want exactly the trip threshold 3", got)
-	}
-	if stores["alice"].calls.Load() != 10 {
-		t.Fatalf("healthy store saw %d calls, want 10", stores["alice"].calls.Load())
 	}
 }

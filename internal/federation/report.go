@@ -30,9 +30,8 @@ const (
 	// may hold data this result is missing.
 	OutcomeUnreachable Outcome = "unreachable"
 	// OutcomeShed: the store is alive but shedding load (429 with a
-	// Retry-After), or this member's circuit breaker is open and the fetch
-	// was skipped entirely. Distinct from unreachable: the data exists and
-	// a later, politer retry will get it — "store down" and "store
+	// Retry-After). Distinct from unreachable: the data exists and a
+	// later, politer retry will get it — "store down" and "store
 	// protecting itself" must never be confused.
 	OutcomeShed Outcome = "shed"
 	// OutcomeError: anything else (malformed response, bad query).
@@ -74,9 +73,6 @@ func classify(err error) Outcome {
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		return OutcomeTimeout
-	}
-	if errors.Is(err, resilience.ErrCircuitOpen) {
-		return OutcomeShed
 	}
 	var se *resilience.StatusError
 	if errors.As(err, &se) {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -164,8 +165,9 @@ func parseRetryAfter(h http.Header) time.Duration {
 	if v == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second
+	if secs, err := strconv.ParseInt(v, 10, 64); err == nil && secs >= 0 {
+		// Saturate instead of overflowing; the retry policy caps the hint.
+		return time.Duration(min(secs, int64(math.MaxInt64/time.Second))) * time.Second
 	}
 	if t, err := http.ParseTime(v); err == nil {
 		if d := time.Until(t); d > 0 {

@@ -483,3 +483,24 @@ func TestCloseDoesNotWaitOutHungBroker(t *testing.T) {
 		t.Fatal("Close is waiting on the hung broker")
 	}
 }
+
+// TestParseRetryAfterSaturates: a Retry-After header is untrusted, and
+// a seconds value too large for a time.Duration must not wrap around.
+func TestParseRetryAfterSaturates(t *testing.T) {
+	cases := map[string]time.Duration{
+		"":                    0,
+		"2":                   2 * time.Second,
+		"-1":                  0,
+		"soon":                0,
+		"9223372036854775807": time.Duration(1<<63-1) / time.Second * time.Second,
+	}
+	for v, want := range cases {
+		h := http.Header{}
+		if v != "" {
+			h.Set("Retry-After", v)
+		}
+		if got := parseRetryAfter(h); got != want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", v, got, want)
+		}
+	}
+}

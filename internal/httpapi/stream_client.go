@@ -22,10 +22,9 @@ func (c *StoreClient) SubscribeCtx(ctx context.Context, key auth.APIKey, contrib
 
 // NextCtx long-polls for the next batch of stream events, blocking up to
 // wait on the server side. Passing the previous batch's cursor
-// acknowledges it. Retries are safe without an idempotency key: the cursor makes redelivery
-// all-or-nothing, so a retried poll re-reads from the same position.
-// Note a Policy.PerAttemptTimeout shorter than wait would sever every
-// poll; the default policy sets none.
+// acknowledges it. Retries are safe without an idempotency key: the
+// cursor makes redelivery all-or-nothing, so a retried poll re-reads from
+// the same position.
 func (c *StoreClient) NextCtx(ctx context.Context, key auth.APIKey, id, cursor string, wait time.Duration) (stream.Batch, error) {
 	p := peer(*c)
 	if p.HTTP == nil {

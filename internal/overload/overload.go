@@ -3,8 +3,7 @@
 // bounded per-class concurrency gates with queue-wait deadlines), ordered
 // priority classes so load shedding degrades the least critical traffic
 // first, a degradation state machine (healthy → degraded → overloaded) fed
-// by live pressure signals, and a three-state circuit breaker so clients
-// stop hammering stores that are down or shedding.
+// by live pressure signals.
 //
 // The design inverts the paper's trust obligation: SensorSafe's store must
 // keep *accepting sensory uploads and enforcing privacy rules* no matter
@@ -153,11 +152,6 @@ type Config struct {
 	RatePerPrincipal float64
 	// RateBurst is the bucket depth (default 2× RatePerPrincipal, min 10).
 	RateBurst float64
-	// DegradedAt / OverloadedAt are the pressure thresholds for entering
-	// each state (defaults 0.75 / 0.92). Leaving a state additionally
-	// requires pressure below threshold − recoverMargin.
-	DegradedAt   float64
-	OverloadedAt float64
 	// RecomputeEvery rate-limits pressure recomputation (default 250ms).
 	// Recomputation is lazy — driven by Admit/State/Pressure calls — so
 	// an idle controller costs nothing.
@@ -187,12 +181,6 @@ func (c Config) withDefaults() Config {
 		if c.RateBurst < 10 {
 			c.RateBurst = 10
 		}
-	}
-	if c.DegradedAt <= 0 {
-		c.DegradedAt = 0.75
-	}
-	if c.OverloadedAt <= 0 {
-		c.OverloadedAt = 0.92
 	}
 	if c.RecomputeEvery <= 0 {
 		c.RecomputeEvery = 250 * time.Millisecond
@@ -249,6 +237,14 @@ const maxPrincipals = 8192
 
 // ewmaAlpha weights the newest queue-wait observation.
 const ewmaAlpha = 0.2
+
+// degradedAt and overloadedAt are the pressure thresholds for entering
+// each state. Leaving a state additionally requires pressure below
+// threshold − recoverMargin.
+const (
+	degradedAt   = 0.75
+	overloadedAt = 0.92
+)
 
 // recoverMargin is the hysteresis below a state's entry threshold that
 // pressure must reach before the controller leaves that state, so it does
@@ -534,25 +530,25 @@ func (c *Controller) maybeRecompute(now time.Time) {
 func (c *Controller) nextStateLocked(p float64) State {
 	switch c.state {
 	case StateHealthy:
-		if p >= c.cfg.OverloadedAt {
+		if p >= overloadedAt {
 			return StateOverloaded
 		}
-		if p >= c.cfg.DegradedAt {
+		if p >= degradedAt {
 			return StateDegraded
 		}
 	case StateDegraded:
-		if p >= c.cfg.OverloadedAt {
+		if p >= overloadedAt {
 			return StateOverloaded
 		}
-		if p < c.cfg.DegradedAt-recoverMargin {
+		if p < degradedAt-recoverMargin {
 			return StateHealthy
 		}
 	case StateOverloaded:
-		if p < c.cfg.OverloadedAt-recoverMargin {
-			if p >= c.cfg.DegradedAt {
+		if p < overloadedAt-recoverMargin {
+			if p >= degradedAt {
 				return StateDegraded
 			}
-			if p < c.cfg.DegradedAt-recoverMargin {
+			if p < degradedAt-recoverMargin {
 				return StateHealthy
 			}
 			return StateDegraded

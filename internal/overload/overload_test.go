@@ -337,7 +337,7 @@ func TestDefaultsAreSane(t *testing.T) {
 	if b.Component != "broker" {
 		t.Fatalf("broker component = %q", b.Component)
 	}
-	if b.DegradedAt >= b.OverloadedAt {
+	if degradedAt >= overloadedAt {
 		t.Fatal("thresholds out of order")
 	}
 }

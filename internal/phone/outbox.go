@@ -97,10 +97,11 @@ func (o *Outbox) Spill(batch []*wavesegment.Segment) error {
 		return fmt.Errorf("phone: encode outbox batch: %w", err)
 	}
 	name := fmt.Sprintf("%s%012d.json", outboxPrefix, o.next)
+	// Never reuse a name: a failed write may still have left its batch.
+	o.next++
 	if err := resilience.WriteFileAtomic(filepath.Join(o.Dir, name), data, 0o600); err != nil {
 		return fmt.Errorf("phone: spill batch: %w", err)
 	}
-	o.next++
 	metricOutboxSpills.Inc()
 	metricOutboxPending.Set(float64(len(o.filesLocked())))
 	return nil

@@ -12,6 +12,11 @@ import (
 // target, then fsync the directory so the rename itself is durable. The
 // temp name is deterministic (path + ".tmp") so a crash leaves at most one
 // stray file, which the next write replaces.
+//
+// An error from the directory sync comes after the rename: path already
+// holds data, and only a crash may still roll it back. So an error does
+// not mean path is unchanged, and a caller must not undo what the new
+// content refers to.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
@@ -36,11 +41,16 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmp)
 		return fmt.Errorf("resilience: commit %s: %w", path, err)
 	}
-	// Make the rename durable. Directory fsync is advisory on some
-	// filesystems; failure here cannot tear the file, so report nothing.
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
+	// Make the rename durable.
+	d, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("resilience: sync dir of %s: %w", path, err)
 	}
 	return nil
 }

@@ -3,8 +3,7 @@ package resilience
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sync"
+	"math/rand/v2"
 	"time"
 
 	"sensorsafe/internal/obs"
@@ -18,62 +17,27 @@ var (
 		"Retry attempts issued after a retryable failure, by operation.", "op")
 	metricGiveUps = obs.NewCounterVec("sensorsafe_resilience_giveups_total",
 		"Operations abandoned after retries, by operation and reason.", "op", "reason")
-	metricBudgetDenied = obs.NewCounter("sensorsafe_resilience_budget_denied_total",
-		"Retries suppressed because the retry budget was exhausted.")
 )
 
-// Budget is a token-bucket retry budget shared by all operations on one
-// client: every success deposits a fraction of a token, every retry
-// withdraws a whole one, so retries stay a bounded fraction of traffic and
-// a hard outage cannot trigger a retry storm.
-type Budget struct {
-	mu      sync.Mutex
-	tokens  float64
-	max     float64
-	deposit float64
-}
+// Backoff shape. Each delay doubles up to MaxDelay and is scaled by a
+// factor drawn from [1-jitter/2, 1+jitter/2], so concurrent retriers in
+// different processes spread out instead of retrying in lockstep.
+const (
+	multiplier = 2
+	jitter     = 0.2
+)
 
-// NewBudget returns a budget allowing roughly perSuccess retries per
-// successful request, with an initial (and maximum) burst allowance.
-func NewBudget(perSuccess, burst float64) *Budget {
-	if burst < 1 {
-		burst = 1
-	}
-	return &Budget{tokens: burst, max: burst, deposit: perSuccess}
-}
-
-// Deposit credits the budget after a success.
-func (b *Budget) Deposit() {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.tokens += b.deposit
-	if b.tokens > b.max {
-		b.tokens = b.max
-	}
-	b.mu.Unlock()
-}
-
-// Withdraw takes one retry token, reporting false when the budget is dry.
-func (b *Budget) Withdraw() bool {
-	if b == nil {
-		return true
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
+// maxRetryAfter caps a server's Retry-After hint. The hint is untrusted
+// input; our own servers send at most 5 s (overload's overloaded state),
+// so anything longer is a misbehaving or hostile peer, and honoring it
+// would hold the caller (and any admission slot it holds) for as long as
+// that peer asks.
+const maxRetryAfter = 10 * time.Second
 
 // Policy drives retries for one client: capped exponential backoff with
-// jitter, optional per-attempt timeouts, an optional shared budget, and
-// respect for server Retry-After hints. The zero value retries nothing; use
-// Default() for sane production settings. A Policy is safe for concurrent
-// use.
+// jitter, and respect for server Retry-After hints up to maxRetryAfter.
+// The zero value retries nothing; use Default() for sane production
+// settings. A Policy is safe for concurrent use.
 type Policy struct {
 	// MaxAttempts is the total number of tries (1 = no retries).
 	MaxAttempts int
@@ -82,32 +46,9 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 2s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt (default 2).
-	Multiplier float64
-	// Jitter is the randomized fraction of each delay in [0,1] (default
-	// 0.2): delay is scaled by 1-Jitter/2+Jitter*rand.
-	Jitter float64
-	// PerAttemptTimeout bounds each individual try (0 = only the caller's
-	// context and the HTTP client timeout apply).
-	PerAttemptTimeout time.Duration
-	// Budget, when set, rate-limits retries across the whole client.
-	Budget *Budget
-	// Breaker, when set, is consulted before every attempt and fed every
-	// outcome: once the target trips, further attempts short-circuit with
-	// ErrCircuitOpen instead of touching the network, so a retry loop
-	// cannot storm a downed or shedding server.
-	Breaker CircuitBreaker
-	// Seed makes the jitter deterministic for tests (0 = a fixed default
-	// seed; determinism beats entropy here, jitter only needs to decorrelate
-	// concurrent retriers).
-	Seed int64
 	// Sleep is a test seam for the backoff wait; nil uses a real timer that
 	// honors ctx cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
-
-	rngOnce sync.Once
-	rngMu   sync.Mutex
-	rng     *rand.Rand
 }
 
 // Default returns the shared production policy: 4 attempts, 50ms backoff
@@ -124,28 +65,8 @@ func (p *Policy) attempts() int {
 	return p.MaxAttempts
 }
 
-// jitterFactor draws a deterministic multiplicative jitter in
-// [1-Jitter/2, 1+Jitter/2].
-func (p *Policy) jitterFactor() float64 {
-	j := p.Jitter
-	if j == 0 {
-		j = 0.2
-	}
-	p.rngOnce.Do(func() {
-		seed := p.Seed
-		if seed == 0 {
-			seed = 0x5e50a4 // "sensoa"-ish; fixed so runs are reproducible
-		}
-		p.rng = rand.New(rand.NewSource(seed))
-	})
-	p.rngMu.Lock()
-	f := p.rng.Float64()
-	p.rngMu.Unlock()
-	return 1 - j/2 + j*f
-}
-
 // backoff computes the delay before retry i (0-based), folding in the
-// server's Retry-After hint when it is larger.
+// server's Retry-After hint when it is larger, up to maxRetryAfter.
 func (p *Policy) backoff(i int, hint time.Duration) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
@@ -155,23 +76,20 @@ func (p *Policy) backoff(i int, hint time.Duration) time.Duration {
 	if maxD <= 0 {
 		maxD = 2 * time.Second
 	}
-	mult := p.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	d := float64(base)
 	for k := 0; k < i; k++ {
-		d *= mult
+		d *= multiplier
 		if d >= float64(maxD) {
 			break
 		}
 	}
-	delay := time.Duration(d * p.jitterFactor())
+	delay := time.Duration(d * (1 - jitter/2 + jitter*rand.Float64()))
 	if delay > maxD {
 		delay = maxD
 	}
 	if hint > delay {
-		delay = hint // the server knows its own recovery horizon best
+		// The server knows its own recovery horizon best, within reason.
+		delay = min(hint, maxRetryAfter)
 	}
 	return delay
 }
@@ -191,10 +109,9 @@ func (p *Policy) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Do runs fn under the policy: each attempt gets its own (optionally
-// deadlined) child context; retryable failures back off and try again
-// until the attempts, the budget, or the caller's context run out. op
-// labels the retry metrics.
+// Do runs fn under the policy: retryable failures back off and try again
+// until the attempts or the caller's context run out. op labels the retry
+// metrics.
 func (p *Policy) Do(ctx context.Context, op string, fn func(ctx context.Context) error) error {
 	if p == nil {
 		p = defaultPolicy
@@ -202,26 +119,8 @@ func (p *Policy) Do(ctx context.Context, op string, fn func(ctx context.Context)
 	attempts := p.attempts()
 	var err error
 	for i := 0; i < attempts; i++ {
-		if p.Breaker != nil {
-			if berr := p.Breaker.Allow(); berr != nil {
-				metricGiveUps.With(op, "breaker").Inc()
-				return fmt.Errorf("resilience: %s short-circuited: %w", op, berr)
-			}
-		}
-		actx := ctx
-		cancel := context.CancelFunc(func() {})
-		if p.PerAttemptTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, p.PerAttemptTimeout)
-		}
-		err = fn(actx)
-		cancel()
-		if p.Breaker != nil && ctx.Err() == nil {
-			// A canceled caller says nothing about the target's health, so
-			// only attempts that ran to their own verdict feed the breaker.
-			p.Breaker.Report(err)
-		}
+		err = fn(ctx)
 		if err == nil {
-			p.Budget.Deposit()
 			return nil
 		}
 		if ctx.Err() != nil {
@@ -237,11 +136,6 @@ func (p *Policy) Do(ctx context.Context, op string, fn func(ctx context.Context)
 		if i+1 >= attempts {
 			metricGiveUps.With(op, "attempts").Inc()
 			return fmt.Errorf("resilience: %s failed after %d attempts: %w", op, attempts, err)
-		}
-		if !p.Budget.Withdraw() {
-			metricBudgetDenied.Inc()
-			metricGiveUps.With(op, "budget").Inc()
-			return fmt.Errorf("resilience: %s retry budget exhausted: %w", op, err)
 		}
 		metricRetries.With(op).Inc()
 		delay := p.backoff(i, RetryAfterOf(err))

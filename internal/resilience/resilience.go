@@ -1,11 +1,11 @@
 // Package resilience is SensorSafe's fault-tolerance layer for every
 // network hop: error classification (retryable vs. terminal), a capped
-// exponential-backoff retry engine with jitter, retry budgets, and
-// Retry-After respect, a bounded idempotency cache so retried mutations
-// are applied exactly once, and crash-safe atomic file writes for the
-// services' durable state. Like obs, it depends only on the standard
-// library so the clients, servers, datastore, broker, and phone can all
-// share one policy vocabulary.
+// exponential-backoff retry engine with jitter and bounded Retry-After
+// respect, a bounded idempotency cache so retried mutations are applied
+// exactly once, and crash-safe atomic file writes for the services'
+// durable state. Like obs, it depends only on the standard library so the
+// clients, servers, datastore, broker, and phone can all share one policy
+// vocabulary.
 package resilience
 
 import (
@@ -25,41 +25,12 @@ import (
 // The HTTP layer maps it to 409 Conflict and back.
 var ErrStaleVersion = errors.New("stale replica version")
 
-// ErrCircuitOpen marks an operation short-circuited by a tripped circuit
-// breaker: the target is known-bad and no request was sent. It is
-// terminal for the current call — the breaker, not the retry loop, owns
-// the recovery schedule — so Retryable reports false for it.
-var ErrCircuitOpen = errors.New("circuit breaker open")
-
-// CircuitBreaker gates attempts against one target. Allow reports nil
-// when an attempt may proceed (or an error wrapping ErrCircuitOpen when
-// the target is tripped); Report feeds the attempt's outcome back so the
-// breaker can trip and recover. internal/overload provides the
-// implementation; the interface lives here so Policy need not import it.
-type CircuitBreaker interface {
-	Allow() error
-	Report(err error)
-}
-
-// retryableError and terminalError force a classification on errors whose
-// dynamic type says nothing about transience.
-type retryableError struct{ err error }
-
-func (e *retryableError) Error() string { return e.err.Error() }
-func (e *retryableError) Unwrap() error { return e.err }
-
+// terminalError forces a terminal classification on errors whose dynamic
+// type would otherwise read as transient.
 type terminalError struct{ err error }
 
 func (e *terminalError) Error() string { return e.err.Error() }
 func (e *terminalError) Unwrap() error { return e.err }
-
-// MarkRetryable wraps err so Retryable reports true.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err}
-}
 
 // MarkTerminal wraps err so Retryable reports false even for network-ish
 // error types.
@@ -128,14 +99,10 @@ func Retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	// Explicit marks win over everything below.
+	// An explicit mark wins over everything below.
 	var te *terminalError
 	if errors.As(err, &te) {
 		return false
-	}
-	var re *retryableError
-	if errors.As(err, &re) {
-		return true
 	}
 	if errors.Is(err, context.Canceled) {
 		return false

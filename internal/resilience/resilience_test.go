@@ -20,7 +20,6 @@ func TestRetryableClassification(t *testing.T) {
 	}{
 		{"nil", nil, false},
 		{"plain", errors.New("boom"), false},
-		{"marked retryable", MarkRetryable(errors.New("boom")), true},
 		{"marked terminal", MarkTerminal(io.ErrUnexpectedEOF), false},
 		{"canceled", context.Canceled, false},
 		{"deadline", context.DeadlineExceeded, true},
@@ -70,7 +69,6 @@ func TestPolicyDoRetriesUntilSuccess(t *testing.T) {
 		MaxAttempts: 5,
 		BaseDelay:   10 * time.Millisecond,
 		MaxDelay:    80 * time.Millisecond,
-		Jitter:      0.0001, // effectively none, keeps the schedule inspectable
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
@@ -93,7 +91,7 @@ func TestPolicyDoRetriesUntilSuccess(t *testing.T) {
 	if len(slept) != 3 {
 		t.Fatalf("sleeps = %d, want 3", len(slept))
 	}
-	// Roughly 10ms, 20ms, 40ms — doubling, within jitter slack.
+	// 10ms, 20ms, 40ms — doubling, each within the ±10% jitter band.
 	for i, want := range []time.Duration{10, 20, 40} {
 		lo, hi := want*time.Millisecond*9/10, want*time.Millisecond*11/10
 		if slept[i] < lo || slept[i] > hi {
@@ -151,6 +149,51 @@ func TestPolicyDoRespectsRetryAfter(t *testing.T) {
 	}
 }
 
+// TestPolicyDoClampsRetryAfter: a Retry-After hint is untrusted input. A
+// peer that answers 429 with a day-long hint must not hold the caller for
+// a day per retry.
+func TestPolicyDoClampsRetryAfter(t *testing.T) {
+	var slept []time.Duration
+	p := &Policy{
+		MaxAttempts: 3,
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			slept = append(slept, d)
+			return nil
+		},
+	}
+	p.Do(context.Background(), "test", func(ctx context.Context) error {
+		return Status(429, 24*time.Hour, "throttled")
+	})
+	if len(slept) != 2 {
+		t.Fatalf("sleeps = %d, want 2", len(slept))
+	}
+	for i, d := range slept {
+		if d > maxRetryAfter {
+			t.Errorf("sleep[%d] = %v, want at most %v", i, d, maxRetryAfter)
+		}
+	}
+}
+
+// TestPolicyJitterDiffersBetweenPolicies: jitter exists to spread
+// retriers out, so two fresh policies (as in two processes) must not
+// draw the same backoff schedule.
+func TestPolicyJitterDiffersBetweenPolicies(t *testing.T) {
+	firstDelay := func() time.Duration {
+		var first time.Duration
+		p := &Policy{MaxAttempts: 2, Sleep: func(ctx context.Context, d time.Duration) error {
+			first = d
+			return nil
+		}}
+		p.Do(context.Background(), "test", func(ctx context.Context) error {
+			return Status(503, 0, "unavailable")
+		})
+		return first
+	}
+	if a, b := firstDelay(), firstDelay(); a == b {
+		t.Fatalf("two fresh policies both backed off %v first", a)
+	}
+}
+
 func TestPolicyDoHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := &Policy{MaxAttempts: 10, Sleep: func(context.Context, time.Duration) error { return nil }}
@@ -165,55 +208,6 @@ func TestPolicyDoHonorsCancellation(t *testing.T) {
 	}
 	if err == nil {
 		t.Fatal("want error after cancellation")
-	}
-}
-
-func TestPolicyDoBudgetExhaustion(t *testing.T) {
-	b := NewBudget(0.1, 2) // two retries in the bank, nothing coming in
-	p := &Policy{MaxAttempts: 10, Budget: b,
-		Sleep: func(context.Context, time.Duration) error { return nil }}
-	calls := 0
-	err := p.Do(context.Background(), "test", func(context.Context) error {
-		calls++
-		return Status(500, 0, "down")
-	})
-	if calls != 3 { // first try + 2 budgeted retries
-		t.Fatalf("calls = %d, want 3", calls)
-	}
-	if err == nil {
-		t.Fatal("want budget-exhausted error")
-	}
-}
-
-func TestBudgetDepositsRefill(t *testing.T) {
-	b := NewBudget(0.5, 1)
-	if !b.Withdraw() {
-		t.Fatal("initial burst should allow one retry")
-	}
-	if b.Withdraw() {
-		t.Fatal("budget should be dry")
-	}
-	b.Deposit()
-	b.Deposit() // two successes = one token at 0.5/success
-	if !b.Withdraw() {
-		t.Fatal("deposits should refill the budget")
-	}
-}
-
-func TestPolicyPerAttemptTimeout(t *testing.T) {
-	p := &Policy{MaxAttempts: 2, PerAttemptTimeout: 10 * time.Millisecond,
-		Sleep: func(context.Context, time.Duration) error { return nil }}
-	attempts := 0
-	err := p.Do(context.Background(), "test", func(ctx context.Context) error {
-		attempts++
-		<-ctx.Done() // simulate a hang; per-attempt deadline must fire
-		return ctx.Err()
-	})
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (deadline is retryable)", attempts)
-	}
-	if err == nil {
-		t.Fatal("want error after both attempts time out")
 	}
 }
 

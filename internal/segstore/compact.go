@@ -259,7 +259,7 @@ func (s *Store) compactRound(force bool) (mergedAway, reclaimed int, err error) 
 	}
 	s.mu.Unlock()
 	if err := saveManifest(s.dir, &next); err != nil {
-		abortAll()
+		s.skipGeneration(&next)
 		return 0, 0, err
 	}
 	if err := s.hook("compact.manifest"); err != nil {
@@ -299,7 +299,9 @@ func (s *Store) compactRound(force bool) (mergedAway, reclaimed int, err error) 
 		r.markObsolete()
 		_ = os.Remove(filepath.Join(s.dir, r.meta.Name))
 	}
-	syncDir(s.dir)
+	if err := syncDir(s.dir); err != nil {
+		return 0, 0, err
+	}
 	if err := s.hook("compact.done"); err != nil {
 		return 0, 0, err
 	}

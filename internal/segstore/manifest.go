@@ -82,6 +82,10 @@ func (m *manifest) checksum() (uint32, error) {
 	return crc32.ChecksumIEEE(data), nil
 }
 
+// writeFileAtomic is resilience.WriteFileAtomic; tests replace it to fail
+// a save after its rename, as a failed directory sync does.
+var writeFileAtomic = resilience.WriteFileAtomic
+
 // save writes the next generation and prunes generations older than the
 // previous one.
 func saveManifest(dir string, m *manifest) error {
@@ -95,7 +99,7 @@ func saveManifest(dir string, m *manifest) error {
 	if err != nil {
 		return err
 	}
-	if err := resilience.WriteFileAtomic(filepath.Join(dir, manifestName(m.Generation)), data, 0o600); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, manifestName(m.Generation)), data, 0o600); err != nil {
 		return fmt.Errorf("segstore: save manifest: %w", err)
 	}
 	// Prune all but the newest two generations; best effort.

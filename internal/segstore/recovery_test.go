@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"sensorsafe/internal/resilience"
 	"sensorsafe/internal/storage"
 	"sensorsafe/internal/wavesegment"
 )
@@ -267,6 +270,87 @@ func TestCrashAfterFlushManifest(t *testing.T) {
 	for id, b := range want {
 		if got[id] != b {
 			t.Fatalf("record %d lost or corrupted", id)
+		}
+	}
+}
+
+// TestManifestSaveFailsAfterRename fails a flush's and a compaction's
+// manifest save the way a directory sync error does: the new generation
+// is renamed into place, yet the save reports an error. Whichever state
+// the next open finds, every sample must come back exactly once: the
+// failed generation itself ("reopen"), the one before it because the
+// rename did not survive a crash ("rolled back"), or either of those
+// after a later flush was killed before its own commit ("next flush
+// killed").
+func TestManifestSaveFailsAfterRename(t *testing.T) {
+	errSync := errors.New("simulated directory sync failure")
+	var fail atomic.Bool
+	var failed string
+	writeFileAtomic = func(path string, data []byte, perm os.FileMode) error {
+		if err := resilience.WriteFileAtomic(path, data, perm); err != nil {
+			return err
+		}
+		if fail.CompareAndSwap(true, false) {
+			failed = path
+			return errSync
+		}
+		return nil
+	}
+	t.Cleanup(func() { writeFileAtomic = resilience.WriteFileAtomic })
+
+	ops := map[string]func(*Store) error{
+		"flush":   (*Store).Flush,
+		"compact": func(s *Store) error { return s.compactOnce(true) },
+	}
+	for _, op := range []string{"flush", "compact"} {
+		for _, after := range []string{"reopen", "rolled back", "next flush killed"} {
+			t.Run(op+"/"+after, func(t *testing.T) {
+				dir := t.TempDir()
+				s := openTestStore(t, dir, Options{MaxSegmentSamples: 40})
+				fillContiguous(t, s, []string{"alice", "bob"}, 3, 8)
+				for i := 0; i < 5; i++ { // an unflushed tail
+					if _, err := s.Put(mkSeg("carol", time.Duration(i)*time.Minute, 4)); err != nil {
+						t.Fatalf("put: %v", err)
+					}
+				}
+				want := flatten(t, mustScan(t, s))
+
+				fail.Store(true)
+				if err := ops[op](s); !errors.Is(err, errSync) {
+					t.Fatalf("%s: got %v, want the injected sync error", op, err)
+				}
+				if got := flatten(t, mustScan(t, s)); !reflect.DeepEqual(want, got) {
+					t.Fatalf("samples diverge after the failed %s", op)
+				}
+				switch after {
+				case "rolled back":
+					if err := os.Remove(failed); err != nil {
+						t.Fatal(err)
+					}
+				case "next flush killed":
+					if _, err := s.Put(mkSeg("dave", 0, 4)); err != nil {
+						t.Fatalf("put: %v", err)
+					}
+					want = flatten(t, mustScan(t, s))
+					boom := errors.New("simulated kill")
+					s.crashHook = func(st string) error {
+						if st == "flush.file" {
+							return boom
+						}
+						return nil
+					}
+					if err := s.Flush(); !errors.Is(err, boom) {
+						t.Fatalf("flush: got %v, want injected kill", err)
+					}
+				}
+				crash(t, s)
+
+				s2 := openTestStore(t, dir, Options{})
+				defer s2.Close()
+				if got := flatten(t, mustScan(t, s2)); !reflect.DeepEqual(want, got) {
+					t.Fatalf("samples diverge after reopen")
+				}
+			})
 		}
 	}
 }

@@ -313,7 +313,11 @@ func (w *segWriter) finish() (fileMeta, error) {
 		os.Remove(tmp)
 		return fileMeta{}, fmt.Errorf("segstore: commit segment: %w", err)
 	}
-	syncDir(w.dir)
+	if err := syncDir(w.dir); err != nil {
+		// The file is in place but not in any manifest; the next open
+		// removes it as an orphan.
+		return fileMeta{}, err
+	}
 	meta := fileMeta{
 		Name: w.name, Level: w.level, Records: w.records,
 		RawBytes: int64(w.rawBytes),
@@ -346,13 +350,19 @@ func (w *segWriter) abort() {
 	os.Remove(filepath.Join(w.dir, w.name+".tmp"))
 }
 
-// syncDir makes a rename durable; directory fsync is advisory on some
-// filesystems, and failure cannot tear the file, so errors are dropped.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+// syncDir makes the creations, renames and removals in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
 	}
+	if err != nil {
+		return fmt.Errorf("segstore: sync dir: %w", err)
+	}
+	return nil
 }
 
 // rawEstimate bounds the bytes encodeBlock spends on s, apart from the

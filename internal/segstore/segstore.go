@@ -613,6 +613,20 @@ func (s *Store) SetCrashHook(fn func(stage string) error) {
 	s.maintenanceMu.Unlock()
 }
 
+// skipGeneration handles a failed save of next. The save may have failed
+// after its rename (a failed directory sync), so disk may hold next while
+// memory keeps serving the generation before it. Nothing is rolled back
+// or deleted, so both keep their files, and next's generation and file
+// numbers are never issued again, so no later write changes a file next
+// names. The next open removes the files its manifest does not name.
+func (s *Store) skipGeneration(next *manifest) {
+	s.mu.Lock()
+	cur := *s.man
+	cur.Generation, cur.NextFile = next.Generation, next.NextFile
+	s.man = &cur
+	s.mu.Unlock()
+}
+
 // flushOnce seals the active memtable and writes every sealed memtable
 // into one L0 segment file. The manifest write is the commit point;
 // after it, covered WAL files are garbage-collected.
@@ -725,6 +739,7 @@ func (s *Store) flushLocked() error {
 	}
 	s.mu.Unlock()
 	if err := saveManifest(s.dir, &next); err != nil {
+		s.skipGeneration(&next)
 		return err
 	}
 	if err := s.hook("flush.manifest"); err != nil {
@@ -761,7 +776,10 @@ func (s *Store) flushLocked() error {
 	for id := range consumed {
 		delete(s.tombstones, id)
 	}
-	s.wal.gc(next.FlushedSeq)
+	// Replay skips frames at or below FlushedSeq, so a WAL file whose
+	// removal was not made durable does no harm; the error still reaches
+	// the caller.
+	gcErr := s.wal.gc(next.FlushedSeq)
 	s.publishGauges()
 	s.mu.Unlock()
 
@@ -769,5 +787,8 @@ func (s *Store) flushLocked() error {
 	s.statsMu.Lock()
 	s.flushes++
 	s.statsMu.Unlock()
+	if gcErr != nil {
+		return gcErr
+	}
 	return s.hook("flush.done")
 }

@@ -124,25 +124,35 @@ func newWAL(dir string, nextSeq uint64, syncEvery bool, sealed []walFile) (*wal,
 }
 
 // rotate seals the active file (if any) and starts a new one whose first
-// record will carry firstSeq.
+// record will carry firstSeq. On error the active file stays active and
+// the new one is gone.
 func (w *wal) rotate(firstSeq uint64) error {
+	if w.f != nil && w.active.firstSeq == firstSeq {
+		return nil // no record since the active file started
+	}
 	if w.f != nil {
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("segstore: seal wal: %w", err)
 		}
-		if err := w.f.Close(); err != nil {
-			return fmt.Errorf("segstore: seal wal: %w", err)
-		}
-		w.sealed = append(w.sealed, w.active)
 	}
 	name := walName(firstSeq)
-	f, err := os.OpenFile(filepath.Join(w.dir, name), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
+	path := filepath.Join(w.dir, name)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o600)
 	if err != nil {
 		return fmt.Errorf("segstore: open wal %s: %w", name, err)
 	}
+	if err := syncDir(w.dir); err != nil {
+		f.Close()
+		os.Remove(path)
+		return err
+	}
+	if w.f != nil {
+		// Synced above, so a failed close loses no record.
+		_ = w.f.Close()
+		w.sealed = append(w.sealed, w.active)
+	}
 	w.f = f
 	w.active = walFile{name: name, firstSeq: firstSeq}
-	syncDir(w.dir)
 	return nil
 }
 
@@ -181,8 +191,8 @@ func (w *wal) fsync() error {
 }
 
 // gc removes sealed files whose newest record is already covered by the
-// manifest's flushed sequence. Returns how many files were removed.
-func (w *wal) gc(flushedSeq uint64) int {
+// manifest's flushed sequence, then makes the removals durable.
+func (w *wal) gc(flushedSeq uint64) error {
 	kept := w.sealed[:0]
 	removed := 0
 	for _, wf := range w.sealed {
@@ -196,9 +206,9 @@ func (w *wal) gc(flushedSeq uint64) int {
 	}
 	w.sealed = kept
 	if removed > 0 {
-		syncDir(w.dir)
+		return syncDir(w.dir)
 	}
-	return removed
+	return nil
 }
 
 func (w *wal) close() error {

@@ -32,9 +32,9 @@ func Open(path string) (*Log, []byte, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, nil, err
 	}
 	return &Log{f: f, size: int64(len(data))}, data, nil
 }
@@ -91,5 +91,18 @@ func (l *Log) Close() error {
 	}
 	err := l.f.Close()
 	l.f, l.size = nil, 0
+	return err
+}
+
+// syncDir makes a file's creation in dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }
