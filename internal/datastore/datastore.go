@@ -82,7 +82,8 @@ var (
 // outage.
 //
 // The store calls both methods with its service context, which Close
-// cancels, so a hung target cannot hold up shutdown.
+// cancels, so a hung target cannot hold up shutdown; a push also gives up
+// after syncPushTimeout.
 type SyncTarget interface {
 	// SyncRulesCtx applies one contributor's replica at the given version.
 	// Implementations must be idempotent per version and reject versions
@@ -547,11 +548,17 @@ func (s *Service) updateContributor(contributor string, edit func(rec *contribut
 	return s.commit(&logRecord{Policy: &rec})
 }
 
+// syncPushTimeout bounds one replica push, retries included. The change
+// it carries is already durable and anti-entropy repairs a missed push,
+// so a target that never answers must not hold the caller (a SetRules
+// and its ingest slot) for the retry policy's whole course.
+const syncPushTimeout = 5 * time.Second
+
 // pushSync replicates the contributor's rules and places (stamped with
-// the current rule version) to the sync target, if configured. A stale
-// rejection means the target already converged past this version and is
-// no error; any other failure leaves the replica behind for the next
-// anti-entropy round.
+// the current rule version) to the sync target, if configured, within
+// syncPushTimeout. A stale rejection means the target already converged
+// past this version and is no error; any other failure leaves the
+// replica behind for the next anti-entropy round.
 func (s *Service) pushSync(contributor string) error {
 	if s.opts.Sync == nil {
 		return nil
@@ -564,7 +571,9 @@ func (s *Service) pushSync(contributor string) error {
 	if err != nil {
 		return err
 	}
-	err = s.opts.Sync.SyncRulesCtx(s.ctx, contributor, ps.RuleVersion, ps.RuleSet(), ps.Places)
+	ctx, cancel := context.WithTimeout(s.ctx, syncPushTimeout)
+	defer cancel()
+	err = s.opts.Sync.SyncRulesCtx(ctx, contributor, ps.RuleVersion, ps.RuleSet(), ps.Places)
 	switch {
 	case err == nil:
 		metricSyncPushes.With("ok").Inc()

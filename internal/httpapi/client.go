@@ -15,6 +15,7 @@ import (
 	"sensorsafe/internal/abstraction"
 	"sensorsafe/internal/audit"
 	"sensorsafe/internal/auth"
+	"sensorsafe/internal/binwire"
 	"sensorsafe/internal/broker"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/obs"
@@ -45,7 +46,9 @@ func (p peer) client() *http.Client {
 
 // call posts req to rt on p as one logical call and decodes the answer,
 // mapping error envelopes to Go errors and retrying under p.Retry
-// (resilience.Default() when nil). Every attempt carries the same
+// (resilience.Default() when nil). A Req that can write a binary frame
+// is sent as one, and a Resp that can decode one is asked for one in
+// Accept; anything else travels as JSON. Every attempt carries the same
 // X-Request-ID — the context's when present (so a server handling an
 // inbound request propagates its ID to outbound service-to-service
 // calls), fresh otherwise. A call to a mutating route also carries one
@@ -54,21 +57,33 @@ func (p peer) client() *http.Client {
 // original outcome server-side instead of applying the mutation twice.
 func (rt route[Req, Resp]) call(ctx context.Context, p peer, req *Req) (Resp, error) {
 	var resp, zero Resp
-	body, err := json.Marshal(req)
+	out := outbound{
+		url:         strings.TrimRight(p.BaseURL, "/") + rt.path,
+		path:        rt.path,
+		contentType: "application/json",
+	}
+	var err error
+	if a, ok := any(req).(binAppender); ok {
+		out.body, err = a.AppendBinary(nil)
+		out.contentType = binwire.MediaType
+	} else {
+		out.body, err = json.Marshal(req)
+	}
 	if err != nil {
 		return zero, fmt.Errorf("httpapi: encode request: %w", err)
 	}
-	url := strings.TrimRight(p.BaseURL, "/") + rt.path
+	if _, ok := any(&resp).(binDecoder); ok {
+		out.accept = binwire.MediaType
+	}
 	if obs.RequestID(ctx) == "" {
 		ctx = obs.WithRequestID(ctx, obs.NewRequestID())
 	}
-	var idem string
 	if rt.mutates {
-		idem = obs.NewRequestID()
+		out.idem = obs.NewRequestID()
 	}
 	hc := p.client()
 	err = p.Retry.Do(ctx, rt.path, func(actx context.Context) error {
-		return postOnce(actx, hc, url, rt.path, idem, body, &resp)
+		return postOnce(actx, hc, &out, &resp)
 	})
 	if err != nil {
 		return zero, err
@@ -76,15 +91,24 @@ func (rt route[Req, Resp]) call(ctx context.Context, p peer, req *Req) (Resp, er
 	return resp, nil
 }
 
+// outbound is one logical call's request, the same for every attempt.
+type outbound struct {
+	url, path   string
+	idem        string // X-Idempotency-Key, "" for a read
+	contentType string
+	body        []byte
+	accept      string // Accept, "" for JSON only
+}
+
 // postOnce executes one HTTP attempt, classifying failures for the retry
 // engine: transport errors and torn bodies are retryable, 5xx/429 carry
 // the server's Retry-After hint, and other statuses are terminal. Each
 // attempt is its own client span (so hedges and retries are separately
 // visible in the trace) and propagates it over the wire via traceparent.
-func postOnce(ctx context.Context, hc *http.Client, url, path, idem string, body []byte, resp any) error {
+func postOnce(ctx context.Context, hc *http.Client, out *outbound, resp any) error {
 	ctx, span, stop := obs.Span(ctx, "http.client")
-	span.SetAttr(trace.String("path", path))
-	err := postAttempt(ctx, hc, url, path, idem, body, resp)
+	span.SetAttr(trace.String("path", out.path))
+	err := postAttempt(ctx, hc, out, resp)
 	stop(err)
 	return err
 }
@@ -104,41 +128,50 @@ func setCallHeaders(req *http.Request) {
 	}
 }
 
-func postAttempt(ctx context.Context, hc *http.Client, url, path, idem string, body []byte, resp any) error {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+func postAttempt(ctx context.Context, hc *http.Client, out *outbound, resp any) error {
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, out.url, bytes.NewReader(out.body))
 	if err != nil {
 		return resilience.MarkTerminal(fmt.Errorf("httpapi: build request: %w", err))
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
+	httpReq.Header.Set("Content-Type", out.contentType)
+	if out.accept != "" {
+		httpReq.Header.Set("Accept", out.accept)
+	}
 	setCallHeaders(httpReq)
-	if idem != "" {
-		httpReq.Header.Set(idempotencyKeyHeader, idem)
+	if out.idem != "" {
+		httpReq.Header.Set(idempotencyKeyHeader, out.idem)
 	}
 	httpResp, err := hc.Do(httpReq)
 	if err != nil {
-		return fmt.Errorf("httpapi: POST %s: %w", url, err)
+		return fmt.Errorf("httpapi: POST %s: %w", out.url, err)
 	}
 	defer httpResp.Body.Close()
-	data, err := readCapped(httpResp.Body, MaxBodyBytes, path)
+	data, err := readCapped(httpResp.Body, MaxBodyBytes, out.path)
 	if err != nil {
 		return err
 	}
 	if httpResp.StatusCode != http.StatusOK {
-		msg := fmt.Sprintf("httpapi: %s: HTTP %d", path, httpResp.StatusCode)
+		msg := fmt.Sprintf("httpapi: %s: HTTP %d", out.path, httpResp.StatusCode)
 		var eb errorBody
 		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			msg = fmt.Sprintf("httpapi: %s: %s (HTTP %d)", path, eb.Error, httpResp.StatusCode)
+			msg = fmt.Sprintf("httpapi: %s: %s (HTTP %d)", out.path, eb.Error, httpResp.StatusCode)
 		}
 		return resilience.Status(httpResp.StatusCode, parseRetryAfter(httpResp.Header), "%s", msg)
 	}
-	if d, ok := resp.(jsonDecoder); ok {
+	if isFrame(httpResp.Header.Get("Content-Type")) {
+		if d, ok := resp.(binDecoder); ok {
+			err = d.DecodeBinary(data)
+		} else {
+			err = fmt.Errorf("unrequested %s body", binwire.MediaType)
+		}
+	} else if d, ok := resp.(jsonDecoder); ok {
 		err = d.DecodeJSON(data)
 	} else {
 		err = json.Unmarshal(data, resp)
 	}
 	if err != nil {
-		// The full body was read above, so this is malformed JSON, not a
-		// torn read — retrying would decode the same bytes again.
+		// The full body was read above, so this is a malformed body, not
+		// a torn read — retrying would decode the same bytes again.
 		return resilience.MarkTerminal(fmt.Errorf("httpapi: decode response: %w", err))
 	}
 	return nil

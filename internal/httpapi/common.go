@@ -14,9 +14,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 
 	"sensorsafe/internal/auth"
+	"sensorsafe/internal/binwire"
 	"sensorsafe/internal/broker"
 	"sensorsafe/internal/datastore"
 	"sensorsafe/internal/resilience"
@@ -48,42 +50,98 @@ type jsonDecoder interface {
 	DecodeJSON(data []byte) error
 }
 
-// bodyBufs recycles the buffers self-appending bodies are written into,
-// so a large response is not regrown from nothing every time.
+// binAppender is a body that can travel as a binary frame
+// (binwire.MediaType): the bodies that carry samples.
+type binAppender interface {
+	AppendBinary(b []byte) ([]byte, error)
+}
+
+// binDecoder decodes a whole binary frame into the body.
+type binDecoder interface {
+	DecodeBinary(data []byte) error
+}
+
+// isFrame reports whether a Content-Type or Accept entry names the
+// binary frame.
+func isFrame(mediaType string) bool {
+	mt, _, _ := strings.Cut(mediaType, ";")
+	return strings.EqualFold(strings.TrimSpace(mt), binwire.MediaType)
+}
+
+// acceptsFrame reports whether the request's Accept header names the
+// binary frame.
+func acceptsFrame(h http.Header) bool {
+	for _, v := range h.Values("Accept") {
+		for _, mt := range strings.Split(v, ",") {
+			if isFrame(mt) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// errEncode marks a 200 answer that could not be encoded: the server's
+// fault, answered 500.
+var errEncode = errors.New("httpapi: encode response")
+
+// bodyBufs recycles the buffers answers are written into, so a large
+// response is not regrown from nothing every time.
 var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody is the largest buffer bodyBufs keeps.
 const maxPooledBody = 16 << 20
 
-// writeJSON encodes a 200 response, as json.Encoder does: compact, HTML
+// writeBody answers 200 with the body enc appends. The body is buffered
+// first, so an encode failure answers 500 with the JSON error envelope
+// instead of an empty or truncated 200.
+func writeBody(w http.ResponseWriter, contentType string, enc func([]byte) ([]byte, error)) {
+	buf := bodyBufs.Get().(*[]byte)
+	b, err := enc((*buf)[:0])
+	if err != nil {
+		writeError(w, fmt.Errorf("%w: %w", errEncode, err))
+	} else {
+		w.Header().Set("Content-Type", contentType)
+		w.Write(b)
+	}
+	if cap(b) <= maxPooledBody {
+		*buf = b[:0]
+		bodyBufs.Put(buf)
+	}
+}
+
+// writeJSON answers 200 with v as json.Encoder writes it: compact, HTML
 // escaped, newline-terminated.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if a, ok := v.(jsonAppender); ok {
-		buf := bodyBufs.Get().(*[]byte)
-		b, err := a.AppendJSON((*buf)[:0])
-		if err == nil {
-			w.Write(append(b, '\n'))
+	writeBody(w, "application/json", func(b []byte) ([]byte, error) {
+		var err error
+		if a, ok := v.(jsonAppender); ok {
+			b, err = a.AppendJSON(b)
+		} else {
+			var js []byte
+			js, err = json.Marshal(v)
+			b = append(b, js...)
 		}
-		// On an error, write nothing, as json.Encoder does: the client
-		// sees an empty body, not a truncated one.
-		if cap(b) <= maxPooledBody {
-			*buf = b
-			bodyBufs.Put(buf)
-		}
+		return append(b, '\n'), err
+	})
+}
+
+// writeResp answers 200 with a handler's result: a binary frame when the
+// request accepts one and v can write one, JSON otherwise.
+func writeResp(w http.ResponseWriter, r *http.Request, v any) {
+	if a, ok := v.(binAppender); ok && acceptsFrame(r.Header) {
+		writeBody(w, binwire.MediaType, a.AppendBinary)
 		return
 	}
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Too late for a status change; the connection will show the
-		// truncated body.
-		return
-	}
+	writeJSON(w, v)
 }
 
 // writeError maps service errors to HTTP statuses.
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
+	case errors.Is(err, errEncode):
+		status = http.StatusInternalServerError
 	case errors.Is(err, auth.ErrBadKey),
 		errors.Is(err, auth.ErrBadLogin),
 		errors.Is(err, auth.ErrSessionExpired):
@@ -115,10 +173,13 @@ func writeError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(errorBody{Error: err.Error()})
 }
 
-// post wraps a JSON-in/JSON-out handler: decodes the request body into req
-// and writes whatever handle returns. The request context (carrying the
-// middleware's request ID) is passed through so handlers can correlate
-// spans and outbound service-to-service calls.
+// post wraps a handler: decodes the request body into req and writes
+// whatever handle returns. A body decodes as a binary frame when its
+// Content-Type names one and Req can decode one, as JSON otherwise; the
+// answer is negotiated by writeResp, and errors are always JSON. The
+// request context (carrying the middleware's request ID) is passed
+// through so handlers can correlate spans and outbound
+// service-to-service calls.
 func post[Req any, Resp any](handle func(context.Context, *Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -133,7 +194,12 @@ func post[Req any, Resp any](handle func(context.Context, *Req) (Resp, error)) h
 		}
 		var req Req
 		if len(body) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
+			if d, ok := any(&req).(binDecoder); ok && isFrame(r.Header.Get("Content-Type")) {
+				if err := d.DecodeBinary(body); err != nil {
+					writeError(w, fmt.Errorf("httpapi: bad request frame: %w", err))
+					return
+				}
+			} else if err := json.Unmarshal(body, &req); err != nil {
 				writeError(w, fmt.Errorf("httpapi: bad request JSON: %w", err))
 				return
 			}
@@ -143,7 +209,7 @@ func post[Req any, Resp any](handle func(context.Context, *Req) (Resp, error)) h
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, resp)
+		writeResp(w, r, resp)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"sensorsafe/internal/abstraction"
 	"sensorsafe/internal/audit"
 	"sensorsafe/internal/auth"
+	"sensorsafe/internal/binwire"
 	"sensorsafe/internal/datastore"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/jsonwire"
@@ -38,6 +39,44 @@ type registerResp struct {
 type uploadReq struct {
 	Key      auth.APIKey            `json:"key"`
 	Segments []*wavesegment.Segment `json:"segments"`
+}
+
+// AppendBinary writes the upload as a binary frame: the key, then the
+// segments.
+func (u uploadReq) AppendBinary(b []byte) ([]byte, error) {
+	return appendSegments(binwire.AppendString(b, string(u.Key)), u.Segments)
+}
+
+// DecodeBinary decodes an upload frame into u.
+func (u *uploadReq) DecodeBinary(data []byte) error {
+	r := binwire.NewReader(data)
+	u.Key = auth.APIKey(r.Str())
+	u.Segments = decodeSegments(r)
+	return r.End()
+}
+
+// appendSegments appends segments as a binary frame list: each a
+// presence flag and its blob. A NaN or infinite value fails, as in JSON.
+func appendSegments(b []byte, segs []*wavesegment.Segment) ([]byte, error) {
+	return binwire.AppendList(b, segs, func(b []byte, s *wavesegment.Segment) ([]byte, error) {
+		if s == nil {
+			return append(b, 0), nil
+		}
+		if err := s.CheckFinite(); err != nil {
+			return b, err
+		}
+		return s.AppendBinary(append(b, 1))
+	})
+}
+
+// decodeSegments reads a list appendSegments wrote.
+func decodeSegments(r *binwire.Reader) []*wavesegment.Segment {
+	return binwire.List(r, 1, func(s **wavesegment.Segment) {
+		if r.Flag() {
+			*s = new(wavesegment.Segment)
+			(*s).DecodeBinary(r)
+		}
+	})
 }
 
 type uploadResp struct {
@@ -114,8 +153,33 @@ func (q *queryResp) DecodeJSON(data []byte) error {
 	return r.End()
 }
 
+// AppendBinary writes the /api/query answer as a binary frame: the
+// list of releases.
+func (q queryResp) AppendBinary(b []byte) ([]byte, error) {
+	return abstraction.AppendReleases(b, q.Releases)
+}
+
+// DecodeBinary decodes an /api/query frame into q.
+func (q *queryResp) DecodeBinary(data []byte) error {
+	r := binwire.NewReader(data)
+	q.Releases = abstraction.DecodeReleases(r)
+	return r.End()
+}
+
 type queryOwnResp struct {
 	Segments []*wavesegment.Segment `json:"segments"`
+}
+
+// AppendBinary writes the owner's segments as a binary frame.
+func (q queryOwnResp) AppendBinary(b []byte) ([]byte, error) {
+	return appendSegments(b, q.Segments)
+}
+
+// DecodeBinary decodes an /api/queryown frame into q.
+func (q *queryOwnResp) DecodeBinary(data []byte) error {
+	r := binwire.NewReader(data)
+	q.Segments = decodeSegments(r)
+	return r.End()
 }
 
 type rulesSetReq struct {

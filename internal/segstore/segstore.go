@@ -82,6 +82,7 @@ var (
 	metricMemBytes     = obs.NewGauge("sensorsafe_segstore_memtable_bytes", "Bytes held in the active memtable.")
 	metricTombstones   = obs.NewGauge("sensorsafe_segstore_tombstones", "Deleted IDs awaiting physical reclamation.")
 	metricMaintErr     = obs.NewCounter("sensorsafe_segstore_maintenance_errors_total", "Background flush/compaction failures.")
+	metricWriteStalls  = obs.NewCounter("sensorsafe_segstore_write_stalls_total", "Puts that waited for a running flush because the active memtable was half full.")
 	metricScanBlocks   = obs.NewCounter("sensorsafe_segstore_scan_blocks_total", "Segment-file blocks decoded by reads (compaction and Get excluded).")
 	metricScanInflated = obs.NewCounter("sensorsafe_segstore_scan_inflated_bytes_total", "Decompressed bytes of the blocks reads decoded (compaction and Get excluded).")
 )
@@ -103,6 +104,8 @@ type Store struct {
 	wal        *wal                  // guarded by mu
 	liveCount  int                   // guarded by mu
 	closed     bool                  // guarded by mu
+	flushing   bool                  // guarded by mu; a flush is writing sealed memtables
+	flushDone  *sync.Cond            // on mu; broadcast when a flush ends
 
 	// maintenanceMu serializes flush and compaction; each holds it for
 	// the whole file-writing protocol so manifest generations advance
@@ -157,6 +160,7 @@ func Open(opts Options) (*Store, error) {
 		flushCh:    make(chan struct{}, 1),
 		stopCh:     make(chan struct{}),
 	}
+	s.flushDone = sync.NewCond(&s.mu)
 	// The store is not shared yet; the lock is held across recovery so
 	// the guarded fields are mutated under their advertised discipline.
 	s.mu.Lock()
@@ -319,6 +323,18 @@ func (s *Store) Put(seg *wavesegment.Segment) (storage.ID, error) {
 		return 0, err
 	}
 	s.mu.Lock()
+	// Write stall: while a flush is writing, the active memtable takes at
+	// most half its budget. Ingest cannot outrun the flusher, so the hot
+	// tail stays within one and a half budgets of memory.
+	stalled := func() bool {
+		return s.flushing && !s.closed && s.active.bytes >= s.opts.MemtableBytes/2
+	}
+	if stalled() {
+		metricWriteStalls.Inc()
+		for stalled() {
+			s.flushDone.Wait()
+		}
+	}
 	if s.closed {
 		s.mu.Unlock()
 		return 0, storage.ErrClosed
@@ -664,6 +680,13 @@ func (s *Store) flushLocked() error {
 		s.mu.Unlock()
 		return nil
 	}
+	s.flushing = true
+	defer func() {
+		s.mu.Lock()
+		s.flushing = false
+		s.flushDone.Broadcast()
+		s.mu.Unlock()
+	}()
 	mems := make([]*memtable, len(s.sealed))
 	copy(mems, s.sealed)
 	skip := make(map[storage.ID]bool, len(s.tombstones))

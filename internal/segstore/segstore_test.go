@@ -450,3 +450,69 @@ func TestScanDuringCompactionFileRemoval(t *testing.T) {
 		t.Fatalf("fresh scan holds %d samples, want %d", samples, total*8)
 	}
 }
+
+// TestPutStallsWhileFlushing holds a flush at its file stage: writes go
+// on until the active memtable is half full, the next one waits for the
+// flush, and a flush that fails releases it rather than holding it.
+func TestPutStallsWhileFlushing(t *testing.T) {
+	s := openTestStore(t, t.TempDir(), Options{MemtableBytes: 4 << 10})
+	defer s.Close()
+	held, hold := make(chan struct{}, 1), make(chan error, 1)
+	var once, released sync.Once
+	release := func() { released.Do(func() { hold <- fmt.Errorf("injected flush failure") }) }
+	defer release() // before Close, which waits for the held flush
+	s.SetCrashHook(func(stage string) error {
+		first := false
+		if stage == "flush.file" {
+			once.Do(func() { first = true })
+		}
+		if !first {
+			return nil
+		}
+		held <- struct{}{}
+		return <-hold
+	})
+	var off time.Duration
+	put := func() error {
+		off += time.Hour
+		_, err := s.Put(mkSeg("alice", off, 16))
+		return err
+	}
+	// Cross the budget; the flush seals the memtable and stops at the hook.
+	for flushing := false; !flushing; {
+		if err := put(); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-held:
+			flushing = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		for {
+			s.mu.RLock()
+			half := s.active.bytes >= s.opts.MemtableBytes/2
+			s.mu.RUnlock()
+			if err := put(); half || err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("a write past half the budget went through during a flush (%v)", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	release()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the failed flush did not release the stalled write")
+	}
+}

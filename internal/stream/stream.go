@@ -19,6 +19,7 @@ package stream
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -30,6 +31,7 @@ import (
 
 	"sensorsafe/internal/abstraction"
 	"sensorsafe/internal/audit"
+	"sensorsafe/internal/binwire"
 	"sensorsafe/internal/obs"
 	"sensorsafe/internal/rules"
 	"sensorsafe/internal/wavesegment"
@@ -91,6 +93,46 @@ type Event struct {
 type Batch struct {
 	Events []Event `json:"events"`
 	Cursor string  `json:"cursor"`
+}
+
+// eventMinBytes is the smallest encoded event: seven empty fields.
+const eventMinBytes = 7
+
+// AppendBinary appends the batch as a binary frame carries it: the
+// events as a list of {kind, seq, cursor, contributor, ruleVersion,
+// releases, dropped}, then the cursor. Strings, counts and the releases
+// use the encodings of packages binwire and abstraction.
+func (b Batch) AppendBinary(buf []byte) ([]byte, error) {
+	buf, err := binwire.AppendList(buf, b.Events, func(buf []byte, e Event) ([]byte, error) {
+		buf = binwire.AppendString(buf, e.Kind)
+		buf = binary.AppendUvarint(buf, e.Seq)
+		buf = binwire.AppendString(buf, e.Cursor)
+		buf = binwire.AppendString(buf, e.Contributor)
+		buf = binary.AppendUvarint(buf, e.RuleVersion)
+		buf, err := abstraction.AppendReleases(buf, e.Releases)
+		return binary.AppendUvarint(buf, e.Dropped), err
+	})
+	if err != nil {
+		return buf, err
+	}
+	return binwire.AppendString(buf, b.Cursor), nil
+}
+
+// DecodeBinary decodes a whole frame AppendBinary wrote into b,
+// replacing what b held.
+func (b *Batch) DecodeBinary(data []byte) error {
+	r := binwire.NewReader(data)
+	b.Events = binwire.List(r, eventMinBytes, func(e *Event) {
+		e.Kind = r.Str()
+		e.Seq = r.Uvarint()
+		e.Cursor = r.Str()
+		e.Contributor = r.Str()
+		e.RuleVersion = r.Uvarint()
+		e.Releases = abstraction.DecodeReleases(r)
+		e.Dropped = r.Uvarint()
+	})
+	b.Cursor = r.Str()
+	return r.End()
 }
 
 // SubInfo describes a subscription to its consumer.

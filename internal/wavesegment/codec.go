@@ -1,13 +1,13 @@
 package wavesegment
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"time"
 
+	"sensorsafe/internal/binwire"
 	"sensorsafe/internal/geo"
 	"sensorsafe/internal/jsonwire"
 )
@@ -285,7 +285,8 @@ func (w *wire) segment() (*Segment, error) {
 }
 
 // Binary blob codec. Databases store sequences of multi-channel samples as
-// blobs (paper §5.1); this is the blob layout the storage engine persists:
+// blobs (paper §5.1); this is the blob layout the storage engine persists
+// and a binary frame carries:
 //
 //	magic "WSG1"
 //	flags byte (bit0: per-sample timestamps)
@@ -303,200 +304,161 @@ var blobMagic = [4]byte{'W', 'S', 'G', '1'}
 
 const flagTimestamped = 1
 
+// annotationMinBytes is the smallest encoded annotation: an empty
+// context and two instants.
+const annotationMinBytes = 1 + 8 + 8
+
 // MarshalBinary encodes the segment into the storage blob layout.
-func MarshalBinary(s *Segment) ([]byte, error) {
+func MarshalBinary(s *Segment) ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends the segment in the blob layout.
+func (s *Segment) AppendBinary(b []byte) ([]byte, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return b, err
 	}
-	var buf bytes.Buffer
-	buf.Write(blobMagic[:])
 	var flags byte
 	if s.Interval <= 0 {
 		flags |= flagTimestamped
 	}
-	buf.WriteByte(flags)
-	writeString(&buf, s.Contributor)
-	writeInt64(&buf, s.StartTime().UnixNano())
-	writeInt64(&buf, int64(s.Interval))
-	writeFloat64(&buf, s.Location.Lat)
-	writeFloat64(&buf, s.Location.Lon)
-	writeUvarint(&buf, uint64(len(s.Channels)))
+	b = append(b, blobMagic[:]...)
+	b = append(b, flags)
+	b = binwire.AppendString(b, s.Contributor)
+	b = appendInt64(b, s.StartTime().UnixNano())
+	b = appendInt64(b, int64(s.Interval))
+	b = binwire.AppendFloat64(b, s.Location.Lat)
+	b = binwire.AppendFloat64(b, s.Location.Lon)
+	b = binary.AppendUvarint(b, uint64(len(s.Channels)))
 	for _, c := range s.Channels {
-		writeString(&buf, c)
+		b = binwire.AppendString(b, c)
 	}
-	writeUvarint(&buf, uint64(len(s.Values)))
+	b = binary.AppendUvarint(b, uint64(len(s.Values)))
 	for _, row := range s.Values {
 		for _, v := range row {
-			writeFloat64(&buf, v)
+			b = binwire.AppendFloat64(b, v)
 		}
 	}
 	if flags&flagTimestamped != 0 {
 		for _, t := range s.Timestamps {
-			writeInt64(&buf, t.UnixNano())
+			b = appendInt64(b, t.UnixNano())
 		}
 	}
-	writeUvarint(&buf, uint64(len(s.Annotations)))
+	b = binary.AppendUvarint(b, uint64(len(s.Annotations)))
 	for _, a := range s.Annotations {
-		writeString(&buf, a.Context)
-		writeInt64(&buf, a.Start.UnixNano())
-		writeInt64(&buf, a.End.UnixNano())
+		b = binwire.AppendString(b, a.Context)
+		b = appendInt64(b, a.Start.UnixNano())
+		b = appendInt64(b, a.End.UnixNano())
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
-// UnmarshalBinary decodes a storage blob produced by MarshalBinary.
-func UnmarshalBinary(data []byte) (*Segment, error) {
-	r := &blobReader{data: data}
-	var magic [4]byte
-	r.read(magic[:])
-	if magic != blobMagic {
-		return nil, fmt.Errorf("wavesegment: bad blob magic %q", magic[:])
+func appendInt64(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
+}
+
+// CheckFinite fails on the first NaN or infinite value or coordinate: a
+// binary frame refuses them, as JSON cannot carry them.
+func (s *Segment) CheckFinite() error {
+	for _, f := range [2]float64{s.Location.Lat, s.Location.Lon} {
+		if !finite(f) {
+			return fmt.Errorf("wavesegment: location %w: %v", binwire.ErrNonFinite, f)
+		}
 	}
-	flags := r.readByte()
-	s := &Segment{}
-	s.Contributor = r.readString()
-	startNanos := r.readInt64()
-	s.Interval = time.Duration(r.readInt64())
-	s.Location.Lat = r.readFloat64()
-	s.Location.Lon = r.readFloat64()
-	nch := r.readUvarint()
-	if nch > 1<<16 {
-		return nil, fmt.Errorf("wavesegment: implausible channel count %d", nch)
+	for i, row := range s.Values {
+		for _, v := range row {
+			if !finite(v) {
+				return fmt.Errorf("wavesegment: sample %d %w: %v", i, binwire.ErrNonFinite, v)
+			}
+		}
+	}
+	return nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// UnmarshalBinary decodes a storage blob produced by MarshalBinary,
+// whatever floats it holds.
+func UnmarshalBinary(data []byte) (*Segment, error) {
+	s := new(Segment)
+	if err := s.decodeBlob(binwire.NewReader(data), false); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// DecodeBinary decodes the blob that comes next in r into s, as a binary
+// frame carries it: a NaN or infinite value or coordinate fails. A
+// failure is latched in r.
+func (s *Segment) DecodeBinary(r *binwire.Reader) { r.Fail(s.decodeBlob(r, true)) }
+
+// decodeBlob reads one blob from r into s. Every count is checked
+// against the bytes left before anything is allocated for it, so a blob
+// never makes the decoder allocate much more than its own length.
+func (s *Segment) decodeBlob(r *binwire.Reader, finiteOnly bool) error {
+	if m := r.Bytes(4); m == nil || [4]byte(m) != blobMagic {
+		return fmt.Errorf("wavesegment: bad blob magic %q", m)
+	}
+	flags := r.Byte()
+	s.Contributor = r.Str()
+	startNanos := r.Int64()
+	s.Interval = time.Duration(r.Int64())
+	s.Location.Lat = r.Float64()
+	s.Location.Lon = r.Float64()
+	nch := r.Count(1) // a channel name takes one byte at least
+	if r.Err() == nil && nch == 0 {
+		return ErrNoChannels
 	}
 	s.Channels = make([]string, nch)
 	for i := range s.Channels {
-		s.Channels[i] = r.readString()
+		s.Channels[i] = r.Str()
 	}
-	n := r.readUvarint()
-	if r.err == nil && n*nch*8 > uint64(len(data)) {
-		return nil, fmt.Errorf("wavesegment: truncated blob (%d samples claimed)", n)
+	rowBytes := 8 * nch
+	if flags&flagTimestamped != 0 {
+		rowBytes += 8
+	}
+	n := r.Count(rowBytes)
+	raw := r.Bytes(8 * n * nch)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("wavesegment: corrupt blob: %w", err)
+	}
+	flat := make([]float64, n*nch)
+	for i := range flat {
+		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		if finiteOnly && !finite(flat[i]) {
+			return fmt.Errorf("wavesegment: sample %d %w: %v", i/nch, binwire.ErrNonFinite, flat[i])
+		}
 	}
 	s.Values = make([][]float64, n)
 	for i := range s.Values {
-		row := make([]float64, nch)
-		for j := range row {
-			row[j] = r.readFloat64()
-		}
-		s.Values[i] = row
+		s.Values[i] = flat[i*nch : (i+1)*nch : (i+1)*nch]
 	}
 	if flags&flagTimestamped != 0 {
 		s.Interval = 0
 		s.Timestamps = make([]time.Time, n)
 		for i := range s.Timestamps {
-			s.Timestamps[i] = time.Unix(0, r.readInt64()).UTC()
+			s.Timestamps[i] = time.Unix(0, r.Int64()).UTC()
 		}
-		if n > 0 && r.err == nil {
+		if n > 0 {
 			s.Start = s.Timestamps[0]
 		}
 	} else {
 		s.Start = time.Unix(0, startNanos).UTC()
 	}
-	na := r.readUvarint()
-	if na > 1<<20 {
-		return nil, fmt.Errorf("wavesegment: implausible annotation count %d", na)
-	}
-	if na > 0 {
+	if na := r.Count(annotationMinBytes); na > 0 {
 		s.Annotations = make([]Annotation, na)
 		for i := range s.Annotations {
-			s.Annotations[i].Context = r.readString()
-			s.Annotations[i].Start = time.Unix(0, r.readInt64()).UTC()
-			s.Annotations[i].End = time.Unix(0, r.readInt64()).UTC()
+			s.Annotations[i].Context = r.Str()
+			s.Annotations[i].Start = time.Unix(0, r.Int64()).UTC()
+			s.Annotations[i].End = time.Unix(0, r.Int64()).UTC()
 		}
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("wavesegment: corrupt blob: %w", r.err)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("wavesegment: corrupt blob: %w", err)
+	}
+	if finiteOnly && (!finite(s.Location.Lat) || !finite(s.Location.Lon)) {
+		return fmt.Errorf("wavesegment: location %w: %v", binwire.ErrNonFinite, s.Location)
 	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("wavesegment: decoded blob invalid: %w", err)
+		return fmt.Errorf("wavesegment: decoded blob invalid: %w", err)
 	}
-	return s, nil
-}
-
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	buf.Write(tmp[:n])
-}
-
-func writeString(buf *bytes.Buffer, s string) {
-	writeUvarint(buf, uint64(len(s)))
-	buf.WriteString(s)
-}
-
-func writeInt64(buf *bytes.Buffer, v int64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-	buf.Write(tmp[:])
-}
-
-func writeFloat64(buf *bytes.Buffer, v float64) {
-	writeInt64(buf, int64(math.Float64bits(v)))
-}
-
-// blobReader is a cursor over blob bytes that latches the first error.
-type blobReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *blobReader) fail(msg string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%s at offset %d", msg, r.off)
-	}
-}
-
-func (r *blobReader) read(dst []byte) {
-	if r.err != nil {
-		return
-	}
-	if r.off+len(dst) > len(r.data) {
-		r.fail("short read")
-		return
-	}
-	copy(dst, r.data[r.off:])
-	r.off += len(dst)
-}
-
-func (r *blobReader) readByte() byte {
-	var b [1]byte
-	r.read(b[:])
-	return b[0]
-}
-
-func (r *blobReader) readInt64() int64 {
-	var b [8]byte
-	r.read(b[:])
-	return int64(binary.LittleEndian.Uint64(b[:]))
-}
-
-func (r *blobReader) readFloat64() float64 {
-	return math.Float64frombits(uint64(r.readInt64()))
-}
-
-func (r *blobReader) readUvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *blobReader) readString() string {
-	n := r.readUvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(r.off)+n > uint64(len(r.data)) {
-		r.fail("short string")
-		return ""
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	return nil
 }

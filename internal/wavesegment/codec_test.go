@@ -1,10 +1,12 @@
 package wavesegment
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,6 +239,54 @@ func assertSegmentsEqual(t *testing.T, want, got *Segment) {
 		w, g := want.Annotations[i], got.Annotations[i]
 		if g.Context != w.Context || !g.Start.Equal(w.Start) || !g.End.Equal(w.End) {
 			t.Errorf("annotation %d: %+v != %+v", i, g, w)
+		}
+	}
+}
+
+// hostileBlobs are short blobs whose counts claim far more than their
+// bytes hold: no channels with 2^24 samples, one channel (plain and
+// timestamped) with 2^24 samples, and a valid segment that claims 2^20
+// annotations.
+func hostileBlobs(t testing.TB) map[string][]byte {
+	header := func(flags byte, nch, n uint64) []byte {
+		b := append(blobMagic[:], flags, 0)
+		b = appendInt64(b, t0.UnixNano())
+		b = appendInt64(b, int64(time.Second))
+		b = append(b, make([]byte, 16)...) // location
+		b = binary.AppendUvarint(b, nch)
+		for i := uint64(0); i < nch; i++ {
+			b = append(b, 1, 'c')
+		}
+		return binary.AppendUvarint(b, n)
+	}
+	annotated, err := MarshalBinary(uniformSegment(t0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	annotated = binary.AppendUvarint(annotated[:len(annotated)-1], 1<<20)
+	return map[string][]byte{
+		"no channels, 2^24 samples":    append(header(0, 0, 1<<24), 0, 0),
+		"one channel, 2^24 samples":    append(header(0, 1, 1<<24), 0),
+		"timestamped, 2^24 samples":    append(header(flagTimestamped, 1, 1<<24), 0),
+		"2^20 annotations, none given": annotated,
+	}
+}
+
+// TestUnmarshalBinaryBoundsAllocations decodes blobs whose counts lie:
+// each is refused, and no decode allocates more than 64 bytes per input
+// byte plus 4 KiB, whatever the counts claim.
+func TestUnmarshalBinaryBoundsAllocations(t *testing.T) {
+	var before, after runtime.MemStats
+	for name, blob := range hostileBlobs(t) {
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalBinary(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		limit := 64*uint64(len(blob)) + 4<<10
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s: a %d-byte blob allocated %d bytes, limit %d", name, len(blob), got, limit)
 		}
 	}
 }

@@ -24,6 +24,9 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("WSG1"))
 	f.Add([]byte("WSG1\x00\x00\x00"))
+	for _, blob := range hostileBlobs(f) {
+		f.Add(blob)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seg, err := UnmarshalBinary(data)
 		if err != nil {
