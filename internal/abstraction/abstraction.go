@@ -241,15 +241,21 @@ func coarsenTime(rel *Release, seg *wavesegment.Segment, g timeutil.Granularity)
 	return nil
 }
 
+// shiftSegment moves a released segment's sample instants by d. Its
+// timestamps are shared with the stored record (see wavesegment.Segment),
+// so the shifted ones go into a new slice: writing through the shared one
+// would rewrite the store. It carries no annotations; Apply moved them
+// onto the release.
 func shiftSegment(s *wavesegment.Segment, d time.Duration) {
 	s.Start = s.Start.Add(d)
-	for i := range s.Timestamps {
-		s.Timestamps[i] = s.Timestamps[i].Add(d)
+	if s.Timestamps == nil {
+		return
 	}
-	for i := range s.Annotations {
-		s.Annotations[i].Start = s.Annotations[i].Start.Add(d)
-		s.Annotations[i].End = s.Annotations[i].End.Add(d)
+	shifted := make([]time.Time, len(s.Timestamps))
+	for i, t := range s.Timestamps {
+		shifted[i] = t.Add(d)
 	}
+	s.Timestamps = shifted
 }
 
 // EnforceExplained runs full access control for one consumer over one

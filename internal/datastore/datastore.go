@@ -706,6 +706,7 @@ func (s *Service) QueryCtx(ctx context.Context, key auth.APIKey, q *query.Query)
 			seg := res.Segment
 			// Clip to the requested window: the scan matches any overlapping
 			// record, but only samples inside [From, To) may be released.
+			// The clip shares the record's rows, so it costs O(annotations).
 			if !q.From.IsZero() || !q.To.IsZero() {
 				if seg = seg.Slice(q.From, q.To); seg == nil {
 					continue
@@ -830,17 +831,23 @@ func auditEvent(who audit.Event, q *query.Query, rel *abstraction.Release, seg *
 	for _, c := range rel.Contexts {
 		e.Contexts = append(e.Contexts, c.Context)
 	}
-	// Channels the consumer could at most have received: the stored ones,
-	// narrowed by their own channel filter (a voluntary projection, not an
-	// enforcement effect).
-	expected := seg.Channels
+	// How many channels the consumer could at most have received: the
+	// stored ones, narrowed by their own channel filter (a voluntary
+	// projection, not an enforcement effect).
+	expected := len(seg.Channels)
 	if len(q.Channels) > 0 {
-		if p := seg.Project(rules.ExpandSensorNames(q.Channels)); p != nil {
-			expected = p.Channels
+		asked := 0
+		for _, c := range rules.ExpandSensorNames(q.Channels) {
+			if seg.HasChannel(c) {
+				asked++
+			}
+		}
+		if asked > 0 {
+			expected = asked
 		}
 	}
 	if rel.Segment != nil &&
-		len(rel.Segment.Channels) == len(expected) &&
+		len(rel.Segment.Channels) == expected &&
 		rel.Location.Granularity == geo.LocCoordinates &&
 		rel.TimeGranularity == timeutil.GranMillisecond {
 		e.Outcome = audit.OutcomeRaw

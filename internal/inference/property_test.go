@@ -83,7 +83,7 @@ func TestClassifiersStayInsideTable1b(t *testing.T) {
 			seen[cat][want] = true
 			listed := rules.CategorySensors(cat)
 			for trial, draw := range noise {
-				p := day.Slice(from, to)
+				p := day.Slice(from, to).Clone()
 				for c, name := range p.Channels {
 					if slices.Contains(listed, name) {
 						continue

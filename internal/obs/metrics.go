@@ -420,11 +420,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Handler serves the registry in Prometheus text exposition format.
-// Build info and process uptime are (re)stamped per scrape so the
-// uptime gauge never goes stale.
+// Build info, process uptime and the Go runtime series are (re)stamped
+// per scrape so none of them goes stale.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		stampBuildInfo()
+		stampRuntime()
 		w.Header().Set("Content-Type", ExpositionContentType)
 		_ = r.WritePrometheus(w)
 	})

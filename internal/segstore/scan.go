@@ -260,7 +260,8 @@ func (sn *scanSnapshot) iterators(q *storage.Query) []recIterator {
 
 // ScanRefs returns matching segments ordered by start time. Memtable
 // records are shared with the store and disk records are fresh per-scan
-// decodes; callers must mutate neither.
+// decodes; both are read-only (see wavesegment.Segment), so callers
+// slice and project them without a copy and Clone one to write into it.
 func (s *Store) ScanRefs(q storage.Query) ([]storage.Result, error) {
 	sn, err := s.snapshot(&q)
 	if err != nil {

@@ -42,8 +42,9 @@ type Engine interface {
 	Put(seg *wavesegment.Segment) (ID, error)
 	Count() int
 	// ScanRefs returns matching segments ordered by start time. They may
-	// be the engine's own records: callers must not mutate them, and
-	// clone what they hand on.
+	// be the engine's own records, read-only like every segment (see
+	// wavesegment.Segment): a caller slices and projects them without a
+	// copy, and clones what it must write into.
 	ScanRefs(q Query) ([]Result, error)
 	Close() error
 }
@@ -235,8 +236,8 @@ type Result struct {
 
 // ScanRefs returns matching records ordered by start time, walking only
 // records with StartTime < q.To (binary search) and filtering the rest.
-// The returned segments are the store's own records and must not be
-// mutated.
+// The returned segments are the store's own records, shared read-only
+// (see wavesegment.Segment); Clone one to write into it.
 func (s *Store) ScanRefs(q Query) ([]Result, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -56,9 +56,9 @@ func CanMerge(a, b *Segment) bool {
 
 // Extend is the one merge rule every layer applies: it returns a followed
 // by b as one segment when CanMerge holds and the result has at most
-// maxSamples samples (0 means no cap). a is left untouched, but the result
-// shares a's sample rows (b's are copied), so a segment that may be
-// extended must not be mutated in place.
+// maxSamples samples (0 means no cap). a is left untouched, and the result
+// shares a's sample rows (b's are copied), as Segment's read-only contract
+// allows.
 func Extend(a, b *Segment, maxSamples int) (*Segment, bool) {
 	if !CanMerge(a, b) || (maxSamples > 0 && a.NumSamples()+b.NumSamples() > maxSamples) {
 		return nil, false

@@ -11,6 +11,7 @@ package wavesegment
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -59,6 +60,13 @@ func (a Annotation) Overlaps(from, to time.Time) bool {
 // samples are uniform starting at Start; otherwise Timestamps holds one
 // instant per row (non-periodic sampling), stored — as the paper describes —
 // as an extra channel inside the value blob when serialized.
+//
+// Sample data is read-only once a segment is built: nothing writes into
+// Values, its rows or Timestamps after the constructor (a decoder, a
+// generator, Clone) returns. Slice, Project and Extend rely on that and
+// share rows with the segment they derive from instead of copying them,
+// and a store hands out its records the same way. Call Clone for a copy
+// you may write into.
 type Segment struct {
 	// Contributor is the data owner's identity.
 	Contributor string `json:"contributor,omitempty"`
@@ -237,9 +245,12 @@ func (s *Segment) Clone() *Segment {
 	return out
 }
 
-// Project returns a copy containing only the requested channels, in the
+// Project returns the segment narrowed to the requested channels, in the
 // requested order. Channels the segment lacks are skipped. Returns nil if
-// none of the channels are present.
+// none of the channels are present. Projecting onto every channel in its
+// stored order shares the sample rows; any other projection copies the
+// kept columns into one new backing array. Timestamps and Annotations are
+// shared either way (see Segment).
 func (s *Segment) Project(channels []string) *Segment {
 	idxs := make([]int, 0, len(channels))
 	names := make([]string, 0, len(channels))
@@ -252,11 +263,24 @@ func (s *Segment) Project(channels []string) *Segment {
 	if len(idxs) == 0 {
 		return nil
 	}
-	out := s.Clone()
-	out.Channels = names
+	out := &Segment{
+		Contributor: s.Contributor,
+		Start:       s.Start,
+		Interval:    s.Interval,
+		Location:    s.Location,
+		Channels:    names,
+		Values:      slices.Clip(s.Values),
+		Timestamps:  slices.Clip(s.Timestamps),
+		Annotations: slices.Clip(s.Annotations),
+	}
+	if slices.Equal(names, s.Channels) {
+		return out
+	}
+	k := len(idxs)
+	flat := make([]float64, len(s.Values)*k)
 	out.Values = make([][]float64, len(s.Values))
 	for r, row := range s.Values {
-		nr := make([]float64, len(idxs))
+		nr := flat[r*k : (r+1)*k : (r+1)*k]
 		for c, idx := range idxs {
 			nr[c] = row[idx]
 		}
@@ -265,28 +289,11 @@ func (s *Segment) Project(channels []string) *Segment {
 	return out
 }
 
-// DropChannels returns a copy without the named channels, or nil if nothing
-// remains.
-func (s *Segment) DropChannels(channels []string) *Segment {
-	drop := make(map[string]struct{}, len(channels))
-	for _, c := range channels {
-		drop[c] = struct{}{}
-	}
-	keep := make([]string, 0, len(s.Channels))
-	for _, c := range s.Channels {
-		if _, gone := drop[c]; !gone {
-			keep = append(keep, c)
-		}
-	}
-	if len(keep) == len(s.Channels) {
-		return s.Clone()
-	}
-	return s.Project(keep)
-}
-
-// Slice returns a copy restricted to samples with instants in [from, to).
-// Either bound may be zero for "unbounded". Returns nil if no samples fall
-// in the window. Annotations are clipped to the window.
+// Slice returns the segment restricted to samples with instants in
+// [from, to). Either bound may be zero for "unbounded". Returns nil if no
+// samples fall in the window. The result shares the sample rows and
+// timestamps of s (see Segment); its Annotations are new, clipped to the
+// window.
 func (s *Segment) Slice(from, to time.Time) *Segment {
 	lo, hi := s.sampleRange(from, to)
 	if lo >= hi {
@@ -297,15 +304,12 @@ func (s *Segment) Slice(from, to time.Time) *Segment {
 		Interval:    s.Interval,
 		Location:    s.Location,
 		Channels:    append([]string(nil), s.Channels...),
-		Values:      make([][]float64, hi-lo),
-	}
-	for i := lo; i < hi; i++ {
-		out.Values[i-lo] = append([]float64(nil), s.Values[i]...)
+		Values:      s.Values[lo:hi:hi],
 	}
 	if s.Interval > 0 {
 		out.Start = s.SampleTime(lo)
 	} else {
-		out.Timestamps = append([]time.Time(nil), s.Timestamps[lo:hi]...)
+		out.Timestamps = s.Timestamps[lo:hi:hi]
 		out.Start = out.Timestamps[0]
 	}
 	ss, se := out.StartTime(), out.EndTime()

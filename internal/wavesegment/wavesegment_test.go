@@ -183,17 +183,35 @@ func TestProjectAndDrop(t *testing.T) {
 	if p == nil || len(p.Channels) != 1 {
 		t.Fatalf("mixed Project = %v", p)
 	}
+}
 
-	d := s.DropChannels([]string{ChannelRespiration})
-	if d == nil || len(d.Channels) != 2 || d.HasChannel(ChannelRespiration) {
-		t.Fatalf("DropChannels = %v", d)
+// TestSliceAndProjectShareRows pins the read-only contract: Slice and a
+// full Project share the parent's sample rows, an append to a slice
+// cannot reach the parent's arrays, and a narrowing Project copies.
+func TestSliceAndProjectShareRows(t *testing.T) {
+	s := uniformSegment(t0, 10, ChannelECG, ChannelRespiration, ChannelSkinTemp)
+	sl := s.Slice(s.SampleTime(2), s.SampleTime(5))
+	if sl.NumSamples() != 3 || &sl.Values[0][0] != &s.Values[2][0] {
+		t.Fatalf("Slice = %v, want rows 2..4 shared", sl)
 	}
-	if all := s.DropChannels(s.Channels); all != nil {
-		t.Error("dropping every channel should return nil")
+	_ = append(sl.Values, []float64{-1, -1, -1})
+	if s.Values[5][0] == -1 {
+		t.Error("appending to a slice overwrote the parent's row 5")
 	}
-	same := s.DropChannels([]string{"nope"})
-	if same == nil || len(same.Channels) != 3 {
-		t.Error("dropping absent channel should be a clone")
+	ts := timestampedSegment(t0, time.Second, time.Second, time.Second, time.Second)
+	tsl := ts.Slice(ts.Timestamps[1], ts.Timestamps[3])
+	_ = append(tsl.Timestamps, time.Time{})
+	if ts.Timestamps[3].IsZero() {
+		t.Error("appending to a slice's timestamps overwrote the parent's")
+	}
+
+	if p := s.Project(s.Channels); &p.Values[0][0] != &s.Values[0][0] {
+		t.Error("projecting onto every channel in stored order copied the rows")
+	}
+	p := s.Project([]string{ChannelSkinTemp, ChannelECG})
+	p.Values[0][0] = -1
+	if s.Values[0][2] == -1 || s.Values[0][0] == -1 {
+		t.Error("a narrowing Project shares the parent's rows")
 	}
 }
 
