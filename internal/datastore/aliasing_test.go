@@ -3,8 +3,10 @@ package datastore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -121,9 +123,10 @@ func storedBytes(t *testing.T, s *Service) map[storage.ID][]byte {
 }
 
 // answerFromClones answers q the way QueryCtx does, but from a Clone of
-// every matching record, so nothing it releases can share memory with
-// the store.
-func answerFromClones(t *testing.T, s *Service, consumer string, q *query.Query) []*abstraction.Release {
+// the segment each matching record was uploaded as (clones, by record
+// ID), so nothing it releases can share memory with the store or with
+// what was uploaded.
+func answerFromClones(t *testing.T, s *Service, consumer string, q *query.Query, clones map[storage.ID]*wavesegment.Segment) []*abstraction.Release {
 	t.Helper()
 	results, err := s.store.ScanRefs(q.Storage())
 	if err != nil {
@@ -131,7 +134,7 @@ func answerFromClones(t *testing.T, s *Service, consumer string, q *query.Query)
 	}
 	var out []*abstraction.Release
 	for _, r := range results {
-		seg := r.Segment.Clone()
+		seg := clones[r.ID].Clone()
 		if !q.From.IsZero() || !q.To.IsZero() {
 			if seg = seg.Slice(q.From, q.To); seg == nil {
 				continue
@@ -150,24 +153,27 @@ func releasesJSON(t *testing.T, rels []*abstraction.Release) string {
 	t.Helper()
 	var b []byte
 	for _, rel := range rels {
-		var err error
-		if b, err = rel.AppendJSON(b); err != nil {
+		js, err := json.Marshal(rel)
+		if err != nil {
 			t.Fatal(err)
 		}
-		b = append(b, '\n')
+		b = append(append(b, js...), '\n')
 	}
 	return string(b)
 }
 
 // TestReleasesLeaveStoredRecordsIntact is the property behind the shared
-// read path: Slice and Project share sample rows with stored records
-// instead of copying them, so no query or stream delivery may write into
-// a record, and sharing must not change what a consumer receives. Over
-// random segments (uniform and timestamped, annotated), random rule sets
-// and random queries, on the in-memory engine and on segstore with the
-// data in its memtable and on disk, every stored record encodes to the
-// same bytes afterwards, and every answer equals the one computed from
-// clones of the records.
+// read and write paths: an upload hands its segments over to the
+// optimizer, the store and the stream hub without a copy, and Slice and
+// Project share sample rows with stored records instead of copying them,
+// so no layer may write into a segment it was handed, and sharing must
+// not change what a consumer receives. Over random segments (uniform and
+// timestamped, annotated) uploaded with a subscriber attached, random
+// rule sets and random queries, on the in-memory engine and on segstore
+// with the data in its memtable and on disk, every stored record encodes
+// to the bytes of a Clone taken before its upload, before and after the
+// reads, and every answer and stream delivery equals the one computed
+// from that clone.
 func TestReleasesLeaveStoredRecordsIntact(t *testing.T) {
 	ctx := context.Background()
 	configs := []struct {
@@ -189,13 +195,13 @@ func TestReleasesLeaveStoredRecordsIntact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var uploads []*wavesegment.Segment
+				var clones []*wavesegment.Segment
 				for i, n := 0, 1+rng.Intn(4); i < n; i++ {
 					seg := aliasSegment(rng, t0.Add(time.Duration(i)*2*time.Hour+time.Duration(rng.Intn(3600))*time.Second))
+					clones = append(clones, seg.Clone())
 					if _, err := s.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
 						t.Fatal(err)
 					}
-					uploads = append(uploads, seg)
 				}
 				if cfg.flush {
 					if err := s.store.(*segstore.Store).Flush(); err != nil {
@@ -209,13 +215,42 @@ func TestReleasesLeaveStoredRecordsIntact(t *testing.T) {
 				if err := s.SetRules(alice.Key, []byte("["+strings.Join(ruleSet, ",")+"]")); err != nil {
 					t.Fatal(err)
 				}
-				before := storedBytes(t, s)
 				where := fmt.Sprintf("trial %d, rules %v", trial, ruleSet)
+				// Each upload is one record: record IDs follow upload order.
+				records := storedBytes(t, s)
+				if len(records) != len(clones) {
+					t.Fatalf("%s: %d uploads made %d records", where, len(clones), len(records))
+				}
+				ids := make([]storage.ID, 0, len(records))
+				for id := range records {
+					ids = append(ids, id)
+				}
+				slices.Sort(ids)
+				byID := make(map[storage.ID]*wavesegment.Segment, len(ids))
+				for i, id := range ids {
+					byID[id] = clones[i]
+				}
+				checkRecords := func(when string, got map[storage.ID][]byte) {
+					t.Helper()
+					if len(got) != len(byID) {
+						t.Fatalf("%s: %d records %s, %d uploaded", where, len(got), when, len(byID))
+					}
+					for id, clone := range byID {
+						want, err := wavesegment.MarshalBinary(clone)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got[id], want) {
+							t.Fatalf("%s: record %d %s differs from its upload", where, id, when)
+						}
+					}
+				}
+				checkRecords("after the uploads", records)
 
-				lo, hi := uploads[0].StartTime(), uploads[len(uploads)-1].EndTime()
+				lo, hi := clones[0].StartTime(), clones[len(clones)-1].EndTime()
 				for i := 0; i < 12; i++ {
 					q := aliasQuery(rng, lo, hi)
-					want := releasesJSON(t, answerFromClones(t, s, bob.Name, q))
+					want := releasesJSON(t, answerFromClones(t, s, bob.Name, q, byID))
 					got, err := s.QueryCtx(ctx, bob.Key, q)
 					if err != nil {
 						t.Fatal(err)
@@ -226,10 +261,10 @@ func TestReleasesLeaveStoredRecordsIntact(t *testing.T) {
 				}
 
 				// Each upload was one publish, so event seq i+1 carries
-				// uploads[i]; a replayed poll must deliver the same bytes.
+				// upload i; a replayed poll must deliver the same bytes.
 				want := make(map[uint64]string)
-				for i, seg := range uploads {
-					rels, _, _, err := s.StreamRelease(bob.Name, nil, seg.Clone())
+				for i, clone := range clones {
+					rels, _, _, err := s.StreamRelease(bob.Name, nil, clone.Clone())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -252,15 +287,7 @@ func TestReleasesLeaveStoredRecordsIntact(t *testing.T) {
 					}
 				}
 
-				after := storedBytes(t, s)
-				if len(after) != len(before) {
-					t.Fatalf("%s: %d records before the reads, %d after", where, len(before), len(after))
-				}
-				for id, b := range before {
-					if !bytes.Equal(after[id], b) {
-						t.Fatalf("%s: record %d changed under reads", where, id)
-					}
-				}
+				checkRecords("after the reads", storedBytes(t, s))
 			}
 		})
 	}

@@ -411,7 +411,8 @@ func (s *Service) UploadCtx(ctx context.Context, key auth.APIKey, segs []*wavese
 			written++
 		}
 		// Live subscribers get exactly the new post-merge segments: Put
-		// copies what it stores, so a grown tail never reaches them.
+		// grows a tail into a new segment, never in place, so a grown
+		// tail never reaches them.
 		for _, seg := range merged {
 			s.stream.Publish(u.Name, seg)
 		}

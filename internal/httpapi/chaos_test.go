@@ -30,12 +30,22 @@ import (
 // fixed so failures reproduce.
 const chaosSeed = 0xC4A05
 
-// chaosPolicy retries aggressively with test-sized delays.
+// chaosPolicy retries aggressively, waiting a twenty-fifth of each
+// production backoff (2 ms first, 80 ms at the cap) so the suite stays
+// fast.
 func chaosPolicy() *resilience.Policy {
 	return &resilience.Policy{
 		MaxAttempts: 8,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    50 * time.Millisecond,
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			t := time.NewTimer(d / 25)
+			defer t.Stop()
+			select {
+			case <-ctx.Done():
+				return ctx.Err()
+			case <-t.C:
+				return nil
+			}
+		},
 	}
 }
 

@@ -164,8 +164,6 @@ func postAttempt(ctx context.Context, hc *http.Client, out *outbound, resp any) 
 		} else {
 			err = fmt.Errorf("unrequested %s body", binwire.MediaType)
 		}
-	} else if d, ok := resp.(jsonDecoder); ok {
-		err = d.DecodeJSON(data)
 	} else {
 		err = json.Unmarshal(data, resp)
 	}

@@ -1,10 +1,17 @@
 // Package httpapi exposes the remote data store and the broker over
-// HTTP(S) JSON APIs and provides the matching typed clients. Following the
+// HTTP(S) APIs and provides the matching typed clients. Following the
 // paper (§5.4), API keys travel in the body of POST requests — never in
 // URLs — so that TLS protects them and they stay out of server logs; the
 // servers also expose a minimal HTML status page standing in for the
 // paper's web user interface (Fig. 3), whose output is the same rule JSON
 // the API accepts.
+//
+// Bodies have two encodings. JSON, the paper's Fig. 4/5 shapes written
+// and read by encoding/json over the struct tags, is the default and the
+// compatibility path for curl and any untyped caller. The bodies that
+// carry samples (an upload, and the query, queryown and stream-next
+// answers) may instead travel as a binary frame (binwire.MediaType),
+// chosen by Content-Type and Accept; the typed clients always ask for it.
 package httpapi
 
 import (
@@ -37,18 +44,6 @@ type errorBody struct {
 
 // errMethodNotAllowed marks non-POST calls on POST-only API endpoints.
 var errMethodNotAllowed = errors.New("httpapi: method not allowed")
-
-// jsonAppender is a body that writes its own JSON, byte for byte what
-// encoding/json writes for it.
-type jsonAppender interface {
-	AppendJSON(b []byte) ([]byte, error)
-}
-
-// jsonDecoder is a body that decodes its own JSON, accepting exactly what
-// json.Unmarshal accepts.
-type jsonDecoder interface {
-	DecodeJSON(data []byte) error
-}
 
 // binAppender is a body that can travel as a binary frame
 // (binwire.MediaType): the bodies that carry samples.
@@ -114,15 +109,8 @@ func writeBody(w http.ResponseWriter, contentType string, enc func([]byte) ([]by
 // escaped, newline-terminated.
 func writeJSON(w http.ResponseWriter, v any) {
 	writeBody(w, "application/json", func(b []byte) ([]byte, error) {
-		var err error
-		if a, ok := v.(jsonAppender); ok {
-			b, err = a.AppendJSON(b)
-		} else {
-			var js []byte
-			js, err = json.Marshal(v)
-			b = append(b, js...)
-		}
-		return append(b, '\n'), err
+		js, err := json.Marshal(v)
+		return append(append(b, js...), '\n'), err
 	})
 }
 

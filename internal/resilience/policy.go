@@ -19,10 +19,13 @@ var (
 		"Operations abandoned after retries, by operation and reason.", "op", "reason")
 )
 
-// Backoff shape. Each delay doubles up to MaxDelay and is scaled by a
-// factor drawn from [1-jitter/2, 1+jitter/2], so concurrent retriers in
-// different processes spread out instead of retrying in lockstep.
+// Backoff shape. The first retry waits baseDelay, each later one twice
+// the last up to maxDelay, and each is scaled by a factor drawn from
+// [1-jitter/2, 1+jitter/2], so concurrent retriers in different processes
+// spread out instead of retrying in lockstep.
 const (
+	baseDelay  = 50 * time.Millisecond
+	maxDelay   = 2 * time.Second
 	multiplier = 2
 	jitter     = 0.2
 )
@@ -41,11 +44,6 @@ const maxRetryAfter = 10 * time.Second
 type Policy struct {
 	// MaxAttempts is the total number of tries (1 = no retries).
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry (default 50ms when
-	// MaxAttempts > 1).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff (default 2s).
-	MaxDelay time.Duration
 	// Sleep is a test seam for the backoff wait; nil uses a real timer that
 	// honors ctx cancellation.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -67,25 +65,17 @@ func (p *Policy) attempts() int {
 
 // backoff computes the delay before retry i (0-based), folding in the
 // server's Retry-After hint when it is larger, up to maxRetryAfter.
-func (p *Policy) backoff(i int, hint time.Duration) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxD := p.MaxDelay
-	if maxD <= 0 {
-		maxD = 2 * time.Second
-	}
-	d := float64(base)
+func backoff(i int, hint time.Duration) time.Duration {
+	d := float64(baseDelay)
 	for k := 0; k < i; k++ {
 		d *= multiplier
-		if d >= float64(maxD) {
+		if d >= float64(maxDelay) {
 			break
 		}
 	}
 	delay := time.Duration(d * (1 - jitter/2 + jitter*rand.Float64()))
-	if delay > maxD {
-		delay = maxD
+	if delay > maxDelay {
+		delay = maxDelay
 	}
 	if hint > delay {
 		// The server knows its own recovery horizon best, within reason.
@@ -138,7 +128,7 @@ func (p *Policy) Do(ctx context.Context, op string, fn func(ctx context.Context)
 			return fmt.Errorf("resilience: %s failed after %d attempts: %w", op, attempts, err)
 		}
 		metricRetries.With(op).Inc()
-		delay := p.backoff(i, RetryAfterOf(err))
+		delay := backoff(i, RetryAfterOf(err))
 		// The retry is an event on the caller's active span (not a span of
 		// its own): the trace shows when each attempt gave up and how long
 		// the backoff held the operation, without fabricating extra tree

@@ -67,8 +67,6 @@ func TestPolicyDoRetriesUntilSuccess(t *testing.T) {
 	var slept []time.Duration
 	p := &Policy{
 		MaxAttempts: 5,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    80 * time.Millisecond,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil
@@ -91,8 +89,8 @@ func TestPolicyDoRetriesUntilSuccess(t *testing.T) {
 	if len(slept) != 3 {
 		t.Fatalf("sleeps = %d, want 3", len(slept))
 	}
-	// 10ms, 20ms, 40ms — doubling, each within the ±10% jitter band.
-	for i, want := range []time.Duration{10, 20, 40} {
+	// 50ms, 100ms, 200ms — doubling, each within the ±10% jitter band.
+	for i, want := range []time.Duration{50, 100, 200} {
 		lo, hi := want*time.Millisecond*9/10, want*time.Millisecond*11/10
 		if slept[i] < lo || slept[i] > hi {
 			t.Errorf("sleep[%d] = %v, want ~%vms", i, slept[i], want)
@@ -135,7 +133,6 @@ func TestPolicyDoRespectsRetryAfter(t *testing.T) {
 	var slept []time.Duration
 	p := &Policy{
 		MaxAttempts: 2,
-		BaseDelay:   time.Millisecond,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil

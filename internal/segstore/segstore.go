@@ -309,8 +309,8 @@ func (s *Store) publishGauges() {
 // Put validates and stores a segment, returning the ID of the record that
 // holds it. A segment that continues its stream's newest record in the
 // active memtable extends that record (the WAL logs only the new packet);
-// anything else becomes a new record. The segment is copied; callers may
-// keep mutating theirs.
+// anything else becomes a new record. The memtable keeps seg itself, so
+// the caller hands it over (see wavesegment.Segment).
 func (s *Store) Put(seg *wavesegment.Segment) (storage.ID, error) {
 	if seg == nil {
 		return 0, fmt.Errorf("segstore: nil segment")
@@ -354,7 +354,7 @@ func (s *Store) Put(seg *wavesegment.Segment) (storage.ID, error) {
 	if extends {
 		s.active.extend(id, joined, seq, len(blob))
 	} else {
-		s.active.put(id, seg.Clone(), seq, len(blob))
+		s.active.put(id, seg, seq, len(blob))
 		s.liveCount++
 	}
 	needFlush := s.active.bytes >= s.opts.MemtableBytes

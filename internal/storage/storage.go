@@ -105,7 +105,8 @@ func (s *Store) insert(id ID, seg *wavesegment.Segment) *record {
 
 // Put validates and stores a segment, returning the ID of the record that
 // holds it: the stream's newest record when the segment extends it, else
-// a new one. The segment is copied; callers may keep mutating theirs.
+// a new one. The store keeps seg itself, so the caller hands it over (see
+// wavesegment.Segment).
 func (s *Store) Put(seg *wavesegment.Segment) (ID, error) {
 	if seg == nil {
 		return 0, fmt.Errorf("storage: nil segment")
@@ -129,7 +130,7 @@ func (s *Store) Put(seg *wavesegment.Segment) (ID, error) {
 	}
 	id := s.nextID
 	s.nextID++
-	rec := s.insert(id, seg.Clone())
+	rec := s.insert(id, seg)
 	if !hasTail || seg.StartTime().After(tail.seg.StartTime()) {
 		s.tails[key] = rec
 	}

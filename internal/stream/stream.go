@@ -371,8 +371,8 @@ func (h *Hub) Shutdown() {
 // Publish fans one newly-ingested (post-merge) wave segment out to every
 // matching subscription. It never blocks on slow consumers: a full buffer
 // drops its oldest segment, marks the subscriber lagging, and the loss
-// surfaces as an in-band gap event. The segment is cloned once, so
-// deliveries never share memory with the caller's copy.
+// surfaces as an in-band gap event. Every subscription buffers seg
+// itself, so the caller hands it over (see wavesegment.Segment).
 func (h *Hub) Publish(contributor string, seg *wavesegment.Segment) {
 	h.mu.RLock()
 	targets := h.byContrib[norm(contributor)]
@@ -390,7 +390,6 @@ func (h *Hub) Publish(contributor string, seg *wavesegment.Segment) {
 	if len(matched) == 0 {
 		return
 	}
-	c := seg.Clone()
 	now := time.Now()
 	for _, s := range matched {
 		s.mu.Lock()
@@ -407,7 +406,7 @@ func (h *Hub) Publish(contributor string, seg *wavesegment.Segment) {
 			metricSegments.With("dropped").Inc()
 		}
 		s.next++
-		s.entries = append(s.entries, entry{seq: s.next, seg: c, enqueued: now})
+		s.entries = append(s.entries, entry{seq: s.next, seg: seg, enqueued: now})
 		s.mu.Unlock()
 		select {
 		case s.notify <- struct{}{}:

@@ -9,7 +9,6 @@ import (
 
 	"sensorsafe/internal/binwire"
 	"sensorsafe/internal/geo"
-	"sensorsafe/internal/jsonwire"
 )
 
 // timeWire is the timestamp layout used in segment JSON.
@@ -32,251 +31,83 @@ func (s *Segment) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MarshalJSONSegment encodes a segment in the paper's Fig. 5 JSON shape.
-func MarshalJSONSegment(s *Segment) ([]byte, error) {
-	b, err := s.AppendJSON(make([]byte, 0, 256+12*len(s.Values)*len(s.Channels)))
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// AppendJSON appends the segment in the Fig. 5 JSON shape: metadata
-// (start time, sampling interval, location, tuple format) plus the value
-// blob,
+// jsonWire is the paper's Fig. 5 JSON shape: metadata (start time,
+// sampling interval, location, tuple format) plus the value blob,
 //
 //	{"contributor":…,"start_time":…,"interval_ms":…,"location":{"lat":…,"lon":…},
 //	 "format":[…],"data":[[…],…],"timestamps":[…],"annotations":[…]}
 //
-// in one pass, byte for byte what encoding/json writes for that shape.
 // contributor is left out when empty and annotations when there are none.
 // Timestamped (non-periodic) segments carry per-sample instants in
 // timestamps, mirroring the paper's "stored in the value blob as
 // additional sensor channels"; uniform ones leave it out.
-func (s *Segment) AppendJSON(b []byte) ([]byte, error) {
+type jsonWire struct {
+	Contributor string       `json:"contributor,omitempty"`
+	StartTime   string       `json:"start_time"`
+	IntervalMS  float64      `json:"interval_ms"`
+	Location    geo.Point    `json:"location"`
+	Format      []string     `json:"format"`
+	Data        [][]float64  `json:"data"`
+	Timestamps  []string     `json:"timestamps,omitempty"`
+	Annotations []Annotation `json:"annotations,omitempty"`
+}
+
+// MarshalJSONSegment encodes a segment in the paper's Fig. 5 JSON shape.
+func MarshalJSONSegment(s *Segment) ([]byte, error) {
 	if err := s.Validate(); err != nil {
-		return b, err
+		return nil, err
 	}
-	b = append(b, '{')
-	if s.Contributor != "" {
-		b = append(b, `"contributor":`...)
-		b = jsonwire.AppendString(b, s.Contributor)
-		b = append(b, ',')
+	w := jsonWire{
+		Contributor: s.Contributor,
+		StartTime:   s.StartTime().Format(timeWire),
+		IntervalMS:  float64(s.Interval) / float64(time.Millisecond),
+		Location:    s.Location,
+		Format:      s.Channels,
+		Data:        s.Values,
+		Annotations: s.Annotations,
 	}
-	b = append(b, `"start_time":"`...)
-	b = s.StartTime().AppendFormat(b, timeWire)
-	b = append(b, `","interval_ms":`...)
-	b, err := jsonwire.AppendFloat(b, float64(s.Interval)/float64(time.Millisecond))
-	if err != nil {
-		return b, err
-	}
-	b = append(b, `,"location":`...)
-	if b, err = s.Location.AppendJSON(b); err != nil {
-		return b, err
-	}
-	b = append(b, `,"format":[`...)
-	for i, c := range s.Channels {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = jsonwire.AppendString(b, c)
-	}
-	b = append(b, `],"data":[`...)
-	for i, row := range s.Values {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '[')
-		for j, v := range row {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			if b, err = jsonwire.AppendFloat(b, v); err != nil {
-				return b, err
-			}
-		}
-		b = append(b, ']')
-	}
-	b = append(b, ']')
 	if s.Interval <= 0 {
-		b = append(b, `,"timestamps":[`...)
+		w.Timestamps = make([]string, len(s.Timestamps))
 		for i, t := range s.Timestamps {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, '"')
-			b = t.AppendFormat(b, timeWire)
-			b = append(b, '"')
-		}
-		b = append(b, ']')
-	}
-	if len(s.Annotations) > 0 {
-		b = append(b, `,"annotations":`...)
-		if b, err = AppendAnnotations(b, s.Annotations); err != nil {
-			return b, err
+			w.Timestamps[i] = t.Format(timeWire)
 		}
 	}
-	return append(b, '}'), nil
+	return json.Marshal(w)
 }
 
-// AppendAnnotations appends a JSON array of annotations. A segment
-// carries only a few, so they stay on encoding/json.
-func AppendAnnotations(b []byte, as []Annotation) ([]byte, error) {
-	js, err := json.Marshal(as)
-	return append(b, js...), err
-}
-
-// DecodeAnnotations decodes a JSON array of annotations into *as with
-// encoding/json, which the few a segment carries do not make slow.
-func DecodeAnnotations(r *jsonwire.Reader, as *[]Annotation) error {
-	raw, err := r.Raw()
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(raw, as)
-}
-
-// UnmarshalJSONSegment decodes a Fig. 5-shaped JSON document.
+// UnmarshalJSONSegment decodes a Fig. 5-shaped JSON document. The
+// interval is rounded to the nearest nanosecond, so every segment
+// survives a round trip. A timestamped segment starts at its first
+// timestamp, as a decoded blob does.
 func UnmarshalJSONSegment(data []byte) (*Segment, error) {
-	r := jsonwire.NewReader(data)
-	w, err := decodeWire(r)
-	if err == nil {
-		err = r.End()
-	}
-	if err != nil {
+	var w jsonWire
+	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("wavesegment: bad segment JSON: %w", err)
 	}
-	return w.segment()
-}
-
-// DecodeJSON decodes the Fig. 5 segment that comes next in r, for
-// documents that embed segments.
-func DecodeJSON(r *jsonwire.Reader) (*Segment, error) {
-	w, err := decodeWire(r)
-	if err != nil {
-		return nil, fmt.Errorf("wavesegment: bad segment JSON: %w", err)
-	}
-	return w.segment()
-}
-
-// wire holds a decoded Fig. 5 document before it becomes a Segment.
-type wire struct {
-	contributor string
-	startTime   string
-	intervalMS  float64
-	location    geo.Point
-	format      []string
-	data        [][]float64
-	timestamps  []string
-	annotations []Annotation
-}
-
-// wireFields are the Fig. 5 keys, in wire order.
-var wireFields = []string{"contributor", "start_time", "interval_ms", "location", "format", "data", "timestamps", "annotations"}
-
-// decodeWire reads one Fig. 5 object. A key that repeats decodes into
-// what the earlier one left, as in encoding/json.
-func decodeWire(r *jsonwire.Reader) (*wire, error) {
-	w := &wire{}
-	if r.Null() {
-		return w, nil
-	}
-	var rows floatArena
-	err := r.Object(func(key []byte) error {
-		var err error
-		switch jsonwire.Field(key, wireFields) {
-		case 0:
-			return r.StringInto(&w.contributor)
-		case 1:
-			return r.StringInto(&w.startTime)
-		case 2:
-			return r.FloatInto(&w.intervalMS)
-		case 3:
-			return w.location.DecodeJSON(r)
-		case 4:
-			if r.Null() {
-				w.format = nil
-				return nil
-			}
-			w.format, err = jsonwire.Slice(r, w.format, r.StringInto)
-		case 5:
-			if r.Null() {
-				w.data = nil
-				return nil
-			}
-			w.data, err = jsonwire.Slice(r, w.data, func(row *[]float64) error {
-				var err error
-				switch {
-				case r.Null():
-					*row = nil
-				case *row == nil:
-					*row, err = rows.next(r)
-				default: // a repeated "data" key decodes into the earlier rows
-					*row, err = jsonwire.Slice(r, *row, r.FloatInto)
-				}
-				return err
-			})
-		case 6:
-			if r.Null() {
-				w.timestamps = nil
-				return nil
-			}
-			w.timestamps, err = jsonwire.Slice(r, w.timestamps, r.StringInto)
-		case 7:
-			return DecodeAnnotations(r, &w.annotations)
-		default:
-			return r.Skip()
-		}
-		return err
-	})
-	return w, err
-}
-
-// floatArena carves the rows of one segment out of shared chunks, so a
-// segment's values take a few allocations rather than one per row.
-type floatArena struct{ buf []float64 }
-
-// next decodes one array of numbers as a row of its own capacity; null
-// elements read as 0, as they do in a fresh encoding/json slice.
-func (a *floatArena) next(r *jsonwire.Reader) ([]float64, error) {
-	if cap(a.buf)-len(a.buf) < 64 {
-		a.buf = make([]float64, 0, min(max(2*cap(a.buf), 256), 1<<14))
-	}
-	start := len(a.buf)
-	err := r.Array(func() error {
-		var f float64
-		err := r.FloatInto(&f)
-		a.buf = append(a.buf, f)
-		return err
-	})
-	return a.buf[start:len(a.buf):len(a.buf)], err
-}
-
-// segment turns the decoded document into a validated Segment.
-func (w *wire) segment() (*Segment, error) {
 	s := &Segment{
-		Contributor: w.contributor,
-		Interval:    time.Duration(w.intervalMS * float64(time.Millisecond)),
-		Location:    w.location,
-		Channels:    w.format,
-		Values:      w.data,
-		Annotations: w.annotations,
+		Contributor: w.Contributor,
+		Interval:    time.Duration(math.Round(w.IntervalMS * float64(time.Millisecond))),
+		Location:    w.Location,
+		Channels:    w.Format,
+		Values:      w.Data,
+		Annotations: w.Annotations,
 	}
-	start, err := time.Parse(timeWire, w.startTime)
+	start, err := time.Parse(timeWire, w.StartTime)
 	if err != nil {
 		return nil, fmt.Errorf("wavesegment: bad start_time: %w", err)
 	}
 	s.Start = start
-	if len(w.timestamps) > 0 {
+	if len(w.Timestamps) > 0 {
 		s.Interval = 0
-		s.Timestamps = make([]time.Time, len(w.timestamps))
-		for i, ts := range w.timestamps {
+		s.Timestamps = make([]time.Time, len(w.Timestamps))
+		for i, ts := range w.Timestamps {
 			t, err := time.Parse(timeWire, ts)
 			if err != nil {
 				return nil, fmt.Errorf("wavesegment: bad timestamp %d: %w", i, err)
 			}
 			s.Timestamps[i] = t
 		}
+		s.Start = s.Timestamps[0]
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

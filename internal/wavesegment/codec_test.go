@@ -42,6 +42,35 @@ func TestJSONRoundTripTimestamped(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTripKeepsTimebase: interval_ms is a float, so the decoder
+// rounds it to the nearest nanosecond (truncating turned 249 ns into
+// 248), and a timestamped segment starts at its first timestamp whatever
+// start_time says, as a decoded blob does.
+func TestJSONRoundTripKeepsTimebase(t *testing.T) {
+	for _, d := range []time.Duration{249, 251, 489, 333333, 100 * time.Millisecond} {
+		s := uniformSegment(t0, 2)
+		s.Interval = d
+		data, err := MarshalJSONSegment(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalJSONSegment(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Interval != d {
+			t.Errorf("interval %d ns came back as %d ns", d, back.Interval)
+		}
+	}
+	back, err := UnmarshalJSONSegment([]byte(`{"start_time":"2011-02-16T09:00:00Z","interval_ms":0,"format":["ECG"],"data":[[1]],"timestamps":["2011-02-16T10:00:00Z"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.Start.Equal(t0) {
+		t.Errorf("timestamped segment starts at %v, want its first timestamp %v", back.Start, t0)
+	}
+}
+
 func TestJSONShapeMatchesFig5(t *testing.T) {
 	// The Fig. 5 wire format: metadata (start_time, interval_ms, location,
 	// format) plus the value blob under "data".

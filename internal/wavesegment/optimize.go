@@ -121,12 +121,12 @@ func (o *Optimizer) Add(seg *Segment) ([]*Segment, error) {
 	}
 	var done []*Segment
 	if o.pending == nil {
-		o.pending = seg.Clone()
+		o.pending = seg
 	} else if merged, ok := Extend(o.pending, seg, o.MaxSamples); ok {
 		o.pending = merged
 	} else {
 		done = append(done, o.pending)
-		o.pending = seg.Clone()
+		o.pending = seg
 	}
 	if o.MaxSamples > 0 && o.pending.NumSamples() >= o.MaxSamples {
 		done = append(done, o.pending)

@@ -65,8 +65,11 @@ func (a Annotation) Overlaps(from, to time.Time) bool {
 // Values, its rows or Timestamps after the constructor (a decoder, a
 // generator, Clone) returns. Slice, Project and Extend rely on that and
 // share rows with the segment they derive from instead of copying them,
-// and a store hands out its records the same way. Call Clone for a copy
-// you may write into.
+// and a store hands out its records the same way. A segment handed over
+// to Optimizer.Add, a store's Put or a stream hub's Publish (and so to a
+// data store's upload) is read-only as a whole: they keep it without
+// copying, so the caller writes none of its fields afterwards, Annotate
+// included. Call Clone for a copy you may write into.
 type Segment struct {
 	// Contributor is the data owner's identity.
 	Contributor string `json:"contributor,omitempty"`
