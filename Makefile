@@ -4,7 +4,9 @@ GO ?= go
 
 .PHONY: all build vet fmtcheck sslint sslint-sarif lint test test-short race cover bench bench-check bench-smoke chaos fuzz fuzz-seeds examples clean
 
-all: build lint test race
+# all includes bench-check: the root `go test ./...` never compiles
+# bench/, so a removed name that bench/ uses would otherwise go unseen.
+all: build lint test race bench-check
 
 build:
 	$(GO) build ./...

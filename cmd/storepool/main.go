@@ -48,7 +48,6 @@ func main() {
 			bc := &httpapi.BrokerClient{BaseURL: *brokerURL}
 			opts.Sync = bc
 			opts.Directory = bc
-			opts.SyncInterval = datastore.DefaultSyncInterval
 		}
 		svc, err := datastore.New(opts)
 		if err != nil {

@@ -10,9 +10,10 @@
 //
 // With -broker set, contributor registrations and rule changes propagate to
 // the broker over its HTTP API, exactly as in a multi-host deployment, and
-// an anti-entropy round every -sync-interval (default 30s; 0 disables it)
-// pushes each replica the broker reports as behind, so rule replicas
-// converge after a broker outage or a crash cut a push off.
+// an anti-entropy round every 30s pushes each replica the broker reports
+// as behind and registers each contributor it does not know, so rule
+// replicas and the directory converge after a broker outage or a crash
+// cut a push off.
 //
 // With -dir set, segments live in the persistent columnar engine
 // (internal/segstore) under <dir>/segstore; tune it with -segstore-dir,
@@ -52,7 +53,6 @@ func main() {
 	name := flag.String("name", "", "public address of this store (defaults to http://localhost<listen>)")
 	dir := flag.String("dir", "", "storage directory (empty = in-memory)")
 	brokerURL := flag.String("broker", "", "broker base URL for rule sync and contributor registration")
-	syncInterval := flag.Duration("sync-interval", datastore.DefaultSyncInterval, "anti-entropy period for broker rule replicas (0 = disabled; only meaningful with -broker)")
 	maxSamples := flag.Int("max-segment-samples", 0, "wave-segment size cap (0 = default)")
 	segstoreDir := flag.String("segstore-dir", "", "segment-engine directory (default <dir>/segstore; only meaningful with -dir)")
 	memtableBytes := flag.Int64("memtable-bytes", 0, "segment-engine hot-tail budget before flushing to disk (0 = default 4MiB)")
@@ -77,7 +77,6 @@ func main() {
 		bc := &httpapi.BrokerClient{BaseURL: *brokerURL}
 		opts.Sync = bc
 		opts.Directory = bc
-		opts.SyncInterval = *syncInterval
 	}
 	svc, err := datastore.New(opts)
 	if err != nil {
@@ -89,7 +88,7 @@ func main() {
 	logger := obs.NewLogger("storeserver", os.Stderr)
 	logger.Info("starting", "version", obs.Version)
 	logger.Info("listening", "name", *name, "listen", *listen,
-		"dir", *dir, "broker", *brokerURL, "sync_interval", syncInterval.String(),
+		"dir", *dir, "broker", *brokerURL, "sync_interval", datastore.DefaultSyncInterval.String(),
 		"compact_interval", compactInterval.String(),
 		"tls", *useTLS, "pprof", *withPprof)
 	ctrl := overload.NewController(overload.StoreDefaults())

@@ -1,11 +1,10 @@
 // Package auth implements SensorSafe's authentication (paper §5.4): every
 // user holds a unique API key — a random string generated with the SHA
-// algorithm — presented in the body of API requests, plus a username/
-// password login with expiring sessions for the web user interfaces.
+// algorithm — presented in the body of API requests. The key is the only
+// credential: it "acts as username and password".
 package auth
 
 import (
-	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
@@ -57,11 +56,9 @@ type User struct {
 
 // Errors returned by the registry.
 var (
-	ErrDuplicateUser  = errors.New("auth: user already registered")
-	ErrUnknownUser    = errors.New("auth: unknown user")
-	ErrBadKey         = errors.New("auth: invalid API key")
-	ErrBadLogin       = errors.New("auth: invalid username or password")
-	ErrSessionExpired = errors.New("auth: session expired")
+	ErrDuplicateUser = errors.New("auth: user already registered")
+	ErrUnknownUser   = errors.New("auth: unknown user")
+	ErrBadKey        = errors.New("auth: invalid API key")
 )
 
 // NewAPIKey generates a fresh key: SHA-256 over 32 bytes of entropy,
@@ -161,113 +158,4 @@ func (r *Registry) Snapshot() []User {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Passwords implements the web-UI login: salted SHA-256 password hashes and
-// expiring session tokens.
-type Passwords struct {
-	mu       sync.Mutex
-	creds    map[string]credential
-	sessions map[string]session
-	ttl      time.Duration
-	now      func() time.Time
-}
-
-type credential struct {
-	salt [16]byte
-	hash [32]byte
-}
-
-type session struct {
-	user    string
-	expires time.Time
-}
-
-// DefaultSessionTTL is the web session lifetime.
-const DefaultSessionTTL = 24 * time.Hour
-
-// NewPasswords returns an empty password store with the given session TTL
-// (DefaultSessionTTL if zero).
-func NewPasswords(ttl time.Duration) *Passwords {
-	if ttl <= 0 {
-		ttl = DefaultSessionTTL
-	}
-	return &Passwords{
-		creds:    make(map[string]credential),
-		sessions: make(map[string]session),
-		ttl:      ttl,
-		now:      time.Now,
-	}
-}
-
-func hashPassword(salt [16]byte, password string) [32]byte {
-	h := sha256.New()
-	h.Write(salt[:])
-	h.Write([]byte(password))
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
-}
-
-// SetPassword creates or replaces a user's password.
-func (p *Passwords) SetPassword(user, password string) error {
-	if normName(user) == "" || password == "" {
-		return fmt.Errorf("auth: empty user or password")
-	}
-	var c credential
-	if _, err := rand.Read(c.salt[:]); err != nil {
-		return fmt.Errorf("auth: entropy: %w", err)
-	}
-	c.hash = hashPassword(c.salt, password)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.creds[normName(user)] = c
-	return nil
-}
-
-// Login verifies credentials and mints a session token.
-func (p *Passwords) Login(user, password string) (token string, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.creds[normName(user)]
-	if !ok {
-		metricAuthFailures.With("bad_login").Inc()
-		return "", ErrBadLogin
-	}
-	got := hashPassword(c.salt, password)
-	if !hmac.Equal(got[:], c.hash[:]) {
-		metricAuthFailures.With("bad_login").Inc()
-		return "", ErrBadLogin
-	}
-	var buf [24]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		return "", fmt.Errorf("auth: entropy: %w", err)
-	}
-	token = hex.EncodeToString(buf[:])
-	p.sessions[token] = session{user: normName(user), expires: p.now().Add(p.ttl)}
-	return token, nil
-}
-
-// Validate resolves a session token to its user name.
-func (p *Passwords) Validate(token string) (user string, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.sessions[token]
-	if !ok {
-		metricAuthFailures.With("session_expired").Inc()
-		return "", ErrSessionExpired
-	}
-	if p.now().After(s.expires) {
-		delete(p.sessions, token)
-		metricAuthFailures.With("session_expired").Inc()
-		return "", ErrSessionExpired
-	}
-	return s.user, nil
-}
-
-// Logout invalidates a session token.
-func (p *Passwords) Logout(token string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.sessions, token)
 }

@@ -3,7 +3,6 @@ package auth
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestNewAPIKeyUniqueAndWellFormed(t *testing.T) {
@@ -92,73 +91,6 @@ func TestRotateInvalidatesOldKey(t *testing.T) {
 	}
 	if got, err := r.Authenticate(rotated.Key); err != nil || got.Name != "alice" {
 		t.Errorf("new key: %v, %v", got, err)
-	}
-}
-
-func TestPasswordLoginFlow(t *testing.T) {
-	p := NewPasswords(0)
-	if err := p.SetPassword("alice", "hunter2"); err != nil {
-		t.Fatal(err)
-	}
-	token, err := p.Login("Alice", "hunter2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	user, err := p.Validate(token)
-	if err != nil || user != "alice" {
-		t.Fatalf("Validate = %q, %v", user, err)
-	}
-	if _, err := p.Login("alice", "wrong"); !errors.Is(err, ErrBadLogin) {
-		t.Errorf("wrong password: %v", err)
-	}
-	if _, err := p.Login("nobody", "x"); !errors.Is(err, ErrBadLogin) {
-		t.Errorf("unknown user: %v", err)
-	}
-	p.Logout(token)
-	if _, err := p.Validate(token); !errors.Is(err, ErrSessionExpired) {
-		t.Errorf("after logout: %v", err)
-	}
-	if err := p.SetPassword("", "x"); err == nil {
-		t.Error("empty user should be rejected")
-	}
-	if err := p.SetPassword("x", ""); err == nil {
-		t.Error("empty password should be rejected")
-	}
-}
-
-func TestSessionExpiry(t *testing.T) {
-	p := NewPasswords(time.Hour)
-	now := time.Date(2011, 2, 16, 10, 0, 0, 0, time.UTC)
-	p.now = func() time.Time { return now }
-	if err := p.SetPassword("alice", "pw"); err != nil {
-		t.Fatal(err)
-	}
-	token, err := p.Login("alice", "pw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Validate(token); err != nil {
-		t.Fatalf("fresh session: %v", err)
-	}
-	now = now.Add(2 * time.Hour)
-	if _, err := p.Validate(token); !errors.Is(err, ErrSessionExpired) {
-		t.Errorf("expired session: %v", err)
-	}
-	// Expired token is removed; validating again still fails cleanly.
-	if _, err := p.Validate(token); !errors.Is(err, ErrSessionExpired) {
-		t.Errorf("re-validate: %v", err)
-	}
-}
-
-func TestPasswordChangeInvalidatesNothingButUsesNewHash(t *testing.T) {
-	p := NewPasswords(0)
-	_ = p.SetPassword("alice", "old")
-	_ = p.SetPassword("alice", "new")
-	if _, err := p.Login("alice", "old"); !errors.Is(err, ErrBadLogin) {
-		t.Error("old password must stop working")
-	}
-	if _, err := p.Login("alice", "new"); err != nil {
-		t.Errorf("new password: %v", err)
 	}
 }
 

@@ -97,7 +97,6 @@ type consumerEntry struct {
 // Service is a broker instance. Safe for concurrent use.
 type Service struct {
 	users *auth.Registry
-	web   *auth.Passwords
 	dir   string // persistence directory ("" = in-memory)
 	// logMu is the writer lock: a mutation holds it while it reads the
 	// state its frame is built from, appends the frame and applies it,
@@ -125,7 +124,6 @@ type provision struct{ consumer, store string }
 func New() *Service {
 	return &Service{
 		users:        auth.NewRegistry(),
-		web:          auth.NewPasswords(0),
 		contributors: make(map[string]*contributorEntry),
 		consumers:    make(map[string]*consumerEntry),
 		stores:       make(map[string]StoreConn),
@@ -137,9 +135,6 @@ func New() *Service {
 
 // Users exposes the broker's account registry for server wiring.
 func (s *Service) Users() *auth.Registry { return s.users }
-
-// Web exposes the password/session store for the web UI layer.
-func (s *Service) Web() *auth.Passwords { return s.web }
 
 func norm(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
 

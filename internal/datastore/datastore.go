@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"maps"
 	"slices"
 	"sort"
@@ -111,19 +112,15 @@ type Options struct {
 	// MaxSegmentSamples caps merged wave segments
 	// (wavesegment.DefaultMaxSamples if zero).
 	MaxSegmentSamples int
-	// Sync, when set, receives rule replicas on every change.
+	// Sync, when set, receives rule replicas on every change, and a
+	// background anti-entropy round every DefaultSyncInterval exchanges a
+	// version digest with it and pushes whatever it reports as stale:
+	// that round delivers a replica a failed push or a crash left behind.
 	Sync SyncTarget
 	// Directory, when set, receives contributor registrations.
 	Directory Directory
 	// Name identifies this store instance (e.g. its address).
 	Name string
-	// SyncInterval, when > 0 and Sync is set, runs the background
-	// anti-entropy loop at this cadence: exchange a version digest and
-	// push whatever the target reports as stale. That loop is what
-	// delivers a replica a failed push or a crash left behind. Zero means
-	// reconciliation only happens on explicit AntiEntropy/ResyncAll calls
-	// (tests rely on it); the shipped servers use DefaultSyncInterval.
-	SyncInterval time.Duration
 	// SegstoreDir overrides where the persistent segment engine keeps
 	// its files (default Dir/segstore). Ignored for in-memory stores.
 	SegstoreDir string
@@ -135,7 +132,7 @@ type Options struct {
 	CompactInterval time.Duration
 }
 
-// DefaultSyncInterval is the shipped servers' anti-entropy period.
+// DefaultSyncInterval is the anti-entropy period.
 const DefaultSyncInterval = 30 * time.Second
 
 // Service is one remote data store.
@@ -143,7 +140,6 @@ type Service struct {
 	opts   Options
 	store  storage.Engine
 	users  *auth.Registry
-	web    *auth.Passwords
 	trail  *audit.Trail
 	stream *stream.Hub
 
@@ -178,7 +174,6 @@ func New(opts Options) (*Service, error) {
 		opts:         opts,
 		store:        st,
 		users:        auth.NewRegistry(),
-		web:          auth.NewPasswords(0),
 		trail:        audit.NewTrail(0),
 		contributors: make(map[string]*contributorRecord),
 	}
@@ -199,7 +194,7 @@ func New(opts Options) (*Service, error) {
 		st.Close()
 		return nil, err
 	}
-	if opts.Sync != nil && opts.SyncInterval > 0 {
+	if opts.Sync != nil {
 		svc.syncDone = make(chan struct{})
 		go svc.syncLoop()
 	}
@@ -226,11 +221,8 @@ func (s *Service) Close() error {
 // Name returns the store's configured name.
 func (s *Service) Name() string { return s.opts.Name }
 
-// Users exposes the registry for server wiring (web login bootstrap).
+// Users exposes the registry for server wiring.
 func (s *Service) Users() *auth.Registry { return s.users }
-
-// Web exposes the password/session store for the web UI layer.
-func (s *Service) Web() *auth.Passwords { return s.web }
 
 // Storage exposes the underlying segment engine (read-mostly; used by
 // maintenance tooling and benchmarks).
@@ -247,15 +239,21 @@ func (s *Service) SegmentStoreStats() (segstore.Stats, bool) {
 }
 
 // RegisterContributor creates a contributor account with a fresh API key
-// and an empty (deny-everything) rule set.
+// and an empty (deny-everything) rule set, then registers it on the
+// directory within syncPushTimeout. The account is already durable, so a
+// directory outage is logged, not returned: the next anti-entropy digest
+// reports the contributor and the broker enters it at this store's name.
 func (s *Service) RegisterContributor(name string) (auth.User, error) {
 	u, err := s.register(name, auth.RoleContributor)
 	if err != nil {
 		return auth.User{}, err
 	}
 	if s.opts.Directory != nil {
-		if err := s.opts.Directory.RegisterContributorCtx(s.ctx, u.Name, s.opts.Name); err != nil {
-			return u, fmt.Errorf("datastore: broker registration for %s: %w", name, err)
+		ctx, cancel := context.WithTimeout(s.ctx, syncPushTimeout)
+		defer cancel()
+		if err := s.opts.Directory.RegisterContributorCtx(ctx, u.Name, s.opts.Name); err != nil {
+			slog.Warn("datastore: broker registration failed; the next anti-entropy round retries it",
+				"store", s.opts.Name, "contributor", u.Name, "err", err)
 		}
 	}
 	return u, nil
@@ -492,7 +490,7 @@ func (s *Service) commitPolicy(contributor string, change func(cur *ruleindex.In
 	// Replicate best-effort: the change is already durable, so a broker
 	// outage here is not an error. The target then still holds the older
 	// version, which the next anti-entropy round's digest reports, so
-	// that round (or ResyncAll) pushes this one.
+	// that round pushes this one.
 	_ = s.pushSync(contributor)
 	return nil
 }
@@ -587,24 +585,6 @@ func (s *Service) pushSync(contributor string) error {
 	return nil
 }
 
-// ResyncAll pushes every contributor's replica (used when a broker
-// reconnects or an operator forces a full resync).
-func (s *Service) ResyncAll() error {
-	s.mu.RLock()
-	names := make([]string, 0, len(s.contributors))
-	for name := range s.contributors {
-		names = append(names, name)
-	}
-	s.mu.RUnlock()
-	sort.Strings(names)
-	for _, n := range names {
-		if err := s.pushSync(n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AntiEntropy performs one reconciliation round against the sync target:
 // exchange a version digest and push every replica the target reports as
 // behind, which covers any push a broker outage or a crash cut off.
@@ -634,12 +614,12 @@ func (s *Service) AntiEntropy() error {
 	return nil
 }
 
-// syncLoop runs anti-entropy in the background at SyncInterval, backing
-// off exponentially (to 8× the interval) while the target keeps failing
-// so a broker outage does not become a hammering loop.
+// syncLoop runs anti-entropy in the background every DefaultSyncInterval,
+// backing off exponentially (to 8× the interval) while the target keeps
+// failing so a broker outage does not become a hammering loop.
 func (s *Service) syncLoop() {
 	defer close(s.syncDone)
-	interval := s.opts.SyncInterval
+	interval := DefaultSyncInterval
 	delay := interval
 	for {
 		t := time.NewTimer(delay)

@@ -3,6 +3,7 @@ package datastore
 import (
 	"context"
 	"errors"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -456,6 +457,20 @@ func TestQueryOwnScopedToOwner(t *testing.T) {
 	}
 }
 
+// allStale is the digest answer of a target that holds no replica: every
+// contributor the store reports, in name order, so one AntiEntropy round
+// pushes them all.
+func allStale(versions map[string]uint64) []string {
+	names := make([]string, 0, len(versions))
+	for name := range versions {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// recordingSync records every push; its digest reports every contributor
+// stale.
 type recordingSync struct {
 	mu      sync.Mutex
 	calls   []string
@@ -473,7 +488,7 @@ func (r *recordingSync) SyncDigestCtx(_ context.Context, storeAddr string, versi
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.digests++
-	return nil, nil
+	return allStale(versions), nil
 }
 
 func TestRuleSyncPushes(t *testing.T) {
@@ -490,11 +505,11 @@ func TestRuleSyncPushes(t *testing.T) {
 	if len(sync.calls) != 2 {
 		t.Errorf("sync calls = %v, want 2", sync.calls)
 	}
-	if err := s.ResyncAll(); err != nil {
+	if err := s.AntiEntropy(); err != nil {
 		t.Fatal(err)
 	}
 	if len(sync.calls) != 3 {
-		t.Errorf("after ResyncAll calls = %v", sync.calls)
+		t.Errorf("after AntiEntropy calls = %v", sync.calls)
 	}
 }
 
@@ -556,7 +571,7 @@ func TestAccessorsAndProvisioning(t *testing.T) {
 	if s.Name() != "store-x" || s.Addr() != "store-x" {
 		t.Errorf("Name/Addr = %q/%q", s.Name(), s.Addr())
 	}
-	if s.Users() == nil || s.Web() == nil || s.Storage() == nil {
+	if s.Users() == nil || s.Storage() == nil {
 		t.Error("accessors must not be nil")
 	}
 	key, err := s.ProvisionConsumer(ctx, "bob")

@@ -200,7 +200,7 @@ func TestRestoredRulesStillSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if err := s2.ResyncAll(); err != nil {
+	if err := s2.AntiEntropy(); err != nil {
 		t.Fatal(err)
 	}
 	if len(sync.calls) != 1 || sync.calls[0] != "alice" {

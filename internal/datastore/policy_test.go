@@ -22,8 +22,8 @@ import (
 // state file of a store with rules, places, a rule set set to [], a
 // contributor with places only, one with nothing, group assignments,
 // subscriptions and a sync outbox the store no longer keeps;
-// sync_pushes.json is what ResyncAll
-// pushed from it; decisions.json is what the restored policies decided
+// sync_pushes.json is what a push of every contributor, in name order,
+// sent from it; decisions.json is what the restored policies decided
 // for policyProbes.
 
 // pushRecorder captures every replica push exactly as the broker client
@@ -42,8 +42,8 @@ func (r *pushRecorder) SyncRulesCtx(_ context.Context, c string, v uint64, rs []
 	return nil
 }
 
-func (r *pushRecorder) SyncDigestCtx(context.Context, string, map[string]uint64) ([]string, error) {
-	return nil, nil
+func (r *pushRecorder) SyncDigestCtx(_ context.Context, _ string, versions map[string]uint64) ([]string, error) {
+	return allStale(versions), nil
 }
 
 // readJSON decodes a file into a generic value, so two files compare
@@ -109,7 +109,7 @@ func TestParentStateFileLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.ResyncAll(); err != nil {
+	if err := s.AntiEntropy(); err != nil {
 		t.Fatal(err)
 	}
 	var wantPushes []recordedPush

@@ -68,25 +68,3 @@ func TestAuditOverHTTP(t *testing.T) {
 		t.Errorf("consumer audit access: %v", err)
 	}
 }
-
-func TestWebLoginOverHTTP(t *testing.T) {
-	ctx := context.Background()
-	d := deploy(t)
-	alice, err := d.storeClient.RegisterCtx(ctx, "alice", "contributor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.storeClient.SetPasswordCtx(ctx, alice.Key, "hunter2"); err != nil {
-		t.Fatal(err)
-	}
-	token, err := d.storeClient.LoginCtx(ctx, "alice", "hunter2")
-	if err != nil || token == "" {
-		t.Fatalf("login = %q, %v", token, err)
-	}
-	if _, err := d.storeClient.LoginCtx(ctx, "alice", "wrong"); err == nil || !strings.Contains(err.Error(), "401") {
-		t.Errorf("wrong password: %v", err)
-	}
-	if err := d.storeClient.SetPasswordCtx(ctx, "bogus-key", "pw"); err == nil {
-		t.Error("bad key should not set a password")
-	}
-}

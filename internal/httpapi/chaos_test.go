@@ -302,6 +302,95 @@ func TestChaosBrokerOutageConvergence(t *testing.T) {
 	}
 }
 
+// TestChaosRegistrationWhileBrokerDown registers a contributor while
+// every store→broker call answers 503. The registration must still hand
+// out a working key, since the account is durable before the broker
+// call; after the broker comes back, one anti-entropy digest must enter
+// the contributor in the directory at the store's URL, so a consumer can
+// connect through the broker and query the data.
+func TestChaosRegistrationWhileBrokerDown(t *testing.T) {
+	ctx := context.Background()
+	bsvc := broker.New()
+	brokerServer := httptest.NewServer(NewBrokerHandler(bsvc))
+	t.Cleanup(brokerServer.Close)
+	bnet := faultnet.New(chaosSeed, nil, faultnet.Rule{Path: "/", Status: 1, StatusCode: http.StatusServiceUnavailable})
+	bc := &BrokerClient{
+		BaseURL: brokerServer.URL,
+		HTTP:    &http.Client{Transport: bnet, Timeout: 10 * time.Second},
+		Retry:   chaosPolicy(),
+	}
+	// The store is named by its URL, as a deployed store is, so the
+	// directory entry the digest creates is one the broker can dial.
+	storeServer := httptest.NewUnstartedServer(nil)
+	storeURL := "http://" + storeServer.Listener.Addr().String()
+	svc, err := datastore.New(datastore.Options{Name: storeURL, Sync: bc, Directory: bc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	storeServer.Config.Handler = NewStoreHandler(svc)
+	storeServer.Start()
+	t.Cleanup(storeServer.Close)
+	sc := &StoreClient{BaseURL: storeURL}
+
+	alice, err := sc.RegisterCtx(ctx, "alice", "contributor")
+	if err != nil {
+		t.Fatalf("registration during a broker outage: %v", err)
+	}
+	if alice.Key == "" {
+		t.Fatal("registration during a broker outage returned no key")
+	}
+	if bnet.Injected("status") == 0 {
+		t.Fatal("no 503 injected — the outage exercised nothing")
+	}
+	if err := sc.SetRulesCtx(ctx, alice.Key, []byte(`[{"Action":"Allow"}]`)); err != nil {
+		t.Fatalf("rule change during a broker outage: %v", err)
+	}
+	seg := &wavesegment.Segment{
+		Contributor: "alice", Start: t0, Interval: 100 * time.Millisecond,
+		Location: home, Channels: []string{wavesegment.ChannelECG},
+		Values: [][]float64{{1}, {2}, {3}},
+	}
+	if _, err := sc.UploadCtx(ctx, alice.Key, []*wavesegment.Segment{seg}); err != nil {
+		t.Fatalf("upload with the key issued during the outage: %v", err)
+	}
+	if r := bsvc.Replicas(); len(r) != 0 {
+		t.Fatalf("broker knows %+v during the outage", r)
+	}
+
+	// The broker comes back; one anti-entropy round registers alice.
+	bnet.Configure()
+	if err := svc.AntiEntropy(); err != nil {
+		t.Fatalf("anti-entropy after the outage: %v", err)
+	}
+	consumer := &BrokerClient{BaseURL: brokerServer.URL}
+	bob, err := consumer.RegisterConsumerCtx(ctx, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := consumer.DirectoryCtx(ctx, bob.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dir) != 1 || dir[0].Name != "alice" || dir[0].StoreAddr != storeURL {
+		t.Fatalf("directory after anti-entropy = %+v, want alice at %s", dir, storeURL)
+	}
+	cred, err := consumer.ConnectCtx(ctx, bob.Key, "alice")
+	if err != nil {
+		t.Fatalf("connect after anti-entropy: %v", err)
+	}
+	if cred.StoreAddr != storeURL {
+		t.Fatalf("connect points at %q, want %q", cred.StoreAddr, storeURL)
+	}
+	rels, err := (&StoreClient{BaseURL: cred.StoreAddr}).QueryCtx(ctx, cred.Key, &query.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rels) != 1 || rels[0].Segment == nil || rels[0].Segment.NumSamples() != 3 {
+		t.Fatalf("query through the connected key = %+v, want the 3 uploaded samples", rels)
+	}
+}
+
 // TestChaosFederationPartialFailure fans a cohort query out over twelve
 // stores while every consumer→store hop suffers ~30% injected faults and
 // three stores are fully partitioned. The retry policy must absorb the

@@ -382,18 +382,6 @@ func (c *StoreClient) RecommendCtx(ctx context.Context, key auth.APIKey, minOver
 	return resp.Suggestions, err
 }
 
-// SetPasswordCtx sets the web-UI password, authenticating with the API key.
-func (c *StoreClient) SetPasswordCtx(ctx context.Context, key auth.APIKey, password string) error {
-	_, err := storePassword.call(ctx, peer(*c), &passwordReq{Key: key, Password: password})
-	return err
-}
-
-// LoginCtx exchanges a username/password for a web session token.
-func (c *StoreClient) LoginCtx(ctx context.Context, name, password string) (string, error) {
-	resp, err := storeLogin.call(ctx, peer(*c), &loginReq{Name: name, Password: password})
-	return resp.Token, err
-}
-
 // RulesForCtx downloads and compiles the owner's policy — the phone's
 // §5.3 path. Returns nil when the owner has no rules.
 func (c *StoreClient) RulesForCtx(ctx context.Context, key auth.APIKey) (*rules.Engine, error) {

@@ -130,9 +130,7 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errEncode):
 		status = http.StatusInternalServerError
-	case errors.Is(err, auth.ErrBadKey),
-		errors.Is(err, auth.ErrBadLogin),
-		errors.Is(err, auth.ErrSessionExpired):
+	case errors.Is(err, auth.ErrBadKey):
 		status = http.StatusUnauthorized
 	case errors.Is(err, datastore.ErrNotContributor),
 		errors.Is(err, datastore.ErrNotConsumer),

@@ -459,13 +459,12 @@ func TestCloseDoesNotWaitOutHungBroker(t *testing.T) {
 	t.Cleanup(hung.Close)
 	t.Cleanup(func() { close(release) })
 
-	svc, err := datastore.New(datastore.Options{
-		Sync:         &BrokerClient{BaseURL: hung.URL},
-		SyncInterval: 10 * time.Millisecond,
-	})
+	svc, err := datastore.New(datastore.Options{Sync: &BrokerClient{BaseURL: hung.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	round := make(chan error, 1)
+	go func() { round <- svc.AntiEntropy() }()
 	select {
 	case <-reached:
 	case <-time.After(5 * time.Second):
@@ -481,6 +480,14 @@ func TestCloseDoesNotWaitOutHungBroker(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close is waiting on the hung broker")
+	}
+	select {
+	case err := <-round:
+		if err == nil {
+			t.Error("the round cut off by Close returned no error")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the anti-entropy round outlived Close")
 	}
 }
 

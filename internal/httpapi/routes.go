@@ -52,8 +52,6 @@ var (
 	storeAuditSummary = route[rulesGetReq, auditSummaryResp]{"/api/audit/summary", overload.ClassQuery, readOnly}
 	storeRotate       = route[rulesGetReq, registerResp]{"/api/rotate", overload.ClassIngest, mutates}
 	storeRecommend    = route[recommendReq, recommendResp]{"/api/recommend", overload.ClassQuery, readOnly}
-	storePassword     = route[passwordReq, okResp]{"/api/password", overload.ClassIngest, mutates}
-	storeLogin        = route[loginReq, loginResp]{"/api/login", overload.ClassIngest, mutates}
 
 	// The cursor makes a retried poll or ack re-read from the same
 	// position, so neither needs an idempotency key.

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,7 +15,7 @@ import (
 )
 
 // parentRoutes is how the servers classified their API routes before the
-// route table existed: for each of the 34 paths, its server, the class
+// route table existed: for each of the 32 paths, its server, the class
 // and gating the old storeRouteClass/brokerRouteClass switches gave it,
 // and whether the old mutatingRoutes map listed it. It was computed once
 // from those functions and is never to be regenerated from the table.
@@ -35,8 +36,6 @@ var parentRoutes = []struct {
 	{"store", "/api/audit/summary", overload.ClassQuery, true, false},
 	{"store", "/api/rotate", overload.ClassIngest, true, true},
 	{"store", "/api/recommend", overload.ClassQuery, true, false},
-	{"store", "/api/password", overload.ClassIngest, true, true},
-	{"store", "/api/login", overload.ClassIngest, true, true},
 	{"store", "/api/stream/subscribe", overload.ClassStream, true, true},
 	{"store", "/api/stream/next", overload.ClassStream, true, false},
 	{"store", "/api/stream/ack", overload.ClassStream, true, false},
@@ -180,5 +179,45 @@ func TestAdminPageListsMountedRoutes(t *testing.T) {
 				t.Errorf("%s admin page lacks %q", server, want)
 			}
 		}
+	}
+}
+
+// TestWebLoginRoutesAreGone: the API key is a user's only credential, so
+// a running store answers the old web-login paths with 404 and its admin
+// page does not list them.
+func TestWebLoginRoutesAreGone(t *testing.T) {
+	svc, err := datastore.New(datastore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	srv := httptest.NewServer(NewStoreHandler(svc))
+	t.Cleanup(srv.Close)
+	for _, path := range []string{"/api/login", "/api/password"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"name":"alice","password":"pw"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: HTTP %d, want 404", path, resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	page, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("admin page: HTTP %d, %v", resp.StatusCode, err)
+	}
+	for _, path := range []string{"/api/login", "/api/password"} {
+		if strings.Contains(string(page), path) {
+			t.Errorf("admin page lists %s", path)
+		}
+	}
+	if !strings.Contains(string(page), "/api/register") {
+		t.Error("admin page lists no store routes")
 	}
 }

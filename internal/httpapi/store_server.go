@@ -178,20 +178,6 @@ type recommendResp struct {
 	Suggestions []recommend.Suggestion `json:"suggestions"`
 }
 
-type passwordReq struct {
-	Key      auth.APIKey `json:"key"`
-	Password string      `json:"password"`
-}
-
-type loginReq struct {
-	Name     string `json:"name"`
-	Password string `json:"password"`
-}
-
-type loginResp struct {
-	Token string `json:"token"`
-}
-
 func (q *queryReq) resolve() (*query.Query, error) {
 	if q.Text != "" {
 		return query.Parse(q.Text)
@@ -352,29 +338,6 @@ func storeAPI(svc *datastore.Service, ctrl *overload.Controller) *api {
 			return recommendResp{}, err
 		}
 		return recommendResp{Suggestions: sugs}, nil
-	})
-
-	// Web-UI login (paper §5.4: "Accesses to web user interfaces are
-	// authenticated by a login system using a username and a password").
-	// A user proves API-key possession to set their password, then logs in
-	// for a session token.
-	storePassword.mount(a, func(ctx context.Context, r *passwordReq) (okResp, error) {
-		u, err := svc.Users().Authenticate(r.Key)
-		if err != nil {
-			return okResp{}, err
-		}
-		if err := svc.Web().SetPassword(u.Name, r.Password); err != nil {
-			return okResp{}, err
-		}
-		return okResp{OK: true}, nil
-	})
-
-	storeLogin.mount(a, func(ctx context.Context, r *loginReq) (loginResp, error) {
-		token, err := svc.Web().Login(r.Name, r.Password)
-		if err != nil {
-			return loginResp{}, err
-		}
-		return loginResp{Token: token}, nil
 	})
 
 	registerStreamAPI(a, svc)

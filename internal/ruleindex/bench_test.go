@@ -22,10 +22,7 @@ func benchFixture(b *testing.B, nRules int) (*rules.Engine, *Index, []*rules.Req
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := New(rs, gaz, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	ix := fromEngine(eng, 0)
 	reqs := make([]*rules.Request, 256)
 	for i := range reqs {
 		reqs[i] = genRequest(rng)
@@ -67,10 +64,12 @@ func BenchmarkIndexDecideCold(b *testing.B) {
 	for i := range rs {
 		rs[i] = genRule(b, rng, i)
 	}
-	ix, err := New(rs, gaz, Options{CacheEntries: -1})
+	eng, err := rules.NewEngine(rs, gaz)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ix := fromEngine(eng, 0)
+	ix.cache = nil
 	reqs := make([]*rules.Request, 256)
 	for i := range reqs {
 		reqs[i] = genRequest(rng)
@@ -94,8 +93,10 @@ func BenchmarkCompile(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := New(rs, gaz, Options{}); err != nil {
+		eng, err := rules.NewEngine(rs, gaz)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fromEngine(eng, 0)
 	}
 }

@@ -32,13 +32,9 @@ type cacheShard struct {
 	m  map[string]*rules.Decision
 }
 
+// newDecisionCache bounds the cache to entries decisions, rounded up to a
+// multiple of shards.
 func newDecisionCache(entries, shards int) *decisionCache {
-	if entries <= 0 || shards <= 0 {
-		return nil
-	}
-	if shards > entries {
-		shards = entries
-	}
 	c := &decisionCache{
 		seed:     maphash.MakeSeed(),
 		shards:   make([]cacheShard, shards),

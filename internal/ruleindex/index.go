@@ -18,36 +18,20 @@
 package ruleindex
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
 
-	"sensorsafe/internal/geo"
 	"sensorsafe/internal/rules"
 )
 
-// Cache sizing defaults: 8 shards × 512 entries ≈ one contributor's worth
-// of hot enforcement spans without unbounded growth.
+// The decision cache's size: 8 shards × 512 entries ≈ one contributor's
+// worth of hot enforcement spans without unbounded growth.
 const (
-	DefaultCacheEntries = 4096
-	DefaultCacheShards  = 8
+	cacheEntries = 4096
+	cacheShards  = 8
 )
-
-// Options configures index compilation.
-type Options struct {
-	// Version stamps the index with the contributor's rule-set version;
-	// surfaced in stats and traces so a decision is attributable to the
-	// exact rule set that produced it.
-	Version uint64
-	// CacheEntries bounds the decision cache (DefaultCacheEntries when 0;
-	// negative disables memoization entirely).
-	CacheEntries int
-	// CacheShards splits the cache to keep lock contention off the
-	// delivery paths (DefaultCacheShards when 0).
-	CacheShards int
-}
 
 // Index is one contributor's compiled evaluation plan. It is immutable
 // and safe for concurrent use; it implements rules.Decider.
@@ -74,28 +58,19 @@ type Index struct {
 	rulesErr  error
 }
 
-// New validates and compiles a rule set with explicit cache options (the
-// package's tests and benchmarks size the cache). gaz may be nil when no
-// rule uses location labels; labels are resolved against it at compile
-// time. Everything else builds a policy with Compile or Load.
-func New(rs []*rules.Rule, gaz *geo.Gazetteer, opts Options) (*Index, error) {
-	eng, err := rules.NewEngine(rs, gaz)
-	if err != nil {
-		return nil, fmt.Errorf("ruleindex: %w", err)
-	}
-	return fromEngine(eng, opts), nil
-}
-
 // fromEngine compiles an index over an already-built engine, sharing its
-// compiled rules so both evaluate the exact same rule objects.
-func fromEngine(eng *rules.Engine, opts Options) *Index {
+// compiled rules so both evaluate the exact same rule objects. version
+// stamps the index with the contributor's rule-set version, surfaced in
+// stats and traces so a decision is attributable to the exact rule set
+// that produced it.
+func fromEngine(eng *rules.Engine, version uint64) *Index {
 	start := time.Now()
 	crs := eng.CompiledRules()
 	n := len(crs)
 	ix := &Index{
 		eng:         eng,
 		rs:          crs,
-		version:     opts.Version,
+		version:     version,
 		anyConsumer: newBitset(n),
 		consumers:   make(map[string]bitset),
 		groups:      make(map[string]bitset),
@@ -131,14 +106,7 @@ func fromEngine(eng *rules.Engine, opts Options) *Index {
 	ix.timeIdx = newTimeIndex(crs)
 	ix.geoIdx = newGeoIndex(crs, eng.Gazetteer())
 
-	entries, shards := opts.CacheEntries, opts.CacheShards
-	if entries == 0 {
-		entries = DefaultCacheEntries
-	}
-	if shards == 0 {
-		shards = DefaultCacheShards
-	}
-	ix.cache = newDecisionCache(entries, shards)
+	ix.cache = newDecisionCache(cacheEntries, cacheShards)
 
 	ix.compile = time.Since(start)
 	metricCompile.Observe(ix.compile.Seconds())

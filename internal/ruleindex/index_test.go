@@ -201,10 +201,7 @@ func TestDifferentialDecide(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: engine: %v", seed, err)
 		}
-		ix, err := New(rs, gaz, Options{Version: uint64(seed)})
-		if err != nil {
-			t.Fatalf("seed %d: index: %v", seed, err)
-		}
+		ix := fromEngine(eng, uint64(seed))
 		for q := 0; q < 80; q++ {
 			req := genRequest(rng)
 			want := eng.Decide(req)
@@ -241,10 +238,8 @@ func TestDifferentialNoCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := New(rs, gaz, Options{CacheEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ix := fromEngine(eng, 0)
+	ix.cache = nil
 	for q := 0; q < 200; q++ {
 		req := genRequest(rng)
 		want, got := eng.Decide(req), ix.Decide(req)
@@ -267,7 +262,7 @@ func TestDifferentialNoCache(t *testing.T) {
 func TestRecompileDropsStaleDecisions(t *testing.T) {
 	req := &rules.Request{Consumer: "bob", At: base.Add(10 * time.Hour)}
 
-	v1, err := New([]*rules.Rule{{ID: "allow-all", Action: rules.Allow()}}, nil, Options{Version: 1})
+	v1, err := Compile([]*rules.Rule{{ID: "allow-all", Action: rules.Allow()}}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +274,7 @@ func TestRecompileDropsStaleDecisions(t *testing.T) {
 	}
 
 	// The contributor revokes: the mutation path compiles a new index.
-	v2, err := New([]*rules.Rule{{ID: "deny-all", Action: rules.Deny()}}, nil, Options{Version: 2})
+	v2, err := Compile([]*rules.Rule{{ID: "deny-all", Action: rules.Deny()}}, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +289,11 @@ func TestRecompileDropsStaleDecisions(t *testing.T) {
 // TestCacheBound fills the cache past capacity and checks the bound holds
 // and evictions are counted.
 func TestCacheBound(t *testing.T) {
-	ix, err := New([]*rules.Rule{{ID: "a", Action: rules.Allow()}}, nil,
-		Options{CacheEntries: 32, CacheShards: 4})
+	ix, err := Compile([]*rules.Rule{{ID: "a", Action: rules.Allow()}}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix.cache = newDecisionCache(32, 4)
 	for i := 0; i < 500; i++ {
 		ix.Decide(&rules.Request{Consumer: fmt.Sprintf("c%d", i), At: base})
 	}

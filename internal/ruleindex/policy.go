@@ -49,7 +49,7 @@ func Compile(rs []*rules.Rule, places []geo.Region, version uint64) (*Index, err
 	if err != nil {
 		return nil, fmt.Errorf("ruleindex: %w", err)
 	}
-	return fromEngine(eng, Options{Version: version}), nil
+	return fromEngine(eng, version), nil
 }
 
 // Empty returns the policy a contributor starts with: no rules, no

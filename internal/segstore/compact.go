@@ -72,7 +72,7 @@ func (s *Store) compactRound(force bool) (mergedAway, reclaimed int, err error) 
 		return false
 	}
 	pick := make(map[string]bool)
-	if len(l0) >= s.opts.L0CompactThreshold || (force && len(l0) > 0) {
+	if len(l0) >= l0CompactThreshold || (force && len(l0) > 0) {
 		lo, hi := l0[0].MinTime, l0[0].MaxTime
 		for _, fm := range l0 {
 			pick[fm.Name] = true

@@ -232,7 +232,7 @@ func TestKillDuringCompaction(t *testing.T) {
 // concurrently with repeated flush+compact cycles, then verifies every
 // surviving record is present exactly once with intact payloads.
 func TestCompactionUnderConcurrentIngest(t *testing.T) {
-	s := openTestStore(t, t.TempDir(), Options{MemtableBytes: 16 << 10, L0CompactThreshold: 2})
+	s := openTestStore(t, t.TempDir(), Options{MemtableBytes: 16 << 10})
 	defer s.Close()
 
 	var (

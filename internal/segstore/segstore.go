@@ -51,13 +51,11 @@ type Options struct {
 	// stream's tail and during compaction (default
 	// wavesegment.DefaultMaxSamples).
 	MaxSegmentSamples int
-	// L0CompactThreshold is how many L0 files accumulate before the
-	// compactor merges them into L1. Default 4.
-	L0CompactThreshold int
-	// SyncEveryWrite fsyncs the WAL on every append. Off by default: a
-	// crash loses at most the unsynced tail.
-	SyncEveryWrite bool
 }
+
+// l0CompactThreshold is how many L0 files accumulate before the
+// background compactor merges them into L1.
+const l0CompactThreshold = 4
 
 func (o Options) withDefaults() Options {
 	if o.MemtableBytes <= 0 {
@@ -65,9 +63,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxSegmentSamples <= 0 {
 		o.MaxSegmentSamples = wavesegment.DefaultMaxSamples
-	}
-	if o.L0CompactThreshold <= 0 {
-		o.L0CompactThreshold = 4
 	}
 	return o
 }
@@ -265,7 +260,7 @@ func Open(opts Options) (*Store, error) {
 		}
 		kept = append(kept, wf)
 	}
-	w, err := newWAL(s.dir, s.nextSeq, opts.SyncEveryWrite, kept)
+	w, err := newWAL(s.dir, s.nextSeq, kept)
 	if err != nil {
 		s.closeReadersLocked()
 		return nil, err
@@ -506,16 +501,6 @@ func (s *Store) Count() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.liveCount
-}
-
-// Sync flushes the active WAL file to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return storage.ErrClosed
-	}
-	return s.wal.fsync()
 }
 
 // Compact forces a full maintenance cycle: flush the hot tail, then run

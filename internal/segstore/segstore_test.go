@@ -398,7 +398,7 @@ func TestDeleteSemantics(t *testing.T) {
 // path: a scan snapshots its sources, compaction replaces and unlinks
 // the files mid-scan, and the scan must still return every record.
 func TestScanDuringCompactionFileRemoval(t *testing.T) {
-	s := openTestStore(t, t.TempDir(), Options{L0CompactThreshold: 2})
+	s := openTestStore(t, t.TempDir(), Options{})
 	defer s.Close()
 	total := 0
 	for i := 0; i < 4; i++ {

@@ -23,7 +23,7 @@ type Stats struct {
 	// normalize MemtableBytes without knowing the engine's configuration.
 	MemtableBudget  int64 `json:"memtableBudget"`
 	SealedMemtables int   `json:"sealedMemtables"`
-	// L0Threshold is Options.L0CompactThreshold, the L0 file count that
+	// L0Threshold is l0CompactThreshold, the L0 file count that
 	// triggers compaction; L0 files beyond it are compaction debt.
 	L0Threshold    int          `json:"l0Threshold"`
 	WALFiles       int          `json:"walFiles"`
@@ -51,7 +51,7 @@ func (s *Store) Stats() Stats {
 		MemtableBytes:   s.active.bytes,
 		MemtableBudget:  s.opts.MemtableBytes,
 		SealedMemtables: len(s.sealed),
-		L0Threshold:     s.opts.L0CompactThreshold,
+		L0Threshold:     l0CompactThreshold,
 		LiveRecords:     s.liveCount,
 		Tombstones:      len(s.tombstones),
 	}

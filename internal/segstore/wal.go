@@ -68,7 +68,6 @@ type wal struct {
 	f      *os.File // active file
 	active walFile
 	sealed []walFile
-	sync   bool // fsync after every append
 }
 
 func walName(firstSeq uint64) string {
@@ -115,8 +114,8 @@ func listWALFiles(dir string) ([]walFile, error) {
 // newWAL opens a fresh active file starting at nextSeq; replayed files
 // (already applied) are handed over as sealed so gc can reclaim them
 // once a flush covers their sequences.
-func newWAL(dir string, nextSeq uint64, syncEvery bool, sealed []walFile) (*wal, error) {
-	w := &wal{dir: dir, sync: syncEvery, sealed: sealed}
+func newWAL(dir string, nextSeq uint64, sealed []walFile) (*wal, error) {
+	w := &wal{dir: dir, sealed: sealed}
 	if err := w.rotate(nextSeq); err != nil {
 		return nil, err
 	}
@@ -166,28 +165,17 @@ func walFrame(typ byte, seq uint64, id storage.ID, payload []byte) []byte {
 	return walframe.Append(make([]byte, 0, walframe.HeaderLen+len(body)), body)
 }
 
-// append durably logs one record. The frame is written in one Write call
-// so a crash tears at most the final frame.
+// append logs one record; it is durable once the file is next fsynced,
+// at the seal a flush makes or at close. The frame is written in one
+// Write call so a crash tears at most the final frame.
 func (w *wal) append(typ byte, seq uint64, id storage.ID, payload []byte) error {
 	frame := walFrame(typ, seq, id, payload)
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("segstore: wal append: %w", err)
 	}
-	if w.sync {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("segstore: wal sync: %w", err)
-		}
-	}
 	w.active.maxSeq = seq
 	w.active.bytes += int64(len(frame))
 	return nil
-}
-
-func (w *wal) fsync() error {
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
 }
 
 // gc removes sealed files whose newest record is already covered by the

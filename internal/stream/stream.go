@@ -162,8 +162,9 @@ type RuleSource interface {
 	StreamRelease(consumer string, channels []string, seg *wavesegment.Segment) ([]*abstraction.Release, uint64, audit.Outcome, error)
 }
 
-// DefaultBufferSegments bounds each subscription's undelivered backlog.
-const DefaultBufferSegments = 256
+// bufferSegments bounds each subscription's undelivered backlog: on
+// overflow the oldest segment is dropped and surfaces as a gap.
+const bufferSegments = 256
 
 // maxBatchEvents caps one poll's response size.
 const maxBatchEvents = 64
@@ -172,9 +173,6 @@ const maxBatchEvents = 64
 type Options struct {
 	// Rules filters every delivery (required).
 	Rules RuleSource
-	// BufferSegments caps each subscription's ring buffer
-	// (DefaultBufferSegments if zero).
-	BufferSegments int
 	// OnChange, when set, is called after every durable mutation
 	// (subscribe, unsubscribe, cursor advance) with the subscription's ID
 	// and no hub locks held; Subscription then reports its durable state,
@@ -219,9 +217,6 @@ type Hub struct {
 
 // New builds a hub.
 func New(opts Options) *Hub {
-	if opts.BufferSegments <= 0 {
-		opts.BufferSegments = DefaultBufferSegments
-	}
 	return &Hub{
 		opts:      opts,
 		subs:      make(map[string]*sub),
@@ -397,7 +392,7 @@ func (h *Hub) Publish(contributor string, seg *wavesegment.Segment) {
 			s.mu.Unlock()
 			continue
 		}
-		if len(s.entries) >= h.opts.BufferSegments {
+		if len(s.entries) >= bufferSegments {
 			s.entries = s.entries[1:]
 			if !s.lagging {
 				s.lagging = true

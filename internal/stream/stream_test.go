@@ -39,12 +39,12 @@ func seg(start time.Time, n int) *wavesegment.Segment {
 	return s
 }
 
-func newHub(src RuleSource, buffer int) *Hub {
-	return New(Options{Rules: src, BufferSegments: buffer})
+func newHub(src RuleSource) *Hub {
+	return New(Options{Rules: src})
 }
 
 func TestSubscribePublishNext(t *testing.T) {
-	h := newHub(fakeRules{}, 0)
+	h := newHub(fakeRules{})
 	info, err := h.Subscribe("Bob", "Alice", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSubscribePublishNext(t *testing.T) {
 }
 
 func TestNextWakesOnPublish(t *testing.T) {
-	h := newHub(fakeRules{}, 0)
+	h := newHub(fakeRules{})
 	info, _ := h.Subscribe("bob", "alice", nil)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -104,7 +104,7 @@ func TestNextWakesOnPublish(t *testing.T) {
 }
 
 func TestCursorResumeNoLossNoDuplication(t *testing.T) {
-	h := newHub(fakeRules{}, 0)
+	h := newHub(fakeRules{})
 	info, _ := h.Subscribe("bob", "alice", nil)
 	for i := 0; i < 3; i++ {
 		h.Publish("alice", seg(t0.Add(time.Duration(i)*time.Second), 4))
@@ -139,7 +139,7 @@ func TestCursorResumeNoLossNoDuplication(t *testing.T) {
 }
 
 func TestDistinctChannelTuplesAreDistinctSubscriptions(t *testing.T) {
-	h := newHub(fakeRules{}, 0)
+	h := newHub(fakeRules{})
 	a, _ := h.Subscribe("bob", "alice", nil)
 	b, _ := h.Subscribe("bob", "alice", []string{"ECG"})
 	if a.ID == b.ID {
@@ -155,24 +155,25 @@ func TestDistinctChannelTuplesAreDistinctSubscriptions(t *testing.T) {
 }
 
 func TestOverflowDropsOldestAndSurfacesGap(t *testing.T) {
-	h := newHub(fakeRules{}, 4)
+	const dropped = 6
+	h := newHub(fakeRules{})
 	info, _ := h.Subscribe("bob", "alice", nil)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < bufferSegments+dropped; i++ {
 		h.Publish("alice", seg(t0.Add(time.Duration(i)*time.Second), 2))
 	}
 	b, err := h.Next("bob", info.ID, "", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Events) != 5 {
-		t.Fatalf("want gap + 4 data events, got %d: %+v", len(b.Events), b.Events)
+	if len(b.Events) != 1+maxBatchEvents {
+		t.Fatalf("want gap + %d data events, got %d: %+v", maxBatchEvents, len(b.Events), b.Events)
 	}
 	gap := b.Events[0]
-	if gap.Kind != KindGap || gap.Dropped != 6 || gap.Cursor != "6" {
+	if gap.Kind != KindGap || gap.Dropped != dropped || gap.Cursor != "6" {
 		t.Fatalf("gap = %+v", gap)
 	}
 	for i, ev := range b.Events[1:] {
-		if ev.Kind != KindData || ev.Seq != uint64(7+i) {
+		if ev.Kind != KindData || ev.Seq != uint64(dropped+1+i) {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
 	}
@@ -213,7 +214,7 @@ func (r *revocable) revoke() {
 // revocation are withheld, and the cursor still moves past them.
 func TestRuleFlipRefiltersBufferedSegments(t *testing.T) {
 	src := &revocable{}
-	h := newHub(src, 0)
+	h := newHub(src)
 	info, _ := h.Subscribe("bob", "alice", nil)
 
 	h.Publish("alice", seg(t0, 4))
@@ -240,7 +241,7 @@ func TestRuleFlipRefiltersBufferedSegments(t *testing.T) {
 }
 
 func TestUnsubscribeAndBye(t *testing.T) {
-	h := newHub(fakeRules{}, 0)
+	h := newHub(fakeRules{})
 	info, _ := h.Subscribe("bob", "alice", nil)
 	if err := h.Unsubscribe("eve", info.ID); err != ErrNotOwner {
 		t.Fatalf("foreign unsubscribe: %v", err)
@@ -257,7 +258,7 @@ func TestUnsubscribeAndBye(t *testing.T) {
 }
 
 func TestShutdownDeliversTerminalEvent(t *testing.T) {
-	h := newHub(fakeRules{}, 0)
+	h := newHub(fakeRules{})
 	info, _ := h.Subscribe("bob", "alice", nil)
 	done := make(chan Batch, 1)
 	go func() {
@@ -277,7 +278,7 @@ func TestShutdownDeliversTerminalEvent(t *testing.T) {
 }
 
 func TestSnapshotRestoreResumesCursorWithGap(t *testing.T) {
-	h := newHub(fakeRules{}, 0)
+	h := newHub(fakeRules{})
 	info, _ := h.Subscribe("bob", "alice", nil)
 	for i := 0; i < 5; i++ {
 		h.Publish("alice", seg(t0.Add(time.Duration(i)*time.Second), 2))
@@ -292,7 +293,7 @@ func TestSnapshotRestoreResumesCursorWithGap(t *testing.T) {
 
 	// "Restart": a fresh hub restores the registration but not the buffer;
 	// the three unacked segments surface as one gap.
-	h2 := newHub(fakeRules{}, 0)
+	h2 := newHub(fakeRules{})
 	h2.Restore(states)
 	again, err := h2.Subscribe("bob", "alice", nil)
 	if err != nil {
@@ -355,13 +356,15 @@ func TestOnChangeFiresOnDurableMutations(t *testing.T) {
 // criteria race test: ≥3 subscribers polling concurrently while two
 // publishers ingest; every subscriber must account for every published
 // segment exactly once (delivered or inside a gap), strictly in order.
+// The publishers send several buffers' worth, so most runs overflow a
+// subscriber and exercise the gap path too.
 func TestConcurrentSubscribersAgainstConcurrentIngest(t *testing.T) {
 	const (
 		subscribers = 4
 		publishers  = 2
-		perPub      = 150
+		perPub      = 1000
 	)
-	h := newHub(fakeRules{}, 32)
+	h := newHub(fakeRules{})
 	total := uint64(publishers * perPub)
 
 	infos := make([]SubInfo, subscribers)
